@@ -13,22 +13,12 @@ from .controllers import (
     BoxConstraints,
     ControllerSpec,
     CostSpec,
-    GSpaceController,
-    KfMpcController,
     RolloutResult,
     StepResult,
-    condense,
     kf_predictor_matrices,
     kf_update,
     make_controller,
     run_receding_horizon,
-    solve_causal_gamma,
-    solve_causal_spc,
-    solve_gamma,
-    solve_kf_mpc,
-    solve_projreg_g,
-    solve_reg_causal_gamma,
-    solve_spc,
 )
 from .errors import (
     ConfigError,
@@ -137,11 +127,8 @@ __all__ = [
     "collect_open_loop", "collect_closed_loop",
     # controllers
     "VARIANTS", "CostSpec", "BoxConstraints", "ControllerSpec",
-    "StepResult", "RolloutResult", "GSpaceController", "KfMpcController",
-    "make_controller", "condense", "run_receding_horizon", "kf_update",
-    "kf_predictor_matrices", "solve_spc", "solve_causal_spc", "solve_gamma",
-    "solve_causal_gamma", "solve_reg_causal_gamma", "solve_projreg_g",
-    "solve_kf_mpc",
+    "StepResult", "RolloutResult", "make_controller", "run_receding_horizon",
+    "kf_update", "kf_predictor_matrices",
     # bench
     "ExperimentConfig", "RunRecord", "RECORD_FIELDS", "load_config",
     "bundled_config_path",

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .controllers import (
+    VARIANT_TABLE,
     BoxConstraints,
     ControllerSpec,
     CostSpec,
@@ -32,7 +33,7 @@ from .controllers import (
     run_receding_horizon,
 )
 from .errors import ConfigError, Diverged, MissingBaseline
-from .lq import causal_split, factorize
+from .lq import factorize
 from .qp import QpSettings
 from .sim import (
     LinearFeedbackController,
@@ -409,32 +410,26 @@ def run_single(cfg: ExperimentConfig, controller_name: str, seed: int,
     n_d = cfg.n_d if n_d is None else n_d
     sigma_e = cfg.sigma_e if sigma_e is None else sigma_e
     eps = cfg.eps if eps is None else eps
+    spec = cfg.controller_spec(controller_name)
     traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
-    part = partition(traj, cfg.horizon())
-    blocks = None
-    split = None
-    if controller_name not in ("spc", "projreg_g", "kf_mpc"):
-        blocks = factorize(part)
-        split = causal_split(blocks)
-    rollout = _rollout(cfg, controller_name, traj, part, blocks, split,
-                       n_d, sigma_e, eps, seed)
+    handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
+                       (controller_name,))
+    rollout = _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed)
     return rollout, traj
 
 
-def _rollout(cfg, name, traj, part, blocks, split, n_d, sigma_e, eps, seed):
-    spec = cfg.controller_spec(name)
-    settings = cfg.qp_settings()
+def _handles(cfg, part, sigma_e, names) -> dict:
+    """The data handles the named controllers are built from."""
+    wanted = {VARIANT_TABLE[name].handles[0] for name in names}
+    return {"part": part,
+            "blocks": factorize(part) if "blocks" in wanted else None,
+            "model": cfg.base_model(sigma_e) if "model" in wanted else None}
+
+
+def _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed):
+    ctrl = make_controller(spec, L_p=cfg.L_p, qp_settings=cfg.qp_settings(),
+                           **handles)
     plant = cfg.plant(sigma_e=sigma_e, eps=eps)
-    if name == "kf_mpc":
-        ctrl = make_controller(spec, model=cfg.base_model(sigma_e),
-                               L_p=cfg.L_p, qp_settings=settings)
-    elif name == "projreg_g":
-        ctrl = make_controller(spec, part=part, qp_settings=settings)
-    elif name == "spc":
-        ctrl = make_controller(spec, part=part, qp_settings=settings)
-    else:
-        ctrl = make_controller(spec, blocks=blocks, split=split,
-                               qp_settings=settings)
     ref = cfg.reference(cfg.n_steps + cfg.L_f)
     warm = traj.inputs[:, -cfg.L_p:] if cfg.warmup == "excitation" else None
     rng = rng_for(_LOOP_STREAM, seed, n_d, int(round(sigma_e * 1e9)),
@@ -455,19 +450,14 @@ def _run_unit(args) -> list[RunRecord]:
                           qp_iters=0, status="diverged", dataset_hash="")
                 for name in cfg.controllers]
     ds_hash = _dataset_hash(traj)
-    part = partition(traj, cfg.horizon())
-    blocks = None
-    split = None
-    if any(c not in ("spc", "projreg_g", "kf_mpc")
-           for c in cfg.controllers):
-        blocks = factorize(part)
-        split = causal_split(blocks)
+    handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
+                       cfg.controllers)
     records = []
     for name in cfg.controllers:
         start = time.perf_counter()
         try:
-            rollout = _rollout(cfg, name, traj, part, blocks, split,
-                               n_d, sigma_e, eps, seed)
+            rollout = _rollout(cfg, cfg.controller_spec(name), traj,
+                               handles, n_d, sigma_e, eps, seed)
             wall_ms = 1e3 * (time.perf_counter() - start)
             rec = RunRecord(controller=name, N_d=n_d, sigma_e=sigma_e,
                             eps=eps, seed=seed, J=rollout.J, J_y=rollout.J_y,
@@ -555,24 +545,25 @@ def tune(cfg: ExperimentConfig, controller: str,
          eps: float | None = None) -> dict:
     """Grid-search regularization weights for one controller.
 
-    One-parameter variants search ``mu`` over ``grid_points`` log-spaced
-    values in ``[grid_min, grid_max]``; the doubly regularized variant
-    searches the product grid with ``grid_points_2d`` points per axis.
-    The mean closed-loop cost over the validation seed set is minimized,
-    with exact ties resolved toward larger regularization.
+    The penalties are those the variant needs (``VARIANT_TABLE``).  One
+    penalty is searched over ``grid_points`` log-spaced values in
+    ``[grid_min, grid_max]``; two (``lam``, ``mu``) over the product grid
+    with ``grid_points_2d`` points per axis.  The mean closed-loop cost
+    over the validation seed set is minimized, with exact ties resolved
+    toward larger regularization.
     """
     n_d = cfg.n_d if n_d is None else n_d
     sigma_e = cfg.sigma_e if sigma_e is None else sigma_e
     eps = cfg.eps if eps is None else eps
-    if controller == "reg_causal_gamma":
-        axis = np.geomspace(cfg.grid_min, cfg.grid_max, cfg.grid_points_2d)
-        candidates = [{"lam": float(l), "mu": float(u)}
-                      for l in axis for u in axis]
-    elif controller in ("reg_gamma", "gamma", "projreg_g"):
-        axis = np.geomspace(cfg.grid_min, cfg.grid_max, cfg.grid_points)
-        candidates = [{"mu": float(u)} for u in axis]
-    else:
+    needs = VARIANT_TABLE.get(controller)
+    if needs is None or not needs.penalties:
         raise ValueError(f"controller {controller!r} has nothing to tune")
+    names = needs.penalties
+    points = cfg.grid_points if len(names) == 1 else cfg.grid_points_2d
+    axis = [float(v) for v in np.geomspace(cfg.grid_min, cfg.grid_max,
+                                           points)]
+    candidates = [dict(zip(names, values))
+                  for values in product(axis, repeat=len(names))]
     scores = [_tune_objective(cfg, controller, cand, n_d, sigma_e, eps)
               for cand in candidates]
     keys = [tuple(sorted(c.items())) for c in candidates]

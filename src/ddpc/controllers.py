@@ -1,14 +1,13 @@
 """Predictive controllers over Hankel data and the receding-horizon loop.
 
-Every data-driven variant reduces to a box-constrained QP in a small set
-of decision coordinates; the future inputs and predicted outputs are
-affine in those coordinates and are eliminated before the solver sees the
-problem.  The variants differ only in which coordinates are kept and in
-which quadratic penalty is attached:
+Every variant is one box-constrained QP in decisions ``v`` with
+``u_f = Fu v + bu`` and ``y_f = Fy v + by``, a PSD penalty ``v' W v`` and
+optional equality rows ``E v = e``; only the offsets follow the measured
+past window.  The variants differ only in these maps and penalties:
 
 ``spc``
     Future inputs as decisions, outputs through the unconstrained
-    least-squares predictor.
+    least-squares predictor (``Fu = I``, ``Fy = K_f``).
 ``causal_spc``
     Same, with the causal predictor.
 ``gamma``
@@ -26,19 +25,24 @@ which quadratic penalty is attached:
     and the residual coordinate (penalty ``mu``) kept as shrunk decisions.
 ``projreg_g``
     The equivalent program in the raw combination coordinates with a
-    projection penalty; kept as a cross-check oracle.
+    projection penalty (``Fu = U_f``, ``Fy = Y_f``, ``W = mu * Pi``,
+    ``E = Z_p``); kept as a cross-check oracle.
 ``kf_mpc``
-    Model-based MPC with a Kalman predictor; the oracle ceiling when the
-    true system is known.
+    Model-based MPC with a Kalman predictor (``Fu = I``, ``Fy = H``,
+    ``by = Gamma x_hat``); the oracle ceiling when the true system is known.
+
+:func:`make_controller` builds every variant from the handle that
+``VARIANT_TABLE`` lists for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, Diverged
+from .errors import DimensionMismatch
 from .lq import LqBlocks, CausalSplit, causal_split, gamma1_of, factorize
 from .predictor import (
     Predictor,
@@ -47,43 +51,44 @@ from .predictor import (
     fit_spc_from_blocks,
 )
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
-from .sim import StateSpaceModel, step_model
+from .sim import StateSpaceModel, _check_sane, step_model
 from .trajectory import HankelPartition, Trajectory, stack_window
 
 __all__ = [
     "VARIANTS",
+    "VARIANT_TABLE",
     "CostSpec",
     "BoxConstraints",
     "ControllerSpec",
     "StepResult",
     "RolloutResult",
     "make_controller",
-    "condense",
-    "solve_spc",
-    "solve_causal_spc",
-    "solve_gamma",
-    "solve_causal_gamma",
-    "solve_reg_causal_gamma",
-    "solve_projreg_g",
-    "solve_kf_mpc",
     "kf_update",
     "kf_predictor_matrices",
     "run_receding_horizon",
 ]
 
-VARIANTS = (
-    "spc",
-    "causal_spc",
-    "gamma",
-    "causal_gamma",
-    "reg_gamma",
-    "reg_causal_gamma",
-    "projreg_g",
-    "kf_mpc",
-)
 
-_NEEDS_MU = {"gamma", "reg_gamma", "reg_causal_gamma", "projreg_g"}
-_NEEDS_LAM = {"reg_causal_gamma"}
+class VariantNeeds(NamedTuple):
+    """What a variant is built from and which penalty weights it needs."""
+
+    handles: tuple[str, ...]         # make_controller keywords, best first
+    penalties: tuple[str, ...] = ()  # spec weights that must be >= 0
+    hard_zero: bool = False          # gamma3_zero may replace the mu weight
+
+
+VARIANT_TABLE = {
+    "spc": VariantNeeds(("part", "blocks")),
+    "causal_spc": VariantNeeds(("blocks", "part")),
+    "gamma": VariantNeeds(("blocks", "part"), ("mu",), hard_zero=True),
+    "causal_gamma": VariantNeeds(("blocks", "part")),
+    "reg_gamma": VariantNeeds(("blocks", "part"), ("mu",), hard_zero=True),
+    "reg_causal_gamma": VariantNeeds(("blocks", "part"), ("lam", "mu")),
+    "projreg_g": VariantNeeds(("part",), ("mu",)),
+    "kf_mpc": VariantNeeds(("model",)),
+}
+
+VARIANTS = tuple(VARIANT_TABLE)
 
 _STATUS_SEVERITY = {
     QpStatus.SOLVED: 0,
@@ -222,15 +227,19 @@ class ControllerSpec:
     gamma3_zero: bool = False
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        needs = VARIANT_TABLE.get(self.variant)
+        if needs is None:
             raise ValueError(
                 f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.variant in _NEEDS_MU and not self.gamma3_zero:
-            if self.mu is None or self.mu < 0:
-                raise ValueError(f"variant {self.variant!r} needs mu >= 0")
-        if self.variant in _NEEDS_LAM:
-            if self.lam is None or self.lam < 0:
-                raise ValueError(f"variant {self.variant!r} needs lam >= 0")
+        if self.gamma3_zero and not needs.hard_zero:
+            raise ValueError(f"variant {self.variant!r} has no residual "
+                             "coordinate for gamma3_zero to drop")
+        for name in needs.penalties:
+            if name == "mu" and self.gamma3_zero:
+                continue  # the hard variant drops the mu-weighted coordinate
+            value = getattr(self, name)
+            if value is None or value < 0:
+                raise ValueError(f"variant {self.variant!r} needs {name} >= 0")
         if self.cost.m != self.boxes.u_lower.shape[0]:
             raise DimensionMismatch("cost and boxes disagree on input count")
         if self.cost.p != self.boxes.y_lower.shape[0]:
@@ -273,57 +282,73 @@ class RolloutResult:
 
 
 # ---------------------------------------------------------------------------
-# condensed controllers
+# the condensed controller
 # ---------------------------------------------------------------------------
+
+_EMPTY = np.zeros(0)
+
+
+def _checked_vector(name: str, value, length: int) -> np.ndarray:
+    vec = np.asarray(value, dtype=float).reshape(-1)
+    if vec.shape[0] != length:
+        raise DimensionMismatch(
+            f"{name} has length {vec.shape[0]}, expected {length}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return vec
 
 
 class _CondensedController:
-    """Common machinery: decisions v with u_f = Fu v + bu, y_f = Fy v + by.
+    """The one receding-horizon QP: ``u_f = Fu v + bu``, ``y_f = Fy v + by``.
 
-    Subclasses provide the offsets (bu, by) per step.  P and the constraint
-    rows are fixed, so the QP factorization and warm starts are reused
-    across receding-horizon steps.
+    The cost adds the PSD penalty ``v' W v`` to the tracking cost, and the
+    constraint rows are ``[E; Fu; Fy]``: optional equality rows
+    ``E v = e`` first, then the input and output boxes that are bounded.
+    Subclasses supply the per-step offsets ``(bu, by, e)``.  P and the
+    constraint rows are fixed, so the QP factorization and warm starts are
+    reused across receding-horizon steps.
     """
 
+    _reads_z_p = True  # kf_mpc tracks its state through observe() instead
+
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
-                 reg: np.ndarray, m: int, p: int, L_p: int, L_f: int,
-                 qp_settings: QpSettings | None):
+                 W: np.ndarray, L_p: int, qp_settings: QpSettings | None,
+                 E: np.ndarray | None = None):
         self.spec = spec
         self.cost = spec.cost
-        self.m, self.p, self.L_p, self.L_f = m, p, L_p, L_f
-        self.Fu, self.Fy, self.reg = Fu, Fy, reg
-        Q, R = spec.cost.Q, spec.cost.R
-        self._FyQ = Fy.T @ Q
-        self._FuR = Fu.T @ R
-        P = 2.0 * (self._FyQ @ Fy + self._FuR @ Fu + np.diag(reg))
+        self.m, self.p, self.L_f = spec.cost.m, spec.cost.p, spec.cost.L_f
+        self.L_p = L_p
+        self.Fu, self.Fy, self.W = Fu, Fy, W
+        self._FyQ = Fy.T @ spec.cost.Q
+        self._FuR = Fu.T @ spec.cost.R
+        P = 2.0 * (self._FyQ @ Fy + self._FuR @ Fu + W)
         P = 0.5 * (P + P.T)
-        rows = []
+        rows = [np.zeros((0, P.shape[0])) if E is None else E]
         self._with_u_rows = spec.boxes.u_bounded()
         self._with_y_rows = spec.boxes.y_bounded()
         if self._with_u_rows:
             rows.append(Fu)
         if self._with_y_rows:
             rows.append(Fy)
-        A = np.vstack(rows) if rows else np.zeros((0, P.shape[0]))
-        self.P, self.A = P, A
-        self.solver = BoxQpSolver(P, A, qp_settings)
+        self.P, self.A = P, np.vstack(rows)
+        self.solver = BoxQpSolver(self.P, self.A, qp_settings)
+        self._zero_u, self._zero_y = np.zeros(len(Fu)), np.zeros(len(Fy))
         self._warm_x = None
         self._warm_y = None
 
     # subclass hook
-    def _offsets(self, z_p) -> tuple[np.ndarray, np.ndarray]:
+    def _offsets(self, z_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotImplementedError
 
     def _qp_data(self, z_p, r_f):
-        bu, by = self._offsets(z_p)
-        r_f = self.cost.default_reference() if r_f is None \
-            else np.asarray(r_f, dtype=float).reshape(-1)
-        if r_f.shape[0] != self.p * self.L_f:
-            raise DimensionMismatch(
-                f"reference has length {r_f.shape[0]}, expected "
-                f"{self.p * self.L_f}")
+        r_f = _checked_vector(
+            "r_f", self.cost.default_reference() if r_f is None else r_f,
+            self.p * self.L_f)
+        if self._reads_z_p:
+            z_p = _checked_vector("z_p", z_p, (self.m + self.p) * self.L_p)
+        bu, by, e = self._offsets(z_p)
         q = 2.0 * (self._FyQ @ (by - r_f) + self._FuR @ bu)
-        lo_parts, hi_parts = [], []
+        lo_parts, hi_parts = [e], [e]
         if self._with_u_rows:
             lo_u, hi_u = self.spec.boxes.u_tiled(self.L_f)
             lo_parts.append(lo_u - bu)
@@ -332,16 +357,20 @@ class _CondensedController:
             lo_y, hi_y = self.spec.boxes.y_tiled(self.L_f)
             lo_parts.append(lo_y - by)
             hi_parts.append(hi_y - by)
-        lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
-        hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
-        return q, lo, hi, bu, by, r_f
+        return (q, np.concatenate(lo_parts), np.concatenate(hi_parts), bu, by,
+                r_f)
 
-    def condense(self, z_p, r_f=None) -> QpProblem:
+    def condense(self, z_p=None, r_f=None) -> QpProblem:
         """Materialize the per-step QP for inspection or external solving."""
         q, lo, hi, *_ = self._qp_data(z_p, r_f)
         return QpProblem(P=self.P, q=q, A=self.A, lower=lo, upper=hi)
 
-    def step(self, z_p, r_f=None) -> StepResult:
+    def step(self, z_p=None, r_f=None) -> StepResult:
+        """Solve one step from the past window ``z_p`` (ignored by
+        ``kf_mpc``) and the reference ``r_f`` (default: the cost's).
+
+        Raises ``DimensionMismatch`` for a wrong length and ``ValueError``
+        for a NaN or infinite entry in either."""
         q, lo, hi, bu, by, r_f = self._qp_data(z_p, r_f)
         sol = self.solver.solve(q, lo, hi, x0=self._warm_x, y0=self._warm_y)
         self._warm_x, self._warm_y = sol.x, sol.y
@@ -350,7 +379,7 @@ class _CondensedController:
         y_f = self.Fy @ v + by
         err = y_f - r_f
         obj = float(err @ self.cost.Q @ err + u_f @ self.cost.R @ u_f
-                    + v @ (self.reg * v))
+                    + v @ self.W @ v)
         return StepResult(u_f=u_f, y_f=y_f, u_applied=u_f[: self.m],
                           objective=obj, qp_iterations=sol.iterations,
                           qp_status=sol.status, primal_res=sol.primal_res,
@@ -367,27 +396,22 @@ class _CondensedController:
 class _PredictorController(_CondensedController):
     """spc / causal_spc: decisions are the future inputs themselves."""
 
-    def __init__(self, spec, pred: Predictor, qp_settings=None):
+    def __init__(self, spec, pred: Predictor, qp_settings):
         d2 = pred.m * pred.L_f
         super().__init__(spec, Fu=np.eye(d2), Fy=pred.K_f.copy(),
-                         reg=np.zeros(d2), m=pred.m, p=pred.p,
-                         L_p=pred.L_p, L_f=pred.L_f, qp_settings=qp_settings)
+                         W=np.zeros((d2, d2)), L_p=pred.L_p,
+                         qp_settings=qp_settings)
         self.predictor = pred
 
     def _offsets(self, z_p):
-        z = np.asarray(z_p, dtype=float).reshape(-1)
-        if z.shape[0] != self.predictor.K_p.shape[1]:
-            raise DimensionMismatch(
-                f"z_p has length {z.shape[0]}, expected "
-                f"{self.predictor.K_p.shape[1]}")
-        return np.zeros(self.m * self.L_f), self.predictor.K_p @ z
+        return self._zero_u, self.predictor.K_p @ z_p, _EMPTY
 
 
 class _GammaController(_CondensedController):
     """Latent-coordinate variants; offsets come from the past coordinate."""
 
-    def __init__(self, spec, blocks: LqBlocks,
-                 split: CausalSplit | None = None, qp_settings=None):
+    def __init__(self, spec, blocks: LqBlocks, split: CausalSplit | None,
+                 qp_settings):
         self.blocks = blocks
         d2, d3 = blocks.dim_u, blocks.dim_y
         variant = spec.variant
@@ -405,200 +429,80 @@ class _GammaController(_CondensedController):
             Fu = blocks.L22.copy()
             Fy = split.causal.copy()
             reg = np.zeros(d2)
-        elif variant == "reg_causal_gamma":
+        else:  # reg_causal_gamma
             split = split or causal_split(blocks)
             Fu = np.hstack([blocks.L22, np.zeros((d2, d2)),
                             np.zeros((d2, d3))])
             Fy = np.hstack([split.causal, split.noncausal, blocks.L33])
             reg = np.concatenate([np.zeros(d2), np.full(d2, spec.lam),
                                   np.full(d3, spec.mu)])
-        else:
-            raise ValueError(f"not a latent-coordinate variant: {variant!r}")
-        super().__init__(spec, Fu=Fu, Fy=Fy, reg=reg, m=blocks.m, p=blocks.p,
-                         L_p=blocks.L_p, L_f=blocks.L_f,
+        super().__init__(spec, Fu=Fu, Fy=Fy, W=np.diag(reg), L_p=blocks.L_p,
                          qp_settings=qp_settings)
 
     def _offsets(self, z_p):
         gamma1 = gamma1_of(self.blocks, z_p)
-        return self.blocks.L21 @ gamma1, self.blocks.L31 @ gamma1
+        return self.blocks.L21 @ gamma1, self.blocks.L31 @ gamma1, _EMPTY
 
 
-class KfMpcController:
+class _KfMpcController(_CondensedController):
     """Model-based MPC over a Kalman one-step-ahead predictor state.
 
-    The internal state estimate is advanced by :func:`kf_update` from the
-    closed-loop measurements fed through :meth:`observe`; the predictor
-    over the horizon is exact for the declared model.
+    The decisions are the future inputs and ``y_f = H u_f + Gamma x_hat``.
+    The state estimate ``x_hat`` starts at zero and is advanced by
+    :func:`kf_update` from the closed-loop measurements fed through
+    :meth:`observe`; the predictor over the horizon is exact for the
+    declared model.
     """
 
-    def __init__(self, spec: ControllerSpec, model: StateSpaceModel,
-                 L_p: int = 0, qp_settings: QpSettings | None = None,
-                 x0: np.ndarray | None = None):
-        self.spec = spec
-        self.cost = spec.cost
+    _reads_z_p = False
+
+    def __init__(self, spec, model: StateSpaceModel, L_p: int, qp_settings):
         self.model = model
-        self.m, self.p = model.m, model.p
-        self.L_p, self.L_f = L_p, spec.cost.L_f
-        self.Gamma, self.H = kf_predictor_matrices(model, self.L_f)
-        d2 = self.m * self.L_f
-        Q, R = spec.cost.Q, spec.cost.R
-        self._HQ = self.H.T @ Q
-        P = 2.0 * (self._HQ @ self.H + R)
-        P = 0.5 * (P + P.T)
-        rows = []
-        self._with_u_rows = spec.boxes.u_bounded()
-        self._with_y_rows = spec.boxes.y_bounded()
-        if self._with_u_rows:
-            rows.append(np.eye(d2))
-        if self._with_y_rows:
-            rows.append(self.H)
-        A = np.vstack(rows) if rows else np.zeros((0, d2))
-        self.P, self.A = P, A
-        self.solver = BoxQpSolver(P, A, qp_settings)
-        self._x0 = np.zeros(model.n) if x0 is None else \
-            np.asarray(x0, dtype=float).reshape(model.n)
-        self.x_hat = self._x0.copy()
-        self._warm_x = None
-        self._warm_y = None
+        self.Gamma, self.H = kf_predictor_matrices(model, spec.cost.L_f)
+        d2 = model.m * spec.cost.L_f
+        super().__init__(spec, Fu=np.eye(d2), Fy=self.H,
+                         W=np.zeros((d2, d2)), L_p=L_p,
+                         qp_settings=qp_settings)
+        self.x_hat = np.zeros(model.n)
 
-    def _qp_data(self, r_f):
-        by = self.Gamma @ self.x_hat
-        r_f = self.cost.default_reference() if r_f is None \
-            else np.asarray(r_f, dtype=float).reshape(-1)
-        if r_f.shape[0] != self.p * self.L_f:
-            raise DimensionMismatch(
-                f"reference has length {r_f.shape[0]}, expected "
-                f"{self.p * self.L_f}")
-        q = 2.0 * (self._HQ @ (by - r_f))
-        lo_parts, hi_parts = [], []
-        if self._with_u_rows:
-            lo_u, hi_u = self.spec.boxes.u_tiled(self.L_f)
-            lo_parts.append(lo_u)
-            hi_parts.append(hi_u)
-        if self._with_y_rows:
-            lo_y, hi_y = self.spec.boxes.y_tiled(self.L_f)
-            lo_parts.append(lo_y - by)
-            hi_parts.append(hi_y - by)
-        lo = np.concatenate(lo_parts) if lo_parts else np.zeros(0)
-        hi = np.concatenate(hi_parts) if hi_parts else np.zeros(0)
-        return q, lo, hi, by, r_f
-
-    def condense(self, z_p=None, r_f=None) -> QpProblem:
-        q, lo, hi, *_ = self._qp_data(r_f)
-        return QpProblem(P=self.P, q=q, A=self.A, lower=lo, upper=hi)
-
-    def step(self, z_p=None, r_f=None) -> StepResult:
-        q, lo, hi, by, r_f = self._qp_data(r_f)
-        sol = self.solver.solve(q, lo, hi, x0=self._warm_x, y0=self._warm_y)
-        self._warm_x, self._warm_y = sol.x, sol.y
-        u_f = sol.x
-        y_f = self.H @ u_f + by
-        err = y_f - r_f
-        obj = float(err @ self.cost.Q @ err + u_f @ self.cost.R @ u_f)
-        return StepResult(u_f=u_f, y_f=y_f, u_applied=u_f[: self.m],
-                          objective=obj, qp_iterations=sol.iterations,
-                          qp_status=sol.status, primal_res=sol.primal_res,
-                          dual_res=sol.dual_res)
+    def _offsets(self, z_p):
+        return self._zero_u, self.Gamma @ self.x_hat, _EMPTY
 
     def observe(self, u, y) -> None:
         self.x_hat = kf_update(self.model, self.x_hat, u, y)
 
     def reset(self) -> None:
-        self.x_hat = self._x0.copy()
-        self._warm_x = None
-        self._warm_y = None
+        super().reset()
+        self.x_hat = np.zeros(self.model.n)
 
 
-class GSpaceController:
+class _GSpaceController(_CondensedController):
     """Projection-regularized program in raw combination coordinates.
 
-    The decision vector multiplies the data columns directly; consistency
-    with the past window is an equality row block and the component
-    orthogonal to the past/future-input row space carries the penalty
-    ``mu``.  Solutions match the latent-coordinate program with the same
-    ``mu``; the class exists as a cross-check and is O(M^2) per solve.
+    The decision vector ``g`` multiplies the data columns directly
+    (``u_f = U_f g``, ``y_f = Y_f g``); consistency with the past window is
+    the equality row block ``Z_p g = z_p`` and the component orthogonal to
+    the past/future-input row space carries the penalty ``mu``.  Solutions
+    match the latent-coordinate program with the same ``mu``; the variant
+    exists as a cross-check and is O(M^2) per solve.
     """
 
-    def __init__(self, spec: ControllerSpec, part: HankelPartition,
-                 qp_settings: QpSettings | None = None):
-        self.spec = spec
-        self.cost = spec.cost
-        self.part = part
-        self.m, self.p = part.m, part.p
-        self.L_p, self.L_f = part.spec.L_p, part.spec.L_f
-        M = part.M
+    def __init__(self, spec, part: HankelPartition, qp_settings):
         ZU = np.vstack([part.Z_p, part.U_f])
         proj = np.linalg.pinv(ZU, rcond=1e-10) @ ZU
-        resid_proj = np.eye(M) - proj
+        resid_proj = np.eye(part.M) - proj
         # symmetrize: pinv-based projector is symmetric up to round-off
-        self._resid_proj = 0.5 * (resid_proj + resid_proj.T)
-        Q, R = spec.cost.Q, spec.cost.R
-        self._YQ = part.Y_f.T @ Q
-        P = 2.0 * (self._YQ @ part.Y_f + part.U_f.T @ R @ part.U_f
-                   + spec.mu * self._resid_proj)
-        self.P = 0.5 * (P + P.T)
-        rows = [part.Z_p]
-        self._with_u_rows = spec.boxes.u_bounded()
-        self._with_y_rows = spec.boxes.y_bounded()
-        if self._with_u_rows:
-            rows.append(part.U_f)
-        if self._with_y_rows:
-            rows.append(part.Y_f)
-        self.A = np.vstack(rows)
-        self.solver = BoxQpSolver(self.P, self.A, qp_settings)
-        self._warm_x = None
-        self._warm_y = None
+        resid_proj = 0.5 * (resid_proj + resid_proj.T)
+        super().__init__(spec, Fu=part.U_f, Fy=part.Y_f,
+                         W=spec.mu * resid_proj, L_p=part.spec.L_p,
+                         qp_settings=qp_settings, E=part.Z_p)
 
-    def _qp_data(self, z_p, r_f):
-        z = np.asarray(z_p, dtype=float).reshape(-1)
-        if z.shape[0] != self.part.Z_p.shape[0]:
-            raise DimensionMismatch(
-                f"z_p has length {z.shape[0]}, expected "
-                f"{self.part.Z_p.shape[0]}")
-        r_f = self.cost.default_reference() if r_f is None \
-            else np.asarray(r_f, dtype=float).reshape(-1)
-        q = -2.0 * (self._YQ @ r_f)
-        lo_parts, hi_parts = [z], [z]
-        if self._with_u_rows:
-            lo_u, hi_u = self.spec.boxes.u_tiled(self.L_f)
-            lo_parts.append(lo_u)
-            hi_parts.append(hi_u)
-        if self._with_y_rows:
-            lo_y, hi_y = self.spec.boxes.y_tiled(self.L_f)
-            lo_parts.append(lo_y)
-            hi_parts.append(hi_y)
-        return q, np.concatenate(lo_parts), np.concatenate(hi_parts), r_f
-
-    def condense(self, z_p, r_f=None) -> QpProblem:
-        q, lo, hi, _ = self._qp_data(z_p, r_f)
-        return QpProblem(P=self.P, q=q, A=self.A, lower=lo, upper=hi)
-
-    def step(self, z_p, r_f=None) -> StepResult:
-        q, lo, hi, r_f = self._qp_data(z_p, r_f)
-        sol = self.solver.solve(q, lo, hi, x0=self._warm_x, y0=self._warm_y)
-        self._warm_x, self._warm_y = sol.x, sol.y
-        g = sol.x
-        u_f = self.part.U_f @ g
-        y_f = self.part.Y_f @ g
-        err = y_f - r_f
-        resid = self._resid_proj @ g
-        obj = float(err @ self.cost.Q @ err + u_f @ self.cost.R @ u_f
-                    + self.spec.mu * (resid @ resid))
-        return StepResult(u_f=u_f, y_f=y_f, u_applied=u_f[: self.m],
-                          objective=obj, qp_iterations=sol.iterations,
-                          qp_status=sol.status, primal_res=sol.primal_res,
-                          dual_res=sol.dual_res)
-
-    def observe(self, u, y) -> None:
-        pass
-
-    def reset(self) -> None:
-        self._warm_x = None
-        self._warm_y = None
+    def _offsets(self, z_p):
+        return self._zero_u, self._zero_y, z_p
 
 
 # ---------------------------------------------------------------------------
-# construction and functional wrappers
+# construction
 # ---------------------------------------------------------------------------
 
 
@@ -609,117 +513,33 @@ def make_controller(spec: ControllerSpec, *,
                     model: StateSpaceModel | None = None,
                     L_p: int | None = None,
                     qp_settings: QpSettings | None = None):
-    """Build the controller object for a variant from the relevant handle.
+    """Build the controller for ``spec.variant`` from a handle it accepts.
 
-    ``spc`` accepts either the raw partition or the LQ blocks; the latent
-    variants need blocks (a partition is factorized on the fly);
-    ``projreg_g`` needs the partition; ``kf_mpc`` needs the model.
+    ``spc`` accepts the raw partition or the LQ blocks; the latent variants
+    need blocks (a partition is factorized on the fly); ``projreg_g`` needs
+    the partition; ``kf_mpc`` needs the model and takes ``L_p`` as its
+    warm-up window.  ``split`` overrides the causal split; unused handles
+    are ignored.  ``step(z_p, r_f)`` solves a step and ``condense(z_p,
+    r_f)`` materializes its QP.
     """
     variant = spec.variant
+    given = {"blocks": blocks, "part": part, "model": model}
+    accepted = VARIANT_TABLE[variant].handles
+    if all(given[h] is None for h in accepted):
+        raise ValueError(f"{variant} needs {' or '.join(accepted)}")
     if variant == "kf_mpc":
-        if model is None:
-            raise ValueError("kf_mpc needs a StateSpaceModel")
-        return KfMpcController(spec, model, L_p=L_p or 0,
-                               qp_settings=qp_settings)
+        return _KfMpcController(spec, model, L_p or 0, qp_settings)
     if variant == "projreg_g":
-        if part is None:
-            raise ValueError("projreg_g needs the Hankel partition")
-        return GSpaceController(spec, part, qp_settings=qp_settings)
+        return _GSpaceController(spec, part, qp_settings)
     if variant == "spc":
-        if part is not None:
-            pred = fit_spc(part)
-        elif blocks is not None:
-            pred = fit_spc_from_blocks(blocks)
-        else:
-            raise ValueError("spc needs a partition or LQ blocks")
-        return _PredictorController(spec, pred, qp_settings=qp_settings)
+        pred = fit_spc(part) if part is not None \
+            else fit_spc_from_blocks(blocks)
+        return _PredictorController(spec, pred, qp_settings)
     if blocks is None:
-        if part is None:
-            raise ValueError(f"{variant} needs LQ blocks or a partition")
         blocks = factorize(part)
     if variant == "causal_spc":
-        return _PredictorController(spec, fit_causal(blocks),
-                                    qp_settings=qp_settings)
-    return _GammaController(spec, blocks, split=split,
-                            qp_settings=qp_settings)
-
-
-def condense(spec: ControllerSpec, z_p: np.ndarray | None, *,
-             blocks: LqBlocks | None = None,
-             part: HankelPartition | None = None,
-             model: StateSpaceModel | None = None,
-             r_f: np.ndarray | None = None,
-             qp_settings: QpSettings | None = None) -> QpProblem:
-    """Materialize the per-step QP of a variant without solving it."""
-    ctrl = make_controller(spec, blocks=blocks, part=part, model=model,
-                           qp_settings=qp_settings)
-    return ctrl.condense(z_p, r_f)
-
-
-def _one_step(ctrl, z_p, r_f=None) -> StepResult:
-    return ctrl.step(z_p, r_f)
-
-
-def solve_spc(blocks, z_p, spec: ControllerSpec,
-              qp_settings: QpSettings | None = None) -> StepResult:
-    """One step of the unconstrained-predictor controller."""
-    spec = replace(spec, variant="spc")
-    handle = {"part": blocks} if isinstance(blocks, HankelPartition) \
-        else {"blocks": blocks}
-    return _one_step(make_controller(spec, qp_settings=qp_settings, **handle),
-                     z_p)
-
-
-def solve_causal_spc(blocks: LqBlocks, z_p, spec: ControllerSpec,
-                     qp_settings: QpSettings | None = None) -> StepResult:
-    spec = replace(spec, variant="causal_spc")
-    return _one_step(make_controller(spec, blocks=blocks,
-                                     qp_settings=qp_settings), z_p)
-
-
-def solve_gamma(blocks: LqBlocks, z_p, spec: ControllerSpec,
-                qp_settings: QpSettings | None = None) -> StepResult:
-    """One step of the latent-coordinate controller with penalty mu."""
-    spec = replace(spec, variant="gamma")
-    return _one_step(make_controller(spec, blocks=blocks,
-                                     qp_settings=qp_settings), z_p)
-
-
-def solve_causal_gamma(blocks: LqBlocks, z_p, spec: ControllerSpec,
-                       qp_settings: QpSettings | None = None) -> StepResult:
-    spec = replace(spec, variant="causal_gamma")
-    return _one_step(make_controller(spec, blocks=blocks,
-                                     qp_settings=qp_settings), z_p)
-
-
-def solve_reg_causal_gamma(blocks: LqBlocks, z_p, spec: ControllerSpec,
-                           split: CausalSplit | None = None,
-                           qp_settings: QpSettings | None = None
-                           ) -> StepResult:
-    """One step of the doubly regularized causal-split controller.
-
-    A custom ``split`` may be supplied; by default the causal split of
-    ``blocks`` is used.
-    """
-    spec = replace(spec, variant="reg_causal_gamma")
-    return _one_step(make_controller(spec, blocks=blocks, split=split,
-                                     qp_settings=qp_settings), z_p)
-
-
-def solve_projreg_g(part: HankelPartition, z_p, spec: ControllerSpec,
-                    qp_settings: QpSettings | None = None) -> StepResult:
-    spec = replace(spec, variant="projreg_g")
-    return _one_step(make_controller(spec, part=part,
-                                     qp_settings=qp_settings), z_p)
-
-
-def solve_kf_mpc(model: StateSpaceModel, x_hat: np.ndarray,
-                 spec: ControllerSpec,
-                 qp_settings: QpSettings | None = None) -> StepResult:
-    """One step of the model-based oracle from a given filter state."""
-    spec = replace(spec, variant="kf_mpc")
-    ctrl = KfMpcController(spec, model, qp_settings=qp_settings, x0=x_hat)
-    return ctrl.step()
+        return _PredictorController(spec, fit_causal(blocks), qp_settings)
+    return _GammaController(spec, blocks, split, qp_settings)
 
 
 def kf_update(model: StateSpaceModel, x_hat: np.ndarray, u: np.ndarray,
@@ -817,7 +637,7 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     for t in range(L_p):
         u_t = warmup[:, t]
         x, y_t = step_model(plant, x, u_t, innov[:, t])
-        _check_rollout_sane(y_t, t - L_p)
+        _check_sane(y_t, t - L_p)
         u_hist.append(u_t.copy())
         y_hist.append(y_t)
         controller.observe(u_t, y_t)
@@ -840,7 +660,7 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
         res = controller.step(z_p, r_f)
         u_t = res.u_applied
         x, y_t = step_model(plant, x, u_t, innov[:, L_p + t])
-        _check_rollout_sane(y_t, t)
+        _check_sane(y_t, t)
         controller.observe(u_t, y_t)
         u_hist.append(np.asarray(u_t, dtype=float))
         y_hist.append(y_t)
@@ -857,7 +677,3 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     return RolloutResult(trajectory=traj, reference=ref[:, :n_steps],
                          steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u)
 
-
-def _check_rollout_sane(y: np.ndarray, t: int) -> None:
-    if not np.all(np.abs(y) < 1e6):
-        raise Diverged(f"closed-loop output exceeded 1e6 at step {t}")

@@ -50,15 +50,11 @@ from ddpc import (
     fit_residual,
     fit_spc,
     load_config,
+    make_controller,
     partition,
     run_single,
     run_sweep,
     solve,
-    solve_causal_gamma,
-    solve_causal_spc,
-    solve_gamma,
-    solve_projreg_g,
-    solve_spc,
     tune,
     write_records,
 )
@@ -133,12 +129,12 @@ def test_criterion_02_penalty_limit_matches_direct_program():
                                [-np.inf] * p, [np.inf] * p)
         ref = np.tile(2.0 * np.sin(np.arange(1, L_f + 1) / 2.0), p)
         cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
-        res_s = solve_spc(blocks, z_p,
-                          ControllerSpec(variant="spc", cost=cost,
-                                         boxes=boxes))
-        res_g = solve_gamma(blocks, z_p,
-                            ControllerSpec(variant="gamma", cost=cost,
-                                           boxes=boxes, mu=1e10))
+        res_s = make_controller(ControllerSpec(variant="spc", cost=cost,
+                                               boxes=boxes),
+                                blocks=blocks).step(z_p)
+        res_g = make_controller(ControllerSpec(variant="gamma", cost=cost,
+                                               boxes=boxes, mu=1e10),
+                                blocks=blocks).step(z_p)
         actives += bool(np.any(np.abs(np.abs(res_s.u_f) - cap) < 1e-6))
         worst = max(worst, np.abs(res_s.u_f - res_g.u_f).max(),
                     np.abs(res_s.y_f - res_g.y_f).max())
@@ -168,13 +164,14 @@ def test_criterion_03_latent_equals_raw_coordinates():
         cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
         boxes = BoxConstraints.unbounded(m, p)
         for mu in (0.1, 1.0, 10.0):
-            res_g = solve_gamma(blocks, z_p,
-                                ControllerSpec(variant="gamma", cost=cost,
-                                               boxes=boxes, mu=mu))
-            res_p = solve_projreg_g(part, z_p,
-                                    ControllerSpec(variant="projreg_g",
+            res_g = make_controller(ControllerSpec(variant="gamma",
                                                    cost=cost, boxes=boxes,
-                                                   mu=mu))
+                                                   mu=mu),
+                                    blocks=blocks).step(z_p)
+            res_p = make_controller(ControllerSpec(variant="projreg_g",
+                                                   cost=cost, boxes=boxes,
+                                                   mu=mu),
+                                    part=part).step(z_p)
             worst = max(worst, np.abs(res_g.u_f - res_p.u_f).max(),
                         np.abs(res_g.y_f - res_p.y_f).max())
     elapsed = time.perf_counter() - t0
@@ -201,12 +198,12 @@ def test_criterion_04_causal_pair_equivalence():
         cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
         boxes = BoxConstraints([-0.5] * m, [0.5] * m,
                                [-np.inf] * p, [np.inf] * p)
-        res_g = solve_causal_gamma(blocks, z_p,
-                                   ControllerSpec(variant="causal_gamma",
-                                                  cost=cost, boxes=boxes))
-        res_s = solve_causal_spc(blocks, z_p,
-                                 ControllerSpec(variant="causal_spc",
-                                                cost=cost, boxes=boxes))
+        res_g = make_controller(ControllerSpec(variant="causal_gamma",
+                                               cost=cost, boxes=boxes),
+                                blocks=blocks).step(z_p)
+        res_s = make_controller(ControllerSpec(variant="causal_spc",
+                                               cost=cost, boxes=boxes),
+                                blocks=blocks).step(z_p)
         worst = max(worst, np.abs(res_g.u_f - res_s.u_f).max(),
                     np.abs(res_g.y_f - res_s.y_f).max())
     elapsed = time.perf_counter() - t0

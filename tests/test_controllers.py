@@ -1,7 +1,9 @@
 """Predictive-control variants, condensed QPs, and the receding loop.
 
-Covers:
-  * validation of cost, box, and controller specifications.
+Every controller is built by ``make_controller`` and exercised through
+its ``step`` and ``condense`` methods.  Covers:
+  * validation of cost, box, and controller specifications, and of the
+    per-step inputs (length and finiteness of ``z_p`` and ``r_f``).
   * decision-space dimensions and PSD-ness of each variant's condensed
     QP, plus consistency between ``condense`` and ``step``.
   * analytic unconstrained solutions for the predictor-based variants
@@ -19,6 +21,8 @@ Covers:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -35,7 +39,7 @@ from ddpc import (
     QpSettings,
     QpStatus,
     StateSpaceModel,
-    condense,
+    VARIANTS,
     factorize,
     kf_predictor_matrices,
     kf_update,
@@ -43,13 +47,6 @@ from ddpc import (
     partition,
     run_receding_horizon,
     sine_reference,
-    solve_causal_gamma,
-    solve_causal_spc,
-    solve_gamma,
-    solve_kf_mpc,
-    solve_projreg_g,
-    solve_reg_causal_gamma,
-    solve_spc,
     square_wave,
     step_lti,
 )
@@ -127,10 +124,21 @@ def test_controller_spec_penalty_requirements():
     with pytest.raises(ValueError):
         _spec("reg_causal_gamma", mu=1.0)  # lam missing
     _spec("gamma", gamma3_zero=True)       # hard variant waives mu
+    _spec("reg_gamma", gamma3_zero=True)
     _spec("gamma", mu=0.5)
     _spec("reg_causal_gamma", mu=0.5, lam=0.5)
     with pytest.raises(ValueError):
         _spec("gamma", mu=-1.0)
+    # only gamma / reg_gamma have a residual coordinate to drop
+    for variant in ("spc", "causal_spc", "causal_gamma", "kf_mpc"):
+        with pytest.raises(ValueError):
+            _spec(variant, gamma3_zero=True)
+    with pytest.raises(ValueError):
+        _spec("projreg_g", mu=0.5, gamma3_zero=True)
+    with pytest.raises(ValueError):
+        _spec("reg_causal_gamma", mu=0.5, lam=0.5, gamma3_zero=True)
+    with pytest.raises(ValueError):
+        _spec("reg_causal_gamma", lam=0.5, gamma3_zero=True)
 
 
 def test_make_controller_handle_requirements():
@@ -153,6 +161,44 @@ def test_make_controller_accepts_partition_for_latent_variants():
     np.testing.assert_allclose(via_part.u_f, via_blocks.u_f, atol=1e-9)
 
 
+def _any_controller(variant):
+    """A controller of any variant, given every handle it might need."""
+    model = demo_model(sigma_e=0.2)
+    part = make_partition(model, 120, L_P, L_F, seeded(143))
+    return make_controller(_spec(variant, mu=1.0, lam=1.0), part=part,
+                           blocks=factorize(part), model=model, L_p=L_P)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_rejects_wrong_length_reference(variant):
+    ctrl = _any_controller(variant)
+    with pytest.raises(DimensionMismatch):
+        ctrl.step(_sample_zp(), np.zeros(L_F + 1))
+    with pytest.raises(DimensionMismatch):
+        ctrl.condense(_sample_zp(), np.zeros(L_F - 1))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_step_rejects_non_finite_input_before_solving(variant):
+    """NaN or inf in the window or the reference raises a ValueError that
+    names the argument, before any arithmetic could warn about it."""
+    ctrl = _any_controller(variant)
+    for bad in (np.nan, np.inf):
+        z = _sample_zp()
+        z[1] = bad
+        r = np.zeros(L_F)
+        r[2] = -bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="r_f"):
+                ctrl.step(_sample_zp(), r)
+            if variant == "kf_mpc":  # the filter state replaces z_p
+                assert ctrl.step(z).qp_status == QpStatus.SOLVED
+            else:
+                with pytest.raises(ValueError, match="z_p"):
+                    ctrl.step(z)
+
+
 # ---------------------------------------------------------------------------
 # condensed QP structure
 # ---------------------------------------------------------------------------
@@ -169,8 +215,8 @@ def test_make_controller_accepts_partition_for_latent_variants():
 ])
 def test_decision_dimensions(variant, mu, lam, g3, expect_dim):
     blocks = _noisy_blocks()
-    prob = condense(_spec(variant, mu=mu, lam=lam, gamma3_zero=g3),
-                    _sample_zp(), blocks=blocks)
+    prob = make_controller(_spec(variant, mu=mu, lam=lam, gamma3_zero=g3),
+                           blocks=blocks).condense(_sample_zp())
     assert prob.P.shape == (expect_dim, expect_dim)
     assert float(np.linalg.eigvalsh(prob.P).min()) >= -1e-9
 
@@ -178,7 +224,8 @@ def test_decision_dimensions(variant, mu, lam, g3, expect_dim):
 def test_projreg_decision_dimension_is_column_count():
     part = make_partition(demo_model(sigma_e=0.2), 120, L_P, L_F,
                           seeded(133))
-    prob = condense(_spec("projreg_g", mu=1.0), _sample_zp(), part=part)
+    prob = make_controller(_spec("projreg_g", mu=1.0),
+                           part=part).condense(_sample_zp())
     assert prob.P.shape == (part.M, part.M)
     # consistency with the past window is enforced by equality rows
     d1 = part.Z_p.shape[0]
@@ -187,14 +234,14 @@ def test_projreg_decision_dimension_is_column_count():
 
 def test_constraint_rows_follow_boxes():
     blocks = _noisy_blocks()
-    both = condense(_spec("spc", u_box=1.0, y_box=2.0), _sample_zp(),
-                    blocks=blocks)
+    both = make_controller(_spec("spc", u_box=1.0, y_box=2.0),
+                           blocks=blocks).condense(_sample_zp())
     assert both.A.shape[0] == 2 * L_F
-    u_only = condense(_spec("spc", u_box=1.0, y_box=np.inf), _sample_zp(),
-                      blocks=blocks)
+    u_only = make_controller(_spec("spc", u_box=1.0, y_box=np.inf),
+                             blocks=blocks).condense(_sample_zp())
     assert u_only.A.shape[0] == L_F
-    free = condense(_spec("spc", u_box=np.inf, y_box=np.inf), _sample_zp(),
-                    blocks=blocks)
+    free = make_controller(_spec("spc", u_box=np.inf, y_box=np.inf),
+                           blocks=blocks).condense(_sample_zp())
     assert free.A.shape[0] == 0
 
 
@@ -206,7 +253,7 @@ def test_condense_consistent_with_step():
     z = _sample_zp()
     spec = _spec("spc", u_box=0.4)
     res = make_controller(spec, blocks=blocks).step(z)
-    sol = qp_solve(condense(spec, z, blocks=blocks))
+    sol = qp_solve(make_controller(spec, blocks=blocks).condense(z))
     np.testing.assert_allclose(res.u_f, sol.x, atol=1e-7)
 
 
@@ -217,7 +264,8 @@ def test_condense_consistent_with_step():
 
 def test_spc_zero_reference_zero_past_gives_zero():
     blocks = _noisy_blocks()
-    res = solve_spc(blocks, np.zeros(blocks.dim_past), _spec("spc"))
+    res = make_controller(_spec("spc"), blocks=blocks).step(
+        np.zeros(blocks.dim_past))
     np.testing.assert_allclose(res.u_f, 0.0, atol=1e-9)
     np.testing.assert_allclose(res.y_f, 0.0, atol=1e-9)
     assert res.objective == pytest.approx(0.0, abs=1e-12)
@@ -230,7 +278,7 @@ def test_spc_unconstrained_matches_least_squares():
     z = _sample_zp()
     ref = sine_reference(10.0, 1.0, L_F)[0]
     spec = _spec("spc", u_box=np.inf, ref=ref)
-    res = solve_spc(blocks, z, spec)
+    res = make_controller(spec, blocks=blocks).step(z)
     pred = fit_spc_from_blocks(blocks)
     Q, R = spec.cost.Q, spec.cost.R
     lhs = pred.K_f.T @ Q @ pred.K_f + R
@@ -246,7 +294,9 @@ def test_kf_mpc_unconstrained_matches_least_squares():
     x_hat = np.array([0.4, -0.2])
     ref = sine_reference(10.0, 1.0, L_F)[0]
     spec = _spec("kf_mpc", u_box=np.inf, ref=ref)
-    res = solve_kf_mpc(model, x_hat, spec)
+    ctrl = make_controller(spec, model=model)
+    ctrl.x_hat = x_hat
+    res = ctrl.step()
     Gamma, H = kf_predictor_matrices(model, L_F)
     Q, R = spec.cost.Q, spec.cost.R
     u_ref = np.linalg.solve(H.T @ Q @ H + R,
@@ -259,7 +309,7 @@ def test_active_box_clips_inputs():
     z = _sample_zp()
     ref = 2.0 * np.ones(L_F)
     spec = _spec("spc", u_box=0.3, ref=ref)
-    res = solve_spc(blocks, z, spec)
+    res = make_controller(spec, blocks=blocks).step(z)
     assert res.qp_status == QpStatus.SOLVED
     assert np.abs(res.u_f).max() <= 0.3 + 1e-7
     assert np.any(np.abs(np.abs(res.u_f) - 0.3) < 1e-6)  # actually binding
@@ -274,9 +324,10 @@ def test_gamma_large_mu_approaches_spc():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.5, L_F)[0]
-    res_g = solve_gamma(blocks, z, _spec("gamma", mu=1e10, u_box=0.5,
-                                         ref=ref))
-    res_s = solve_spc(blocks, z, _spec("spc", u_box=0.5, ref=ref))
+    res_g = make_controller(_spec("gamma", mu=1e10, u_box=0.5, ref=ref),
+                            blocks=blocks).step(z)
+    res_s = make_controller(_spec("spc", u_box=0.5, ref=ref),
+                            blocks=blocks).step(z)
     assert np.any(np.abs(np.abs(res_g.u_f) - 0.5) < 1e-5)  # box active
     np.testing.assert_allclose(res_g.u_f, res_s.u_f, atol=1e-4)
     np.testing.assert_allclose(res_g.y_f, res_s.y_f, atol=1e-4)
@@ -286,8 +337,10 @@ def test_gamma_hard_zero_matches_large_mu():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    hard = solve_gamma(blocks, z, _spec("gamma", gamma3_zero=True, ref=ref))
-    soft = solve_gamma(blocks, z, _spec("gamma", mu=1e12, ref=ref))
+    hard = make_controller(_spec("gamma", gamma3_zero=True, ref=ref),
+                           blocks=blocks).step(z)
+    soft = make_controller(_spec("gamma", mu=1e12, ref=ref),
+                           blocks=blocks).step(z)
     np.testing.assert_allclose(hard.u_f, soft.u_f, atol=1e-5)
 
 
@@ -295,10 +348,10 @@ def test_causal_gamma_matches_causal_spc():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    res_g = solve_causal_gamma(blocks, z, _spec("causal_gamma", u_box=0.5,
-                                                ref=ref))
-    res_s = solve_causal_spc(blocks, z, _spec("causal_spc", u_box=0.5,
-                                              ref=ref))
+    res_g = make_controller(_spec("causal_gamma", u_box=0.5, ref=ref),
+                            blocks=blocks).step(z)
+    res_s = make_controller(_spec("causal_spc", u_box=0.5, ref=ref),
+                            blocks=blocks).step(z)
     np.testing.assert_allclose(res_g.u_f, res_s.u_f, atol=1e-6)
     np.testing.assert_allclose(res_g.y_f, res_s.y_f, atol=1e-6)
 
@@ -310,8 +363,10 @@ def test_gamma_matches_raw_coordinate_program():
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
     for mu in (0.1, 1.0, 10.0):
-        res_g = solve_gamma(blocks, z, _spec("gamma", mu=mu, ref=ref))
-        res_p = solve_projreg_g(part, z, _spec("projreg_g", mu=mu, ref=ref))
+        res_g = make_controller(_spec("gamma", mu=mu, ref=ref),
+                                blocks=blocks).step(z)
+        res_p = make_controller(_spec("projreg_g", mu=mu, ref=ref),
+                                part=part).step(z)
         np.testing.assert_allclose(res_g.u_f, res_p.u_f, atol=1e-5)
         np.testing.assert_allclose(res_g.y_f, res_p.y_f, atol=1e-5)
 
@@ -325,11 +380,11 @@ def test_reg_causal_with_degenerate_split_reduces_to_gamma():
     ref = sine_reference(12.0, 1.0, L_F)[0]
     degenerate = CausalSplit(causal=blocks.L32,
                              noncausal=np.zeros_like(blocks.L32))
-    res_rc = solve_reg_causal_gamma(blocks, z,
-                                    _spec("reg_causal_gamma", mu=1.0,
-                                          lam=0.5, ref=ref),
-                                    split=degenerate)
-    res_g = solve_gamma(blocks, z, _spec("gamma", mu=1.0, ref=ref))
+    res_rc = make_controller(_spec("reg_causal_gamma", mu=1.0, lam=0.5,
+                                   ref=ref),
+                             blocks=blocks, split=degenerate).step(z)
+    res_g = make_controller(_spec("gamma", mu=1.0, ref=ref),
+                            blocks=blocks).step(z)
     np.testing.assert_allclose(res_rc.u_f, res_g.u_f, atol=1e-6)
 
 
@@ -337,10 +392,10 @@ def test_reg_causal_large_penalties_approach_causal_gamma():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    res_rc = solve_reg_causal_gamma(blocks, z,
-                                    _spec("reg_causal_gamma", mu=1e10,
-                                          lam=1e10, ref=ref))
-    res_c = solve_causal_gamma(blocks, z, _spec("causal_gamma", ref=ref))
+    res_rc = make_controller(_spec("reg_causal_gamma", mu=1e10, lam=1e10,
+                                   ref=ref), blocks=blocks).step(z)
+    res_c = make_controller(_spec("causal_gamma", ref=ref),
+                            blocks=blocks).step(z)
     np.testing.assert_allclose(res_rc.u_f, res_c.u_f, atol=1e-4)
 
 
