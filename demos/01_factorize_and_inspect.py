@@ -2,8 +2,9 @@
 """Collect open-loop data, stack it into Hankel blocks, and LQ-factorize it.
 
 Shows the shapes of the partition and the triangular factor blocks, checks
-that the factorization actually reconstructs the stacked data matrix, and
-verifies the excitation is persistently exciting of sufficient order.
+the Gram identity ``L L' = S S'`` between the factor and the stacked data
+matrix, and verifies the excitation is persistently exciting of sufficient
+order.
 """
 
 import numpy as np
@@ -43,17 +44,18 @@ def main():
         blk = getattr(blocks, name)
         print(f"  {name}: {blk.shape[0]}x{blk.shape[1]}")
 
-    # The factor blocks times the orthonormal row bases must reproduce the
-    # stacked data matrix [Z_p; U_f; Y_f].
+    # S = L Q with orthonormal rows Q, so the factor alone reproduces the
+    # Gram matrix S S' of the stacked data matrix S = [Z_p; U_f; Y_f].
     stacked = np.vstack([part.Z_p, part.U_f, part.Y_f])
     d1 = part.Z_p.shape[0]
-    rebuilt = np.vstack([
-        blocks.L11 @ blocks.Q1,
-        blocks.L21 @ blocks.Q1 + blocks.L22 @ blocks.Q2,
-        blocks.L31 @ blocks.Q1 + blocks.L32 @ blocks.Q2 + blocks.L33 @ blocks.Q3,
+    L = np.block([
+        [blocks.L11, np.zeros((d1, blocks.dim_u + blocks.dim_y))],
+        [blocks.L21, blocks.L22, np.zeros((blocks.dim_u, blocks.dim_y))],
+        [blocks.L31, blocks.L32, blocks.L33],
     ])
-    err = np.linalg.norm(stacked - rebuilt) / np.linalg.norm(stacked)
-    print(f"reconstruction relative error: {err:.2e}")
+    gram = stacked @ stacked.T
+    err = np.linalg.norm(L @ L.T - gram) / np.linalg.norm(gram)
+    print(f"Gram identity L L' = S S' relative error: {err:.2e}")
 
     tri = np.linalg.norm(np.triu(blocks.L11, 1))
     print(f"strict upper triangle of L11: {tri:.2e} (should be ~0)")

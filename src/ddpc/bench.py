@@ -164,11 +164,8 @@ class ExperimentConfig:
 
     def plant(self, sigma_e: float | None = None, eps: float | None = None):
         model = self.base_model(sigma_e)
-        eps = self.eps if eps is None else eps
-        if self.plant_kind == "nonlinear" and eps > 0.0:
-            return NonlinearWrapper(model, eps)
         if self.plant_kind == "nonlinear":
-            return NonlinearWrapper(model, 0.0)
+            return NonlinearWrapper(model, self.eps if eps is None else eps)
         return model
 
     def horizon(self) -> HorizonSpec:
@@ -361,6 +358,12 @@ def load_config(path) -> ExperimentConfig:
     object.__setattr__(cfg, "sweep_eps", cfg.sweep_eps or (cfg.eps,))
     if cfg.warmup not in ("zero", "excitation"):
         raise ConfigError(f"{path}: warmup must be zero or excitation")
+    for eps in (cfg.eps, *cfg.sweep_eps):
+        if not 0.0 <= eps <= 1.0:
+            raise ConfigError(f"{path}: eps must be in [0, 1], got {eps}")
+    for sigma_e in (cfg.sigma_e, *cfg.sweep_sigma_e):
+        if not sigma_e >= 0.0:
+            raise ConfigError(f"{path}: sigma_e must be >= 0, got {sigma_e}")
     for name in cfg.controllers:
         cfg.controller_spec(name)  # validates names and parameters
     return cfg

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch
-from .lq import LqBlocks, CausalSplit, causal_split, gamma1_of, factorize
+from .lq import LqBlocks, causal_split, gamma1_of, factorize
 from .predictor import (
     Predictor,
     fit_causal,
@@ -410,8 +410,7 @@ class _PredictorController(_CondensedController):
 class _GammaController(_CondensedController):
     """Latent-coordinate variants; offsets come from the past coordinate."""
 
-    def __init__(self, spec, blocks: LqBlocks, split: CausalSplit | None,
-                 qp_settings):
+    def __init__(self, spec, blocks: LqBlocks, qp_settings):
         self.blocks = blocks
         d2, d3 = blocks.dim_u, blocks.dim_y
         variant = spec.variant
@@ -425,12 +424,11 @@ class _GammaController(_CondensedController):
                 Fy = np.hstack([blocks.L32, blocks.L33])
                 reg = np.concatenate([np.zeros(d2), np.full(d3, spec.mu)])
         elif variant == "causal_gamma":
-            split = split or causal_split(blocks)
             Fu = blocks.L22.copy()
-            Fy = split.causal.copy()
+            Fy = causal_split(blocks).causal
             reg = np.zeros(d2)
         else:  # reg_causal_gamma
-            split = split or causal_split(blocks)
+            split = causal_split(blocks)
             Fu = np.hstack([blocks.L22, np.zeros((d2, d2)),
                             np.zeros((d2, d3))])
             Fy = np.hstack([split.causal, split.noncausal, blocks.L33])
@@ -509,7 +507,6 @@ class _GSpaceController(_CondensedController):
 def make_controller(spec: ControllerSpec, *,
                     blocks: LqBlocks | None = None,
                     part: HankelPartition | None = None,
-                    split: CausalSplit | None = None,
                     model: StateSpaceModel | None = None,
                     L_p: int | None = None,
                     qp_settings: QpSettings | None = None):
@@ -518,9 +515,8 @@ def make_controller(spec: ControllerSpec, *,
     ``spc`` accepts the raw partition or the LQ blocks; the latent variants
     need blocks (a partition is factorized on the fly); ``projreg_g`` needs
     the partition; ``kf_mpc`` needs the model and takes ``L_p`` as its
-    warm-up window.  ``split`` overrides the causal split; unused handles
-    are ignored.  ``step(z_p, r_f)`` solves a step and ``condense(z_p,
-    r_f)`` materializes its QP.
+    warm-up window.  Unused handles are ignored.  ``step(z_p, r_f)``
+    solves a step and ``condense(z_p, r_f)`` materializes its QP.
     """
     variant = spec.variant
     given = {"blocks": blocks, "part": part, "model": model}
@@ -539,7 +535,7 @@ def make_controller(spec: ControllerSpec, *,
         blocks = factorize(part)
     if variant == "causal_spc":
         return _PredictorController(spec, fit_causal(blocks), qp_settings)
-    return _GammaController(spec, blocks, split, qp_settings)
+    return _GammaController(spec, blocks, qp_settings)
 
 
 def kf_update(model: StateSpaceModel, x_hat: np.ndarray, u: np.ndarray,

@@ -1,9 +1,10 @@
 """LQ factorization of the stacked Hankel matrix and its causal split.
 
-The stacked matrix ``[Z_p; U_f; Y_f]`` is factored as ``L @ Q`` with ``L``
-square lower-triangular and ``Q`` having orthonormal rows.  The blocks of
-``L`` carry all the information the predictive controllers need; ``Q`` is
-kept for residual analysis and for reconstruction tests.
+The stacked matrix ``S = [Z_p; U_f; Y_f]`` is factored as ``L @ Q`` with
+``L`` square lower-triangular and ``Q`` having orthonormal rows.  Only
+``L`` is formed: its blocks carry everything the predictors and the
+controllers need, and it is fixed by the data up to signs through the Gram
+identity ``L @ L.T == S @ S.T``.
 """
 
 from __future__ import annotations
@@ -32,19 +33,20 @@ __all__ = [
 _DIAG_RTOL = 1e-12
 _PINV_RTOL = 1e-10
 
-_MAGIC = b"LQB1"
+_MAGIC = b"LQB2"
 
 
 @dataclass(frozen=True)
 class LqBlocks:
-    """Blocks of the lower-triangular factor and the orthonormal rows.
+    """Blocks of the lower-triangular LQ factor of one data record.
 
     Row blocks follow the stacking ``[Z_p; U_f; Y_f]``: sizes
     ``(m+p)*L_p``, ``m*L_f`` and ``p*L_f``.  ``L22`` is always nonsingular
     for data accepted by :func:`factorize`; ``L11`` is nonsingular for
     noise-perturbed data but may be singular when the record is exactly
     deterministic, in which case past-trajectory solves fall back to a
-    minimum-norm solution (see :func:`gamma1_of`).
+    minimum-norm solution (see :func:`gamma1_of`).  ``M`` is the number of
+    Hankel columns the factor was computed from.
     """
 
     L11: np.ndarray
@@ -53,9 +55,6 @@ class LqBlocks:
     L31: np.ndarray
     L32: np.ndarray
     L33: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
     m: int
     p: int
     L_p: int
@@ -102,9 +101,9 @@ def _diag_nonsingular(tri: np.ndarray) -> bool:
 def factorize(part: HankelPartition) -> LqBlocks:
     """LQ-factorize the stacked Hankel matrix of a partition.
 
-    The factorization is computed as the transpose of a thin QR of the
-    transposed stack, then sign-normalized so the diagonal of ``L`` is
-    nonnegative.
+    ``L`` is the transpose of the triangular factor of a QR of the
+    transposed stack, sign-normalized so its diagonal is nonnegative.  The
+    orthonormal factor is never formed.
 
     Args:
         part: Past/future Hankel blocks of one trajectory.
@@ -124,13 +123,10 @@ def factorize(part: HankelPartition) -> LqBlocks:
             f"stacked Hankel matrix has {n_rows} rows but only {n_cols} "
             f"columns; record at least {n_rows + part.spec.L - 1} samples"
         )
-    q_t, r_t = scipy.linalg.qr(stack.T, mode="economic")
-    L = r_t.T.copy()
-    Q = q_t.T.copy()
+    (r_t,) = scipy.linalg.qr(stack.T, mode="r")
+    L = r_t[:n_rows].T.copy()
     # Fix the sign convention: nonnegative diagonal of L.
-    signs = np.where(np.diag(L) < 0.0, -1.0, 1.0)
-    L *= signs[None, :]
-    Q *= signs[:, None]
+    L *= np.where(np.diag(L) < 0.0, -1.0, 1.0)[None, :]
 
     d1 = (part.m + part.p) * part.spec.L_p
     d2 = part.m * part.spec.L_f
@@ -141,9 +137,6 @@ def factorize(part: HankelPartition) -> LqBlocks:
         L31=L[d1 + d2:, :d1],
         L32=L[d1 + d2:, d1:d1 + d2],
         L33=L[d1 + d2:, d1 + d2:],
-        Q1=Q[:d1],
-        Q2=Q[d1:d1 + d2],
-        Q3=Q[d1 + d2:],
         m=part.m,
         p=part.p,
         L_p=part.spec.L_p,
@@ -198,17 +191,16 @@ def gamma1_of(blocks: LqBlocks, z_p: np.ndarray) -> np.ndarray:
 def save_lq_blocks(blocks: LqBlocks, path) -> None:
     """Dump the factorization to a little-endian binary file.
 
-    Layout: 4-byte magic, five little-endian int64 header fields
-    ``(m, p, L_p, L_f, M)``, then the nine blocks ``L11, L21, L22, L31,
-    L32, L33, Q1, Q2, Q3`` as row-major float64.
+    Layout: 4-byte magic ``LQB2``, five little-endian int64 header fields
+    ``(m, p, L_p, L_f, M)``, then the six blocks ``L11, L21, L22, L31,
+    L32, L33`` as row-major float64.
     """
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<5q", blocks.m, blocks.p, blocks.L_p,
                              blocks.L_f, blocks.M))
         for block in (blocks.L11, blocks.L21, blocks.L22, blocks.L31,
-                      blocks.L32, blocks.L33, blocks.Q1, blocks.Q2,
-                      blocks.Q3):
+                      blocks.L32, blocks.L33):
             fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
@@ -216,6 +208,10 @@ def load_lq_blocks(path) -> LqBlocks:
     """Read a file written by :func:`save_lq_blocks`."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
+        if magic == b"LQB1":
+            raise ValueError(
+                f"{path}: LQB1 dump from an older version (it also holds the "
+                "orthonormal factor); re-run `ddpc factorize --dump`")
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an LQ block dump")
         m, p, L_p, L_f, M = struct.unpack("<5q", fh.read(40))
@@ -224,7 +220,6 @@ def load_lq_blocks(path) -> LqBlocks:
         d3 = p * L_f
         shapes = [
             (d1, d1), (d2, d1), (d2, d2), (d3, d1), (d3, d2), (d3, d3),
-            (d1, M), (d2, M), (d3, M),
         ]
         arrays = []
         for shape in shapes:

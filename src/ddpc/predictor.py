@@ -169,8 +169,9 @@ def fit_causal_bruteforce(part: HankelPartition) -> Predictor:
     for i in range(1, L_f + 1):
         rows = slice((i - 1) * p, i * p)
         regressor = np.vstack([part.Z_p, part.U_f[: i * m]])
-        K_i = part.Y_f[rows] @ np.linalg.pinv(regressor, rcond=_PINV_RTOL)
-        K[rows, : d1 + i * m] = K_i
+        K_i, *_ = np.linalg.lstsq(regressor.T, part.Y_f[rows].T,
+                                  rcond=_PINV_RTOL)
+        K[rows, : d1 + i * m] = K_i.T
     return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=True,
                      m=m, p=p, L_p=part.spec.L_p, L_f=L_f)
 

@@ -20,7 +20,7 @@ across such solves and accepts warm starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -183,9 +183,8 @@ class BoxQpSolver:
     # -- internals ---------------------------------------------------------
 
     def _refactor(self, rho_vec: np.ndarray) -> None:
-        K = self.Ps + self.settings.sigma * np.eye(self.n)
-        if self.k:
-            K = K + (self.As.T * rho_vec[None, :]) @ self.As
+        K = (self.Ps + self.settings.sigma * np.eye(self.n)
+             + (self.As.T * rho_vec[None, :]) @ self.As)
         self._factor = scipy.linalg.cho_factor(K)
         self._rho_vec = rho_vec.copy()
 
@@ -194,14 +193,14 @@ class BoxQpSolver:
         rho_vec[eq_mask] = min(rho_scalar * _RHO_EQ_FACTOR, _RHO_MAX)
         return rho_vec
 
-    def _unscaled_terms(self, xs, zs, ys, qs):
+    def _unscaled_terms(self, xs, zs, ys):
         """Residual ingredients in the units of the original problem."""
         x = self.d * xs
         Px = self.P @ x
-        Ax = (self.As @ xs) / self.e if self.k else np.zeros(0)
-        z = zs / self.e if self.k else np.zeros(0)
-        y = (self.e * ys) / self.c if self.k else np.zeros(0)
-        Aty = self.A.T @ y if self.k else np.zeros(self.n)
+        Ax = (self.As @ xs) / self.e
+        z = zs / self.e
+        y = (self.e * ys) / self.c
+        Aty = self.A.T @ y
         return x, Px, Ax, z, y, Aty
 
     # -- main entry --------------------------------------------------------
@@ -260,8 +259,8 @@ class BoxQpSolver:
 
             if it % st.check_interval == 0 or it == st.max_iter:
                 x, Px, Ax, z, y, Aty = self._unscaled_terms(
-                    xs_new, zs_new, ys_new, qs)
-                r_prim = float(np.abs(Ax - z).max()) if self.k else 0.0
+                    xs_new, zs_new, ys_new)
+                r_prim = float(np.abs(Ax - z).max())
                 r_dual = float(np.abs(Px + q + Aty).max())
                 scale_p = max(_inf_norm(Ax), _inf_norm(z))
                 scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
@@ -296,8 +295,8 @@ class BoxQpSolver:
                         self._refactor(self._rho_for(rho_scalar, eq_mask))
             xs, zs, ys = xs_new, zs_new, ys_new
 
-        x, Px, Ax, z, y, Aty = self._unscaled_terms(xs, zs, ys, qs)
-        r_prim = float(np.abs(Ax - z).max()) if self.k else 0.0
+        x, Px, Ax, z, y, Aty = self._unscaled_terms(xs, zs, ys)
+        r_prim = float(np.abs(Ax - z).max())
         r_dual = float(np.abs(Px + q + Aty).max())
         if status is QpStatus.SOLVED and st.polish:
             polished = self._polish(q, lo, hi, x, y)
@@ -377,11 +376,11 @@ class BoxQpSolver:
             return None
         Ax_new = self.A @ x_new
         viol = np.maximum(Ax_new - hi, 0.0) + np.maximum(lo - Ax_new, 0.0)
-        r_prim_new = float(viol.max()) if self.k else 0.0
+        r_prim_new = float(viol.max())
         r_dual_new = float(np.abs(self.P @ x_new + q + self.A.T @ y_new).max())
         Ax_old = self.A @ x
         viol_old = np.maximum(Ax_old - hi, 0.0) + np.maximum(lo - Ax_old, 0.0)
-        r_prim_old = float(viol_old.max()) if self.k else 0.0
+        r_prim_old = float(viol_old.max())
         r_dual_old = float(np.abs(self.P @ x + q + self.A.T @ y).max())
         if max(r_prim_new, r_dual_new) < max(r_prim_old, r_dual_old):
             z_new = np.clip(Ax_new, lo, hi)
@@ -419,7 +418,7 @@ def _dual_infeasibility(P, q, A, lo, hi, dx, eps) -> bool:
         return False
     if _inf_norm(P @ dx) > eps * norm_dx:
         return False
-    Adx = A @ dx if A.shape[0] else np.zeros(0)
+    Adx = A @ dx
     for i in range(Adx.shape[0]):
         if np.isfinite(hi[i]) and Adx[i] > eps * norm_dx:
             return False

@@ -13,7 +13,7 @@ that Monte-Carlo runs are reproducible and independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -7,7 +7,8 @@ The helpers here construct the recurring ingredients of the tests:
 * ``random_model`` — randomized stable innovation-form systems with a
   stable observer, for property-style tests.
 * ``noisy_dataset`` / ``make_blocks`` — open-loop data collection and
-  its Hankel partition / triangular factorization.
+  its Hankel partition / triangular factorization; ``full_factor``
+  reassembles the square factor ``L`` from the blocks.
 """
 
 from __future__ import annotations
@@ -91,6 +92,19 @@ def make_partition(model: StateSpaceModel, n_d: int, L_p: int, L_f: int,
 def make_blocks(model: StateSpaceModel, n_d: int, L_p: int, L_f: int,
                 rng: np.random.Generator, kind: str = "steps"):
     return factorize(make_partition(model, n_d, L_p, L_f, rng, kind=kind))
+
+
+def full_factor(blocks) -> np.ndarray:
+    """The square lower-triangular factor ``L`` assembled from its blocks."""
+    d1, d2, d3 = blocks.dim_past, blocks.dim_u, blocks.dim_y
+    L = np.zeros((d1 + d2 + d3, d1 + d2 + d3))
+    L[:d1, :d1] = blocks.L11
+    L[d1:d1 + d2, :d1] = blocks.L21
+    L[d1:d1 + d2, d1:d1 + d2] = blocks.L22
+    L[d1 + d2:, :d1] = blocks.L31
+    L[d1 + d2:, d1:d1 + d2] = blocks.L32
+    L[d1 + d2:, d1 + d2:] = blocks.L33
+    return L
 
 
 def seeded(tag: int, *extra: int) -> np.random.Generator:

@@ -81,6 +81,18 @@ def rowwise_causal_fit(Y_f: np.ndarray, Z_p: np.ndarray,
     return K_p, K_f
 
 
+def lq_orthonormal_rows(L: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Orthonormal right factor ``Q`` of ``S = L @ Q`` from numpy's QR.
+
+    ``numpy.linalg.qr(S.T)`` gives ``S = R' Q'``; rows of ``Q'`` are flipped
+    wherever the sign of ``R``'s diagonal differs from that of ``L``, so the
+    result pairs with ``L`` as returned by ``ddpc.factorize``.
+    """
+    q, r = np.linalg.qr(S.T)
+    flip = (np.diag(r) < 0.0) != (np.diag(L) < 0.0)
+    return np.where(flip, -1.0, 1.0)[:, None] * q.T
+
+
 # ---------------------------------------------------------------------------
 # QP oracles
 # ---------------------------------------------------------------------------

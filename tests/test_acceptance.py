@@ -31,8 +31,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import random_model, seeded
-from oracles import kkt_residuals, solve_qp_active_set
+from conftest import full_factor, random_model, seeded
+from oracles import kkt_residuals, lq_orthonormal_rows, solve_qp_active_set
 
 from ddpc import (
     BoxConstraints,
@@ -232,14 +232,18 @@ def test_criterion_05_residual_ordering_and_parameter_gap():
         r_full = fit_residual(part, fit_spc(part))
         r_causal = fit_residual(part, fit_causal(blocks))
         ok_order &= r_full <= r_causal + 1e-9
-        # energy of the non-causal block only adds to the residual
+        # energy of the non-causal block only adds to the residual; the
+        # orthonormal rows come from an independent QR of the stack
         split = causal_split(blocks)
-        lhs = np.linalg.norm(split.noncausal @ blocks.Q2
-                             + blocks.L33 @ blocks.Q3) ** 2
-        rhs = np.linalg.norm(blocks.L33 @ blocks.Q3) ** 2
+        d1, d2 = blocks.dim_past, blocks.dim_u
+        Q = lq_orthonormal_rows(full_factor(blocks),
+                                np.vstack([part.Z_p, part.U_f, part.Y_f]))
+        Q2, Q3 = Q[d1:d1 + d2], Q[d1 + d2:]
+        lhs = np.linalg.norm(split.noncausal @ Q2 + blocks.L33 @ Q3) ** 2
+        rhs = np.linalg.norm(blocks.L33 @ Q3) ** 2
         ok_norm &= lhs >= rhs - 1e-9
-        zeroed = np.linalg.norm(np.zeros_like(split.noncausal) @ blocks.Q2
-                                + blocks.L33 @ blocks.Q3) ** 2
+        zeroed = np.linalg.norm(np.zeros_like(split.noncausal) @ Q2
+                                + blocks.L33 @ Q3) ** 2
         ok_equal &= abs(zeroed - rhs) <= 1e-12
         # exact count of structurally removed parameters
         mask = causal_block_mask(p, m, L_f)

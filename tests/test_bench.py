@@ -183,6 +183,31 @@ def test_malformed_configs_raise(tmp_path):
         load_config(_write_cfg(tmp_path, controllers="list = mystery"))
 
 
+@pytest.mark.parametrize("section,body", [
+    ("plant", "kind = lti\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\neps = 1.5"),
+    ("plant", "kind = nonlinear\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\n"
+              "eps = -0.3"),
+    ("plant", "kind = lti\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\n"
+              "sigma_e = -0.1"),
+    ("sweep", "eps = 0 -0.3"),
+    ("sweep", "eps = 0.5 nan"),
+    ("sweep", "sigma_e = 0.1 -0.2"),
+], ids=["plant-eps-above-1", "nonlinear-eps-negative", "plant-sigma-negative",
+        "sweep-eps-negative", "sweep-eps-nan", "sweep-sigma-negative"])
+def test_out_of_range_noise_and_distortion_rejected_at_load(tmp_path,
+                                                           section, body):
+    with pytest.raises(ConfigError, match="eps|sigma_e"):
+        load_config(_write_cfg(tmp_path, **{section: body}))
+
+
+def test_nonlinear_plant_passes_eps_override_through():
+    cfg = load_config("nonlinear_fig2")
+    assert cfg.plant(eps=0.0).eps == 0.0
+    assert cfg.plant(eps=0.75).eps == 0.75
+    with pytest.raises(ValueError):
+        cfg.plant(eps=-0.3)
+
+
 def test_controller_params_parsed_and_applied():
     cfg = load_config("table1")
     assert cfg.controller_params["reg_gamma"]["mu"] == pytest.approx(0.1)

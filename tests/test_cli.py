@@ -154,8 +154,9 @@ def test_factorize_summary_and_dump(trajectory_csv, tmp_path, capsys):
     loaded = load_lq_blocks(dump)
     traj = read_trajectory_csv(trajectory_csv)
     direct = factorize(partition(traj, HorizonSpec(4, 5)))
-    np.testing.assert_array_equal(loaded.L32, direct.L32)
-    np.testing.assert_array_equal(loaded.Q3, direct.Q3)
+    for name in ("L11", "L21", "L22", "L31", "L32", "L33"):
+        np.testing.assert_array_equal(getattr(loaded, name),
+                                      getattr(direct, name))
 
 
 def test_factorize_missing_file(tmp_path, capsys):

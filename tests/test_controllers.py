@@ -22,6 +22,7 @@ its ``step`` and ``condense`` methods.  Covers:
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from ddpc import (
     square_wave,
     step_lti,
 )
-from ddpc.lq import CausalSplit, causal_split
+from ddpc.lq import causal_split
 
 
 L_P, L_F = 4, 5
@@ -378,13 +379,13 @@ def test_reg_causal_with_degenerate_split_reduces_to_gamma():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    degenerate = CausalSplit(causal=blocks.L32,
-                             noncausal=np.zeros_like(blocks.L32))
+    # L32 replaced by its causal part: the split of these blocks has an
+    # empty non-causal part
+    degenerate = replace(blocks, L32=causal_split(blocks).causal)
     res_rc = make_controller(_spec("reg_causal_gamma", mu=1.0, lam=0.5,
-                                   ref=ref),
-                             blocks=blocks, split=degenerate).step(z)
+                                   ref=ref), blocks=degenerate).step(z)
     res_g = make_controller(_spec("gamma", mu=1.0, ref=ref),
-                            blocks=blocks).step(z)
+                            blocks=degenerate).step(z)
     np.testing.assert_allclose(res_rc.u_f, res_g.u_f, atol=1e-6)
 
 

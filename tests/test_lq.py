@@ -1,18 +1,21 @@
 """LQ factorization, causal split, latent past solves, and binary dumps.
 
 Covers:
-  * exact reconstruction ``L @ Q`` of the stacked Hankel matrix, the
-    orthonormal-row property of ``Q``, lower-triangularity and the
-    nonnegative-diagonal sign convention of ``L``.
+  * the factor ``L`` against the data: the Gram identity ``L L' = S S'``
+    and exact reconstruction ``L @ Q`` with an independently computed
+    orthonormal ``Q`` (``factorize`` itself never forms ``Q``),
+    lower-triangularity and the nonnegative-diagonal sign convention.
   * the fixed point: a stack that is already lower-triangular with an
-    orthonormal right factor comes back unchanged.
+    orthonormal right factor gives back its triangular part unchanged.
   * rank-deficiency errors for unexciting inputs and too-short records.
   * causal_split worked examples, exact complementarity, the mask versus
     a loop-built oracle, and the strict-upper parameter count
     ``p*m*L_f*(L_f-1)/2``.
   * gamma1_of forward-substitution and minimum-norm fallback behavior.
-  * residual ordering ``||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F``.
-  * byte-exact save/load round-trips and format validation.
+  * residual ordering ``||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F``, with
+    ``Q2``/``Q3`` from the independent ``Q``.
+  * byte-exact save/load round-trips, format validation, and the error
+    for dumps in the older ``LQB1`` format.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import demo_model, make_blocks, make_partition, seeded
-from oracles import causal_mask_by_loops
+from conftest import (demo_model, full_factor, make_blocks, make_partition,
+                      seeded)
+from oracles import causal_mask_by_loops, lq_orthonormal_rows
 
 from ddpc import (
     CausalSplit,
@@ -42,30 +46,18 @@ from ddpc import (
 from ddpc.lq import causal_block_mask
 
 
-def _fabricate_blocks(L: np.ndarray, Q: np.ndarray, m: int, p: int,
-                      L_p: int, L_f: int) -> LqBlocks:
-    d1 = (m + p) * L_p
-    d2 = m * L_f
-    return LqBlocks(
-        L11=L[:d1, :d1], L21=L[d1:d1 + d2, :d1],
-        L22=L[d1:d1 + d2, d1:d1 + d2], L31=L[d1 + d2:, :d1],
-        L32=L[d1 + d2:, d1:d1 + d2], L33=L[d1 + d2:, d1 + d2:],
-        Q1=Q[:d1], Q2=Q[d1:d1 + d2], Q3=Q[d1 + d2:],
-        m=m, p=p, L_p=L_p, L_f=L_f, M=Q.shape[1],
-    )
+_L_NAMES = ("L11", "L21", "L22", "L31", "L32", "L33")
 
 
-def _stack(blocks: LqBlocks) -> tuple[np.ndarray, np.ndarray]:
-    d1, d2, d3 = blocks.dim_past, blocks.dim_u, blocks.dim_y
-    L = np.zeros((d1 + d2 + d3, d1 + d2 + d3))
-    L[:d1, :d1] = blocks.L11
-    L[d1:d1 + d2, :d1] = blocks.L21
-    L[d1:d1 + d2, d1:d1 + d2] = blocks.L22
-    L[d1 + d2:, :d1] = blocks.L31
-    L[d1 + d2:, d1:d1 + d2] = blocks.L32
-    L[d1 + d2:, d1 + d2:] = blocks.L33
-    Q = np.vstack([blocks.Q1, blocks.Q2, blocks.Q3])
-    return L, Q
+def _stacked(part) -> np.ndarray:
+    return np.vstack([part.Z_p, part.U_f, part.Y_f])
+
+
+def _residual_rows(part, blocks: LqBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``Q2``, ``Q3`` of an independently computed ``Q``."""
+    Q = lq_orthonormal_rows(full_factor(blocks), _stacked(part))
+    d1, d2 = blocks.dim_past, blocks.dim_u
+    return Q[d1:d1 + d2], Q[d1 + d2:]
 
 
 # ---------------------------------------------------------------------------
@@ -77,23 +69,24 @@ def test_factorize_reconstructs_stack():
     model = demo_model()
     part = make_partition(model, 120, L_p=4, L_f=3, rng=seeded(20))
     blocks = factorize(part)
-    L, Q = _stack(blocks)
-    stack = np.vstack([part.Z_p, part.U_f, part.Y_f])
+    L = full_factor(blocks)
+    stack = _stacked(part)
+    Q = lq_orthonormal_rows(L, stack)
     np.testing.assert_allclose(L @ Q, stack, atol=1e-10 * np.abs(stack).max())
 
 
-def test_factorize_q_has_orthonormal_rows():
-    blocks = make_blocks(demo_model(), 150, L_p=3, L_f=4, rng=seeded(21))
-    _, Q = _stack(blocks)
-    np.testing.assert_allclose(Q @ Q.T, np.eye(Q.shape[0]), atol=1e-12)
-    # cross-block orthogonality in particular
-    np.testing.assert_allclose(blocks.Q1 @ blocks.Q3.T, 0.0, atol=1e-12)
-    np.testing.assert_allclose(blocks.Q2 @ blocks.Q3.T, 0.0, atol=1e-12)
+def test_factorize_gram_identity():
+    """``L L' = S S'``: the factor alone carries the data's Gram matrix."""
+    part = make_partition(demo_model(), 150, L_p=3, L_f=4, rng=seeded(21))
+    L = full_factor(factorize(part))
+    stack = _stacked(part)
+    gram = stack @ stack.T
+    assert np.abs(L @ L.T - gram).max() <= 1e-10 * np.abs(gram).max()
 
 
 def test_factorize_sign_convention_and_triangularity():
     blocks = make_blocks(demo_model(), 100, L_p=2, L_f=5, rng=seeded(22))
-    L, _ = _stack(blocks)
+    L = full_factor(blocks)
     assert np.all(np.diag(L) >= 0.0)
     assert np.allclose(L, np.tril(L))
     # strictly-upper entries inside each diagonal block are exact zeros
@@ -103,7 +96,7 @@ def test_factorize_sign_convention_and_triangularity():
 
 
 def test_factorize_triangular_fixed_point():
-    """A stack that is already L @ [I 0] comes back unchanged."""
+    """A stack that is already L @ [I 0] gives back L unchanged."""
     rng = seeded(23)
     L0 = np.tril(rng.standard_normal((6, 6)))
     np.fill_diagonal(L0, np.abs(np.diag(L0)) + 1.0)
@@ -113,10 +106,7 @@ def test_factorize_triangular_fixed_point():
     part = HankelPartition(Z_p=S[:2], U_p=S[:1], Y_p=S[1:2], U_f=S[2:4],
                            Y_f=S[4:6], m=1, p=1, spec=spec)
     blocks = factorize(part)
-    L, Q = _stack(blocks)
-    np.testing.assert_allclose(L, L0, atol=1e-12)
-    np.testing.assert_allclose(Q, np.hstack([np.eye(6), np.zeros((6, 2))]),
-                               atol=1e-12)
+    np.testing.assert_allclose(full_factor(blocks), L0, atol=1e-12)
 
 
 def test_factorize_determinism():
@@ -124,7 +114,7 @@ def test_factorize_determinism():
     part = make_partition(model, 140, L_p=5, L_f=5, rng=seeded(24))
     b1 = factorize(part)
     b2 = factorize(part)
-    for name in ("L11", "L21", "L22", "L31", "L32", "L33", "Q1", "Q2", "Q3"):
+    for name in _L_NAMES:
         np.testing.assert_array_equal(getattr(b1, name), getattr(b2, name))
 
 
@@ -165,12 +155,10 @@ def test_past_block_singular_for_noise_free_data():
 def _blocks_with_l32(L32: np.ndarray, m: int, p: int, L_f: int) -> LqBlocks:
     d3, d2 = L32.shape
     d1 = 2
-    M = d1 + d2 + d3
     zeros = np.zeros
     return LqBlocks(L11=np.eye(d1), L21=zeros((d2, d1)), L22=np.eye(d2),
                     L31=zeros((d3, d1)), L32=L32, L33=np.eye(d3),
-                    Q1=zeros((d1, M)), Q2=zeros((d2, M)), Q3=zeros((d3, M)),
-                    m=m, p=p, L_p=1, L_f=L_f, M=M)
+                    m=m, p=p, L_p=1, L_f=L_f, M=d1 + d2 + d3)
 
 
 def test_causal_split_siso_example():
@@ -269,24 +257,26 @@ def test_noncausal_residual_dominates_full_residual():
     ||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F, with the products formed
     explicitly rather than via orthonormality."""
     for tag in range(5):
-        blocks = make_blocks(demo_model(sigma_e=0.25), 150, L_p=4, L_f=5,
-                             rng=seeded(36, tag))
+        part = make_partition(demo_model(sigma_e=0.25), 150, L_p=4, L_f=5,
+                              rng=seeded(36, tag))
+        blocks = factorize(part)
+        Q2, Q3 = _residual_rows(part, blocks)
         split = causal_split(blocks)
-        with_nc = np.linalg.norm(split.noncausal @ blocks.Q2
-                                 + blocks.L33 @ blocks.Q3)
-        without = np.linalg.norm(blocks.L33 @ blocks.Q3)
+        with_nc = np.linalg.norm(split.noncausal @ Q2 + blocks.L33 @ Q3)
+        without = np.linalg.norm(blocks.L33 @ Q3)
         assert with_nc >= without
         assert with_nc > without  # noisy data: strictly larger
 
 
 def test_residual_equality_when_noncausal_vanishes():
-    blocks = make_blocks(demo_model(sigma_e=0.25), 150, L_p=4, L_f=5,
-                         rng=seeded(37))
+    part = make_partition(demo_model(sigma_e=0.25), 150, L_p=4, L_f=5,
+                          rng=seeded(37))
+    blocks = factorize(part)
+    Q2, Q3 = _residual_rows(part, blocks)
     zeroed = CausalSplit(causal=blocks.L32,
                          noncausal=np.zeros_like(blocks.L32))
-    with_nc = np.linalg.norm(zeroed.noncausal @ blocks.Q2
-                             + blocks.L33 @ blocks.Q3)
-    assert with_nc == pytest.approx(np.linalg.norm(blocks.L33 @ blocks.Q3))
+    with_nc = np.linalg.norm(zeroed.noncausal @ Q2 + blocks.L33 @ Q3)
+    assert with_nc == pytest.approx(np.linalg.norm(blocks.L33 @ Q3))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +291,7 @@ def test_save_load_roundtrip_bitwise(tmp_path):
     back = load_lq_blocks(path)
     assert (back.m, back.p, back.L_p, back.L_f, back.M) == \
         (blocks.m, blocks.p, blocks.L_p, blocks.L_f, blocks.M)
-    for name in ("L11", "L21", "L22", "L31", "L32", "L33", "Q1", "Q2", "Q3"):
+    for name in _L_NAMES:
         np.testing.assert_array_equal(getattr(back, name),
                                       getattr(blocks, name))
 
@@ -311,12 +301,11 @@ def test_save_format_header(tmp_path):
     path = tmp_path / "blocks.lqb"
     save_lq_blocks(blocks, path)
     raw = path.read_bytes()
-    assert raw[:4] == b"LQB1"
+    assert raw[:4] == b"LQB2"
     m, p, L_p, L_f, M = struct.unpack_from("<5q", raw, 4)
     assert (m, p, L_p, L_f, M) == (1, 1, 2, 3, blocks.M)
     d1, d2, d3 = blocks.dim_past, blocks.dim_u, blocks.dim_y
-    n_floats = (d1 * d1 + d2 * d1 + d2 * d2 + d3 * d1 + d3 * d2 + d3 * d3
-                + (d1 + d2 + d3) * M)
+    n_floats = d1 * d1 + d2 * d1 + d2 * d2 + d3 * d1 + d3 * d2 + d3 * d3
     assert len(raw) == 4 + 40 + 8 * n_floats
 
 
@@ -325,6 +314,21 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_lq_blocks(path)
+
+
+def test_load_rejects_old_format_with_rerun_hint(tmp_path):
+    """A dump in the older LQB1 layout (L blocks followed by Q) is refused
+    with a message naming the format and how to regenerate it."""
+    blocks = make_blocks(demo_model(), 110, L_p=2, L_f=3, rng=seeded(41))
+    path = tmp_path / "blocks.lqb"
+    save_lq_blocks(blocks, path)
+    raw = path.read_bytes()
+    n_q = 8 * (blocks.dim_past + blocks.dim_u + blocks.dim_y) * blocks.M
+    old = tmp_path / "old.lqb"
+    old.write_bytes(b"LQB1" + raw[4:] + b"\x00" * n_q)
+    with pytest.raises(ValueError, match="LQB1") as err:
+        load_lq_blocks(old)
+    assert "ddpc factorize --dump" in str(err.value)
 
 
 def test_load_rejects_truncation_and_trailing(tmp_path):
