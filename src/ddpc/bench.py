@@ -235,19 +235,27 @@ def bundled_config_path(name: str) -> Path:
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file.
 
+    ``path`` is a config file or the name of a bundled config; anything
+    that is not a file is looked up among the bundled configs by name.
+
     Raises:
-        ConfigError: On missing sections/keys or malformed values.
+        ConfigError: On a missing file, a directory with no bundled config
+            of its name, missing sections/keys or malformed values.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
+        # a bare name falls back to the bundled config, also when a
+        # directory of that name (say, a benchmark's output) is in the way
         candidate = None
         try:
             candidate = bundled_config_path(path.name)
         except (FileNotFoundError, ModuleNotFoundError):
             candidate = None
-        if candidate is not None and candidate.exists():
+        if candidate is not None and candidate.is_file():
             path = candidate
+        elif path.is_dir():
+            raise ConfigError(f"config path is a directory: {path}")
         else:
             raise ConfigError(f"config file not found: {path}")
     try:

@@ -15,16 +15,24 @@ deterministic: identical inputs produce identical iterates.
 The solver is built for the receding-horizon use case where ``P`` and
 ``A`` stay fixed while ``q`` and the bounds change from step to step:
 :class:`BoxQpSolver` caches the equilibration and the KKT factorization
-across such solves and accepts warm starts.
+across such solves and accepts warm starts.  As in OSQP (Stellato et al.,
+Math. Prog. Comp. 2020), an iteration applies the cached Cholesky factor
+through LAPACK's ``potrs`` and does nothing but its arithmetic.
+Finiteness is checked once at entry instead: ``P`` and ``A`` when the
+solver is built, ``q``, the bounds and the warm starts at each solve.  A
+residual that turns non-finite at a convergence check raises
+``ValueError``; it is never reported as a status.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DimensionMismatch
 
@@ -129,6 +137,12 @@ _REFACTOR_RATIO = 5.0
 _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 
+# The float64 LAPACK routines behind cho_factor/cho_solve and
+# lu_factor/lu_solve, called directly so that the ADMM loop and the polish
+# skip scipy's per-call input checks.
+_POTRF, _POTRS, _GETRF, _GETRS = get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
+
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
     """Symmetric equilibration of the KKT matrix [[P, A'], [A, 0]].
@@ -170,6 +184,9 @@ class BoxQpSolver:
         self.settings = settings or QpSettings()
         P = np.asarray(P, dtype=float)
         A = np.asarray(A, dtype=float)
+        for name, arr in (("P", P), ("A", A)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
         self.n = P.shape[0]
         self.k = A.shape[0]
         self.P = 0.5 * (P + P.T)
@@ -185,7 +202,13 @@ class BoxQpSolver:
     def _refactor(self, rho_vec: np.ndarray) -> None:
         K = (self.Ps + self.settings.sigma * np.eye(self.n)
              + (self.As.T * rho_vec[None, :]) @ self.As)
-        self._factor = scipy.linalg.cho_factor(K)
+        # the arguments cho_factor passes; the upper triangle holds the factor
+        factor, info = _POTRF(K, lower=False, overwrite_a=False, clean=False)
+        if info > 0:
+            raise scipy.linalg.LinAlgError(
+                f"{info}-th leading minor of the KKT matrix is not positive "
+                "definite")
+        self._factor = factor
         self._rho_vec = rho_vec.copy()
 
     def _rho_for(self, rho_scalar: float, eq_mask: np.ndarray) -> np.ndarray:
@@ -214,8 +237,14 @@ class BoxQpSolver:
             q: Linear cost term, length n.
             lower: Row lower bounds (``-inf`` allowed), length k.
             upper: Row upper bounds (``+inf`` allowed), length k.
-            x0: Optional primal warm start (unscaled).
-            y0: Optional dual warm start (unscaled).
+            x0: Optional primal warm start (unscaled), length n.
+            y0: Optional dual warm start (unscaled), length k.
+
+        Raises:
+            DimensionMismatch: On a length that does not match the solver.
+            ValueError: On a non-finite ``q``, ``x0`` or ``y0``, a NaN
+                bound, a ``+inf`` lower or ``-inf`` upper bound, or a
+                residual that turns non-finite while iterating.
         """
         st = self.settings
         q = np.asarray(q, dtype=float).reshape(-1)
@@ -223,45 +252,64 @@ class BoxQpSolver:
         hi = np.asarray(upper, dtype=float).reshape(-1)
         if q.shape[0] != self.n or lo.shape[0] != self.k or hi.shape[0] != self.k:
             raise DimensionMismatch("q or bound length mismatch with solver")
+        if x0 is not None:
+            x0 = np.asarray(x0, dtype=float)
+        if y0 is not None:
+            y0 = np.asarray(y0, dtype=float)
+        if ((x0 is not None and x0.shape != (self.n,))
+                or (y0 is not None and y0.shape != (self.k,))):
+            raise DimensionMismatch("warm start length mismatch with solver")
+        _check_entry(q, lo, hi, x0, y0)
         if self.k == 0:
             return self._solve_unconstrained(q)
 
         qs = self.c * self.d * q
         los = self.e * lo
         his = self.e * hi
-        eq_mask = np.isfinite(lo) & (lo == hi)
+        fin_lo = np.isfinite(lo)
+        fin_hi = np.isfinite(hi)
+        eq_mask = fin_lo & (lo == hi)
         rho_scalar = st.rho
         rho_vec = self._rho_for(rho_scalar, eq_mask)
         if self._factor is None or not np.array_equal(rho_vec, self._rho_vec):
             self._refactor(rho_vec)
 
         if x0 is not None:
-            xs = np.asarray(x0, dtype=float) / self.d
+            xs = x0 / self.d
         else:
             xs = np.zeros(self.n)
         if y0 is not None:
-            ys = self.c * np.asarray(y0, dtype=float) / self.e
+            ys = self.c * y0 / self.e
         else:
             ys = np.zeros(self.k)
-        zs = np.clip(self.As @ xs, los, his)
+        As = self.As
+        AsT = As.T
+        zs = np.minimum(np.maximum(As @ xs, los), his)
 
+        # loop invariants, hoisted; the factor and rho change only together
+        factor, rho_vec = self._factor, self._rho_vec
+        sigma, alpha = st.sigma, st.alpha
+        beta = 1.0 - alpha
+        check_interval, max_iter = st.check_interval, st.max_iter
         status = QpStatus.MAX_ITER
-        iters_done = st.max_iter
-        for it in range(1, st.max_iter + 1):
-            rhs = st.sigma * xs - qs + self.As.T @ (self._rho_vec * zs - ys)
-            x_hat = scipy.linalg.cho_solve(self._factor, rhs)
-            z_hat = self.As @ x_hat
-            xs_new = st.alpha * x_hat + (1.0 - st.alpha) * xs
-            z_cand = (st.alpha * z_hat + (1.0 - st.alpha) * zs
-                      + ys / self._rho_vec)
-            zs_new = np.clip(z_cand, los, his)
-            ys_new = self._rho_vec * (z_cand - zs_new)
+        iters_done = max_iter
+        for it in range(1, max_iter + 1):
+            rhs = sigma * xs - qs + AsT @ (rho_vec * zs - ys)
+            x_hat = _POTRS(factor, rhs, lower=False, overwrite_b=True)[0]
+            z_hat = As @ x_hat
+            xs_new = alpha * x_hat + beta * xs
+            z_cand = alpha * z_hat + beta * zs + ys / rho_vec
+            zs_new = np.minimum(np.maximum(z_cand, los), his)
+            ys_new = rho_vec * (z_cand - zs_new)
 
-            if it % st.check_interval == 0 or it == st.max_iter:
+            if it % check_interval == 0 or it == max_iter:
                 x, Px, Ax, z, y, Aty = self._unscaled_terms(
                     xs_new, zs_new, ys_new)
                 r_prim = float(np.abs(Ax - z).max())
                 r_dual = float(np.abs(Px + q + Aty).max())
+                if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
+                    raise ValueError(
+                        f"ADMM residual is not finite at iteration {it}")
                 scale_p = max(_inf_norm(Ax), _inf_norm(z))
                 scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
                 eps_p = st.eps_abs + st.eps_rel * scale_p
@@ -272,13 +320,14 @@ class BoxQpSolver:
                     iters_done = it
                     break
                 dy = (self.e * (ys_new - ys)) / self.c
-                if _primal_infeasibility(self.A, lo, hi, dy, st.eps_infeas):
+                if _primal_infeasibility(self.A, lo, hi, fin_lo, fin_hi, dy,
+                                         st.eps_infeas):
                     xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.PRIMAL_INFEASIBLE
                     iters_done = it
                     break
                 dx = self.d * (xs_new - xs)
-                if _dual_infeasibility(self.P, q, self.A, lo, hi, dx,
+                if _dual_infeasibility(self.P, q, self.A, fin_lo, fin_hi, dx,
                                        st.eps_infeas):
                     xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.DUAL_INFEASIBLE
@@ -293,6 +342,7 @@ class BoxQpSolver:
                             or rho_new < rho_scalar / _REFACTOR_RATIO):
                         rho_scalar = rho_new
                         self._refactor(self._rho_for(rho_scalar, eq_mask))
+                        factor, rho_vec = self._factor, self._rho_vec
             xs, zs, ys = xs_new, zs_new, ys_new
 
         x, Px, Ax, z, y, Aty = self._unscaled_terms(xs, zs, ys)
@@ -362,18 +412,19 @@ class BoxQpSolver:
         K_reg[:self.n, :self.n] += _POLISH_REG * np.eye(self.n)
         K_reg[self.n:, self.n:] -= _POLISH_REG * np.eye(n_act)
         rhs = np.concatenate([-q, b_act])
-        try:
-            lu = scipy.linalg.lu_factor(K_reg)
-        except scipy.linalg.LinAlgError:
+        # the arguments lu_factor/lu_solve pass; a singular pivot rejects
+        lu, piv, info = _GETRF(K_reg, overwrite_a=False)
+        if info != 0:
             return None
-        sol = scipy.linalg.lu_solve(lu, rhs)
+        sol = _GETRS(lu, piv, rhs, trans=0, overwrite_b=False)[0]
         for _ in range(_POLISH_REFINE):
-            sol = sol + scipy.linalg.lu_solve(lu, rhs - K @ sol)
+            sol = sol + _GETRS(lu, piv, rhs - K @ sol, trans=0,
+                               overwrite_b=False)[0]
+        if not np.all(np.isfinite(sol)):
+            return None
         x_new = sol[:self.n]
         y_new = np.zeros(self.k)
         y_new[act] = sol[self.n:]
-        if not np.all(np.isfinite(x_new)):
-            return None
         Ax_new = self.A @ x_new
         viol = np.maximum(Ax_new - hi, 0.0) + np.maximum(lo - Ax_new, 0.0)
         r_prim_new = float(viol.max())
@@ -392,7 +443,19 @@ def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _primal_infeasibility(A, lo, hi, dy, eps) -> bool:
+def _check_entry(q, lo, hi, x0, y0) -> None:
+    """Reject non-finite solve data before any iteration runs."""
+    for name, v in (("q", q), ("x0", x0), ("y0", y0)):
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"{name} has non-finite entries")
+    for name, v, bad in (("lower", lo, np.inf), ("upper", hi, -np.inf)):
+        if np.isnan(v).any():
+            raise ValueError(f"{name} has NaN entries")
+        if (v == bad).any():
+            raise ValueError(f"{name} has entries equal to {bad}")
+
+
+def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:
     norm_dy = _inf_norm(dy)
     if norm_dy <= eps:
         return False
@@ -401,16 +464,16 @@ def _primal_infeasibility(A, lo, hi, dy, eps) -> bool:
     dy_pos = np.maximum(dy, 0.0)
     dy_neg = np.minimum(dy, 0.0)
     # An infinite bound can only certify if the matching multiplier vanishes.
-    if np.any(dy_pos[~np.isfinite(hi)] > eps * norm_dy):
+    if np.any(dy_pos[~fin_hi] > eps * norm_dy):
         return False
-    if np.any(-dy_neg[~np.isfinite(lo)] > eps * norm_dy):
+    if np.any(-dy_neg[~fin_lo] > eps * norm_dy):
         return False
-    support = (np.sum(hi[np.isfinite(hi)] * dy_pos[np.isfinite(hi)])
-               + np.sum(lo[np.isfinite(lo)] * dy_neg[np.isfinite(lo)]))
+    support = (np.sum(hi[fin_hi] * dy_pos[fin_hi])
+               + np.sum(lo[fin_lo] * dy_neg[fin_lo]))
     return support <= -eps * norm_dy
 
 
-def _dual_infeasibility(P, q, A, lo, hi, dx, eps) -> bool:
+def _dual_infeasibility(P, q, A, fin_lo, fin_hi, dx, eps) -> bool:
     norm_dx = _inf_norm(dx)
     if norm_dx <= eps:
         return False
@@ -419,12 +482,8 @@ def _dual_infeasibility(P, q, A, lo, hi, dx, eps) -> bool:
     if _inf_norm(P @ dx) > eps * norm_dx:
         return False
     Adx = A @ dx
-    for i in range(Adx.shape[0]):
-        if np.isfinite(hi[i]) and Adx[i] > eps * norm_dx:
-            return False
-        if np.isfinite(lo[i]) and Adx[i] < -eps * norm_dx:
-            return False
-    return True
+    tol = eps * norm_dx
+    return not np.any((fin_hi & (Adx > tol)) | (fin_lo & (Adx < -tol)))
 
 
 def solve(prob: QpProblem, settings: QpSettings | None = None,

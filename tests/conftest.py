@@ -13,7 +13,14 @@ The helpers here construct the recurring ingredients of the tests:
 
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread, as perfbench runs: the small dense factorizations of the
+# suite run several times slower with more, and their timing then follows
+# the load on the machine.  Set before numpy is first imported.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from ddpc import (

@@ -80,6 +80,19 @@ def test_bundled_lookup_accepts_bare_names():
     assert by_name.feedback is not None
 
 
+def test_bare_name_skips_directory_of_that_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "table1").mkdir()
+    by_name = load_config("table1")
+    by_path = load_config(bundled_config_path("table1.cfg"))
+    np.testing.assert_array_equal(by_name.A, by_path.A)
+    assert by_name.controllers == by_path.controllers
+    assert by_name.n_d == by_path.n_d
+    (tmp_path / "mine").mkdir()
+    with pytest.raises(ConfigError, match="directory"):
+        load_config("mine")
+
+
 def test_sweep_grid_defaults_to_base_point(tmp_path):
     text = """
 [plant]

@@ -11,7 +11,8 @@ Covers:
   * primal and dual infeasibility detection.
   * iteration-budget reporting and warm-started re-solves through
     BoxQpSolver.
-  * problem validation (symmetry, PSD, bound ordering, shapes).
+  * problem validation (symmetry, PSD, bound ordering, shapes), and
+    non-finite solve data rejected by name before any iteration.
 """
 
 from __future__ import annotations
@@ -282,6 +283,90 @@ def test_cached_solver_matches_one_shot():
 # ---------------------------------------------------------------------------
 
 
+def _non_finite_cases(prob):
+    """``(name, solve kwargs)`` pairs, each with one bad entry in ``name``."""
+    def spoiled(v, value):
+        v = np.array(v, dtype=float)
+        v[1] = value
+        return v
+
+    base = dict(q=prob.q, lower=prob.lower, upper=prob.upper,
+                x0=np.zeros(prob.n), y0=np.zeros(prob.k))
+    cases = []
+    for name, value in (("q", np.nan), ("q", np.inf), ("x0", np.nan),
+                        ("x0", -np.inf), ("y0", np.nan), ("y0", np.inf),
+                        ("lower", np.nan), ("upper", np.nan),
+                        ("lower", np.inf), ("upper", -np.inf)):
+        args = dict(base)
+        args[name] = spoiled(base[name], value)
+        if name == "lower" and value == np.inf:
+            args["upper"] = spoiled(prob.upper, np.inf)
+        if name == "upper" and value == -np.inf:
+            args["lower"] = spoiled(prob.lower, -np.inf)
+        cases.append((name, args))
+    return cases
+
+
+def _forbid_lapack(monkeypatch):
+    """Fail the test if the solver factors or back-solves, so that a
+    ValueError can only come from a check made before iterating."""
+    import ddpc.qp
+
+    def reached(*args, **kwargs):
+        raise AssertionError("non-finite data reached the LAPACK calls")
+
+    for name in ("_POTRF", "_POTRS"):
+        monkeypatch.setattr(ddpc.qp, name, reached, raising=False)
+
+
+def test_non_finite_inputs_raise_before_iterating(monkeypatch):
+    rng = seeded(91)
+    prob = _random_box_qp(rng, n=6, k=8)
+    _forbid_lapack(monkeypatch)
+    solver = BoxQpSolver(prob.P, prob.A)
+    for name, args in _non_finite_cases(prob):
+        with pytest.raises(ValueError):
+            solver.solve(**args)
+    # the unconstrained path takes q alone
+    free = BoxQpSolver(prob.P, np.zeros((0, prob.n)))
+    with pytest.raises(ValueError):
+        free.solve(np.full(prob.n, np.nan), np.zeros(0), np.zeros(0))
+    for name in ("P", "A"):
+        bad = {"P": prob.P.copy(), "A": prob.A.copy()}
+        bad[name][0, 0] = np.nan
+        with pytest.raises(ValueError):
+            BoxQpSolver(bad["P"], bad["A"]).solve(prob.q, prob.lower,
+                                                 prob.upper)
+
+
+def test_overflowing_iterates_raise_instead_of_a_status():
+    # finite data whose iterates overflow: the residual turns non-finite
+    rng = seeded(93)
+    prob = _random_box_qp(rng, n=6, k=8)
+    solver = BoxQpSolver(prob.P, prob.A)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            solver.solve(np.full(prob.n, 1e308), prob.lower, prob.upper)
+
+
+def test_non_finite_input_error_names_argument():
+    rng = seeded(92)
+    prob = _random_box_qp(rng, n=6, k=8)
+    solver = BoxQpSolver(prob.P, prob.A)
+    for name, args in _non_finite_cases(prob):
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            solver.solve(**args)
+    free = BoxQpSolver(prob.P, np.zeros((0, prob.n)))
+    with pytest.raises(ValueError, match=r"^x0 "):
+        free.solve(prob.q, np.zeros(0), np.zeros(0),
+                   x0=np.full(prob.n, np.nan))
+    for name in ("P", "A"):
+        bad = {"P": prob.P.copy(), "A": prob.A.copy()}
+        bad[name][0, 0] = np.inf
+        with pytest.raises(ValueError, match=rf"^{name} "):
+            BoxQpSolver(bad["P"], bad["A"])
+
+
 def test_rejects_asymmetric_p():
     with pytest.raises(ValueError):
         QpProblem(P=np.array([[1.0, 0.5], [0.0, 1.0]]), q=np.zeros(2),
@@ -307,3 +392,13 @@ def test_rejects_shape_mismatches():
     with pytest.raises(DimensionMismatch):
         QpProblem(P=np.eye(2), q=np.zeros(2), A=np.zeros((1, 3)),
                   lower=np.zeros(1), upper=np.zeros(1))
+
+
+def test_rejects_warm_start_shape_mismatches():
+    # a length-1 or column warm start would otherwise broadcast silently
+    prob = _random_box_qp(seeded(94), n=5, k=7)
+    solver = BoxQpSolver(prob.P, prob.A)
+    for warm in (dict(x0=np.zeros(1)), dict(x0=np.zeros((prob.n, 1))),
+                 dict(y0=np.zeros(1)), dict(y0=np.zeros(prob.k + 1))):
+        with pytest.raises(DimensionMismatch):
+            solver.solve(prob.q, prob.lower, prob.upper, **warm)
