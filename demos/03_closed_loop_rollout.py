@@ -60,8 +60,7 @@ def main():
     u = rollout.trajectory.inputs
     print(f"input range: [{u.min():.3f}, {u.max():.3f}] within the ±3 box")
 
-    ddpc.write_rollout_csv(rollout, args.out,
-                           q_step=cost.q_step, r_step=cost.r_step)
+    ddpc.write_rollout_csv(rollout, args.out)
     print(f"wrote {args.out}")
 
 

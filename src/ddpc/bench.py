@@ -72,6 +72,9 @@ RECORD_FIELDS = ("controller", "N_d", "sigma_e", "eps", "seed", "J", "J_y",
 _DATA_STREAM = 0x0DA7A
 _LOOP_STREAM = 0xC105ED
 
+# The per-variant settings a [controllers] section may give (name.param).
+_CONTROLLER_PARAMS = ("mu", "lam", "gamma3_zero")
+
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     try:
@@ -140,12 +143,8 @@ class ExperimentConfig:
     grid_points_2d: int
     tune_seeds: int
     tune_seed_offset: int
-    # solver / output
-    eps_abs: float
-    eps_rel: float
-    max_iter: int
+    # output
     out_dir: str
-    deterministic_timing: bool
 
     # -- derived handles ---------------------------------------------------
 
@@ -182,8 +181,7 @@ class ExperimentConfig:
                               np.full(self.p, self.y_max))
 
     def qp_settings(self) -> QpSettings:
-        return QpSettings(eps_abs=self.eps_abs, eps_rel=self.eps_rel,
-                          max_iter=self.max_iter)
+        return QpSettings()
 
     def excitation(self, n_d: int,
                    rng: np.random.Generator | None = None) -> np.ndarray:
@@ -240,7 +238,11 @@ def load_config(path) -> ExperimentConfig:
 
     Raises:
         ConfigError: On a missing file, a directory with no bundled config
-            of its name, missing sections/keys or malformed values.
+            of its name, missing sections/keys, malformed values, or a
+            section or key that is not read (a typo such as ``u_mni``
+            would otherwise drop the setting silently); controller
+            parameters must name a known variant and one of ``mu``,
+            ``lam`` or ``gamma3_zero``.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
@@ -263,17 +265,20 @@ def load_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    def need(section: str, key: str) -> str:
-        try:
-            return parser.get(section, key)
-        except (configparser.NoSectionError, configparser.NoOptionError):
-            raise ConfigError(f"{path}: missing [{section}] {key}") from None
+    read: set[tuple[str, str]] = set()  # every (section, key) asked for
 
-    def opt(section: str, key: str, default: str) -> str:
+    def opt(section: str, key: str, default: str | None) -> str:
+        read.add((section, key))
         try:
             return parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
+            if default is None:
+                raise ConfigError(
+                    f"{path}: missing [{section}] {key}") from None
             return default
+
+    def need(section: str, key: str) -> str:
+        return opt(section, key, None)
 
     plant_kind = need("plant", "kind").strip()
     if plant_kind not in ("lti", "nonlinear"):
@@ -307,6 +312,14 @@ def load_config(path) -> ExperimentConfig:
                     f"{path}: controller parameter {key!r} must look like "
                     "name.param")
             name, param = key.split(".", 1)
+            if name not in VARIANT_TABLE:
+                raise ConfigError(f"{path}: controller parameter {key!r} "
+                                  f"names an unknown variant {name!r}")
+            if param not in _CONTROLLER_PARAMS:
+                raise ConfigError(
+                    f"{path}: controller parameter {key!r} must be one of "
+                    f"{', '.join(_CONTROLLER_PARAMS)}")
+            read.add(("controllers", key))
             params.setdefault(name, {})[param] = float(value)
 
     cfg = ExperimentConfig(
@@ -351,14 +364,19 @@ def load_config(path) -> ExperimentConfig:
         grid_points_2d=int(opt("tune", "grid_points_2d", "10")),
         tune_seeds=int(opt("tune", "seeds", "5")),
         tune_seed_offset=int(opt("tune", "seed_offset", "100000")),
-        eps_abs=float(opt("qp", "eps_abs", "1e-8")),
-        eps_rel=float(opt("qp", "eps_rel", "1e-8")),
-        max_iter=int(opt("qp", "max_iter", "50000")),
         out_dir=opt("output", "dir", "out"),
-        deterministic_timing=opt("output", "deterministic_timing",
-                                 "true").strip().lower() in ("1", "true",
-                                                             "yes", "on"),
     )
+    sections = {section for section, _ in read}
+    if parser.defaults():
+        raise ConfigError(
+            f"{path}: unknown section [{parser.default_section}]")
+    for section in parser.sections():
+        if section not in sections:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        for key in parser[section]:
+            if (section, key) not in read:
+                raise ConfigError(
+                    f"{path}: unknown or unused key {key!r} in [{section}]")
     # fall back to the base point when no sweep grid is given
     object.__setattr__(cfg, "sweep_n_d", cfg.sweep_n_d or (cfg.n_d,))
     object.__setattr__(cfg, "sweep_sigma_e",
@@ -403,11 +421,21 @@ def _dataset_hash(traj: Trajectory) -> str:
     return digest.hexdigest()[:16]
 
 
+def _stream(tag: int, n_d: int, sigma_e: float, eps: float,
+            seed: int) -> np.random.Generator:
+    """The generator of one stream at one grid point and seed.
+
+    The key holds the grid point and the seed, never the controller, so
+    every controller at a grid point sees the same draws.
+    """
+    return rng_for(tag, seed, n_d, int(round(sigma_e * 1e9)),
+                   int(round(eps * 1e9)))
+
+
 def _collect_dataset(cfg: ExperimentConfig, n_d: int, sigma_e: float,
                      eps: float, seed: int) -> Trajectory:
     plant = cfg.plant(sigma_e=sigma_e, eps=eps)
-    rng = rng_for(_DATA_STREAM, seed, n_d, int(round(sigma_e * 1e9)),
-                  int(round(eps * 1e9)))
+    rng = _stream(_DATA_STREAM, n_d, sigma_e, eps, seed)
     if cfg.excitation_kind == "closedloop":
         return collect_closed_loop(plant, cfg.feedback, cfg.setpoints(n_d),
                                    rng=rng)
@@ -443,22 +471,22 @@ def _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed):
     plant = cfg.plant(sigma_e=sigma_e, eps=eps)
     ref = cfg.reference(cfg.n_steps + cfg.L_f)
     warm = traj.inputs[:, -cfg.L_p:] if cfg.warmup == "excitation" else None
-    rng = rng_for(_LOOP_STREAM, seed, n_d, int(round(sigma_e * 1e9)),
-                  int(round(eps * 1e9)))
+    rng = _stream(_LOOP_STREAM, n_d, sigma_e, eps, seed)
     return run_receding_horizon(plant, ctrl, ref, cfg.n_steps, rng=rng,
                                 warmup_inputs=warm)
 
 
 def _run_unit(args) -> list[RunRecord]:
     cfg, n_d, sigma_e, eps, seed = args
+    point = dict(N_d=n_d, sigma_e=sigma_e, eps=eps, seed=seed)
+    diverged = dict(J=float("inf"), J_y=float("inf"), J_u=float("inf"),
+                    qp_iters=0, status="diverged")
     try:
         traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
     except Diverged:
         # an unstable collection loop fails every controller at this unit
-        return [RunRecord(controller=name, N_d=n_d, sigma_e=sigma_e,
-                          eps=eps, seed=seed, J=float("inf"),
-                          J_y=float("inf"), J_u=float("inf"), wall_ms=0.0,
-                          qp_iters=0, status="diverged", dataset_hash="")
+        return [RunRecord(controller=name, **point, **diverged, wall_ms=0.0,
+                          dataset_hash="")
                 for name in cfg.controllers]
     ds_hash = _dataset_hash(traj)
     handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
@@ -469,21 +497,14 @@ def _run_unit(args) -> list[RunRecord]:
         try:
             rollout = _rollout(cfg, cfg.controller_spec(name), traj,
                                handles, n_d, sigma_e, eps, seed)
-            wall_ms = 1e3 * (time.perf_counter() - start)
-            rec = RunRecord(controller=name, N_d=n_d, sigma_e=sigma_e,
-                            eps=eps, seed=seed, J=rollout.J, J_y=rollout.J_y,
-                            J_u=rollout.J_u, wall_ms=wall_ms,
-                            qp_iters=rollout.qp_iterations,
-                            status=rollout.status.value,
-                            dataset_hash=ds_hash)
+            outcome = dict(J=rollout.J, J_y=rollout.J_y, J_u=rollout.J_u,
+                           qp_iters=rollout.qp_iterations,
+                           status=rollout.status.value)
         except Diverged:
-            wall_ms = 1e3 * (time.perf_counter() - start)
-            rec = RunRecord(controller=name, N_d=n_d, sigma_e=sigma_e,
-                            eps=eps, seed=seed, J=float("inf"),
-                            J_y=float("inf"), J_u=float("inf"),
-                            wall_ms=wall_ms, qp_iters=0, status="diverged",
-                            dataset_hash=ds_hash)
-        records.append(rec)
+            outcome = diverged
+        wall_ms = 1e3 * (time.perf_counter() - start)
+        records.append(RunRecord(controller=name, **point, **outcome,
+                                 wall_ms=wall_ms, dataset_hash=ds_hash))
     return records
 
 
@@ -625,17 +646,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_records(records: list[RunRecord], path,
-                  deterministic_timing: bool = True) -> None:
-    """Write records.csv; timing is zeroed when byte-stable output is on."""
+def write_records(records: list[RunRecord], path) -> None:
+    """Write records.csv, byte-stable across reruns and worker counts.
+
+    The ``wall_ms`` column is always ``0.0``: wall times differ from run
+    to run, and timings are measured by ``perfbench/`` instead.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            wall = 0.0 if deterministic_timing else r.wall_ms
             writer.writerow([r.controller, r.N_d, _fmt(r.sigma_e),
                              _fmt(r.eps), r.seed, _fmt(r.J), _fmt(r.J_y),
-                             _fmt(r.J_u), _fmt(wall), r.qp_iters, r.status,
+                             _fmt(r.J_u), _fmt(0.0), r.qp_iters, r.status,
                              r.dataset_hash])
 
 
@@ -650,18 +673,15 @@ def write_normalized(rows: list[dict], path) -> None:
                              _fmt(row["J_mean"]), _fmt(row["ratio"])])
 
 
-def write_rollout_csv(rollout: RolloutResult, path,
-                      q_step: np.ndarray | None = None,
-                      r_step: np.ndarray | None = None) -> None:
+def write_rollout_csv(rollout: RolloutResult, path) -> None:
     """Per-step closed-loop log with cumulative cost and QP diagnostics.
 
-    With the weights of the rollout's cost the final ``J_cum`` equals
-    ``rollout.J``; by default identity weights are used.
+    ``J_cum`` accumulates the stage cost under the weights of the
+    rollout's own cost, so its final value equals ``rollout.J``.
     """
     traj = rollout.trajectory
     m, p = traj.m, traj.p
-    q_step = np.eye(p) if q_step is None else np.asarray(q_step, dtype=float)
-    r_step = np.eye(m) if r_step is None else np.asarray(r_step, dtype=float)
+    q_step, r_step = rollout.cost.q_step, rollout.cost.r_step
     header = (["t"] + [f"u{i + 1}" for i in range(m)]
               + [f"y{i + 1}" for i in range(p)]
               + [f"r{i + 1}" for i in range(p)]

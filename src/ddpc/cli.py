@@ -109,9 +109,7 @@ def _cmd_control(args) -> int:
     out = Path(args.out) if args.out else (
         Path(cfg.out_dir) / f"control_{args.controller}_seed{args.seed}.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    bench.write_rollout_csv(rollout, out,
-                            q_step=cfg.q_weight * np.eye(cfg.p),
-                            r_step=cfg.r_weight * np.eye(cfg.m))
+    bench.write_rollout_csv(rollout, out)
     print(f"J={rollout.J:.10g} J_y={rollout.J_y:.10g} "
           f"J_u={rollout.J_u:.10g} status={rollout.status.value}")
     print(f"wrote {out}")
@@ -127,7 +125,7 @@ def _cmd_benchmark(args) -> int:
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
-    bench.write_records(records, records_path, cfg.deterministic_timing)
+    bench.write_records(records, records_path)
     print(f"wrote {records_path} ({len(records)} records)")
     if cfg.baseline:
         rows = bench.normalize_costs(records, cfg.baseline)

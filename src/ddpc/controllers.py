@@ -262,7 +262,11 @@ class StepResult:
 
 @dataclass
 class RolloutResult:
-    """A closed-loop run: applied data, per-step solves and realized cost."""
+    """A closed-loop run: applied data, per-step solves and realized cost.
+
+    ``cost`` is the cost of the controller that ran; ``J`` is measured
+    with its per-step weights ``q_step`` and ``r_step``.
+    """
 
     trajectory: Trajectory
     reference: np.ndarray
@@ -270,6 +274,7 @@ class RolloutResult:
     J: float
     J_y: float
     J_u: float
+    cost: CostSpec
 
     @property
     def qp_iterations(self) -> int:
@@ -638,7 +643,8 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
         y_hist.append(y_t)
         controller.observe(u_t, y_t)
 
-    q_step, r_step = controller.cost.q_step, controller.cost.r_step
+    cost = controller.cost
+    q_step, r_step = cost.q_step, cost.r_step
     steps: list[StepResult] = []
     u_log = np.empty((m, n_steps))
     y_log = np.empty((p, n_steps))
@@ -671,5 +677,6 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
         steps.append(res)
     traj = Trajectory(u_log, y_log)
     return RolloutResult(trajectory=traj, reference=ref[:, :n_steps],
-                         steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u)
+                         steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u,
+                         cost=cost)
 

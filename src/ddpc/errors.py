@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "DdpcError",
+    "DimensionMismatch",
+    "DepthExceedsLength",
+    "ZeroVariance",
+    "RankDeficient",
+    "Diverged",
+    "MissingBaseline",
+    "ConfigError",
+]
+
 
 class DdpcError(Exception):
     """Base class for all errors raised by this package."""

@@ -22,6 +22,7 @@ __all__ = [
     "LqBlocks",
     "CausalSplit",
     "factorize",
+    "causal_block_mask",
     "causal_split",
     "gamma1_of",
     "save_lq_blocks",

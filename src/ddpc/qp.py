@@ -10,7 +10,10 @@ with P symmetric positive semidefinite.  Equality rows are expressed as
 dense ADMM scheme with Ruiz equilibration, a per-row step parameter that
 is rescaled from the primal/dual residual ratio, over-relaxation, and an
 active-set polish step once the iterates have converged.  Everything is
-deterministic: identical inputs produce identical iterates.
+deterministic: identical inputs produce identical iterates.  The scheme's
+parameters are the module constants ``_RHO``, ``_SIGMA``, ``_ALPHA``,
+``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and ``_SCALING_ITERS``;
+:class:`QpSettings` holds only the tolerances and the iteration cap.
 
 The solver is built for the receding-horizon use case where ``P`` and
 ``A`` stay fixed while ``q`` and the bounds change from step to step:
@@ -103,19 +106,22 @@ class QpProblem:
 
 @dataclass(frozen=True)
 class QpSettings:
-    """Solver settings; the defaults favour accuracy over speed."""
+    """Convergence tolerances and the iteration cap.
+
+    A step is ``SOLVED`` once both residuals are within
+    ``eps_abs + eps_rel * scale``; the defaults favour accuracy over
+    speed.  The rest of the algorithm is fixed by module constants: the
+    initial step size ``_RHO`` (0.1), the KKT shift ``_SIGMA`` (1e-6), the
+    over-relaxation ``_ALPHA`` (1.6), the residual check every
+    ``_CHECK_INTERVAL`` (25) iterations, the infeasibility tolerance
+    ``_EPS_INFEAS`` (1e-7) and ``_SCALING_ITERS`` (10) Ruiz passes.  The
+    step size always adapts to the residual ratio, and a ``SOLVED`` step
+    is always polished.
+    """
 
     eps_abs: float = 1e-8
     eps_rel: float = 1e-8
     max_iter: int = 50000
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha: float = 1.6
-    adaptive_rho: bool = True
-    check_interval: int = 25
-    polish: bool = True
-    eps_infeas: float = 1e-7
-    scaling_iters: int = 10
 
 
 @dataclass
@@ -130,6 +136,12 @@ class QpSolution:
     objective: float
 
 
+_RHO = 0.1
+_SIGMA = 1e-6
+_ALPHA = 1.6
+_CHECK_INTERVAL = 25
+_EPS_INFEAS = 1e-7
+_SCALING_ITERS = 10
 _RHO_MIN = 1e-6
 _RHO_MAX = 1e6
 _RHO_EQ_FACTOR = 1e3
@@ -191,7 +203,7 @@ class BoxQpSolver:
         self.k = A.shape[0]
         self.P = 0.5 * (P + P.T)
         self.A = A
-        self.d, self.e, self.c = _ruiz(self.P, A, self.settings.scaling_iters)
+        self.d, self.e, self.c = _ruiz(self.P, A, _SCALING_ITERS)
         self.Ps = self.c * self.P * self.d[None, :] * self.d[:, None]
         self.As = self.A * self.e[:, None] * self.d[None, :]
         self._rho_vec = None
@@ -200,7 +212,7 @@ class BoxQpSolver:
     # -- internals ---------------------------------------------------------
 
     def _refactor(self, rho_vec: np.ndarray) -> None:
-        K = (self.Ps + self.settings.sigma * np.eye(self.n)
+        K = (self.Ps + _SIGMA * np.eye(self.n)
              + (self.As.T * rho_vec[None, :]) @ self.As)
         # the arguments cho_factor passes; the upper triangle holds the factor
         factor, info = _POTRF(K, lower=False, overwrite_a=False, clean=False)
@@ -269,7 +281,7 @@ class BoxQpSolver:
         fin_lo = np.isfinite(lo)
         fin_hi = np.isfinite(hi)
         eq_mask = fin_lo & (lo == hi)
-        rho_scalar = st.rho
+        rho_scalar = _RHO
         rho_vec = self._rho_for(rho_scalar, eq_mask)
         if self._factor is None or not np.array_equal(rho_vec, self._rho_vec):
             self._refactor(rho_vec)
@@ -288,9 +300,8 @@ class BoxQpSolver:
 
         # loop invariants, hoisted; the factor and rho change only together
         factor, rho_vec = self._factor, self._rho_vec
-        sigma, alpha = st.sigma, st.alpha
-        beta = 1.0 - alpha
-        check_interval, max_iter = st.check_interval, st.max_iter
+        sigma, alpha, beta = _SIGMA, _ALPHA, 1.0 - _ALPHA
+        check_interval, max_iter = _CHECK_INTERVAL, st.max_iter
         status = QpStatus.MAX_ITER
         iters_done = max_iter
         for it in range(1, max_iter + 1):
@@ -321,20 +332,19 @@ class BoxQpSolver:
                     break
                 dy = (self.e * (ys_new - ys)) / self.c
                 if _primal_infeasibility(self.A, lo, hi, fin_lo, fin_hi, dy,
-                                         st.eps_infeas):
+                                         _EPS_INFEAS):
                     xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.PRIMAL_INFEASIBLE
                     iters_done = it
                     break
                 dx = self.d * (xs_new - xs)
                 if _dual_infeasibility(self.P, q, self.A, fin_lo, fin_hi, dx,
-                                       st.eps_infeas):
+                                       _EPS_INFEAS):
                     xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.DUAL_INFEASIBLE
                     iters_done = it
                     break
-                if st.adaptive_rho and r_dual > 0.0 and scale_p > 0.0 \
-                        and scale_d > 0.0:
+                if r_dual > 0.0 and scale_p > 0.0 and scale_d > 0.0:
                     ratio = (r_prim / scale_p) / max(r_dual / scale_d, 1e-16)
                     rho_new = float(np.clip(rho_scalar * np.sqrt(ratio),
                                             _RHO_MIN, _RHO_MAX))
@@ -348,7 +358,7 @@ class BoxQpSolver:
         x, Px, Ax, z, y, Aty = self._unscaled_terms(xs, zs, ys)
         r_prim = float(np.abs(Ax - z).max())
         r_dual = float(np.abs(Px + q + Aty).max())
-        if status is QpStatus.SOLVED and st.polish:
+        if status is QpStatus.SOLVED:
             polished = self._polish(q, lo, hi, x, y)
             if polished is not None:
                 x, y, z, r_prim, r_dual = polished
@@ -361,7 +371,7 @@ class BoxQpSolver:
         st = self.settings
         try:
             factor = scipy.linalg.cho_factor(
-                self.P + st.sigma * np.eye(self.n))
+                self.P + _SIGMA * np.eye(self.n))
             x = scipy.linalg.cho_solve(factor, -q)
         except scipy.linalg.LinAlgError:
             return QpSolution(x=np.zeros(self.n), y=np.zeros(0),

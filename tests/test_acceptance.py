@@ -429,7 +429,7 @@ def test_criterion_11_bundled_configs_byte_identical(tmp_path):
         for _ in range(2):
             records = run_sweep(cfg, seeds=seeds)
             path = tmp_path / f"{name}_records.csv"
-            write_records(records, path, cfg.deterministic_timing)
+            write_records(records, path)
             blobs.append(path.read_bytes())
         same = blobs[0] == blobs[1]
         stable &= same

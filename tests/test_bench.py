@@ -65,7 +65,6 @@ def test_bundled_configs_parse(name):
     assert cfg.A.shape == (2, 2)
     assert cfg.m == 1 and cfg.p == 1
     assert cfg.L_p == 15 and cfg.L_f == 30
-    assert cfg.deterministic_timing
     for ctrl in cfg.controllers:
         cfg.controller_spec(ctrl)  # resolvable with the stored parameters
 
@@ -194,6 +193,21 @@ def test_malformed_configs_raise(tmp_path):
                                excitation="kind = closedloop"))
     with pytest.raises(ValueError):
         load_config(_write_cfg(tmp_path, controllers="list = mystery"))
+
+
+@pytest.mark.parametrize("edits,culprit", [
+    ({"constraint": "u_min = -1"}, "[constraint]"),
+    ({"constraints": "u_mni = -1"}, "'u_mni'"),
+    ({"controllers": "list = spc\nreg_gamma.mux = 0.1"}, "'reg_gamma.mux'"),
+    ({"output": "deterministic_timing = true"}, "'deterministic_timing'"),
+    ({"qp": "max_iter = 10"}, "[qp]"),
+    ({"controllers": "list = spc\nmystery.mu = 1"}, "'mystery'"),
+], ids=["section-typo", "key-typo", "param-typo", "dropped-timing-switch",
+        "dropped-qp-section", "unknown-variant"])
+def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
+    with pytest.raises(ConfigError) as info:
+        load_config(_write_cfg(tmp_path, **edits))
+    assert culprit in str(info.value)
 
 
 @pytest.mark.parametrize("section,body", [
@@ -390,19 +404,9 @@ def test_write_records_layout_and_byte_stability(tmp_path):
     lines = p1.read_text().strip().splitlines()
     assert lines[0] == ",".join(RECORD_FIELDS)
     assert len(lines) == 1 + len(records)
-    # deterministic timing zeroes the wall column
+    # the wall column is always zero
     wall_col = RECORD_FIELDS.index("wall_ms")
     assert all(ln.split(",")[wall_col] == "0.0" for ln in lines[1:])
-
-
-def test_write_records_can_keep_timing(tmp_path):
-    records = run_sweep(_small(seeds=1))
-    path = tmp_path / "timed.csv"
-    write_records(records, path, deterministic_timing=False)
-    wall_col = RECORD_FIELDS.index("wall_ms")
-    walls = [float(ln.split(",")[wall_col])
-             for ln in path.read_text().strip().splitlines()[1:]]
-    assert any(w > 0.0 for w in walls)
 
 
 def test_write_records_roundtrips_floats(tmp_path):
@@ -427,9 +431,7 @@ def test_write_rollout_csv_cumulative_cost_matches(tmp_path):
     cfg = _small(seeds=1)
     rollout, _ = run_single(cfg, "causal_gamma", seed=0)
     path = tmp_path / "roll.csv"
-    write_rollout_csv(rollout, path,
-                      q_step=cfg.q_weight * np.eye(cfg.p),
-                      r_step=cfg.r_weight * np.eye(cfg.m))
+    write_rollout_csv(rollout, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,u1,y1,r1,J_cum,qp_iters,qp_status"
     assert len(lines) == 1 + cfg.n_steps

@@ -87,7 +87,6 @@ seeds = 1
 
 [output]
 dir = {out}
-deterministic_timing = true
 """
 
 

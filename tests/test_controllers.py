@@ -532,9 +532,7 @@ def test_rollout_bitwise_determinism():
 def test_rollout_status_aggregates_worst_step():
     blocks = _noisy_blocks()
     starved = make_controller(_spec("spc", u_box=1.0), blocks=blocks,
-                              qp_settings=QpSettings(max_iter=2,
-                                                     check_interval=1,
-                                                     polish=False))
+                              qp_settings=QpSettings(max_iter=2))
     res = run_receding_horizon(demo_model(sigma_e=0.1), starved,
                                sine_reference(20.0, 1.0, 10), 10,
                                rng=seeded(140))

@@ -242,7 +242,7 @@ def test_dual_infeasible_detected():
 def test_max_iter_reported_with_residuals():
     rng = seeded(88)
     prob = _random_box_qp(rng, n=8, k=10)
-    sol = solve(prob, QpSettings(max_iter=3, check_interval=1, polish=False))
+    sol = solve(prob, QpSettings(max_iter=3))
     assert sol.status == QpStatus.MAX_ITER
     assert sol.iterations == 3
     assert np.isfinite(sol.primal_res) and np.isfinite(sol.dual_res)
