@@ -7,6 +7,12 @@ matrix, and verifies the excitation is persistently exciting of sufficient
 order.
 """
 
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import ddpc

@@ -8,6 +8,12 @@ earlier outputs.  The script compares their in-sample residuals and their
 accuracy against the true noise-free response of the plant.
 """
 
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import ddpc

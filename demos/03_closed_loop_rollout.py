@@ -7,6 +7,11 @@ under input box constraints.  Writes the per-step trajectory to a CSV.
 """
 
 import argparse
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

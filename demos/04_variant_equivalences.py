@@ -11,6 +11,12 @@ Three identities hold per step on the same data and the same QP:
 The script builds one noisy dataset and reports the per-step gaps.
 """
 
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import ddpc

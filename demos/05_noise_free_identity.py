@@ -8,6 +8,12 @@ state-space matrices agrees with them.  The script runs every controller
 from the bundled LTI benchmark config at sigma_e = 0 and compares costs.
 """
 
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import ddpc

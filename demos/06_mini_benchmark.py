@@ -8,8 +8,13 @@ normalized.csv.  Repeating the sweep reproduces the records byte for byte.
 """
 
 import argparse
+import os
 from dataclasses import replace
 from pathlib import Path
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import ddpc
 

@@ -10,7 +10,12 @@ config and compares tuned costs against the unregularized causal variant.
 """
 
 import argparse
+import os
 from dataclasses import replace
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -9,6 +9,12 @@ with eps.  The script runs the bundled nonlinear benchmark noise-free at
 several distortion levels and reports the median cost per controller.
 """
 
+import os
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 import ddpc

@@ -6,7 +6,12 @@ KKT conditions of the returned solution, demonstrates warm starting, and
 shows the infeasibility certificate on a contradictory constraint pair.
 """
 
+import os
 from dataclasses import replace
+
+# numpy and scipy each bundle an OpenBLAS: pin both to one thread before
+# either loads, so the printed round-off does not depend on the core count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

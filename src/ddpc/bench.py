@@ -280,14 +280,21 @@ def load_config(path) -> ExperimentConfig:
     def need(section: str, key: str) -> str:
         return opt(section, key, None)
 
+    def parsed(convert, section: str, key: str, default: str | None = None):
+        text = opt(section, key, default)
+        try:
+            return convert(text)
+        except ValueError as exc:  # the list parsers' ConfigError too
+            raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
+
     plant_kind = need("plant", "kind").strip()
     if plant_kind not in ("lti", "nonlinear"):
         raise ConfigError(f"{path}: plant kind must be lti or nonlinear")
-    A = _parse_matrix(need("plant", "a"))
-    B = _parse_matrix(need("plant", "b"))
-    C = _parse_matrix(need("plant", "c"))
-    D = _parse_matrix(need("plant", "d"))
-    K = _parse_matrix(need("plant", "k"))
+    A = parsed(_parse_matrix, "plant", "a")
+    B = parsed(_parse_matrix, "plant", "b")
+    C = parsed(_parse_matrix, "plant", "c")
+    D = parsed(_parse_matrix, "plant", "d")
+    K = parsed(_parse_matrix, "plant", "k")
 
     excitation_kind = opt("excitation", "kind", "square").strip()
     if excitation_kind not in ("square", "steps", "multisine", "closedloop"):
@@ -296,15 +303,15 @@ def load_config(path) -> ExperimentConfig:
     feedback = None
     if excitation_kind == "closedloop":
         feedback = LinearFeedbackController(
-            _parse_matrix(need("excitation", "fb_a")),
-            _parse_matrix(need("excitation", "fb_b")),
-            _parse_matrix(need("excitation", "fb_c")),
-            _parse_matrix(need("excitation", "fb_d")))
+            parsed(_parse_matrix, "excitation", "fb_a"),
+            parsed(_parse_matrix, "excitation", "fb_b"),
+            parsed(_parse_matrix, "excitation", "fb_c"),
+            parsed(_parse_matrix, "excitation", "fb_d"))
 
     controllers = tuple(need("controllers", "list").split())
     params: dict[str, dict] = {}
     if parser.has_section("controllers"):
-        for key, value in parser.items("controllers"):
+        for key in parser["controllers"]:
             if key == "list":
                 continue
             if "." not in key:
@@ -319,51 +326,51 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: controller parameter {key!r} must be one of "
                     f"{', '.join(_CONTROLLER_PARAMS)}")
-            read.add(("controllers", key))
-            params.setdefault(name, {})[param] = float(value)
+            params.setdefault(name, {})[param] = parsed(float, "controllers",
+                                                        key)
 
     cfg = ExperimentConfig(
         plant_kind=plant_kind,
         A=A, B=B, C=C, D=D, K=K,
-        sigma_e=float(opt("plant", "sigma_e", "0.0")),
-        eps=float(opt("plant", "eps", "0.0")),
+        sigma_e=parsed(float, "plant", "sigma_e", "0.0"),
+        eps=parsed(float, "plant", "eps", "0.0"),
         excitation_kind=excitation_kind,
-        excitation_period=int(opt("excitation", "period", "200")),
-        excitation_amplitude=float(opt("excitation", "amplitude", "3")),
-        excitation_hold=int(opt("excitation", "hold", "10")),
-        excitation_n_freqs=int(opt("excitation", "n_freqs", "25")),
-        setpoint_levels=_parse_floats(opt("excitation", "setpoint_levels",
-                                          "-1 1")),
-        setpoint_period=int(opt("excitation", "setpoint_period", "100")),
+        excitation_period=parsed(int, "excitation", "period", "200"),
+        excitation_amplitude=parsed(float, "excitation", "amplitude", "3"),
+        excitation_hold=parsed(int, "excitation", "hold", "10"),
+        excitation_n_freqs=parsed(int, "excitation", "n_freqs", "25"),
+        setpoint_levels=parsed(_parse_floats, "excitation",
+                               "setpoint_levels", "-1 1"),
+        setpoint_period=parsed(int, "excitation", "setpoint_period", "100"),
         feedback=feedback,
-        L_p=int(need("horizons", "l_p")),
-        L_f=int(need("horizons", "l_f")),
-        q_weight=float(opt("cost", "q", "1")),
-        r_weight=float(opt("cost", "r", "1")),
-        u_min=float(opt("constraints", "u_min", "-inf")),
-        u_max=float(opt("constraints", "u_max", "inf")),
-        y_min=float(opt("constraints", "y_min", "-inf")),
-        y_max=float(opt("constraints", "y_max", "inf")),
-        ref_period=float(opt("reference", "period", "60")),
-        ref_amplitude=float(opt("reference", "amplitude", "1")),
-        n_steps=int(need("run", "n_steps")),
-        n_d=int(need("run", "n_d")),
-        seeds=int(opt("run", "seeds", "100")),
+        L_p=parsed(int, "horizons", "l_p"),
+        L_f=parsed(int, "horizons", "l_f"),
+        q_weight=parsed(float, "cost", "q", "1"),
+        r_weight=parsed(float, "cost", "r", "1"),
+        u_min=parsed(float, "constraints", "u_min", "-inf"),
+        u_max=parsed(float, "constraints", "u_max", "inf"),
+        y_min=parsed(float, "constraints", "y_min", "-inf"),
+        y_max=parsed(float, "constraints", "y_max", "inf"),
+        ref_period=parsed(float, "reference", "period", "60"),
+        ref_amplitude=parsed(float, "reference", "amplitude", "1"),
+        n_steps=parsed(int, "run", "n_steps"),
+        n_d=parsed(int, "run", "n_d"),
+        seeds=parsed(int, "run", "seeds", "100"),
         warmup=opt("run", "warmup", "excitation").strip(),
         controllers=controllers,
         controller_params=params,
         sweep_n_d=tuple(int(v) for v in
-                        _parse_floats(opt("sweep", "n_d", ""))) or None,
-        sweep_sigma_e=_parse_floats(opt("sweep", "sigma_e", "")) or None,
-        sweep_eps=_parse_floats(opt("sweep", "eps", "")) or None,
+                        parsed(_parse_floats, "sweep", "n_d", "")) or None,
+        sweep_sigma_e=parsed(_parse_floats, "sweep", "sigma_e", "") or None,
+        sweep_eps=parsed(_parse_floats, "sweep", "eps", "") or None,
         baseline=opt("sweep", "baseline", "").strip(),
         tune_controllers=tuple(opt("tune", "controllers", "").split()),
-        grid_min=float(opt("tune", "grid_min", "1e-5")),
-        grid_max=float(opt("tune", "grid_max", "1e5")),
-        grid_points=int(opt("tune", "grid_points", "100")),
-        grid_points_2d=int(opt("tune", "grid_points_2d", "10")),
-        tune_seeds=int(opt("tune", "seeds", "5")),
-        tune_seed_offset=int(opt("tune", "seed_offset", "100000")),
+        grid_min=parsed(float, "tune", "grid_min", "1e-5"),
+        grid_max=parsed(float, "tune", "grid_max", "1e5"),
+        grid_points=parsed(int, "tune", "grid_points", "100"),
+        grid_points_2d=parsed(int, "tune", "grid_points_2d", "10"),
+        tune_seeds=parsed(int, "tune", "seeds", "5"),
+        tune_seed_offset=parsed(int, "tune", "seed_offset", "100000"),
         out_dir=opt("output", "dir", "out"),
     )
     sections = {section for section, _ in read}

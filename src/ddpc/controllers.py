@@ -293,6 +293,11 @@ class RolloutResult:
 _EMPTY = np.zeros(0)
 
 
+def _stacked_weighted(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``kron(I, weight) @ vec`` for a symmetric per-step ``weight``."""
+    return (vec.reshape(-1, weight.shape[0]) @ weight).reshape(-1)
+
+
 def _checked_vector(name: str, value, length: int) -> np.ndarray:
     vec = np.asarray(value, dtype=float).reshape(-1)
     if vec.shape[0] != length:
@@ -323,10 +328,7 @@ class _CondensedController:
         self.cost = spec.cost
         self.m, self.p, self.L_f = spec.cost.m, spec.cost.p, spec.cost.L_f
         self.L_p = L_p
-        self.Fu, self.Fy, self.W = Fu, Fy, W
-        self._FyQ = Fy.T @ spec.cost.Q
-        self._FuR = Fu.T @ spec.cost.R
-        P = 2.0 * (self._FyQ @ Fy + self._FuR @ Fu + W)
+        P = 2.0 * (Fy.T @ spec.cost.Q @ Fy + Fu.T @ spec.cost.R @ Fu + W)
         P = 0.5 * (P + P.T)
         rows = [np.zeros((0, P.shape[0])) if E is None else E]
         self._with_u_rows = spec.boxes.u_bounded()
@@ -336,7 +338,16 @@ class _CondensedController:
         if self._with_y_rows:
             rows.append(Fy)
         self.P, self.A = P, np.vstack(rows)
+        # the maps are read back from the constraint rows they were copied
+        # into, so a controller holds each once
+        if self._with_y_rows:
+            Fy = self.A[len(self.A) - len(Fy):]
+        if self._with_u_rows:
+            Fu = self.A[len(rows[0]):len(rows[0]) + len(Fu)]
+        self.Fu, self.Fy = Fu, Fy
         self.solver = BoxQpSolver(self.P, self.A, qp_settings)
+        self._u_box = spec.boxes.u_tiled(self.L_f)
+        self._y_box = spec.boxes.y_tiled(self.L_f)
         self._zero_u, self._zero_y = np.zeros(len(Fu)), np.zeros(len(Fy))
         self._warm_x = None
         self._warm_y = None
@@ -352,16 +363,15 @@ class _CondensedController:
         if self._reads_z_p:
             z_p = _checked_vector("z_p", z_p, (self.m + self.p) * self.L_p)
         bu, by, e = self._offsets(z_p)
-        q = 2.0 * (self._FyQ @ (by - r_f) + self._FuR @ bu)
+        q = 2.0 * (self.Fy.T @ _stacked_weighted(by - r_f, self.cost.q_step)
+                   + self.Fu.T @ _stacked_weighted(bu, self.cost.r_step))
         lo_parts, hi_parts = [e], [e]
         if self._with_u_rows:
-            lo_u, hi_u = self.spec.boxes.u_tiled(self.L_f)
-            lo_parts.append(lo_u - bu)
-            hi_parts.append(hi_u - bu)
+            lo_parts.append(self._u_box[0] - bu)
+            hi_parts.append(self._u_box[1] - bu)
         if self._with_y_rows:
-            lo_y, hi_y = self.spec.boxes.y_tiled(self.L_f)
-            lo_parts.append(lo_y - by)
-            hi_parts.append(hi_y - by)
+            lo_parts.append(self._y_box[0] - by)
+            hi_parts.append(self._y_box[1] - by)
         return (q, np.concatenate(lo_parts), np.concatenate(hi_parts), bu, by,
                 r_f)
 
@@ -382,9 +392,12 @@ class _CondensedController:
         v = sol.x
         u_f = self.Fu @ v + bu
         y_f = self.Fy @ v + by
-        err = y_f - r_f
-        obj = float(err @ self.cost.Q @ err + u_f @ self.cost.R @ u_f
-                    + v @ self.W @ v)
+        # the QP objective is the step cost less its part that v does not
+        # move, |by - r_f|^2_Q + |bu|^2_R
+        e_y = by - r_f
+        obj = (sol.objective
+               + float(e_y @ _stacked_weighted(e_y, self.cost.q_step))
+               + float(bu @ _stacked_weighted(bu, self.cost.r_step)))
         return StepResult(u_f=u_f, y_f=y_f, u_applied=u_f[: self.m],
                           objective=obj, qp_iterations=sol.iterations,
                           qp_status=sol.status, primal_res=sol.primal_res,
@@ -394,8 +407,10 @@ class _CondensedController:
         """Closed-loop measurement hook; data-driven variants are static."""
 
     def reset(self) -> None:
+        """Forget the warm starts and the solver's cached factors."""
         self._warm_x = None
         self._warm_y = None
+        self.solver.reset()
 
 
 class _PredictorController(_CondensedController):
@@ -590,8 +605,9 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
 
     A warm-up phase of ``controller.L_p`` steps first runs the plant under
     ``warmup_inputs`` (zeros by default) so the measured past window is
-    fully populated; the controller observes the warm-up data.  All
-    innovations are drawn up-front from ``rng`` so that runs with the same
+    fully populated; the controller observes the warm-up data.  The
+    controller is reset before the warm-up and again after the last move.
+    All innovations are drawn up-front from ``rng`` so that runs with the same
     generator state are paired across controllers.
 
     Args:
@@ -675,6 +691,8 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
         u_log[:, t] = u_t
         y_log[:, t] = y_t
         steps.append(res)
+    # a finished controller keeps no warm starts or factors alive
+    controller.reset()
     traj = Trajectory(u_log, y_log)
     return RolloutResult(trajectory=traj, reference=ref[:, :n_steps],
                          steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u,

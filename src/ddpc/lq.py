@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DimensionMismatch, RankDeficient
 from .trajectory import HankelPartition
@@ -35,6 +36,8 @@ _DIAG_RTOL = 1e-12
 _PINV_RTOL = 1e-10
 
 _MAGIC = b"LQB2"
+
+_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -184,7 +187,10 @@ def gamma1_of(blocks: LqBlocks, z_p: np.ndarray) -> np.ndarray:
             f"z_p has length {z.shape[0]}, expected {blocks.dim_past}"
         )
     if blocks.past_is_nonsingular():
-        return scipy.linalg.solve_triangular(blocks.L11, z, lower=True)
+        # LAPACK's trtrs without solve_triangular's per-call input checks,
+        # on the Fortran-ordered transpose of the C-ordered L11 as
+        # solve_triangular passes it
+        return _TRTRS(blocks.L11.T, z, lower=0, trans=1)[0]
     gamma1, *_ = np.linalg.lstsq(blocks.L11, z, rcond=_PINV_RTOL)
     return gamma1
 

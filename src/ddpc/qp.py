@@ -21,6 +21,24 @@ The solver is built for the receding-horizon use case where ``P`` and
 across such solves and accepts warm starts.  As in OSQP (Stellato et al.,
 Math. Prog. Comp. 2020), an iteration applies the cached Cholesky factor
 through LAPACK's ``potrs`` and does nothing but its arithmetic.
+
+Before any iteration, a solve tries to certify the active set that the
+signs of the dual warm start ``y0`` point at, the warm-started active-set
+idea of qpOASES (Ferreau, Bock and Diehl, IJRNC 2008): rows with
+``y0 < 0`` at their lower bound, rows with ``y0 > 0`` at their upper
+bound, equality rows always, and no bound row without ``y0``.  The
+equality-constrained KKT system of that set is solved with the same
+regularized LU and refinement as the polish, whose factor is cached for
+the last set.  The solution is accepted when every multiplier has the
+sign of its bound and both residuals pass the ADMM stopping test; it is
+then ``SOLVED`` with ``iterations == 0``.  Otherwise up to
+``_CERTIFY_ROUNDS`` (3) corrections drop the rows with wrong-sign
+multipliers and add the rows violated by more than ``eps_abs``, and if
+none is accepted ADMM runs as before, warm-started from ``x0``/``y0``.
+``QpSolution.iterations`` therefore counts ADMM iterations only.  The
+guess depends on ``y0`` alone, so a solve stays a pure function of its
+arguments.  A problem without rows (``k == 0``) is the empty set's case;
+when it cannot be certified it is reported ``DUAL_INFEASIBLE``.
 Finiteness is checked once at entry instead: ``P`` and ``A`` when the
 solver is built, ``q``, the bounds and the warm starts at each solve.  A
 residual that turns non-finite at a convergence check raises
@@ -114,9 +132,11 @@ class QpSettings:
     initial step size ``_RHO`` (0.1), the KKT shift ``_SIGMA`` (1e-6), the
     over-relaxation ``_ALPHA`` (1.6), the residual check every
     ``_CHECK_INTERVAL`` (25) iterations, the infeasibility tolerance
-    ``_EPS_INFEAS`` (1e-7) and ``_SCALING_ITERS`` (10) Ruiz passes.  The
-    step size always adapts to the residual ratio, and a ``SOLVED`` step
-    is always polished.
+    ``_EPS_INFEAS`` (1e-7), ``_SCALING_ITERS`` (10) Ruiz passes and the
+    ``_CERTIFY_ROUNDS`` (3) corrections of the warm start's active set.
+    The step size always adapts to the residual ratio, and a step that
+    ADMM solves is always polished.  The same residual test accepts a
+    certified active set; ``max_iter`` caps ADMM alone.
     """
 
     eps_abs: float = 1e-8
@@ -148,10 +168,11 @@ _RHO_EQ_FACTOR = 1e3
 _REFACTOR_RATIO = 5.0
 _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
+_CERTIFY_ROUNDS = 3
 
 # The float64 LAPACK routines behind cho_factor/cho_solve and
-# lu_factor/lu_solve, called directly so that the ADMM loop and the polish
-# skip scipy's per-call input checks.
+# lu_factor/lu_solve, called directly so that the ADMM loop and the KKT
+# solves skip scipy's per-call input checks.
 _POTRF, _POTRS, _GETRF, _GETRS = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
 
@@ -201,19 +222,23 @@ class BoxQpSolver:
                 raise ValueError(f"{name} has non-finite entries")
         self.n = P.shape[0]
         self.k = A.shape[0]
-        self.P = 0.5 * (P + P.T)
+        # a symmetric P is kept as given: 0.5 * (P + P') would equal it
+        self.P = P if np.array_equal(P, P.T) else 0.5 * (P + P.T)
         self.A = A
         self.d, self.e, self.c = _ruiz(self.P, A, _SCALING_ITERS)
-        self.Ps = self.c * self.P * self.d[None, :] * self.d[:, None]
-        self.As = self.A * self.e[:, None] * self.d[None, :]
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop the cached factors; later solves form what they need."""
         self._rho_vec = None
         self._factor = None
+        self._kkt_key = None  # the row set whose KKT factor _kkt holds
+        self._kkt = None
 
     # -- internals ---------------------------------------------------------
 
-    def _refactor(self, rho_vec: np.ndarray) -> None:
-        K = (self.Ps + _SIGMA * np.eye(self.n)
-             + (self.As.T * rho_vec[None, :]) @ self.As)
+    def _refactor(self, rho_vec: np.ndarray, Ps, As) -> None:
+        K = (Ps + _SIGMA * np.eye(self.n) + (As.T * rho_vec[None, :]) @ As)
         # the arguments cho_factor passes; the upper triangle holds the factor
         factor, info = _POTRF(K, lower=False, overwrite_a=False, clean=False)
         if info > 0:
@@ -228,11 +253,11 @@ class BoxQpSolver:
         rho_vec[eq_mask] = min(rho_scalar * _RHO_EQ_FACTOR, _RHO_MAX)
         return rho_vec
 
-    def _unscaled_terms(self, xs, zs, ys):
+    def _unscaled_terms(self, As, xs, zs, ys):
         """Residual ingredients in the units of the original problem."""
         x = self.d * xs
         Px = self.P @ x
-        Ax = (self.As @ xs) / self.e
+        Ax = (As @ xs) / self.e
         z = zs / self.e
         y = (self.e * ys) / self.c
         Aty = self.A.T @ y
@@ -250,7 +275,8 @@ class BoxQpSolver:
             lower: Row lower bounds (``-inf`` allowed), length k.
             upper: Row upper bounds (``+inf`` allowed), length k.
             x0: Optional primal warm start (unscaled), length n.
-            y0: Optional dual warm start (unscaled), length k.
+            y0: Optional dual warm start (unscaled), length k; its signs
+                also pick the active set tried before ADMM.
 
         Raises:
             DimensionMismatch: On a length that does not match the solver.
@@ -272,8 +298,15 @@ class BoxQpSolver:
                 or (y0 is not None and y0.shape != (self.k,))):
             raise DimensionMismatch("warm start length mismatch with solver")
         _check_entry(q, lo, hi, x0, y0)
+        certified = self._certify(q, lo, hi, y0)
+        if certified is not None:
+            return certified
         if self.k == 0:
-            return self._solve_unconstrained(q)
+            # no rows and no certified solution of P x = -q: unbounded
+            return QpSolution(x=np.zeros(self.n), y=np.zeros(0),
+                              z=np.zeros(0), status=QpStatus.DUAL_INFEASIBLE,
+                              iterations=0, primal_res=0.0,
+                              dual_res=float("inf"), objective=float("-inf"))
 
         qs = self.c * self.d * q
         los = self.e * lo
@@ -283,8 +316,11 @@ class BoxQpSolver:
         eq_mask = fin_lo & (lo == hi)
         rho_scalar = _RHO
         rho_vec = self._rho_for(rho_scalar, eq_mask)
+        # the equilibrated P and A, formed only when ADMM runs
+        Ps = self.c * self.P * self.d[None, :] * self.d[:, None]
+        As = self.A * self.e[:, None] * self.d[None, :]
         if self._factor is None or not np.array_equal(rho_vec, self._rho_vec):
-            self._refactor(rho_vec)
+            self._refactor(rho_vec, Ps, As)
 
         if x0 is not None:
             xs = x0 / self.d
@@ -294,7 +330,6 @@ class BoxQpSolver:
             ys = self.c * y0 / self.e
         else:
             ys = np.zeros(self.k)
-        As = self.As
         AsT = As.T
         zs = np.minimum(np.maximum(As @ xs, los), his)
 
@@ -315,7 +350,7 @@ class BoxQpSolver:
 
             if it % check_interval == 0 or it == max_iter:
                 x, Px, Ax, z, y, Aty = self._unscaled_terms(
-                    xs_new, zs_new, ys_new)
+                    As, xs_new, zs_new, ys_new)
                 r_prim = float(np.abs(Ax - z).max())
                 r_dual = float(np.abs(Px + q + Aty).max())
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
@@ -351,11 +386,12 @@ class BoxQpSolver:
                     if (rho_new > _REFACTOR_RATIO * rho_scalar
                             or rho_new < rho_scalar / _REFACTOR_RATIO):
                         rho_scalar = rho_new
-                        self._refactor(self._rho_for(rho_scalar, eq_mask))
+                        self._refactor(self._rho_for(rho_scalar, eq_mask),
+                                       Ps, As)
                         factor, rho_vec = self._factor, self._rho_vec
             xs, zs, ys = xs_new, zs_new, ys_new
 
-        x, Px, Ax, z, y, Aty = self._unscaled_terms(xs, zs, ys)
+        x, Px, Ax, z, y, Aty = self._unscaled_terms(As, xs, zs, ys)
         r_prim = float(np.abs(Ax - z).max())
         r_dual = float(np.abs(Px + q + Aty).max())
         if status is QpStatus.SOLVED:
@@ -367,37 +403,108 @@ class BoxQpSolver:
                           iterations=iters_done,
                           primal_res=r_prim, dual_res=r_dual, objective=obj)
 
-    def _solve_unconstrained(self, q: np.ndarray) -> QpSolution:
+    def _kkt_solve(self, act, b, q):
+        """Solve ``[[P, A_act'], [A_act, 0]] [x; y_act] = [-q; b]``.
+
+        The matrix is LU-factored with ``+-_POLISH_REG`` on its diagonal
+        blocks and the solution is refined ``_POLISH_REFINE`` times against
+        the unregularized system.  The factor of the last row set is kept,
+        so a set that repeats from one solve to the next costs back-solves
+        only.  Returns ``(x, y_act)``, or None on a singular pivot or a
+        non-finite solution.
+        """
+        n = self.n
+        A_act = self.A[act]
+        key = act.tobytes()
+        if key != self._kkt_key:
+            a = act.shape[0]
+            K = np.zeros((n + a, n + a))
+            K[:n, :n] = self.P + _POLISH_REG * np.eye(n)
+            K[:n, n:] = A_act.T
+            K[n:, :n] = A_act
+            K[n:, n:] = -_POLISH_REG * np.eye(a)
+            # the arguments lu_factor/lu_solve pass; a singular pivot rejects
+            lu, piv, info = _GETRF(K, overwrite_a=True)
+            self._kkt_key = key
+            self._kkt = (lu, piv) if info == 0 else None
+        if self._kkt is None:
+            return None
+        lu, piv = self._kkt
+        rhs = np.concatenate([-q, b])
+        sol = _GETRS(lu, piv, rhs, trans=0, overwrite_b=False)[0]
+        for _ in range(_POLISH_REFINE):
+            x, y_act = sol[:n], sol[n:]
+            res = np.concatenate([rhs[:n] - self.P @ x - A_act.T @ y_act,
+                                  b - A_act @ x])
+            sol = sol + _GETRS(lu, piv, res, trans=0, overwrite_b=True)[0]
+        if not np.isfinite(sol).all():
+            return None
+        return sol[:n], sol[n:]
+
+    def _on_set(self, q, lo, hi, at_lo, at_hi):
+        """Solve with the equality rows and the given bound rows active.
+
+        Returns ``(x, y, Ax, r_prim, r_dual, ok)``, where ``ok`` says that
+        both residuals pass the test ADMM stops on, or None when the KKT
+        solve fails.
+        """
+        act = np.flatnonzero((lo == hi) | at_lo | at_hi)
+        kkt = self._kkt_solve(act, np.where(at_hi, hi, lo)[act], q)
+        if kkt is None:
+            return None
+        x, y_act = kkt
+        y = np.zeros(self.k)
+        y[act] = y_act
+        Ax = self.A @ x
+        Px = self.P @ x
+        Aty = self.A.T @ y
+        r_prim = _inf_norm(np.maximum(Ax - hi, 0.0) + np.maximum(lo - Ax, 0.0))
+        r_dual = _inf_norm(Px + q + Aty)
         st = self.settings
-        try:
-            factor = scipy.linalg.cho_factor(
-                self.P + _SIGMA * np.eye(self.n))
-            x = scipy.linalg.cho_solve(factor, -q)
-        except scipy.linalg.LinAlgError:
-            return QpSolution(x=np.zeros(self.n), y=np.zeros(0),
-                              z=np.zeros(0), status=QpStatus.DUAL_INFEASIBLE,
-                              iterations=0, primal_res=0.0,
-                              dual_res=float("inf"), objective=float("-inf"))
-        # iterative refinement removes the sigma shift; it stalls (and the
-        # residual check below fires) when the problem is unbounded
-        for _ in range(25):
-            r = -(self.P @ x + q)
-            if not np.isfinite(r).all() or np.abs(r).max() <= 1e-14:
-                break
-            x = x + scipy.linalg.cho_solve(factor, r)
-        r_dual = float(np.abs(self.P @ x + q).max()) if self.n else 0.0
-        tol = st.eps_abs + st.eps_rel * max(
-            float(np.abs(q).max()) if q.size else 0.0,
-            float(np.abs(self.P @ x).max()) if self.n else 0.0)
-        if not np.isfinite(x).all() or r_dual > tol:
-            return QpSolution(x=x, y=np.zeros(0), z=np.zeros(0),
-                              status=QpStatus.DUAL_INFEASIBLE, iterations=0,
-                              primal_res=0.0, dual_res=r_dual,
-                              objective=float("-inf"))
-        obj = float(0.5 * x @ self.P @ x + q @ x)
-        return QpSolution(x=x, y=np.zeros(0), z=np.zeros(0),
-                          status=QpStatus.SOLVED, iterations=1,
-                          primal_res=0.0, dual_res=r_dual, objective=obj)
+        scale_p = max(_inf_norm(Ax), _inf_norm(np.clip(Ax, lo, hi)))
+        scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
+        ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
+              and r_dual <= st.eps_abs + st.eps_rel * scale_d)
+        return x, y, Ax, r_prim, r_dual, ok
+
+    def _certify(self, q, lo, hi, y0):
+        """Try the active set the signs of ``y0`` point at before ADMM.
+
+        Rows with ``y0 < 0`` start at their lower bound, rows with
+        ``y0 > 0`` at their upper bound, and equality rows are always
+        active; without ``y0`` no bound row is.  The set's KKT solution is
+        accepted when every multiplier has the sign of its bound and both
+        residuals pass the ADMM stopping test.  Otherwise up to
+        ``_CERTIFY_ROUNDS`` corrections drop the rows whose multipliers
+        have the wrong sign and add the rows that are violated.  Returns a
+        ``SOLVED`` solution with zero iterations, or None.
+        """
+        free = lo != hi
+        if y0 is None:
+            at_lo = at_hi = np.zeros(self.k, dtype=bool)
+        else:
+            at_lo = free & (y0 < 0) & np.isfinite(lo)
+            at_hi = free & (y0 > 0) & np.isfinite(hi)
+        for _ in range(1 + _CERTIFY_ROUNDS):
+            found = self._on_set(q, lo, hi, at_lo, at_hi)
+            if found is None:
+                return None
+            x, y, Ax, r_prim, r_dual, ok = found
+            wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
+            if ok and not wrong.any():
+                return QpSolution(x=x, y=y, z=np.clip(Ax, lo, hi),
+                                  status=QpStatus.SOLVED, iterations=0,
+                                  primal_res=r_prim, dual_res=r_dual,
+                                  objective=float(0.5 * x @ self.P @ x
+                                                  + q @ x))
+            eps_p = self.settings.eps_abs
+            new_lo = (at_lo & ~wrong) | (free & (lo - Ax > eps_p))
+            new_hi = (at_hi & ~wrong) | (free & (Ax - hi > eps_p))
+            if (np.array_equal(new_lo, at_lo)
+                    and np.array_equal(new_hi, at_hi)):
+                return None
+            at_lo, at_hi = new_lo, new_hi
+        return None
 
     def _polish(self, q, lo, hi, x, y):
         """Re-solve on the active set identified by the dual signs.
@@ -405,44 +512,15 @@ class BoxQpSolver:
         Returns refined ``(x, y, z, r_prim, r_dual)`` when the refinement
         reduces the worst KKT residual, else None.
         """
-        act_lo = np.where(y < 0)[0]
-        act_hi = np.where(y > 0)[0]
-        act = np.concatenate([act_lo, act_hi])
-        n_act = act.shape[0]
-        A_act = self.A[act]
-        b_act = np.concatenate([lo[act_lo], hi[act_hi]])
-        if not np.all(np.isfinite(b_act)):
+        found = self._on_set(q, lo, hi, (y < 0) & np.isfinite(lo),
+                             (y > 0) & np.isfinite(hi))
+        if found is None:
             return None
-        dim = self.n + n_act
-        K = np.zeros((dim, dim))
-        K[:self.n, :self.n] = self.P
-        K[:self.n, self.n:] = A_act.T
-        K[self.n:, :self.n] = A_act
-        K_reg = K.copy()
-        K_reg[:self.n, :self.n] += _POLISH_REG * np.eye(self.n)
-        K_reg[self.n:, self.n:] -= _POLISH_REG * np.eye(n_act)
-        rhs = np.concatenate([-q, b_act])
-        # the arguments lu_factor/lu_solve pass; a singular pivot rejects
-        lu, piv, info = _GETRF(K_reg, overwrite_a=False)
-        if info != 0:
-            return None
-        sol = _GETRS(lu, piv, rhs, trans=0, overwrite_b=False)[0]
-        for _ in range(_POLISH_REFINE):
-            sol = sol + _GETRS(lu, piv, rhs - K @ sol, trans=0,
-                               overwrite_b=False)[0]
-        if not np.all(np.isfinite(sol)):
-            return None
-        x_new = sol[:self.n]
-        y_new = np.zeros(self.k)
-        y_new[act] = sol[self.n:]
-        Ax_new = self.A @ x_new
-        viol = np.maximum(Ax_new - hi, 0.0) + np.maximum(lo - Ax_new, 0.0)
-        r_prim_new = float(viol.max())
-        r_dual_new = float(np.abs(self.P @ x_new + q + self.A.T @ y_new).max())
+        x_new, y_new, Ax_new, r_prim_new, r_dual_new, _ = found
         Ax_old = self.A @ x
         viol_old = np.maximum(Ax_old - hi, 0.0) + np.maximum(lo - Ax_old, 0.0)
-        r_prim_old = float(viol_old.max())
-        r_dual_old = float(np.abs(self.P @ x + q + self.A.T @ y).max())
+        r_prim_old = _inf_norm(viol_old)
+        r_dual_old = _inf_norm(self.P @ x + q + self.A.T @ y)
         if max(r_prim_new, r_dual_new) < max(r_prim_old, r_dual_old):
             z_new = np.clip(Ax_new, lo, hi)
             return x_new, y_new, z_new, r_prim_new, r_dual_new

@@ -210,6 +210,22 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
     assert culprit in str(info.value)
 
 
+@pytest.mark.parametrize("edits,where", [
+    ({"controllers": "list = gamma\ngamma.gamma3_zero = true"},
+     "[controllers] gamma.gamma3_zero"),
+    ({"run": "n_steps = five\nn_d = 60"}, "[run] n_steps"),
+    ({"constraints": "u_min = low"}, "[constraints] u_min"),
+    ({"sweep": "n_d = 60 many"}, "[sweep] n_d"),
+    ({"plant": "kind = lti\na = zero\nb = 1\nc = 1\nd = 0\nk = 0"},
+     "[plant] a"),
+], ids=["controller-param", "int-key", "float-key", "float-list", "matrix"])
+def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
+    path = _write_cfg(tmp_path, **edits)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: {where}: ")
+
+
 @pytest.mark.parametrize("section,body", [
     ("plant", "kind = lti\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\neps = 1.5"),
     ("plant", "kind = nonlinear\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\n"

@@ -530,8 +530,13 @@ def test_rollout_bitwise_determinism():
 
 
 def test_rollout_status_aggregates_worst_step():
+    # An output box that no input in [-1, 1] can reach: no active set is
+    # certified, so every step falls back to the starved ADMM.
     blocks = _noisy_blocks()
-    starved = make_controller(_spec("spc", u_box=1.0), blocks=blocks,
+    unreachable = BoxConstraints(u_lower=[-1.0], u_upper=[1.0],
+                                 y_lower=[100.0], y_upper=[200.0])
+    spec = ControllerSpec(variant="spc", cost=_cost(), boxes=unreachable)
+    starved = make_controller(spec, blocks=blocks,
                               qp_settings=QpSettings(max_iter=2))
     res = run_receding_horizon(demo_model(sigma_e=0.1), starved,
                                sine_reference(20.0, 1.0, 10), 10,

@@ -11,6 +11,9 @@ Covers:
   * primal and dual infeasibility detection.
   * iteration-budget reporting and warm-started re-solves through
     BoxQpSolver.
+  * the active-set certification tried before ADMM: agreement with ADMM
+    plus polish, corrections of a wrong warm start, the fallback to ADMM,
+    and independence from the cached KKT factor.
   * problem validation (symmetry, PSD, bound ordering, shapes), and
     non-finite solve data rejected by name before any iteration.
 """
@@ -239,6 +242,15 @@ def test_dual_infeasible_detected():
     assert sol.status == QpStatus.DUAL_INFEASIBLE
 
 
+def test_unbounded_problem_without_rows_is_dual_infeasible():
+    # min -x2 with x2 free and no rows: the KKT solve cannot be certified
+    prob = QpProblem(P=np.diag([1.0, 0.0]), q=np.array([0.0, -1.0]),
+                     A=np.zeros((0, 2)), lower=np.zeros(0),
+                     upper=np.zeros(0))
+    sol = solve(prob)
+    assert sol.status == QpStatus.DUAL_INFEASIBLE
+
+
 def test_max_iter_reported_with_residuals():
     rng = seeded(88)
     prob = _random_box_qp(rng, n=8, k=10)
@@ -276,6 +288,117 @@ def test_cached_solver_matches_one_shot():
     a = solver.solve(prob.q, prob.lower, prob.upper)
     b = solve(prob)
     np.testing.assert_allclose(a.x, b.x, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# active-set certification before ADMM
+# ---------------------------------------------------------------------------
+
+
+def _criterion_10_qp(rng):
+    """A random QP drawn the way acceptance criterion 10 draws them."""
+    n = int(rng.integers(2, 31))
+    n_rows = int(rng.integers(n, 61))
+    L = rng.standard_normal((n, n))
+    A = rng.standard_normal((n_rows, n))
+    base = A @ rng.standard_normal(n)
+    return QpProblem(P=L @ L.T + 0.5 * np.eye(n), q=rng.standard_normal(n),
+                     A=A, lower=base - rng.uniform(0.05, 1.0, n_rows),
+                     upper=base + rng.uniform(0.05, 1.0, n_rows))
+
+
+def _admm_only(monkeypatch):
+    """Skip certification, so that every solve runs ADMM and the polish."""
+    monkeypatch.setattr(BoxQpSolver, "_certify", lambda self, *args: None)
+
+
+def test_certified_step_matches_admm_and_polish(monkeypatch):
+    rng = seeded(95)
+    cases = []
+    for _ in range(20):
+        prob = _criterion_10_qp(rng)
+        solver = BoxQpSolver(prob.P, prob.A)
+        prior = solver.solve(prob.q, prob.lower, prob.upper)
+        q2 = prob.q + 1e-3 * rng.standard_normal(prob.n)
+        warm = solver.solve(q2, prob.lower, prob.upper, x0=prior.x,
+                            y0=prior.y)
+        assert warm.status == QpStatus.SOLVED
+        assert warm.iterations == 0
+        assert max(kkt_residuals(prob.P, q2, prob.A, prob.lower, prob.upper,
+                                 warm.x, warm.y)) <= 1e-7
+        cases.append((prob, q2, prior, warm))
+    _admm_only(monkeypatch)
+    for prob, q2, prior, warm in cases:
+        ref = BoxQpSolver(prob.P, prob.A).solve(q2, prob.lower, prob.upper,
+                                                x0=prior.x, y0=prior.y)
+        assert ref.status == QpStatus.SOLVED and ref.iterations > 0
+        np.testing.assert_allclose(warm.x, ref.x, rtol=0, atol=1e-9)
+
+
+def test_wrong_warm_start_is_corrected():
+    # separable: x = clip(-q / diag(P), -1, 1) = (1, -0.25, -1, 0.1), with
+    # row 0 at its upper bound (y = 2) and row 2 at its lower (y = -6)
+    prob = QpProblem(P=np.diag([1.0, 2.0, 3.0, 4.0]),
+                     q=np.array([-3.0, 0.5, 9.0, -0.4]), A=np.eye(4),
+                     lower=-np.ones(4), upper=np.ones(4))
+    x_ref = np.array([1.0, -0.25, -1.0, 0.1])
+    y_ref = np.array([2.0, 0.0, -6.0, 0.0])
+    for row in range(4):
+        # an active row guessed at its other bound (its multiplier comes
+        # out with the wrong sign, so it is dropped, then found violated
+        # and added back at the right bound), or an inactive row guessed
+        # active (dropped for the same reason)
+        y0 = y_ref.copy()
+        y0[row] = -y0[row] if y0[row] else -1.0
+        sol = solve(prob, y0=y0)
+        assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+        np.testing.assert_allclose(sol.x, x_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.y, y_ref, rtol=0, atol=1e-12)
+
+
+def test_more_than_three_rounds_fall_back_to_admm(monkeypatch):
+    # from the empty set this problem needs seven corrections
+    prob = _random_box_qp(seeded(88), n=8, k=10)
+    sol = solve(prob)
+    assert sol.status == QpStatus.SOLVED and sol.iterations > 0
+    import ddpc.qp
+    monkeypatch.setattr(ddpc.qp, "_CERTIFY_ROUNDS", 7)
+    more = solve(prob)
+    assert more.status == QpStatus.SOLVED and more.iterations == 0
+    np.testing.assert_allclose(sol.x, more.x, rtol=0, atol=1e-9)
+
+
+def test_primal_infeasible_problem_is_never_certified():
+    # x <= -1 and x >= 1, from every sign pattern of the warm start
+    prob = QpProblem(P=np.array([[1.0]]), q=np.array([0.0]),
+                     A=np.array([[1.0], [1.0]]),
+                     lower=np.array([-np.inf, 1.0]),
+                     upper=np.array([-1.0, np.inf]))
+    for y0 in (None, [1.0, -1.0], [-1.0, 1.0], [1.0, 0.0], [0.0, -1.0]):
+        sol = solve(prob, y0=None if y0 is None else np.array(y0))
+        assert sol.status == QpStatus.PRIMAL_INFEASIBLE
+        assert sol.iterations > 0
+
+
+def test_certified_solve_does_not_depend_on_the_cached_factor():
+    rng = seeded(97)
+    prob = _random_box_qp(rng, n=10, k=14, spread=0.3)
+    ref = solve(prob)
+    other_q = prob.q + 3.0 * rng.standard_normal(prob.n)
+    # ref.y is certified at once; the other two fall back to ADMM, whose
+    # polish goes through the same cache
+    for y0 in (ref.y, -ref.y, None):
+        fresh_solver = BoxQpSolver(prob.P, prob.A)
+        fresh = fresh_solver.solve(prob.q, prob.lower, prob.upper, y0=y0)
+        used = BoxQpSolver(prob.P, prob.A)
+        used.solve(other_q, prob.lower, prob.upper)
+        # the cached factor belongs to a set that this solve does not end on
+        assert used._kkt_key != fresh_solver._kkt_key
+        again = used.solve(prob.q, prob.lower, prob.upper, y0=y0)
+        assert fresh.x.tobytes() == again.x.tobytes()
+        assert fresh.y.tobytes() == again.y.tobytes()
+        assert fresh.iterations == again.iterations
+        assert (fresh.iterations == 0) == (y0 is ref.y)
 
 
 # ---------------------------------------------------------------------------

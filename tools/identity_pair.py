@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Check that the working tree reproduces a base commit's outputs byte for byte.
+"""Check that the working tree reproduces a base commit's outputs.
 
 Usage, from the root of the repository::
 
-    python3 tools/identity_pair.py --base <commit>
+    python3 tools/identity_pair.py --base <commit> [--rtol <r>]
 
 The base commit is unpacked with ``git archive`` (as ``tools/bench_pair.py``
 does); the change side is the working tree as it stands.  Each side runs
@@ -15,10 +15,20 @@ directory of its own, and these artifacts are compared:
   ``records.csv`` and ``normalized.csv``;
 * ``ddpc control --config table1 --controller <v>`` for every variant:
   the exit code, stdout and the per-step CSV;
-* a digest of ``run_single`` for every variant at table1 seeds 0-2, with
+* ``run_single`` for every variant at table1 seeds 0-2, with
   ``gamma.mu = 1e3`` and ``projreg_g.mu = reg_gamma.mu``: J, J_y, J_u and
-  every step's ``u_f``/``y_f`` bytes, ``qp_iterations``, ``qp_status``,
+  every step's ``u_f``/``y_f``, ``qp_iterations``, ``qp_status``,
   ``primal_res`` and ``dual_res``.
+
+By default every artifact must be byte-identical, and ``run_single`` is
+compared through a sha256 digest.  With ``--rtol r``, ``run_single``
+reports raw values, and numbers may differ by a relative ``r``: a numeric
+CSV column, a ``u_f``/``y_f`` record or a J is within ``r`` when
+``max|a - b| <= r * max(|a|, |b|)`` over it.  Exit codes, statuses and
+every other text must still be equal.  The iteration counts
+(``qp_iters``, ``qp_iterations``) and the solver residuals
+(``primal_res``, ``dual_res``) are reported before -> after without
+being gated, because a change of solver path changes them by design.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -27,35 +37,55 @@ artifact differs, else 0.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from bench_pair import ROOT, git, unpack
 
 BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
               ("closedloop", None))
 DIGEST_SEEDS = 3
+UNGATED_COLUMNS = ("qp_iters",)
 
-# Runs in each tree; prints {"<variant>/<seed>": sha256} as JSON.
-DIGEST_CODE = f"""
-import hashlib, json, pickle
+# Runs in each tree; prints {"<variant>/<seed>": sha256} as JSON, or with
+# RAW set the values themselves.
+DIGEST_CODE = """
+import hashlib, json, pickle, sys
 import numpy as np
 import ddpc
 
+RAW = {raw}
 cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
 for variant in ddpc.VARIANTS:
-    for seed in range({DIGEST_SEEDS}):
+    for seed in range({seeds}):
         try:
             rollout, _ = ddpc.run_single(cfg, variant, seed)
         except ddpc.Diverged as exc:
             out[f"{{variant}}/{{seed}}"] = "diverged: " + str(exc)
+            continue
+        if RAW:
+            s = rollout.steps
+            out[f"{{variant}}/{{seed}}"] = dict(
+                J=[rollout.J, rollout.J_y, rollout.J_u],
+                u_f=[np.asarray(t.u_f).tolist() for t in s],
+                y_f=[np.asarray(t.y_f).tolist() for t in s],
+                qp_iterations=[t.qp_iterations for t in s],
+                qp_status=[t.qp_status.value for t in s],
+                primal_res=[t.primal_res for t in s],
+                dual_res=[t.dual_res for t in s])
             continue
         steps = [(np.asarray(s.u_f).tobytes(), np.asarray(s.y_f).tobytes(),
                   s.qp_iterations, s.qp_status.value, s.primal_res,
@@ -63,7 +93,7 @@ for variant in ddpc.VARIANTS:
         blob = pickle.dumps((rollout.J, rollout.J_y, rollout.J_u, steps),
                             protocol=4)
         out[f"{{variant}}/{{seed}}"] = hashlib.sha256(blob).hexdigest()
-print(json.dumps(out, sort_keys=True))
+json.dump(out, sys.stdout, sort_keys=True)
 """
 
 
@@ -78,7 +108,7 @@ def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
-def collect(tree: Path, work: Path) -> dict:
+def collect(tree: Path, work: Path, raw: bool) -> dict:
     """Every compared artifact of one side, keyed by its verdict label."""
     work.mkdir()
     out: dict = {}
@@ -101,39 +131,164 @@ def collect(tree: Path, work: Path) -> dict:
         out[f"control {variant}: exit code"] = done.returncode
         out[f"control {variant}: stdout"] = done.stdout
         out[f"control {variant}: csv"] = _read(work / csv_name)
-    done = _run(tree, work, ["-c", DIGEST_CODE])
+    done = _run(tree, work, ["-c", DIGEST_CODE.format(raw=raw,
+                                                      seeds=DIGEST_SEEDS)])
     if done.returncode != 0:
         raise SystemExit(f"run_single digest failed in {tree}:\n"
                          f"{done.stderr}")
-    for key, digest in json.loads(done.stdout).items():
-        out[f"run_single {key}"] = digest
+    for key, value in json.loads(done.stdout).items():
+        out[f"run_single {key}"] = value
     return out
+
+
+# -- comparison within a relative tolerance ---------------------------------
+
+
+def rel_dev(a, b) -> float:
+    """``max|a - b| / max(|a|, |b|)``; non-finite entries must be equal."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return math.inf
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    if not differ.any():
+        return 0.0
+    if not (np.isfinite(a[differ]).all() and np.isfinite(b[differ]).all()):
+        return math.inf
+    finite = np.isfinite(a) & np.isfinite(b)
+    scale = max(np.abs(a[finite]).max(), np.abs(b[finite]).max())
+    return float(np.abs(a[differ] - b[differ]).max() / scale)
+
+
+class Tally:
+    """Worst deviation, text mismatches and ungated figures of one artifact."""
+
+    def __init__(self):
+        self.worst = 0.0
+        self.mismatch: list[str] = []
+        self.notes: list[str] = []
+
+    def numbers(self, a, b) -> None:
+        self.worst = max(self.worst, rel_dev(a, b))
+
+    def exact(self, what: str, a, b) -> None:
+        if a != b:
+            self.mismatch.append(what)
+
+    def verdict(self, rtol: float) -> tuple[str, bool]:
+        notes = "".join(f"; {n}" for n in self.notes)
+        if self.mismatch:
+            return (f"DIFFERS ({', '.join(self.mismatch[:3])} not equal"
+                    f"{notes})", False)
+        ok = self.worst <= rtol
+        word = "within rtol" if ok else "DIFFERS beyond rtol"
+        return f"{word} (worst rel {self.worst:.2e}{notes})", ok
+
+
+def _floats(cells) -> list[float] | None:
+    try:
+        return [float(c) for c in cells]
+    except ValueError:
+        return None
+
+
+def _compare_csv(a: bytes, b: bytes, tally: Tally) -> None:
+    rows_a = list(csv.reader(io.StringIO(a.decode())))
+    rows_b = list(csv.reader(io.StringIO(b.decode())))
+    tally.exact("header", rows_a[:1], rows_b[:1])
+    tally.exact("row count", len(rows_a), len(rows_b))
+    if tally.mismatch:
+        return
+    for j, name in enumerate(rows_a[0]):
+        col_a = [r[j] for r in rows_a[1:]]
+        col_b = [r[j] for r in rows_b[1:]]
+        num_a, num_b = _floats(col_a), _floats(col_b)
+        if name in UNGATED_COLUMNS:
+            tally.notes.append(f"{name} {sum(num_a or [0]):.0f} -> "
+                               f"{sum(num_b or [0]):.0f}")
+        elif num_a is None or num_b is None:
+            tally.exact(name, col_a, col_b)
+        else:
+            tally.numbers(num_a, num_b)
+
+
+_TOKEN = re.compile(r"(\s+|=)")
+
+
+def _compare_text(a: str, b: str, tally: Tally) -> None:
+    tok_a, tok_b = _TOKEN.split(a), _TOKEN.split(b)
+    tally.exact("token count", len(tok_a), len(tok_b))
+    for x, y in zip(tok_a, tok_b):
+        nums = _floats([x, y])
+        if x != y and nums is not None:
+            tally.numbers(nums[0], nums[1])
+        else:
+            tally.exact("text", x, y)
+
+
+def _compare_run(a, b, tally: Tally) -> None:
+    if isinstance(a, str) or isinstance(b, str):
+        tally.exact("outcome", a, b)
+        return
+    tally.exact("qp_status", a["qp_status"], b["qp_status"])
+    tally.exact("step count", len(a["u_f"]), len(b["u_f"]))
+    if tally.mismatch:
+        return
+    tally.numbers(a["J"], b["J"])
+    for name in ("u_f", "y_f"):
+        for x, y in zip(a[name], b[name]):
+            tally.numbers(x, y)
+    tally.notes.append(f"qp_iterations {sum(a['qp_iterations'])} -> "
+                       f"{sum(b['qp_iterations'])}")
+    for name in ("primal_res", "dual_res"):
+        tally.notes.append(f"max {name} {max(a[name], default=0.0):.1e} -> "
+                           f"{max(b[name], default=0.0):.1e}")
+
+
+def compare(label: str, a, b, rtol: float | None) -> tuple[str, bool]:
+    """The verdict on one artifact and whether it passes."""
+    if a == b:
+        return ("same" if a is not None else
+                "same (absent on both sides)"), True
+    if rtol is None or a is None or b is None or isinstance(a, int):
+        return "DIFFERS", False
+    tally = Tally()
+    if label.startswith("run_single "):
+        _compare_run(a, b, tally)
+    elif isinstance(a, bytes):
+        _compare_csv(a, b, tally)
+    else:
+        _compare_text(a, b, tally)
+    return tally.verdict(rtol)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="base commit")
+    parser.add_argument("--rtol", type=float, default=None,
+                        help="allowed relative deviation of numbers "
+                             "(default: byte identity)")
     args = parser.parse_args(argv)
 
     base = git("rev-parse", "--short", args.base)
+    raw = args.rtol is not None
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "tree"
         unpack(args.base, base_tree)
-        before = collect(base_tree, Path(tmp) / "base")
-        after = collect(ROOT, Path(tmp) / "change")
+        before = collect(base_tree, Path(tmp) / "base", raw)
+        after = collect(ROOT, Path(tmp) / "change", raw)
     n_diff = 0
     for label in sorted(before.keys() | after.keys()):
         if label not in before or label not in after:
-            verdict = "MISSING on one side"
-        elif before[label] == after[label]:
-            verdict = "same" if before[label] is not None else \
-                "same (absent on both sides)"
+            verdict, ok = "MISSING on one side", False
         else:
-            verdict = "DIFFERS"
-        n_diff += not verdict.startswith("same")
+            verdict, ok = compare(label, before[label], after[label],
+                                  args.rtol)
+        n_diff += not ok
         print(f"{label}: {verdict}")
-    print(f"{len(before | after) - n_diff} same, {n_diff} different "
-          f"(base {base})")
+    mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"
+    print(f"{len(before | after) - n_diff} pass, {n_diff} different "
+          f"(base {base}, {mode})")
     return 1 if n_diff else 0
 
 
