@@ -37,8 +37,12 @@ def main():
 
     spec = ddpc.HorizonSpec(L_p=8, L_f=10)
     order = spec.L_p + spec.L_f + PLANT.A.shape[0]
-    print(f"persistently exciting of order {order}: "
-          f"{ddpc.persistency_order(traj.inputs, order)}")
+    # Persistently exciting of order s: the depth-s Hankel matrix of the
+    # input has full row rank (singular values above a 1e-10 cutoff).
+    H_u = ddpc.build_hankel(traj.inputs, order)
+    sv = np.linalg.svd(H_u, compute_uv=False)
+    exciting = H_u.shape[0] <= H_u.shape[1] and sv[-1] > 1e-10 * sv[0]
+    print(f"persistently exciting of order {order}: {exciting}")
 
     part = ddpc.partition(traj, spec)
     print(f"partition: Z_p {part.Z_p.shape}, U_f {part.U_f.shape}, "

@@ -72,7 +72,7 @@ def main():
     y_true = true_response(past, u_f)
 
     for name, pred in (("unstructured", pred_spc), ("causal", pred_causal)):
-        y_hat = ddpc.predict(pred, z_p, ddpc.stack_window(u_f))
+        y_hat = pred.K_p @ z_p + pred.K_f @ ddpc.stack_window(u_f)
         err = np.linalg.norm(y_hat - y_true) / np.linalg.norm(y_true)
         print(f"held-out relative error, {name}: {err:.4f}")
 

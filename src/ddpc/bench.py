@@ -398,7 +398,10 @@ def load_config(path) -> ExperimentConfig:
         if not sigma_e >= 0.0:
             raise ConfigError(f"{path}: sigma_e must be >= 0, got {sigma_e}")
     for name in cfg.controllers:
-        cfg.controller_spec(name)  # validates names and parameters
+        try:
+            cfg.controller_spec(name)  # validates names and parameters
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return cfg
 
 
@@ -618,6 +621,10 @@ def tune(cfg: ExperimentConfig, controller: str,
 def normalize_costs(records: list[RunRecord], baseline: str) -> list[dict]:
     """Mean cost per (grid point, controller) relative to the baseline.
 
+    The ratio is ``nan`` unless the baseline's mean cost is positive and
+    finite: a baseline that diverged at some seed has an infinite mean,
+    against which every controller would read a perfect ratio of 0.
+
     Raises:
         MissingBaseline: If a grid point has no baseline runs.
     """
@@ -641,7 +648,7 @@ def normalize_costs(records: list[RunRecord], baseline: str) -> list[dict]:
                 "sigma_e": point[1],
                 "eps": point[2],
                 "J_mean": mean_j,
-                "ratio": mean_j / base_mean if base_mean > 0
+                "ratio": mean_j / base_mean if 0 < base_mean < np.inf
                 else float("nan"),
             })
     return rows

@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     Diverged,
     RankDeficient,
-    ZeroVariance,
 )
 from .lq import factorize, save_lq_blocks
 from .qp import QpStatus
@@ -31,8 +30,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
-_DATA_ERRORS = (RankDeficient, DepthExceedsLength, ZeroVariance,
-                DimensionMismatch)
+_DATA_ERRORS = (RankDeficient, DepthExceedsLength, DimensionMismatch)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -44,12 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lq import LqBlocks, causal_split, gamma1_of, factorize
-from .predictor import (
-    Predictor,
-    fit_causal,
-    fit_spc,
-    fit_spc_from_blocks,
-)
+from .predictor import Predictor, fit_causal, fit_spc
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
 from .sim import StateSpaceModel, _check_sane, step_model
 from .trajectory import HankelPartition, Trajectory, stack_window
@@ -78,7 +73,7 @@ class VariantNeeds(NamedTuple):
 
 
 VARIANT_TABLE = {
-    "spc": VariantNeeds(("part", "blocks")),
+    "spc": VariantNeeds(("part",)),
     "causal_spc": VariantNeeds(("blocks", "part")),
     "gamma": VariantNeeds(("blocks", "part"), ("mu",), hard_zero=True),
     "causal_gamma": VariantNeeds(("blocks", "part")),
@@ -171,8 +166,12 @@ class CostSpec:
 
 @dataclass(frozen=True)
 class BoxConstraints:
-    """Per-step box bounds on inputs and predicted outputs; ``+-inf`` opens
-    a side."""
+    """Per-step box bounds on inputs and predicted outputs.
+
+    A lower bound of ``-inf`` or an upper bound of ``+inf`` opens that
+    side; a lower ``+inf`` or an upper ``-inf`` admits no value and is
+    rejected.
+    """
 
     u_lower: np.ndarray
     u_upper: np.ndarray
@@ -184,6 +183,10 @@ class BoxConstraints:
             val = np.asarray(getattr(self, name), dtype=float).reshape(-1)
             if np.isnan(val).any():
                 raise ValueError(f"{name} contains NaN")
+            closed = np.inf if name.endswith("_lower") else -np.inf
+            if (val == closed).any():
+                raise ValueError(f"{name} contains {closed:+}, which no "
+                                 "value satisfies")
             object.__setattr__(self, name, val)
         if self.u_lower.shape != self.u_upper.shape:
             raise DimensionMismatch("input bound lengths differ")
@@ -238,8 +241,9 @@ class ControllerSpec:
             if name == "mu" and self.gamma3_zero:
                 continue  # the hard variant drops the mu-weighted coordinate
             value = getattr(self, name)
-            if value is None or value < 0:
-                raise ValueError(f"variant {self.variant!r} needs {name} >= 0")
+            if value is None or not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"variant {self.variant!r} needs a finite "
+                                 f"{name} >= 0, got {value}")
         if self.cost.m != self.boxes.u_lower.shape[0]:
             raise DimensionMismatch("cost and boxes disagree on input count")
         if self.cost.p != self.boxes.y_lower.shape[0]:
@@ -532,11 +536,11 @@ def make_controller(spec: ControllerSpec, *,
                     qp_settings: QpSettings | None = None):
     """Build the controller for ``spec.variant`` from a handle it accepts.
 
-    ``spc`` accepts the raw partition or the LQ blocks; the latent variants
-    need blocks (a partition is factorized on the fly); ``projreg_g`` needs
-    the partition; ``kf_mpc`` needs the model and takes ``L_p`` as its
-    warm-up window.  Unused handles are ignored.  ``step(z_p, r_f)``
-    solves a step and ``condense(z_p, r_f)`` materializes its QP.
+    ``spc`` and ``projreg_g`` need the raw partition; the other data
+    variants need the LQ blocks (a partition is factorized on the fly);
+    ``kf_mpc`` needs the model and takes ``L_p`` as its warm-up window.
+    Unused handles are ignored.  ``step(z_p, r_f)`` solves a step and
+    ``condense(z_p, r_f)`` materializes its QP.
     """
     variant = spec.variant
     given = {"blocks": blocks, "part": part, "model": model}
@@ -548,9 +552,7 @@ def make_controller(spec: ControllerSpec, *,
     if variant == "projreg_g":
         return _GSpaceController(spec, part, qp_settings)
     if variant == "spc":
-        pred = fit_spc(part) if part is not None \
-            else fit_spc_from_blocks(blocks)
-        return _PredictorController(spec, pred, qp_settings)
+        return _PredictorController(spec, fit_spc(part), qp_settings)
     if blocks is None:
         blocks = factorize(part)
     if variant == "causal_spc":

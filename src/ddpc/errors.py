@@ -4,7 +4,6 @@ __all__ = [
     "DdpcError",
     "DimensionMismatch",
     "DepthExceedsLength",
-    "ZeroVariance",
     "RankDeficient",
     "Diverged",
     "MissingBaseline",
@@ -24,15 +23,12 @@ class DepthExceedsLength(DdpcError, ValueError):
     """A Hankel depth larger than the signal length was requested."""
 
 
-class ZeroVariance(DdpcError, ValueError):
-    """A channel is constant and cannot be scaled to unit variance."""
-
-
 class RankDeficient(DdpcError, ValueError):
     """Data lacks the excitation needed for the requested fit.
 
     Typically caused by an input signal that is not persistently exciting
-    of sufficient order; see :func:`ddpc.trajectory.persistency_order`.
+    of sufficient order: its Hankel matrix over the combined horizon lacks
+    full row rank.
     """
 
 

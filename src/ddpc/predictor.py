@@ -4,13 +4,14 @@ Two families are provided: the unconstrained least-squares predictor,
 which is generally non-causal because future inputs beyond step i may
 enter the i-th predicted output, and the causal predictor obtained by
 restricting each output block row to inputs up to its own step.  The
-causal fit has a closed form in terms of the LQ blocks; a brute-force
-row-by-row fit is kept as an independent cross-check.
+causal fit has a closed form in terms of the LQ blocks, equal to one
+least-squares fit per output block row.  A predictor maps a past window
+and an input plan to ``y_f = K_p @ z_p + K_f @ u_f``; :func:`fit_residual`
+measures it on its training data.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,12 +24,8 @@ from .trajectory import HankelPartition
 __all__ = [
     "Predictor",
     "fit_spc",
-    "fit_spc_from_blocks",
     "fit_causal",
-    "fit_causal_bruteforce",
-    "predict",
     "fit_residual",
-    "write_predictor_csv",
 ]
 
 _PINV_RTOL = 1e-10
@@ -104,24 +101,6 @@ def _past_future_factor(blocks: LqBlocks) -> np.ndarray:
     return W
 
 
-def fit_spc_from_blocks(blocks: LqBlocks) -> Predictor:
-    """Non-causal predictor computed from the LQ blocks.
-
-    Equals :func:`fit_spc` on the same data: ``K = [L31 L32] @ inv(W)``
-    with ``W = [[L11, 0], [L21, L22]]``, or ``pinv(W)`` when the past
-    block is singular.
-    """
-    right = np.hstack([blocks.L31, blocks.L32])
-    W = _past_future_factor(blocks)
-    if blocks.past_is_nonsingular():
-        K = scipy.linalg.solve_triangular(W.T, right.T, lower=False).T
-    else:
-        K = right @ np.linalg.pinv(W, rcond=_PINV_RTOL)
-    d1 = blocks.dim_past
-    return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=False,
-                     m=blocks.m, p=blocks.p, L_p=blocks.L_p, L_f=blocks.L_f)
-
-
 def fit_causal(blocks: LqBlocks) -> Predictor:
     """Fit the causal predictor from the LQ blocks in closed form.
 
@@ -154,56 +133,7 @@ def fit_causal(blocks: LqBlocks) -> Predictor:
                      m=m, p=p, L_p=blocks.L_p, L_f=L_f)
 
 
-def fit_causal_bruteforce(part: HankelPartition) -> Predictor:
-    """Causal predictor by one least-squares fit per output block row.
-
-    Row block i regresses the i-th future outputs on ``[Z_p; U_f]``
-    truncated to the first i input steps, then zero-pads the remaining
-    input columns.  This is O(L_f) separate solves on raw Hankel data and
-    exists as an independent cross-check of :func:`fit_causal`.
-    """
-    _require_excited_inputs(part)
-    d1 = part.Z_p.shape[0]
-    m, p, L_f = part.m, part.p, part.spec.L_f
-    K = np.zeros((p * L_f, d1 + m * L_f))
-    for i in range(1, L_f + 1):
-        rows = slice((i - 1) * p, i * p)
-        regressor = np.vstack([part.Z_p, part.U_f[: i * m]])
-        K_i, *_ = np.linalg.lstsq(regressor.T, part.Y_f[rows].T,
-                                  rcond=_PINV_RTOL)
-        K[rows, : d1 + i * m] = K_i.T
-    return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=True,
-                     m=m, p=p, L_p=part.spec.L_p, L_f=L_f)
-
-
-def predict(pred: Predictor, z_p: np.ndarray, u_f: np.ndarray) -> np.ndarray:
-    """Evaluate the predictor at one past window and one input plan."""
-    z = np.asarray(z_p, dtype=float).reshape(-1)
-    u = np.asarray(u_f, dtype=float).reshape(-1)
-    if z.shape[0] != pred.K_p.shape[1]:
-        raise DimensionMismatch(
-            f"z_p has length {z.shape[0]}, expected {pred.K_p.shape[1]}"
-        )
-    if u.shape[0] != pred.K_f.shape[1]:
-        raise DimensionMismatch(
-            f"u_f has length {u.shape[0]}, expected {pred.K_f.shape[1]}"
-        )
-    return pred.K_p @ z + pred.K_f @ u
-
-
 def fit_residual(part: HankelPartition, pred: Predictor) -> float:
     """Frobenius norm of the one-shot fit residual on the training data."""
     resid = part.Y_f - pred.K_p @ part.Z_p - pred.K_f @ part.U_f
     return float(np.linalg.norm(resid, "fro"))
-
-
-def write_predictor_csv(pred: Predictor, path) -> None:
-    """Write ``[K_p | K_f]`` row-major with named columns for inspection."""
-    header = ([f"kp{j + 1}" for j in range(pred.K_p.shape[1])]
-              + [f"kf{j + 1}" for j in range(pred.K_f.shape[1])])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(pred.K_p.shape[0]):
-            writer.writerow([repr(float(v)) for v in pred.K_p[i]]
-                            + [repr(float(v)) for v in pred.K_f[i]])

@@ -104,24 +104,6 @@ class StateSpaceModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    def lag(self) -> int:
-        """Smallest observability index: depth at which the stacked
-        observability matrix reaches rank ``n``."""
-        rows = []
-        power = np.eye(self.n)
-        for ell in range(1, self.n + 1):
-            rows.append(self.C @ power)
-            power = power @ self.A
-            if np.linalg.matrix_rank(np.vstack(rows)) == self.n:
-                return ell
-        raise ValueError("model is not observable")
-
-    def observer_decay(self, depth: int) -> float:
-        """Spectral norm of ``(A - K C)**depth``; a small value means a past
-        window of that depth determines the predictor state."""
-        F = self.A - self.K @ self.C
-        return float(np.linalg.norm(np.linalg.matrix_power(F, depth), 2))
-
 
 @dataclass(frozen=True)
 class NonlinearWrapper:

@@ -13,27 +13,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DepthExceedsLength,
-    DimensionMismatch,
-    ZeroVariance,
-)
+from .errors import DepthExceedsLength, DimensionMismatch
 
 __all__ = [
     "Trajectory",
     "HorizonSpec",
     "HankelPartition",
-    "ChannelScaling",
     "build_hankel",
     "partition",
-    "persistency_order",
-    "standardize",
     "stack_window",
     "read_trajectory_csv",
     "write_trajectory_csv",
 ]
-
-_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -99,16 +90,6 @@ class HorizonSpec:
     def L(self) -> int:
         return self.L_p + self.L_f
 
-    def min_samples(self, m: int, order: int | None = None) -> int:
-        """Smallest data length usable with these horizons.
-
-        Without a known system order this is just ``L``; with ``order = n``
-        it is the persistency-of-excitation bound ``(m + 1) * L + n + 1``.
-        """
-        if order is None:
-            return self.L
-        return (m + 1) * self.L + order + 1
-
 
 @dataclass(frozen=True)
 class HankelPartition:
@@ -131,29 +112,6 @@ class HankelPartition:
     @property
     def M(self) -> int:
         return self.Z_p.shape[1]
-
-
-@dataclass(frozen=True)
-class ChannelScaling:
-    """Per-channel affine map recorded by :func:`standardize`.
-
-    ``apply`` maps raw data to standardized data; ``invert`` undoes it.
-    """
-
-    u_offset: np.ndarray
-    u_scale: np.ndarray
-    y_offset: np.ndarray
-    y_scale: np.ndarray
-
-    def apply(self, traj: Trajectory) -> Trajectory:
-        u = (traj.inputs - self.u_offset[:, None]) / self.u_scale[:, None]
-        y = (traj.outputs - self.y_offset[:, None]) / self.y_scale[:, None]
-        return Trajectory(u, y)
-
-    def invert(self, traj: Trajectory) -> Trajectory:
-        u = traj.inputs * self.u_scale[:, None] + self.u_offset[:, None]
-        y = traj.outputs * self.y_scale[:, None] + self.y_offset[:, None]
-        return Trajectory(u, y)
 
 
 def build_hankel(signal: np.ndarray, depth: int) -> np.ndarray:
@@ -217,48 +175,6 @@ def partition(traj: Trajectory, spec: HorizonSpec) -> HankelPartition:
     Z_p = np.vstack([U_p, Y_p])
     return HankelPartition(Z_p=Z_p, U_p=U_p, Y_p=Y_p, U_f=U_f, Y_f=Y_f,
                            m=m, p=p, spec=spec)
-
-
-def persistency_order(signal: np.ndarray, order: int) -> bool:
-    """Check persistency of excitation of the given order.
-
-    A signal is persistently exciting of order ``s`` when its depth-``s``
-    Hankel matrix has full row rank.  Rank is decided from singular values
-    with a relative cutoff of ``1e-10``.
-
-    Returns False when the signal is too short to build the Hankel matrix.
-    """
-    sig = np.atleast_2d(np.asarray(signal, dtype=float))
-    if order > sig.shape[1]:
-        return False
-    H = build_hankel(sig, order)
-    if H.shape[0] > H.shape[1]:
-        return False
-    sv = np.linalg.svd(H, compute_uv=False)
-    return bool(sv[-1] > _RANK_RTOL * sv[0])
-
-
-def standardize(traj: Trajectory) -> tuple[Trajectory, ChannelScaling]:
-    """Shift and scale every channel to zero mean and unit sample deviation.
-
-    The scale is the (n - 1)-normalized standard deviation.
-
-    Raises:
-        ZeroVariance: If any channel is constant.
-    """
-    if traj.n_samples < 2:
-        raise ZeroVariance("need at least two samples to estimate a scale")
-    u_off = traj.inputs.mean(axis=1)
-    y_off = traj.outputs.mean(axis=1)
-    u_scale = traj.inputs.std(axis=1, ddof=1)
-    y_scale = traj.outputs.std(axis=1, ddof=1)
-    for label, scale in (("input", u_scale), ("output", y_scale)):
-        if np.any(scale <= 0.0):
-            ch = int(np.argmax(scale <= 0.0))
-            raise ZeroVariance(f"{label} channel {ch} is constant")
-    scaling = ChannelScaling(u_offset=u_off, u_scale=u_scale,
-                             y_offset=y_off, y_scale=y_scale)
-    return scaling.apply(traj), scaling
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -31,14 +31,6 @@ def hankel_by_windows(signal: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
-def standardize_by_hand(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Per-channel standardization with explicit mean / ddof-1 std."""
-    x = np.asarray(x, dtype=float)
-    mu = float(np.mean(x))
-    sd = float(np.std(x, ddof=1))
-    return (x - mu) / sd, mu, sd
-
-
 # ---------------------------------------------------------------------------
 # Least-squares predictor oracles
 # ---------------------------------------------------------------------------

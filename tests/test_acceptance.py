@@ -32,7 +32,12 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import full_factor, random_model, seeded
-from oracles import kkt_residuals, lq_orthonormal_rows, solve_qp_active_set
+from oracles import (
+    kkt_residuals,
+    lq_orthonormal_rows,
+    rowwise_causal_fit,
+    solve_qp_active_set,
+)
 
 from ddpc import (
     BoxConstraints,
@@ -46,7 +51,6 @@ from ddpc import (
     collect_open_loop,
     factorize,
     fit_causal,
-    fit_causal_bruteforce,
     fit_residual,
     fit_spc,
     load_config,
@@ -99,8 +103,9 @@ def test_criterion_01_causal_fit_equals_bruteforce():
         L_f = int(rng.integers(3, 31))
         part = _white_dataset(rng, m, p, L_p, L_f)
         closed = fit_causal(factorize(part))
-        brute = fit_causal_bruteforce(part)
-        for a, b in ((closed.K_p, brute.K_p), (closed.K_f, brute.K_f)):
+        K_p, K_f = rowwise_causal_fit(part.Y_f, part.Z_p, part.U_f, m, p,
+                                      L_f)
+        for a, b in ((closed.K_p, K_p), (closed.K_f, K_f)):
             rel = np.linalg.norm(a - b) / max(1.0, np.linalg.norm(b))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
@@ -131,7 +136,7 @@ def test_criterion_02_penalty_limit_matches_direct_program():
         cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
         res_s = make_controller(ControllerSpec(variant="spc", cost=cost,
                                                boxes=boxes),
-                                blocks=blocks).step(z_p)
+                                part=part).step(z_p)
         res_g = make_controller(ControllerSpec(variant="gamma", cost=cost,
                                                boxes=boxes, mu=1e10),
                                 blocks=blocks).step(z_p)

@@ -243,6 +243,24 @@ def test_out_of_range_noise_and_distortion_rejected_at_load(tmp_path,
         load_config(_write_cfg(tmp_path, **{section: body}))
 
 
+@pytest.mark.parametrize("section,body,named", [
+    ("constraints", "u_min = inf\nu_max = inf", "u_lower"),
+    ("constraints", "y_min = -inf\ny_max = -inf", "y_upper"),
+    ("controllers", "list = reg_gamma\nreg_gamma.mu = nan",
+     "'reg_gamma' needs a finite mu"),
+    ("controllers", "list = reg_causal_gamma\nreg_causal_gamma.mu = inf\n"
+                    "reg_causal_gamma.lam = 1", "'reg_causal_gamma' needs a "
+                                                "finite mu"),
+], ids=["u-box-closed-at-inf", "y-box-closed-at-neg-inf", "mu-nan",
+        "mu-inf"])
+def test_unsatisfiable_box_and_non_finite_weight_rejected_at_load(
+        tmp_path, section, body, named):
+    path = _write_cfg(tmp_path, **{section: body})
+    with pytest.raises(ConfigError, match=named) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 def test_nonlinear_plant_passes_eps_override_through():
     cfg = load_config("nonlinear_fig2")
     assert cfg.plant(eps=0.0).eps == 0.0
@@ -359,6 +377,17 @@ def test_normalize_costs_against_baseline():
     assert first["other"]["ratio"] == pytest.approx(2.0)  # mean 4 over mean 2
     second = {r["controller"]: r for r in rows if r["N_d"] == 200}
     assert second["other"]["ratio"] == pytest.approx(0.5)
+
+
+def test_normalize_costs_ratio_is_nan_against_diverged_baseline():
+    """A baseline that diverged at one seed has an infinite mean cost; the
+    ratios against it are undefined, not a perfect 0."""
+    records = [_record("base", 1.0, seed=0), _record("base", np.inf, seed=1),
+               _record("other", 3.0, seed=0), _record("other", 5.0, seed=1)]
+    rows = {r["controller"]: r for r in normalize_costs(records, "base")}
+    assert rows["base"]["J_mean"] == np.inf
+    assert np.isnan(rows["other"]["ratio"])
+    assert np.isnan(rows["base"]["ratio"])
 
 
 def test_normalize_costs_requires_baseline_runs():

@@ -42,6 +42,7 @@ from ddpc import (
     StateSpaceModel,
     VARIANTS,
     factorize,
+    fit_spc,
     kf_predictor_matrices,
     kf_update,
     make_controller,
@@ -74,9 +75,13 @@ def _spec(variant, mu=None, lam=None, gamma3_zero=False, u_box=2.0,
                           gamma3_zero=gamma3_zero)
 
 
+def _noisy_part(tag=0, sigma=0.2, n_d=200):
+    return make_partition(demo_model(sigma_e=sigma), n_d, L_P, L_F,
+                          seeded(130, tag))
+
+
 def _noisy_blocks(tag=0, sigma=0.2, n_d=200):
-    return make_blocks(demo_model(sigma_e=sigma), n_d, L_P, L_F,
-                       seeded(130, tag))
+    return factorize(_noisy_part(tag, sigma, n_d))
 
 
 def _sample_zp(tag=0, sigma=0.2):
@@ -117,6 +122,34 @@ def test_box_constraints_checks():
     np.testing.assert_array_equal(hi, 0.5 * np.ones(4))
 
 
+@pytest.mark.parametrize("field", ["u_lower", "u_upper", "y_lower",
+                                   "y_upper"])
+def test_box_side_at_the_wrong_infinity_rejected(field):
+    """A lower bound of +inf or an upper bound of -inf admits no value; it
+    must not be mistaken for an open side and dropped."""
+    sides = dict(u_lower=[-1.0], u_upper=[1.0], y_lower=[-1.0],
+                 y_upper=[1.0])
+    closed = np.inf if field.endswith("_lower") else -np.inf
+    # both sides of the box at that infinity, so lower <= upper still holds
+    sides[field[0] + "_lower"] = sides[field[0] + "_upper"] = [closed]
+    with pytest.raises(ValueError, match=field):
+        BoxConstraints(**sides)
+
+
+@pytest.mark.parametrize("variant,weights", [
+    ("gamma", dict(mu=np.inf)),
+    ("reg_gamma", dict(mu=np.nan)),
+    ("reg_causal_gamma", dict(mu=np.inf, lam=1.0)),
+    ("reg_causal_gamma", dict(mu=1.0, lam=np.nan)),
+    ("projreg_g", dict(mu=-np.inf)),
+], ids=["gamma-mu-inf", "reg_gamma-mu-nan", "reg_causal_gamma-mu-inf",
+        "reg_causal_gamma-lam-nan", "projreg_g-mu-neg-inf"])
+def test_non_finite_penalty_weight_rejected(variant, weights):
+    bad = next(k for k, v in weights.items() if not np.isfinite(v))
+    with pytest.raises(ValueError, match=f"{variant}.*finite {bad}"):
+        _spec(variant, **weights)
+
+
 def test_controller_spec_penalty_requirements():
     with pytest.raises(ValueError):
         _spec("unknown_variant")
@@ -149,6 +182,8 @@ def test_make_controller_handle_requirements():
         make_controller(_spec("projreg_g", mu=1.0))
     with pytest.raises(ValueError):
         make_controller(_spec("spc"))
+    with pytest.raises(ValueError, match="spc needs part"):
+        make_controller(_spec("spc"), blocks=_noisy_blocks())
 
 
 def test_make_controller_accepts_partition_for_latent_variants():
@@ -215,9 +250,9 @@ def test_step_rejects_non_finite_input_before_solving(variant):
     ("reg_causal_gamma", 1.0, 1.0, False, 3 * L_F),
 ])
 def test_decision_dimensions(variant, mu, lam, g3, expect_dim):
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     prob = make_controller(_spec(variant, mu=mu, lam=lam, gamma3_zero=g3),
-                           blocks=blocks).condense(_sample_zp())
+                           part=part).condense(_sample_zp())
     assert prob.P.shape == (expect_dim, expect_dim)
     assert float(np.linalg.eigvalsh(prob.P).min()) >= -1e-9
 
@@ -234,15 +269,15 @@ def test_projreg_decision_dimension_is_column_count():
 
 
 def test_constraint_rows_follow_boxes():
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     both = make_controller(_spec("spc", u_box=1.0, y_box=2.0),
-                           blocks=blocks).condense(_sample_zp())
+                           part=part).condense(_sample_zp())
     assert both.A.shape[0] == 2 * L_F
     u_only = make_controller(_spec("spc", u_box=1.0, y_box=np.inf),
-                             blocks=blocks).condense(_sample_zp())
+                             part=part).condense(_sample_zp())
     assert u_only.A.shape[0] == L_F
     free = make_controller(_spec("spc", u_box=np.inf, y_box=np.inf),
-                           blocks=blocks).condense(_sample_zp())
+                           part=part).condense(_sample_zp())
     assert free.A.shape[0] == 0
 
 
@@ -250,11 +285,11 @@ def test_condense_consistent_with_step():
     """Solving the materialized QP externally reproduces the step's plan
     (for the input-coordinate variants the decision is u_f itself)."""
     from ddpc import solve as qp_solve
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     z = _sample_zp()
     spec = _spec("spc", u_box=0.4)
-    res = make_controller(spec, blocks=blocks).step(z)
-    sol = qp_solve(make_controller(spec, blocks=blocks).condense(z))
+    res = make_controller(spec, part=part).step(z)
+    sol = qp_solve(make_controller(spec, part=part).condense(z))
     np.testing.assert_allclose(res.u_f, sol.x, atol=1e-7)
 
 
@@ -264,9 +299,9 @@ def test_condense_consistent_with_step():
 
 
 def test_spc_zero_reference_zero_past_gives_zero():
-    blocks = _noisy_blocks()
-    res = make_controller(_spec("spc"), blocks=blocks).step(
-        np.zeros(blocks.dim_past))
+    part = _noisy_part()
+    res = make_controller(_spec("spc"), part=part).step(
+        np.zeros(part.Z_p.shape[0]))
     np.testing.assert_allclose(res.u_f, 0.0, atol=1e-9)
     np.testing.assert_allclose(res.y_f, 0.0, atol=1e-9)
     assert res.objective == pytest.approx(0.0, abs=1e-12)
@@ -274,13 +309,12 @@ def test_spc_zero_reference_zero_past_gives_zero():
 
 
 def test_spc_unconstrained_matches_least_squares():
-    from ddpc import fit_spc_from_blocks
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     z = _sample_zp()
     ref = sine_reference(10.0, 1.0, L_F)[0]
     spec = _spec("spc", u_box=np.inf, ref=ref)
-    res = make_controller(spec, blocks=blocks).step(z)
-    pred = fit_spc_from_blocks(blocks)
+    res = make_controller(spec, part=part).step(z)
+    pred = fit_spc(part)
     Q, R = spec.cost.Q, spec.cost.R
     lhs = pred.K_f.T @ Q @ pred.K_f + R
     rhs = -pred.K_f.T @ Q @ (pred.K_p @ z - ref)
@@ -306,11 +340,11 @@ def test_kf_mpc_unconstrained_matches_least_squares():
 
 
 def test_active_box_clips_inputs():
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     z = _sample_zp()
     ref = 2.0 * np.ones(L_F)
     spec = _spec("spc", u_box=0.3, ref=ref)
-    res = make_controller(spec, blocks=blocks).step(z)
+    res = make_controller(spec, part=part).step(z)
     assert res.qp_status == QpStatus.SOLVED
     assert np.abs(res.u_f).max() <= 0.3 + 1e-7
     assert np.any(np.abs(np.abs(res.u_f) - 0.3) < 1e-6)  # actually binding
@@ -322,13 +356,14 @@ def test_active_box_clips_inputs():
 
 
 def test_gamma_large_mu_approaches_spc():
-    blocks = _noisy_blocks()
+    part = _noisy_part()
+    blocks = factorize(part)
     z = _sample_zp()
     ref = sine_reference(12.0, 1.5, L_F)[0]
     res_g = make_controller(_spec("gamma", mu=1e10, u_box=0.5, ref=ref),
                             blocks=blocks).step(z)
     res_s = make_controller(_spec("spc", u_box=0.5, ref=ref),
-                            blocks=blocks).step(z)
+                            part=part).step(z)
     assert np.any(np.abs(np.abs(res_g.u_f) - 0.5) < 1e-5)  # box active
     np.testing.assert_allclose(res_g.u_f, res_s.u_f, atol=1e-4)
     np.testing.assert_allclose(res_g.y_f, res_s.y_f, atol=1e-4)
@@ -454,8 +489,8 @@ def test_kf_update_recovers_innovations():
 def _rollout(controller_spec, n_steps=30, sigma=0.1, tag=0, plant=None,
              **kwargs):
     model = plant if plant is not None else demo_model(sigma_e=sigma)
-    blocks = _noisy_blocks(tag=tag, sigma=max(sigma, 0.05))
-    ctrl = make_controller(controller_spec, blocks=blocks)
+    part = _noisy_part(tag=tag, sigma=max(sigma, 0.05))
+    ctrl = make_controller(controller_spec, part=part)
     ref = sine_reference(20.0, 1.0, n_steps)
     return run_receding_horizon(model, ctrl, ref, n_steps,
                                 rng=seeded(138, tag), **kwargs)
@@ -482,15 +517,13 @@ def test_rollout_applies_first_input_of_each_plan():
 def test_rollout_reference_padding_matches_manual_extension():
     n_steps = 25
     model = demo_model(sigma_e=0.1)
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     ref_short = sine_reference(20.0, 1.0, n_steps)
     ref_long = np.hstack([ref_short,
                           np.repeat(ref_short[:, -1:], L_F, axis=1)])
-    a = run_receding_horizon(model, make_controller(_spec("spc"),
-                                                    blocks=blocks),
+    a = run_receding_horizon(model, make_controller(_spec("spc"), part=part),
                              ref_short, n_steps, rng=seeded(139))
-    b = run_receding_horizon(model, make_controller(_spec("spc"),
-                                                    blocks=blocks),
+    b = run_receding_horizon(model, make_controller(_spec("spc"), part=part),
                              ref_long, n_steps, rng=seeded(139))
     np.testing.assert_array_equal(a.trajectory.outputs, b.trajectory.outputs)
 
@@ -512,10 +545,9 @@ def test_rollout_warmup_inputs_change_initial_window():
 
 def test_rollout_warmup_shape_validation():
     spec = _spec("spc")
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     with pytest.raises(DimensionMismatch):
-        run_receding_horizon(demo_model(), make_controller(spec,
-                                                           blocks=blocks),
+        run_receding_horizon(demo_model(), make_controller(spec, part=part),
                              np.zeros((1, 10)), 10,
                              warmup_inputs=np.ones((1, L_P + 1)))
 
@@ -532,11 +564,11 @@ def test_rollout_bitwise_determinism():
 def test_rollout_status_aggregates_worst_step():
     # An output box that no input in [-1, 1] can reach: no active set is
     # certified, so every step falls back to the starved ADMM.
-    blocks = _noisy_blocks()
+    part = _noisy_part()
     unreachable = BoxConstraints(u_lower=[-1.0], u_upper=[1.0],
                                  y_lower=[100.0], y_upper=[200.0])
     spec = ControllerSpec(variant="spc", cost=_cost(), boxes=unreachable)
-    starved = make_controller(spec, blocks=blocks,
+    starved = make_controller(spec, part=part,
                               qp_settings=QpSettings(max_iter=2))
     res = run_receding_horizon(demo_model(sigma_e=0.1), starved,
                                sine_reference(20.0, 1.0, 10), 10,

@@ -4,21 +4,17 @@ Covers:
   * fit_spc against an explicit SVD-pseudoinverse oracle, the identity
     predictor on a dataset whose outputs equal its inputs, and exact
     held-out prediction on noise-free data.
-  * agreement of the raw-data and LQ-block routes to the same predictor.
   * fit_causal against the block-row brute-force fit, SISO and MIMO,
     and its exact block-triangular zero pattern.
   * collapse of causal and unconstrained fits on causally exact records.
-  * predict argument checking and the step-wise causality of the causal
-    predictor under input perturbations.
+  * the step-wise causality of the causal predictor under input
+    perturbations.
   * fit_residual closed forms in terms of the LQ blocks, and the
     ordering (unconstrained fit is never worse on the training data).
   * shrinking non-causal content as the record grows.
-  * predictor CSV export layout.
 """
 
 from __future__ import annotations
-
-import csv
 
 import numpy as np
 import pytest
@@ -34,13 +30,9 @@ from ddpc import (
     causal_split,
     factorize,
     fit_causal,
-    fit_causal_bruteforce,
     fit_residual,
     fit_spc,
-    fit_spc_from_blocks,
     partition,
-    predict,
-    write_predictor_csv,
 )
 from ddpc.lq import causal_block_mask
 from ddpc.predictor import Predictor
@@ -49,6 +41,12 @@ from ddpc.predictor import Predictor
 def _partition_for(model, n_d, L_p, L_f, rng, kind="steps"):
     return partition(noisy_dataset(model, n_d, rng, kind=kind),
                      HorizonSpec(L_p=L_p, L_f=L_f))
+
+
+def _rowwise(part):
+    """The causal gains fitted one output block row at a time."""
+    return rowwise_causal_fit(part.Y_f, part.Z_p, part.U_f, part.m, part.p,
+                              part.spec.L_f)
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +79,7 @@ def test_spc_noise_free_heldout_prediction():
     pred = fit_spc(part)
     fresh = _partition_for(model, 60, 8, 6, seeded(54))
     for j in (0, 7, fresh.M - 1):
-        y_hat = predict(pred, fresh.Z_p[:, j], fresh.U_f[:, j])
+        y_hat = pred.K_p @ fresh.Z_p[:, j] + pred.K_f @ fresh.U_f[:, j]
         np.testing.assert_allclose(y_hat, fresh.Y_f[:, j], atol=1e-8)
 
 
@@ -93,15 +91,6 @@ def test_spc_requires_excitation():
         fit_spc(partition(traj, HorizonSpec(L_p=3, L_f=3)))
 
 
-def test_spc_from_blocks_matches_raw_fit():
-    model = random_model(seeded(56), n=2, m=1, p=2, sigma_e=0.15)
-    part = _partition_for(model, 260, 5, 4, seeded(57))
-    a = fit_spc(part)
-    b = fit_spc_from_blocks(factorize(part))
-    np.testing.assert_allclose(a.K_p, b.K_p, atol=1e-8)
-    np.testing.assert_allclose(a.K_f, b.K_f, atol=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # fit_causal
 # ---------------------------------------------------------------------------
@@ -111,28 +100,18 @@ def test_causal_matches_bruteforce_siso():
     model = demo_model(sigma_e=0.2)
     part = _partition_for(model, 200, 4, 3, seeded(58))
     a = fit_causal(factorize(part))
-    b = fit_causal_bruteforce(part)
-    np.testing.assert_allclose(a.K_p, b.K_p, atol=1e-8)
-    np.testing.assert_allclose(a.K_f, b.K_f, atol=1e-8)
+    K_p, K_f = _rowwise(part)
+    np.testing.assert_allclose(a.K_p, K_p, atol=1e-8)
+    np.testing.assert_allclose(a.K_f, K_f, atol=1e-8)
 
 
 def test_causal_matches_bruteforce_mimo():
     model = random_model(seeded(59), n=3, m=2, p=2, sigma_e=0.2)
     part = _partition_for(model, 320, 3, 4, seeded(60))
     a = fit_causal(factorize(part))
-    b = fit_causal_bruteforce(part)
-    np.testing.assert_allclose(a.K_p, b.K_p, atol=1e-8)
-    np.testing.assert_allclose(a.K_f, b.K_f, atol=1e-8)
-
-
-def test_bruteforce_matches_loop_oracle():
-    model = random_model(seeded(61), n=2, m=2, p=1, sigma_e=0.2)
-    part = _partition_for(model, 240, 3, 3, seeded(62))
-    pred = fit_causal_bruteforce(part)
-    K_p, K_f = rowwise_causal_fit(part.Y_f, part.Z_p, part.U_f,
-                                  part.m, part.p, part.spec.L_f)
-    np.testing.assert_allclose(pred.K_p, K_p, atol=1e-8)
-    np.testing.assert_allclose(pred.K_f, K_f, atol=1e-8)
+    K_p, K_f = _rowwise(part)
+    np.testing.assert_allclose(a.K_p, K_p, atol=1e-8)
+    np.testing.assert_allclose(a.K_f, K_f, atol=1e-8)
 
 
 def test_causal_zero_pattern_is_exact():
@@ -140,8 +119,6 @@ def test_causal_zero_pattern_is_exact():
     pred = fit_causal(factorize(_partition_for(model, 180, 4, 5, seeded(63))))
     mask = causal_block_mask(pred.p, pred.m, pred.L_f)
     np.testing.assert_array_equal(pred.K_f[~mask], 0.0)
-    brute = fit_causal_bruteforce(_partition_for(model, 180, 4, 5, seeded(63)))
-    np.testing.assert_array_equal(brute.K_f[~mask], 0.0)
 
 
 def test_causal_last_row_equals_full_regression():
@@ -149,7 +126,7 @@ def test_causal_last_row_equals_full_regression():
     coincides with the unconstrained row."""
     model = demo_model(sigma_e=0.2)
     part = _partition_for(model, 200, 4, 3, seeded(64))
-    causal = fit_causal_bruteforce(part)
+    causal = fit_causal(factorize(part))
     spc = fit_spc(part)
     p, L_f = part.p, part.spec.L_f
     rows = slice((L_f - 1) * p, L_f * p)
@@ -167,31 +144,11 @@ def test_causal_equals_spc_on_causally_exact_data():
     spc = fit_spc(part)
     fresh = _partition_for(model, 70, 8, 5, seeded(66))
     for j in (0, 11):
-        y_c = predict(causal, fresh.Z_p[:, j], fresh.U_f[:, j])
-        y_s = predict(spc, fresh.Z_p[:, j], fresh.U_f[:, j])
+        z, u = fresh.Z_p[:, j], fresh.U_f[:, j]
+        y_c = causal.K_p @ z + causal.K_f @ u
+        y_s = spc.K_p @ z + spc.K_f @ u
         np.testing.assert_allclose(y_c, y_s, atol=1e-7)
         np.testing.assert_allclose(y_c, fresh.Y_f[:, j], atol=1e-7)
-
-
-# ---------------------------------------------------------------------------
-# predict
-# ---------------------------------------------------------------------------
-
-
-def test_predict_zero_arguments():
-    model = demo_model(sigma_e=0.1)
-    pred = fit_spc(_partition_for(model, 150, 3, 3, seeded(67)))
-    out = predict(pred, np.zeros(6), np.zeros(3))
-    np.testing.assert_array_equal(out, np.zeros(3))
-
-
-def test_predict_dimension_checks():
-    model = demo_model(sigma_e=0.1)
-    pred = fit_spc(_partition_for(model, 150, 3, 3, seeded(68)))
-    with pytest.raises(DimensionMismatch):
-        predict(pred, np.zeros(5), np.zeros(3))
-    with pytest.raises(DimensionMismatch):
-        predict(pred, np.zeros(6), np.zeros(4))
 
 
 def test_causal_prediction_ignores_future_input_changes():
@@ -202,11 +159,11 @@ def test_causal_prediction_ignores_future_input_changes():
     rng = seeded(70)
     z = rng.standard_normal(8)
     u = rng.standard_normal(5)
-    base = predict(pred, z, u)
+    base = pred.K_p @ z + pred.K_f @ u
     for j in range(5):
         bumped = u.copy()
         bumped[j] += 1.0
-        out = predict(pred, z, bumped)
+        out = pred.K_p @ z + pred.K_f @ bumped
         np.testing.assert_array_equal(out[:j], base[:j])
         assert abs(out[j] - base[j]) > 0.0  # direct feedthrough present
 
@@ -263,27 +220,6 @@ def test_noncausal_content_shrinks_with_record_length():
             per_seed.append(frac)
         fracs.append(float(np.median(per_seed)))
     assert fracs[0] > fracs[1] > fracs[2]
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_predictor_csv_layout(tmp_path):
-    model = demo_model(sigma_e=0.1)
-    pred = fit_spc(_partition_for(model, 150, 2, 3, seeded(75)))
-    path = tmp_path / "pred.csv"
-    write_predictor_csv(pred, path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    d1, d2 = pred.K_p.shape[1], pred.K_f.shape[1]
-    assert rows[0] == [f"kp{j + 1}" for j in range(d1)] \
-        + [f"kf{j + 1}" for j in range(d2)]
-    assert len(rows) == 1 + pred.K_p.shape[0]
-    got = np.array([[float(v) for v in row] for row in rows[1:]])
-    np.testing.assert_array_equal(got[:, :d1], pred.K_p)
-    np.testing.assert_array_equal(got[:, d1:], pred.K_f)
 
 
 def test_predictor_shape_validation():

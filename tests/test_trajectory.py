@@ -1,4 +1,4 @@
-"""Trajectory, Hankel, partition, standardization and CSV round-trips.
+"""Trajectory, Hankel, partition and CSV round-trips.
 
 Covers:
   * build_hankel worked examples and window-by-window agreement with an
@@ -6,10 +6,6 @@ Covers:
   * partition block shapes, column/window correspondence, and the
     noise-free consistency of future outputs with past data + future
     inputs.
-  * persistency_order on constant, white, and square-wave signals, and
-    its monotonicity in the order.
-  * standardize arithmetic (sample std, ddof=1), zero-variance errors,
-    and exact round-trips through ChannelScaling.
   * trajectory CSV layout (``t,u1..um,y1..yp``) and lossless round-trip.
 """
 
@@ -21,21 +17,17 @@ import numpy as np
 import pytest
 
 from conftest import demo_model, noisy_dataset, random_model, seeded
-from oracles import hankel_by_windows, lti_loop, standardize_by_hand
+from oracles import hankel_by_windows, lti_loop
 
 from ddpc import (
     DepthExceedsLength,
     DimensionMismatch,
     HorizonSpec,
     Trajectory,
-    ZeroVariance,
     build_hankel,
     partition,
-    persistency_order,
     read_trajectory_csv,
-    square_wave,
     stack_window,
-    standardize,
     write_trajectory_csv,
 )
 
@@ -153,89 +145,6 @@ def test_horizon_spec_validation_and_min_samples():
         HorizonSpec(L_p=0, L_f=1)
     spec = HorizonSpec(L_p=2, L_f=3)
     assert spec.L == 5
-    assert spec.min_samples(m=1) == 5
-    assert spec.min_samples(m=1, order=2) == 2 * 5 + 2 + 1
-
-
-# ---------------------------------------------------------------------------
-# persistency_order
-# ---------------------------------------------------------------------------
-
-
-def test_persistency_constant_signal():
-    assert not persistency_order(np.ones(50), order=2)
-    assert persistency_order(np.ones(50), order=1)
-
-
-def test_persistency_white_noise():
-    rng = seeded(7)
-    assert persistency_order(rng.standard_normal(100), order=5)
-
-
-def test_persistency_square_wave_deep():
-    sig = square_wave(period=200, amplitude=3.0, length=600)
-    assert persistency_order(sig, order=47)
-
-
-def test_persistency_monotone_in_order():
-    rng = seeded(8)
-    sig = rng.standard_normal(60)
-    flags = [persistency_order(sig, order=s) for s in range(1, 40)]
-    # once the check fails it must keep failing for larger orders
-    dropped = False
-    for f in flags:
-        if not f:
-            dropped = True
-        assert not (dropped and f)
-
-
-def test_persistency_too_short_is_false():
-    assert not persistency_order(np.arange(3.0), order=5)
-
-
-# ---------------------------------------------------------------------------
-# standardize
-# ---------------------------------------------------------------------------
-
-
-def test_standardize_two_sample_example():
-    traj = Trajectory(np.array([0.0, 2.0]), np.array([0.0, 2.0]))
-    out, scaling = standardize(traj)
-    assert scaling.u_offset[0] == pytest.approx(1.0)
-    assert scaling.u_scale[0] == pytest.approx(np.sqrt(2.0))
-    np.testing.assert_allclose(out.inputs[0],
-                               [-1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)])
-
-
-def test_standardize_matches_hand_computation():
-    rng = seeded(9)
-    traj = Trajectory(rng.standard_normal((2, 40)) * 3.0 + 1.0,
-                      rng.standard_normal((1, 40)) * 0.2 - 5.0)
-    out, scaling = standardize(traj)
-    for ch in range(2):
-        ref, mu, sd = standardize_by_hand(traj.inputs[ch])
-        np.testing.assert_allclose(out.inputs[ch], ref, atol=1e-12)
-        assert scaling.u_offset[ch] == pytest.approx(mu)
-        assert scaling.u_scale[ch] == pytest.approx(sd)
-    np.testing.assert_allclose(out.outputs.mean(axis=1), 0.0, atol=1e-12)
-    np.testing.assert_allclose(out.outputs.std(axis=1, ddof=1), 1.0,
-                               atol=1e-12)
-
-
-def test_standardize_constant_channel_raises():
-    traj = Trajectory(np.ones((1, 10)), np.arange(10.0))
-    with pytest.raises(ZeroVariance):
-        standardize(traj)
-
-
-def test_standardize_roundtrip():
-    rng = seeded(10)
-    traj = Trajectory(rng.standard_normal((2, 25)),
-                      rng.standard_normal((2, 25)))
-    out, scaling = standardize(traj)
-    back = scaling.invert(out)
-    np.testing.assert_allclose(back.inputs, traj.inputs, atol=1e-12)
-    np.testing.assert_allclose(back.outputs, traj.outputs, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

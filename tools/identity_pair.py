@@ -18,7 +18,10 @@ directory of its own, and these artifacts are compared:
 * ``run_single`` for every variant at table1 seeds 0-2, with
   ``gamma.mu = 1e3`` and ``projreg_g.mu = reg_gamma.mu``: J, J_y, J_u and
   every step's ``u_f``/``y_f``, ``qp_iterations``, ``qp_status``,
-  ``primal_res`` and ``dual_res``.
+  ``primal_res`` and ``dual_res``;
+* every script in ``demos/``, each in a directory of its own: the exit
+  code, stdout and every file it writes there (demo 03's
+  ``rollout_demo.csv``, demo 06's CSVs).
 
 By default every artifact must be byte-identical, and ``run_single`` is
 compared through a sha256 digest.  With ``--rtol r``, ``run_single``
@@ -131,6 +134,16 @@ def collect(tree: Path, work: Path, raw: bool) -> dict:
         out[f"control {variant}: exit code"] = done.returncode
         out[f"control {variant}: stdout"] = done.stdout
         out[f"control {variant}: csv"] = _read(work / csv_name)
+    for script in sorted((tree / "demos").glob("*.py")):
+        label, run_dir = f"demo {script.stem}", work / f"demo_{script.stem}"
+        run_dir.mkdir()
+        done = _run(tree, run_dir, [str(script)])
+        out[f"{label}: exit code"] = done.returncode
+        out[f"{label}: stdout"] = done.stdout
+        for path in sorted(run_dir.rglob("*")):
+            if path.is_file():
+                out[f"{label}: {path.relative_to(run_dir)}"] = \
+                    path.read_bytes()
     done = _run(tree, work, ["-c", DIGEST_CODE.format(raw=raw,
                                                       seeds=DIGEST_SEEDS)])
     if done.returncode != 0:
