@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 import csv
 import hashlib
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -397,6 +398,18 @@ def load_config(path) -> ExperimentConfig:
     for sigma_e in (cfg.sigma_e, *cfg.sweep_sigma_e):
         if not sigma_e >= 0.0:
             raise ConfigError(f"{path}: sigma_e must be >= 0, got {sigma_e}")
+    for key, value, ok, rule in (
+            ("seeds", cfg.tune_seeds, cfg.tune_seeds >= 1, "must be >= 1"),
+            ("grid_points", cfg.grid_points, cfg.grid_points >= 1,
+             "must be >= 1"),
+            ("grid_points_2d", cfg.grid_points_2d, cfg.grid_points_2d >= 1,
+             "must be >= 1"),
+            ("grid_min", cfg.grid_min, 0.0 < cfg.grid_min < math.inf,
+             "must be finite and > 0"),
+            ("grid_max", cfg.grid_max, cfg.grid_min <= cfg.grid_max < math.inf,
+             "must be finite and >= grid_min")):
+        if not ok:
+            raise ConfigError(f"{path}: [tune] {key}: {rule}, got {value:g}")
     for name in cfg.controllers:
         try:
             cfg.controller_spec(name)  # validates names and parameters
@@ -579,7 +592,7 @@ def _tune_objective(cfg: ExperimentConfig, name: str, params: dict,
             total += rollout.J
         except Diverged:
             return float("inf")
-    return total / max(cfg.tune_seeds, 1)
+    return total / cfg.tune_seeds
 
 
 def tune(cfg: ExperimentConfig, controller: str,

@@ -118,14 +118,12 @@ class CostSpec:
 
     ``q_step`` (PSD) and ``r_step`` (PD) are per-step weights; the
     horizon-wide block-diagonal matrices are exposed as ``Q`` and ``R``.
-    ``r`` is the default stacked reference used when a step is solved
-    outside a receding-horizon loop; it defaults to zero.
+    The reference ``r`` is given per step (``step(z_p, r_f)``).
     """
 
     q_step: np.ndarray
     r_step: np.ndarray
     L_f: int
-    r: np.ndarray | None = None
 
     def __post_init__(self):
         q = _check_weight("q_step", self.q_step, positive=False)
@@ -134,13 +132,6 @@ class CostSpec:
             raise ValueError(f"L_f must be >= 1, got {self.L_f}")
         object.__setattr__(self, "q_step", q)
         object.__setattr__(self, "r_step", rw)
-        if self.r is not None:
-            ref = np.asarray(self.r, dtype=float).reshape(-1)
-            if ref.shape[0] != q.shape[0] * self.L_f:
-                raise DimensionMismatch(
-                    f"reference has length {ref.shape[0]}, expected "
-                    f"{q.shape[0] * self.L_f}")
-            object.__setattr__(self, "r", ref)
 
     @property
     def p(self) -> int:
@@ -157,11 +148,6 @@ class CostSpec:
     @property
     def R(self) -> np.ndarray:
         return np.kron(np.eye(self.L_f), self.r_step)
-
-    def default_reference(self) -> np.ndarray:
-        if self.r is not None:
-            return self.r
-        return np.zeros(self.p * self.L_f)
 
 
 @dataclass(frozen=True)
@@ -361,9 +347,8 @@ class _CondensedController:
         raise NotImplementedError
 
     def _qp_data(self, z_p, r_f):
-        r_f = _checked_vector(
-            "r_f", self.cost.default_reference() if r_f is None else r_f,
-            self.p * self.L_f)
+        r_f = _checked_vector("r_f", self._zero_y if r_f is None else r_f,
+                              self.p * self.L_f)
         if self._reads_z_p:
             z_p = _checked_vector("z_p", z_p, (self.m + self.p) * self.L_p)
         bu, by, e = self._offsets(z_p)
@@ -386,7 +371,7 @@ class _CondensedController:
 
     def step(self, z_p=None, r_f=None) -> StepResult:
         """Solve one step from the past window ``z_p`` (ignored by
-        ``kf_mpc``) and the reference ``r_f`` (default: the cost's).
+        ``kf_mpc``) and the reference ``r_f`` (default: zero).
 
         Raises ``DimensionMismatch`` for a wrong length and ``ValueError``
         for a NaN or infinite entry in either."""

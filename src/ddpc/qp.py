@@ -8,8 +8,8 @@ Solves
 with P symmetric positive semidefinite.  Equality rows are expressed as
 ``lower == upper``; one-sided rows use ``+-inf``.  The implementation is a
 dense ADMM scheme with Ruiz equilibration, a per-row step parameter that
-is rescaled from the primal/dual residual ratio, over-relaxation, and an
-active-set polish step once the iterates have converged.  Everything is
+is rescaled from the primal/dual residual ratio, and over-relaxation,
+with one active-set step before and after it (below).  Everything is
 deterministic: identical inputs produce identical iterates.  The scheme's
 parameters are the module constants ``_RHO``, ``_SIGMA``, ``_ALPHA``,
 ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and ``_SCALING_ITERS``;
@@ -27,17 +27,19 @@ signs of the dual warm start ``y0`` point at, the warm-started active-set
 idea of qpOASES (Ferreau, Bock and Diehl, IJRNC 2008): rows with
 ``y0 < 0`` at their lower bound, rows with ``y0 > 0`` at their upper
 bound, equality rows always, and no bound row without ``y0``.  The
-equality-constrained KKT system of that set is solved with the same
-regularized LU and refinement as the polish, whose factor is cached for
-the last set.  The solution is accepted when every multiplier has the
-sign of its bound and both residuals pass the ADMM stopping test; it is
-then ``SOLVED`` with ``iterations == 0``.  Otherwise up to
-``_CERTIFY_ROUNDS`` (3) corrections drop the rows with wrong-sign
-multipliers and add the rows violated by more than ``eps_abs``, and if
-none is accepted ADMM runs as before, warm-started from ``x0``/``y0``.
-``QpSolution.iterations`` therefore counts ADMM iterations only.  The
-guess depends on ``y0`` alone, so a solve stays a pure function of its
-arguments.  A problem without rows (``k == 0``) is the empty set's case;
+equality-constrained KKT system of that set is solved with a regularized
+LU and iterative refinement, whose factor is cached for the last set.
+The solution is accepted when every multiplier has the sign of its bound
+and both residuals pass the ADMM stopping test; it is then ``SOLVED``
+with ``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
+corrections drop the rows with wrong-sign multipliers and add the rows
+violated by more than ``eps_abs``, and if none is accepted ADMM runs,
+warm-started from ``x0``/``y0``.  The guess depends on ``y0`` alone, so
+a solve stays a pure function of its arguments.  Once ADMM has solved the
+problem, the same step starts from the signs of ADMM's own dual, in the
+place of OSQP's polish (Stellato et al. 2020), and ADMM's iterate is kept
+unless it certifies a set.  ``QpSolution.iterations`` counts ADMM
+iterations only.  A problem without rows (``k == 0``) is the empty set's case;
 when it cannot be certified it is reported ``DUAL_INFEASIBLE``.
 Finiteness is checked once at entry instead: ``P`` and ``A`` when the
 solver is built, ``q``, the bounds and the warm starts at each solve.  A
@@ -134,9 +136,10 @@ class QpSettings:
     ``_CHECK_INTERVAL`` (25) iterations, the infeasibility tolerance
     ``_EPS_INFEAS`` (1e-7), ``_SCALING_ITERS`` (10) Ruiz passes and the
     ``_CERTIFY_ROUNDS`` (3) corrections of the warm start's active set.
-    The step size always adapts to the residual ratio, and a step that
-    ADMM solves is always polished.  The same residual test accepts a
-    certified active set; ``max_iter`` caps ADMM alone.
+    The step size always adapts to the residual ratio.  The same residual
+    test stops ADMM and accepts a certified active set, both the warm
+    start's and the one ADMM's dual points at once ADMM has solved the
+    step; ``max_iter`` caps ADMM alone.
     """
 
     eps_abs: float = 1e-8
@@ -148,7 +151,6 @@ class QpSettings:
 class QpSolution:
     x: np.ndarray
     y: np.ndarray
-    z: np.ndarray
     status: QpStatus
     iterations: int
     primal_res: float
@@ -253,15 +255,28 @@ class BoxQpSolver:
         rho_vec[eq_mask] = min(rho_scalar * _RHO_EQ_FACTOR, _RHO_MAX)
         return rho_vec
 
-    def _unscaled_terms(self, As, xs, zs, ys):
-        """Residual ingredients in the units of the original problem."""
-        x = self.d * xs
+    def _unscaled(self, As, xs, zs, ys):
+        """``(x, y, Ax, z)`` in the units of the original problem."""
+        return (self.d * xs, (self.e * ys) / self.c, (As @ xs) / self.e,
+                zs / self.e)
+
+    def _residuals(self, q, x, y, Ax, z):
+        """The stopping test, shared by ADMM and the active-set step.
+
+        Returns ``(r_prim, r_dual, scale_p, scale_d, ok)``: the residuals
+        ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their scales, and
+        whether both are within ``eps_abs + eps_rel * scale``.
+        """
         Px = self.P @ x
-        Ax = (As @ xs) / self.e
-        z = zs / self.e
-        y = (self.e * ys) / self.c
         Aty = self.A.T @ y
-        return x, Px, Ax, z, y, Aty
+        r_prim = _inf_norm(Ax - z)
+        r_dual = _inf_norm(Px + q + Aty)
+        scale_p = max(_inf_norm(Ax), _inf_norm(z))
+        scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
+        st = self.settings
+        ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
+              and r_dual <= st.eps_abs + st.eps_rel * scale_d)
+        return r_prim, r_dual, scale_p, scale_d, ok
 
     # -- main entry --------------------------------------------------------
 
@@ -281,8 +296,9 @@ class BoxQpSolver:
         Raises:
             DimensionMismatch: On a length that does not match the solver.
             ValueError: On a non-finite ``q``, ``x0`` or ``y0``, a NaN
-                bound, a ``+inf`` lower or ``-inf`` upper bound, or a
-                residual that turns non-finite while iterating.
+                bound, a ``+inf`` lower or ``-inf`` upper bound, a lower
+                bound above its upper bound, or a residual that turns
+                non-finite while iterating.
         """
         st = self.settings
         q = np.asarray(q, dtype=float).reshape(-1)
@@ -304,9 +320,9 @@ class BoxQpSolver:
         if self.k == 0:
             # no rows and no certified solution of P x = -q: unbounded
             return QpSolution(x=np.zeros(self.n), y=np.zeros(0),
-                              z=np.zeros(0), status=QpStatus.DUAL_INFEASIBLE,
-                              iterations=0, primal_res=0.0,
-                              dual_res=float("inf"), objective=float("-inf"))
+                              status=QpStatus.DUAL_INFEASIBLE, iterations=0,
+                              primal_res=0.0, dual_res=float("inf"),
+                              objective=float("-inf"))
 
         qs = self.c * self.d * q
         los = self.e * lo
@@ -349,18 +365,12 @@ class BoxQpSolver:
             ys_new = rho_vec * (z_cand - zs_new)
 
             if it % check_interval == 0 or it == max_iter:
-                x, Px, Ax, z, y, Aty = self._unscaled_terms(
-                    As, xs_new, zs_new, ys_new)
-                r_prim = float(np.abs(Ax - z).max())
-                r_dual = float(np.abs(Px + q + Aty).max())
+                r_prim, r_dual, scale_p, scale_d, ok = self._residuals(
+                    q, *self._unscaled(As, xs_new, zs_new, ys_new))
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     raise ValueError(
                         f"ADMM residual is not finite at iteration {it}")
-                scale_p = max(_inf_norm(Ax), _inf_norm(z))
-                scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
-                eps_p = st.eps_abs + st.eps_rel * scale_p
-                eps_d = st.eps_abs + st.eps_rel * scale_d
-                if r_prim <= eps_p and r_dual <= eps_d:
+                if ok:
                     xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.SOLVED
                     iters_done = it
@@ -391,16 +401,15 @@ class BoxQpSolver:
                         factor, rho_vec = self._factor, self._rho_vec
             xs, zs, ys = xs_new, zs_new, ys_new
 
-        x, Px, Ax, z, y, Aty = self._unscaled_terms(As, xs, zs, ys)
-        r_prim = float(np.abs(Ax - z).max())
-        r_dual = float(np.abs(Px + q + Aty).max())
+        x, y, Ax, z = self._unscaled(As, xs, zs, ys)
         if status is QpStatus.SOLVED:
-            polished = self._polish(q, lo, hi, x, y)
-            if polished is not None:
-                x, y, z, r_prim, r_dual = polished
+            refined = self._certify(q, lo, hi, y)
+            if refined is not None:
+                refined.iterations = iters_done
+                return refined
+        r_prim, r_dual, *_ = self._residuals(q, x, y, Ax, z)
         obj = float(0.5 * x @ self.P @ x + q @ x)
-        return QpSolution(x=x, y=y, z=z, status=status,
-                          iterations=iters_done,
+        return QpSolution(x=x, y=y, status=status, iterations=iters_done,
                           primal_res=r_prim, dual_res=r_dual, objective=obj)
 
     def _kkt_solve(self, act, b, q):
@@ -441,43 +450,19 @@ class BoxQpSolver:
             return None
         return sol[:n], sol[n:]
 
-    def _on_set(self, q, lo, hi, at_lo, at_hi):
-        """Solve with the equality rows and the given bound rows active.
-
-        Returns ``(x, y, Ax, r_prim, r_dual, ok)``, where ``ok`` says that
-        both residuals pass the test ADMM stops on, or None when the KKT
-        solve fails.
-        """
-        act = np.flatnonzero((lo == hi) | at_lo | at_hi)
-        kkt = self._kkt_solve(act, np.where(at_hi, hi, lo)[act], q)
-        if kkt is None:
-            return None
-        x, y_act = kkt
-        y = np.zeros(self.k)
-        y[act] = y_act
-        Ax = self.A @ x
-        Px = self.P @ x
-        Aty = self.A.T @ y
-        r_prim = _inf_norm(np.maximum(Ax - hi, 0.0) + np.maximum(lo - Ax, 0.0))
-        r_dual = _inf_norm(Px + q + Aty)
-        st = self.settings
-        scale_p = max(_inf_norm(Ax), _inf_norm(np.clip(Ax, lo, hi)))
-        scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
-        ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
-              and r_dual <= st.eps_abs + st.eps_rel * scale_d)
-        return x, y, Ax, r_prim, r_dual, ok
-
     def _certify(self, q, lo, hi, y0):
-        """Try the active set the signs of ``y0`` point at before ADMM.
+        """Try the active set the signs of ``y0`` point at.
 
-        Rows with ``y0 < 0`` start at their lower bound, rows with
-        ``y0 > 0`` at their upper bound, and equality rows are always
-        active; without ``y0`` no bound row is.  The set's KKT solution is
-        accepted when every multiplier has the sign of its bound and both
-        residuals pass the ADMM stopping test.  Otherwise up to
-        ``_CERTIFY_ROUNDS`` corrections drop the rows whose multipliers
-        have the wrong sign and add the rows that are violated.  Returns a
-        ``SOLVED`` solution with zero iterations, or None.
+        ``y0`` is the dual warm start before ADMM, and ADMM's own dual
+        after ADMM has solved the step.  Rows with ``y0 < 0`` start at
+        their lower bound, rows with ``y0 > 0`` at their upper bound, and
+        equality rows are always active; without ``y0`` no bound row is.
+        The set's KKT solution is accepted when every multiplier has the
+        sign of its bound and both residuals, against ``z = clip(Ax, lo,
+        hi)``, pass the ADMM stopping test.
+        Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
+        multipliers have the wrong sign and add the rows that are violated.
+        Returns a ``SOLVED`` solution with zero iterations, or None.
         """
         free = lo != hi
         if y0 is None:
@@ -486,17 +471,21 @@ class BoxQpSolver:
             at_lo = free & (y0 < 0) & np.isfinite(lo)
             at_hi = free & (y0 > 0) & np.isfinite(hi)
         for _ in range(1 + _CERTIFY_ROUNDS):
-            found = self._on_set(q, lo, hi, at_lo, at_hi)
-            if found is None:
+            act = np.flatnonzero(~free | at_lo | at_hi)
+            kkt = self._kkt_solve(act, np.where(at_hi, hi, lo)[act], q)
+            if kkt is None:
                 return None
-            x, y, Ax, r_prim, r_dual, ok = found
+            x, y = kkt[0], np.zeros(self.k)
+            y[act] = kkt[1]
+            Ax = self.A @ x
+            r_prim, r_dual, _, _, ok = self._residuals(q, x, y, Ax,
+                                                       np.clip(Ax, lo, hi))
             wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
             if ok and not wrong.any():
-                return QpSolution(x=x, y=y, z=np.clip(Ax, lo, hi),
-                                  status=QpStatus.SOLVED, iterations=0,
-                                  primal_res=r_prim, dual_res=r_dual,
-                                  objective=float(0.5 * x @ self.P @ x
-                                                  + q @ x))
+                return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
+                                  iterations=0, primal_res=r_prim,
+                                  dual_res=r_dual, objective=float(
+                                      0.5 * x @ self.P @ x + q @ x))
             eps_p = self.settings.eps_abs
             new_lo = (at_lo & ~wrong) | (free & (lo - Ax > eps_p))
             new_hi = (at_hi & ~wrong) | (free & (Ax - hi > eps_p))
@@ -506,33 +495,13 @@ class BoxQpSolver:
             at_lo, at_hi = new_lo, new_hi
         return None
 
-    def _polish(self, q, lo, hi, x, y):
-        """Re-solve on the active set identified by the dual signs.
-
-        Returns refined ``(x, y, z, r_prim, r_dual)`` when the refinement
-        reduces the worst KKT residual, else None.
-        """
-        found = self._on_set(q, lo, hi, (y < 0) & np.isfinite(lo),
-                             (y > 0) & np.isfinite(hi))
-        if found is None:
-            return None
-        x_new, y_new, Ax_new, r_prim_new, r_dual_new, _ = found
-        Ax_old = self.A @ x
-        viol_old = np.maximum(Ax_old - hi, 0.0) + np.maximum(lo - Ax_old, 0.0)
-        r_prim_old = _inf_norm(viol_old)
-        r_dual_old = _inf_norm(self.P @ x + q + self.A.T @ y)
-        if max(r_prim_new, r_dual_new) < max(r_prim_old, r_dual_old):
-            z_new = np.clip(Ax_new, lo, hi)
-            return x_new, y_new, z_new, r_prim_new, r_dual_new
-        return None
-
 
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
 def _check_entry(q, lo, hi, x0, y0) -> None:
-    """Reject non-finite solve data before any iteration runs."""
+    """Reject non-finite or crossed solve data before any iteration runs."""
     for name, v in (("q", q), ("x0", x0), ("y0", y0)):
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} has non-finite entries")
@@ -541,6 +510,9 @@ def _check_entry(q, lo, hi, x0, y0) -> None:
             raise ValueError(f"{name} has NaN entries")
         if (v == bad).any():
             raise ValueError(f"{name} has entries equal to {bad}")
+    crossed = np.flatnonzero(lo > hi)
+    if crossed.size:
+        raise ValueError(f"lower exceeds upper at row {crossed[0]}")
 
 
 def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:

@@ -133,13 +133,13 @@ def test_criterion_02_penalty_limit_matches_direct_program():
         boxes = BoxConstraints([-cap] * m, [cap] * m,
                                [-np.inf] * p, [np.inf] * p)
         ref = np.tile(2.0 * np.sin(np.arange(1, L_f + 1) / 2.0), p)
-        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
+        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f)
         res_s = make_controller(ControllerSpec(variant="spc", cost=cost,
                                                boxes=boxes),
-                                part=part).step(z_p)
+                                part=part).step(z_p, ref)
         res_g = make_controller(ControllerSpec(variant="gamma", cost=cost,
                                                boxes=boxes, mu=1e10),
-                                blocks=blocks).step(z_p)
+                                blocks=blocks).step(z_p, ref)
         actives += bool(np.any(np.abs(np.abs(res_s.u_f) - cap) < 1e-6))
         worst = max(worst, np.abs(res_s.u_f - res_g.u_f).max(),
                     np.abs(res_s.y_f - res_g.y_f).max())
@@ -166,17 +166,17 @@ def test_criterion_03_latent_equals_raw_coordinates():
         blocks = factorize(part)
         z_p = part.Z_p[:, 5]
         ref = np.tile(np.sin(np.arange(1, L_f + 1) / 2.0), p)
-        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
+        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f)
         boxes = BoxConstraints.unbounded(m, p)
         for mu in (0.1, 1.0, 10.0):
             res_g = make_controller(ControllerSpec(variant="gamma",
                                                    cost=cost, boxes=boxes,
                                                    mu=mu),
-                                    blocks=blocks).step(z_p)
+                                    blocks=blocks).step(z_p, ref)
             res_p = make_controller(ControllerSpec(variant="projreg_g",
                                                    cost=cost, boxes=boxes,
                                                    mu=mu),
-                                    part=part).step(z_p)
+                                    part=part).step(z_p, ref)
             worst = max(worst, np.abs(res_g.u_f - res_p.u_f).max(),
                         np.abs(res_g.y_f - res_p.y_f).max())
     elapsed = time.perf_counter() - t0
@@ -200,15 +200,15 @@ def test_criterion_04_causal_pair_equivalence():
         blocks = factorize(part)
         z_p = part.Z_p[:, 3]
         ref = np.tile(np.sin(np.arange(1, L_f + 1) / 2.0), p)
-        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f, r=ref)
+        cost = CostSpec(np.eye(p), 0.05 * np.eye(m), L_f)
         boxes = BoxConstraints([-0.5] * m, [0.5] * m,
                                [-np.inf] * p, [np.inf] * p)
         res_g = make_controller(ControllerSpec(variant="causal_gamma",
                                                cost=cost, boxes=boxes),
-                                blocks=blocks).step(z_p)
+                                blocks=blocks).step(z_p, ref)
         res_s = make_controller(ControllerSpec(variant="causal_spc",
                                                cost=cost, boxes=boxes),
-                                blocks=blocks).step(z_p)
+                                blocks=blocks).step(z_p, ref)
         worst = max(worst, np.abs(res_g.u_f - res_s.u_f).max(),
                     np.abs(res_g.y_f - res_s.y_f).max())
     elapsed = time.perf_counter() - t0

@@ -261,6 +261,24 @@ def test_unsatisfiable_box_and_non_finite_weight_rejected_at_load(
     assert str(info.value).startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("body,key", [
+    ("seeds = 0", "seeds"),
+    ("grid_points = 0", "grid_points"),
+    ("grid_points_2d = -1", "grid_points_2d"),
+    ("grid_min = 0", "grid_min"),
+    ("grid_min = 10\ngrid_max = 1", "grid_max"),
+], ids=["no-seeds", "no-points", "no-points-2d", "zero-grid-min",
+        "grid-max-below-min"])
+def test_empty_or_degenerate_tune_grid_rejected_at_load(tmp_path, body,
+                                                        key):
+    # with no seeds every candidate scored 0 and the grid corner won; a
+    # zero grid_min failed inside numpy without naming the key
+    path = _write_cfg(tmp_path, tune=body)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"{path}: [tune] {key}: ")
+
+
 def test_nonlinear_plant_passes_eps_override_through():
     cfg = load_config("nonlinear_fig2")
     assert cfg.plant(eps=0.0).eps == 0.0

@@ -58,9 +58,8 @@ from ddpc.lq import causal_split
 L_P, L_F = 4, 5
 
 
-def _cost(r_weight=0.05, L_f=L_F, ref=None):
-    return CostSpec(q_step=np.eye(1), r_step=r_weight * np.eye(1),
-                    L_f=L_f, r=ref)
+def _cost(r_weight=0.05, L_f=L_F):
+    return CostSpec(q_step=np.eye(1), r_step=r_weight * np.eye(1), L_f=L_f)
 
 
 def _boxes(u=2.0, y=np.inf):
@@ -69,8 +68,8 @@ def _boxes(u=2.0, y=np.inf):
 
 
 def _spec(variant, mu=None, lam=None, gamma3_zero=False, u_box=2.0,
-          y_box=np.inf, ref=None):
-    return ControllerSpec(variant=variant, cost=_cost(ref=ref),
+          y_box=np.inf):
+    return ControllerSpec(variant=variant, cost=_cost(),
                           boxes=_boxes(u_box, y_box), mu=mu, lam=lam,
                           gamma3_zero=gamma3_zero)
 
@@ -100,12 +99,9 @@ def test_cost_spec_weight_checks():
         CostSpec(q_step=-np.eye(1), r_step=np.eye(1), L_f=3)
     with pytest.raises(ValueError):
         CostSpec(q_step=np.eye(1), r_step=np.zeros((1, 1)), L_f=3)
-    with pytest.raises(DimensionMismatch):
-        CostSpec(q_step=np.eye(1), r_step=np.eye(1), L_f=3, r=np.zeros(4))
     cost = CostSpec(q_step=2.0 * np.eye(2), r_step=np.eye(1), L_f=3)
     assert cost.Q.shape == (6, 6)
     np.testing.assert_array_equal(cost.Q[2:4, 2:4], 2.0 * np.eye(2))
-    np.testing.assert_array_equal(cost.default_reference(), np.zeros(6))
 
 
 def test_box_constraints_checks():
@@ -312,8 +308,8 @@ def test_spc_unconstrained_matches_least_squares():
     part = _noisy_part()
     z = _sample_zp()
     ref = sine_reference(10.0, 1.0, L_F)[0]
-    spec = _spec("spc", u_box=np.inf, ref=ref)
-    res = make_controller(spec, part=part).step(z)
+    spec = _spec("spc", u_box=np.inf)
+    res = make_controller(spec, part=part).step(z, ref)
     pred = fit_spc(part)
     Q, R = spec.cost.Q, spec.cost.R
     lhs = pred.K_f.T @ Q @ pred.K_f + R
@@ -328,10 +324,10 @@ def test_kf_mpc_unconstrained_matches_least_squares():
     model = demo_model(sigma_e=0.2)
     x_hat = np.array([0.4, -0.2])
     ref = sine_reference(10.0, 1.0, L_F)[0]
-    spec = _spec("kf_mpc", u_box=np.inf, ref=ref)
+    spec = _spec("kf_mpc", u_box=np.inf)
     ctrl = make_controller(spec, model=model)
     ctrl.x_hat = x_hat
-    res = ctrl.step()
+    res = ctrl.step(r_f=ref)
     Gamma, H = kf_predictor_matrices(model, L_F)
     Q, R = spec.cost.Q, spec.cost.R
     u_ref = np.linalg.solve(H.T @ Q @ H + R,
@@ -343,8 +339,8 @@ def test_active_box_clips_inputs():
     part = _noisy_part()
     z = _sample_zp()
     ref = 2.0 * np.ones(L_F)
-    spec = _spec("spc", u_box=0.3, ref=ref)
-    res = make_controller(spec, part=part).step(z)
+    spec = _spec("spc", u_box=0.3)
+    res = make_controller(spec, part=part).step(z, ref)
     assert res.qp_status == QpStatus.SOLVED
     assert np.abs(res.u_f).max() <= 0.3 + 1e-7
     assert np.any(np.abs(np.abs(res.u_f) - 0.3) < 1e-6)  # actually binding
@@ -360,10 +356,10 @@ def test_gamma_large_mu_approaches_spc():
     blocks = factorize(part)
     z = _sample_zp()
     ref = sine_reference(12.0, 1.5, L_F)[0]
-    res_g = make_controller(_spec("gamma", mu=1e10, u_box=0.5, ref=ref),
-                            blocks=blocks).step(z)
-    res_s = make_controller(_spec("spc", u_box=0.5, ref=ref),
-                            part=part).step(z)
+    res_g = make_controller(_spec("gamma", mu=1e10, u_box=0.5),
+                            blocks=blocks).step(z, ref)
+    res_s = make_controller(_spec("spc", u_box=0.5),
+                            part=part).step(z, ref)
     assert np.any(np.abs(np.abs(res_g.u_f) - 0.5) < 1e-5)  # box active
     np.testing.assert_allclose(res_g.u_f, res_s.u_f, atol=1e-4)
     np.testing.assert_allclose(res_g.y_f, res_s.y_f, atol=1e-4)
@@ -373,10 +369,10 @@ def test_gamma_hard_zero_matches_large_mu():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    hard = make_controller(_spec("gamma", gamma3_zero=True, ref=ref),
-                           blocks=blocks).step(z)
-    soft = make_controller(_spec("gamma", mu=1e12, ref=ref),
-                           blocks=blocks).step(z)
+    hard = make_controller(_spec("gamma", gamma3_zero=True),
+                           blocks=blocks).step(z, ref)
+    soft = make_controller(_spec("gamma", mu=1e12),
+                           blocks=blocks).step(z, ref)
     np.testing.assert_allclose(hard.u_f, soft.u_f, atol=1e-5)
 
 
@@ -384,10 +380,10 @@ def test_causal_gamma_matches_causal_spc():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    res_g = make_controller(_spec("causal_gamma", u_box=0.5, ref=ref),
-                            blocks=blocks).step(z)
-    res_s = make_controller(_spec("causal_spc", u_box=0.5, ref=ref),
-                            blocks=blocks).step(z)
+    res_g = make_controller(_spec("causal_gamma", u_box=0.5),
+                            blocks=blocks).step(z, ref)
+    res_s = make_controller(_spec("causal_spc", u_box=0.5),
+                            blocks=blocks).step(z, ref)
     np.testing.assert_allclose(res_g.u_f, res_s.u_f, atol=1e-6)
     np.testing.assert_allclose(res_g.y_f, res_s.y_f, atol=1e-6)
 
@@ -399,10 +395,10 @@ def test_gamma_matches_raw_coordinate_program():
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
     for mu in (0.1, 1.0, 10.0):
-        res_g = make_controller(_spec("gamma", mu=mu, ref=ref),
-                                blocks=blocks).step(z)
-        res_p = make_controller(_spec("projreg_g", mu=mu, ref=ref),
-                                part=part).step(z)
+        res_g = make_controller(_spec("gamma", mu=mu),
+                                blocks=blocks).step(z, ref)
+        res_p = make_controller(_spec("projreg_g", mu=mu),
+                                part=part).step(z, ref)
         np.testing.assert_allclose(res_g.u_f, res_p.u_f, atol=1e-5)
         np.testing.assert_allclose(res_g.y_f, res_p.y_f, atol=1e-5)
 
@@ -417,10 +413,10 @@ def test_reg_causal_with_degenerate_split_reduces_to_gamma():
     # L32 replaced by its causal part: the split of these blocks has an
     # empty non-causal part
     degenerate = replace(blocks, L32=causal_split(blocks).causal)
-    res_rc = make_controller(_spec("reg_causal_gamma", mu=1.0, lam=0.5,
-                                   ref=ref), blocks=degenerate).step(z)
-    res_g = make_controller(_spec("gamma", mu=1.0, ref=ref),
-                            blocks=degenerate).step(z)
+    res_rc = make_controller(_spec("reg_causal_gamma", mu=1.0, lam=0.5),
+                             blocks=degenerate).step(z, ref)
+    res_g = make_controller(_spec("gamma", mu=1.0),
+                            blocks=degenerate).step(z, ref)
     np.testing.assert_allclose(res_rc.u_f, res_g.u_f, atol=1e-6)
 
 
@@ -428,10 +424,10 @@ def test_reg_causal_large_penalties_approach_causal_gamma():
     blocks = _noisy_blocks()
     z = _sample_zp()
     ref = sine_reference(12.0, 1.0, L_F)[0]
-    res_rc = make_controller(_spec("reg_causal_gamma", mu=1e10, lam=1e10,
-                                   ref=ref), blocks=blocks).step(z)
-    res_c = make_controller(_spec("causal_gamma", ref=ref),
-                            blocks=blocks).step(z)
+    res_rc = make_controller(_spec("reg_causal_gamma", mu=1e10, lam=1e10),
+                             blocks=blocks).step(z, ref)
+    res_c = make_controller(_spec("causal_gamma"),
+                            blocks=blocks).step(z, ref)
     np.testing.assert_allclose(res_rc.u_f, res_c.u_f, atol=1e-4)
 
 

@@ -11,11 +11,15 @@ Covers:
   * primal and dual infeasibility detection.
   * iteration-budget reporting and warm-started re-solves through
     BoxQpSolver.
-  * the active-set certification tried before ADMM: agreement with ADMM
-    plus polish, corrections of a wrong warm start, the fallback to ADMM,
-    and independence from the cached KKT factor.
+  * the active-set certification, tried from the warm start before ADMM
+    and from ADMM's own dual after it: agreement of a certified warm
+    start with ADMM followed by that step, corrections of a wrong warm
+    start, the fallback to ADMM, independence from the cached KKT factor,
+    and complementarity of every SOLVED point on degenerate problems at
+    loose tolerances.
   * problem validation (symmetry, PSD, bound ordering, shapes), and
-    non-finite solve data rejected by name before any iteration.
+    non-finite or crossed solve data rejected by name before any
+    iteration.
 """
 
 from __future__ import annotations
@@ -308,8 +312,21 @@ def _criterion_10_qp(rng):
 
 
 def _admm_only(monkeypatch):
-    """Skip certification, so that every solve runs ADMM and the polish."""
-    monkeypatch.setattr(BoxQpSolver, "_certify", lambda self, *args: None)
+    """Skip the warm start's certification, so that every solve runs ADMM
+    and then the active-set step from ADMM's dual."""
+    certify, solve_ = BoxQpSolver._certify, BoxQpSolver.solve
+
+    def solve_from_admm(self, *args, **kwargs):
+        self._skip_certify = True
+        return solve_(self, *args, **kwargs)
+
+    def certify_after_admm(self, *args):
+        if self.__dict__.pop("_skip_certify", False):
+            return None
+        return certify(self, *args)
+
+    monkeypatch.setattr(BoxQpSolver, "solve", solve_from_admm)
+    monkeypatch.setattr(BoxQpSolver, "_certify", certify_after_admm)
 
 
 def test_certified_step_matches_admm_and_polish(monkeypatch):
@@ -386,7 +403,7 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
     ref = solve(prob)
     other_q = prob.q + 3.0 * rng.standard_normal(prob.n)
     # ref.y is certified at once; the other two fall back to ADMM, whose
-    # polish goes through the same cache
+    # certification from its own dual goes through the same cache
     for y0 in (ref.y, -ref.y, None):
         fresh_solver = BoxQpSolver(prob.P, prob.A)
         fresh = fresh_solver.solve(prob.q, prob.lower, prob.upper, y0=y0)
@@ -399,6 +416,34 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
         assert fresh.y.tobytes() == again.y.tobytes()
         assert fresh.iterations == again.iterations
         assert (fresh.iterations == 0) == (y0 is ref.y)
+
+
+def _degenerate_qp(seed):
+    """A random QP with many active rows; every third P is singular."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    k = int(rng.integers(n, 2 * n + 2))
+    G = rng.standard_normal((n, n))
+    P = G @ G.T + 1e-2 * np.eye(n)
+    if seed % 3 == 0:
+        G = rng.standard_normal((n, n - 1))
+        P = G @ G.T
+    A = rng.standard_normal((k, n))
+    q = 3.0 * rng.standard_normal(n)
+    return (P, A, q, -rng.uniform(0.1, 1.0, k), rng.uniform(0.1, 1.0, k))
+
+
+@pytest.mark.parametrize("seed", [33, 276, 597])
+def test_solved_after_admm_is_complementary(seed):
+    # at eps 1e-3 ADMM stops with a dual whose signs point at a set that
+    # is no KKT point; a SOLVED step must still be complementary
+    P, A, q, lo, hi = _degenerate_qp(seed)
+    sol = BoxQpSolver(P, A, QpSettings(1e-3, 1e-3)).solve(q, lo, hi)
+    assert sol.status == QpStatus.SOLVED
+    Ax = A @ sol.x
+    gap = max(np.max(np.maximum(sol.y, 0.0) * (hi - Ax)),
+              np.max(np.maximum(-sol.y, 0.0) * (Ax - lo)))
+    assert gap <= 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +551,14 @@ def test_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         QpProblem(P=np.eye(1), q=np.zeros(1), A=np.eye(1),
                   lower=np.array([1.0]), upper=np.array([-1.0]))
+
+
+def test_solver_rejects_crossed_bounds_by_row():
+    solver = BoxQpSolver(np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match=r"^lower exceeds upper at row 0$"):
+        solver.solve([1.0, 1.0], lower=[1.0, -1.0], upper=[0.0, 1.0])
+    with pytest.raises(ValueError, match=r"at row 1$"):
+        solver.solve([1.0, 1.0], lower=[-1.0, 2.0], upper=[1.0, 1.5])
 
 
 def test_rejects_shape_mismatches():

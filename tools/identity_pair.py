@@ -32,6 +32,8 @@ every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
 (``primal_res``, ``dual_res``) are reported before -> after without
 being gated, because a change of solver path changes them by design.
+In either mode a last line reports, also ungated, how many records and
+``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -60,8 +62,9 @@ BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
 DIGEST_SEEDS = 3
 UNGATED_COLUMNS = ("qp_iters",)
 
-# Runs in each tree; prints {"<variant>/<seed>": sha256} as JSON, or with
-# RAW set the values themselves.
+# Runs in each tree; prints {"runs": {"<variant>/<seed>": sha256}, "steps":
+# <count>, "admm_steps": <count with qp_iterations > 0>} as JSON, or with
+# RAW set the values themselves in place of each sha256.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -72,6 +75,7 @@ cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
+n_steps = n_admm = 0
 for variant in ddpc.VARIANTS:
     for seed in range({seeds}):
         try:
@@ -79,6 +83,8 @@ for variant in ddpc.VARIANTS:
         except ddpc.Diverged as exc:
             out[f"{{variant}}/{{seed}}"] = "diverged: " + str(exc)
             continue
+        n_steps += len(rollout.steps)
+        n_admm += sum(s.qp_iterations > 0 for s in rollout.steps)
         if RAW:
             s = rollout.steps
             out[f"{{variant}}/{{seed}}"] = dict(
@@ -96,7 +102,8 @@ for variant in ddpc.VARIANTS:
         blob = pickle.dumps((rollout.J, rollout.J_y, rollout.J_u, steps),
                             protocol=4)
         out[f"{{variant}}/{{seed}}"] = hashlib.sha256(blob).hexdigest()
-json.dump(out, sys.stdout, sort_keys=True)
+json.dump(dict(runs=out, steps=n_steps, admm_steps=n_admm), sys.stdout,
+          sort_keys=True)
 """
 
 
@@ -111,8 +118,9 @@ def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
-def collect(tree: Path, work: Path, raw: bool) -> dict:
-    """Every compared artifact of one side, keyed by its verdict label."""
+def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
+    """Every compared artifact of one side, keyed by its verdict label, and
+    how many records and ``run_single`` steps ran ADMM."""
     work.mkdir()
     out: dict = {}
     for name, seeds in BENCHMARKS:
@@ -149,9 +157,15 @@ def collect(tree: Path, work: Path, raw: bool) -> dict:
     if done.returncode != 0:
         raise SystemExit(f"run_single digest failed in {tree}:\n"
                          f"{done.stderr}")
-    for key, value in json.loads(done.stdout).items():
+    digest = json.loads(done.stdout)
+    for key, value in digest["runs"].items():
         out[f"run_single {key}"] = value
-    return out
+    iters = [float(row["qp_iters"]) for name, _ in BENCHMARKS
+             for row in csv.DictReader(io.StringIO(
+                 (out[f"benchmark {name}: records.csv"] or b"").decode()))]
+    admm = (f"records {sum(v > 0 for v in iters)}/{len(iters)}, run_single "
+            f"steps {digest['admm_steps']}/{digest['steps']}")
+    return out, admm
 
 
 # -- comparison within a relative tolerance ---------------------------------
@@ -288,8 +302,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "tree"
         unpack(args.base, base_tree)
-        before = collect(base_tree, Path(tmp) / "base", raw)
-        after = collect(ROOT, Path(tmp) / "change", raw)
+        before, admm_before = collect(base_tree, Path(tmp) / "base", raw)
+        after, admm_after = collect(ROOT, Path(tmp) / "change", raw)
     n_diff = 0
     for label in sorted(before.keys() | after.keys()):
         if label not in before or label not in after:
@@ -299,6 +313,8 @@ def main(argv=None) -> int:
                                   args.rtol)
         n_diff += not ok
         print(f"{label}: {verdict}")
+    print(f"ran ADMM (qp_iters > 0, not gated): {admm_before} -> "
+          f"{admm_after}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"
     print(f"{len(before | after) - n_diff} pass, {n_diff} different "
           f"(base {base}, {mode})")
