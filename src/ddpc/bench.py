@@ -17,7 +17,7 @@ import hashlib
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 from itertools import product
 from pathlib import Path
@@ -66,9 +66,6 @@ __all__ = [
     "RECORD_FIELDS",
 ]
 
-RECORD_FIELDS = ("controller", "N_d", "sigma_e", "eps", "seed", "J", "J_y",
-                 "J_u", "wall_ms", "qp_iters", "status", "dataset_hash")
-
 # Stream tags keeping dataset and closed-loop noise independent.
 _DATA_STREAM = 0x0DA7A
 _LOOP_STREAM = 0xC105ED
@@ -77,75 +74,126 @@ _LOOP_STREAM = 0xC105ED
 _CONTROLLER_PARAMS = ("mu", "lam", "gamma3_zero")
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split())
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}: {exc}") from None
+# -- value parsers: each one is the rule of the keys it reads ---------------
 
 
 def _parse_matrix(text: str) -> np.ndarray:
     rows = [r.strip() for r in text.split(";") if r.strip()]
-    try:
-        return np.array([[float(tok) for tok in r.split()] for r in rows])
-    except ValueError as exc:
-        raise ConfigError(f"bad matrix {text!r}: {exc}") from None
+    return np.array([[float(tok) for tok in r.split()] for r in rows])
+
+
+def _int_from(least: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise ValueError(f"must be >= {least}, got {value}")
+        return value
+    return parse
+
+
+def _float_where(ok, rule: str):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not ok(value):
+            raise ValueError(f"{rule}, got {value:g}")
+        return value
+    return parse
+
+
+def _one_of(*words: str):
+    def parse(text: str) -> str:
+        word = text.strip()
+        if word not in words:
+            raise ValueError(f"must be one of {', '.join(words)}, "
+                             f"got {word!r}")
+        return word
+    return parse
+
+
+def _list_of(parse):
+    return lambda text: tuple(parse(tok) for tok in text.split())
+
+
+_COUNT = _int_from(1)
+_UNIT = _float_where(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
+_NONNEGATIVE = _float_where(lambda v: v >= 0.0, "must be >= 0")
+_POSITIVE = _float_where(lambda v: 0.0 < v < math.inf,
+                         "must be finite and > 0")
+
+
+def _key(section: str, key: str, parse, default: str | None = None):
+    """The field filled by ``[section] key``; ``default=None`` is required."""
+    return field(metadata={"config": (section, key, parse, default)})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; see the bundled configs for examples."""
+    """Parsed experiment description; see the bundled configs for examples.
+
+    Every field but ``feedback`` and ``controller_params`` declares the
+    config key that fills it, its parser (which is also its rule) and its
+    default, through ``_key``; ``load_config`` reads these declarations.
+    """
 
     # plant
-    plant_kind: str
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    K: np.ndarray
-    sigma_e: float
-    eps: float
+    plant_kind: str = _key("plant", "kind", _one_of("lti", "nonlinear"))
+    A: np.ndarray = _key("plant", "a", _parse_matrix)
+    B: np.ndarray = _key("plant", "b", _parse_matrix)
+    C: np.ndarray = _key("plant", "c", _parse_matrix)
+    D: np.ndarray = _key("plant", "d", _parse_matrix)
+    K: np.ndarray = _key("plant", "k", _parse_matrix)
+    sigma_e: float = _key("plant", "sigma_e", _NONNEGATIVE, "0.0")
+    eps: float = _key("plant", "eps", _UNIT, "0.0")
     # excitation for data collection
-    excitation_kind: str
-    excitation_period: int
-    excitation_amplitude: float
-    excitation_hold: int
-    excitation_n_freqs: int
-    setpoint_levels: tuple[float, ...]
-    setpoint_period: int
+    excitation_kind: str = _key(
+        "excitation", "kind",
+        _one_of("square", "steps", "multisine", "closedloop"), "square")
+    excitation_period: int = _key("excitation", "period", _int_from(2),
+                                  "200")
+    excitation_amplitude: float = _key("excitation", "amplitude", float, "3")
+    excitation_hold: int = _key("excitation", "hold", _COUNT, "10")
+    excitation_n_freqs: int = _key("excitation", "n_freqs", _COUNT, "25")
+    setpoint_levels: tuple[float, ...] = _key(
+        "excitation", "setpoint_levels", _list_of(float), "-1 1")
+    setpoint_period: int = _key("excitation", "setpoint_period", _COUNT,
+                                "100")
     feedback: LinearFeedbackController | None
     # horizons / cost / constraints / reference
-    L_p: int
-    L_f: int
-    q_weight: float
-    r_weight: float
-    u_min: float
-    u_max: float
-    y_min: float
-    y_max: float
-    ref_period: float
-    ref_amplitude: float
+    L_p: int = _key("horizons", "l_p", _COUNT)
+    L_f: int = _key("horizons", "l_f", _COUNT)
+    q_weight: float = _key("cost", "q", float, "1")
+    r_weight: float = _key("cost", "r", float, "1")
+    u_min: float = _key("constraints", "u_min", float, "-inf")
+    u_max: float = _key("constraints", "u_max", float, "inf")
+    y_min: float = _key("constraints", "y_min", float, "-inf")
+    y_max: float = _key("constraints", "y_max", float, "inf")
+    ref_period: float = _key("reference", "period", float, "60")
+    ref_amplitude: float = _key("reference", "amplitude", float, "1")
     # run / sweep
-    n_steps: int
-    n_d: int
-    seeds: int
-    warmup: str
-    controllers: tuple[str, ...]
+    n_steps: int = _key("run", "n_steps", _COUNT)
+    n_d: int = _key("run", "n_d", _COUNT)
+    seeds: int = _key("run", "seeds", _COUNT, "100")
+    warmup: str = _key("run", "warmup", _one_of("zero", "excitation"),
+                       "excitation")
+    controllers: tuple[str, ...] = _key("controllers", "list", _list_of(str))
     controller_params: dict
-    sweep_n_d: tuple[int, ...]
-    sweep_sigma_e: tuple[float, ...]
-    sweep_eps: tuple[float, ...]
-    baseline: str
+    sweep_n_d: tuple[int, ...] = _key("sweep", "n_d", _list_of(_COUNT), "")
+    sweep_sigma_e: tuple[float, ...] = _key("sweep", "sigma_e",
+                                            _list_of(_NONNEGATIVE), "")
+    sweep_eps: tuple[float, ...] = _key("sweep", "eps", _list_of(_UNIT), "")
+    baseline: str = _key("sweep", "baseline", str.strip, "")
     # tuning
-    tune_controllers: tuple[str, ...]
-    grid_min: float
-    grid_max: float
-    grid_points: int
-    grid_points_2d: int
-    tune_seeds: int
-    tune_seed_offset: int
+    tune_controllers: tuple[str, ...] = _key("tune", "controllers",
+                                             _list_of(str), "")
+    grid_min: float = _key("tune", "grid_min", _POSITIVE, "1e-5")
+    grid_max: float = _key("tune", "grid_max", _POSITIVE, "1e5")
+    grid_points: int = _key("tune", "grid_points", _COUNT, "100")
+    grid_points_2d: int = _key("tune", "grid_points_2d", _COUNT, "10")
+    tune_seeds: int = _key("tune", "seeds", _COUNT, "5")
+    tune_seed_offset: int = _key("tune", "seed_offset", _int_from(0),
+                                 "100000")
     # output
-    out_dir: str
+    out_dir: str = _key("output", "dir", str, "out")
 
     # -- derived handles ---------------------------------------------------
 
@@ -239,7 +287,8 @@ def load_config(path) -> ExperimentConfig:
 
     Raises:
         ConfigError: On a missing file, a directory with no bundled config
-            of its name, missing sections/keys, malformed values, or a
+            of its name, missing sections/keys, malformed values or values
+            outside their key's rule (see ``ExperimentConfig``), or a
             section or key that is not read (a typo such as ``u_mni``
             would otherwise drop the setting silently); controller
             parameters must name a known variant and one of ``mu``,
@@ -268,48 +317,27 @@ def load_config(path) -> ExperimentConfig:
 
     read: set[tuple[str, str]] = set()  # every (section, key) asked for
 
-    def opt(section: str, key: str, default: str | None) -> str:
+    def parsed(section: str, key: str, convert, default: str | None = None):
         read.add((section, key))
         try:
-            return parser.get(section, key)
+            text = parser.get(section, key)
         except (configparser.NoSectionError, configparser.NoOptionError):
             if default is None:
                 raise ConfigError(
                     f"{path}: missing [{section}] {key}") from None
-            return default
-
-    def need(section: str, key: str) -> str:
-        return opt(section, key, None)
-
-    def parsed(convert, section: str, key: str, default: str | None = None):
-        text = opt(section, key, default)
+            text = default
         try:
             return convert(text)
-        except ValueError as exc:  # the list parsers' ConfigError too
+        except ValueError as exc:
             raise ConfigError(f"{path}: [{section}] {key}: {exc}") from None
 
-    plant_kind = need("plant", "kind").strip()
-    if plant_kind not in ("lti", "nonlinear"):
-        raise ConfigError(f"{path}: plant kind must be lti or nonlinear")
-    A = parsed(_parse_matrix, "plant", "a")
-    B = parsed(_parse_matrix, "plant", "b")
-    C = parsed(_parse_matrix, "plant", "c")
-    D = parsed(_parse_matrix, "plant", "d")
-    K = parsed(_parse_matrix, "plant", "k")
-
-    excitation_kind = opt("excitation", "kind", "square").strip()
-    if excitation_kind not in ("square", "steps", "multisine", "closedloop"):
-        raise ConfigError(f"{path}: excitation kind must be square, steps, "
-                          "multisine or closedloop")
-    feedback = None
-    if excitation_kind == "closedloop":
-        feedback = LinearFeedbackController(
-            parsed(_parse_matrix, "excitation", "fb_a"),
-            parsed(_parse_matrix, "excitation", "fb_b"),
-            parsed(_parse_matrix, "excitation", "fb_c"),
-            parsed(_parse_matrix, "excitation", "fb_d"))
-
-    controllers = tuple(need("controllers", "list").split())
+    values = {f.name: parsed(*f.metadata["config"])
+              for f in fields(ExperimentConfig) if "config" in f.metadata}
+    values["feedback"] = None
+    if values["excitation_kind"] == "closedloop":
+        values["feedback"] = LinearFeedbackController(
+            *(parsed("excitation", key, _parse_matrix)
+              for key in ("fb_a", "fb_b", "fb_c", "fb_d")))
     params: dict[str, dict] = {}
     if parser.has_section("controllers"):
         for key in parser["controllers"]:
@@ -327,53 +355,10 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: controller parameter {key!r} must be one of "
                     f"{', '.join(_CONTROLLER_PARAMS)}")
-            params.setdefault(name, {})[param] = parsed(float, "controllers",
-                                                        key)
+            params.setdefault(name, {})[param] = parsed("controllers", key,
+                                                        float)
+    values["controller_params"] = params
 
-    cfg = ExperimentConfig(
-        plant_kind=plant_kind,
-        A=A, B=B, C=C, D=D, K=K,
-        sigma_e=parsed(float, "plant", "sigma_e", "0.0"),
-        eps=parsed(float, "plant", "eps", "0.0"),
-        excitation_kind=excitation_kind,
-        excitation_period=parsed(int, "excitation", "period", "200"),
-        excitation_amplitude=parsed(float, "excitation", "amplitude", "3"),
-        excitation_hold=parsed(int, "excitation", "hold", "10"),
-        excitation_n_freqs=parsed(int, "excitation", "n_freqs", "25"),
-        setpoint_levels=parsed(_parse_floats, "excitation",
-                               "setpoint_levels", "-1 1"),
-        setpoint_period=parsed(int, "excitation", "setpoint_period", "100"),
-        feedback=feedback,
-        L_p=parsed(int, "horizons", "l_p"),
-        L_f=parsed(int, "horizons", "l_f"),
-        q_weight=parsed(float, "cost", "q", "1"),
-        r_weight=parsed(float, "cost", "r", "1"),
-        u_min=parsed(float, "constraints", "u_min", "-inf"),
-        u_max=parsed(float, "constraints", "u_max", "inf"),
-        y_min=parsed(float, "constraints", "y_min", "-inf"),
-        y_max=parsed(float, "constraints", "y_max", "inf"),
-        ref_period=parsed(float, "reference", "period", "60"),
-        ref_amplitude=parsed(float, "reference", "amplitude", "1"),
-        n_steps=parsed(int, "run", "n_steps"),
-        n_d=parsed(int, "run", "n_d"),
-        seeds=parsed(int, "run", "seeds", "100"),
-        warmup=opt("run", "warmup", "excitation").strip(),
-        controllers=controllers,
-        controller_params=params,
-        sweep_n_d=tuple(int(v) for v in
-                        parsed(_parse_floats, "sweep", "n_d", "")) or None,
-        sweep_sigma_e=parsed(_parse_floats, "sweep", "sigma_e", "") or None,
-        sweep_eps=parsed(_parse_floats, "sweep", "eps", "") or None,
-        baseline=opt("sweep", "baseline", "").strip(),
-        tune_controllers=tuple(opt("tune", "controllers", "").split()),
-        grid_min=parsed(float, "tune", "grid_min", "1e-5"),
-        grid_max=parsed(float, "tune", "grid_max", "1e5"),
-        grid_points=parsed(int, "tune", "grid_points", "100"),
-        grid_points_2d=parsed(int, "tune", "grid_points_2d", "10"),
-        tune_seeds=parsed(int, "tune", "seeds", "5"),
-        tune_seed_offset=parsed(int, "tune", "seed_offset", "100000"),
-        out_dir=opt("output", "dir", "out"),
-    )
     sections = {section for section, _ in read}
     if parser.defaults():
         raise ConfigError(
@@ -386,30 +371,13 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: unknown or unused key {key!r} in [{section}]")
     # fall back to the base point when no sweep grid is given
-    object.__setattr__(cfg, "sweep_n_d", cfg.sweep_n_d or (cfg.n_d,))
-    object.__setattr__(cfg, "sweep_sigma_e",
-                       cfg.sweep_sigma_e or (cfg.sigma_e,))
-    object.__setattr__(cfg, "sweep_eps", cfg.sweep_eps or (cfg.eps,))
-    if cfg.warmup not in ("zero", "excitation"):
-        raise ConfigError(f"{path}: warmup must be zero or excitation")
-    for eps in (cfg.eps, *cfg.sweep_eps):
-        if not 0.0 <= eps <= 1.0:
-            raise ConfigError(f"{path}: eps must be in [0, 1], got {eps}")
-    for sigma_e in (cfg.sigma_e, *cfg.sweep_sigma_e):
-        if not sigma_e >= 0.0:
-            raise ConfigError(f"{path}: sigma_e must be >= 0, got {sigma_e}")
-    for key, value, ok, rule in (
-            ("seeds", cfg.tune_seeds, cfg.tune_seeds >= 1, "must be >= 1"),
-            ("grid_points", cfg.grid_points, cfg.grid_points >= 1,
-             "must be >= 1"),
-            ("grid_points_2d", cfg.grid_points_2d, cfg.grid_points_2d >= 1,
-             "must be >= 1"),
-            ("grid_min", cfg.grid_min, 0.0 < cfg.grid_min < math.inf,
-             "must be finite and > 0"),
-            ("grid_max", cfg.grid_max, cfg.grid_min <= cfg.grid_max < math.inf,
-             "must be finite and >= grid_min")):
-        if not ok:
-            raise ConfigError(f"{path}: [tune] {key}: {rule}, got {value:g}")
+    for sweep, base in (("sweep_n_d", "n_d"), ("sweep_sigma_e", "sigma_e"),
+                        ("sweep_eps", "eps")):
+        values[sweep] = values[sweep] or (values[base],)
+    cfg = ExperimentConfig(**values)
+    if cfg.grid_max < cfg.grid_min:
+        raise ConfigError(f"{path}: [tune] grid_max: must be >= grid_min, "
+                          f"got {cfg.grid_max:g}")
     for name in cfg.controllers:
         try:
             cfg.controller_spec(name)  # validates names and parameters
@@ -434,6 +402,9 @@ class RunRecord:
     qp_iters: int
     status: str
     dataset_hash: str
+
+
+RECORD_FIELDS = tuple(f.name for f in fields(RunRecord))
 
 
 def _dataset_hash(traj: Trajectory) -> str:
@@ -580,21 +551,6 @@ def select_best(candidates: list[tuple], scores: list[float]) -> tuple:
     return candidates[best_idx]
 
 
-def _tune_objective(cfg: ExperimentConfig, name: str, params: dict,
-                    n_d: int, sigma_e: float, eps: float) -> float:
-    trial = cfg.with_controller_params(name, **params)
-    total = 0.0
-    for i in range(cfg.tune_seeds):
-        seed = cfg.tune_seed_offset + i
-        try:
-            rollout, _ = run_single(trial, name, seed, n_d=n_d,
-                                    sigma_e=sigma_e, eps=eps)
-            total += rollout.J
-        except Diverged:
-            return float("inf")
-    return total / cfg.tune_seeds
-
-
 def tune(cfg: ExperimentConfig, controller: str,
          n_d: int | None = None, sigma_e: float | None = None,
          eps: float | None = None) -> dict:
@@ -619,8 +575,32 @@ def tune(cfg: ExperimentConfig, controller: str,
                                            points)]
     candidates = [dict(zip(names, values))
                   for values in product(axis, repeat=len(names))]
-    scores = [_tune_objective(cfg, controller, cand, n_d, sigma_e, eps)
+    trials = [cfg.with_controller_params(controller, **cand)
               for cand in candidates]
+    specs = [trial.controller_spec(controller) for trial in trials]
+    # each validation seed's dataset and factor serve every candidate; a
+    # divergence, in the collection or in a rollout, scores inf
+    totals = [0.0] * len(candidates)
+    diverged = set()
+    for seed in range(cfg.tune_seed_offset,
+                      cfg.tune_seed_offset + cfg.tune_seeds):
+        try:
+            traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
+        except Diverged:
+            diverged.update(range(len(candidates)))
+            break
+        handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
+                           (controller,))
+        for i, (trial, spec) in enumerate(zip(trials, specs)):
+            if i in diverged:
+                continue
+            try:
+                totals[i] += _rollout(trial, spec, traj, handles, n_d,
+                                      sigma_e, eps, seed).J
+            except Diverged:
+                diverged.add(i)
+    scores = [float("inf") if i in diverged else total / cfg.tune_seeds
+              for i, total in enumerate(totals)]
     keys = [tuple(sorted(c.items())) for c in candidates]
     best_key = select_best(keys, scores)
     return dict(best_key)
@@ -683,10 +663,9 @@ def write_records(records: list[RunRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow([r.controller, r.N_d, _fmt(r.sigma_e),
-                             _fmt(r.eps), r.seed, _fmt(r.J), _fmt(r.J_y),
-                             _fmt(r.J_u), _fmt(0.0), r.qp_iters, r.status,
-                             r.dataset_hash])
+            writer.writerow([_fmt(0.0 if name == "wall_ms"
+                                  else getattr(r, name))
+                             for name in RECORD_FIELDS])
 
 
 def write_normalized(rows: list[dict], path) -> None:

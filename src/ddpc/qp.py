@@ -146,6 +146,15 @@ class QpSettings:
     eps_rel: float = 1e-8
     max_iter: int = 50000
 
+    def __post_init__(self):
+        for name in ("eps_abs", "eps_rel"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+
 
 @dataclass
 class QpSolution:

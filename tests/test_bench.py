@@ -27,6 +27,7 @@ from ddpc import (
     MissingBaseline,
     RECORD_FIELDS,
     RunRecord,
+    bench,
     bundled_config_path,
     load_config,
     normalize_costs,
@@ -218,7 +219,16 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
     ({"sweep": "n_d = 60 many"}, "[sweep] n_d"),
     ({"plant": "kind = lti\na = zero\nb = 1\nc = 1\nd = 0\nk = 0"},
      "[plant] a"),
-], ids=["controller-param", "int-key", "float-key", "float-list", "matrix"])
+    ({"sweep": "n_d = 150.7"}, "[sweep] n_d"),
+    ({"sweep": "n_d = inf"}, "[sweep] n_d"),
+    ({"sweep": "n_d = nan"}, "[sweep] n_d"),
+    ({"run": "n_steps = 5\nn_d = 60\nseeds = -3"}, "[run] seeds"),
+    ({"run": "n_steps = 0\nn_d = 60"}, "[run] n_steps"),
+    ({"horizons": "l_p = 0\nl_f = 3"}, "[horizons] l_p"),
+    ({"excitation": "period = 1"}, "[excitation] period"),
+], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
+        "sweep-n-d-fraction", "sweep-n-d-inf", "sweep-n-d-nan",
+        "negative-seeds", "no-steps", "no-past-window", "period-below-2"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)
     with pytest.raises(ConfigError) as info:
@@ -448,6 +458,23 @@ def test_tune_two_parameter_grid():
     assert set(best) == {"lam", "mu"}
 
 
+def test_tune_collects_each_validation_seed_once(monkeypatch):
+    # every candidate is scored on the same dataset, so it is built once
+    # per seed, not once per candidate and seed
+    cfg = replace(_small(controllers=("reg_gamma",)), grid_points=3,
+                  grid_min=1e-3, grid_max=1e3, tune_seeds=1)
+    calls = []
+    collect = bench.collect_open_loop
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return collect(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "collect_open_loop", counting)
+    tune(cfg, "reg_gamma")
+    assert len(calls) == 1
+
+
 def test_tune_rejects_unregularized_controllers():
     with pytest.raises(ValueError):
         tune(_small(), "spc")
@@ -465,6 +492,8 @@ def test_write_records_layout_and_byte_stability(tmp_path):
     write_records(records, p2)
     assert p1.read_bytes() == p2.read_bytes()
     lines = p1.read_text().strip().splitlines()
+    assert lines[0] == ("controller,N_d,sigma_e,eps,seed,J,J_y,J_u,wall_ms,"
+                        "qp_iters,status,dataset_hash")
     assert lines[0] == ",".join(RECORD_FIELDS)
     assert len(lines) == 1 + len(records)
     # the wall column is always zero

@@ -257,6 +257,17 @@ def test_benchmark_missing_config(tmp_path, capsys):
     assert main(["benchmark", "--config", str(tmp_path / "gone.cfg")]) == 1
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_benchmark_without_seeds_is_usage_error(mini_config, tmp_path,
+                                                capsys, seeds):
+    # no seeds would write an empty records.csv and exit 0
+    out = tmp_path / "bench_out"
+    assert main(["benchmark", "--config", str(mini_config),
+                 "--out", str(out), "--seeds", seeds]) == 1
+    assert "--seeds" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------

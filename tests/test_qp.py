@@ -264,6 +264,21 @@ def test_max_iter_reported_with_residuals():
     assert np.isfinite(sol.primal_res) and np.isfinite(sol.dual_res)
 
 
+@pytest.mark.parametrize("kv,named", [
+    ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": -5}, "max_iter"),
+    ({"eps_abs": float("nan")}, "eps_abs"),
+    ({"eps_abs": -1.0}, "eps_abs"),
+    ({"eps_rel": float("inf")}, "eps_rel"),
+], ids=["max-iter-zero", "max-iter-negative", "eps-abs-nan",
+        "eps-abs-negative", "eps-rel-inf"])
+def test_settings_reject_empty_iteration_cap_and_bad_tolerances(kv, named):
+    # a cap below 1 would report MAX_ITER without an ADMM iteration, and
+    # no residual passes a NaN or negative tolerance
+    with pytest.raises(ValueError, match=named):
+        QpSettings(**kv)
+
+
 # ---------------------------------------------------------------------------
 # warm-started re-solves
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ directory of its own, and these artifacts are compared:
   ``records.csv`` and ``normalized.csv``;
 * ``ddpc control --config table1 --controller <v>`` for every variant:
   the exit code, stdout and the per-step CSV;
+* ``ddpc tune --config table1`` over its full grids (about 25 s on one
+  core): the exit code and stdout, the tuned weights;
 * ``run_single`` for every variant at table1 seeds 0-2, with
   ``gamma.mu = 1e3`` and ``projreg_g.mu = reg_gamma.mu``: J, J_y, J_u and
   every step's ``u_f``/``y_f``, ``qp_iterations``, ``qp_status``,
@@ -142,6 +144,9 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
         out[f"control {variant}: exit code"] = done.returncode
         out[f"control {variant}: stdout"] = done.stdout
         out[f"control {variant}: csv"] = _read(work / csv_name)
+    done = _run(tree, work, ["-m", "ddpc", "tune", "--config", "table1"])
+    out["tune table1: exit code"] = done.returncode
+    out["tune table1: stdout"] = done.stdout
     for script in sorted((tree / "demos").glob("*.py")):
         label, run_dir = f"demo {script.stem}", work / f"demo_{script.stem}"
         run_dir.mkdir()
