@@ -116,9 +116,12 @@ def _list_of(parse):
 
 _COUNT = _int_from(1)
 _UNIT = _float_where(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]")
-_NONNEGATIVE = _float_where(lambda v: v >= 0.0, "must be >= 0")
+_NONNEGATIVE = _float_where(lambda v: 0.0 <= v < math.inf,
+                            "must be finite and >= 0")
 _POSITIVE = _float_where(lambda v: 0.0 < v < math.inf,
                          "must be finite and > 0")
+_FINITE = _float_where(math.isfinite, "must be finite")
+_BOUND = _float_where(lambda v: not math.isnan(v), "must not be nan")
 
 
 def _key(section: str, key: str, parse, default: str | None = None):
@@ -150,7 +153,8 @@ class ExperimentConfig:
         _one_of("square", "steps", "multisine", "closedloop"), "square")
     excitation_period: int = _key("excitation", "period", _int_from(2),
                                   "200")
-    excitation_amplitude: float = _key("excitation", "amplitude", float, "3")
+    excitation_amplitude: float = _key("excitation", "amplitude", _FINITE,
+                                        "3")
     excitation_hold: int = _key("excitation", "hold", _COUNT, "10")
     excitation_n_freqs: int = _key("excitation", "n_freqs", _COUNT, "25")
     setpoint_levels: tuple[float, ...] = _key(
@@ -161,14 +165,14 @@ class ExperimentConfig:
     # horizons / cost / constraints / reference
     L_p: int = _key("horizons", "l_p", _COUNT)
     L_f: int = _key("horizons", "l_f", _COUNT)
-    q_weight: float = _key("cost", "q", float, "1")
-    r_weight: float = _key("cost", "r", float, "1")
-    u_min: float = _key("constraints", "u_min", float, "-inf")
-    u_max: float = _key("constraints", "u_max", float, "inf")
-    y_min: float = _key("constraints", "y_min", float, "-inf")
-    y_max: float = _key("constraints", "y_max", float, "inf")
-    ref_period: float = _key("reference", "period", float, "60")
-    ref_amplitude: float = _key("reference", "amplitude", float, "1")
+    q_weight: float = _key("cost", "q", _NONNEGATIVE, "1")
+    r_weight: float = _key("cost", "r", _POSITIVE, "1")
+    u_min: float = _key("constraints", "u_min", _BOUND, "-inf")
+    u_max: float = _key("constraints", "u_max", _BOUND, "inf")
+    y_min: float = _key("constraints", "y_min", _BOUND, "-inf")
+    y_max: float = _key("constraints", "y_max", _BOUND, "inf")
+    ref_period: float = _key("reference", "period", _POSITIVE, "60")
+    ref_amplitude: float = _key("reference", "amplitude", _FINITE, "1")
     # run / sweep
     n_steps: int = _key("run", "n_steps", _COUNT)
     n_d: int = _key("run", "n_d", _COUNT)
@@ -513,7 +517,12 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1,
 
     Returns:
         Records sorted by (controller, N_d, sigma_e, eps, seed).
+
+    Raises:
+        ValueError: If ``workers`` is below 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = range(cfg.seeds) if seeds is None else seeds
     units = [(cfg, n_d, sig, eps, seed)
              for n_d, sig, eps in product(cfg.sweep_n_d, cfg.sweep_sigma_e,

@@ -119,6 +119,8 @@ def _cmd_control(args) -> int:
 def _cmd_benchmark(args) -> int:
     if args.seeds is not None and args.seeds < 1:
         raise ConfigError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     cfg = bench.load_config(args.config)
     seeds = range(args.seeds) if args.seeds is not None else None
     records = bench.run_sweep(cfg, workers=args.workers, seeds=seeds)

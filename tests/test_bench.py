@@ -226,9 +226,27 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
     ({"run": "n_steps = 0\nn_d = 60"}, "[run] n_steps"),
     ({"horizons": "l_p = 0\nl_f = 3"}, "[horizons] l_p"),
     ({"excitation": "period = 1"}, "[excitation] period"),
+    ({"reference": "period = 0"}, "[reference] period"),
+    ({"reference": "period = inf"}, "[reference] period"),
+    ({"cost": "q = nan"}, "[cost] q"),
+    ({"cost": "q = -1"}, "[cost] q"),
+    ({"cost": "r = 0"}, "[cost] r"),
+    ({"cost": "r = inf"}, "[cost] r"),
+    ({"excitation": "amplitude = inf"}, "[excitation] amplitude"),
+    ({"reference": "amplitude = nan"}, "[reference] amplitude"),
+    ({"constraints": "u_min = nan"}, "[constraints] u_min"),
+    ({"constraints": "u_max = nan"}, "[constraints] u_max"),
+    ({"constraints": "y_min = nan"}, "[constraints] y_min"),
+    ({"constraints": "y_max = nan"}, "[constraints] y_max"),
+    ({"plant": "kind = lti\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\n"
+               "sigma_e = inf"}, "[plant] sigma_e"),
 ], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
         "sweep-n-d-fraction", "sweep-n-d-inf", "sweep-n-d-nan",
-        "negative-seeds", "no-steps", "no-past-window", "period-below-2"])
+        "negative-seeds", "no-steps", "no-past-window", "period-below-2",
+        "ref-period-zero", "ref-period-inf", "q-nan", "q-negative",
+        "r-zero", "r-inf", "excitation-amplitude-inf",
+        "ref-amplitude-nan", "u-min-nan", "u-max-nan", "y-min-nan",
+        "y-max-nan", "sigma-e-inf"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)
     with pytest.raises(ConfigError) as info:
@@ -354,6 +372,13 @@ def test_sweep_worker_count_does_not_change_records():
     parallel = run_sweep(cfg, workers=2)
     strip = lambda r: replace(r, wall_ms=0.0)
     assert [strip(r) for r in serial] == [strip(r) for r in parallel]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_worker_count_below_one(workers):
+    # it used to run serially, as if one worker had been asked for
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_sweep(_small(seeds=1), workers=workers)
 
 
 def test_sweep_survives_diverging_grid_point():

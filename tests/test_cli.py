@@ -268,6 +268,18 @@ def test_benchmark_without_seeds_is_usage_error(mini_config, tmp_path,
     assert not (out / "records.csv").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_benchmark_without_workers_is_usage_error(mini_config, tmp_path,
+                                                  capsys, workers):
+    # a count below one used to run serially and exit 0
+    out = tmp_path / "bench_out"
+    assert main(["benchmark", "--config", str(mini_config),
+                 "--out", str(out), "--seeds", "1",
+                 "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+    assert not (out / "records.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # tune
 # ---------------------------------------------------------------------------

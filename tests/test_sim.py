@@ -10,7 +10,11 @@ Covers:
     steps (hold structure, bounds), multisine (peak normalization,
     determinism, persistency at deep windows).
   * open-loop collection (noise-free determinism, innovation whiteness
-    of the logged data, channel checks) and closed-loop collection
+    of the logged data, channel checks; bitwise equality with a
+    per-sample ``step_model`` loop on the bundled plants, round-off
+    agreement on a MIMO plant, a one-sample record, and divergence
+    naming the loop's step without a floating-point warning) and
+    closed-loop collection
     (zero fixed point, the bundled PI loop, a 2x2 multivariable
     feedback example, divergence detection).
   * observer decay of the benchmark model over the past window.
@@ -18,6 +22,8 @@ Covers:
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -34,12 +40,14 @@ from ddpc import (
     build_hankel,
     collect_closed_loop,
     collect_open_loop,
+    load_config,
     multisine,
     random_steps,
     rng_for,
     sine_reference,
     square_wave,
     step_lti,
+    step_model,
     step_nonlinear,
 )
 
@@ -233,6 +241,78 @@ def test_open_loop_sigma_override():
 def test_open_loop_channel_mismatch():
     with pytest.raises(DimensionMismatch):
         collect_open_loop(demo_model(), np.zeros((2, 30)))
+
+
+def _step_loop(plant, u, e) -> tuple[np.ndarray, int | None]:
+    """Per-sample reference: ``step_model`` from rest, stopping at the
+    first output of magnitude 1e6 or more; returns the outputs and that
+    step (None if there is none)."""
+    x = np.zeros(plant.n)
+    y = np.empty((plant.p, u.shape[1]))
+    for t in range(u.shape[1]):
+        x, y[:, t] = step_model(plant, x, u[:, t], e[:, t])
+        if not np.all(np.abs(y[:, t]) < 1e6):
+            return y, t
+    return y, None
+
+
+def _noise(plant, tag: int, n: int) -> np.ndarray:
+    # the draw collect_open_loop makes from rng=seeded(tag)
+    return plant.sigma_e * seeded(tag).standard_normal((plant.p, n))
+
+
+@pytest.mark.parametrize("name", ["table1", "nonlinear_fig2"])
+def test_open_loop_bitwise_equals_per_sample_loop(name):
+    # every batched product of the bundled plants is exact: inner
+    # dimension 1, or one nonzero term (c = [0 1.4142])
+    cfg = load_config(name)
+    plant = cfg.plant(sigma_e=0.3)
+    u = cfg.excitation(600, rng=seeded(111))
+    traj = collect_open_loop(plant, u, rng=seeded(112))
+    y, diverged_at = _step_loop(plant, np.atleast_2d(u),
+                                _noise(plant, 112, 600))
+    assert diverged_at is None
+    np.testing.assert_array_equal(traj.outputs, y)
+    np.testing.assert_array_equal(traj.inputs, np.atleast_2d(u))
+
+
+def test_open_loop_mimo_agrees_with_per_sample_loop():
+    plant = random_model(seeded(113), n=4, m=2, p=2, sigma_e=0.2)
+    u = seeded(114).standard_normal((2, 600))
+    traj = collect_open_loop(plant, u, rng=seeded(115))
+    y, _ = _step_loop(plant, u, _noise(plant, 115, 600))
+    np.testing.assert_allclose(traj.outputs, y, rtol=1e-12,
+                               atol=1e-12 * np.abs(y).max())
+
+
+def test_open_loop_single_sample_record():
+    plant = demo_model(sigma_e=0.3)
+    traj = collect_open_loop(plant, np.array([[0.7]]), rng=seeded(116))
+    _, y = step_model(plant, np.zeros(2), np.array([0.7]),
+                      _noise(plant, 116, 1)[:, 0])
+    assert traj.outputs.shape == (1, 1)
+    np.testing.assert_array_equal(traj.outputs[:, 0], y)
+
+
+def _unstable_lti():
+    # growing rotation: the state overflows to +-inf and then nan
+    return StateSpaceModel(A=[[1.5, 0.4], [-0.4, 1.5]], B=[[1.0], [0.0]],
+                           C=[[0.0, 1.0]], D=[[0.0]], K=[[0.1], [0.1]],
+                           sigma_e=0.1)
+
+
+@pytest.mark.parametrize("plant,amplitude", [
+    (_unstable_lti(), 1.0),
+    (NonlinearWrapper(demo_model(sigma_e=0.1), eps=0.5), 60.0),
+], ids=["unstable-lti", "nonlinear-large-input"])
+def test_open_loop_divergence_names_the_loops_step(plant, amplitude):
+    u = square_wave(50, amplitude, 2000)[None, :]
+    _, step = _step_loop(plant, u, _noise(plant, 117, 2000))
+    assert step is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Diverged, match=rf"at step {step}$"):
+            collect_open_loop(plant, u, rng=seeded(117))
 
 
 def test_logged_innovations_are_white():

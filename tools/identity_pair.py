@@ -23,12 +23,17 @@ directory of its own, and these artifacts are compared:
   ``primal_res`` and ``dual_res``;
 * every script in ``demos/``, each in a directory of its own: the exit
   code, stdout and every file it writes there (demo 03's
-  ``rollout_demo.csv``, demo 06's CSVs).
+  ``rollout_demo.csv``, demo 06's CSVs);
+* ``collect_open_loop`` at n_d = 5000 on the table1 and nonlinear_fig2
+  plants, seeds 0-2, each record drawn as perfbench's identify_long
+  draws it: the input and output record (longer than any record that
+  reaches ``records.csv``).
 
-By default every artifact must be byte-identical, and ``run_single`` is
-compared through a sha256 digest.  With ``--rtol r``, ``run_single``
-reports raw values, and numbers may differ by a relative ``r``: a numeric
-CSV column, a ``u_f``/``y_f`` record or a J is within ``r`` when
+By default every artifact must be byte-identical, and ``run_single`` and
+the open-loop records are compared through a sha256 digest.  With
+``--rtol r``, both report raw values, and numbers may differ by a
+relative ``r``: a numeric CSV column, a ``u_f``/``y_f`` record, an
+open-loop output record or a J is within ``r`` when
 ``max|a - b| <= r * max(|a|, |b|)`` over it.  Exit codes, statuses and
 every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
@@ -62,6 +67,7 @@ from bench_pair import ROOT, git, unpack
 BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
               ("closedloop", None))
 DIGEST_SEEDS = 3
+COLLECT_N_D = 5000
 UNGATED_COLUMNS = ("qp_iters",)
 
 # Runs in each tree; prints {"runs": {"<variant>/<seed>": sha256}, "steps":
@@ -106,6 +112,35 @@ for variant in ddpc.VARIANTS:
         out[f"{{variant}}/{{seed}}"] = hashlib.sha256(blob).hexdigest()
 json.dump(dict(runs=out, steps=n_steps, admm_steps=n_admm), sys.stdout,
           sort_keys=True)
+"""
+
+
+# Runs in each tree; prints {"<config>/<seed>": sha256 of the record's
+# shape, inputs and outputs, as bench.py's dataset_hash takes it} as JSON,
+# or with RAW set the output record itself in place of each sha256.
+COLLECT_CODE = """
+import hashlib, json, sys
+import numpy as np
+import ddpc
+
+RAW = {raw}
+out = {{}}
+for name in ("table1", "nonlinear_fig2"):
+    cfg = ddpc.load_config(name)
+    plant = cfg.plant()
+    for seed in range({seeds}):
+        rng = ddpc.rng_for(0x1D, seed)
+        traj = ddpc.collect_open_loop(plant, cfg.excitation({n_d}, rng=rng),
+                                      rng=rng)
+        if RAW:
+            out[f"{{name}}/{{seed}}"] = traj.outputs.tolist()
+            continue
+        digest = hashlib.sha256()
+        digest.update(np.int64([traj.m, traj.p, traj.n_samples]).tobytes())
+        digest.update(np.ascontiguousarray(traj.inputs).tobytes())
+        digest.update(np.ascontiguousarray(traj.outputs).tobytes())
+        out[f"{{name}}/{{seed}}"] = digest.hexdigest()
+json.dump(out, sys.stdout, sort_keys=True)
 """
 
 
@@ -165,6 +200,13 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
     digest = json.loads(done.stdout)
     for key, value in digest["runs"].items():
         out[f"run_single {key}"] = value
+    done = _run(tree, work, ["-c", COLLECT_CODE.format(
+        raw=raw, seeds=DIGEST_SEEDS, n_d=COLLECT_N_D)])
+    if done.returncode != 0:
+        raise SystemExit(f"collect_open_loop digest failed in {tree}:\n"
+                         f"{done.stderr}")
+    for key, value in json.loads(done.stdout).items():
+        out[f"collect_open_loop {key}"] = value
     iters = [float(row["qp_iters"]) for name, _ in BENCHMARKS
              for row in csv.DictReader(io.StringIO(
                  (out[f"benchmark {name}: records.csv"] or b"").decode()))]
@@ -287,6 +329,8 @@ def compare(label: str, a, b, rtol: float | None) -> tuple[str, bool]:
     tally = Tally()
     if label.startswith("run_single "):
         _compare_run(a, b, tally)
+    elif label.startswith("collect_open_loop "):
+        tally.numbers(a, b)
     elif isinstance(a, bytes):
         _compare_csv(a, b, tally)
     else:
