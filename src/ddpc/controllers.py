@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .lq import LqBlocks, causal_split, gamma1_of, factorize
-from .predictor import Predictor, fit_causal, fit_spc
+from .predictor import Predictor, _fit
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
 from .sim import StateSpaceModel, _check_sane, step_model
 from .trajectory import HankelPartition, Trajectory, stack_window
@@ -70,15 +70,17 @@ class VariantNeeds(NamedTuple):
     handles: tuple[str, ...]         # make_controller keywords, best first
     penalties: tuple[str, ...] = ()  # spec weights that must be >= 0
     hard_zero: bool = False          # gamma3_zero may replace the mu weight
+    causal: bool = False             # the output map keeps only causal L32
 
 
 VARIANT_TABLE = {
-    "spc": VariantNeeds(("part",)),
-    "causal_spc": VariantNeeds(("blocks", "part")),
+    "spc": VariantNeeds(("blocks", "part")),
+    "causal_spc": VariantNeeds(("blocks", "part"), causal=True),
     "gamma": VariantNeeds(("blocks", "part"), ("mu",), hard_zero=True),
-    "causal_gamma": VariantNeeds(("blocks", "part")),
+    "causal_gamma": VariantNeeds(("blocks", "part"), causal=True),
     "reg_gamma": VariantNeeds(("blocks", "part"), ("mu",), hard_zero=True),
-    "reg_causal_gamma": VariantNeeds(("blocks", "part"), ("lam", "mu")),
+    "reg_causal_gamma": VariantNeeds(("blocks", "part"), ("lam", "mu"),
+                                     causal=True),
     "projreg_g": VariantNeeds(("part",), ("mu",)),
     "kf_mpc": VariantNeeds(("model",)),
 }
@@ -417,33 +419,31 @@ class _PredictorController(_CondensedController):
 
 
 class _GammaController(_CondensedController):
-    """Latent-coordinate variants; offsets come from the past coordinate."""
+    """Latent-coordinate variants; offsets come from the past coordinate.
+
+    Decisions: the future-input coordinate (output map: causal part of
+    ``L32`` or all of it), then the non-causal one if ``lam`` is weighed,
+    then the residual one if ``mu`` is weighed and not dropped.
+    """
 
     def __init__(self, spec, blocks: LqBlocks, qp_settings):
         self.blocks = blocks
         d2, d3 = blocks.dim_u, blocks.dim_y
-        variant = spec.variant
-        if variant in ("gamma", "reg_gamma"):
-            if spec.gamma3_zero:
-                Fu = np.hstack([blocks.L22])
-                Fy = np.hstack([blocks.L32])
-                reg = np.zeros(d2)
-            else:
-                Fu = np.hstack([blocks.L22, np.zeros((d2, d3))])
-                Fy = np.hstack([blocks.L32, blocks.L33])
-                reg = np.concatenate([np.zeros(d2), np.full(d3, spec.mu)])
-        elif variant == "causal_gamma":
-            Fu = blocks.L22.copy()
-            Fy = causal_split(blocks).causal
-            reg = np.zeros(d2)
-        else:  # reg_causal_gamma
-            split = causal_split(blocks)
-            Fu = np.hstack([blocks.L22, np.zeros((d2, d2)),
-                            np.zeros((d2, d3))])
-            Fy = np.hstack([split.causal, split.noncausal, blocks.L33])
-            reg = np.concatenate([np.zeros(d2), np.full(d2, spec.lam),
-                                  np.full(d3, spec.mu)])
-        super().__init__(spec, Fu=Fu, Fy=Fy, W=np.diag(reg), L_p=blocks.L_p,
+        needs = VARIANT_TABLE[spec.variant]
+        split = causal_split(blocks)
+        Fu = [blocks.L22]
+        Fy = [split.causal if needs.causal else blocks.L32]
+        reg = [np.zeros(d2)]
+        if "lam" in needs.penalties:
+            Fu.append(np.zeros((d2, d2)))
+            Fy.append(split.noncausal)
+            reg.append(np.full(d2, spec.lam))
+        if "mu" in needs.penalties and not spec.gamma3_zero:
+            Fu.append(np.zeros((d2, d3)))
+            Fy.append(blocks.L33)
+            reg.append(np.full(d3, spec.mu))
+        super().__init__(spec, Fu=np.hstack(Fu), Fy=np.hstack(Fy),
+                         W=np.diag(np.concatenate(reg)), L_p=blocks.L_p,
                          qp_settings=qp_settings)
 
     def _offsets(self, z_p):
@@ -521,27 +521,26 @@ def make_controller(spec: ControllerSpec, *,
                     qp_settings: QpSettings | None = None):
     """Build the controller for ``spec.variant`` from a handle it accepts.
 
-    ``spc`` and ``projreg_g`` need the raw partition; the other data
-    variants need the LQ blocks (a partition is factorized on the fly);
-    ``kf_mpc`` needs the model and takes ``L_p`` as its warm-up window.
-    Unused handles are ignored.  ``step(z_p, r_f)`` solves a step and
+    ``projreg_g`` needs the raw partition; the other data variants need
+    the LQ blocks (a partition is factorized on the fly); ``kf_mpc``
+    needs the model and takes ``L_p`` as its warm-up window.  Unused
+    handles are ignored.  ``step(z_p, r_f)`` solves a step and
     ``condense(z_p, r_f)`` materializes its QP.
     """
     variant = spec.variant
     given = {"blocks": blocks, "part": part, "model": model}
-    accepted = VARIANT_TABLE[variant].handles
-    if all(given[h] is None for h in accepted):
-        raise ValueError(f"{variant} needs {' or '.join(accepted)}")
+    needs = VARIANT_TABLE[variant]
+    if all(given[h] is None for h in needs.handles):
+        raise ValueError(f"{variant} needs {' or '.join(needs.handles)}")
     if variant == "kf_mpc":
         return _KfMpcController(spec, model, L_p or 0, qp_settings)
     if variant == "projreg_g":
         return _GSpaceController(spec, part, qp_settings)
-    if variant == "spc":
-        return _PredictorController(spec, fit_spc(part), qp_settings)
     if blocks is None:
         blocks = factorize(part)
-    if variant == "causal_spc":
-        return _PredictorController(spec, fit_causal(blocks), qp_settings)
+    if variant in ("spc", "causal_spc"):
+        return _PredictorController(spec, _fit(blocks, needs.causal),
+                                    qp_settings)
     return _GammaController(spec, blocks, qp_settings)
 
 

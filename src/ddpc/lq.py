@@ -13,7 +13,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DimensionMismatch, RankDeficient
@@ -33,10 +32,12 @@ __all__ = [
 # Relative threshold on triangular diagonals below which a block is treated
 # as singular.
 _DIAG_RTOL = 1e-12
+# Relative singular-value cutoff of the minimum-norm fallbacks.
 _PINV_RTOL = 1e-10
 
 _MAGIC = b"LQB2"
 
+_GEQRF = get_lapack_funcs("geqrf", dtype=np.float64)
 _TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
@@ -116,19 +117,29 @@ def factorize(part: HankelPartition) -> LqBlocks:
         The `LqBlocks` handle (immutable; safe to share across controllers).
 
     Raises:
+        ValueError: If the stack has a NaN or infinite entry.
         RankDeficient: If the stack has more rows than columns, or if the
             future-input block ``L22`` is numerically singular.  Both
             conditions signal insufficient excitation for the horizons.
     """
     stack = np.vstack([part.Z_p, part.U_f, part.Y_f])
+    if not np.isfinite(stack).all():
+        raise ValueError("Hankel partition has NaN or infinite entries")
     n_rows, n_cols = stack.shape
     if n_cols < n_rows:
         raise RankDeficient(
             f"stacked Hankel matrix has {n_rows} rows but only {n_cols} "
             f"columns; record at least {n_rows + part.spec.L - 1} samples"
         )
-    (r_t,) = scipy.linalg.qr(stack.T, mode="r")
-    L = r_t[:n_rows].T.copy()
+    # LAPACK's geqrf in place on the Fortran-ordered view of the fresh
+    # stack; the workspace is queried, since a short one changes geqrf's
+    # blocking and so its rounding
+    stack_t = stack.T
+    lwork = int(_GEQRF(stack_t, lwork=-1, overwrite_a=True)[2][0])
+    r_t, _, _, info = _GEQRF(stack_t, lwork=lwork, overwrite_a=True)
+    if info != 0:
+        raise ValueError(f"geqrf failed with info={info}")
+    L = np.tril(r_t[:n_rows].T)
     # Fix the sign convention: nonnegative diagonal of L.
     L *= np.where(np.diag(L) < 0.0, -1.0, 1.0)[None, :]
 

@@ -1,12 +1,13 @@
 """Multi-step output predictors identified from Hankel data.
 
-Two families are provided: the unconstrained least-squares predictor,
-which is generally non-causal because future inputs beyond step i may
-enter the i-th predicted output, and the causal predictor obtained by
-restricting each output block row to inputs up to its own step.  The
-causal fit has a closed form in terms of the LQ blocks, equal to one
-least-squares fit per output block row.  A predictor maps a past window
-and an input plan to ``y_f = K_p @ z_p + K_f @ u_f``; :func:`fit_residual`
+Both predictors come from one formula on the LQ blocks, ``[L31  C] @
+inv(W)`` with ``W = [[L11, 0], [L21, L22]]``.  With ``C = L32`` it is the
+unconstrained least-squares predictor, which is generally non-causal
+because future inputs beyond step i may enter the i-th predicted output.
+With ``C`` the block-lower-triangular part of ``L32`` it is the causal
+predictor, equal to one least-squares fit per output block row that sees
+inputs up to its own step only.  A predictor maps a past window and an
+input plan to ``y_f = K_p @ z_p + K_f @ u_f``; :func:`fit_residual`
 measures it on its training data.
 """
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, RankDeficient
-from .lq import LqBlocks, causal_split
+from .errors import DimensionMismatch
+from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .trajectory import HankelPartition
 
 __all__ = [
@@ -27,8 +28,6 @@ __all__ = [
     "fit_causal",
     "fit_residual",
 ]
-
-_PINV_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -60,77 +59,55 @@ class Predictor:
             )
 
 
-def _require_excited_inputs(part: HankelPartition) -> None:
-    """The input Hankel over the full horizon must have full row rank."""
-    H_u = np.vstack([part.U_p, part.U_f])
-    sv = np.linalg.svd(H_u, compute_uv=False)
-    if H_u.shape[0] > H_u.shape[1] or sv[-1] <= _PINV_RTOL * sv[0]:
-        raise RankDeficient(
-            f"input is not persistently exciting of order {part.spec.L}; "
-            "the least-squares predictor is not identifiable"
-        )
+def _fit(blocks: LqBlocks, causal: bool) -> Predictor:
+    """The gain ``[L31  C] @ inv(W)``, ``C`` the causal part of ``L32``
+    when ``causal`` is set and all of ``L32`` otherwise.
+
+    When ``L11`` is singular (deterministic records) the equivalent
+    block-row form with pseudo-inverses is used instead: row block i
+    regresses on the past and on the first ``i*m`` future inputs when
+    causal, on all of them when not.
+    """
+    d1 = blocks.dim_past
+    m, p, L_f = blocks.m, blocks.p, blocks.L_f
+    C = causal_split(blocks).causal if causal else blocks.L32
+    right = np.hstack([blocks.L31, C])
+    W = np.block([[blocks.L11, np.zeros((d1, m * L_f))],
+                  [blocks.L21, blocks.L22]])
+    if blocks.past_is_nonsingular():
+        K = scipy.linalg.solve_triangular(W.T, right.T, lower=False).T
+    else:
+        K = np.zeros_like(right)
+        for i in range(1, L_f + 1):
+            rows = slice((i - 1) * p, i * p)
+            n = d1 + (i * m if causal else m * L_f)
+            K[rows, :n] = right[rows, :n] @ np.linalg.pinv(W[:n, :n],
+                                                           rcond=_PINV_RTOL)
+    return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=causal,
+                     m=m, p=p, L_p=blocks.L_p, L_f=L_f)
 
 
 def fit_spc(part: HankelPartition) -> Predictor:
     """Fit the unconstrained (non-causal) least-squares predictor.
 
-    Regresses ``Y_f`` on ``[Z_p; U_f]``; when the regressor is
-    rank-deficient, as for exactly deterministic records, the minimum-norm
-    solution is returned (SVD cutoff ``1e-10`` relative).
+    The mask-off LQ formula ``[L31  L32] @ inv(W)``, equal to regressing
+    ``Y_f`` on ``[Z_p; U_f]``; for a singular ``L11`` (exactly
+    deterministic records) it is the minimum-norm solution.
 
     Raises:
-        RankDeficient: If the input signal fails persistency of excitation
-            over the combined horizon.
+        RankDeficient: From :func:`~ddpc.lq.factorize`, if the input fails
+            persistency of excitation over the combined horizon.
     """
-    _require_excited_inputs(part)
-    regressor = np.vstack([part.Z_p, part.U_f])
-    K_t, *_ = np.linalg.lstsq(regressor.T, part.Y_f.T, rcond=_PINV_RTOL)
-    K = K_t.T
-    d1 = part.Z_p.shape[0]
-    return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=False,
-                     m=part.m, p=part.p, L_p=part.spec.L_p, L_f=part.spec.L_f)
-
-
-def _past_future_factor(blocks: LqBlocks) -> np.ndarray:
-    """Assemble ``W = [[L11, 0], [L21, L22]]``."""
-    d1, d2 = blocks.dim_past, blocks.dim_u
-    W = np.zeros((d1 + d2, d1 + d2))
-    W[:d1, :d1] = blocks.L11
-    W[d1:, :d1] = blocks.L21
-    W[d1:, d1:] = blocks.L22
-    return W
+    return _fit(factorize(part), False)
 
 
 def fit_causal(blocks: LqBlocks) -> Predictor:
-    """Fit the causal predictor from the LQ blocks in closed form.
-
-    The gain is ``[L31  LT(L32)] @ inv(W)`` where ``LT`` keeps the
-    block-lower-triangular part of ``L32`` and ``W = [[L11, 0], [L21,
-    L22]]``.  Row block i of the result coincides with the least-squares
-    regression of the i-th future outputs on the past and on inputs up to
-    step i only.  When ``L11`` is singular (deterministic records) the
-    equivalent block-row form with pseudo-inverses is used instead.
+    """Fit the causal predictor: the LQ formula with ``C`` the
+    block-lower-triangular part of ``L32``.  Row block i of the gain is the
+    least-squares regression of the i-th future outputs on the past and on
+    inputs up to step i only.
     """
-    split = causal_split(blocks)
-    d1 = blocks.dim_past
-    m, p, L_f = blocks.m, blocks.p, blocks.L_f
-    if blocks.past_is_nonsingular():
-        right = np.hstack([blocks.L31, split.causal])
-        W = _past_future_factor(blocks)
-        K = scipy.linalg.solve_triangular(W.T, right.T, lower=False).T
-    else:
-        K = np.zeros((p * L_f, d1 + m * L_f))
-        for i in range(1, L_f + 1):
-            rows = slice((i - 1) * p, i * p)
-            cols = i * m
-            W_i = np.zeros((d1 + cols, d1 + cols))
-            W_i[:d1, :d1] = blocks.L11
-            W_i[d1:, :d1] = blocks.L21[:cols]
-            W_i[d1:, d1:] = blocks.L22[:cols, :cols]
-            right_i = np.hstack([blocks.L31[rows], blocks.L32[rows, :cols]])
-            K[rows, :d1 + cols] = right_i @ np.linalg.pinv(W_i, rcond=_PINV_RTOL)
-    return Predictor(K_p=K[:, :d1], K_f=K[:, d1:], causal=True,
-                     m=m, p=p, L_p=blocks.L_p, L_f=L_f)
+    return _fit(blocks, True)
 
 
 def fit_residual(part: HankelPartition, pred: Predictor) -> float:

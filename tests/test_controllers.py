@@ -176,10 +176,11 @@ def test_make_controller_handle_requirements():
         make_controller(_spec("kf_mpc"))
     with pytest.raises(ValueError):
         make_controller(_spec("projreg_g", mu=1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="spc needs blocks or part"):
         make_controller(_spec("spc"))
-    with pytest.raises(ValueError, match="spc needs part"):
-        make_controller(_spec("spc"), blocks=_noisy_blocks())
+    # spc is the causal fit with the mask off: the LQ blocks suffice
+    ctrl = make_controller(_spec("spc"), blocks=_noisy_blocks())
+    assert ctrl.step(_sample_zp()).qp_status == QpStatus.SOLVED
 
 
 def test_make_controller_accepts_partition_for_latent_variants():
@@ -187,10 +188,10 @@ def test_make_controller_accepts_partition_for_latent_variants():
                           seeded(132))
     blocks = factorize(part)
     z = _sample_zp()
-    via_part = make_controller(_spec("causal_gamma"), part=part).step(z)
-    via_blocks = make_controller(_spec("causal_gamma"),
-                                 blocks=blocks).step(z)
-    np.testing.assert_allclose(via_part.u_f, via_blocks.u_f, atol=1e-9)
+    for variant in ("causal_gamma", "spc"):
+        via_part = make_controller(_spec(variant), part=part).step(z)
+        via_blocks = make_controller(_spec(variant), blocks=blocks).step(z)
+        np.testing.assert_allclose(via_part.u_f, via_blocks.u_f, atol=1e-9)
 
 
 def _any_controller(variant):

@@ -7,7 +7,8 @@ Covers:
     lower-triangularity and the nonnegative-diagonal sign convention.
   * the fixed point: a stack that is already lower-triangular with an
     orthonormal right factor gives back its triangular part unchanged.
-  * rank-deficiency errors for unexciting inputs and too-short records.
+  * rank-deficiency errors for unexciting inputs and too-short records,
+    and a ValueError naming non-finite entries of the stack.
   * causal_split worked examples, exact complementarity, the mask versus
     a loop-built oracle, and the strict-upper parameter count
     ``p*m*L_f*(L_f-1)/2``.
@@ -20,6 +21,7 @@ Covers:
 
 from __future__ import annotations
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -107,6 +109,19 @@ def test_factorize_triangular_fixed_point():
                            Y_f=S[4:6], m=1, p=1, spec=spec)
     blocks = factorize(part)
     np.testing.assert_allclose(full_factor(blocks), L0, atol=1e-12)
+
+
+def test_factorize_rejects_non_finite_entries():
+    """A NaN in a hand-built partition is named as such, not mistaken for
+    an unexcited input."""
+    part = make_partition(demo_model(), 140, L_p=3, L_f=3, rng=seeded(27))
+    Y_f = part.Y_f.copy()
+    Y_f[1, 5] = np.nan
+    bad = dataclasses.replace(part, Y_f=Y_f)
+    with pytest.raises(ValueError, match="NaN") as info:
+        factorize(bad)
+    assert "L22" not in str(info.value)
+    assert not isinstance(info.value, RankDeficient)
 
 
 def test_factorize_determinism():

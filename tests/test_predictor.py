@@ -1,7 +1,8 @@
 """Least-squares and causal multi-step predictors.
 
 Covers:
-  * fit_spc against an explicit SVD-pseudoinverse oracle, the identity
+  * fit_spc against an explicit SVD-pseudoinverse oracle (also on
+    noise-free records, where L11 is singular), the identity
     predictor on a dataset whose outputs equal its inputs, and exact
     held-out prediction on noise-free data.
   * fit_causal against the block-row brute-force fit, SISO and MIMO,
@@ -55,13 +56,28 @@ def _rowwise(part):
 
 
 def test_spc_matches_pinv_oracle():
-    model = random_model(seeded(50), n=3, m=2, p=2, sigma_e=0.2)
-    part = _partition_for(model, 300, 4, 3, seeded(51))
-    pred = fit_spc(part)
-    K_ref = pinv_fit(part.Y_f, part.Z_p, part.U_f)
-    d1 = part.Z_p.shape[0]
-    np.testing.assert_allclose(pred.K_p, K_ref[:, :d1], atol=1e-8)
-    np.testing.assert_allclose(pred.K_f, K_ref[:, d1:], atol=1e-8)
+    rng = seeded(57)
+    u = rng.standard_normal((1, 150))
+    parts = [
+        _partition_for(random_model(seeded(50), n=3, m=2, p=2, sigma_e=0.2),
+                       300, 4, 3, seeded(51)),
+        # L11 is singular in the rest, so the block-row pinv branch runs:
+        # noise-free records, SISO and MIMO with m != p, ...
+        _partition_for(demo_model(sigma_e=0.0), 220, 8, 6, seeded(51, 1)),
+        _partition_for(random_model(seeded(56), n=2, m=2, p=3, sigma_e=0.0),
+                       260, 3, 4, seeded(51, 2)),
+        # ... and one output copying the input beside a white one, whose
+        # fit has non-causal gains
+        partition(Trajectory(u, np.vstack([u, rng.standard_normal(150)])),
+                  HorizonSpec(L_p=3, L_f=4)),
+    ]
+    for k, part in enumerate(parts):
+        assert factorize(part).past_is_nonsingular() == (k == 0)
+        pred = fit_spc(part)
+        K_ref = pinv_fit(part.Y_f, part.Z_p, part.U_f)
+        d1 = part.Z_p.shape[0]
+        np.testing.assert_allclose(pred.K_p, K_ref[:, :d1], atol=1e-8)
+        np.testing.assert_allclose(pred.K_f, K_ref[:, d1:], atol=1e-8)
 
 
 def test_spc_identity_when_outputs_equal_inputs():

@@ -13,8 +13,10 @@ directory of its own, and these artifacts are compared:
 * ``ddpc benchmark --config {table1,lti_fig1,nonlinear_fig2} --seeds 5
   --workers 2`` and ``--config closedloop --workers 2``: the exit code,
   ``records.csv`` and ``normalized.csv``;
-* ``ddpc control --config table1 --controller <v>`` for every variant:
-  the exit code, stdout and the per-step CSV;
+* ``ddpc control --config <table1 with mu> --controller <v>`` for every
+  variant, on a copy of table1 that adds ``gamma.mu = 1e3`` and
+  ``projreg_g.mu = reg_gamma.mu`` (as ``run_single`` below) so that every
+  variant runs: the exit code, stdout and the per-step CSV;
 * ``ddpc tune --config table1`` over its full grids (about 25 s on one
   core): the exit code and stdout, the tuned weights;
 * ``run_single`` for every variant at table1 seeds 0-2, with
@@ -49,6 +51,7 @@ artifact differs, else 0.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import io
 import json
@@ -155,6 +158,21 @@ def _read(path: Path) -> bytes | None:
     return path.read_bytes() if path.is_file() else None
 
 
+def _control_config(tree: Path, work: Path) -> Path:
+    """Write table1 with the ``mu`` weights that ``gamma`` and ``projreg_g``
+    need, the ones the ``run_single`` digest sets, into ``work``."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser.read(tree / "src" / "ddpc" / "configs" / "table1.cfg",
+                encoding="utf-8")
+    params = parser["controllers"]
+    params["gamma.mu"] = "1e3"
+    params["projreg_g.mu"] = params["reg_gamma.mu"]
+    path = work / "table1_control.cfg"
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+    return path
+
+
 def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
     """Every compared artifact of one side, keyed by its verdict label, and
     how many records and ``run_single`` steps ran ADMM."""
@@ -171,10 +189,11 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
                                                         / artifact)
     variants = _run(tree, work, [
         "-c", "import ddpc; print(*ddpc.VARIANTS)"]).stdout.split()
+    control_cfg = str(_control_config(tree, work))
     for variant in variants:
         csv_name = f"control_{variant}.csv"
         done = _run(tree, work, ["-m", "ddpc", "control", "--config",
-                                 "table1", "--controller", variant,
+                                 control_cfg, "--controller", variant,
                                  "--out", csv_name])
         out[f"control {variant}: exit code"] = done.returncode
         out[f"control {variant}: stdout"] = done.stdout
