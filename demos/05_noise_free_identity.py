@@ -18,6 +18,12 @@ import numpy as np
 
 import ddpc
 
+# J values that agree to round-off differ by about 1e-15 relative, and by a
+# different amount after any change that moves one of them by an ulp; the
+# demo prints only whether the spread is below this floor, so its output
+# stays the same under such changes and still shows a real disagreement.
+SPREAD_FLOOR = 1e-9
+
 
 def main():
     cfg = ddpc.load_config(ddpc.bundled_config_path("lti_fig1"))
@@ -29,7 +35,9 @@ def main():
 
     values = np.array(list(costs.values()))
     spread = (values.max() - values.min()) / values.min()
-    print(f"relative spread across controllers: {spread:.2e}")
+    verdict = "yes" if spread < SPREAD_FLOOR else f"no ({spread:.2e})"
+    print(f"relative spread across controllers below {SPREAD_FLOOR:.0e}: "
+          f"{verdict}")
 
 
 if __name__ == "__main__":

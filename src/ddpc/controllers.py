@@ -2,8 +2,12 @@
 
 Every variant is one box-constrained QP in decisions ``v`` with
 ``u_f = Fu v + bu`` and ``y_f = Fy v + by``, a PSD penalty ``v' W v`` and
-optional equality rows ``E v = e``; only the offsets follow the measured
-past window.  The variants differ only in these maps and penalties:
+optional equality rows ``E v = z_p``.  Only the offsets follow the
+measured past window, and they are linear in it (in the state estimate
+for ``kf_mpc``), so the step's data ``q`` and bounds are affine in
+``theta = (z_p, r_f)``.  Each controller builds that data map once, and
+its solver answers a step whose active set repeats with one cached affine
+map in ``theta``.  The variants differ only in these maps and penalties:
 
 ``spc``
     Future inputs as decisions, outputs through the unconstrained
@@ -41,9 +45,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch
-from .lq import LqBlocks, causal_split, gamma1_of, factorize
+from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
 from .sim import StateSpaceModel, _check_sane, step_model
@@ -282,7 +287,7 @@ class RolloutResult:
 # the condensed controller
 # ---------------------------------------------------------------------------
 
-_EMPTY = np.zeros(0)
+_ONE = np.ones(1)
 
 
 def _stacked_weighted(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
@@ -290,13 +295,11 @@ def _stacked_weighted(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return (vec.reshape(-1, weight.shape[0]) @ weight).reshape(-1)
 
 
-def _checked_vector(name: str, value, length: int) -> np.ndarray:
+def _sized_vector(name: str, value, length: int) -> np.ndarray:
     vec = np.asarray(value, dtype=float).reshape(-1)
     if vec.shape[0] != length:
         raise DimensionMismatch(
             f"{name} has length {vec.shape[0]}, expected {length}")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} contains NaN or infinite entries")
     return vec
 
 
@@ -305,71 +308,96 @@ class _CondensedController:
 
     The cost adds the PSD penalty ``v' W v`` to the tracking cost, and the
     constraint rows are ``[E; Fu; Fy]``: optional equality rows
-    ``E v = e`` first, then the input and output boxes that are bounded.
-    Subclasses supply the per-step offsets ``(bu, by, e)``.  P and the
-    constraint rows are fixed, so the QP factorization and warm starts are
-    reused across receding-horizon steps.
+    ``E v = z_p`` first, then the input and output boxes that are bounded.
+    Subclasses supply the offset maps ``bu = Bu z`` and ``by = By z`` of
+    the past ``z`` (the window ``z_p``, or the state estimate for
+    ``kf_mpc``).  P and the constraint rows are fixed, so the QP
+    factorization and warm starts are reused across receding-horizon
+    steps.  So is the data map ``D``, built once: with
+    ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q``, the shift of the
+    row bounds from their constant parts, ``bu`` and ``by``.  The solver
+    holds its first two blocks and answers a step whose active set
+    repeats with one cached affine map of ``theta``.
     """
-
-    _reads_z_p = True  # kf_mpc tracks its state through observe() instead
 
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
                  W: np.ndarray, L_p: int, qp_settings: QpSettings | None,
+                 By: np.ndarray, Bu: np.ndarray | None = None,
                  E: np.ndarray | None = None):
         self.spec = spec
         self.cost = spec.cost
         self.m, self.p, self.L_f = spec.cost.m, spec.cost.p, spec.cost.L_f
         self.L_p = L_p
-        P = 2.0 * (Fy.T @ spec.cost.Q @ Fy + Fu.T @ spec.cost.R @ Fu + W)
+        Q, R = spec.cost.Q, spec.cost.R
+        P = 2.0 * (Fy.T @ Q @ Fy + Fu.T @ R @ Fu + W)
         P = 0.5 * (P + P.T)
-        rows = [np.zeros((0, P.shape[0])) if E is None else E]
-        self._with_u_rows = spec.boxes.u_bounded()
-        self._with_y_rows = spec.boxes.y_bounded()
-        if self._with_u_rows:
-            rows.append(Fu)
-        if self._with_y_rows:
-            rows.append(Fy)
+        n, dz, dy = P.shape[0], By.shape[1], len(Fy)
+        if Bu is None:
+            Bu = np.zeros((len(Fu), dz))
+        n_e = 0 if E is None else len(E)
+        rows = [np.zeros((0, n)) if E is None else E]
+        shift = [np.eye(dz)[:n_e]]  # e = z_p on the equality rows
+        lower0, upper0 = [np.zeros(n_e)], [np.zeros(n_e)]
+        with_u, with_y = spec.boxes.u_bounded(), spec.boxes.y_bounded()
+        for bounded, F, B, (lo, hi) in (
+                (with_u, Fu, Bu, spec.boxes.u_tiled(self.L_f)),
+                (with_y, Fy, By, spec.boxes.y_tiled(self.L_f))):
+            if bounded:
+                rows.append(F)
+                shift.append(-B)
+                lower0.append(lo)
+                upper0.append(hi)
         self.P, self.A = P, np.vstack(rows)
+        k = len(self.A)
         # the maps are read back from the constraint rows they were copied
         # into, so a controller holds each once
-        if self._with_y_rows:
-            Fy = self.A[len(self.A) - len(Fy):]
-        if self._with_u_rows:
-            Fu = self.A[len(rows[0]):len(rows[0]) + len(Fu)]
+        if with_y:
+            Fy = self.A[k - dy:]
+        if with_u:
+            Fu = self.A[n_e:n_e + len(Fu)]
+        D = np.zeros((n + k + len(Fu) + dy, dz + dy + 1))
+        D[:, :dz] = np.vstack([2.0 * (Fy.T @ Q @ By + Fu.T @ R @ Bu),
+                               *shift, Bu, By])
+        D[:n, dz:dz + dy] = -2.0 * Fy.T @ Q
+        self.D = D
+        self._lower0 = np.concatenate(lower0)
+        self._upper0 = np.concatenate(upper0)
+        self._q, self._shift = slice(0, n), slice(n, n + k)
+        self._bu = slice(n + k, n + k + len(Fu))
+        self._by = slice(n + k + len(Fu), len(D))
+        self._r_f = slice(dz, dz + dy)
         self.Fu, self.Fy = Fu, Fy
-        self.solver = BoxQpSolver(self.P, self.A, qp_settings)
-        self._u_box = spec.boxes.u_tiled(self.L_f)
-        self._y_box = spec.boxes.y_tiled(self.L_f)
-        self._zero_u, self._zero_y = np.zeros(len(Fu)), np.zeros(len(Fy))
+        self.solver = BoxQpSolver(self.P, self.A, qp_settings,
+                                  data_map=(D[:n + k], self._lower0,
+                                            self._upper0))
+        self._zero_y = np.zeros(dy)
         self._warm_x = None
         self._warm_y = None
 
-    # subclass hook
-    def _offsets(self, z_p) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        raise NotImplementedError
+    _past_name = "z_p"
 
-    def _qp_data(self, z_p, r_f):
-        r_f = _checked_vector("r_f", self._zero_y if r_f is None else r_f,
-                              self.p * self.L_f)
-        if self._reads_z_p:
-            z_p = _checked_vector("z_p", z_p, (self.m + self.p) * self.L_p)
-        bu, by, e = self._offsets(z_p)
-        q = 2.0 * (self.Fy.T @ _stacked_weighted(by - r_f, self.cost.q_step)
-                   + self.Fu.T @ _stacked_weighted(bu, self.cost.r_step))
-        lo_parts, hi_parts = [e], [e]
-        if self._with_u_rows:
-            lo_parts.append(self._u_box[0] - bu)
-            hi_parts.append(self._u_box[1] - bu)
-        if self._with_y_rows:
-            lo_parts.append(self._y_box[0] - by)
-            hi_parts.append(self._y_box[1] - by)
-        return (q, np.concatenate(lo_parts), np.concatenate(hi_parts), bu, by,
-                r_f)
+    def _past(self, z_p) -> np.ndarray:
+        """The past ``z`` that the offsets are maps of."""
+        return _sized_vector("z_p", z_p, (self.m + self.p) * self.L_p)
+
+    def _theta(self, z_p, r_f) -> np.ndarray:
+        r_f = _sized_vector("r_f", self._zero_y if r_f is None else r_f,
+                            self.p * self.L_f)
+        z = self._past(z_p)
+        theta = np.concatenate([z, r_f, _ONE])
+        if not np.isfinite(theta).all():
+            name = ("r_f" if not np.isfinite(r_f).all()
+                    else self._past_name)
+            raise ValueError(f"{name} contains NaN or infinite entries")
+        return theta
 
     def condense(self, z_p=None, r_f=None) -> QpProblem:
         """Materialize the per-step QP for inspection or external solving."""
-        q, lo, hi, *_ = self._qp_data(z_p, r_f)
-        return QpProblem(P=self.P, q=q, A=self.A, lower=lo, upper=hi)
+        d = self.D @ self._theta(z_p, r_f)
+        shift = d[self._shift]
+        return QpProblem(P=self.P, q=d[self._q], A=self.A,
+                         lower=self._lower0 + shift,
+                         upper=self._upper0 + shift)
 
     def step(self, z_p=None, r_f=None) -> StepResult:
         """Solve one step from the past window ``z_p`` (ignored by
@@ -377,15 +405,20 @@ class _CondensedController:
 
         Raises ``DimensionMismatch`` for a wrong length and ``ValueError``
         for a NaN or infinite entry in either."""
-        q, lo, hi, bu, by, r_f = self._qp_data(z_p, r_f)
-        sol = self.solver.solve(q, lo, hi, x0=self._warm_x, y0=self._warm_y)
+        theta = self._theta(z_p, r_f)
+        d = self.D @ theta
+        shift = d[self._shift]
+        sol = self.solver.solve(d[self._q], self._lower0 + shift,
+                                self._upper0 + shift, x0=self._warm_x,
+                                y0=self._warm_y, theta=theta)
         self._warm_x, self._warm_y = sol.x, sol.y
         v = sol.x
+        bu, by = d[self._bu], d[self._by]
         u_f = self.Fu @ v + bu
         y_f = self.Fy @ v + by
         # the QP objective is the step cost less its part that v does not
         # move, |by - r_f|^2_Q + |bu|^2_R
-        e_y = by - r_f
+        e_y = by - theta[self._r_f]
         obj = (sol.objective
                + float(e_y @ _stacked_weighted(e_y, self.cost.q_step))
                + float(bu @ _stacked_weighted(bu, self.cost.r_step)))
@@ -398,7 +431,7 @@ class _CondensedController:
         """Closed-loop measurement hook; data-driven variants are static."""
 
     def reset(self) -> None:
-        """Forget the warm starts and the solver's cached factors."""
+        """Forget the warm starts and the solver's cached factors and map."""
         self._warm_x = None
         self._warm_y = None
         self.solver.reset()
@@ -411,11 +444,7 @@ class _PredictorController(_CondensedController):
         d2 = pred.m * pred.L_f
         super().__init__(spec, Fu=np.eye(d2), Fy=pred.K_f.copy(),
                          W=np.zeros((d2, d2)), L_p=pred.L_p,
-                         qp_settings=qp_settings)
-        self.predictor = pred
-
-    def _offsets(self, z_p):
-        return self._zero_u, self.predictor.K_p @ z_p, _EMPTY
+                         qp_settings=qp_settings, By=pred.K_p)
 
 
 class _GammaController(_CondensedController):
@@ -423,11 +452,13 @@ class _GammaController(_CondensedController):
 
     Decisions: the future-input coordinate (output map: causal part of
     ``L32`` or all of it), then the non-causal one if ``lam`` is weighed,
-    then the residual one if ``mu`` is weighed and not dropped.
+    then the residual one if ``mu`` is weighed and not dropped.  The
+    offsets ``L21 gamma1`` and ``L31 gamma1`` of the past coordinate
+    ``gamma1 = L11^-1 z_p`` (the minimum-norm one when ``L11`` is
+    singular, as :func:`~ddpc.lq.gamma1_of` takes it) are maps of ``z_p``.
     """
 
     def __init__(self, spec, blocks: LqBlocks, qp_settings):
-        self.blocks = blocks
         d2, d3 = blocks.dim_u, blocks.dim_y
         needs = VARIANT_TABLE[spec.variant]
         split = causal_split(blocks)
@@ -442,13 +473,15 @@ class _GammaController(_CondensedController):
             Fu.append(np.zeros((d2, d3)))
             Fy.append(blocks.L33)
             reg.append(np.full(d3, spec.mu))
+        L_past = np.vstack([blocks.L21, blocks.L31])
+        if blocks.past_is_nonsingular():
+            B = scipy.linalg.solve_triangular(blocks.L11, L_past.T,
+                                              trans="T", lower=True).T
+        else:
+            B = L_past @ np.linalg.pinv(blocks.L11, rcond=_PINV_RTOL)
         super().__init__(spec, Fu=np.hstack(Fu), Fy=np.hstack(Fy),
                          W=np.diag(np.concatenate(reg)), L_p=blocks.L_p,
-                         qp_settings=qp_settings)
-
-    def _offsets(self, z_p):
-        gamma1 = gamma1_of(self.blocks, z_p)
-        return self.blocks.L21 @ gamma1, self.blocks.L31 @ gamma1, _EMPTY
+                         qp_settings=qp_settings, By=B[d2:], Bu=B[:d2])
 
 
 class _KfMpcController(_CondensedController):
@@ -461,7 +494,7 @@ class _KfMpcController(_CondensedController):
     declared model.
     """
 
-    _reads_z_p = False
+    _past_name = "x_hat"
 
     def __init__(self, spec, model: StateSpaceModel, L_p: int, qp_settings):
         self.model = model
@@ -469,11 +502,11 @@ class _KfMpcController(_CondensedController):
         d2 = model.m * spec.cost.L_f
         super().__init__(spec, Fu=np.eye(d2), Fy=self.H,
                          W=np.zeros((d2, d2)), L_p=L_p,
-                         qp_settings=qp_settings)
+                         qp_settings=qp_settings, By=self.Gamma)
         self.x_hat = np.zeros(model.n)
 
-    def _offsets(self, z_p):
-        return self._zero_u, self.Gamma @ self.x_hat, _EMPTY
+    def _past(self, z_p) -> np.ndarray:
+        return self.x_hat
 
     def observe(self, u, y) -> None:
         self.x_hat = kf_update(self.model, self.x_hat, u, y)
@@ -502,10 +535,9 @@ class _GSpaceController(_CondensedController):
         resid_proj = 0.5 * (resid_proj + resid_proj.T)
         super().__init__(spec, Fu=part.U_f, Fy=part.Y_f,
                          W=spec.mu * resid_proj, L_p=part.spec.L_p,
-                         qp_settings=qp_settings, E=part.Z_p)
-
-    def _offsets(self, z_p):
-        return self._zero_u, self._zero_y, z_p
+                         qp_settings=qp_settings,
+                         By=np.zeros((len(part.Y_f), len(part.Z_p))),
+                         E=part.Z_p)
 
 
 # ---------------------------------------------------------------------------
@@ -653,13 +685,8 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     J_y = 0.0
     J_u = 0.0
     for t in range(n_steps):
-        if L_p > 0:
-            z_p = np.concatenate([
-                np.concatenate(u_hist[-L_p:]),
-                np.concatenate(y_hist[-L_p:]),
-            ])
-        else:
-            z_p = np.zeros(0)
+        z_p = (np.concatenate(u_hist[-L_p:] + y_hist[-L_p:]) if L_p > 0
+               else np.zeros(0))
         r_f = stack_window(ref[:, t:t + L_f])
         res = controller.step(z_p, r_f)
         u_t = res.u_applied

@@ -17,10 +17,11 @@ parameters are the module constants ``_RHO``, ``_SIGMA``, ``_ALPHA``,
 
 The solver is built for the receding-horizon use case where ``P`` and
 ``A`` stay fixed while ``q`` and the bounds change from step to step:
-:class:`BoxQpSolver` caches the equilibration and the KKT factorization
-across such solves and accepts warm starts.  As in OSQP (Stellato et al.,
-Math. Prog. Comp. 2020), an iteration applies the cached Cholesky factor
-through LAPACK's ``potrs`` and does nothing but its arithmetic.
+:class:`BoxQpSolver` caches the equilibration (formed when ADMM first
+runs) and the KKT factorization across such solves and accepts warm
+starts.  As in OSQP (Stellato et al., Math. Prog. Comp. 2020), an
+iteration applies the cached Cholesky factor through LAPACK's ``potrs``
+and does nothing but its arithmetic.
 
 Before any iteration, a solve tries to certify the active set that the
 signs of the dual warm start ``y0`` point at, the warm-started active-set
@@ -30,12 +31,14 @@ bound, equality rows always, and no bound row without ``y0``.  The
 equality-constrained KKT system of that set is solved with a regularized
 LU and iterative refinement, whose factor is cached for the last set.
 The solution is accepted when every multiplier has the sign of its bound
-and both residuals pass the ADMM stopping test; it is then ``SOLVED``
-with ``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
+and both residuals pass the ADMM stopping test, the primal one with the
+set's rows held at their bounds; it is then ``SOLVED`` with
+``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
 corrections drop the rows with wrong-sign multipliers and add the rows
 violated by more than ``eps_abs``, and if none is accepted ADMM runs,
 warm-started from ``x0``/``y0``.  The guess depends on ``y0`` alone, so
-a solve stays a pure function of its arguments.  Once ADMM has solved the
+a solve stays a pure function of its arguments, to round-off when a map
+answers it (below).  Once ADMM has solved the
 problem, the same step starts from the signs of ADMM's own dual, in the
 place of OSQP's polish (Stellato et al. 2020), and ADMM's iterate is kept
 unless it certifies a set.  ``QpSolution.iterations`` counts ADMM
@@ -45,6 +48,20 @@ Finiteness is checked once at entry instead: ``P`` and ``A`` when the
 solver is built, ``q``, the bounds and the warm starts at each solve.  A
 residual that turns non-finite at a convergence check raises
 ``ValueError``; it is never reported as a status.
+
+Where ``q`` and the bounds are affine in a parameter ``theta`` (ending in
+1), as in receding-horizon MPC, so is the KKT solution of a fixed active
+set: the critical regions of explicit MPC (Bemporad, Morari, Dua and
+Pistikopoulos, Automatica 2002).  A solver built with that
+``data_map`` and given ``theta`` keeps, beside the LU of the last set,
+the set's map ``M`` with ``[x; y_act] = M @ theta``.  It is built from
+that LU with the same refinements, once the set has been certified by
+two solves in a row, and dropped with the LU.  A later solve whose warm
+start points at the set then takes its KKT solution from one product
+with ``M``; the sign test and the residual test run on it unchanged,
+from ``x``, ``y``, ``q`` and the bounds, and a rejected answer goes on
+to the corrections, or is retried through the LU when the residual test
+alone rejected it.
 """
 
 from __future__ import annotations
@@ -184,8 +201,8 @@ _CERTIFY_ROUNDS = 3
 # The float64 LAPACK routines behind cho_factor/cho_solve and
 # lu_factor/lu_solve, called directly so that the ADMM loop and the KKT
 # solves skip scipy's per-call input checks.
-_POTRF, _POTRS, _GETRF, _GETRS = get_lapack_funcs(
-    ("potrf", "potrs", "getrf", "getrs"), dtype=np.float64)
+_POTRF, _POTRS, _GETRF, _GETRS, _GETRI = get_lapack_funcs(
+    ("potrf", "potrs", "getrf", "getrs", "getri"), dtype=np.float64)
 
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
@@ -220,11 +237,18 @@ class BoxQpSolver:
     """ADMM solver bound to a fixed ``(P, A)`` pair.
 
     One instance amortizes equilibration and KKT factorization over many
-    solves that differ only in ``q`` and the bounds.
+    solves that differ only in ``q`` and the bounds.  With ``data_map =
+    (D, lower0, upper0)`` those are affine in a parameter ``theta`` whose
+    last entry is 1: ``q = D[:n] @ theta`` and the bounds are ``lower0 +
+    D[n:] @ theta`` and ``upper0 + D[n:] @ theta``.  A solve given
+    ``theta`` may then be answered by the cached map of its active set
+    (module docstring); at most one map is held, and :meth:`reset` drops
+    it with the factors.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray,
-                 settings: QpSettings | None = None):
+                 settings: QpSettings | None = None,
+                 data_map: tuple | None = None):
         self.settings = settings or QpSettings()
         P = np.asarray(P, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -236,15 +260,29 @@ class BoxQpSolver:
         # a symmetric P is kept as given: 0.5 * (P + P') would equal it
         self.P = P if np.array_equal(P, P.T) else 0.5 * (P + P.T)
         self.A = A
-        self.d, self.e, self.c = _ruiz(self.P, A, _SCALING_ITERS)
+        self.d = None  # the Ruiz scaling d, e, c, formed when ADMM first runs
+        if data_map is not None:
+            D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
+            if (D.ndim != 2 or D.shape[0] != self.n + self.k
+                    or lower0.shape != (self.k,) or upper0.shape != (self.k,)):
+                raise DimensionMismatch(
+                    "data_map must be (D, lower0, upper0) with D of "
+                    f"{self.n + self.k} rows and bounds of length {self.k}")
+            if not np.isfinite(D).all():
+                raise ValueError("data_map D has non-finite entries")
+            data_map = (D, lower0, upper0)
+        self.data_map = data_map
         self.reset()
 
     def reset(self) -> None:
-        """Drop the cached factors; later solves form what they need."""
+        """Drop the cached factors and map; later solves form what they
+        need."""
         self._rho_vec = None
         self._factor = None
-        self._kkt_key = None  # the row set whose KKT factor _kkt holds
+        self._kkt_key = None  # the rows (and sides) whose factor _kkt holds
         self._kkt = None
+        self._map = None  # [x; y_act] = _map @ theta for the set _kkt_key
+        self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
 
@@ -272,26 +310,30 @@ class BoxQpSolver:
     def _residuals(self, q, x, y, Ax, z):
         """The stopping test, shared by ADMM and the active-set step.
 
-        Returns ``(r_prim, r_dual, scale_p, scale_d, ok)``: the residuals
-        ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their scales, and
-        whether both are within ``eps_abs + eps_rel * scale``.
+        Returns ``(r_prim, r_dual, scale_p, scale_d, ok, Px)``: the
+        residuals ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their
+        scales, whether both are within ``eps_abs + eps_rel * scale``, and
+        ``P x`` for the objective.
         """
         Px = self.P @ x
         Aty = self.A.T @ y
-        r_prim = _inf_norm(Ax - z)
-        r_dual = _inf_norm(Px + q + Aty)
-        scale_p = max(_inf_norm(Ax), _inf_norm(z))
-        scale_d = max(_inf_norm(Px), _inf_norm(Aty), _inf_norm(q))
+        # the max norms of each group's rows, in one reduction per group
+        r_prim, *scales_p = np.abs([Ax - z, Ax, z]).max(
+            axis=1, initial=0.0).tolist()
+        r_dual, *scales_d = np.abs([Px + q + Aty, Px, Aty, q]).max(
+            axis=1, initial=0.0).tolist()
+        scale_p, scale_d = max(scales_p), max(scales_d)
         st = self.settings
         ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
               and r_dual <= st.eps_abs + st.eps_rel * scale_d)
-        return r_prim, r_dual, scale_p, scale_d, ok
+        return r_prim, r_dual, scale_p, scale_d, ok, Px
 
     # -- main entry --------------------------------------------------------
 
     def solve(self, q: np.ndarray, lower: np.ndarray, upper: np.ndarray,
               x0: np.ndarray | None = None,
-              y0: np.ndarray | None = None) -> QpSolution:
+              y0: np.ndarray | None = None,
+              theta: np.ndarray | None = None) -> QpSolution:
         """Solve for one right-hand side, optionally warm-started.
 
         Args:
@@ -301,13 +343,18 @@ class BoxQpSolver:
             x0: Optional primal warm start (unscaled), length n.
             y0: Optional dual warm start (unscaled), length k; its signs
                 also pick the active set tried before ADMM.
+            theta: Optional parameter, ending in 1, at which the solver's
+                ``data_map`` gives ``q``, ``lower`` and ``upper``; with
+                it, a warm-start set whose map is cached is answered by
+                one product with that map.
 
         Raises:
-            DimensionMismatch: On a length that does not match the solver.
-            ValueError: On a non-finite ``q``, ``x0`` or ``y0``, a NaN
-                bound, a ``+inf`` lower or ``-inf`` upper bound, a lower
-                bound above its upper bound, or a residual that turns
-                non-finite while iterating.
+            DimensionMismatch: On a length that does not match the solver,
+                or a ``theta`` without a ``data_map`` of its length.
+            ValueError: On a non-finite ``q``, ``x0``, ``y0`` or
+                ``theta``, a NaN bound, a ``+inf`` lower or ``-inf`` upper
+                bound, a lower bound above its upper bound, or a residual
+                that turns non-finite while iterating.
         """
         st = self.settings
         q = np.asarray(q, dtype=float).reshape(-1)
@@ -322,8 +369,14 @@ class BoxQpSolver:
         if ((x0 is not None and x0.shape != (self.n,))
                 or (y0 is not None and y0.shape != (self.k,))):
             raise DimensionMismatch("warm start length mismatch with solver")
-        _check_entry(q, lo, hi, x0, y0)
-        certified = self._certify(q, lo, hi, y0)
+        if theta is not None:
+            theta = np.asarray(theta, dtype=float)
+            if (self.data_map is None
+                    or theta.shape != (self.data_map[0].shape[1],)):
+                raise DimensionMismatch(
+                    "theta length mismatch with the solver's data_map")
+        _check_entry(q, lo, hi, x0, y0, theta)
+        certified = self._certify(q, lo, hi, y0, theta)
         if certified is not None:
             return certified
         if self.k == 0:
@@ -333,6 +386,8 @@ class BoxQpSolver:
                               primal_res=0.0, dual_res=float("inf"),
                               objective=float("-inf"))
 
+        if self.d is None:
+            self.d, self.e, self.c = _ruiz(self.P, self.A, _SCALING_ITERS)
         qs = self.c * self.d * q
         los = self.e * lo
         his = self.e * hi
@@ -374,7 +429,7 @@ class BoxQpSolver:
             ys_new = rho_vec * (z_cand - zs_new)
 
             if it % check_interval == 0 or it == max_iter:
-                r_prim, r_dual, scale_p, scale_d, ok = self._residuals(
+                r_prim, r_dual, scale_p, scale_d, ok, _ = self._residuals(
                     q, *self._unscaled(As, xs_new, zs_new, ys_new))
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     raise ValueError(
@@ -412,28 +467,28 @@ class BoxQpSolver:
 
         x, y, Ax, z = self._unscaled(As, xs, zs, ys)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, lo, hi, y)
+            refined = self._certify(q, lo, hi, y, theta)
             if refined is not None:
                 refined.iterations = iters_done
                 return refined
-        r_prim, r_dual, *_ = self._residuals(q, x, y, Ax, z)
-        obj = float(0.5 * x @ self.P @ x + q @ x)
+        r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
+        obj = float(x @ (0.5 * Px + q))
         return QpSolution(x=x, y=y, status=status, iterations=iters_done,
                           primal_res=r_prim, dual_res=r_dual, objective=obj)
 
-    def _kkt_solve(self, act, b, q):
-        """Solve ``[[P, A_act'], [A_act, 0]] [x; y_act] = [-q; b]``.
+    def _kkt_solve(self, act, key, rhs):
+        """Solve ``[[P, A_act'], [A_act, 0]] sol = rhs`` for the row set
+        ``act`` (``key`` names it), one column or many.
 
         The matrix is LU-factored with ``+-_POLISH_REG`` on its diagonal
         blocks and the solution is refined ``_POLISH_REFINE`` times against
         the unregularized system.  The factor of the last row set is kept,
         so a set that repeats from one solve to the next costs back-solves
-        only.  Returns ``(x, y_act)``, or None on a singular pivot or a
-        non-finite solution.
+        only; factoring another set drops the set's map.  Returns ``sol``,
+        or None on a singular pivot or a non-finite solution.
         """
         n = self.n
         A_act = self.A[act]
-        key = act.tobytes()
         if key != self._kkt_key:
             a = act.shape[0]
             K = np.zeros((n + a, n + a))
@@ -445,73 +500,133 @@ class BoxQpSolver:
             lu, piv, info = _GETRF(K, overwrite_a=True)
             self._kkt_key = key
             self._kkt = (lu, piv) if info == 0 else None
+            self._map = None
         if self._kkt is None:
             return None
         lu, piv = self._kkt
-        rhs = np.concatenate([-q, b])
-        sol = _GETRS(lu, piv, rhs, trans=0, overwrite_b=False)[0]
+        if rhs.ndim == 1:
+            def apply(r):
+                return _GETRS(lu, piv, r, trans=0, overwrite_b=False)[0]
+        else:
+            # many columns: one product with the inverse formed from the LU
+            # costs a fraction of their back-solves
+            apply = _GETRI(lu, piv)[0].__matmul__
+        sol = apply(rhs)
         for _ in range(_POLISH_REFINE):
             x, y_act = sol[:n], sol[n:]
             res = np.concatenate([rhs[:n] - self.P @ x - A_act.T @ y_act,
-                                  b - A_act @ x])
-            sol = sol + _GETRS(lu, piv, res, trans=0, overwrite_b=True)[0]
+                                  rhs[n:] - A_act @ x])
+            sol = sol + apply(res)
         if not np.isfinite(sol).all():
             return None
-        return sol[:n], sol[n:]
+        return sol
 
-    def _certify(self, q, lo, hi, y0):
+    def _certify(self, q, lo, hi, y0, theta):
         """Try the active set the signs of ``y0`` point at.
 
         ``y0`` is the dual warm start before ADMM, and ADMM's own dual
         after ADMM has solved the step.  Rows with ``y0 < 0`` start at
         their lower bound, rows with ``y0 > 0`` at their upper bound, and
         equality rows are always active; without ``y0`` no bound row is.
-        The set's KKT solution is accepted when every multiplier has the
-        sign of its bound and both residuals, against ``z = clip(Ax, lo,
-        hi)``, pass the ADMM stopping test.
+        The set's KKT solution comes from the cached map when ``theta`` is
+        given and the map belongs to the set, and from the LU otherwise.
+        It is accepted when every multiplier has the sign of its bound and
+        both residuals pass the ADMM stopping test, the primal one against
+        ``z = clip(Ax, lo, hi)`` with the set's rows at their bounds.
         Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
-        multipliers have the wrong sign and add the rows that are violated.
+        multipliers have the wrong sign and add the rows that are violated;
+        a map answer that the residual test alone rejects is first retried
+        through the LU.  When the set certified here was also certified
+        by the previous solve, its map is built for the next one.
         Returns a ``SOLVED`` solution with zero iterations, or None.
         """
+        n = self.n
+        previous, self._certified_key = self._certified_key, None
         free = lo != hi
         if y0 is None:
             at_lo = at_hi = np.zeros(self.k, dtype=bool)
         else:
-            at_lo = free & (y0 < 0) & np.isfinite(lo)
-            at_hi = free & (y0 > 0) & np.isfinite(hi)
-        for _ in range(1 + _CERTIFY_ROUNDS):
-            act = np.flatnonzero(~free | at_lo | at_hi)
-            kkt = self._kkt_solve(act, np.where(at_hi, hi, lo)[act], q)
-            if kkt is None:
-                return None
-            x, y = kkt[0], np.zeros(self.k)
-            y[act] = kkt[1]
+            at_lo = free & (y0 < 0.0) & np.isfinite(lo)
+            at_hi = free & (y0 > 0.0) & np.isfinite(hi)
+        use_map = theta is not None
+        rounds = 0
+        while True:
+            act = (~free | at_lo | at_hi).nonzero()[0]
+            # the rows and their sides: a map's constant column holds the
+            # bound on each row's side
+            key = act.tobytes() + at_hi[act].tobytes()
+            from_map = (use_map and self._map is not None
+                        and key == self._kkt_key)
+            b = np.where(at_hi, hi, lo)[act]
+            if from_map:
+                sol = self._map @ theta
+            else:
+                sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
+                if sol is None:
+                    return None
+            x, y = sol[:n], np.zeros(self.k)
+            y[act] = sol[n:]
             Ax = self.A @ x
-            r_prim, r_dual, _, _, ok = self._residuals(q, x, y, Ax,
-                                                       np.clip(Ax, lo, hi))
+            # z is the point of the box nearest Ax, with the set's rows at
+            # their bounds, so the primal residual also checks that the
+            # rows with multipliers are tight
+            z = np.minimum(np.maximum(Ax, lo), hi)
+            z[act] = b
+            r_prim, r_dual, _, _, ok, Px = self._residuals(q, x, y, Ax, z)
             wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
             if ok and not wrong.any():
+                if use_map and self._map is None and key == previous:
+                    self._map = self._set_map(act, key, at_hi)
+                self._certified_key = key
                 return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
                                   iterations=0, primal_res=r_prim,
-                                  dual_res=r_dual, objective=float(
-                                      0.5 * x @ self.P @ x + q @ x))
+                                  dual_res=r_dual,
+                                  objective=float(x @ (0.5 * Px + q)))
             eps_p = self.settings.eps_abs
             new_lo = (at_lo & ~wrong) | (free & (lo - Ax > eps_p))
             new_hi = (at_hi & ~wrong) | (free & (Ax - hi > eps_p))
             if (np.array_equal(new_lo, at_lo)
                     and np.array_equal(new_hi, at_hi)):
+                if not from_map:
+                    return None
+                use_map = False
+                continue
+            rounds += 1
+            if rounds > _CERTIFY_ROUNDS:
                 return None
             at_lo, at_hi = new_lo, new_hi
-        return None
+
+    def _set_map(self, act, key, at_hi):
+        """``M`` with ``[x; y_act] = M @ theta`` on the row set ``act``.
+
+        With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
+        side is ``[-D[:n]; D[n:][act]] @ theta`` plus its bounds'
+        constant parts ``lower0``/``upper0`` in the column of theta's
+        trailing 1.  Its columns are solved through the inverse formed from
+        the set's cached LU, and refined as a single solve is.
+        """
+        D, lower0, upper0 = self.data_map
+        n = self.n
+        rhs = np.vstack([-D[:n], D[n:][act]])
+        rhs[n:, -1] += np.where(at_hi, upper0, lower0)[act]
+        return self._kkt_solve(act, key, rhs)
 
 
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _check_entry(q, lo, hi, x0, y0) -> None:
-    """Reject non-finite or crossed solve data before any iteration runs."""
-    for name, v in (("q", q), ("x0", x0), ("y0", y0)):
+def _check_entry(q, lo, hi, x0, y0, theta) -> None:
+    """Reject non-finite or crossed solve data before any iteration runs.
+
+    Valid data pass two whole-array tests; only data that fail one are
+    searched for the argument and row to name.
+    """
+    given = [v for v in (q, x0, y0, theta) if v is not None]
+    if (np.isfinite(np.concatenate(given)).all()
+            and ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all()):
+        return
+    for name, v in (("q", q), ("x0", x0), ("y0", y0), ("theta", theta)):
         if v is not None and not np.isfinite(v).all():
             raise ValueError(f"{name} has non-finite entries")
     for name, v, bad in (("lower", lo, np.inf), ("upper", hi, -np.inf)):

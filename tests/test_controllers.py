@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from conftest import demo_model, make_blocks, make_partition, seeded
-from oracles import multistep_matrices
+from oracles import kkt_residuals, multistep_matrices
 
 from ddpc import (
     BoxConstraints,
@@ -47,6 +47,7 @@ from ddpc import (
     kf_update,
     make_controller,
     partition,
+    solve as qp_solve,
     run_receding_horizon,
     sine_reference,
     square_wave,
@@ -194,28 +195,48 @@ def test_make_controller_accepts_partition_for_latent_variants():
         np.testing.assert_allclose(via_part.u_f, via_blocks.u_f, atol=1e-9)
 
 
-def _any_controller(variant):
+def _any_controller(variant, u_box=2.0, y_box=np.inf):
     """A controller of any variant, given every handle it might need."""
     model = demo_model(sigma_e=0.2)
     part = make_partition(model, 120, L_P, L_F, seeded(143))
-    return make_controller(_spec(variant, mu=1.0, lam=1.0), part=part,
-                           blocks=factorize(part), model=model, L_p=L_P)
+    return make_controller(_spec(variant, mu=1.0, lam=1.0, u_box=u_box,
+                                 y_box=y_box),
+                           part=part, blocks=factorize(part), model=model,
+                           L_p=L_P)
+
+
+def _cached_controller(variant):
+    """``_any_controller`` after three equal steps, which repeat one active
+    set: the solver then holds that set's map, and a step may be answered
+    by it."""
+    ctrl = _any_controller(variant)
+    for _ in range(3):
+        ctrl.step(_sample_zp())
+    assert ctrl.solver._map is not None
+    return ctrl
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_rejects_wrong_length_reference(variant):
-    ctrl = _any_controller(variant)
-    with pytest.raises(DimensionMismatch):
-        ctrl.step(_sample_zp(), np.zeros(L_F + 1))
-    with pytest.raises(DimensionMismatch):
-        ctrl.condense(_sample_zp(), np.zeros(L_F - 1))
+    """Also with the map cached, and for the window as for the reference."""
+    ctrl = _cached_controller(variant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DimensionMismatch, match="r_f"):
+            ctrl.step(_sample_zp(), np.zeros(L_F + 1))
+        with pytest.raises(DimensionMismatch, match="r_f"):
+            ctrl.condense(_sample_zp(), np.zeros(L_F - 1))
+        if variant != "kf_mpc":  # the filter state replaces z_p
+            with pytest.raises(DimensionMismatch, match="z_p"):
+                ctrl.step(_sample_zp()[:-1])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_step_rejects_non_finite_input_before_solving(variant):
     """NaN or inf in the window or the reference raises a ValueError that
-    names the argument, before any arithmetic could warn about it."""
-    ctrl = _any_controller(variant)
+    names the argument, before any arithmetic could warn about it, also
+    when the solver holds a map that the step's set would hit."""
+    ctrl = _cached_controller(variant)
     for bad in (np.nan, np.inf):
         z = _sample_zp()
         z[1] = bad
@@ -230,6 +251,91 @@ def test_step_rejects_non_finite_input_before_solving(variant):
             else:
                 with pytest.raises(ValueError, match="z_p"):
                     ctrl.step(z)
+
+
+def _solved_within_solver_tolerance(prob, x, y, st):
+    """The KKT oracle's residuals within the solver's own stopping test."""
+    stat, prim, comp = kkt_residuals(prob.P, prob.q, prob.A, prob.lower,
+                                     prob.upper, x, y)
+    Ax = prob.A @ x
+    z = np.clip(Ax, prob.lower, prob.upper)
+    tol_p = st.eps_abs + st.eps_rel * max(np.abs(Ax).max(initial=0.0),
+                                          np.abs(z).max(initial=0.0))
+    tol_d = st.eps_abs + st.eps_rel * max(
+        np.abs(prob.P @ x).max(), np.abs(prob.A.T @ y).max(initial=0.0),
+        np.abs(prob.q).max())
+    return (stat <= tol_d and prim <= tol_p
+            and comp <= tol_p * max(1.0, np.abs(y).max(initial=0.0)))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
+    """Each step, answered by the cached map or not, equals a fresh solve
+    of the QP that ``condense`` materializes, warm-started from the
+    previous step's dual.  ``kf_mpc`` observes between steps, so a step
+    with a stale state offset would differ."""
+    ctrl = _any_controller(variant, u_box=0.1, y_box=1.5)
+    part = make_partition(demo_model(sigma_e=0.2), 40, L_P, L_F,
+                          seeded(144))
+    st = QpSettings()
+    with_map = 0
+    for t in range(10):
+        z = part.Z_p[:, t // 3]  # windows repeat, and so do active sets
+        r = np.full(L_F, 1.0 if t < 6 else -0.5)
+        prob = ctrl.condense(z, r)
+        y_prev = ctrl._warm_y
+        with_map += ctrl.solver._map is not None
+        res = ctrl.step(z, r)
+        fresh = qp_solve(prob, y0=y_prev)
+        assert res.qp_status == fresh.status
+        np.testing.assert_allclose(ctrl._warm_x, fresh.x, rtol=0, atol=1e-9)
+        if variant == "kf_mpc":  # the plan predicts from the current state
+            np.testing.assert_allclose(
+                res.y_f, ctrl.H @ res.u_f + ctrl.Gamma @ ctrl.x_hat,
+                rtol=0, atol=1e-12)
+        if res.qp_status == QpStatus.SOLVED:
+            assert _solved_within_solver_tolerance(prob, ctrl._warm_x,
+                                                   ctrl._warm_y, st)
+        ctrl.observe(res.u_applied, part.Y_f[:1, t])
+    assert with_map >= 3
+
+
+def test_cached_set_that_stops_certifying_goes_to_the_corrections():
+    """A reference jump drives the plan into an output bound that the
+    cached set leaves free: the map's answer fails the test, the
+    corrections find the new set, and the step matches a cold solve.
+    ``reset`` and a finished rollout leave no map behind."""
+    ctrl = make_controller(_spec("causal_gamma", u_box=2.0, y_box=1.0),
+                           part=_noisy_part())
+    z = _sample_zp()
+    for _ in range(3):
+        ctrl.step(z, np.zeros(L_F))
+    cached = ctrl.solver._kkt_key
+    assert ctrl.solver._map is not None
+    r_jump = np.full(L_F, 3.0)
+    res = ctrl.step(z, r_jump)
+    prob = ctrl.condense(z, r_jump)
+    cold = qp_solve(prob)
+    assert res.qp_status == cold.status == QpStatus.SOLVED
+    np.testing.assert_allclose(ctrl._warm_x, cold.x, rtol=0, atol=1e-9)
+    y_rows = slice(L_F, 2 * L_F)  # below the input rows
+    assert np.isclose(prob.A[y_rows] @ cold.x, prob.upper[y_rows]).any()
+    assert ctrl.solver._kkt_key != cached
+    ctrl.reset()
+    assert ctrl.solver._map is None
+
+    step = ctrl.step
+    seen = []
+
+    def recording(*args):
+        seen.append(ctrl.solver._map is not None)
+        return step(*args)
+
+    ctrl.step = recording
+    run_receding_horizon(demo_model(sigma_e=0.1), ctrl,
+                         np.zeros((1, 12)), 12, rng=seeded(145))
+    assert any(seen)
+    assert ctrl.solver._map is None
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +387,6 @@ def test_constraint_rows_follow_boxes():
 def test_condense_consistent_with_step():
     """Solving the materialized QP externally reproduces the step's plan
     (for the input-coordinate variants the decision is u_f itself)."""
-    from ddpc import solve as qp_solve
     part = _noisy_part()
     z = _sample_zp()
     spec = _spec("spc", u_box=0.4)

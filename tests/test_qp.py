@@ -17,6 +17,8 @@ Covers:
     start, the fallback to ADMM, independence from the cached KKT factor,
     and complementarity of every SOLVED point on degenerate problems at
     loose tolerances.
+  * the data map: a set certified twice in a row is answered by its
+    cached affine map in theta, equal to plain solves to round-off.
   * problem validation (symmetry, PSD, bound ordering, shapes), and
     non-finite or crossed solve data rejected by name before any
     iteration.
@@ -431,6 +433,88 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
         assert fresh.y.tobytes() == again.y.tobytes()
         assert fresh.iterations == again.iterations
         assert (fresh.iterations == 0) == (y0 is ref.y)
+
+
+def test_data_map_answers_a_repeated_set_by_one_product():
+    """With a data map, the set certified by two solves in a row gets its
+    map, and later solves of that set are answered by it: they match plain
+    solves to round-off.  A theta of the wrong length, or without a map,
+    or with a non-finite entry is rejected."""
+    rng = seeded(98)
+    prob = _random_box_qp(rng, n=8, k=10, spread=0.3)
+    n, k = prob.n, prob.k
+    D = np.zeros((n + k, 4))
+    D[:n, :3] = rng.standard_normal((n, 3))
+    D[:n, 3] = prob.q
+    D[n:, :3] = 0.1 * rng.standard_normal((k, 3))
+    mapped = BoxQpSolver(prob.P, prob.A,
+                         data_map=(D, prob.lower, prob.upper))
+    plain = BoxQpSolver(prob.P, prob.A)
+    y_mapped = y_plain = None
+    built_at = None
+    for step in range(6):
+        theta = np.append(1e-3 * step * np.ones(3), 1.0)
+        q, shift = D[:n] @ theta, D[n:] @ theta
+        lo, hi = prob.lower + shift, prob.upper + shift
+        a = mapped.solve(q, lo, hi, y0=y_mapped, theta=theta)
+        b = plain.solve(q, lo, hi, y0=y_plain)
+        assert a.status == b.status == QpStatus.SOLVED
+        np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
+        if built_at is None and mapped._map is not None:
+            built_at = step
+        y_mapped, y_plain = a.y, b.y
+    # the first warm-started solve certifies, the next one builds the map
+    assert built_at == 2 and plain._map is None
+
+    def no_lu(*args):
+        raise AssertionError("a repeated set went through the LU")
+
+    mapped._kkt_solve = no_lu
+    again = mapped.solve(q, lo, hi, y0=y_mapped, theta=theta)
+    assert again.status == QpStatus.SOLVED
+    np.testing.assert_allclose(again.x, b.x, rtol=0, atol=1e-12)
+    del mapped._kkt_solve
+    with pytest.raises(DimensionMismatch, match="theta"):
+        mapped.solve(q, lo, hi, theta=theta[:-1])
+    with pytest.raises(DimensionMismatch, match="theta"):
+        plain.solve(q, lo, hi, theta=theta)
+    with pytest.raises(ValueError, match=r"^theta "):
+        mapped.solve(q, lo, hi, theta=np.append(theta[:-1], np.nan))
+    with pytest.raises(DimensionMismatch, match="data_map"):
+        BoxQpSolver(prob.P, prob.A, data_map=(D[1:], prob.lower, prob.upper))
+
+
+def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
+    """min 0.5 x^2 + t x on [-1, 1]: t = 5 holds the row at its lower bound
+    and t = -5 at its upper one.  The row set is the same, but a map's
+    constant column holds the bound of each row's side, so once a warm
+    start points at the upper side, that side is cached as a set of its
+    own and then answers without the LU."""
+    one = np.ones(1)
+    solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
+        np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
+
+    def step(t, y0):
+        sol = solver.solve(np.array([t]), -one, one, y0=y0,
+                           theta=np.array([t, 1.0]))
+        assert sol.status == QpStatus.SOLVED
+        assert sol.x[0] == pytest.approx(-np.sign(t), abs=1e-12)
+        return sol.y
+
+    y = None
+    for _ in range(3):
+        y = step(5.0, y)
+    assert solver._map is not None  # the lower side's
+    y = one  # a warm start at the upper side
+    for _ in range(3):
+        y = step(-5.0, y)
+
+    def no_lu(*args):
+        raise AssertionError("the upper side's map was not used")
+
+    solver._kkt_solve = no_lu
+    step(-4.0, y)
 
 
 def _degenerate_qp(seed):
