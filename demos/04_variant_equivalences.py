@@ -8,7 +8,8 @@ Three identities hold per step on the same data and the same QP:
     least-squares controller the same way;
   * optimizing in the latent coordinates or directly over the
     pre-image weights gives the same input plan for any penalty.
-The script builds one noisy dataset and reports the per-step gaps.
+The script builds one noisy dataset and reports whether each per-step
+gap is below a stated floor.
 """
 
 import os
@@ -30,6 +31,12 @@ PLANT = ddpc.StateSpaceModel(
 )
 SPEC = ddpc.HorizonSpec(L_p=6, L_f=8)
 
+# The gaps are round-off, 1e-17 to 1e-13 in inputs of size about 0.4, and
+# move by orders of magnitude after any change that moves one plan by an
+# ulp; the demo prints only whether each gap is below this floor, so its
+# output stays the same under such changes and still shows a real gap.
+GAP_FLOOR = 1e-9
+
 
 def build(variant, blocks, part, mu=None, u_cap=0.4):
     cost = ddpc.CostSpec(q_step=np.eye(1), r_step=0.05 * np.eye(1),
@@ -41,8 +48,9 @@ def build(variant, blocks, part, mu=None, u_cap=0.4):
     return ddpc.make_controller(spec, blocks=blocks, part=part)
 
 
-def gap(a, b):
-    return float(np.max(np.abs(a.u_f - b.u_f)))
+def below_floor(a, b):
+    gap = float(np.max(np.abs(a.u_f - b.u_f)))
+    return "yes" if gap < GAP_FLOOR else f"no ({gap:.2e})"
 
 
 def main():
@@ -63,17 +71,20 @@ def main():
     soft = build("gamma", blocks, part, mu=1e10).step(z_p, r_f)
     at_cap = np.isclose(np.abs(spc.u_f), 0.4, atol=1e-6).any()
     print(f"input box active at the optimum: {at_cap}")
-    print(f"huge-penalty soft variant vs least-squares: {gap(soft, spc):.2e}")
+    print(f"input plan gaps below {GAP_FLOOR:.0e}:")
+    print(f"huge-penalty soft variant vs least-squares: "
+          f"{below_floor(soft, spc)}")
 
     cspc = build("causal_spc", blocks, part).step(z_p, r_f)
     csoft = build("causal_gamma", blocks, part, mu=1e10).step(z_p, r_f)
-    print(f"causal pair:                                {gap(csoft, cspc):.2e}")
+    print(f"causal pair:                                "
+          f"{below_floor(csoft, cspc)}")
 
     for mu in (0.1, 1.0, 10.0):
         lat = build("gamma", blocks, part, mu=mu).step(z_p, r_f)
         pre = build("projreg_g", blocks, part, mu=mu).step(z_p, r_f)
         print(f"latent vs pre-image weights at mu={mu:<4}: "
-              f"{gap(lat, pre):.2e}")
+              f"{below_floor(lat, pre)}")
 
 
 if __name__ == "__main__":

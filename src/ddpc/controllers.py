@@ -51,8 +51,9 @@ from .errors import DimensionMismatch
 from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
-from .sim import StateSpaceModel, _check_sane, step_model
-from .trajectory import HankelPartition, Trajectory, stack_window
+from .sim import (DIVERGENCE_LIMIT, NonlinearWrapper, StateSpaceModel,
+                  _diverged, step_model)
+from .trajectory import HankelPartition, Trajectory
 
 __all__ = [
     "VARIANTS",
@@ -359,17 +360,15 @@ class _CondensedController:
         D[:, :dz] = np.vstack([2.0 * (Fy.T @ Q @ By + Fu.T @ R @ Bu),
                                *shift, Bu, By])
         D[:n, dz:dz + dy] = -2.0 * Fy.T @ Q
-        self.D = D
-        self._lower0 = np.concatenate(lower0)
-        self._upper0 = np.concatenate(upper0)
-        self._q, self._shift = slice(0, n), slice(n, n + k)
-        self._bu = slice(n + k, n + k + len(Fu))
-        self._by = slice(n + k + len(Fu), len(D))
-        self._r_f = slice(dz, dz + dy)
         self.Fu, self.Fy = Fu, Fy
         self.solver = BoxQpSolver(self.P, self.A, qp_settings,
-                                  data_map=(D[:n + k], self._lower0,
-                                            self._upper0))
+                                  data_map=(D[:n + k], np.concatenate(lower0),
+                                            np.concatenate(upper0)))
+        # the solver holds the rows of q and the bound shift; the step
+        # keeps the rows of the offsets bu and by
+        self._offsets = D[n + k:]
+        self._n_u = len(Fu)
+        self._r_f = slice(dz, dz + dy)
         self._zero_y = np.zeros(dy)
         self._warm_x = None
         self._warm_y = None
@@ -393,11 +392,11 @@ class _CondensedController:
 
     def condense(self, z_p=None, r_f=None) -> QpProblem:
         """Materialize the per-step QP for inspection or external solving."""
-        d = self.D @ self._theta(z_p, r_f)
-        shift = d[self._shift]
-        return QpProblem(P=self.P, q=d[self._q], A=self.A,
-                         lower=self._lower0 + shift,
-                         upper=self._upper0 + shift)
+        D, lower0, upper0 = self.solver.data_map
+        d = D @ self._theta(z_p, r_f)
+        n = self.solver.n
+        return QpProblem(P=self.P, q=d[:n], A=self.A,
+                         lower=lower0 + d[n:], upper=upper0 + d[n:])
 
     def step(self, z_p=None, r_f=None) -> StepResult:
         """Solve one step from the past window ``z_p`` (ignored by
@@ -406,14 +405,12 @@ class _CondensedController:
         Raises ``DimensionMismatch`` for a wrong length and ``ValueError``
         for a NaN or infinite entry in either."""
         theta = self._theta(z_p, r_f)
-        d = self.D @ theta
-        shift = d[self._shift]
-        sol = self.solver.solve(d[self._q], self._lower0 + shift,
-                                self._upper0 + shift, x0=self._warm_x,
-                                y0=self._warm_y, theta=theta)
+        sol = self.solver.solve(theta=theta, x0=self._warm_x,
+                                y0=self._warm_y)
         self._warm_x, self._warm_y = sol.x, sol.y
         v = sol.x
-        bu, by = d[self._bu], d[self._by]
+        offsets = self._offsets @ theta
+        bu, by = offsets[:self._n_u], offsets[self._n_u:]
         u_f = self.Fu @ v + bu
         y_f = self.Fy @ v + by
         # the QP objective is the step cost less its part that v does not
@@ -628,29 +625,51 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     All innovations are drawn up-front from ``rng`` so that runs with the same
     generator state are paired across controllers.
 
+    The applied inputs and measured outputs go into two preallocated
+    ``(L_p + n_steps, m|p)`` arrays, so each move's window ``z_p`` is one
+    concatenation of two contiguous slices and ``r_f`` a contiguous view
+    of the padded reference.  An LTI plant moves by one product of the
+    stacked ``[[C, D], [A, B]]`` with ``[x; u]`` plus the move's
+    ``[e; K e]``, with ``K e`` formed for the whole rollout up front; a
+    :class:`NonlinearWrapper` moves by :func:`step_model`.  Every move
+    calls ``controller.step`` once, and the realized cost is summed after
+    the last move, in the order of the moves.
+
     Args:
         plant: :class:`StateSpaceModel` or wrapper; starts at rest.
         controller: Any object from :func:`make_controller`.
         reference: Setpoint schedule, shape ``(p, >= n_steps)``; the last
             column is held for the look-ahead beyond its end.
-        n_steps: Number of closed-loop moves.
+        n_steps: Number of closed-loop moves, at least 1.
         rng: Innovation stream; omit for a noise-free run.
         warmup_inputs: Optional ``(m, L_p)`` record applied before the
             first move.
 
     Raises:
-        Diverged: If any output magnitude exceeds ``1e6``.
+        ValueError: Before the warm-up, on ``n_steps`` below 1 or not an
+            integer, a ``reference`` or ``warmup_inputs`` of the wrong
+            shape (as ``DimensionMismatch``) or with a NaN or infinite
+            entry in the part the rollout reads.
+        Diverged: If any output magnitude exceeds ``1e6``; the message
+            names the step (negative in the warm-up).
     """
     m, p = controller.m, controller.p
     L_p, L_f = controller.L_p, controller.L_f
+    if (not isinstance(n_steps, (int, np.integer))
+            or isinstance(n_steps, bool) or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     ref = np.atleast_2d(np.asarray(reference, dtype=float))
-    if ref.shape[0] != p or ref.shape[1] < n_steps:
+    if ref.ndim != 2 or ref.shape[0] != p or ref.shape[1] < n_steps:
         raise DimensionMismatch(
             f"reference must be (p, >= n_steps), got {ref.shape}")
     total = n_steps + L_f
     if ref.shape[1] < total:
         ref = np.hstack([ref, np.repeat(ref[:, -1:],
                                         total - ref.shape[1], axis=1)])
+    # row t of ref_rows is the reference at t, so r_f is a slice of it
+    ref_rows = np.ascontiguousarray(ref[:, :total].T)
+    if not np.isfinite(ref_rows).all():
+        raise ValueError("reference contains NaN or infinite entries")
     if warmup_inputs is None:
         warmup = np.zeros((m, L_p))
     else:
@@ -659,55 +678,69 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
             raise DimensionMismatch(
                 f"warmup_inputs must be (m, L_p) = {(m, L_p)}, "
                 f"got {warmup.shape}")
+        if not np.isfinite(warmup).all():
+            raise ValueError("warmup_inputs contains NaN or infinite entries")
     sigma = plant.sigma_e
     if sigma > 0.0 and rng is not None:
         innov = sigma * rng.standard_normal((p, L_p + n_steps))
     else:
         innov = np.zeros((p, L_p + n_steps))
 
-    controller.reset()
-    x = np.zeros(plant.n)
-    u_hist: list[np.ndarray] = []
-    y_hist: list[np.ndarray] = []
-    for t in range(L_p):
-        u_t = warmup[:, t]
-        x, y_t = step_model(plant, x, u_t, innov[:, t])
-        _check_sane(y_t, t - L_p)
-        u_hist.append(u_t.copy())
-        y_hist.append(y_t)
-        controller.observe(u_t, y_t)
+    # row i of u_rows/y_rows is the input/output of move i - L_p
+    u_rows = np.empty((L_p + n_steps, m))
+    y_rows = np.empty((L_p + n_steps, p))
+    u_rows[:L_p] = warmup.T
+    u_flat, y_flat, r_flat = (a.reshape(-1) for a in (u_rows, y_rows,
+                                                      ref_rows))
+    if isinstance(plant, NonlinearWrapper):
+        x = np.zeros(plant.n)
 
-    cost = controller.cost
-    q_step, r_step = cost.q_step, cost.r_step
+        def move(i, u):
+            nonlocal x
+            x, y_rows[i] = step_model(plant, x, u, innov[:, i])
+    else:
+        n = plant.n
+        CD_AB = np.block([[plant.C, plant.D], [plant.A, plant.B]])
+        e_Ke = np.ascontiguousarray(np.vstack([innov, plant.K @ innov]).T)
+        xu = np.zeros(n + m)  # [x; u] of the move
+
+        def move(i, u):
+            xu[n:] = u
+            y_x = CD_AB @ xu
+            y_x += e_Ke[i]
+            y_rows[i] = y_x[:p]
+            xu[:n] = y_x[p:]
+
+    controller.reset()
+    observe, step = controller.observe, controller.step
+    for i in range(L_p):
+        move(i, u_rows[i])
+        if not np.abs(y_rows[i]).max() < DIVERGENCE_LIMIT:
+            raise _diverged(i - L_p)
+        observe(u_rows[i], y_rows[i])
+
     steps: list[StepResult] = []
-    u_log = np.empty((m, n_steps))
-    y_log = np.empty((p, n_steps))
-    J_y = 0.0
-    J_u = 0.0
     for t in range(n_steps):
-        z_p = (np.concatenate(u_hist[-L_p:] + y_hist[-L_p:]) if L_p > 0
-               else np.zeros(0))
-        r_f = stack_window(ref[:, t:t + L_f])
-        res = controller.step(z_p, r_f)
-        u_t = res.u_applied
-        x, y_t = step_model(plant, x, u_t, innov[:, L_p + t])
-        _check_sane(y_t, t)
-        controller.observe(u_t, y_t)
-        u_hist.append(np.asarray(u_t, dtype=float))
-        y_hist.append(y_t)
-        if L_p > 0:
-            u_hist = u_hist[-L_p:]
-            y_hist = y_hist[-L_p:]
-        err = y_t - ref[:, t]
-        J_y += float(err @ q_step @ err)
-        J_u += float(u_t @ r_step @ u_t)
-        u_log[:, t] = u_t
-        y_log[:, t] = y_t
+        z_p = np.concatenate((u_flat[t * m:(t + L_p) * m],
+                              y_flat[t * p:(t + L_p) * p]))
+        res = step(z_p, r_flat[t * p:(t + L_f) * p])
+        i = L_p + t
+        u_rows[i] = res.u_applied
+        move(i, u_rows[i])
+        if not np.abs(y_rows[i]).max() < DIVERGENCE_LIMIT:
+            raise _diverged(t)
+        observe(u_rows[i], y_rows[i])
         steps.append(res)
     # a finished controller keeps no warm starts or factors alive
     controller.reset()
-    traj = Trajectory(u_log, y_log)
+
+    cost = controller.cost
+    u_log, y_log = u_rows[L_p:], y_rows[L_p:]
+    err = y_log - ref_rows[:n_steps]
+    # each move's |err|^2_q and |u|^2_r, summed move by move
+    J_y = sum((((err @ cost.q_step) * err).sum(axis=1)).tolist())
+    J_u = sum((((u_log @ cost.r_step) * u_log).sum(axis=1)).tolist())
+    traj = Trajectory(u_log.T.copy(), y_log.T.copy())
     return RolloutResult(trajectory=traj, reference=ref[:, :n_steps],
                          steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u,
                          cost=cost)
-

@@ -52,16 +52,22 @@ residual that turns non-finite at a convergence check raises
 Where ``q`` and the bounds are affine in a parameter ``theta`` (ending in
 1), as in receding-horizon MPC, so is the KKT solution of a fixed active
 set: the critical regions of explicit MPC (Bemporad, Morari, Dua and
-Pistikopoulos, Automatica 2002).  A solver built with that
-``data_map`` and given ``theta`` keeps, beside the LU of the last set,
-the set's map ``M`` with ``[x; y_act] = M @ theta``.  It is built from
-that LU with the same refinements, once the set has been certified by
-two solves in a row, and dropped with the LU.  A later solve whose warm
-start points at the set then takes its KKT solution from one product
-with ``M``; the sign test and the residual test run on it unchanged,
-from ``x``, ``y``, ``q`` and the bounds, and a rejected answer goes on
-to the corrections, or is retried through the LU when the residual test
-alone rejected it.
+Pistikopoulos, Automatica 2002).  A solver built with that ``data_map =
+(D, lower0, upper0)`` checks the constant bounds once, when it is built,
+and is then given ``theta`` alone: one product ``D @ theta``, checked
+finite with the warm starts, forms ``q`` and the shift of the bounds.
+Beside the LU of the last set it keeps that set's record, built from the
+LU with the same refinements once the set has been certified by two
+solves in a row, and dropped with the LU.  The record holds the set's
+masks as the warm start's signs show them, its map ``M`` with ``[x; y] =
+M @ theta`` (zero multiplier rows off the set), the signs the set's
+multipliers must have, and the constant bounds with the set's rows closed
+onto their sides.  A later solve whose warm start holds the same rows
+then costs one product with ``M``, the products ``A x``, ``P x`` and
+``A' y``, one product for the sign test and one reduction for both
+residual tests, which are computed from ``x``, ``y``, ``q`` and the
+bounds, never read off the map.  A rejected answer is retried through
+the set's LU, and the corrections go on from there.
 """
 
 from __future__ import annotations
@@ -69,9 +75,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DimensionMismatch
@@ -203,6 +211,9 @@ _CERTIFY_ROUNDS = 3
 # solves skip scipy's per-call input checks.
 _POTRF, _POTRS, _GETRF, _GETRS, _GETRI = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs", "getri"), dtype=np.float64)
+# BLAS gemv forms a data-mapped solve's data: unlike matmul, it raises no
+# floating-point warning, so an overflow is reported by the finite test
+_GEMV = get_blas_funcs("gemv", dtype=np.float64)
 
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
@@ -233,6 +244,16 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
     return d, e, c
 
 
+class _SetMap(NamedTuple):
+    """The cached answer of one active set, for a solver with a data map."""
+
+    held: bytes  # the set's at_lo and at_hi masks, as a warm start shows it
+    key: bytes  # its rows and their sides, as the LU cache names them
+    M: np.ndarray  # [x; y] = M @ theta, with zero multiplier rows off the set
+    sides: np.ndarray  # -1 at a lower bound, +1 at an upper one, 0 elsewhere
+    bounds0: np.ndarray  # (lower0, upper0), each set row closed on its side
+
+
 class BoxQpSolver:
     """ADMM solver bound to a fixed ``(P, A)`` pair.
 
@@ -240,10 +261,15 @@ class BoxQpSolver:
     solves that differ only in ``q`` and the bounds.  With ``data_map =
     (D, lower0, upper0)`` those are affine in a parameter ``theta`` whose
     last entry is 1: ``q = D[:n] @ theta`` and the bounds are ``lower0 +
-    D[n:] @ theta`` and ``upper0 + D[n:] @ theta``.  A solve given
-    ``theta`` may then be answered by the cached map of its active set
-    (module docstring); at most one map is held, and :meth:`reset` drops
-    it with the factors.
+    D[n:] @ theta`` and ``upper0 + D[n:] @ theta``.  The map is checked
+    once, here: ``D`` finite, ``lower0 <= upper0``, no ``+inf`` in
+    ``lower0`` and no ``-inf`` in ``upper0``.  Rounding is monotone, so a
+    finite shift keeps every pair of bounds ordered, and the rows with
+    ``lower0 == upper0`` are the equality rows.  Such a solver is given
+    either ``(q, lower, upper)`` or ``theta`` alone.  A ``theta`` solve
+    whose warm start points at the set of the cached record is answered
+    by that record (module docstring); at most one record is held, and
+    :meth:`reset` drops it with the factors.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray,
@@ -270,18 +296,29 @@ class BoxQpSolver:
                     f"{self.n + self.k} rows and bounds of length {self.k}")
             if not np.isfinite(D).all():
                 raise ValueError("data_map D has non-finite entries")
-            data_map = (D, lower0, upper0)
+            _check_bounds(lower0, upper0, ("data_map lower0",
+                                           "data_map upper0"))
+            D = np.ascontiguousarray(D)
+            self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
+            self._bounds0 = np.array([lower0, upper0])
+            self._free0 = lower0 != upper0
+            self._may_hold0 = _may_hold(lower0, upper0, self._free0)
+            data_map = (D, *self._bounds0)
         self.data_map = data_map
+        # where each group of _residuals' rows starts in their concatenation
+        k, n = self.k, self.n
+        self._groups = np.array([0, k, 2 * k, 3 * k, 3 * k + n,
+                                 3 * k + 2 * n, 3 * k + 3 * n])
         self.reset()
 
     def reset(self) -> None:
-        """Drop the cached factors and map; later solves form what they
-        need."""
+        """Drop the cached factors and record; later solves form what
+        they need."""
         self._rho_vec = None
         self._factor = None
         self._kkt_key = None  # the rows (and sides) whose factor _kkt holds
         self._kkt = None
-        self._map = None  # [x; y_act] = _map @ theta for the set _kkt_key
+        self._map = None  # the _SetMap of the set _kkt_key
         self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
@@ -317,24 +354,42 @@ class BoxQpSolver:
         """
         Px = self.P @ x
         Aty = self.A.T @ y
-        # the max norms of each group's rows, in one reduction per group
-        r_prim, *scales_p = np.abs([Ax - z, Ax, z]).max(
-            axis=1, initial=0.0).tolist()
-        r_dual, *scales_d = np.abs([Px + q + Aty, Px, Aty, q]).max(
-            axis=1, initial=0.0).tolist()
-        scale_p, scale_d = max(scales_p), max(scales_d)
+        # the max norms of the seven groups of rows, in one reduction
+        norms = np.maximum.reduceat(np.abs(np.concatenate(
+            (Ax - z, Ax, z, Px + q + Aty, Px, Aty, q))), self._groups)
+        if not self.k:
+            norms[:3] = 0.0  # reduceat gives an empty group's first row
+        r_prim, ax_norm, z_norm, r_dual, *scales_d = norms.tolist()
+        scale_p, scale_d = max(ax_norm, z_norm), max(scales_d)
         st = self.settings
         ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
               and r_dual <= st.eps_abs + st.eps_rel * scale_d)
         return r_prim, r_dual, scale_p, scale_d, ok, Px
 
+    def _held(self, y0, may_hold):
+        """``(at_lo, at_hi)``: the rows a dual point holds at their lower
+        bound (``y0 < 0``) and at their upper one (``y0 > 0``).
+
+        ``may_hold`` masks the rows that can take each side: not equality
+        rows, and a finite bound.  Without ``y0`` no row is held.
+        """
+        if y0 is None:
+            none = np.zeros(self.k, dtype=bool)
+            return none, none
+        return (y0 < 0.0) & may_hold[0], (y0 > 0.0) & may_hold[1]
+
     # -- main entry --------------------------------------------------------
 
-    def solve(self, q: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+    def solve(self, q: np.ndarray | None = None,
+              lower: np.ndarray | None = None,
+              upper: np.ndarray | None = None,
               x0: np.ndarray | None = None,
               y0: np.ndarray | None = None,
               theta: np.ndarray | None = None) -> QpSolution:
         """Solve for one right-hand side, optionally warm-started.
+
+        The data are ``(q, lower, upper)``, or, for a solver built with a
+        ``data_map``, ``theta`` alone.
 
         Args:
             q: Linear cost term, length n.
@@ -343,25 +398,22 @@ class BoxQpSolver:
             x0: Optional primal warm start (unscaled), length n.
             y0: Optional dual warm start (unscaled), length k; its signs
                 also pick the active set tried before ADMM.
-            theta: Optional parameter, ending in 1, at which the solver's
+            theta: The parameter, ending in 1, at which the solver's
                 ``data_map`` gives ``q``, ``lower`` and ``upper``; with
-                it, a warm-start set whose map is cached is answered by
-                one product with that map.
+                it, a warm-start set whose record is cached is answered
+                by one product with the record's map.
 
         Raises:
             DimensionMismatch: On a length that does not match the solver,
                 or a ``theta`` without a ``data_map`` of its length.
-            ValueError: On a non-finite ``q``, ``x0``, ``y0`` or
-                ``theta``, a NaN bound, a ``+inf`` lower or ``-inf`` upper
-                bound, a lower bound above its upper bound, or a residual
-                that turns non-finite while iterating.
+            ValueError: On ``theta`` given with ``(q, lower, upper)`` or
+                neither given; on a non-finite ``q``, ``x0``, ``y0`` or
+                ``theta``, or a ``theta`` so large that ``D @ theta``
+                overflows; on a NaN bound, a ``+inf`` lower or ``-inf``
+                upper bound, a lower bound above its upper bound, or a
+                residual that turns non-finite while iterating.
         """
         st = self.settings
-        q = np.asarray(q, dtype=float).reshape(-1)
-        lo = np.asarray(lower, dtype=float).reshape(-1)
-        hi = np.asarray(upper, dtype=float).reshape(-1)
-        if q.shape[0] != self.n or lo.shape[0] != self.k or hi.shape[0] != self.k:
-            raise DimensionMismatch("q or bound length mismatch with solver")
         if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
         if y0 is not None:
@@ -369,14 +421,37 @@ class BoxQpSolver:
         if ((x0 is not None and x0.shape != (self.n,))
                 or (y0 is not None and y0.shape != (self.k,))):
             raise DimensionMismatch("warm start length mismatch with solver")
-        if theta is not None:
-            theta = np.asarray(theta, dtype=float)
-            if (self.data_map is None
-                    or theta.shape != (self.data_map[0].shape[1],)):
+        mapped = theta is not None
+        if mapped:
+            d = self._mapped_data(q, lower, upper, theta, x0, y0)
+            q, shift = d[:self.n], d[self.n:]
+            free, may_hold = self._free0, self._may_hold0
+            at_lo, at_hi = self._held(y0, may_hold)
+            rec = self._map
+            if (rec is not None
+                    and at_lo.tobytes() + at_hi.tobytes() == rec.held):
+                certified = self._from_map(rec, theta, q, shift)
+                if certified is not None:
+                    return certified
+            # a rejected record answer is retried through the set's LU, and
+            # corrected from there
+            lo, hi = self._bounds0 + shift
+            certified = self._certify(q, lo, hi, free, at_lo, at_hi, mapped)
+        else:
+            if q is None or lower is None or upper is None:
+                raise ValueError("solve needs q, lower and upper, or theta")
+            q = np.asarray(q, dtype=float).reshape(-1)
+            lo = np.asarray(lower, dtype=float).reshape(-1)
+            hi = np.asarray(upper, dtype=float).reshape(-1)
+            if (q.shape[0] != self.n or lo.shape[0] != self.k
+                    or hi.shape[0] != self.k):
                 raise DimensionMismatch(
-                    "theta length mismatch with the solver's data_map")
-        _check_entry(q, lo, hi, x0, y0, theta)
-        certified = self._certify(q, lo, hi, y0, theta)
+                    "q or bound length mismatch with solver")
+            _check_entry(q, lo, hi, x0, y0)
+            free = lo != hi
+            may_hold = _may_hold(lo, hi, free)
+            certified = self._certify(q, lo, hi, free,
+                                      *self._held(y0, may_hold), mapped)
         if certified is not None:
             return certified
         if self.k == 0:
@@ -467,7 +542,8 @@ class BoxQpSolver:
 
         x, y, Ax, z = self._unscaled(As, xs, zs, ys)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, lo, hi, y, theta)
+            refined = self._certify(q, lo, hi, free,
+                                    *self._held(y, may_hold), mapped)
             if refined is not None:
                 refined.iterations = iters_done
                 return refined
@@ -475,6 +551,31 @@ class BoxQpSolver:
         obj = float(x @ (0.5 * Px + q))
         return QpSolution(x=x, y=y, status=status, iterations=iters_done,
                           primal_res=r_prim, dual_res=r_dual, objective=obj)
+
+    def _mapped_data(self, q, lower, upper, theta, x0, y0):
+        """``D @ theta``: ``q`` and the shift of the bounds at ``theta``.
+
+        The product is checked finite with the warm starts, in one test.
+        """
+        if q is not None or lower is not None or upper is not None:
+            raise ValueError("solve takes q, lower and upper, or theta, "
+                             "not both")
+        if self.data_map is None:
+            raise DimensionMismatch(
+                "theta given to a solver built without a data_map")
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self._DT.shape[0],):
+            raise DimensionMismatch(
+                "theta length mismatch with the solver's data_map")
+        d = _GEMV(1.0, self._DT, theta, trans=1)
+        given = [v for v in (d, x0, y0) if v is not None]
+        if not np.isfinite(np.concatenate(given)).all():
+            for name, v in (("theta", theta), ("x0", x0), ("y0", y0)):
+                if v is not None and not np.isfinite(v).all():
+                    raise ValueError(f"{name} has non-finite entries")
+            raise ValueError("theta is so large that the data_map "
+                             "D @ theta overflows")
+        return d
 
     def _kkt_solve(self, act, key, rhs):
         """Solve ``[[P, A_act'], [A_act, 0]] sol = rhs`` for the row set
@@ -484,8 +585,8 @@ class BoxQpSolver:
         blocks and the solution is refined ``_POLISH_REFINE`` times against
         the unregularized system.  The factor of the last row set is kept,
         so a set that repeats from one solve to the next costs back-solves
-        only; factoring another set drops the set's map.  Returns ``sol``,
-        or None on a singular pivot or a non-finite solution.
+        only; factoring another set drops the set's record.  Returns
+        ``sol``, or None on a singular pivot or a non-finite solution.
         """
         n = self.n
         A_act = self.A[act]
@@ -521,49 +622,34 @@ class BoxQpSolver:
             return None
         return sol
 
-    def _certify(self, q, lo, hi, y0, theta):
-        """Try the active set the signs of ``y0`` point at.
+    def _certify(self, q, lo, hi, free, at_lo, at_hi, mapped):
+        """Try the active set ``at_lo | at_hi`` plus the equality rows.
 
-        ``y0`` is the dual warm start before ADMM, and ADMM's own dual
-        after ADMM has solved the step.  Rows with ``y0 < 0`` start at
-        their lower bound, rows with ``y0 > 0`` at their upper bound, and
-        equality rows are always active; without ``y0`` no bound row is.
-        The set's KKT solution comes from the cached map when ``theta`` is
-        given and the map belongs to the set, and from the LU otherwise.
-        It is accepted when every multiplier has the sign of its bound and
-        both residuals pass the ADMM stopping test, the primal one against
+        The set is the one the signs of a dual point at (:meth:`_held`):
+        the warm start before ADMM, ADMM's own dual after ADMM has solved
+        the step.  Its KKT solution comes from the LU of the set.  It is
+        accepted when every multiplier has the sign of its bound and both
+        residuals pass the ADMM stopping test, the primal one against
         ``z = clip(Ax, lo, hi)`` with the set's rows at their bounds.
         Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
-        multipliers have the wrong sign and add the rows that are violated;
-        a map answer that the residual test alone rejects is first retried
-        through the LU.  When the set certified here was also certified
-        by the previous solve, its map is built for the next one.
-        Returns a ``SOLVED`` solution with zero iterations, or None.
+        multipliers have the wrong sign and add the rows that are violated.
+        When a ``mapped`` solve
+        certifies the set that the previous solve certified, the set's
+        record is built for the next one.  Returns a ``SOLVED`` solution
+        with zero iterations, or None.
         """
         n = self.n
         previous, self._certified_key = self._certified_key, None
-        free = lo != hi
-        if y0 is None:
-            at_lo = at_hi = np.zeros(self.k, dtype=bool)
-        else:
-            at_lo = free & (y0 < 0.0) & np.isfinite(lo)
-            at_hi = free & (y0 > 0.0) & np.isfinite(hi)
-        use_map = theta is not None
         rounds = 0
         while True:
             act = (~free | at_lo | at_hi).nonzero()[0]
-            # the rows and their sides: a map's constant column holds the
-            # bound on each row's side
+            # the rows and their sides: a record's constant column holds
+            # the bound on each row's side
             key = act.tobytes() + at_hi[act].tobytes()
-            from_map = (use_map and self._map is not None
-                        and key == self._kkt_key)
             b = np.where(at_hi, hi, lo)[act]
-            if from_map:
-                sol = self._map @ theta
-            else:
-                sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
-                if sol is None:
-                    return None
+            sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
+            if sol is None:
+                return None
             x, y = sol[:n], np.zeros(self.k)
             y[act] = sol[n:]
             Ax = self.A @ x
@@ -575,8 +661,8 @@ class BoxQpSolver:
             r_prim, r_dual, _, _, ok, Px = self._residuals(q, x, y, Ax, z)
             wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
             if ok and not wrong.any():
-                if use_map and self._map is None and key == previous:
-                    self._map = self._set_map(act, key, at_hi)
+                if mapped and self._map is None and key == previous:
+                    self._map = self._set_map(act, key, at_lo, at_hi)
                 self._certified_key = key
                 return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
                                   iterations=0, primal_res=r_prim,
@@ -587,56 +673,96 @@ class BoxQpSolver:
             new_hi = (at_hi & ~wrong) | (free & (Ax - hi > eps_p))
             if (np.array_equal(new_lo, at_lo)
                     and np.array_equal(new_hi, at_hi)):
-                if not from_map:
-                    return None
-                use_map = False
-                continue
+                return None
             rounds += 1
             if rounds > _CERTIFY_ROUNDS:
                 return None
             at_lo, at_hi = new_lo, new_hi
 
-    def _set_map(self, act, key, at_hi):
-        """``M`` with ``[x; y_act] = M @ theta`` on the row set ``act``.
+    def _from_map(self, rec, theta, q, shift):
+        """Answer the set of the record ``rec`` by one product with its map.
+
+        The sign test and the residual test run on the answer as on an LU
+        answer, from ``x``, ``y``, ``q`` and the bounds.  Returns a
+        ``SOLVED`` solution, or None when either test rejects it.
+        """
+        n = self.n
+        sol = rec.M @ theta
+        x, y = sol[:n], sol[n:]
+        Ax = self.A @ x
+        z_lo, z_hi = rec.bounds0 + shift
+        z = np.minimum(np.maximum(Ax, z_lo), z_hi)
+        r_prim, r_dual, _, _, ok, Px = self._residuals(q, x, y, Ax, z)
+        if ok and np.minimum.reduce(rec.sides * y, initial=0.0) >= 0.0:
+            self._certified_key = rec.key
+            return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
+                              iterations=0, primal_res=r_prim,
+                              dual_res=r_dual,
+                              objective=float(x @ (0.5 * Px + q)))
+        return None
+
+    def _set_map(self, act, key, at_lo, at_hi):
+        """The record of the row set ``act``, or None.
 
         With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
         side is ``[-D[:n]; D[n:][act]] @ theta`` plus its bounds'
         constant parts ``lower0``/``upper0`` in the column of theta's
         trailing 1.  Its columns are solved through the inverse formed from
-        the set's cached LU, and refined as a single solve is.
+        the set's cached LU, and refined as a single solve is; the
+        multiplier rows are then spread to full length.
         """
         D, lower0, upper0 = self.data_map
         n = self.n
         rhs = np.vstack([-D[:n], D[n:][act]])
         rhs[n:, -1] += np.where(at_hi, upper0, lower0)[act]
-        return self._kkt_solve(act, key, rhs)
+        sol = self._kkt_solve(act, key, rhs)
+        if sol is None:
+            return None
+        M = np.zeros((n + self.k, sol.shape[1]))
+        M[:n] = sol[:n]
+        M[n + act] = sol[n:]
+        return _SetMap(held=at_lo.tobytes() + at_hi.tobytes(), key=key, M=M,
+                       sides=at_hi * 1.0 - at_lo,
+                       bounds0=np.array([np.where(at_hi, upper0, lower0),
+                                         np.where(at_lo, lower0, upper0)]))
 
 
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
 
 
-def _check_entry(q, lo, hi, x0, y0, theta) -> None:
-    """Reject non-finite or crossed solve data before any iteration runs.
+def _check_entry(q, lo, hi, x0, y0) -> None:
+    """Reject non-finite or crossed solve data before any iteration runs."""
+    given = [v for v in (q, x0, y0) if v is not None]
+    if not np.isfinite(np.concatenate(given)).all():
+        for name, v in (("q", q), ("x0", x0), ("y0", y0)):
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
+    _check_bounds(lo, hi, ("lower", "upper"))
 
-    Valid data pass two whole-array tests; only data that fail one are
-    searched for the argument and row to name.
+
+def _check_bounds(lo, hi, names) -> None:
+    """Reject a NaN bound, a ``+inf`` lower or ``-inf`` upper bound, and a
+    lower bound above its upper bound.
+
+    Valid bounds pass one whole-array test; only bounds that fail it are
+    searched for the first row to name.
     """
-    given = [v for v in (q, x0, y0, theta) if v is not None]
-    if (np.isfinite(np.concatenate(given)).all()
-            and ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all()):
+    if ((lo <= hi) & (lo < np.inf) & (hi > -np.inf)).all():
         return
-    for name, v in (("q", q), ("x0", x0), ("y0", y0), ("theta", theta)):
-        if v is not None and not np.isfinite(v).all():
-            raise ValueError(f"{name} has non-finite entries")
-    for name, v, bad in (("lower", lo, np.inf), ("upper", hi, -np.inf)):
+    for name, v, bad in ((names[0], lo, np.inf), (names[1], hi, -np.inf)):
         if np.isnan(v).any():
             raise ValueError(f"{name} has NaN entries")
         if (v == bad).any():
             raise ValueError(f"{name} has entries equal to {bad}")
     crossed = np.flatnonzero(lo > hi)
-    if crossed.size:
-        raise ValueError(f"lower exceeds upper at row {crossed[0]}")
+    raise ValueError(f"{names[0]} exceeds {names[1]} at row {crossed[0]}")
+
+
+def _may_hold(lo, hi, free) -> np.ndarray:
+    """The rows that a dual point may hold at their lower bound (row 0)
+    and at their upper bound (row 1): not equality rows, a finite bound."""
+    return np.array([free & np.isfinite(lo), free & np.isfinite(hi)])
 
 
 def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:

@@ -16,7 +16,9 @@ its ``step`` and ``condense`` methods.  Covers:
     recovery by the innovation-form update.
   * receding-horizon mechanics: cost decomposition, applied inputs,
     reference padding, warm-up handling, determinism, divergence, and
-    aggregated QP status.
+    aggregated QP status; inputs rejected before the warm-up; the windows
+    of the preallocated loop equal list-built ones, and a rollout equals
+    a per-step loop over ``step_model`` (bitwise for a wrapped plant).
 """
 
 from __future__ import annotations
@@ -27,16 +29,24 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import demo_model, make_blocks, make_partition, seeded
+from conftest import (
+    demo_model,
+    make_blocks,
+    make_partition,
+    random_model,
+    seeded,
+)
 from oracles import kkt_residuals, multistep_matrices
 
 from ddpc import (
+    DIVERGENCE_LIMIT,
     BoxConstraints,
     ControllerSpec,
     CostSpec,
     DimensionMismatch,
     Diverged,
     HorizonSpec,
+    NonlinearWrapper,
     QpSettings,
     QpStatus,
     StateSpaceModel,
@@ -51,7 +61,9 @@ from ddpc import (
     run_receding_horizon,
     sine_reference,
     square_wave,
+    stack_window,
     step_lti,
+    step_model,
 )
 from ddpc.lq import causal_split
 
@@ -720,3 +732,198 @@ def test_data_driven_controller_tracks_square_reference():
                                ref, 60)
     err = res.trajectory.outputs - ref[:, :60]
     assert np.sqrt((err ** 2).mean()) < 0.4
+
+
+def _per_step_loop(plant, ctrl, reference, n_steps, rng=None,
+                   warmup_inputs=None):
+    """The receding-horizon loop over history lists, ``stack_window`` and
+    ``step_model``, with the cost summed move by move.  Returns the
+    applied inputs, the measured outputs, ``J_y`` and ``J_u``."""
+    m, p, L_p, L_f = ctrl.m, ctrl.p, ctrl.L_p, ctrl.L_f
+    ref = np.atleast_2d(np.asarray(reference, dtype=float))
+    total = n_steps + L_f
+    if ref.shape[1] < total:
+        ref = np.hstack([ref, np.repeat(ref[:, -1:], total - ref.shape[1],
+                                        axis=1)])
+    warmup = (np.zeros((m, L_p)) if warmup_inputs is None
+              else np.atleast_2d(warmup_inputs))
+    if plant.sigma_e > 0.0 and rng is not None:
+        innov = plant.sigma_e * rng.standard_normal((p, L_p + n_steps))
+    else:
+        innov = np.zeros((p, L_p + n_steps))
+
+    def check(y, t):
+        if not np.all(np.abs(y) < DIVERGENCE_LIMIT):
+            raise Diverged(f"output magnitude exceeded {DIVERGENCE_LIMIT:g} "
+                           f"at step {t}")
+
+    ctrl.reset()
+    x = np.zeros(plant.n)
+    u_hist, y_hist = [], []
+    for t in range(L_p):
+        u_t = warmup[:, t]
+        x, y_t = step_model(plant, x, u_t, innov[:, t])
+        check(y_t, t - L_p)
+        u_hist.append(u_t.copy())
+        y_hist.append(y_t)
+        ctrl.observe(u_t, y_t)
+    us, ys, J_y, J_u = [], [], 0.0, 0.0
+    for t in range(n_steps):
+        z_p = (np.concatenate(u_hist[-L_p:] + y_hist[-L_p:]) if L_p > 0
+               else np.zeros(0))
+        res = ctrl.step(z_p, stack_window(ref[:, t:t + L_f]))
+        u_t = res.u_applied
+        x, y_t = step_model(plant, x, u_t, innov[:, L_p + t])
+        check(y_t, t)
+        ctrl.observe(u_t, y_t)
+        u_hist.append(u_t)
+        y_hist.append(y_t)
+        err = y_t - ref[:, t]
+        J_y += float(err @ ctrl.cost.q_step @ err)
+        J_u += float(u_t @ ctrl.cost.r_step @ u_t)
+        us.append(u_t)
+        ys.append(y_t)
+    ctrl.reset()
+    return np.array(us).T, np.array(ys).T, J_y, J_u
+
+
+def test_rollout_rejects_bad_inputs_before_the_warm_up():
+    """A bad ``n_steps``, ``reference`` or ``warmup_inputs`` raises a
+    ValueError that names it before the plant moves; a reference is read
+    only as far as the look-ahead of the last move."""
+    ctrl = make_controller(_spec("spc"), part=_noisy_part())
+    observed = []
+    ctrl.observe = lambda u, y: observed.append(u)
+    plant = demo_model(sigma_e=0.1)
+    ref = np.zeros((1, 10))
+    for n_steps in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="n_steps"):
+            run_receding_horizon(plant, ctrl, ref, n_steps, rng=seeded(146))
+    for bad in (np.nan, np.inf):
+        spoiled = ref.copy()
+        spoiled[0, 9] = bad  # held as the look-ahead beyond the end
+        with pytest.raises(ValueError, match="reference"):
+            run_receding_horizon(plant, ctrl, spoiled, 10)
+        warm = np.zeros((1, L_P))
+        warm[0, 1] = bad
+        with pytest.raises(ValueError, match="warmup_inputs"):
+            run_receding_horizon(plant, ctrl, ref, 10, warmup_inputs=warm)
+    with pytest.raises(DimensionMismatch, match="reference"):
+        run_receding_horizon(plant, ctrl, np.zeros((2, 10)), 10)
+    assert observed == []
+    unread = np.zeros((1, 30))
+    unread[0, 20:] = np.nan  # beyond n_steps + L_f
+    res = run_receding_horizon(plant, ctrl, unread, 10)
+    assert len(res.steps) == 10 and len(observed) == L_P + 10
+
+
+def _mimo_case():
+    plant = random_model(seeded(150), n=3, m=2, p=2, sigma_e=0.1)
+    cost = CostSpec(q_step=np.eye(2), r_step=0.05 * np.eye(2), L_f=4)
+    boxes = BoxConstraints(u_lower=[-0.5, -0.5], u_upper=[0.5, 0.5],
+                           y_lower=[-np.inf] * 2, y_upper=[np.inf] * 2)
+    spec = ControllerSpec(variant="reg_causal_gamma", cost=cost,
+                          boxes=boxes, mu=1.0, lam=1.0)
+    part = make_partition(plant, 200, 3, 4, seeded(151))
+    return plant, make_controller(spec, part=part), seeded(153).uniform(
+        -1.0, 1.0, (2, 3))
+
+
+def _kf_case():
+    plant = demo_model(sigma_e=0.1)
+    return plant, make_controller(_spec("kf_mpc"), model=plant), None
+
+
+@pytest.mark.parametrize("case", [_mimo_case, _kf_case],
+                         ids=["mimo", "kf_mpc_without_L_p"])
+def test_rollout_windows_equal_list_built_windows(case):
+    """Each ``z_p`` and ``r_f`` the loop passes to ``step`` equals the
+    window built from the lists of all observed inputs and outputs, and
+    ``stack_window`` of the padded reference."""
+    plant, ctrl, warm = case()
+    L_p, L_f = ctrl.L_p, ctrl.L_f
+    step, observe = ctrl.step, ctrl.observe
+    windows, observed = [], []
+
+    def recording_step(z_p, r_f):
+        windows.append((z_p.copy(), r_f.copy()))
+        return step(z_p, r_f)
+
+    def recording_observe(u, y):
+        observed.append((np.array(u), np.array(y)))
+        observe(u, y)
+
+    ctrl.step, ctrl.observe = recording_step, recording_observe
+    n_steps = 15
+    ref = sine_reference(9.0, 0.8, n_steps + 1, p=ctrl.p)
+    res = run_receding_horizon(plant, ctrl, ref, n_steps, rng=seeded(152),
+                               warmup_inputs=warm)
+    padded = np.hstack([ref, np.repeat(ref[:, -1:], L_f - 1, axis=1)])
+    assert len(windows) == n_steps and len(observed) == L_p + n_steps
+    for t, (z_p, r_f) in enumerate(windows):
+        past = observed[t:L_p + t]
+        old = (np.concatenate([u for u, _ in past] + [y for _, y in past])
+               if L_p > 0 else np.zeros(0))
+        np.testing.assert_array_equal(z_p, old)
+        np.testing.assert_array_equal(r_f, stack_window(padded[:, t:t + L_f]))
+    np.testing.assert_array_equal(
+        np.array([u for u, _ in observed[L_p:]]).T, res.trajectory.inputs)
+    np.testing.assert_array_equal(
+        np.array([y for _, y in observed[L_p:]]).T, res.trajectory.outputs)
+    if warm is not None:
+        np.testing.assert_array_equal(
+            np.array([u for u, _ in observed[:L_p]]).T, warm)
+
+
+@pytest.mark.parametrize("wrapped", [True, False],
+                         ids=["nonlinear_wrapper", "lti"])
+def test_rollout_equals_a_per_step_loop(wrapped):
+    """A wrapped plant moves by ``step_model`` in both loops, so they agree
+    bit for bit; an LTI plant moves by one stacked product, which agrees
+    with ``step_model`` to round-off."""
+    base = demo_model(sigma_e=0.1)
+    plant = NonlinearWrapper(base, eps=0.3) if wrapped else base
+    ref = square_wave(16, 1.0, 40)[None, :]
+    warm = np.full((1, L_P), 0.3)
+    runs = []
+    for loop in (run_receding_horizon, _per_step_loop):
+        ctrl = make_controller(_spec("causal_gamma", u_box=1.0),
+                               part=_noisy_part())
+        runs.append(loop(plant, ctrl, ref, 40, rng=seeded(147),
+                         warmup_inputs=warm))
+    res, (us, ys, J_y, J_u) = runs
+    if wrapped:
+        np.testing.assert_array_equal(res.trajectory.inputs, us)
+        np.testing.assert_array_equal(res.trajectory.outputs, ys)
+        assert (res.J_y, res.J_u) == (J_y, J_u)
+    else:
+        np.testing.assert_allclose(res.trajectory.inputs, us, rtol=1e-9,
+                                   atol=1e-12)
+        np.testing.assert_allclose(res.trajectory.outputs, ys, rtol=1e-9,
+                                   atol=1e-12)
+        assert res.J_y == pytest.approx(J_y, rel=1e-9)
+        assert res.J_u == pytest.approx(J_u, rel=1e-9)
+
+
+def test_divergence_names_the_step_of_the_per_step_loop():
+    """In the closed loop and in the warm-up (negative steps), the loop
+    raises at the step the per-step loop does, with its message."""
+    model = demo_model(sigma_e=0.1)
+    wrong = StateSpaceModel(A=model.A, B=-model.B, C=model.C, D=-model.D,
+                            K=model.K, sigma_e=model.sigma_e)
+    unstable = StateSpaceModel(A=[[3.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
+                               K=[[0.0]])
+    cases = [(model, dict(model=wrong, L_p=L_P), None),
+             (unstable, dict(model=unstable, L_p=L_P),
+              np.full((1, L_P), 1e5))]
+    for plant, handles, warm in cases:
+        messages = []
+        for loop in (run_receding_horizon, _per_step_loop):
+            ctrl = make_controller(_spec("kf_mpc", u_box=np.inf), **handles)
+            with pytest.raises(Diverged) as caught:
+                loop(plant, ctrl, sine_reference(20.0, 1.0, 200), 200,
+                     rng=seeded(141), warmup_inputs=warm)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+        assert messages[0].startswith("output magnitude exceeded 1e+06 at")
+    assert messages[0].endswith("at step -1")

@@ -18,13 +18,18 @@ Covers:
     and complementarity of every SOLVED point on degenerate problems at
     loose tolerances.
   * the data map: a set certified twice in a row is answered by its
-    cached affine map in theta, equal to plain solves to round-off.
+    cached affine map in theta, equal to plain solves to round-off; a
+    theta-only solve equals the solve of its data through a hit, a miss
+    and a change of side; an overflowing theta and invalid map bounds are
+    rejected.
   * problem validation (symmetry, PSD, bound ordering, shapes), and
     non-finite or crossed solve data rejected by name before any
     iteration.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -437,9 +442,10 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
 
 def test_data_map_answers_a_repeated_set_by_one_product():
     """With a data map, the set certified by two solves in a row gets its
-    map, and later solves of that set are answered by it: they match plain
-    solves to round-off.  A theta of the wrong length, or without a map,
-    or with a non-finite entry is rejected."""
+    record, and later theta-only solves of that set are answered by it:
+    they match plain solves to round-off.  A theta of the wrong length,
+    without a map, given with q and the bounds, or with a non-finite entry
+    is rejected."""
     rng = seeded(98)
     prob = _random_box_qp(rng, n=8, k=10, spread=0.3)
     n, k = prob.n, prob.k
@@ -456,7 +462,7 @@ def test_data_map_answers_a_repeated_set_by_one_product():
         theta = np.append(1e-3 * step * np.ones(3), 1.0)
         q, shift = D[:n] @ theta, D[n:] @ theta
         lo, hi = prob.lower + shift, prob.upper + shift
-        a = mapped.solve(q, lo, hi, y0=y_mapped, theta=theta)
+        a = mapped.solve(y0=y_mapped, theta=theta)
         b = plain.solve(q, lo, hi, y0=y_plain)
         assert a.status == b.status == QpStatus.SOLVED
         np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
@@ -471,16 +477,18 @@ def test_data_map_answers_a_repeated_set_by_one_product():
         raise AssertionError("a repeated set went through the LU")
 
     mapped._kkt_solve = no_lu
-    again = mapped.solve(q, lo, hi, y0=y_mapped, theta=theta)
+    again = mapped.solve(y0=y_mapped, theta=theta)
     assert again.status == QpStatus.SOLVED
     np.testing.assert_allclose(again.x, b.x, rtol=0, atol=1e-12)
     del mapped._kkt_solve
     with pytest.raises(DimensionMismatch, match="theta"):
-        mapped.solve(q, lo, hi, theta=theta[:-1])
+        mapped.solve(theta=theta[:-1])
     with pytest.raises(DimensionMismatch, match="theta"):
-        plain.solve(q, lo, hi, theta=theta)
+        plain.solve(theta=theta)
+    with pytest.raises(ValueError, match="not both"):
+        mapped.solve(q, lo, hi, theta=theta)
     with pytest.raises(ValueError, match=r"^theta "):
-        mapped.solve(q, lo, hi, theta=np.append(theta[:-1], np.nan))
+        mapped.solve(theta=np.append(theta[:-1], np.nan))
     with pytest.raises(DimensionMismatch, match="data_map"):
         BoxQpSolver(prob.P, prob.A, data_map=(D[1:], prob.lower, prob.upper))
 
@@ -496,8 +504,7 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
         np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
 
     def step(t, y0):
-        sol = solver.solve(np.array([t]), -one, one, y0=y0,
-                           theta=np.array([t, 1.0]))
+        sol = solver.solve(y0=y0, theta=np.array([t, 1.0]))
         assert sol.status == QpStatus.SOLVED
         assert sol.x[0] == pytest.approx(-np.sign(t), abs=1e-12)
         return sol.y
@@ -515,6 +522,111 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
 
     solver._kkt_solve = no_lu
     step(-4.0, y)
+
+
+def test_a_record_answer_off_its_bounds_is_retried_through_the_lu():
+    """min 0.5 x^2 + 5 x on [-1, 1] holds x at -1 with y = -4.  A record
+    whose map lost the bound's constant answers x = 0, y = -5: the dual
+    residual passes and 0 lies inside the box, so only the primal test
+    against the row held at its bound rejects it.  No row has a wrong sign
+    or is violated, so the same set is solved again through its LU."""
+    one = np.ones(1)
+    solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
+        np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
+    theta = np.array([5.0, 1.0])
+    y = None
+    for _ in range(3):
+        y = solver.solve(y0=y, theta=theta).y
+    rec = solver._map
+    np.testing.assert_allclose(rec.M @ theta, [-1.0, -4.0], atol=1e-12)
+    bad = rec.M.copy()
+    bad[:, -1] = 0.0  # the bound's constant dropped
+    solver._map = rec._replace(M=bad)
+    sol = solver.solve(y0=y, theta=theta)
+    assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+    np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -4.0],
+                               atol=1e-12)
+
+
+def _mapped_qp(seed):
+    """A random QP with a data map in a 3-vector (and the trailing 1)."""
+    rng = seeded(seed)
+    prob = _random_box_qp(rng, n=8, k=10, spread=0.3)
+    n, k = prob.n, prob.k
+    D = np.zeros((n + k, 4))
+    D[:n, :3] = rng.standard_normal((n, 3))
+    D[:n, 3] = prob.q
+    D[n:, :3] = 0.1 * rng.standard_normal((k, 3))
+    return prob, D
+
+
+def test_theta_only_solve_equals_the_solve_of_its_data():
+    """Through answers from the record (hits), sets without one (misses)
+    and a row that moves to its other bound, each theta-only solve has the
+    status, x and y of a plain solve of ``D @ theta``, warm-started alike.
+    """
+    prob, D = _mapped_qp(98)
+    n = prob.n
+    mapped = BoxQpSolver(prob.P, prob.A, data_map=(D, prob.lower, prob.upper))
+    plain = BoxQpSolver(prob.P, prob.A)
+    hits = []
+    from_map = mapped._from_map
+
+    def counting(*args):
+        hits.append(len(hits))
+        return from_map(*args)
+
+    mapped._from_map = counting
+    thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(5)]
+              + [np.array([-0.6, -0.6, -0.6, 1.0])] * 4
+              + [np.array([0.6, -0.6, -0.6, 1.0])] * 4)
+    y_mapped = y_plain = None
+    held = []
+    for theta in thetas:
+        q, shift = D[:n] @ theta, D[n:] @ theta
+        n_hits = len(hits)
+        a = mapped.solve(y0=y_mapped, theta=theta)
+        b = plain.solve(q, prob.lower + shift, prob.upper + shift,
+                        y0=y_plain)
+        assert a.status == b.status
+        np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
+        held.append((len(hits) > n_hits, tuple(np.sign(a.y))))
+        y_mapped, y_plain = a.y, b.y
+    assert sum(hit for hit, _ in held) >= 6
+    assert sum(not hit for hit, _ in held) >= 4
+    # some row is held at its lower bound in one block and at its upper
+    # bound in a later one
+    signs = np.array([s for _, s in held])
+    assert ((signs < 0).any(axis=0) & (signs > 0).any(axis=0)).any()
+
+
+def test_overflowing_theta_raises_without_a_warning():
+    prob, D = _mapped_qp(99)
+    mapped = BoxQpSolver(prob.P, prob.A,
+                         data_map=(1e10 * D, prob.lower, prob.upper))
+    theta = np.array([1e300, -1e300, 1e300, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^theta .*overflows"):
+            mapped.solve(theta=theta)
+        with pytest.raises(ValueError, match=r"^y0 "):
+            mapped.solve(theta=np.ones(4), y0=np.full(prob.k, np.nan))
+
+
+@pytest.mark.parametrize("row,lower,upper,named", [
+    (2, 1.0, -1.0, "lower0 exceeds data_map upper0 at row 2"),
+    (0, np.inf, np.inf, "lower0 has entries equal to inf"),
+    (1, -np.inf, -np.inf, "upper0 has entries equal to -inf"),
+    (3, np.nan, 1.0, "lower0 has NaN entries"),
+])
+def test_data_map_bounds_are_checked_when_the_solver_is_built(
+        row, lower, upper, named):
+    prob, D = _mapped_qp(100)
+    lo, hi = prob.lower.copy(), prob.upper.copy()
+    lo[row], hi[row] = lower, upper
+    with pytest.raises(ValueError, match=f"^data_map {named}$"):
+        BoxQpSolver(prob.P, prob.A, data_map=(D, lo, hi))
 
 
 def _degenerate_qp(seed):
