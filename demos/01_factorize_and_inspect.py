@@ -4,7 +4,8 @@
 Shows the shapes of the partition and the triangular factor blocks, checks
 the Gram identity ``L L' = S S'`` between the factor and the stacked data
 matrix, and verifies the excitation is persistently exciting of sufficient
-order.
+order.  The round-off checks print only whether each error is below a
+stated floor.
 """
 
 import os
@@ -25,6 +26,16 @@ PLANT = ddpc.StateSpaceModel(
     D=np.array([[1.0]]),
     K=np.array([[-0.3645], [0.9973]]),
 )
+
+# The Gram identity holds to about 1e-15 relative, by a different amount
+# after any change that moves the factor by an ulp; the demo prints only
+# whether each error is below this floor, so its output stays the same
+# under such changes and still shows a real error.
+ERROR_FLOOR = 1e-9
+
+
+def below_floor(err):
+    return "yes" if err < ERROR_FLOOR else f"no ({err:.2e})"
 
 
 def main():
@@ -65,10 +76,12 @@ def main():
     ])
     gram = stacked @ stacked.T
     err = np.linalg.norm(L @ L.T - gram) / np.linalg.norm(gram)
-    print(f"Gram identity L L' = S S' relative error: {err:.2e}")
+    print(f"Gram identity L L' = S S' relative error below "
+          f"{ERROR_FLOOR:.0e}: {below_floor(err)}")
 
-    tri = np.linalg.norm(np.triu(blocks.L11, 1))
-    print(f"strict upper triangle of L11: {tri:.2e} (should be ~0)")
+    tri = np.linalg.norm(np.triu(blocks.L11, 1)) / np.linalg.norm(blocks.L11)
+    print(f"strict upper triangle of L11 relative norm below "
+          f"{ERROR_FLOOR:.0e}: {below_floor(tri)}")
     print(f"past block L11 nonsingular: "
           f"{abs(np.linalg.det(blocks.L11[:d1, :d1])) > 0}")
 

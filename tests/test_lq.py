@@ -4,7 +4,9 @@ Covers:
   * the factor ``L`` against the data: the Gram identity ``L L' = S S'``
     and exact reconstruction ``L @ Q`` with an independently computed
     orthonormal ``Q`` (``factorize`` itself never forms ``Q``),
-    lower-triangularity and the nonnegative-diagonal sign convention.
+    lower-triangularity and the nonnegative-diagonal sign convention, on
+    stacks of one QR panel and of several (against numpy's ``R``), and a
+    partition left bit-for-bit unchanged by the in-place QR.
   * the fixed point: a stack that is already lower-triangular with an
     orthonormal right factor gives back its triangular part unchanged.
   * rank-deficiency errors for unexciting inputs and too-short records,
@@ -28,7 +30,7 @@ import numpy as np
 import pytest
 
 from conftest import (demo_model, full_factor, make_blocks, make_partition,
-                      seeded)
+                      random_model, seeded)
 from oracles import causal_mask_by_loops, lq_orthonormal_rows
 
 from ddpc import (
@@ -41,11 +43,12 @@ from ddpc import (
     collect_open_loop,
     factorize,
     gamma1_of,
+    load_config,
     load_lq_blocks,
     partition,
     save_lq_blocks,
 )
-from ddpc.lq import causal_block_mask
+from ddpc.lq import _QR_BLOCK, causal_block_mask
 
 
 _L_NAMES = ("L11", "L21", "L22", "L31", "L32", "L33")
@@ -131,6 +134,61 @@ def test_factorize_determinism():
     b2 = factorize(part)
     for name in _L_NAMES:
         np.testing.assert_array_equal(getattr(b1, name), getattr(b2, name))
+
+
+def _table1_partition():
+    cfg = load_config("table1")
+    rng = seeded(28)
+    traj = collect_open_loop(cfg.plant(), cfg.excitation(600, rng=rng),
+                             rng=rng)
+    return partition(traj, cfg.horizon())
+
+
+def _mimo_partition():
+    # 4 * (5 + 6) = 44 rows: several panels, the last one partial
+    return make_partition(random_model(seeded(29), m=2, p=2), 300,
+                          L_p=5, L_f=6, rng=seeded(30), kind="white")
+
+
+def _square_partition():
+    # n_d = 3L - 1 leaves exactly M = 2L = 40 columns for 40 rows
+    return make_partition(demo_model(), 59, L_p=10, L_f=10, rng=seeded(31),
+                          kind="white")
+
+
+@pytest.mark.parametrize("make", [_table1_partition, _mimo_partition,
+                                  _square_partition],
+                         ids=["table1_90_rows", "mimo_44_rows",
+                              "square_40_rows"])
+def test_factorize_stacks_taller_than_one_panel(make):
+    """Stacks that span several QR panels keep every property of the
+    factor, and ``|L|`` is numpy's ``|R'|`` up to round-off."""
+    part = make()
+    stack = _stacked(part)
+    assert stack.shape[0] > _QR_BLOCK
+    if make is _square_partition:
+        assert part.M == stack.shape[0]
+    blocks = factorize(part)
+    L = full_factor(blocks)
+    gram = stack @ stack.T
+    assert np.abs(L @ L.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    assert np.all(np.diag(L) >= 0.0)
+    for name in ("L11", "L22", "L33"):
+        block = getattr(blocks, name)
+        np.testing.assert_array_equal(block, np.tril(block))
+    R = np.linalg.qr(stack.T, mode="r")
+    assert (np.abs(np.abs(L) - np.abs(R.T)).max()
+            <= 1e-12 * np.abs(L).max())
+
+
+def test_factorize_leaves_partition_untouched():
+    """The QR overwrites its input, which must be a copy of the data."""
+    part = _mimo_partition()
+    arrays = [a for a in vars(part).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    before = [a.tobytes() for a in arrays]
+    factorize(part)
+    assert [a.tobytes() for a in arrays] == before
 
 
 def test_factorize_constant_input_rank_deficient():
