@@ -291,11 +291,6 @@ class RolloutResult:
 _ONE = np.ones(1)
 
 
-def _stacked_weighted(vec: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``kron(I, weight) @ vec`` for a symmetric per-step ``weight``."""
-    return (vec.reshape(-1, weight.shape[0]) @ weight).reshape(-1)
-
-
 def _sized_vector(name: str, value, length: int) -> np.ndarray:
     vec = np.asarray(value, dtype=float).reshape(-1)
     if vec.shape[0] != length:
@@ -316,9 +311,16 @@ class _CondensedController:
     factorization and warm starts are reused across receding-horizon
     steps.  So is the data map ``D``, built once: with
     ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q``, the shift of the
-    row bounds from their constant parts, ``bu`` and ``by``.  The solver
-    holds its first two blocks and answers a step whose active set
-    repeats with one cached affine map of ``theta``.
+    row bounds from their constant parts, and the offsets ``o = [bu; by -
+    r_f]`` of the plans from their targets.  The solver holds ``D``, ``P``
+    and the rows, and answers a step whose active set repeats from its
+    set record: one BLAS product gives ``v``, the multipliers and ``D @
+    theta``, which the solver tests finite (the step's one test of its
+    input), and one more gives ``A v``.  A box puts its map's rows into
+    ``A`` with the shift ``-bu`` or ``-by``, so where both boxes are
+    bounded the plans are rows of ``A v`` less the shift, which the solver
+    returns; otherwise they are ``Fu v + bu`` and ``Fy v + by``.  The
+    step's objective adds ``o' blkdiag(R, Q) o`` to the QP's.
     """
 
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
@@ -332,9 +334,9 @@ class _CondensedController:
         Q, R = spec.cost.Q, spec.cost.R
         P = 2.0 * (Fy.T @ Q @ Fy + Fu.T @ R @ Fu + W)
         P = 0.5 * (P + P.T)
-        n, dz, dy = P.shape[0], By.shape[1], len(Fy)
+        n, dz, dy, n_u = P.shape[0], By.shape[1], len(Fy), len(Fu)
         if Bu is None:
-            Bu = np.zeros((len(Fu), dz))
+            Bu = np.zeros((n_u, dz))
         n_e = 0 if E is None else len(E)
         rows = [np.zeros((0, n)) if E is None else E]
         shift = [np.eye(dz)[:n_e]]  # e = z_p on the equality rows
@@ -348,26 +350,27 @@ class _CondensedController:
                 shift.append(-B)
                 lower0.append(lo)
                 upper0.append(hi)
-        self.P, self.A = P, np.vstack(rows)
-        k = len(self.A)
-        # the maps are read back from the constraint rows they were copied
-        # into, so a controller holds each once
-        if with_y:
-            Fy = self.A[k - dy:]
-        if with_u:
-            Fu = self.A[n_e:n_e + len(Fu)]
-        D = np.zeros((n + k + len(Fu) + dy, dz + dy + 1))
+        A = np.vstack(rows)
+        k = len(A)
+        D = np.zeros((n + k + n_u + dy, dz + dy + 1))
         D[:, :dz] = np.vstack([2.0 * (Fy.T @ Q @ By + Fu.T @ R @ Bu),
                                *shift, Bu, By])
         D[:n, dz:dz + dy] = -2.0 * Fy.T @ Q
-        self.Fu, self.Fy = Fu, Fy
-        self.solver = BoxQpSolver(self.P, self.A, qp_settings,
-                                  data_map=(D[:n + k], np.concatenate(lower0),
+        D[n + k + n_u:, dz:dz + dy] = -np.eye(dy)
+        self.solver = BoxQpSolver(P, A, qp_settings,
+                                  data_map=(D, np.concatenate(lower0),
                                             np.concatenate(upper0)))
-        # the solver holds the rows of q and the bound shift; the step
-        # keeps the rows of the offsets bu and by
-        self._offsets = D[n + k:]
-        self._n_u = len(Fu)
+        # P, A and the maps are read back from the solver, which stacks A
+        # and P, so that a controller holds each once
+        self.P, self.A = self.solver.P, self.solver.A
+        if with_y:
+            Fy = self.A[k - dy:]
+        if with_u:
+            Fu = self.A[n_e:n_e + n_u]
+        self.Fu, self.Fy = Fu, Fy
+        self._plan_rows = slice(n_e, k) if with_u and with_y else None
+        self._W_off = scipy.linalg.block_diag(R, Q)
+        self._n_u = n_u
         self._r_f = slice(dz, dz + dy)
         self._zero_y = np.zeros(dy)
         self._warm_x = None
@@ -380,23 +383,36 @@ class _CondensedController:
         return _sized_vector("z_p", z_p, (self.m + self.p) * self.L_p)
 
     def _theta(self, z_p, r_f) -> np.ndarray:
+        """``[z; r_f; 1]``, length-checked; the solver tests it finite."""
         r_f = _sized_vector("r_f", self._zero_y if r_f is None else r_f,
                             self.p * self.L_f)
-        z = self._past(z_p)
-        theta = np.concatenate([z, r_f, _ONE])
+        return np.concatenate([self._past(z_p), r_f, _ONE])
+
+    def _name_non_finite(self, theta) -> None:
+        """Raise the error that names a non-finite part of ``theta``; the
+        solver's own error stands for a finite ``theta``."""
         if not np.isfinite(theta).all():
-            name = ("r_f" if not np.isfinite(r_f).all()
+            name = ("r_f" if not np.isfinite(theta[self._r_f]).all()
                     else self._past_name)
-            raise ValueError(f"{name} contains NaN or infinite entries")
-        return theta
+            raise ValueError(
+                f"{name} contains NaN or infinite entries") from None
 
     def condense(self, z_p=None, r_f=None) -> QpProblem:
-        """Materialize the per-step QP for inspection or external solving."""
+        """Materialize the per-step QP for inspection or external solving.
+
+        Its data come from the solver's checked product, so input that
+        :meth:`step` rejects raises the same error here."""
+        theta = self._theta(z_p, r_f)
         D, lower0, upper0 = self.solver.data_map
-        d = D @ self._theta(z_p, r_f)
-        n = self.solver.n
-        return QpProblem(P=self.P, q=d[:n], A=self.A,
-                         lower=lower0 + d[n:], upper=upper0 + d[n:])
+        try:
+            d = self.solver._checked(D.T, theta)
+        except ValueError:
+            self._name_non_finite(theta)
+            raise
+        n, k = self.solver.n, self.solver.k
+        shift = d[n:n + k]
+        return QpProblem(P=self.P, q=d[:n], A=self.A, lower=lower0 + shift,
+                         upper=upper0 + shift)
 
     def step(self, z_p=None, r_f=None) -> StepResult:
         """Solve one step from the past window ``z_p`` (ignored by
@@ -405,24 +421,27 @@ class _CondensedController:
         Raises ``DimensionMismatch`` for a wrong length and ``ValueError``
         for a NaN or infinite entry in either."""
         theta = self._theta(z_p, r_f)
-        sol = self.solver.solve(theta=theta, x0=self._warm_x,
-                                y0=self._warm_y)
-        self._warm_x, self._warm_y = sol.x, sol.y
-        v = sol.x
-        offsets = self._offsets @ theta
-        bu, by = offsets[:self._n_u], offsets[self._n_u:]
-        u_f = self.Fu @ v + bu
-        y_f = self.Fy @ v + by
+        try:
+            a = self.solver.solve(theta=theta, x0=self._warm_x,
+                                  y0=self._warm_y)
+        except ValueError:
+            self._name_non_finite(theta)
+            raise
+        self._warm_x, self._warm_y = a.x, a.y
+        o = a.extra  # [bu; by - r_f]
+        if self._plan_rows is not None:
+            plan = a.t[self._plan_rows]
+        else:
+            plan = np.concatenate((self.Fu @ a.x, self.Fy @ a.x)) + o
+            plan[self._n_u:] += theta[self._r_f]
         # the QP objective is the step cost less its part that v does not
         # move, |by - r_f|^2_Q + |bu|^2_R
-        e_y = by - theta[self._r_f]
-        obj = (sol.objective
-               + float(e_y @ _stacked_weighted(e_y, self.cost.q_step))
-               + float(bu @ _stacked_weighted(bu, self.cost.r_step)))
-        return StepResult(u_f=u_f, y_f=y_f, u_applied=u_f[: self.m],
-                          objective=obj, qp_iterations=sol.iterations,
-                          qp_status=sol.status, primal_res=sol.primal_res,
-                          dual_res=sol.dual_res)
+        obj = a.objective + float(o @ (self._W_off @ o))
+        n_u = self._n_u
+        return StepResult(u_f=plan[:n_u], y_f=plan[n_u:],
+                          u_applied=plan[:self.m], objective=obj,
+                          qp_iterations=a.iterations, qp_status=a.status,
+                          primal_res=a.primal_res, dual_res=a.dual_res)
 
     def observe(self, u, y) -> None:
         """Closed-loop measurement hook; data-driven variants are static."""

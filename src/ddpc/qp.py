@@ -54,20 +54,23 @@ Where ``q`` and the bounds are affine in a parameter ``theta`` (ending in
 set: the critical regions of explicit MPC (Bemporad, Morari, Dua and
 Pistikopoulos, Automatica 2002).  A solver built with that ``data_map =
 (D, lower0, upper0)`` checks the constant bounds once, when it is built,
-and is then given ``theta`` alone: one product ``D @ theta``, checked
-finite with the warm starts, forms ``q`` and the shift of the bounds.
-Beside the LU of the last set it keeps that set's record, built from the
-LU with the same refinements once the set has been certified by two
-solves in a row, and dropped with the LU.  The record holds the set's
-masks as the warm start's signs show them, its map ``M`` with ``[x; y] =
-M @ theta`` (zero multiplier rows off the set), the signs the set's
-multipliers must have, and the constant bounds with the set's rows closed
-onto their sides.  A later solve whose warm start holds the same rows
-then costs one product with ``M``, the products ``A x``, ``P x`` and
-``A' y``, one product for the sign test and one reduction for both
-residual tests, which are computed from ``x``, ``y``, ``q`` and the
-bounds, never read off the map.  A rejected answer is retried through
-the set's LU, and the corrections go on from there.
+and is then given ``theta`` alone: one BLAS ``gemv`` ``D @ theta``,
+tested finite with the warm starts by one BLAS dot per array, forms
+``q`` and the shift of the bounds.  Beside the LU of the last set it
+keeps that set's record, built from the LU with the same refinements
+once the set has been certified by two solves in a row, and dropped with
+the LU.  The record holds one stacked map ``G`` with ``G @ theta = [x;
+y; D @ theta]`` (zero multiplier rows off the set), the set's masks, the
+signs its multipliers must have, and the constant bounds with the set's
+rows closed onto their sides.  A later solve whose warm start holds the
+same rows (tested on the bytes of the warm start's signs, with the masks
+as the fallback) takes its data from one ``gemv`` with ``G`` in place
+of ``D``, which gives ``x`` and ``y`` with them.  Then one ``gemv``
+gives ``[A x; P x]``, one more adds ``A' y`` to ``P x + q``, and one
+reduction gives both residuals and the sign test.  The residuals are
+computed from ``x``, ``y``, ``q`` and the bounds, never read off the
+map, and an LU answer is tested by the same code.  A rejected answer is
+retried through the set's LU, and the corrections go on from there.
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -103,7 +105,11 @@ class QpStatus(str, Enum):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Problem data; symmetry of ``P`` is enforced to 1e-12 on entry."""
+    """Problem data; symmetry of ``P`` is enforced to 1e-12 on entry.
+
+    Non-finite ``P``, ``q`` or ``A`` and NaN bounds are rejected first,
+    with a ``ValueError`` that names the field.
+    """
 
     P: np.ndarray
     q: np.ndarray
@@ -117,6 +123,12 @@ class QpProblem:
         A = np.asarray(self.A, dtype=float)
         lo = np.asarray(self.lower, dtype=float).reshape(-1)
         hi = np.asarray(self.upper, dtype=float).reshape(-1)
+        for name, v in (("P", P), ("q", q), ("A", A)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
+        for name, v in (("lower", lo), ("upper", hi)):
+            if np.isnan(v).any():
+                raise ValueError(f"{name} has NaN entries")
         n = q.shape[0]
         if P.shape != (n, n):
             raise DimensionMismatch(f"P has shape {P.shape}, expected {(n, n)}")
@@ -211,9 +223,10 @@ _CERTIFY_ROUNDS = 3
 # solves skip scipy's per-call input checks.
 _POTRF, _POTRS, _GETRF, _GETRS, _GETRI = get_lapack_funcs(
     ("potrf", "potrs", "getrf", "getrs", "getri"), dtype=np.float64)
-# BLAS gemv forms a data-mapped solve's data: unlike matmul, it raises no
-# floating-point warning, so an overflow is reported by the finite test
-_GEMV = get_blas_funcs("gemv", dtype=np.float64)
+# BLAS gemv forms a data-mapped solve's data and dot tests it finite:
+# unlike matmul, they raise no floating-point warning, so an overflow is
+# reported by the finite test
+_GEMV, _DOT = get_blas_funcs(("gemv", "dot"), dtype=np.float64)
 
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
@@ -244,32 +257,50 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
     return d, e, c
 
 
-class _SetMap(NamedTuple):
+@dataclass
+class _Answer(QpSolution):
+    """The :class:`QpSolution` that :meth:`BoxQpSolver.solve` returns,
+    with ``t``, which is ``A x`` less the data map's bound shift (``A x``
+    in a solve without ``theta``), and ``extra``, the rows of ``D @
+    theta`` past ``q`` and the shift (None without ``theta``)."""
+
+    t: np.ndarray
+    extra: np.ndarray | None
+
+
+@dataclass(slots=True)
+class _SetRecord:
     """The cached answer of one active set, for a solver with a data map."""
 
     held: bytes  # the set's at_lo and at_hi masks, as a warm start shows it
     key: bytes  # its rows and their sides, as the LU cache names them
-    M: np.ndarray  # [x; y] = M @ theta, with zero multiplier rows off the set
-    sides: np.ndarray  # -1 at a lower bound, +1 at an upper one, 0 elsewhere
-    bounds0: np.ndarray  # (lower0, upper0), each set row closed on its side
+    at_lo: np.ndarray
+    at_hi: np.ndarray
+    G: np.ndarray  # G @ theta = [x; y; D @ theta], y zero off the set
+    closed0: np.ndarray  # (lower0, upper0), each set row closed on its side
+    neg_sides: np.ndarray  # 1 at a lower bound, -1 at an upper one, else 0
+    signs: bytes | None = b""  # np.sign of a warm start seen holding the set
 
 
 class BoxQpSolver:
     """ADMM solver bound to a fixed ``(P, A)`` pair.
 
     One instance amortizes equilibration and KKT factorization over many
-    solves that differ only in ``q`` and the bounds.  With ``data_map =
-    (D, lower0, upper0)`` those are affine in a parameter ``theta`` whose
-    last entry is 1: ``q = D[:n] @ theta`` and the bounds are ``lower0 +
-    D[n:] @ theta`` and ``upper0 + D[n:] @ theta``.  The map is checked
-    once, here: ``D`` finite, ``lower0 <= upper0``, no ``+inf`` in
-    ``lower0`` and no ``-inf`` in ``upper0``.  Rounding is monotone, so a
-    finite shift keeps every pair of bounds ordered, and the rows with
-    ``lower0 == upper0`` are the equality rows.  Such a solver is given
-    either ``(q, lower, upper)`` or ``theta`` alone.  A ``theta`` solve
-    whose warm start points at the set of the cached record is answered
-    by that record (module docstring); at most one record is held, and
-    :meth:`reset` drops it with the factors.
+    solves that differ only in ``q`` and the bounds.  ``A`` and ``P`` are
+    kept as the two blocks of one stacked copy, so that ``[A x; P x]`` is
+    one product.  With ``data_map = (D, lower0, upper0)`` the data are
+    affine in a parameter ``theta`` whose last entry is 1: ``q = D[:n] @
+    theta`` and the bounds are ``lower0 + D[n:n+k] @ theta`` and ``upper0
+    + D[n:n+k] @ theta``.  Rows of ``D`` past ``n + k`` ride along: their
+    product at ``theta`` comes back with the answer, from the same product
+    as the data.  The map is checked once, here: ``D`` finite, ``lower0 <=
+    upper0``, no ``+inf`` in ``lower0`` and no ``-inf`` in ``upper0``.
+    Rounding is monotone, so a finite shift keeps every pair of bounds
+    ordered, and the rows with ``lower0 == upper0`` are the equality rows.
+    Such a solver is given either ``(q, lower, upper)`` or ``theta`` alone.
+    A ``theta`` solve whose warm start points at the set of the cached
+    record is answered by that record (module docstring); at most one
+    record is held, and :meth:`reset` drops it with the factors.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray,
@@ -281,19 +312,20 @@ class BoxQpSolver:
         for name, arr in (("P", P), ("A", A)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
-        self.n = P.shape[0]
-        self.k = A.shape[0]
+        n = self.n = P.shape[0]
+        k = self.k = A.shape[0]
         # a symmetric P is kept as given: 0.5 * (P + P') would equal it
-        self.P = P if np.array_equal(P, P.T) else 0.5 * (P + P.T)
-        self.A = A
+        AP = np.vstack([A, P if np.array_equal(P, P.T) else 0.5 * (P + P.T)])
+        self.A, self.P = AP[:k], AP[k:]
+        self._APT, self._AT = AP.T, self.A.T  # Fortran-ordered for BLAS
         self.d = None  # the Ruiz scaling d, e, c, formed when ADMM first runs
         if data_map is not None:
             D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
-            if (D.ndim != 2 or D.shape[0] != self.n + self.k
-                    or lower0.shape != (self.k,) or upper0.shape != (self.k,)):
+            if (D.ndim != 2 or D.shape[0] < n + k
+                    or lower0.shape != (k,) or upper0.shape != (k,)):
                 raise DimensionMismatch(
-                    "data_map must be (D, lower0, upper0) with D of "
-                    f"{self.n + self.k} rows and bounds of length {self.k}")
+                    "data_map must be (D, lower0, upper0) with D of at "
+                    f"least {n + k} rows and bounds of length {k}")
             if not np.isfinite(D).all():
                 raise ValueError("data_map D has non-finite entries")
             _check_bounds(lower0, upper0, ("data_map lower0",
@@ -306,9 +338,17 @@ class BoxQpSolver:
             data_map = (D, *self._bounds0)
         self.data_map = data_map
         # where each group of _residuals' rows starts in their concatenation
-        k, n = self.k, self.n
         self._groups = np.array([0, k, 2 * k, 3 * k, 3 * k + n,
                                  3 * k + 2 * n, 3 * k + 3 * n])
+        # _accept's scratch: the primal gaps (2k), a 0, the wrong-sign
+        # products (k), a 0, and the dual residual (n); the zeros end the
+        # first two groups, so that their maxima are at least 0 and are
+        # defined for k == 0
+        self._scratch = np.zeros(3 * k + 2 + n)
+        self._gaps = self._scratch[:2 * k].reshape(2, k)
+        self._wrong = self._scratch[2 * k + 1:3 * k + 1]
+        self._dual = self._scratch[3 * k + 2:]
+        self._scratch_groups = np.array([0, 2 * k + 1, 3 * k + 2])
         self.reset()
 
     def reset(self) -> None:
@@ -318,7 +358,7 @@ class BoxQpSolver:
         self._factor = None
         self._kkt_key = None  # the rows (and sides) whose factor _kkt holds
         self._kkt = None
-        self._map = None  # the _SetMap of the set _kkt_key
+        self._map = None  # the _SetRecord of the set _kkt_key
         self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
@@ -345,7 +385,8 @@ class BoxQpSolver:
                 zs / self.e)
 
     def _residuals(self, q, x, y, Ax, z):
-        """The stopping test, shared by ADMM and the active-set step.
+        """The stopping test of ADMM, and of an active-set answer whose
+        residuals exceed ``eps_abs``.
 
         Returns ``(r_prim, r_dual, scale_p, scale_d, ok, Px)``: the
         residuals ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their
@@ -403,6 +444,11 @@ class BoxQpSolver:
                 it, a warm-start set whose record is cached is answered
                 by one product with the record's map.
 
+        Returns:
+            A :class:`QpSolution`; it also carries ``t``, ``A x`` less the
+            bound shift, and ``extra``, the rows of ``D @ theta`` past
+            ``q`` and the shift, which a receding-horizon step reads.
+
         Raises:
             DimensionMismatch: On a length that does not match the solver,
                 or a ``theta`` without a ``data_map`` of its length.
@@ -414,53 +460,73 @@ class BoxQpSolver:
                 residual that turns non-finite while iterating.
         """
         st = self.settings
+        n, k = self.n, self.k
         if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
         if y0 is not None:
             y0 = np.asarray(y0, dtype=float)
-        if ((x0 is not None and x0.shape != (self.n,))
-                or (y0 is not None and y0.shape != (self.k,))):
+        if ((x0 is not None and x0.shape != (n,))
+                or (y0 is not None and y0.shape != (k,))):
             raise DimensionMismatch("warm start length mismatch with solver")
-        mapped = theta is not None
-        if mapped:
-            d = self._mapped_data(q, lower, upper, theta, x0, y0)
-            q, shift = d[:self.n], d[self.n:]
-            free, may_hold = self._free0, self._may_hold0
-            at_lo, at_hi = self._held(y0, may_hold)
+        if theta is not None:
+            if q is not None or lower is not None or upper is not None:
+                raise ValueError("solve takes q, lower and upper, or theta, "
+                                 "not both")
+            if self.data_map is None:
+                raise DimensionMismatch(
+                    "theta given to a solver built without a data_map")
+            theta = np.asarray(theta, dtype=float)
+            if theta.shape != (self._DT.shape[0],):
+                raise DimensionMismatch(
+                    "theta length mismatch with the solver's data_map")
+            bounds0, free, may_hold = (self._bounds0, self._free0,
+                                       self._may_hold0)
+            # the held set is a function of the warm start's signs, so the
+            # signs of one seen holding the record's set stand for its masks
             rec = self._map
-            if (rec is not None
-                    and at_lo.tobytes() + at_hi.tobytes() == rec.held):
-                certified = self._from_map(rec, theta, q, shift)
-                if certified is not None:
-                    return certified
-            # a rejected record answer is retried through the set's LU, and
-            # corrected from there
-            lo, hi = self._bounds0 + shift
-            certified = self._certify(q, lo, hi, free, at_lo, at_hi, mapped)
+            signs = None if y0 is None else np.sign(y0).tobytes()
+            if rec is not None and signs == rec.signs:
+                at_lo, at_hi = rec.at_lo, rec.at_hi
+            else:
+                at_lo, at_hi = self._held(y0, may_hold)
+                if (rec is not None
+                        and at_lo.tobytes() + at_hi.tobytes() != rec.held):
+                    rec = None
+            d = self._checked(self._DT if rec is None else rec.G.T, theta,
+                              x0, y0)
+            if rec is not None:
+                rec.signs = signs
+                answer = self._from_record(rec, d)
+                if answer is not None:
+                    return answer
+                # a rejected record answer is retried through the set's
+                # LU, and corrected from there
+                d = d[n + k:]
+            q, shift, extra = d[:n], d[n:n + k], d[n + k:]
         else:
             if q is None or lower is None or upper is None:
                 raise ValueError("solve needs q, lower and upper, or theta")
             q = np.asarray(q, dtype=float).reshape(-1)
             lo = np.asarray(lower, dtype=float).reshape(-1)
             hi = np.asarray(upper, dtype=float).reshape(-1)
-            if (q.shape[0] != self.n or lo.shape[0] != self.k
-                    or hi.shape[0] != self.k):
+            if q.shape[0] != n or lo.shape[0] != k or hi.shape[0] != k:
                 raise DimensionMismatch(
                     "q or bound length mismatch with solver")
             _check_entry(q, lo, hi, x0, y0)
+            bounds0, shift, extra = np.array([lo, hi]), None, None
             free = lo != hi
             may_hold = _may_hold(lo, hi, free)
-            certified = self._certify(q, lo, hi, free,
-                                      *self._held(y0, may_hold), mapped)
+            at_lo, at_hi = self._held(y0, may_hold)
+        certified = self._certify(q, bounds0, shift, extra, free, at_lo,
+                                  at_hi)
         if certified is not None:
             return certified
-        if self.k == 0:
+        if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
-            return QpSolution(x=np.zeros(self.n), y=np.zeros(0),
-                              status=QpStatus.DUAL_INFEASIBLE, iterations=0,
-                              primal_res=0.0, dual_res=float("inf"),
-                              objective=float("-inf"))
+            return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
+                           0, 0.0, math.inf, -math.inf, np.zeros(0), extra)
 
+        lo, hi = bounds0 if shift is None else bounds0 + shift
         if self.d is None:
             self.d, self.e, self.c = _ruiz(self.P, self.A, _SCALING_ITERS)
         qs = self.c * self.d * q
@@ -480,11 +546,11 @@ class BoxQpSolver:
         if x0 is not None:
             xs = x0 / self.d
         else:
-            xs = np.zeros(self.n)
+            xs = np.zeros(n)
         if y0 is not None:
             ys = self.c * y0 / self.e
         else:
-            ys = np.zeros(self.k)
+            ys = np.zeros(k)
         AsT = As.T
         zs = np.minimum(np.maximum(As @ xs, los), his)
 
@@ -542,37 +608,39 @@ class BoxQpSolver:
 
         x, y, Ax, z = self._unscaled(As, xs, zs, ys)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, lo, hi, free,
-                                    *self._held(y, may_hold), mapped)
+            refined = self._certify(q, bounds0, shift, extra, free,
+                                    *self._held(y, may_hold))
             if refined is not None:
                 refined.iterations = iters_done
                 return refined
         r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
-        obj = float(x @ (0.5 * Px + q))
-        return QpSolution(x=x, y=y, status=status, iterations=iters_done,
-                          primal_res=r_prim, dual_res=r_dual, objective=obj)
+        t = self.A @ x
+        if shift is not None:
+            t -= shift
+        return _Answer(x, y, status, iters_done, r_prim, r_dual,
+                       _objective(x, Px, q), t, extra)
 
-    def _mapped_data(self, q, lower, upper, theta, x0, y0):
-        """``D @ theta``: ``q`` and the shift of the bounds at ``theta``.
+    def _checked(self, GT, theta, x0=None, y0=None):
+        """``GT.T @ theta`` by BLAS ``gemv``, tested finite with the warm
+        starts: the one test of a ``theta`` solve's inputs.
 
-        The product is checked finite with the warm starts, in one test.
+        ``gemv`` raises no floating-point warning, so an overflow reaches
+        the test.  A sum of squares is finite when every entry is, so one
+        BLAS dot per array tests them all; a sum that overflows from finite
+        entries sends the arrays to the entry-wise test, which names the
+        first non-finite one.
         """
-        if q is not None or lower is not None or upper is not None:
-            raise ValueError("solve takes q, lower and upper, or theta, "
-                             "not both")
-        if self.data_map is None:
-            raise DimensionMismatch(
-                "theta given to a solver built without a data_map")
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self._DT.shape[0],):
-            raise DimensionMismatch(
-                "theta length mismatch with the solver's data_map")
-        d = _GEMV(1.0, self._DT, theta, trans=1)
-        given = [v for v in (d, x0, y0) if v is not None]
-        if not np.isfinite(np.concatenate(given)).all():
-            for name, v in (("theta", theta), ("x0", x0), ("y0", y0)):
-                if v is not None and not np.isfinite(v).all():
-                    raise ValueError(f"{name} has non-finite entries")
+        d = _GEMV(1.0, GT, theta, trans=1)
+        total = _DOT(d, d)
+        for v in (x0, y0):
+            if v is not None and v.size:  # BLAS takes no empty vector
+                total += _DOT(v, v)
+        if total < math.inf:  # False for a NaN too
+            return d
+        for name, v in (("theta", theta), ("x0", x0), ("y0", y0)):
+            if v is not None and not np.isfinite(v).all():
+                raise ValueError(f"{name} has non-finite entries")
+        if not np.isfinite(d).all():
             raise ValueError("theta is so large that the data_map "
                              "D @ theta overflows")
         return d
@@ -622,23 +690,22 @@ class BoxQpSolver:
             return None
         return sol
 
-    def _certify(self, q, lo, hi, free, at_lo, at_hi, mapped):
+    def _certify(self, q, bounds0, shift, extra, free, at_lo, at_hi):
         """Try the active set ``at_lo | at_hi`` plus the equality rows.
 
         The set is the one the signs of a dual point at (:meth:`_held`):
         the warm start before ADMM, ADMM's own dual after ADMM has solved
-        the step.  Its KKT solution comes from the LU of the set.  It is
-        accepted when every multiplier has the sign of its bound and both
-        residuals pass the ADMM stopping test, the primal one against
-        ``z = clip(Ax, lo, hi)`` with the set's rows at their bounds.
-        Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
-        multipliers have the wrong sign and add the rows that are violated.
-        When a ``mapped`` solve
-        certifies the set that the previous solve certified, the set's
-        record is built for the next one.  Returns a ``SOLVED`` solution
-        with zero iterations, or None.
+        the step.  The bounds are ``bounds0``, plus ``shift`` in a
+        data-mapped solve (None otherwise).  The set's KKT solution comes
+        from its LU, and :meth:`_accept` tests it.  Otherwise up to
+        ``_CERTIFY_ROUNDS`` corrections drop the rows whose multipliers
+        have the wrong sign and add the rows that are violated.  When a
+        data-mapped solve certifies the set that the previous solve
+        certified, the set's record is built for the next one.  Returns a
+        ``SOLVED`` answer with zero iterations, or None.
         """
         n = self.n
+        lo0, hi0 = bounds0
         previous, self._certified_key = self._certified_key, None
         rounds = 0
         while True:
@@ -646,31 +713,27 @@ class BoxQpSolver:
             # the rows and their sides: a record's constant column holds
             # the bound on each row's side
             key = act.tobytes() + at_hi[act].tobytes()
-            b = np.where(at_hi, hi, lo)[act]
+            closed0 = np.array([np.where(at_hi, hi0, lo0),
+                                np.where(at_lo, lo0, hi0)])
+            b = (closed0[0] if shift is None else closed0[0] + shift)[act]
             sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
             if sol is None:
                 return None
             x, y = sol[:n], np.zeros(self.k)
             y[act] = sol[n:]
-            Ax = self.A @ x
-            # z is the point of the box nearest Ax, with the set's rows at
-            # their bounds, so the primal residual also checks that the
-            # rows with multipliers are tight
-            z = np.minimum(np.maximum(Ax, lo), hi)
-            z[act] = b
-            r_prim, r_dual, _, _, ok, Px = self._residuals(q, x, y, Ax, z)
-            wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
-            if ok and not wrong.any():
-                if mapped and self._map is None and key == previous:
-                    self._map = self._set_map(act, key, at_lo, at_hi)
+            neg_sides = at_lo - 1.0 * at_hi
+            answer, t = self._accept(x, y, q, closed0, shift, neg_sides,
+                                     extra)
+            if answer is not None:
+                if shift is not None and self._map is None and key == previous:
+                    self._map = self._record(act, key, at_lo, at_hi, closed0,
+                                             neg_sides)
                 self._certified_key = key
-                return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
-                                  iterations=0, primal_res=r_prim,
-                                  dual_res=r_dual,
-                                  objective=float(x @ (0.5 * Px + q)))
+                return answer
+            wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
             eps_p = self.settings.eps_abs
-            new_lo = (at_lo & ~wrong) | (free & (lo - Ax > eps_p))
-            new_hi = (at_hi & ~wrong) | (free & (Ax - hi > eps_p))
+            new_lo = (at_lo & ~wrong) | (free & (lo0 - t > eps_p))
+            new_hi = (at_hi & ~wrong) | (free & (t - hi0 > eps_p))
             if (np.array_equal(new_lo, at_lo)
                     and np.array_equal(new_hi, at_hi)):
                 return None
@@ -679,52 +742,92 @@ class BoxQpSolver:
                 return None
             at_lo, at_hi = new_lo, new_hi
 
-    def _from_map(self, rec, theta, q, shift):
-        """Answer the set of the record ``rec`` by one product with its map.
+    def _accept(self, x, y, q, closed0, shift, neg_sides, extra):
+        """``(answer, t)``: the set's answer ``(x, y)``, or None when the
+        sign or residual test rejects it, and ``t = A x - shift``.
 
-        The sign test and the residual test run on the answer as on an LU
-        answer, from ``x``, ``y``, ``q`` and the bounds.  Returns a
-        ``SOLVED`` solution, or None when either test rejects it.
+        ``closed0`` holds the bounds less ``shift`` (None without a data
+        map), each set row closed onto its side; ``neg_sides`` is 1 on the
+        rows held at their lower bound and -1 on those at their upper one.
+        The primal residual is the largest gap of ``t`` outside
+        ``closed0``, which is ``|Ax - z|`` for the point ``z`` of the box
+        nearest ``Ax``; the dual one is ``|P x + q + A' y|``.  They and the
+        largest product of a multiplier with its wrong sign come from one
+        reduction of the solver's scratch.  Residuals within ``eps_abs``
+        pass the ADMM stopping test at any scale; others take the scaled
+        test of :meth:`_residuals`.
         """
-        n = self.n
-        sol = rec.M @ theta
-        x, y = sol[:n], sol[n:]
-        Ax = self.A @ x
-        z_lo, z_hi = rec.bounds0 + shift
-        z = np.minimum(np.maximum(Ax, z_lo), z_hi)
-        r_prim, r_dual, _, _, ok, Px = self._residuals(q, x, y, Ax, z)
-        if ok and np.minimum.reduce(rec.sides * y, initial=0.0) >= 0.0:
-            self._certified_key = rec.key
-            return QpSolution(x=x, y=y, status=QpStatus.SOLVED,
-                              iterations=0, primal_res=r_prim,
-                              dual_res=r_dual,
-                              objective=float(x @ (0.5 * Px + q)))
-        return None
+        k = self.k
+        AxPx = _GEMV(1.0, self._APT, x, trans=1)
+        Ax, Px = AxPx[:k], AxPx[k:]
+        t = Ax if shift is None else Ax - shift
+        lo0, hi0 = closed0
+        np.subtract(lo0, t, out=self._gaps[0])
+        np.subtract(t, hi0, out=self._gaps[1])
+        np.multiply(neg_sides, y, out=self._wrong)
+        dual = np.add(Px, q, out=self._dual)
+        if k:  # BLAS takes no empty vector
+            dual = _GEMV(1.0, self._AT, y, beta=1.0, y=dual, overwrite_y=1)
+        np.abs(dual, out=self._dual)
+        r_prim, wrong, r_dual = np.maximum.reduceat(
+            self._scratch, self._scratch_groups).tolist()
+        if wrong > 0.0:
+            return None, t
+        eps = self.settings.eps_abs
+        if not (r_prim <= eps and r_dual <= eps):
+            lo, hi = closed0 if shift is None else closed0 + shift
+            r_prim, r_dual, *_, ok, _ = self._residuals(
+                q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
+            if not ok:
+                return None, t
+        return _Answer(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
+                       _objective(x, Px, q), t, extra), t
 
-    def _set_map(self, act, key, at_lo, at_hi):
+    def _from_record(self, rec, d):
+        """Answer the record's set from ``d = rec.G @ theta``, which stacks
+        the set's ``x`` and ``y`` on the data ``D @ theta``.
+
+        The sign and residual tests of :meth:`_accept` run on the answer
+        as on an LU answer.  Returns the answer, or None when they reject
+        it.
+        """
+        n, nk = self.n, self.n + self.k
+        q, shift = d[nk:nk + n], d[nk + n:2 * nk]
+        answer, _ = self._accept(d[:n], d[n:nk], q, rec.closed0, shift,
+                                 rec.neg_sides, d[2 * nk:])
+        if answer is not None:
+            self._certified_key = rec.key
+        return answer
+
+    def _record(self, act, key, at_lo, at_hi, closed0, neg_sides):
         """The record of the row set ``act``, or None.
 
         With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
-        side is ``[-D[:n]; D[n:][act]] @ theta`` plus its bounds'
-        constant parts ``lower0``/``upper0`` in the column of theta's
-        trailing 1.  Its columns are solved through the inverse formed from
-        the set's cached LU, and refined as a single solve is; the
-        multiplier rows are then spread to full length.
+        side is ``[-D[:n]; D[n:n+k][act]] @ theta`` plus its bounds'
+        constant parts ``closed0[0]`` in the column of theta's trailing 1.
+        Its columns are solved through the inverse formed from the set's
+        cached LU, and refined as a single solve is; the multiplier rows
+        are then spread to full length, and ``D`` is stacked below them.
         """
-        D, lower0, upper0 = self.data_map
-        n = self.n
-        rhs = np.vstack([-D[:n], D[n:][act]])
-        rhs[n:, -1] += np.where(at_hi, upper0, lower0)[act]
+        D = self.data_map[0]
+        n, k = self.n, self.k
+        rhs = np.vstack([-D[:n], D[n:n + k][act]])
+        rhs[n:, -1] += closed0[0][act]
         sol = self._kkt_solve(act, key, rhs)
         if sol is None:
             return None
-        M = np.zeros((n + self.k, sol.shape[1]))
-        M[:n] = sol[:n]
-        M[n + act] = sol[n:]
-        return _SetMap(held=at_lo.tobytes() + at_hi.tobytes(), key=key, M=M,
-                       sides=at_hi * 1.0 - at_lo,
-                       bounds0=np.array([np.where(at_hi, upper0, lower0),
-                                         np.where(at_lo, lower0, upper0)]))
+        G = np.zeros((n + k + len(D), sol.shape[1]))
+        G[:n] = sol[:n]
+        G[n + act] = sol[n:]
+        G[n + k:] = D
+        return _SetRecord(held=at_lo.tobytes() + at_hi.tobytes(), key=key,
+                          at_lo=at_lo, at_hi=at_hi, G=G, closed0=closed0,
+                          neg_sides=neg_sides)
+
+
+def _objective(x, Px, q) -> float:
+    """``0.5 x' P x + q' x``, by two BLAS dots."""
+    return 0.5 * _DOT(x, Px) + _DOT(q, x)
 
 
 def _inf_norm(v: np.ndarray) -> float:

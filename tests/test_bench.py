@@ -13,6 +13,7 @@ Covers:
   * cost normalization against a baseline and the missing-baseline error.
   * grid-search tuning and its tie-breaking rule.
   * byte-stable ``records.csv`` / ``normalized.csv`` / rollout logs.
+  * the share of table1 steps that the QP solver's set record answers.
 """
 
 from __future__ import annotations
@@ -406,6 +407,36 @@ def test_run_single_matches_sweep_record():
     assert record.J == pytest.approx(rollout.J, abs=1e-12)
     assert record.qp_iters == rollout.qp_iterations
     assert traj.n_samples == cfg.n_d
+
+
+@pytest.mark.parametrize("variant,least", [("reg_gamma", 55),
+                                           ("causal_gamma", 40)])
+def test_table1_steps_are_answered_by_the_set_record(variant, least,
+                                                     monkeypatch):
+    """On table1 at n_d 200 and seed 0 most steps repeat the last step's
+    active set, and the solver answers them from its set record (58 and
+    53 of 60 steps when this test was written).  A change that sends such
+    steps through the LU instead fails here."""
+    cfg = load_config(bundled_config_path("table1"))
+    answered = []
+    build = bench.make_controller
+
+    def make_controller(spec, **handles):
+        ctrl = build(spec, **handles)
+        from_record = ctrl.solver._from_record
+
+        def counting(*args):
+            out = from_record(*args)
+            answered.append(out is not None)
+            return out
+
+        ctrl.solver._from_record = counting
+        return ctrl
+
+    monkeypatch.setattr(bench, "make_controller", make_controller)
+    rollout, _ = run_single(cfg, variant, seed=0, n_d=200)
+    assert len(rollout.steps) == 60 and rollout.status.value == "solved"
+    assert sum(answered) >= least
 
 
 # ---------------------------------------------------------------------------

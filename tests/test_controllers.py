@@ -3,9 +3,12 @@
 Every controller is built by ``make_controller`` and exercised through
 its ``step`` and ``condense`` methods.  Covers:
   * validation of cost, box, and controller specifications, and of the
-    per-step inputs (length and finiteness of ``z_p`` and ``r_f``).
+    per-step inputs (length and finiteness of ``z_p`` and ``r_f``, and a
+    window whose data overflow, rejected alike by ``step`` and
+    ``condense``).
   * decision-space dimensions and PSD-ness of each variant's condensed
-    QP, plus consistency between ``condense`` and ``step``.
+    QP, plus consistency between ``condense`` and ``step``, also for the
+    results a rollout stored once it has returned.
   * analytic unconstrained solutions for the predictor-based variants
     and the model-based controller.
   * pairwise equivalences: latent-coordinate vs predictor forms, the
@@ -265,6 +268,20 @@ def test_step_rejects_non_finite_input_before_solving(variant):
                     ctrl.step(z)
 
 
+@pytest.mark.parametrize("variant", ["spc", "reg_gamma"])
+def test_overflowing_window_raises_in_condense_as_in_step(variant):
+    """A finite window so large that the data map's product overflows:
+    ``condense`` goes through the solver's checked product, so it raises
+    the ``ValueError`` that ``step`` raises, and neither warns first."""
+    ctrl = _any_controller(variant)
+    z = np.full(len(_sample_zp()), 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (ctrl.step, ctrl.condense):
+            with pytest.raises(ValueError, match=r"^theta is so large"):
+                call(z)
+
+
 def _solved_within_solver_tolerance(prob, x, y, st):
     """The KKT oracle's residuals within the solver's own stopping test."""
     stat, prim, comp = kkt_residuals(prob.P, prob.q, prob.A, prob.lower,
@@ -280,13 +297,22 @@ def _solved_within_solver_tolerance(prob, x, y, st):
             and comp <= tol_p * max(1.0, np.abs(y).max(initial=0.0)))
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("variant", [*VARIANTS, "reg_gamma-unboxed"])
 def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
     """Each step, answered by the cached map or not, equals a fresh solve
     of the QP that ``condense`` materializes, warm-started from the
     previous step's dual.  ``kf_mpc`` observes between steps, so a step
-    with a stale state offset would differ."""
-    ctrl = _any_controller(variant, u_box=0.1, y_box=1.5)
+    with a stale state offset would differ.  Then a rollout runs, and once
+    it has returned, every ``StepResult`` it stored still holds what its
+    step returned, as do the warm starts each step left, and each equals a
+    fresh solve: no array a step returns or keeps is a buffer that a later
+    step writes.  The objective is the fresh QP objective plus the cost of
+    the plans' offsets.  ``reg_gamma-unboxed`` has no boxes, so ``Fu`` and
+    ``Fy`` are not rows of ``A`` (it has none)."""
+    boxed = not variant.endswith("-unboxed")
+    variant = variant.removesuffix("-unboxed")
+    ctrl = _any_controller(variant, u_box=0.1 if boxed else np.inf,
+                           y_box=1.5 if boxed else np.inf)
     part = make_partition(demo_model(sigma_e=0.2), 40, L_P, L_F,
                           seeded(144))
     st = QpSettings()
@@ -310,6 +336,45 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
                                                    ctrl._warm_y, st)
         ctrl.observe(res.u_applied, part.Y_f[:1, t])
     assert with_map >= 3
+
+    step = ctrl.step
+    seen = []
+
+    def recording(z_p, r_f):
+        y_prev = None if ctrl._warm_y is None else ctrl._warm_y.copy()
+        prob = ctrl.condense(z_p, r_f)
+        res = step(z_p, r_f)
+        held = (res.u_f.copy(), res.y_f.copy(), res.u_applied.copy(),
+                res.objective, res.qp_status, res.primal_res, res.dual_res)
+        warm = (ctrl._warm_x, ctrl._warm_y)
+        seen.append((prob, r_f.copy(), y_prev, res, held, warm,
+                     [w.copy() for w in warm]))
+        return res
+
+    ctrl.step = recording
+    reference = np.where(np.arange(12) < 6, 1.0, -0.5)[None, :]
+    rollout = run_receding_horizon(demo_model(sigma_e=0.1), ctrl, reference,
+                                   12, rng=seeded(146))
+    assert [s[3] for s in seen] == rollout.steps
+    Q, R = ctrl.cost.Q, ctrl.cost.R
+    for prob, r_f, y_prev, res, held, warm, warm_then in seen:
+        u_f, y_f, u_applied, objective, status, r_prim, r_dual = held
+        assert np.array_equal(res.u_f, u_f) and np.array_equal(res.y_f, y_f)
+        assert np.array_equal(res.u_applied, u_applied)
+        assert (res.objective, res.qp_status, res.primal_res,
+                res.dual_res) == (objective, status, r_prim, r_dual)
+        for now, then in zip(warm, warm_then):
+            assert np.array_equal(now, then)
+        x, y = warm_then
+        fresh = qp_solve(prob, y0=y_prev)
+        assert status == fresh.status
+        np.testing.assert_allclose(x, fresh.x, rtol=0, atol=1e-9)
+        if status == QpStatus.SOLVED:
+            assert _solved_within_solver_tolerance(prob, x, y, st)
+            assert max(r_prim, r_dual) <= st.eps_abs + st.eps_rel * 1e3
+        bu, e_y = u_f - ctrl.Fu @ x, y_f - ctrl.Fy @ x - r_f
+        assert objective == pytest.approx(
+            fresh.objective + e_y @ Q @ e_y + bu @ R @ bu, rel=1e-9, abs=1e-9)
 
 
 def test_cached_set_that_stops_certifying_goes_to_the_corrections():

@@ -22,9 +22,9 @@ Covers:
     theta-only solve equals the solve of its data through a hit, a miss
     and a change of side; an overflowing theta and invalid map bounds are
     rejected.
-  * problem validation (symmetry, PSD, bound ordering, shapes), and
-    non-finite or crossed solve data rejected by name before any
-    iteration.
+  * problem validation (non-finite data by name, symmetry, PSD, bound
+    ordering, shapes), and non-finite or crossed solve data rejected by
+    name before any iteration.
 """
 
 from __future__ import annotations
@@ -538,10 +538,10 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_lu():
     for _ in range(3):
         y = solver.solve(y0=y, theta=theta).y
     rec = solver._map
-    np.testing.assert_allclose(rec.M @ theta, [-1.0, -4.0], atol=1e-12)
-    bad = rec.M.copy()
-    bad[:, -1] = 0.0  # the bound's constant dropped
-    solver._map = rec._replace(M=bad)
+    # the rows of x and y above the data map's
+    np.testing.assert_allclose(rec.G[:2] @ theta, [-1.0, -4.0], atol=1e-12)
+    rec.G = rec.G.copy()
+    rec.G[:2, -1] = 0.0  # the bound's constant dropped
     sol = solver.solve(y0=y, theta=theta)
     assert sol.status == QpStatus.SOLVED and sol.iterations == 0
     np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -4.0],
@@ -570,13 +570,13 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     mapped = BoxQpSolver(prob.P, prob.A, data_map=(D, prob.lower, prob.upper))
     plain = BoxQpSolver(prob.P, prob.A)
     hits = []
-    from_map = mapped._from_map
+    from_record = mapped._from_record
 
     def counting(*args):
         hits.append(len(hits))
-        return from_map(*args)
+        return from_record(*args)
 
-    mapped._from_map = counting
+    mapped._from_record = counting
     thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(5)]
               + [np.array([-0.6, -0.6, -0.6, 1.0])] * 4
               + [np.array([0.6, -0.6, -0.6, 1.0])] * 4)
@@ -744,6 +744,22 @@ def test_non_finite_input_error_names_argument():
         bad[name][0, 0] = np.inf
         with pytest.raises(ValueError, match=rf"^{name} "):
             BoxQpSolver(bad["P"], bad["A"])
+
+
+@pytest.mark.parametrize("field,value", [
+    ("P", np.nan), ("P", np.inf), ("q", np.nan), ("q", -np.inf),
+    ("A", np.nan), ("A", np.inf), ("lower", np.nan), ("upper", np.nan),
+])
+def test_problem_rejects_non_finite_data_by_name(field, value):
+    """Before any other check, and without a floating-point warning."""
+    data = dict(P=np.eye(2), q=np.zeros(2), A=np.eye(2),
+                lower=-np.ones(2), upper=np.ones(2))
+    data[field] = data[field].copy()
+    data[field].flat[0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{field} has "):
+            QpProblem(**data)
 
 
 def test_rejects_asymmetric_p():

@@ -1,0 +1,175 @@
+#!/usr/bin/env python3
+"""Median cost of one controller step on table1, split by how the QP
+solver answered it: from its set record (a hit) or not (a miss).
+
+Usage, from the root of the repository::
+
+    python3 tools/step_cost.py --n-d 200 --seed 0 --repeat 20
+
+Every variant runs the table1 rollout of ``ddpc.run_single`` at
+``--seed`` and ``--n-d`` (with the penalties perfbench gives ``gamma``
+and ``projreg_g``), with one BLAS thread: once to mark each step as a
+hit or a miss, by wrapping the solver's record method, then ``--repeat``
+times to time every ``controller.step`` call and, in the same calls, the
+``solve`` it makes (the solve alone; its timer adds well under a
+microsecond to the step's time).  The rollouts are deterministic, so the
+marks hold in every repetition.  The table gives, per variant, the steps
+and hits of one rollout and the median microseconds of a hit step, of
+its solve and of a miss step; its last line is the same as JSON, with
+the machine.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+import ddpc  # noqa: E402
+from ddpc import bench  # noqa: E402
+
+
+@contextmanager
+def each_controller(hook):
+    """Call ``hook(ctrl)`` on every controller ``run_single`` builds."""
+    build = bench.make_controller
+
+    def make_controller(spec, **handles):
+        ctrl = build(spec, **handles)
+        hook(ctrl)
+        return ctrl
+
+    bench.make_controller = make_controller
+    try:
+        yield
+    finally:
+        bench.make_controller = build
+
+
+def timed(obj, name: str, times: list) -> None:
+    """Wrap the method ``name`` of ``obj`` to append each call's seconds."""
+    method = getattr(obj, name)
+    clock = time.perf_counter
+
+    def wrapper(*args, **kwargs):
+        start = clock()
+        out = method(*args, **kwargs)
+        times.append(clock() - start)
+        return out
+
+    setattr(obj, name, wrapper)
+
+
+def hit_marks(cfg, variant: str, seed: int, n_d: int) -> list[bool]:
+    """Whether the set record answered each step of one rollout."""
+    marks: list[bool] = []
+
+    def hook(ctrl):
+        step, from_record = ctrl.step, ctrl.solver._from_record
+
+        def marking_record(*args):
+            out = from_record(*args)
+            marks[-1] = marks[-1] or out is not None
+            return out
+
+        def marking_step(*args):
+            marks.append(False)
+            return step(*args)
+
+        ctrl.solver._from_record = marking_record
+        ctrl.step = marking_step
+
+    with each_controller(hook):
+        bench.run_single(cfg, variant, seed, n_d=n_d)
+    return marks
+
+
+def loop_times(cfg, variant, seed, n_d, repeat):
+    """Per rollout, the seconds of each ``controller.step`` call and of
+    the solver call inside it, over ``repeat`` rollouts."""
+    steps, solves = [], []
+    for _ in range(repeat):
+        steps.append([])
+        solves.append([])
+
+        def hook(ctrl):
+            timed(ctrl.solver, "solve", solves[-1])
+            timed(ctrl, "step", steps[-1])
+
+        with each_controller(hook):
+            bench.run_single(cfg, variant, seed, n_d=n_d)
+    return steps, solves
+
+
+def median_us(runs, marks, want: bool) -> float | None:
+    picked = [t for times in runs for t, hit in zip(times, marks, strict=True)
+              if hit is want]
+    return 1e6 * statistics.median(picked) if picked else None
+
+
+def machine() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next(line.split(":", 1)[1].strip() for line in f
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        model = platform.processor() or platform.machine()
+    return (f"{model}, {os.cpu_count()} cores, Python "
+            f"{platform.python_version()}, numpy {np.__version__}, scipy "
+            f"{scipy.__version__}, OPENBLAS_NUM_THREADS=1")
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--n-d", type=int, default=200)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--repeat", type=int, default=20)
+    args = ap.parse_args()
+    if args.repeat < 1 or args.n_d < 1:
+        ap.error("--repeat and --n-d must be >= 1")
+    cfg = ddpc.load_config(bench.bundled_config_path("table1"))
+    # as perfbench's rollout_variants: gamma needs a penalty table1 does
+    # not set, and projreg_g takes reg_gamma's
+    cfg = (cfg.with_controller_params("gamma", mu=1e3)
+           .with_controller_params(
+               "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"]))
+    print(f"# {machine()}")
+    print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.repeat} "
+          "rollouts per loop; median us")
+    print(f"{'variant':<18} {'steps':>5} {'hits':>5} {'hit step':>9} "
+          f"{'hit solve':>9} {'miss step':>9}")
+    rows = {}
+    for variant in ddpc.VARIANTS:
+        marks = hit_marks(cfg, variant, args.seed, args.n_d)
+        steps, solves = loop_times(cfg, variant, args.seed, args.n_d,
+                                   args.repeat)
+        row = {"steps": len(marks), "hits": sum(marks),
+               "hit_step_us": median_us(steps, marks, True),
+               "hit_solve_us": median_us(solves, marks, True),
+               "miss_step_us": median_us(steps, marks, False)}
+        rows[variant] = row
+        cells = [f"{v:9.1f}" if v is not None else f"{'-':>9}"
+                 for v in list(row.values())[2:]]
+        print(f"{variant:<18} {row['steps']:>5} {row['hits']:>5} "
+              + " ".join(cells))
+    print(json.dumps({"machine": machine(), "n_d": args.n_d,
+                      "seed": args.seed, "repeat": args.repeat,
+                      "variants": rows}))
+
+
+if __name__ == "__main__":
+    main()
