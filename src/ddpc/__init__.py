@@ -3,9 +3,9 @@
 The package builds multistep predictors directly from recorded
 input/output data via an LQ factorization of stacked Hankel matrices,
 optionally restricts them to block-causal structure, and wraps them in
-receding-horizon controllers solved by an in-house box-constrained ADMM
-QP solver.  A benchmark harness reproduces the accompanying simulation
-studies from plain config files.
+receding-horizon controllers solved by an in-house box-constrained QP
+solver, active-set first with ADMM as the fallback.  A benchmark harness
+reproduces the accompanying simulation studies from plain config files.
 """
 
 import os

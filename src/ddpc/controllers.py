@@ -51,8 +51,8 @@ from .errors import DimensionMismatch
 from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
 from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
-from .sim import (DIVERGENCE_LIMIT, NonlinearWrapper, StateSpaceModel,
-                  _diverged, step_model)
+from .sim import (NonlinearWrapper, StateSpaceModel, _check_sane,
+                  _innovations, step_model)
 from .trajectory import HankelPartition, Trajectory
 
 __all__ = [
@@ -197,14 +197,6 @@ class BoxConstraints:
         return cls(np.full(m, -inf), np.full(m, inf),
                    np.full(p, -inf), np.full(p, inf))
 
-    def u_bounded(self) -> bool:
-        return bool(np.isfinite(self.u_lower).any()
-                    or np.isfinite(self.u_upper).any())
-
-    def y_bounded(self) -> bool:
-        return bool(np.isfinite(self.y_lower).any()
-                    or np.isfinite(self.y_upper).any())
-
     def u_tiled(self, L_f: int) -> tuple[np.ndarray, np.ndarray]:
         return np.tile(self.u_lower, L_f), np.tile(self.u_upper, L_f)
 
@@ -304,23 +296,24 @@ class _CondensedController:
 
     The cost adds the PSD penalty ``v' W v`` to the tracking cost, and the
     constraint rows are ``[E; Fu; Fy]``: optional equality rows
-    ``E v = z_p`` first, then the input and output boxes that are bounded.
-    Subclasses supply the offset maps ``bu = Bu z`` and ``by = By z`` of
-    the past ``z`` (the window ``z_p``, or the state estimate for
-    ``kf_mpc``).  P and the constraint rows are fixed, so the QP
-    factorization and warm starts are reused across receding-horizon
-    steps.  So is the data map ``D``, built once: with
+    ``E v = z_p`` first, then the input and output boxes.  An open side of
+    a box is a row bound of ``-inf`` or ``+inf``, which no active set
+    holds, so an open box's rows never enter one.  Subclasses supply the offset maps
+    ``bu = Bu z`` and ``by = By z`` of the past ``z`` (the window ``z_p``,
+    or the state estimate for ``kf_mpc``).  P and the constraint rows are
+    fixed, so the QP factorization and warm starts are reused across
+    receding-horizon steps.  So is the data map ``D``, built once: with
     ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q``, the shift of the
     row bounds from their constant parts, and the offsets ``o = [bu; by -
     r_f]`` of the plans from their targets.  The solver holds ``D``, ``P``
-    and the rows, and answers a step whose active set repeats from its
-    set record: one BLAS product gives ``v``, the multipliers and ``D @
+    and the rows, and answers a step whose active set repeats from its set
+    record: one BLAS product gives ``v``, the multipliers and ``D @
     theta``, which the solver tests finite (the step's one test of its
-    input), and one more gives ``A v``.  A box puts its map's rows into
-    ``A`` with the shift ``-bu`` or ``-by``, so where both boxes are
-    bounded the plans are rows of ``A v`` less the shift, which the solver
-    returns; otherwise they are ``Fu v + bu`` and ``Fy v + by``.  The
-    step's objective adds ``o' blkdiag(R, Q) o`` to the QP's.
+    input), and one more gives ``A v``.  The boxes put ``Fu`` and ``Fy``
+    into ``A`` with the shifts ``-bu`` and ``-by``, so the plans ``u_f =
+    Fu v + bu`` and ``y_f = Fy v + by`` are the rows of ``A v`` less the
+    shift, which the solver returns: a step reads its plans there alone.
+    The step's objective adds ``o' blkdiag(R, Q) o`` to the QP's.
     """
 
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
@@ -338,37 +331,22 @@ class _CondensedController:
         if Bu is None:
             Bu = np.zeros((n_u, dz))
         n_e = 0 if E is None else len(E)
-        rows = [np.zeros((0, n)) if E is None else E]
-        shift = [np.eye(dz)[:n_e]]  # e = z_p on the equality rows
-        lower0, upper0 = [np.zeros(n_e)], [np.zeros(n_e)]
-        with_u, with_y = spec.boxes.u_bounded(), spec.boxes.y_bounded()
-        for bounded, F, B, (lo, hi) in (
-                (with_u, Fu, Bu, spec.boxes.u_tiled(self.L_f)),
-                (with_y, Fy, By, spec.boxes.y_tiled(self.L_f))):
-            if bounded:
-                rows.append(F)
-                shift.append(-B)
-                lower0.append(lo)
-                upper0.append(hi)
-        A = np.vstack(rows)
+        A = np.vstack([np.zeros((0, n)) if E is None else E, Fu, Fy])
         k = len(A)
         D = np.zeros((n + k + n_u + dy, dz + dy + 1))
+        # e = z_p on the equality rows, and the boxes' shifts -bu and -by
         D[:, :dz] = np.vstack([2.0 * (Fy.T @ Q @ By + Fu.T @ R @ Bu),
-                               *shift, Bu, By])
+                               np.eye(dz)[:n_e], -Bu, -By, Bu, By])
         D[:n, dz:dz + dy] = -2.0 * Fy.T @ Q
         D[n + k + n_u:, dz:dz + dy] = -np.eye(dy)
-        self.solver = BoxQpSolver(P, A, qp_settings,
-                                  data_map=(D, np.concatenate(lower0),
-                                            np.concatenate(upper0)))
+        bounds0 = np.hstack([np.zeros((2, n_e)), spec.boxes.u_tiled(self.L_f),
+                             spec.boxes.y_tiled(self.L_f)])
+        self.solver = BoxQpSolver(P, A, qp_settings, data_map=(D, *bounds0))
         # P, A and the maps are read back from the solver, which stacks A
         # and P, so that a controller holds each once
         self.P, self.A = self.solver.P, self.solver.A
-        if with_y:
-            Fy = self.A[k - dy:]
-        if with_u:
-            Fu = self.A[n_e:n_e + n_u]
-        self.Fu, self.Fy = Fu, Fy
-        self._plan_rows = slice(n_e, k) if with_u and with_y else None
+        self.Fu, self.Fy = self.A[n_e:n_e + n_u], self.A[n_e + n_u:]
+        self._plans = slice(n_e, k)
         self._W_off = scipy.linalg.block_diag(R, Q)
         self._n_u = n_u
         self._r_f = slice(dz, dz + dy)
@@ -428,12 +406,8 @@ class _CondensedController:
             self._name_non_finite(theta)
             raise
         self._warm_x, self._warm_y = a.x, a.y
+        plan = a.t[self._plans]
         o = a.extra  # [bu; by - r_f]
-        if self._plan_rows is not None:
-            plan = a.t[self._plan_rows]
-        else:
-            plan = np.concatenate((self.Fu @ a.x, self.Fy @ a.x)) + o
-            plan[self._n_u:] += theta[self._r_f]
         # the QP objective is the step cost less its part that v does not
         # move, |by - r_f|^2_Q + |bu|^2_R
         obj = a.objective + float(o @ (self._W_off @ o))
@@ -699,11 +673,7 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
                 f"got {warmup.shape}")
         if not np.isfinite(warmup).all():
             raise ValueError("warmup_inputs contains NaN or infinite entries")
-    sigma = plant.sigma_e
-    if sigma > 0.0 and rng is not None:
-        innov = sigma * rng.standard_normal((p, L_p + n_steps))
-    else:
-        innov = np.zeros((p, L_p + n_steps))
+    innov = _innovations(plant, L_p + n_steps, rng, None)
 
     # row i of u_rows/y_rows is the input/output of move i - L_p
     u_rows = np.empty((L_p + n_steps, m))
@@ -734,8 +704,7 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     observe, step = controller.observe, controller.step
     for i in range(L_p):
         move(i, u_rows[i])
-        if not np.abs(y_rows[i]).max() < DIVERGENCE_LIMIT:
-            raise _diverged(i - L_p)
+        _check_sane(y_rows[i], i - L_p)
         observe(u_rows[i], y_rows[i])
 
     steps: list[StepResult] = []
@@ -746,8 +715,7 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
         i = L_p + t
         u_rows[i] = res.u_applied
         move(i, u_rows[i])
-        if not np.abs(y_rows[i]).max() < DIVERGENCE_LIMIT:
-            raise _diverged(t)
+        _check_sane(y_rows[i], t)
         observe(u_rows[i], y_rows[i])
         steps.append(res)
     # a finished controller keeps no warm starts or factors alive

@@ -49,26 +49,29 @@ solver is built, ``q``, the bounds and the warm starts at each solve.  A
 residual that turns non-finite at a convergence check raises
 ``ValueError``; it is never reported as a status.
 
-Where ``q`` and the bounds are affine in a parameter ``theta`` (ending in
-1), as in receding-horizon MPC, so is the KKT solution of a fixed active
-set: the critical regions of explicit MPC (Bemporad, Morari, Dua and
-Pistikopoulos, Automatica 2002).  A solver built with that ``data_map =
-(D, lower0, upper0)`` checks the constant bounds once, when it is built,
-and is then given ``theta`` alone: one BLAS ``gemv`` ``D @ theta``,
-tested finite with the warm starts by one BLAS dot per array, forms
-``q`` and the shift of the bounds.  Beside the LU of the last set it
-keeps that set's record, built from the LU with the same refinements
-once the set has been certified by two solves in a row, and dropped with
-the LU.  The record holds one stacked map ``G`` with ``G @ theta = [x;
-y; D @ theta]`` (zero multiplier rows off the set), the set's masks, the
-signs its multipliers must have, and the constant bounds with the set's
-rows closed onto their sides.  A later solve whose warm start holds the
-same rows (tested on the bytes of the warm start's signs, with the masks
-as the fallback) takes its data from one ``gemv`` with ``G`` in place
-of ``D``, which gives ``x`` and ``y`` with them.  Then one ``gemv``
-gives ``[A x; P x]``, one more adds ``A' y`` to ``P x + q``, and one
-reduction gives both residuals and the sign test.  The residuals are
-computed from ``x``, ``y``, ``q`` and the bounds, never read off the
+Where ``q`` and the bounds are affine in a parameter ``theta`` (ending
+in 1), as in receding-horizon MPC, so is the KKT solution of a fixed
+active set: the critical regions of explicit MPC (Bemporad, Morari, Dua
+and Pistikopoulos, Automatica 2002).  A solver built with that
+``data_map = (D, lower0, upper0)`` checks the constant bounds once, when
+it is built, and is then given ``theta`` alone: one BLAS ``gemv`` ``D @
+theta``, tested finite with the warm starts by one BLAS dot per array,
+forms ``q`` and the shift of the bounds.  Every solve runs on bounds
+plus a shift: a solve of ``(q, lower, upper)`` is the same code with a
+zero shift, and builds no record.  An active set has one name, its key:
+its rows and the side of each, under which the solver keeps the LU of
+the last set and that set's record, built from the LU with the same
+refinements once the set has been certified by two ``theta`` solves in a
+row, and dropped with the LU.  The record holds one stacked map ``G``
+with ``G @ theta = [x; y; D @ theta]`` (zero multiplier rows off the
+set), the signs its multipliers must have, and the constant bounds with
+the set's rows closed onto their sides.  A later solve whose warm start
+holds the same set (tested on the bytes of the warm start's signs, with
+the key as the fallback) takes its data from one ``gemv`` with ``G`` in
+place of ``D``, which gives ``x`` and ``y`` with them.  Then one
+``gemv`` gives ``[A x; P x]``, one more adds ``A' y`` to ``P x + q``,
+and one reduction gives both residuals and the sign test.  The residuals
+are computed from ``x``, ``y``, ``q`` and the bounds, never read off the
 map, and an LU answer is tested by the same code.  A rejected answer is
 retried through the set's LU, and the corrections go on from there.
 """
@@ -189,8 +192,10 @@ class QpSettings:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, "
                                  f"got {value}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or isinstance(self.max_iter, bool) or self.max_iter < 1):
+            raise ValueError(f"max_iter must be an integer >= 1, "
+                             f"got {self.max_iter!r}")
 
 
 @dataclass
@@ -260,9 +265,9 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
 @dataclass
 class _Answer(QpSolution):
     """The :class:`QpSolution` that :meth:`BoxQpSolver.solve` returns,
-    with ``t``, which is ``A x`` less the data map's bound shift (``A x``
-    in a solve without ``theta``), and ``extra``, the rows of ``D @
-    theta`` past ``q`` and the shift (None without ``theta``)."""
+    with ``t``, which is ``A x`` less the bound shift (zero in a solve
+    without ``theta``), and ``extra``, the rows of ``D @ theta`` past
+    ``q`` and the shift (None without ``theta``)."""
 
     t: np.ndarray
     extra: np.ndarray | None
@@ -272,10 +277,7 @@ class _Answer(QpSolution):
 class _SetRecord:
     """The cached answer of one active set, for a solver with a data map."""
 
-    held: bytes  # the set's at_lo and at_hi masks, as a warm start shows it
-    key: bytes  # its rows and their sides, as the LU cache names them
-    at_lo: np.ndarray
-    at_hi: np.ndarray
+    key: bytes  # the set's one name, its rows and their sides (_key)
     G: np.ndarray  # G @ theta = [x; y; D @ theta], y zero off the set
     closed0: np.ndarray  # (lower0, upper0), each set row closed on its side
     neg_sides: np.ndarray  # 1 at a lower bound, -1 at an upper one, else 0
@@ -297,10 +299,12 @@ class BoxQpSolver:
     upper0``, no ``+inf`` in ``lower0`` and no ``-inf`` in ``upper0``.
     Rounding is monotone, so a finite shift keeps every pair of bounds
     ordered, and the rows with ``lower0 == upper0`` are the equality rows.
-    Such a solver is given either ``(q, lower, upper)`` or ``theta`` alone.
-    A ``theta`` solve whose warm start points at the set of the cached
-    record is answered by that record (module docstring); at most one
-    record is held, and :meth:`reset` drops it with the factors.
+    Such a solver is given either ``(q, lower, upper)``, which runs the
+    same path with a zero shift, or ``theta`` alone.  A ``theta`` solve
+    whose warm start points at the key of the cached record's set is
+    answered by that record (module docstring); a solve of ``(q, lower,
+    upper)`` neither builds a record nor reads one.  At most one record is
+    held, and :meth:`reset` drops it with the factors.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray,
@@ -333,8 +337,7 @@ class BoxQpSolver:
             D = np.ascontiguousarray(D)
             self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
             self._bounds0 = np.array([lower0, upper0])
-            self._free0 = lower0 != upper0
-            self._may_hold0 = _may_hold(lower0, upper0, self._free0)
+            self._free0, self._may_hold0 = _may_hold(lower0, upper0)
             data_map = (D, *self._bounds0)
         self.data_map = data_map
         # where each group of _residuals' rows starts in their concatenation
@@ -482,16 +485,12 @@ class BoxQpSolver:
             bounds0, free, may_hold = (self._bounds0, self._free0,
                                        self._may_hold0)
             # the held set is a function of the warm start's signs, so the
-            # signs of one seen holding the record's set stand for its masks
+            # signs of one seen holding the record's set stand for its key
             rec = self._map
             signs = None if y0 is None else np.sign(y0).tobytes()
-            if rec is not None and signs == rec.signs:
-                at_lo, at_hi = rec.at_lo, rec.at_hi
-            else:
-                at_lo, at_hi = self._held(y0, may_hold)
-                if (rec is not None
-                        and at_lo.tobytes() + at_hi.tobytes() != rec.held):
-                    rec = None
+            if (rec is not None and signs != rec.signs
+                    and _key(free, *self._held(y0, may_hold)) != rec.key):
+                rec = None
             d = self._checked(self._DT if rec is None else rec.G.T, theta,
                               x0, y0)
             if rec is not None:
@@ -513,12 +512,10 @@ class BoxQpSolver:
                 raise DimensionMismatch(
                     "q or bound length mismatch with solver")
             _check_entry(q, lo, hi, x0, y0)
-            bounds0, shift, extra = np.array([lo, hi]), None, None
-            free = lo != hi
-            may_hold = _may_hold(lo, hi, free)
-            at_lo, at_hi = self._held(y0, may_hold)
-        certified = self._certify(q, bounds0, shift, extra, free, at_lo,
-                                  at_hi)
+            bounds0, shift, extra = np.array([lo, hi]), np.zeros(k), None
+            free, may_hold = _may_hold(lo, hi)
+        certified = self._certify(q, bounds0, shift, extra, free,
+                                  *self._held(y0, may_hold))
         if certified is not None:
             return certified
         if k == 0:
@@ -526,7 +523,7 @@ class BoxQpSolver:
             return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
                            0, 0.0, math.inf, -math.inf, np.zeros(0), extra)
 
-        lo, hi = bounds0 if shift is None else bounds0 + shift
+        lo, hi = bounds0 + shift
         if self.d is None:
             self.d, self.e, self.c = _ruiz(self.P, self.A, _SCALING_ITERS)
         qs = self.c * self.d * q
@@ -614,11 +611,8 @@ class BoxQpSolver:
                 refined.iterations = iters_done
                 return refined
         r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
-        t = self.A @ x
-        if shift is not None:
-            t -= shift
         return _Answer(x, y, status, iters_done, r_prim, r_dual,
-                       _objective(x, Px, q), t, extra)
+                       _objective(x, Px, q), self.A @ x - shift, extra)
 
     def _checked(self, GT, theta, x0=None, y0=None):
         """``GT.T @ theta`` by BLAS ``gemv``, tested finite with the warm
@@ -695,14 +689,14 @@ class BoxQpSolver:
 
         The set is the one the signs of a dual point at (:meth:`_held`):
         the warm start before ADMM, ADMM's own dual after ADMM has solved
-        the step.  The bounds are ``bounds0``, plus ``shift`` in a
-        data-mapped solve (None otherwise).  The set's KKT solution comes
-        from its LU, and :meth:`_accept` tests it.  Otherwise up to
-        ``_CERTIFY_ROUNDS`` corrections drop the rows whose multipliers
-        have the wrong sign and add the rows that are violated.  When a
-        data-mapped solve certifies the set that the previous solve
-        certified, the set's record is built for the next one.  Returns a
-        ``SOLVED`` answer with zero iterations, or None.
+        the step.  The bounds are ``bounds0 + shift``.  The set's KKT
+        solution comes from its LU, and :meth:`_accept` tests it.
+        Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
+        multipliers have the wrong sign and add the rows that are violated.
+        When a ``theta`` solve (``extra`` not None: the bounds are the data
+        map's) certifies the set that the previous solve certified, the
+        set's record is built for the next one.  Returns a ``SOLVED``
+        answer with zero iterations, or None.
         """
         n = self.n
         lo0, hi0 = bounds0
@@ -710,12 +704,10 @@ class BoxQpSolver:
         rounds = 0
         while True:
             act = (~free | at_lo | at_hi).nonzero()[0]
-            # the rows and their sides: a record's constant column holds
-            # the bound on each row's side
-            key = act.tobytes() + at_hi[act].tobytes()
+            key = _key(free, at_lo, at_hi)
             closed0 = np.array([np.where(at_hi, hi0, lo0),
                                 np.where(at_lo, lo0, hi0)])
-            b = (closed0[0] if shift is None else closed0[0] + shift)[act]
+            b = (closed0[0] + shift)[act]
             sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
             if sol is None:
                 return None
@@ -725,9 +717,8 @@ class BoxQpSolver:
             answer, t = self._accept(x, y, q, closed0, shift, neg_sides,
                                      extra)
             if answer is not None:
-                if shift is not None and self._map is None and key == previous:
-                    self._map = self._record(act, key, at_lo, at_hi, closed0,
-                                             neg_sides)
+                if extra is not None and self._map is None and key == previous:
+                    self._map = self._record(act, key, closed0, neg_sides)
                 self._certified_key = key
                 return answer
             wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
@@ -746,9 +737,9 @@ class BoxQpSolver:
         """``(answer, t)``: the set's answer ``(x, y)``, or None when the
         sign or residual test rejects it, and ``t = A x - shift``.
 
-        ``closed0`` holds the bounds less ``shift`` (None without a data
-        map), each set row closed onto its side; ``neg_sides`` is 1 on the
-        rows held at their lower bound and -1 on those at their upper one.
+        ``closed0`` holds the bounds less ``shift``, each set row closed
+        onto its side; ``neg_sides`` is 1 on the rows held at their lower
+        bound and -1 on those at their upper one.
         The primal residual is the largest gap of ``t`` outside
         ``closed0``, which is ``|Ax - z|`` for the point ``z`` of the box
         nearest ``Ax``; the dual one is ``|P x + q + A' y|``.  They and the
@@ -760,7 +751,7 @@ class BoxQpSolver:
         k = self.k
         AxPx = _GEMV(1.0, self._APT, x, trans=1)
         Ax, Px = AxPx[:k], AxPx[k:]
-        t = Ax if shift is None else Ax - shift
+        t = Ax - shift
         lo0, hi0 = closed0
         np.subtract(lo0, t, out=self._gaps[0])
         np.subtract(t, hi0, out=self._gaps[1])
@@ -775,7 +766,7 @@ class BoxQpSolver:
             return None, t
         eps = self.settings.eps_abs
         if not (r_prim <= eps and r_dual <= eps):
-            lo, hi = closed0 if shift is None else closed0 + shift
+            lo, hi = closed0 + shift
             r_prim, r_dual, *_, ok, _ = self._residuals(
                 q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
             if not ok:
@@ -799,7 +790,7 @@ class BoxQpSolver:
             self._certified_key = rec.key
         return answer
 
-    def _record(self, act, key, at_lo, at_hi, closed0, neg_sides):
+    def _record(self, act, key, closed0, neg_sides):
         """The record of the row set ``act``, or None.
 
         With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
@@ -820,9 +811,7 @@ class BoxQpSolver:
         G[:n] = sol[:n]
         G[n + act] = sol[n:]
         G[n + k:] = D
-        return _SetRecord(held=at_lo.tobytes() + at_hi.tobytes(), key=key,
-                          at_lo=at_lo, at_hi=at_hi, G=G, closed0=closed0,
-                          neg_sides=neg_sides)
+        return _SetRecord(key=key, G=G, closed0=closed0, neg_sides=neg_sides)
 
 
 def _objective(x, Px, q) -> float:
@@ -862,10 +851,19 @@ def _check_bounds(lo, hi, names) -> None:
     raise ValueError(f"{names[0]} exceeds {names[1]} at row {crossed[0]}")
 
 
-def _may_hold(lo, hi, free) -> np.ndarray:
-    """The rows that a dual point may hold at their lower bound (row 0)
-    and at their upper bound (row 1): not equality rows, a finite bound."""
-    return np.array([free & np.isfinite(lo), free & np.isfinite(hi)])
+def _key(free, at_lo, at_hi) -> bytes:
+    """The one name of the set ``at_lo | at_hi`` plus the equality rows
+    (``~free``), for the LU and the record: its rows and their sides, since
+    a record holds the bound of each row's side."""
+    return free.tobytes() + at_lo.tobytes() + at_hi.tobytes()
+
+
+def _may_hold(lo, hi):
+    """``(free, may_hold)``: the rows that are not equality rows, and those
+    that a dual point may hold at their lower bound (row 0) and at their
+    upper bound (row 1): free rows with a finite bound on that side."""
+    free = lo != hi
+    return free, np.array([free & np.isfinite(lo), free & np.isfinite(hi)])
 
 
 def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:

@@ -254,7 +254,7 @@ def _diverged(t: int) -> Diverged:
 
 
 def _check_sane(y: np.ndarray, t: int) -> None:
-    if not np.all(np.abs(y) < DIVERGENCE_LIMIT):
+    if not np.abs(y).max() < DIVERGENCE_LIMIT:
         raise _diverged(t)
 
 

@@ -128,7 +128,8 @@ def test_box_constraints_checks():
         BoxConstraints(u_lower=[np.nan], u_upper=[1.0],
                        y_lower=[-1.0], y_upper=[1.0])
     free = BoxConstraints.unbounded(2, 1)
-    assert not free.u_bounded() and not free.y_bounded()
+    for lo, hi in (free.u_tiled(3), free.y_tiled(3)):
+        assert (lo == -np.inf).all() and (hi == np.inf).all()
     lo, hi = _boxes(0.5).u_tiled(4)
     np.testing.assert_array_equal(lo, -0.5 * np.ones(4))
     np.testing.assert_array_equal(hi, 0.5 * np.ones(4))
@@ -307,8 +308,8 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
     step returned, as do the warm starts each step left, and each equals a
     fresh solve: no array a step returns or keeps is a buffer that a later
     step writes.  The objective is the fresh QP objective plus the cost of
-    the plans' offsets.  ``reg_gamma-unboxed`` has no boxes, so ``Fu`` and
-    ``Fy`` are not rows of ``A`` (it has none)."""
+    the plans' offsets.  ``reg_gamma-unboxed`` has no boxes, so its rows
+    ``Fu`` and ``Fy`` of ``A`` have infinite bounds."""
     boxed = not variant.endswith("-unboxed")
     variant = variant.removesuffix("-unboxed")
     ctrl = _any_controller(variant, u_box=0.1 if boxed else np.inf,
@@ -449,16 +450,27 @@ def test_projreg_decision_dimension_is_column_count():
 
 
 def test_constraint_rows_follow_boxes():
+    """The rows are ``[Fu; Fy]`` whichever boxes are bounded.  An open
+    box's rows carry ``-inf``/``+inf`` bounds, and no step, cold or warm,
+    holds them at a bound: their multipliers stay zero, while a bounded
+    input box is held."""
     part = _noisy_part()
-    both = make_controller(_spec("spc", u_box=1.0, y_box=2.0),
-                           part=part).condense(_sample_zp())
-    assert both.A.shape[0] == 2 * L_F
-    u_only = make_controller(_spec("spc", u_box=1.0, y_box=np.inf),
-                             part=part).condense(_sample_zp())
-    assert u_only.A.shape[0] == L_F
-    free = make_controller(_spec("spc", u_box=np.inf, y_box=np.inf),
-                           part=part).condense(_sample_zp())
-    assert free.A.shape[0] == 0
+    z = _sample_zp()
+    for u_box, y_box in ((1.0, 2.0), (1.0, np.inf), (np.inf, np.inf)):
+        ctrl = make_controller(_spec("spc", u_box=u_box, y_box=y_box),
+                               part=part)
+        prob = ctrl.condense(z)
+        assert prob.A.shape[0] == 2 * L_F
+        np.testing.assert_array_equal(prob.A, np.vstack([ctrl.Fu, ctrl.Fy]))
+        for rows, box in ((slice(0, L_F), u_box), (slice(L_F, None), y_box)):
+            open_rows = np.isinf(prob.lower[rows]) & np.isinf(prob.upper[rows])
+            assert open_rows.all() == np.isinf(box) == open_rows.any()
+        unbounded = np.isinf(prob.upper)
+        for r in (0.0, 3.0, 3.0, -3.0):
+            res = ctrl.step(z, np.full(L_F, r))
+            assert res.qp_status == QpStatus.SOLVED
+            assert (ctrl._warm_y[unbounded] == 0.0).all()
+        assert (ctrl._warm_y[:L_F] != 0.0).any() == np.isfinite(u_box)
 
 
 def test_condense_consistent_with_step():

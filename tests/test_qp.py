@@ -277,11 +277,14 @@ def test_max_iter_reported_with_residuals():
     ({"eps_abs": float("nan")}, "eps_abs"),
     ({"eps_abs": -1.0}, "eps_abs"),
     ({"eps_rel": float("inf")}, "eps_rel"),
+    ({"max_iter": 2.5}, "max_iter"),
+    ({"max_iter": True}, "max_iter"),
 ], ids=["max-iter-zero", "max-iter-negative", "eps-abs-nan",
-        "eps-abs-negative", "eps-rel-inf"])
+        "eps-abs-negative", "eps-rel-inf", "max-iter-float", "max-iter-bool"])
 def test_settings_reject_empty_iteration_cap_and_bad_tolerances(kv, named):
-    # a cap below 1 would report MAX_ITER without an ADMM iteration, and
-    # no residual passes a NaN or negative tolerance
+    # a cap below 1 would report MAX_ITER without an ADMM iteration, a
+    # non-integer cap would fail inside ADMM's loop, and no residual passes
+    # a NaN or negative tolerance
     with pytest.raises(ValueError, match=named):
         QpSettings(**kv)
 
@@ -599,6 +602,56 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     # bound in a later one
     signs = np.array([s for _, s in held])
     assert ((signs < 0).any(axis=0) & (signs > 0).any(axis=0)).any()
+
+
+def test_a_plain_solve_on_a_mapped_solver_neither_builds_nor_reads_a_record():
+    """A data-mapped solver given ``(q, lower, upper)`` between ``theta``
+    solves of the same set solves it with a zero shift of its own bounds,
+    which are not the data map's: it never builds a record from them and
+    is never answered by one.  The ``theta`` solves still build their
+    records and are answered by them, at a ``theta`` whose shift is zero
+    too, and every record closes the data map's own bounds.  Each answer
+    equals a plain solver's, warm-started alike."""
+    prob, D = _mapped_qp(98)
+    n = prob.n
+    mapped = BoxQpSolver(prob.P, prob.A, data_map=(D, prob.lower, prob.upper))
+    plain = BoxQpSolver(prob.P, prob.A)
+    answered = []
+    from_record = mapped._from_record
+
+    def counting(rec, d):
+        answer = from_record(rec, d)
+        if answer is not None:
+            answered.append(rec)
+        return answer
+
+    mapped._from_record = counting
+    keys = []
+    # the second theta gives a zero shift: D's constant column is zero there
+    for theta in (np.array([0.6, -0.6, -0.6, 1.0]), np.eye(4)[3]):
+        q, shift = D[:n] @ theta, D[n:] @ theta
+        lo, hi = prob.lower + shift, prob.upper + shift
+        y, n_answered = None, len(answered)
+        for form in ("theta", "plain", "theta", "theta", "plain", "theta"):
+            rec, n_before = mapped._map, len(answered)
+            if form == "theta":
+                a = mapped.solve(y0=y, theta=theta)
+            else:
+                a = mapped.solve(q, lo, hi, y0=y)
+                assert mapped._map is rec and len(answered) == n_before
+            b = plain.solve(q, lo, hi, y0=y)
+            assert a.status == b.status == QpStatus.SOLVED
+            np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
+            y = a.y
+        assert len(answered) - n_answered == 2
+        keys.append(mapped._kkt_key)
+    assert keys[0] != keys[1]  # the second theta's set is a record of its own
+    for rec in answered:
+        at_lo, at_hi = rec.neg_sides > 0, rec.neg_sides < 0
+        np.testing.assert_array_equal(rec.closed0, [
+            np.where(at_hi, prob.upper, prob.lower),
+            np.where(at_lo, prob.lower, prob.upper)])
 
 
 def test_overflowing_theta_raises_without_a_warning():

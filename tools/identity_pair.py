@@ -41,8 +41,9 @@ every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
 (``primal_res``, ``dual_res``) are reported before -> after without
 being gated, because a change of solver path changes them by design.
-In either mode a last line reports, also ungated, how many records and
-``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side.
+In either mode two last lines report, also ungated, how many records and
+``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side, and
+the line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -234,6 +235,12 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
     return out, admm
 
 
+def line_total(tree: Path) -> int:
+    """The newlines in ``src/ddpc/*.py`` of ``tree``: ``wc -l``'s total."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "ddpc").glob("*.py"))
+
+
 # -- comparison within a relative tolerance ---------------------------------
 
 
@@ -372,6 +379,7 @@ def main(argv=None) -> int:
         unpack(args.base, base_tree)
         before, admm_before = collect(base_tree, Path(tmp) / "base", raw)
         after, admm_after = collect(ROOT, Path(tmp) / "change", raw)
+        lines = f"{line_total(base_tree)} -> {line_total(ROOT)}"
     n_diff = 0
     for label in sorted(before.keys() | after.keys()):
         if label not in before or label not in after:
@@ -383,6 +391,7 @@ def main(argv=None) -> int:
         print(f"{label}: {verdict}")
     print(f"ran ADMM (qp_iters > 0, not gated): {admm_before} -> "
           f"{admm_after}")
+    print(f"src/ddpc/*.py lines (wc -l, not gated): {lines}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"
     print(f"{len(before | after) - n_diff} pass, {n_diff} different "
           f"(base {base}, {mode})")
