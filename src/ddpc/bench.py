@@ -70,10 +70,6 @@ __all__ = [
 _DATA_STREAM = 0x0DA7A
 _LOOP_STREAM = 0xC105ED
 
-# The per-variant settings a [controllers] section may give (name.param).
-_CONTROLLER_PARAMS = ("mu", "lam", "gamma3_zero")
-
-
 # -- value parsers: each one is the rule of the keys it reads ---------------
 
 
@@ -122,6 +118,11 @@ _POSITIVE = _float_where(lambda v: 0.0 < v < math.inf,
                          "must be finite and > 0")
 _FINITE = _float_where(math.isfinite, "must be finite")
 _BOUND = _float_where(lambda v: not math.isnan(v), "must not be nan")
+_FLAG = _float_where(lambda v: v in (0.0, 1.0), "must be 0 or 1")
+
+# The per-variant settings a [controllers] section may give (name.param),
+# each with its rule.
+_CONTROLLER_PARAMS = {"mu": float, "lam": float, "gamma3_zero": _FLAG}
 
 
 def _key(section: str, key: str, parse, default: str | None = None):
@@ -158,7 +159,7 @@ class ExperimentConfig:
     excitation_hold: int = _key("excitation", "hold", _COUNT, "10")
     excitation_n_freqs: int = _key("excitation", "n_freqs", _COUNT, "25")
     setpoint_levels: tuple[float, ...] = _key(
-        "excitation", "setpoint_levels", _list_of(float), "-1 1")
+        "excitation", "setpoint_levels", _list_of(_FINITE), "-1 1")
     setpoint_period: int = _key("excitation", "setpoint_period", _COUNT,
                                 "100")
     feedback: LinearFeedbackController | None
@@ -359,8 +360,8 @@ def load_config(path) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: controller parameter {key!r} must be one of "
                     f"{', '.join(_CONTROLLER_PARAMS)}")
-            params.setdefault(name, {})[param] = parsed("controllers", key,
-                                                        float)
+            params.setdefault(name, {})[param] = parsed(
+                "controllers", key, _CONTROLLER_PARAMS[param])
     values["controller_params"] = params
 
     sections = {section for section, _ in read}

@@ -341,7 +341,7 @@ class _CondensedController:
         D[n + k + n_u:, dz:dz + dy] = -np.eye(dy)
         bounds0 = np.hstack([np.zeros((2, n_e)), spec.boxes.u_tiled(self.L_f),
                              spec.boxes.y_tiled(self.L_f)])
-        self.solver = BoxQpSolver(P, A, qp_settings, data_map=(D, *bounds0))
+        self.solver = BoxQpSolver(P, A, (D, *bounds0), qp_settings)
         # P, A and the maps are read back from the solver, which stacks A
         # and P, so that a controller holds each once
         self.P, self.A = self.solver.P, self.solver.A
@@ -400,8 +400,7 @@ class _CondensedController:
         for a NaN or infinite entry in either."""
         theta = self._theta(z_p, r_f)
         try:
-            a = self.solver.solve(theta=theta, x0=self._warm_x,
-                                  y0=self._warm_y)
+            a = self.solver.solve(theta, x0=self._warm_x, y0=self._warm_y)
         except ValueError:
             self._name_non_finite(theta)
             raise

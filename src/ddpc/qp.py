@@ -1,4 +1,5 @@
-"""Box-constrained convex QP solver based on operator splitting.
+"""Box-constrained convex QP solver: a warm-started active-set step with
+an ADMM fallback.
 
 Solves
 
@@ -6,74 +7,70 @@ Solves
     subject to  lower <= A x <= upper
 
 with P symmetric positive semidefinite.  Equality rows are expressed as
-``lower == upper``; one-sided rows use ``+-inf``.  The implementation is a
-dense ADMM scheme with Ruiz equilibration, a per-row step parameter that
-is rescaled from the primal/dual residual ratio, and over-relaxation,
-with one active-set step before and after it (below).  Everything is
-deterministic: identical inputs produce identical iterates.  The scheme's
-parameters are the module constants ``_RHO``, ``_SIGMA``, ``_ALPHA``,
-``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and ``_SCALING_ITERS``;
-:class:`QpSettings` holds only the tolerances and the iteration cap.
+``lower == upper``; one-sided rows use ``+-inf``.
 
-The solver is built for the receding-horizon use case where ``P`` and
-``A`` stay fixed while ``q`` and the bounds change from step to step:
-:class:`BoxQpSolver` caches the equilibration (formed when ADMM first
-runs) and the KKT factorization across such solves and accepts warm
-starts.  As in OSQP (Stellato et al., Math. Prog. Comp. 2020), an
-iteration applies the cached Cholesky factor through LAPACK's ``potrs``
-and does nothing but its arithmetic.
+The solver is built for receding-horizon MPC, where ``P`` and ``A`` stay
+fixed while ``q`` and the bounds are affine in a parameter ``theta``
+ending in 1: the parametric form of explicit MPC (Bemporad, Morari, Dua
+and Pistikopoulos, Automatica 2002).  :class:`BoxQpSolver` is built with
+that ``data_map = (D, lower0, upper0)``, checks it once, and is then given
+``theta`` alone: one BLAS ``gemv`` ``D @ theta``, tested finite with the
+warm starts by one BLAS dot per array, forms ``q`` and the shift of the
+bounds.  The one-shot :func:`solve` of a :class:`QpProblem` is the
+one-column map ``D = [q; 0]`` at ``theta = [1]``.
 
 Before any iteration, a solve tries to certify the active set that the
-signs of the dual warm start ``y0`` point at, the warm-started active-set
-idea of qpOASES (Ferreau, Bock and Diehl, IJRNC 2008): rows with
-``y0 < 0`` at their lower bound, rows with ``y0 > 0`` at their upper
-bound, equality rows always, and no bound row without ``y0``.  The
-equality-constrained KKT system of that set is solved with a regularized
-LU and iterative refinement, whose factor is cached for the last set.
-The solution is accepted when every multiplier has the sign of its bound
+dual warm start ``y0`` points at, the warm-started active-set idea of
+qpOASES (Ferreau, Bock and Diehl, IJRNC 2008).  A set has one name, its
+side vector ``s`` in {-1, 0, +1}^k: ``np.sign(y0)`` clipped into the sides
+each row can be held at, so -1 holds a row at its lower bound, +1 at its
+upper one, and 0 nowhere; an equality row, held always, and an infinite
+bound can take no side.  The bytes of ``s`` key the cached LU and the
+record below.  The set's equality-constrained KKT system is solved with
+a regularized LU and iterative refinement, whose factor is cached for the
+last set.  The solution is accepted when no multiplier has ``s * y < 0``
 and both residuals pass the ADMM stopping test, the primal one with the
 set's rows held at their bounds; it is then ``SOLVED`` with
 ``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
-corrections drop the rows with wrong-sign multipliers and add the rows
-violated by more than ``eps_abs``, and if none is accepted ADMM runs,
-warm-started from ``x0``/``y0``.  The guess depends on ``y0`` alone, so
-a solve stays a pure function of its arguments, to round-off when a map
-answers it (below).  Once ADMM has solved the
-problem, the same step starts from the signs of ADMM's own dual, in the
-place of OSQP's polish (Stellato et al. 2020), and ADMM's iterate is kept
-unless it certifies a set.  ``QpSolution.iterations`` counts ADMM
-iterations only.  A problem without rows (``k == 0``) is the empty set's case;
-when it cannot be certified it is reported ``DUAL_INFEASIBLE``.
-Finiteness is checked once at entry instead: ``P`` and ``A`` when the
-solver is built, ``q``, the bounds and the warm starts at each solve.  A
-residual that turns non-finite at a convergence check raises
+corrections set ``s`` to 0 where ``s * y < 0`` and to -1 or +1 on the
+free rows violated below or above by more than ``eps_abs``, and if none
+is accepted ADMM runs, warm-started from ``x0``/``y0``.  The guess
+depends on ``y0`` alone, so a solve stays a pure function of its
+arguments, to round-off when a record answers it.  Once ADMM has solved
+the problem, the same step starts from the side vector of ADMM's own
+dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
+2020), and ADMM's iterate is kept unless it certifies a set.
+``QpSolution.iterations`` counts ADMM iterations only.  A problem without
+rows (``k == 0``) is the empty set's case; when it cannot be certified it
+is reported ``DUAL_INFEASIBLE``.
+
+ADMM is dense, with Ruiz equilibration (formed when ADMM first runs), a
+per-row step parameter that is rescaled from the primal/dual residual
+ratio, and over-relaxation; as in OSQP, an iteration applies the cached
+Cholesky factor through LAPACK's ``potrs`` and does nothing but its
+arithmetic.  Everything is deterministic: identical inputs produce
+identical iterates.  The scheme's parameters are the module constants
+``_RHO``, ``_SIGMA``, ``_ALPHA``, ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and
+``_SCALING_ITERS``; :class:`QpSettings` holds only the tolerances and the
+iteration cap.  Finiteness is checked once at entry: ``P``, ``A`` and the
+data map when the solver is built, ``theta`` and the warm starts at each
+solve.  A residual that turns non-finite at a convergence check raises
 ``ValueError``; it is never reported as a status.
 
-Where ``q`` and the bounds are affine in a parameter ``theta`` (ending
-in 1), as in receding-horizon MPC, so is the KKT solution of a fixed
-active set: the critical regions of explicit MPC (Bemporad, Morari, Dua
-and Pistikopoulos, Automatica 2002).  A solver built with that
-``data_map = (D, lower0, upper0)`` checks the constant bounds once, when
-it is built, and is then given ``theta`` alone: one BLAS ``gemv`` ``D @
-theta``, tested finite with the warm starts by one BLAS dot per array,
-forms ``q`` and the shift of the bounds.  Every solve runs on bounds
-plus a shift: a solve of ``(q, lower, upper)`` is the same code with a
-zero shift, and builds no record.  An active set has one name, its key:
-its rows and the side of each, under which the solver keeps the LU of
-the last set and that set's record, built from the LU with the same
-refinements once the set has been certified by two ``theta`` solves in a
-row, and dropped with the LU.  The record holds one stacked map ``G``
-with ``G @ theta = [x; y; D @ theta]`` (zero multiplier rows off the
-set), the signs its multipliers must have, and the constant bounds with
-the set's rows closed onto their sides.  A later solve whose warm start
-holds the same set (tested on the bytes of the warm start's signs, with
-the key as the fallback) takes its data from one ``gemv`` with ``G`` in
-place of ``D``, which gives ``x`` and ``y`` with them.  Then one
-``gemv`` gives ``[A x; P x]``, one more adds ``A' y`` to ``P x + q``,
-and one reduction gives both residuals and the sign test.  The residuals
-are computed from ``x``, ``y``, ``q`` and the bounds, never read off the
-map, and an LU answer is tested by the same code.  A rejected answer is
-retried through the set's LU, and the corrections go on from there.
+The KKT solution of a fixed active set is affine in ``theta`` too: the
+critical regions of explicit MPC.  Once two solves in a row have
+certified a set, its record is built from its LU with the same
+refinements, and dropped with the LU.  The record holds one stacked map
+``G`` with ``G @ theta = [x; y; D @ theta]`` (zero multiplier rows off the
+set), the set's side vector, and the constant bounds with the set's rows
+closed onto their sides.  A later solve whose warm start has the same
+side vector takes its data from one ``gemv`` with ``G`` in place of
+``D``, which gives ``x`` and ``y`` with them.  Then one ``gemv`` gives
+``[A x; P x]``, one more adds ``A' y`` to ``P x + q``, and one reduction
+gives both residuals and the sign test.  The residuals are computed from
+``x``, ``y``, ``q`` and the bounds, never read off the map, and an LU
+answer is tested by the same code.  A rejected answer is retried through
+the set's LU, and the corrections go on from there.
 """
 
 from __future__ import annotations
@@ -265,51 +262,48 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
 @dataclass
 class _Answer(QpSolution):
     """The :class:`QpSolution` that :meth:`BoxQpSolver.solve` returns,
-    with ``t``, which is ``A x`` less the bound shift (zero in a solve
-    without ``theta``), and ``extra``, the rows of ``D @ theta`` past
-    ``q`` and the shift (None without ``theta``)."""
+    with ``t``, which is ``A x`` less the bound shift, and ``extra``, the
+    rows of ``D @ theta`` past ``q`` and the shift (empty when ``D`` has
+    none)."""
 
     t: np.ndarray
-    extra: np.ndarray | None
+    extra: np.ndarray
 
 
 @dataclass(slots=True)
 class _SetRecord:
-    """The cached answer of one active set, for a solver with a data map."""
+    """The cached answer of one active set."""
 
-    key: bytes  # the set's one name, its rows and their sides (_key)
+    sides: np.ndarray  # the set's side vector s, its one name (_sides)
+    key: bytes  # sides.tobytes(), as the LU is keyed
     G: np.ndarray  # G @ theta = [x; y; D @ theta], y zero off the set
     closed0: np.ndarray  # (lower0, upper0), each set row closed on its side
-    neg_sides: np.ndarray  # 1 at a lower bound, -1 at an upper one, else 0
-    signs: bytes | None = b""  # np.sign of a warm start seen holding the set
 
 
 class BoxQpSolver:
-    """ADMM solver bound to a fixed ``(P, A)`` pair.
+    """Active-set and ADMM solver bound to a fixed ``(P, A)`` pair and
+    data map.
 
-    One instance amortizes equilibration and KKT factorization over many
-    solves that differ only in ``q`` and the bounds.  ``A`` and ``P`` are
-    kept as the two blocks of one stacked copy, so that ``[A x; P x]`` is
-    one product.  With ``data_map = (D, lower0, upper0)`` the data are
-    affine in a parameter ``theta`` whose last entry is 1: ``q = D[:n] @
-    theta`` and the bounds are ``lower0 + D[n:n+k] @ theta`` and ``upper0
-    + D[n:n+k] @ theta``.  Rows of ``D`` past ``n + k`` ride along: their
-    product at ``theta`` comes back with the answer, from the same product
-    as the data.  The map is checked once, here: ``D`` finite, ``lower0 <=
+    With ``data_map = (D, lower0, upper0)`` the data are affine in a
+    parameter ``theta`` whose last entry is 1: ``q = D[:n] @ theta`` and
+    the bounds are ``lower0 + D[n:n+k] @ theta`` and ``upper0 + D[n:n+k]
+    @ theta``.  Rows of ``D`` past ``n + k`` ride along: their product at
+    ``theta`` comes back with the answer, from the same product as the
+    data.  The map is checked once, here: ``D`` finite, ``lower0 <=
     upper0``, no ``+inf`` in ``lower0`` and no ``-inf`` in ``upper0``.
     Rounding is monotone, so a finite shift keeps every pair of bounds
     ordered, and the rows with ``lower0 == upper0`` are the equality rows.
-    Such a solver is given either ``(q, lower, upper)``, which runs the
-    same path with a zero shift, or ``theta`` alone.  A ``theta`` solve
-    whose warm start points at the key of the cached record's set is
-    answered by that record (module docstring); a solve of ``(q, lower,
-    upper)`` neither builds a record nor reads one.  At most one record is
+    So the sides each row can be held at are fixed here too, and one side
+    vector names an active set (module docstring).  One instance amortizes
+    equilibration and KKT factorization over many solves; ``A`` and ``P``
+    are kept as the two blocks of one stacked copy, so that ``[A x; P x]``
+    is one product.  A solve whose warm start has the side vector of the
+    cached record's set is answered by that record.  At most one record is
     held, and :meth:`reset` drops it with the factors.
     """
 
-    def __init__(self, P: np.ndarray, A: np.ndarray,
-                 settings: QpSettings | None = None,
-                 data_map: tuple | None = None):
+    def __init__(self, P: np.ndarray, A: np.ndarray, data_map: tuple,
+                 settings: QpSettings | None = None):
         self.settings = settings or QpSettings()
         P = np.asarray(P, dtype=float)
         A = np.asarray(A, dtype=float)
@@ -323,23 +317,27 @@ class BoxQpSolver:
         self.A, self.P = AP[:k], AP[k:]
         self._APT, self._AT = AP.T, self.A.T  # Fortran-ordered for BLAS
         self.d = None  # the Ruiz scaling d, e, c, formed when ADMM first runs
-        if data_map is not None:
-            D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
-            if (D.ndim != 2 or D.shape[0] < n + k
-                    or lower0.shape != (k,) or upper0.shape != (k,)):
-                raise DimensionMismatch(
-                    "data_map must be (D, lower0, upper0) with D of at "
-                    f"least {n + k} rows and bounds of length {k}")
-            if not np.isfinite(D).all():
-                raise ValueError("data_map D has non-finite entries")
-            _check_bounds(lower0, upper0, ("data_map lower0",
-                                           "data_map upper0"))
-            D = np.ascontiguousarray(D)
-            self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
-            self._bounds0 = np.array([lower0, upper0])
-            self._free0, self._may_hold0 = _may_hold(lower0, upper0)
-            data_map = (D, *self._bounds0)
-        self.data_map = data_map
+        D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
+        if (D.ndim != 2 or D.shape[0] < n + k
+                or lower0.shape != (k,) or upper0.shape != (k,)):
+            raise DimensionMismatch(
+                "data_map must be (D, lower0, upper0) with D of at "
+                f"least {n + k} rows and bounds of length {k}")
+        if not np.isfinite(D).all():
+            raise ValueError("data_map D has non-finite entries")
+        _check_bounds(lower0, upper0, ("data_map lower0", "data_map upper0"))
+        D = np.ascontiguousarray(D)
+        self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
+        self._bounds0 = np.array([lower0, upper0])
+        self.data_map = (D, *self._bounds0)
+        self._free = lower0 != upper0  # the rows that are no equality rows
+        # the sides each row can be held at: -1 below a finite lower bound,
+        # +1 above a finite upper one; +0.0 (never -0.0, whose bytes differ)
+        # where it can take no side, so that equal sets have equal bytes
+        self._side_range = (np.where(self._free & (lower0 > -np.inf), -1.0,
+                                     0.0),
+                            np.where(self._free & (upper0 < np.inf), 1.0,
+                                     0.0))
         # where each group of _residuals' rows starts in their concatenation
         self._groups = np.array([0, k, 2 * k, 3 * k, 3 * k + n,
                                  3 * k + 2 * n, 3 * k + 3 * n])
@@ -359,7 +357,7 @@ class BoxQpSolver:
         they need."""
         self._rho_vec = None
         self._factor = None
-        self._kkt_key = None  # the rows (and sides) whose factor _kkt holds
+        self._kkt_key = None  # the side vector bytes whose factor _kkt holds
         self._kkt = None
         self._map = None  # the _SetRecord of the set _kkt_key
         self._certified_key = None  # the set the last solve certified
@@ -410,42 +408,31 @@ class BoxQpSolver:
               and r_dual <= st.eps_abs + st.eps_rel * scale_d)
         return r_prim, r_dual, scale_p, scale_d, ok, Px
 
-    def _held(self, y0, may_hold):
-        """``(at_lo, at_hi)``: the rows a dual point holds at their lower
-        bound (``y0 < 0``) and at their upper one (``y0 > 0``).
-
-        ``may_hold`` masks the rows that can take each side: not equality
-        rows, and a finite bound.  Without ``y0`` no row is held.
-        """
-        if y0 is None:
-            none = np.zeros(self.k, dtype=bool)
-            return none, none
-        return (y0 < 0.0) & may_hold[0], (y0 > 0.0) & may_hold[1]
+    def _sides(self, y):
+        """The side vector of the set that the dual point ``y`` holds:
+        ``np.sign(y)`` clipped into each row's side range, so -1 where
+        ``y < 0`` at a finite lower bound, +1 where ``y > 0`` at a finite
+        upper one, else +0.0 (equality rows too, which every set holds).
+        Without ``y`` no row is held."""
+        if y is None:
+            return np.zeros(self.k)
+        s = np.sign(y)  # +0.0 at a zero of either sign
+        lo, hi = self._side_range
+        return np.minimum(np.maximum(s, lo, out=s), hi, out=s)
 
     # -- main entry --------------------------------------------------------
 
-    def solve(self, q: np.ndarray | None = None,
-              lower: np.ndarray | None = None,
-              upper: np.ndarray | None = None,
-              x0: np.ndarray | None = None,
-              y0: np.ndarray | None = None,
-              theta: np.ndarray | None = None) -> QpSolution:
-        """Solve for one right-hand side, optionally warm-started.
-
-        The data are ``(q, lower, upper)``, or, for a solver built with a
-        ``data_map``, ``theta`` alone.
+    def solve(self, theta: np.ndarray, x0: np.ndarray | None = None,
+              y0: np.ndarray | None = None) -> QpSolution:
+        """Solve at the parameter ``theta``, optionally warm-started.
 
         Args:
-            q: Linear cost term, length n.
-            lower: Row lower bounds (``-inf`` allowed), length k.
-            upper: Row upper bounds (``+inf`` allowed), length k.
-            x0: Optional primal warm start (unscaled), length n.
-            y0: Optional dual warm start (unscaled), length k; its signs
-                also pick the active set tried before ADMM.
             theta: The parameter, ending in 1, at which the solver's
-                ``data_map`` gives ``q``, ``lower`` and ``upper``; with
-                it, a warm-start set whose record is cached is answered
-                by one product with the record's map.
+                ``data_map`` gives ``q``, ``lower`` and ``upper``.
+            x0: Optional primal warm start (unscaled), length n.
+            y0: Optional dual warm start (unscaled), length k; its side
+                vector names the set tried before ADMM, and the cached
+                record of that set answers by one product with its map.
 
         Returns:
             A :class:`QpSolution`; it also carries ``t``, ``A x`` less the
@@ -453,13 +440,10 @@ class BoxQpSolver:
             ``q`` and the shift, which a receding-horizon step reads.
 
         Raises:
-            DimensionMismatch: On a length that does not match the solver,
-                or a ``theta`` without a ``data_map`` of its length.
-            ValueError: On ``theta`` given with ``(q, lower, upper)`` or
-                neither given; on a non-finite ``q``, ``x0``, ``y0`` or
-                ``theta``, or a ``theta`` so large that ``D @ theta``
-                overflows; on a NaN bound, a ``+inf`` lower or ``-inf``
-                upper bound, a lower bound above its upper bound, or a
+            DimensionMismatch: On a ``theta``, ``x0`` or ``y0`` whose
+                length does not match the solver.
+            ValueError: On a non-finite ``theta``, ``x0`` or ``y0``, a
+                ``theta`` so large that ``D @ theta`` overflows, or a
                 residual that turns non-finite while iterating.
         """
         st = self.settings
@@ -471,51 +455,24 @@ class BoxQpSolver:
         if ((x0 is not None and x0.shape != (n,))
                 or (y0 is not None and y0.shape != (k,))):
             raise DimensionMismatch("warm start length mismatch with solver")
-        if theta is not None:
-            if q is not None or lower is not None or upper is not None:
-                raise ValueError("solve takes q, lower and upper, or theta, "
-                                 "not both")
-            if self.data_map is None:
-                raise DimensionMismatch(
-                    "theta given to a solver built without a data_map")
-            theta = np.asarray(theta, dtype=float)
-            if theta.shape != (self._DT.shape[0],):
-                raise DimensionMismatch(
-                    "theta length mismatch with the solver's data_map")
-            bounds0, free, may_hold = (self._bounds0, self._free0,
-                                       self._may_hold0)
-            # the held set is a function of the warm start's signs, so the
-            # signs of one seen holding the record's set stand for its key
-            rec = self._map
-            signs = None if y0 is None else np.sign(y0).tobytes()
-            if (rec is not None and signs != rec.signs
-                    and _key(free, *self._held(y0, may_hold)) != rec.key):
-                rec = None
-            d = self._checked(self._DT if rec is None else rec.G.T, theta,
-                              x0, y0)
-            if rec is not None:
-                rec.signs = signs
-                answer = self._from_record(rec, d)
-                if answer is not None:
-                    return answer
-                # a rejected record answer is retried through the set's
-                # LU, and corrected from there
-                d = d[n + k:]
-            q, shift, extra = d[:n], d[n:n + k], d[n + k:]
-        else:
-            if q is None or lower is None or upper is None:
-                raise ValueError("solve needs q, lower and upper, or theta")
-            q = np.asarray(q, dtype=float).reshape(-1)
-            lo = np.asarray(lower, dtype=float).reshape(-1)
-            hi = np.asarray(upper, dtype=float).reshape(-1)
-            if q.shape[0] != n or lo.shape[0] != k or hi.shape[0] != k:
-                raise DimensionMismatch(
-                    "q or bound length mismatch with solver")
-            _check_entry(q, lo, hi, x0, y0)
-            bounds0, shift, extra = np.array([lo, hi]), np.zeros(k), None
-            free, may_hold = _may_hold(lo, hi)
-        certified = self._certify(q, bounds0, shift, extra, free,
-                                  *self._held(y0, may_hold))
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self._DT.shape[0],):
+            raise DimensionMismatch(
+                "theta length mismatch with the solver's data_map")
+        s = self._sides(y0)
+        rec = self._map
+        if rec is not None and s.tobytes() != rec.key:
+            rec = None
+        d = self._checked(self._DT if rec is None else rec.G.T, theta, x0, y0)
+        if rec is not None:
+            answer = self._from_record(rec, d)
+            if answer is not None:
+                return answer
+            # a rejected record answer is retried through the set's LU,
+            # and corrected from there
+            d = d[n + k:]
+        q, shift, extra = d[:n], d[n:n + k], d[n + k:]
+        certified = self._certify(q, shift, extra, s)
         if certified is not None:
             return certified
         if k == 0:
@@ -523,7 +480,7 @@ class BoxQpSolver:
             return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
                            0, 0.0, math.inf, -math.inf, np.zeros(0), extra)
 
-        lo, hi = bounds0 + shift
+        lo, hi = self._bounds0 + shift
         if self.d is None:
             self.d, self.e, self.c = _ruiz(self.P, self.A, _SCALING_ITERS)
         qs = self.c * self.d * q
@@ -605,8 +562,7 @@ class BoxQpSolver:
 
         x, y, Ax, z = self._unscaled(As, xs, zs, ys)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, bounds0, shift, extra, free,
-                                    *self._held(y, may_hold))
+            refined = self._certify(q, shift, extra, self._sides(y))
             if refined is not None:
                 refined.iterations = iters_done
                 return refined
@@ -616,7 +572,7 @@ class BoxQpSolver:
 
     def _checked(self, GT, theta, x0=None, y0=None):
         """``GT.T @ theta`` by BLAS ``gemv``, tested finite with the warm
-        starts: the one test of a ``theta`` solve's inputs.
+        starts: the one test of a solve's inputs.
 
         ``gemv`` raises no floating-point warning, so an overflow reaches
         the test.  A sum of squares is finite when every entry is, so one
@@ -641,7 +597,8 @@ class BoxQpSolver:
 
     def _kkt_solve(self, act, key, rhs):
         """Solve ``[[P, A_act'], [A_act, 0]] sol = rhs`` for the row set
-        ``act`` (``key`` names it), one column or many.
+        ``act`` (``key``, the bytes of its side vector, names it), one
+        column or many.
 
         The matrix is LU-factored with ``+-_POLISH_REG`` on its diagonal
         blocks and the solution is refined ``_POLISH_REFINE`` times against
@@ -684,69 +641,62 @@ class BoxQpSolver:
             return None
         return sol
 
-    def _certify(self, q, bounds0, shift, extra, free, at_lo, at_hi):
-        """Try the active set ``at_lo | at_hi`` plus the equality rows.
+    def _certify(self, q, shift, extra, s):
+        """Try the active set of the side vector ``s`` (:meth:`_sides`).
 
-        The set is the one the signs of a dual point at (:meth:`_held`):
-        the warm start before ADMM, ADMM's own dual after ADMM has solved
-        the step.  The bounds are ``bounds0 + shift``.  The set's KKT
+        ``s`` is the side vector of a dual point: the warm start before
+        ADMM, ADMM's own dual after ADMM has solved the step.  The bounds
+        are the data map's constant bounds plus ``shift``.  The set's KKT
         solution comes from its LU, and :meth:`_accept` tests it.
-        Otherwise up to ``_CERTIFY_ROUNDS`` corrections drop the rows whose
-        multipliers have the wrong sign and add the rows that are violated.
-        When a ``theta`` solve (``extra`` not None: the bounds are the data
-        map's) certifies the set that the previous solve certified, the
-        set's record is built for the next one.  Returns a ``SOLVED``
-        answer with zero iterations, or None.
+        Otherwise up to ``_CERTIFY_ROUNDS`` corrections set ``s`` to 0 on
+        the rows whose multipliers have ``s * y < 0`` and to -1 or +1 on
+        the free rows violated below or above.  When a solve certifies the
+        set that the previous solve certified, the set's record is built
+        for the next one.  Returns a ``SOLVED`` answer with zero
+        iterations, or None.
         """
         n = self.n
-        lo0, hi0 = bounds0
+        lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
-        rounds = 0
-        while True:
-            act = (~free | at_lo | at_hi).nonzero()[0]
-            key = _key(free, at_lo, at_hi)
-            closed0 = np.array([np.where(at_hi, hi0, lo0),
-                                np.where(at_lo, lo0, hi0)])
+        for _ in range(_CERTIFY_ROUNDS + 1):
+            act = (~self._free | (s != 0.0)).nonzero()[0]
+            key = s.tobytes()
+            closed0 = np.array([np.where(s > 0.0, hi0, lo0),
+                                np.where(s < 0.0, lo0, hi0)])
             b = (closed0[0] + shift)[act]
             sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
             if sol is None:
                 return None
             x, y = sol[:n], np.zeros(self.k)
             y[act] = sol[n:]
-            neg_sides = at_lo - 1.0 * at_hi
-            answer, t = self._accept(x, y, q, closed0, shift, neg_sides,
-                                     extra)
+            answer, t = self._accept(x, y, q, closed0, shift, s, extra)
             if answer is not None:
-                if extra is not None and self._map is None and key == previous:
-                    self._map = self._record(act, key, closed0, neg_sides)
+                if self._map is None and key == previous:
+                    self._map = self._record(act, s, closed0)
                 self._certified_key = key
                 return answer
-            wrong = (at_lo & (y > 0)) | (at_hi & (y < 0))
             eps_p = self.settings.eps_abs
-            new_lo = (at_lo & ~wrong) | (free & (lo0 - t > eps_p))
-            new_hi = (at_hi & ~wrong) | (free & (t - hi0 > eps_p))
-            if (np.array_equal(new_lo, at_lo)
-                    and np.array_equal(new_hi, at_hi)):
+            new = np.where(s * y < 0.0, 0.0, s)
+            new[self._free & (lo0 - t > eps_p)] = -1.0
+            new[self._free & (t - hi0 > eps_p)] = 1.0
+            if np.array_equal(new, s):
                 return None
-            rounds += 1
-            if rounds > _CERTIFY_ROUNDS:
-                return None
-            at_lo, at_hi = new_lo, new_hi
+            s = new
+        return None
 
-    def _accept(self, x, y, q, closed0, shift, neg_sides, extra):
+    def _accept(self, x, y, q, closed0, shift, s, extra):
         """``(answer, t)``: the set's answer ``(x, y)``, or None when the
         sign or residual test rejects it, and ``t = A x - shift``.
 
         ``closed0`` holds the bounds less ``shift``, each set row closed
-        onto its side; ``neg_sides`` is 1 on the rows held at their lower
-        bound and -1 on those at their upper one.
+        onto its side, and ``s`` is the set's side vector: a multiplier
+        with ``s * y < 0`` has the wrong sign.
         The primal residual is the largest gap of ``t`` outside
         ``closed0``, which is ``|Ax - z|`` for the point ``z`` of the box
         nearest ``Ax``; the dual one is ``|P x + q + A' y|``.  They and the
-        largest product of a multiplier with its wrong sign come from one
-        reduction of the solver's scratch.  Residuals within ``eps_abs``
-        pass the ADMM stopping test at any scale; others take the scaled
-        test of :meth:`_residuals`.
+        largest of ``-s * y`` come from one reduction of the solver's
+        scratch.  Residuals within ``eps_abs`` pass the ADMM stopping test
+        at any scale; others take the scaled test of :meth:`_residuals`.
         """
         k = self.k
         AxPx = _GEMV(1.0, self._APT, x, trans=1)
@@ -755,7 +705,7 @@ class BoxQpSolver:
         lo0, hi0 = closed0
         np.subtract(lo0, t, out=self._gaps[0])
         np.subtract(t, hi0, out=self._gaps[1])
-        np.multiply(neg_sides, y, out=self._wrong)
+        np.negative(np.multiply(s, y, out=self._wrong), out=self._wrong)
         dual = np.add(Px, q, out=self._dual)
         if k:  # BLAS takes no empty vector
             dual = _GEMV(1.0, self._AT, y, beta=1.0, y=dual, overwrite_y=1)
@@ -785,13 +735,14 @@ class BoxQpSolver:
         n, nk = self.n, self.n + self.k
         q, shift = d[nk:nk + n], d[nk + n:2 * nk]
         answer, _ = self._accept(d[:n], d[n:nk], q, rec.closed0, shift,
-                                 rec.neg_sides, d[2 * nk:])
+                                 rec.sides, d[2 * nk:])
         if answer is not None:
             self._certified_key = rec.key
         return answer
 
-    def _record(self, act, key, closed0, neg_sides):
-        """The record of the row set ``act``, or None.
+    def _record(self, act, s, closed0):
+        """The record of the set with side vector ``s`` and rows ``act``,
+        or None.
 
         With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
         side is ``[-D[:n]; D[n:n+k][act]] @ theta`` plus its bounds'
@@ -804,6 +755,7 @@ class BoxQpSolver:
         n, k = self.n, self.k
         rhs = np.vstack([-D[:n], D[n:n + k][act]])
         rhs[n:, -1] += closed0[0][act]
+        key = s.tobytes()
         sol = self._kkt_solve(act, key, rhs)
         if sol is None:
             return None
@@ -811,7 +763,7 @@ class BoxQpSolver:
         G[:n] = sol[:n]
         G[n + act] = sol[n:]
         G[n + k:] = D
-        return _SetRecord(key=key, G=G, closed0=closed0, neg_sides=neg_sides)
+        return _SetRecord(sides=s, key=key, G=G, closed0=closed0)
 
 
 def _objective(x, Px, q) -> float:
@@ -821,16 +773,6 @@ def _objective(x, Px, q) -> float:
 
 def _inf_norm(v: np.ndarray) -> float:
     return float(np.abs(v).max()) if v.size else 0.0
-
-
-def _check_entry(q, lo, hi, x0, y0) -> None:
-    """Reject non-finite or crossed solve data before any iteration runs."""
-    given = [v for v in (q, x0, y0) if v is not None]
-    if not np.isfinite(np.concatenate(given)).all():
-        for name, v in (("q", q), ("x0", x0), ("y0", y0)):
-            if v is not None and not np.isfinite(v).all():
-                raise ValueError(f"{name} has non-finite entries")
-    _check_bounds(lo, hi, ("lower", "upper"))
 
 
 def _check_bounds(lo, hi, names) -> None:
@@ -849,21 +791,6 @@ def _check_bounds(lo, hi, names) -> None:
             raise ValueError(f"{name} has entries equal to {bad}")
     crossed = np.flatnonzero(lo > hi)
     raise ValueError(f"{names[0]} exceeds {names[1]} at row {crossed[0]}")
-
-
-def _key(free, at_lo, at_hi) -> bytes:
-    """The one name of the set ``at_lo | at_hi`` plus the equality rows
-    (``~free``), for the LU and the record: its rows and their sides, since
-    a record holds the bound of each row's side."""
-    return free.tobytes() + at_lo.tobytes() + at_hi.tobytes()
-
-
-def _may_hold(lo, hi):
-    """``(free, may_hold)``: the rows that are not equality rows, and those
-    that a dual point may hold at their lower bound (row 0) and at their
-    upper bound (row 1): free rows with a finite bound on that side."""
-    free = lo != hi
-    return free, np.array([free & np.isfinite(lo), free & np.isfinite(hi)])
 
 
 def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:
@@ -900,6 +827,9 @@ def _dual_infeasibility(P, q, A, fin_lo, fin_hi, dx, eps) -> bool:
 def solve(prob: QpProblem, settings: QpSettings | None = None,
           x0: np.ndarray | None = None,
           y0: np.ndarray | None = None) -> QpSolution:
-    """One-shot convenience wrapper around :class:`BoxQpSolver`."""
-    solver = BoxQpSolver(prob.P, prob.A, settings)
-    return solver.solve(prob.q, prob.lower, prob.upper, x0=x0, y0=y0)
+    """One-shot solve of ``prob``: the one-column data map ``D = [q; 0]``
+    of :class:`BoxQpSolver`, at ``theta = [1]``."""
+    D = np.concatenate([prob.q, np.zeros(prob.k)])[:, None]
+    solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper),
+                         settings)
+    return solver.solve(np.ones(1), x0=x0, y0=y0)

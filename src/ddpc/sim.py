@@ -22,6 +22,7 @@ other plants agree with a per-sample loop to round-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,7 @@ class StateSpaceModel:
             raise DimensionMismatch(f"D has shape {D.shape}, expected {(p, m)}")
         if K.shape != (n, p):
             raise DimensionMismatch(f"K has shape {K.shape}, expected {(n, p)}")
-        if self.sigma_e < 0:
-            raise ValueError(f"sigma_e must be >= 0, got {self.sigma_e}")
+        _check_sigma_e(self.sigma_e)
         for name, mat in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
             if not np.isfinite(mat).all():
                 raise ValueError(f"{name} contains non-finite entries")
@@ -239,9 +239,17 @@ def multisine(amplitude: float, n_freqs: int, length: int,
     return signal * (amplitude / peak)
 
 
+def _check_sigma_e(sigma_e: float) -> float:
+    """``sigma_e``, or a ``ValueError`` that names it when it is not finite
+    and >= 0 (a NaN deviation would otherwise surface as a divergence)."""
+    if not 0.0 <= sigma_e < math.inf:
+        raise ValueError(f"sigma_e must be finite and >= 0, got {sigma_e}")
+    return sigma_e
+
+
 def _innovations(plant, n_steps: int, rng: np.random.Generator | None,
                  sigma_e: float | None) -> np.ndarray:
-    sigma = plant.sigma_e if sigma_e is None else sigma_e
+    sigma = plant.sigma_e if sigma_e is None else _check_sigma_e(sigma_e)
     p = plant.p
     if sigma == 0.0 or rng is None:
         return np.zeros((p, n_steps))
@@ -282,6 +290,7 @@ def collect_open_loop(plant, excitation: np.ndarray,
         sigma_e: Overrides the plant's innovation deviation when given.
 
     Raises:
+        ValueError: On a ``sigma_e`` override that is not finite and >= 0.
         Diverged: If any output magnitude exceeds ``1e6``; the message
             names the first such step, as the per-sample loop would.
     """
@@ -355,6 +364,7 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
     step), which avoids an algebraic loop through a direct feedthrough.
 
     Raises:
+        ValueError: On a ``sigma_e`` override that is not finite and >= 0.
         Diverged: If any output magnitude exceeds ``1e6``.
     """
     r = np.atleast_2d(np.asarray(setpoints, dtype=float))

@@ -241,13 +241,20 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
     ({"constraints": "y_max = nan"}, "[constraints] y_max"),
     ({"plant": "kind = lti\na = 0.5\nb = 1\nc = 1\nd = 0\nk = 0\n"
                "sigma_e = inf"}, "[plant] sigma_e"),
+    ({"excitation": "setpoint_levels = nan 1"},
+     "[excitation] setpoint_levels"),
+    ({"controllers": "list = gamma\ngamma.gamma3_zero = 0.5"},
+     "[controllers] gamma.gamma3_zero"),
+    ({"controllers": "list = gamma\ngamma.gamma3_zero = nan"},
+     "[controllers] gamma.gamma3_zero"),
 ], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
         "sweep-n-d-fraction", "sweep-n-d-inf", "sweep-n-d-nan",
         "negative-seeds", "no-steps", "no-past-window", "period-below-2",
         "ref-period-zero", "ref-period-inf", "q-nan", "q-negative",
         "r-zero", "r-inf", "excitation-amplitude-inf",
         "ref-amplitude-nan", "u-min-nan", "u-max-nan", "y-min-nan",
-        "y-max-nan", "sigma-e-inf"])
+        "y-max-nan", "sigma-e-inf", "setpoint-levels-nan",
+        "gamma3-zero-half", "gamma3-zero-nan"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)
     with pytest.raises(ConfigError) as info:

@@ -10,7 +10,7 @@ Covers:
     bitwise determinism across repeated solves.
   * primal and dual infeasibility detection.
   * iteration-budget reporting and warm-started re-solves through
-    BoxQpSolver.
+    BoxQpSolver, whose data map takes ``q`` as ``theta = [q; 1]``.
   * the active-set certification, tried from the warm start before ADMM
     and from ADMM's own dual after it: agreement of a certified warm
     start with ADMM followed by that step, corrections of a wrong warm
@@ -18,13 +18,14 @@ Covers:
     and complementarity of every SOLVED point on degenerate problems at
     loose tolerances.
   * the data map: a set certified twice in a row is answered by its
-    cached affine map in theta, equal to plain solves to round-off; a
-    theta-only solve equals the solve of its data through a hit, a miss
-    and a change of side; an overflowing theta and invalid map bounds are
-    rejected.
+    cached affine map in theta, equal to one-shot solves to round-off; a
+    solve equals the one-shot solve of its data through a hit, a miss and
+    a change of side; equality rows whose multipliers change sign keep
+    their set's record; an overflowing theta and invalid map bounds
+    (non-finite, crossed) are rejected.
   * problem validation (non-finite data by name, symmetry, PSD, bound
-    ordering, shapes), and non-finite or crossed solve data rejected by
-    name before any iteration.
+    ordering, shapes), and non-finite solve data rejected by name before
+    any iteration.
 """
 
 from __future__ import annotations
@@ -294,27 +295,45 @@ def test_settings_reject_empty_iteration_cap_and_bad_tolerances(kv, named):
 # ---------------------------------------------------------------------------
 
 
+def _q_solver(prob, settings=None):
+    """A solver of ``prob``'s ``P``, ``A`` and bounds whose data map
+    ``[[I, 0], [0, 0]]`` takes ``q`` as ``theta = [q; 1]`` (:func:`_q`)."""
+    D = np.zeros((prob.n + prob.k, prob.n + 1))
+    D[:prob.n, :prob.n] = np.eye(prob.n)
+    return BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper), settings)
+
+
+def _q(q):
+    return np.append(q, 1.0)
+
+
+def _at(prob, q=None, lower=None, upper=None):
+    """``prob`` with some of ``q`` and the bounds replaced."""
+    return QpProblem(P=prob.P, q=prob.q if q is None else q, A=prob.A,
+                     lower=prob.lower if lower is None else lower,
+                     upper=prob.upper if upper is None else upper)
+
+
 def test_warm_start_is_correct_and_cheaper():
     rng = seeded(89)
     prob = _random_box_qp(rng, n=12, k=16)
-    solver = BoxQpSolver(prob.P, prob.A, QpSettings())
-    cold = solver.solve(prob.q, prob.lower, prob.upper)
+    solver = _q_solver(prob, QpSettings())
+    cold = solver.solve(_q(prob.q))
     assert cold.status == QpStatus.SOLVED
     q2 = prob.q + 1e-3 * rng.standard_normal(prob.n)
-    warm = solver.solve(q2, prob.lower, prob.upper, x0=cold.x, y0=cold.y)
+    warm = solver.solve(_q(q2), x0=cold.x, y0=cold.y)
     assert warm.status == QpStatus.SOLVED
-    ref = solve(QpProblem(P=prob.P, q=q2, A=prob.A, lower=prob.lower,
-                          upper=prob.upper))
+    ref = solve(_at(prob, q2))
     np.testing.assert_allclose(warm.x, ref.x, atol=1e-6)
-    cold2 = solver.solve(q2, prob.lower, prob.upper)
+    cold2 = solver.solve(_q(q2))
     assert warm.iterations <= cold2.iterations
 
 
 def test_cached_solver_matches_one_shot():
     rng = seeded(90)
     prob = _random_box_qp(rng, n=9, k=12)
-    solver = BoxQpSolver(prob.P, prob.A, QpSettings())
-    a = solver.solve(prob.q, prob.lower, prob.upper)
+    solver = _q_solver(prob, QpSettings())
+    a = solver.solve(_q(prob.q))
     b = solve(prob)
     np.testing.assert_allclose(a.x, b.x, atol=1e-9)
 
@@ -359,11 +378,10 @@ def test_certified_step_matches_admm_and_polish(monkeypatch):
     cases = []
     for _ in range(20):
         prob = _criterion_10_qp(rng)
-        solver = BoxQpSolver(prob.P, prob.A)
-        prior = solver.solve(prob.q, prob.lower, prob.upper)
+        solver = _q_solver(prob)
+        prior = solver.solve(_q(prob.q))
         q2 = prob.q + 1e-3 * rng.standard_normal(prob.n)
-        warm = solver.solve(q2, prob.lower, prob.upper, x0=prior.x,
-                            y0=prior.y)
+        warm = solver.solve(_q(q2), x0=prior.x, y0=prior.y)
         assert warm.status == QpStatus.SOLVED
         assert warm.iterations == 0
         assert max(kkt_residuals(prob.P, q2, prob.A, prob.lower, prob.upper,
@@ -371,8 +389,7 @@ def test_certified_step_matches_admm_and_polish(monkeypatch):
         cases.append((prob, q2, prior, warm))
     _admm_only(monkeypatch)
     for prob, q2, prior, warm in cases:
-        ref = BoxQpSolver(prob.P, prob.A).solve(q2, prob.lower, prob.upper,
-                                                x0=prior.x, y0=prior.y)
+        ref = solve(_at(prob, q2), x0=prior.x, y0=prior.y)
         assert ref.status == QpStatus.SOLVED and ref.iterations > 0
         np.testing.assert_allclose(warm.x, ref.x, rtol=0, atol=1e-9)
 
@@ -430,13 +447,13 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
     # ref.y is certified at once; the other two fall back to ADMM, whose
     # certification from its own dual goes through the same cache
     for y0 in (ref.y, -ref.y, None):
-        fresh_solver = BoxQpSolver(prob.P, prob.A)
-        fresh = fresh_solver.solve(prob.q, prob.lower, prob.upper, y0=y0)
-        used = BoxQpSolver(prob.P, prob.A)
-        used.solve(other_q, prob.lower, prob.upper)
+        fresh_solver = _q_solver(prob)
+        fresh = fresh_solver.solve(_q(prob.q), y0=y0)
+        used = _q_solver(prob)
+        used.solve(_q(other_q))
         # the cached factor belongs to a set that this solve does not end on
         assert used._kkt_key != fresh_solver._kkt_key
-        again = used.solve(prob.q, prob.lower, prob.upper, y0=y0)
+        again = used.solve(_q(prob.q), y0=y0)
         assert fresh.x.tobytes() == again.x.tobytes()
         assert fresh.y.tobytes() == again.y.tobytes()
         assert fresh.iterations == again.iterations
@@ -445,10 +462,9 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
 
 def test_data_map_answers_a_repeated_set_by_one_product():
     """With a data map, the set certified by two solves in a row gets its
-    record, and later theta-only solves of that set are answered by it:
-    they match plain solves to round-off.  A theta of the wrong length,
-    without a map, given with q and the bounds, or with a non-finite entry
-    is rejected."""
+    record, and later solves of that set are answered by it: they match
+    one-shot solves to round-off.  A solver without a map, a theta of the
+    wrong length or one with a non-finite entry is rejected."""
     rng = seeded(98)
     prob = _random_box_qp(rng, n=8, k=10, spread=0.3)
     n, k = prob.n, prob.k
@@ -456,17 +472,15 @@ def test_data_map_answers_a_repeated_set_by_one_product():
     D[:n, :3] = rng.standard_normal((n, 3))
     D[:n, 3] = prob.q
     D[n:, :3] = 0.1 * rng.standard_normal((k, 3))
-    mapped = BoxQpSolver(prob.P, prob.A,
-                         data_map=(D, prob.lower, prob.upper))
-    plain = BoxQpSolver(prob.P, prob.A)
+    mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     y_mapped = y_plain = None
     built_at = None
     for step in range(6):
         theta = np.append(1e-3 * step * np.ones(3), 1.0)
         q, shift = D[:n] @ theta, D[n:] @ theta
-        lo, hi = prob.lower + shift, prob.upper + shift
-        a = mapped.solve(y0=y_mapped, theta=theta)
-        b = plain.solve(q, lo, hi, y0=y_plain)
+        a = mapped.solve(theta, y0=y_mapped)
+        b = solve(_at(prob, q, prob.lower + shift, prob.upper + shift),
+                  y0=y_plain)
         assert a.status == b.status == QpStatus.SOLVED
         np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
@@ -474,24 +488,22 @@ def test_data_map_answers_a_repeated_set_by_one_product():
             built_at = step
         y_mapped, y_plain = a.y, b.y
     # the first warm-started solve certifies, the next one builds the map
-    assert built_at == 2 and plain._map is None
+    assert built_at == 2
 
     def no_lu(*args):
         raise AssertionError("a repeated set went through the LU")
 
     mapped._kkt_solve = no_lu
-    again = mapped.solve(y0=y_mapped, theta=theta)
+    again = mapped.solve(theta, y0=y_mapped)
     assert again.status == QpStatus.SOLVED
     np.testing.assert_allclose(again.x, b.x, rtol=0, atol=1e-12)
     del mapped._kkt_solve
+    with pytest.raises(TypeError, match="data_map"):
+        BoxQpSolver(prob.P, prob.A)
     with pytest.raises(DimensionMismatch, match="theta"):
-        mapped.solve(theta=theta[:-1])
-    with pytest.raises(DimensionMismatch, match="theta"):
-        plain.solve(theta=theta)
-    with pytest.raises(ValueError, match="not both"):
-        mapped.solve(q, lo, hi, theta=theta)
+        mapped.solve(theta[:-1])
     with pytest.raises(ValueError, match=r"^theta "):
-        mapped.solve(theta=np.append(theta[:-1], np.nan))
+        mapped.solve(np.append(theta[:-1], np.nan))
     with pytest.raises(DimensionMismatch, match="data_map"):
         BoxQpSolver(prob.P, prob.A, data_map=(D[1:], prob.lower, prob.upper))
 
@@ -565,13 +577,12 @@ def _mapped_qp(seed):
 
 def test_theta_only_solve_equals_the_solve_of_its_data():
     """Through answers from the record (hits), sets without one (misses)
-    and a row that moves to its other bound, each theta-only solve has the
-    status, x and y of a plain solve of ``D @ theta``, warm-started alike.
+    and a row that moves to its other bound, each solve has the status, x
+    and y of a one-shot solve of ``D @ theta``, warm-started alike.
     """
     prob, D = _mapped_qp(98)
     n = prob.n
-    mapped = BoxQpSolver(prob.P, prob.A, data_map=(D, prob.lower, prob.upper))
-    plain = BoxQpSolver(prob.P, prob.A)
+    mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     hits = []
     from_record = mapped._from_record
 
@@ -588,9 +599,9 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     for theta in thetas:
         q, shift = D[:n] @ theta, D[n:] @ theta
         n_hits = len(hits)
-        a = mapped.solve(y0=y_mapped, theta=theta)
-        b = plain.solve(q, prob.lower + shift, prob.upper + shift,
-                        y0=y_plain)
+        a = mapped.solve(theta, y0=y_mapped)
+        b = solve(_at(prob, q, prob.lower + shift, prob.upper + shift),
+                  y0=y_plain)
         assert a.status == b.status
         np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
@@ -604,18 +615,16 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     assert ((signs < 0).any(axis=0) & (signs > 0).any(axis=0)).any()
 
 
-def test_a_plain_solve_on_a_mapped_solver_neither_builds_nor_reads_a_record():
-    """A data-mapped solver given ``(q, lower, upper)`` between ``theta``
-    solves of the same set solves it with a zero shift of its own bounds,
-    which are not the data map's: it never builds a record from them and
-    is never answered by one.  The ``theta`` solves still build their
-    records and are answered by them, at a ``theta`` whose shift is zero
-    too, and every record closes the data map's own bounds.  Each answer
-    equals a plain solver's, warm-started alike."""
+def test_records_close_the_data_maps_own_bounds():
+    """At a ``theta`` whose shift is not zero and at one whose shift is
+    (``D``'s constant column is zero there), repeated solves build their
+    set's record and are answered by it; every record is named by the
+    bytes of its side vector and closes the data map's own bounds onto
+    its rows' sides; each answer equals a one-shot solve, warm-started
+    alike."""
     prob, D = _mapped_qp(98)
     n = prob.n
-    mapped = BoxQpSolver(prob.P, prob.A, data_map=(D, prob.lower, prob.upper))
-    plain = BoxQpSolver(prob.P, prob.A)
+    mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     answered = []
     from_record = mapped._from_record
 
@@ -627,19 +636,13 @@ def test_a_plain_solve_on_a_mapped_solver_neither_builds_nor_reads_a_record():
 
     mapped._from_record = counting
     keys = []
-    # the second theta gives a zero shift: D's constant column is zero there
     for theta in (np.array([0.6, -0.6, -0.6, 1.0]), np.eye(4)[3]):
         q, shift = D[:n] @ theta, D[n:] @ theta
-        lo, hi = prob.lower + shift, prob.upper + shift
         y, n_answered = None, len(answered)
-        for form in ("theta", "plain", "theta", "theta", "plain", "theta"):
-            rec, n_before = mapped._map, len(answered)
-            if form == "theta":
-                a = mapped.solve(y0=y, theta=theta)
-            else:
-                a = mapped.solve(q, lo, hi, y0=y)
-                assert mapped._map is rec and len(answered) == n_before
-            b = plain.solve(q, lo, hi, y0=y)
+        for _ in range(4):
+            a = mapped.solve(theta, y0=y)
+            b = solve(_at(prob, q, prob.lower + shift, prob.upper + shift),
+                      y0=y)
             assert a.status == b.status == QpStatus.SOLVED
             np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
@@ -648,10 +651,64 @@ def test_a_plain_solve_on_a_mapped_solver_neither_builds_nor_reads_a_record():
         keys.append(mapped._kkt_key)
     assert keys[0] != keys[1]  # the second theta's set is a record of its own
     for rec in answered:
-        at_lo, at_hi = rec.neg_sides > 0, rec.neg_sides < 0
+        assert rec.key == rec.sides.tobytes()
         np.testing.assert_array_equal(rec.closed0, [
-            np.where(at_hi, prob.upper, prob.lower),
-            np.where(at_lo, prob.lower, prob.upper)])
+            np.where(rec.sides > 0, prob.upper, prob.lower),
+            np.where(rec.sides < 0, prob.lower, prob.upper)])
+
+
+def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
+    """Equality rows are held by every set and take no side, so a warm
+    start whose equality multipliers change sign from step to step (as
+    ``projreg_g``'s do) still names the record's set: the set that the
+    first step reaches by a correction is the one the second step's warm
+    start names, so the second step builds the record, and every later
+    step is answered by it without reaching the LU.
+
+    min 0.5 |x|^2 + q' x with ``x1 + x2 + x3 = 0`` and ``x1 - x2 = 0`` as
+    equality rows, ``x3 <= 1``, held at ``q3 = -5``, and the one-sided rows
+    ``x2 <= 10`` and ``x1 >= -10``, never held: a row that can take one
+    side or none is off the set as +0.0, never -0.0, in every side vector.
+    """
+    A = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                  [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    lower0 = np.array([0.0, 0.0, -np.inf, -np.inf, -10.0])
+    upper0 = np.array([0.0, 0.0, 1.0, 10.0, np.inf])
+    # theta = [t; 1]: q = [t, -t, -5], and no shift
+    D = np.zeros((8, 2))
+    D[:3] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -5.0]]
+    solver = BoxQpSolver(np.eye(3), A, (D, lower0, upper0))
+    ts = [1.0, 1.0, 1.0, -1.0, 2.0, -2.0, 0.5]
+    answered = []
+    from_record = solver._from_record
+
+    def counting(rec, d):
+        answer = from_record(rec, d)
+        answered.append(answer is not None)
+        return answer
+
+    solver._from_record = counting
+    y, signs = None, []
+    for step, t in enumerate(ts):
+        if step == 2:  # the record is built: no step after it factors
+            assert solver._map is not None
+
+            def no_lu(*args):
+                raise AssertionError("a repeated set went through the LU")
+
+            solver._kkt_solve = no_lu
+        theta = np.array([t, 1.0])
+        sol = solver.solve(theta, y0=y)
+        ref = solve(QpProblem(P=np.eye(3), q=D[:3] @ theta, A=A,
+                              lower=lower0, upper=upper0), y0=y)
+        assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+        np.testing.assert_allclose(sol.x, ref.x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sol.x, [-0.5, -0.5, 1.0], atol=1e-12)
+        y = sol.y
+        signs.append(np.sign(y[:2]))
+    assert answered == [True] * (len(ts) - 2)
+    # the equality multipliers did change sign between answered steps
+    assert (np.diff(np.array(signs[2:]), axis=0) != 0).any()
 
 
 def test_overflowing_theta_raises_without_a_warning():
@@ -672,14 +729,19 @@ def test_overflowing_theta_raises_without_a_warning():
     (0, np.inf, np.inf, "lower0 has entries equal to inf"),
     (1, -np.inf, -np.inf, "upper0 has entries equal to -inf"),
     (3, np.nan, 1.0, "lower0 has NaN entries"),
+    (1, 0.0, np.nan, "upper0 has NaN entries"),
+    ((0, 1), (1.0, 2.0), (0.0, 1.5), "lower0 exceeds data_map upper0 at row 0"),
+    ((1, 4), (2.0, 1.0), (1.5, 0.0), "lower0 exceeds data_map upper0 at row 1"),
 ])
 def test_data_map_bounds_are_checked_when_the_solver_is_built(
         row, lower, upper, named):
+    # a bound that every solve shifts is checked once, here: the first
+    # crossed row is named
     prob, D = _mapped_qp(100)
     lo, hi = prob.lower.copy(), prob.upper.copy()
-    lo[row], hi[row] = lower, upper
+    lo[(row,)], hi[(row,)] = lower, upper
     with pytest.raises(ValueError, match=f"^data_map {named}$"):
-        BoxQpSolver(prob.P, prob.A, data_map=(D, lo, hi))
+        BoxQpSolver(prob.P, prob.A, (D, lo, hi))
 
 
 def _degenerate_qp(seed):
@@ -702,7 +764,8 @@ def test_solved_after_admm_is_complementary(seed):
     # at eps 1e-3 ADMM stops with a dual whose signs point at a set that
     # is no KKT point; a SOLVED step must still be complementary
     P, A, q, lo, hi = _degenerate_qp(seed)
-    sol = BoxQpSolver(P, A, QpSettings(1e-3, 1e-3)).solve(q, lo, hi)
+    sol = solve(QpProblem(P=P, q=q, A=A, lower=lo, upper=hi),
+                QpSettings(1e-3, 1e-3))
     assert sol.status == QpStatus.SOLVED
     Ax = A @ sol.x
     gap = max(np.max(np.maximum(sol.y, 0.0) * (hi - Ax)),
@@ -716,27 +779,28 @@ def test_solved_after_admm_is_complementary(seed):
 
 
 def _non_finite_cases(prob):
-    """``(name, solve kwargs)`` pairs, each with one bad entry in ``name``."""
+    """``(name, solve kwargs)`` pairs for :func:`_q_solver`, each with one
+    bad entry in ``name``; a bad ``q`` is a bad ``theta``."""
     def spoiled(v, value):
         v = np.array(v, dtype=float)
         v[1] = value
         return v
 
-    base = dict(q=prob.q, lower=prob.lower, upper=prob.upper,
-                x0=np.zeros(prob.n), y0=np.zeros(prob.k))
+    base = dict(theta=_q(prob.q), x0=np.zeros(prob.n), y0=np.zeros(prob.k))
     cases = []
-    for name, value in (("q", np.nan), ("q", np.inf), ("x0", np.nan),
-                        ("x0", -np.inf), ("y0", np.nan), ("y0", np.inf),
-                        ("lower", np.nan), ("upper", np.nan),
-                        ("lower", np.inf), ("upper", -np.inf)):
+    for name, value in (("theta", np.nan), ("theta", np.inf),
+                        ("x0", np.nan), ("x0", -np.inf), ("y0", np.nan),
+                        ("y0", np.inf)):
         args = dict(base)
         args[name] = spoiled(base[name], value)
-        if name == "lower" and value == np.inf:
-            args["upper"] = spoiled(prob.upper, np.inf)
-        if name == "upper" and value == -np.inf:
-            args["lower"] = spoiled(prob.lower, -np.inf)
         cases.append((name, args))
     return cases
+
+
+def _rowless(prob):
+    """``prob`` without its rows."""
+    return QpProblem(P=prob.P, q=prob.q, A=np.zeros((0, prob.n)),
+                     lower=np.zeros(0), upper=np.zeros(0))
 
 
 def _forbid_lapack(monkeypatch):
@@ -755,48 +819,46 @@ def test_non_finite_inputs_raise_before_iterating(monkeypatch):
     rng = seeded(91)
     prob = _random_box_qp(rng, n=6, k=8)
     _forbid_lapack(monkeypatch)
-    solver = BoxQpSolver(prob.P, prob.A)
+    solver = _q_solver(prob)
     for name, args in _non_finite_cases(prob):
         with pytest.raises(ValueError):
             solver.solve(**args)
     # the unconstrained path takes q alone
-    free = BoxQpSolver(prob.P, np.zeros((0, prob.n)))
+    free = _q_solver(_rowless(prob))
     with pytest.raises(ValueError):
-        free.solve(np.full(prob.n, np.nan), np.zeros(0), np.zeros(0))
+        free.solve(_q(np.full(prob.n, np.nan)))
     for name in ("P", "A"):
         bad = {"P": prob.P.copy(), "A": prob.A.copy()}
         bad[name][0, 0] = np.nan
         with pytest.raises(ValueError):
-            BoxQpSolver(bad["P"], bad["A"]).solve(prob.q, prob.lower,
-                                                 prob.upper)
+            BoxQpSolver(bad["P"], bad["A"], _q_solver(prob).data_map)
 
 
 def test_overflowing_iterates_raise_instead_of_a_status():
     # finite data whose iterates overflow: the residual turns non-finite
     rng = seeded(93)
     prob = _random_box_qp(rng, n=6, k=8)
-    solver = BoxQpSolver(prob.P, prob.A)
+    solver = _q_solver(prob)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError):
-            solver.solve(np.full(prob.n, 1e308), prob.lower, prob.upper)
+            solver.solve(_q(np.full(prob.n, 1e308)))
 
 
 def test_non_finite_input_error_names_argument():
     rng = seeded(92)
     prob = _random_box_qp(rng, n=6, k=8)
-    solver = BoxQpSolver(prob.P, prob.A)
+    solver = _q_solver(prob)
     for name, args in _non_finite_cases(prob):
         with pytest.raises(ValueError, match=rf"^{name} "):
             solver.solve(**args)
-    free = BoxQpSolver(prob.P, np.zeros((0, prob.n)))
+    free = _q_solver(_rowless(prob))
     with pytest.raises(ValueError, match=r"^x0 "):
-        free.solve(prob.q, np.zeros(0), np.zeros(0),
-                   x0=np.full(prob.n, np.nan))
+        free.solve(_q(prob.q), x0=np.full(prob.n, np.nan))
     for name in ("P", "A"):
         bad = {"P": prob.P.copy(), "A": prob.A.copy()}
         bad[name][0, 0] = np.inf
         with pytest.raises(ValueError, match=rf"^{name} "):
-            BoxQpSolver(bad["P"], bad["A"])
+            BoxQpSolver(bad["P"], bad["A"], _q_solver(prob).data_map)
 
 
 @pytest.mark.parametrize("field,value", [
@@ -833,14 +895,6 @@ def test_rejects_crossed_bounds():
                   lower=np.array([1.0]), upper=np.array([-1.0]))
 
 
-def test_solver_rejects_crossed_bounds_by_row():
-    solver = BoxQpSolver(np.eye(2), np.eye(2))
-    with pytest.raises(ValueError, match=r"^lower exceeds upper at row 0$"):
-        solver.solve([1.0, 1.0], lower=[1.0, -1.0], upper=[0.0, 1.0])
-    with pytest.raises(ValueError, match=r"at row 1$"):
-        solver.solve([1.0, 1.0], lower=[-1.0, 2.0], upper=[1.0, 1.5])
-
-
 def test_rejects_shape_mismatches():
     with pytest.raises(DimensionMismatch):
         QpProblem(P=np.eye(2), q=np.zeros(3), A=np.zeros((0, 2)),
@@ -853,8 +907,8 @@ def test_rejects_shape_mismatches():
 def test_rejects_warm_start_shape_mismatches():
     # a length-1 or column warm start would otherwise broadcast silently
     prob = _random_box_qp(seeded(94), n=5, k=7)
-    solver = BoxQpSolver(prob.P, prob.A)
+    solver = _q_solver(prob)
     for warm in (dict(x0=np.zeros(1)), dict(x0=np.zeros((prob.n, 1))),
                  dict(y0=np.zeros(1)), dict(y0=np.zeros(prob.k + 1))):
         with pytest.raises(DimensionMismatch):
-            solver.solve(prob.q, prob.lower, prob.upper, **warm)
+            solver.solve(_q(prob.q), **warm)

@@ -442,6 +442,23 @@ def test_model_shape_validation():
                         K=np.eye(1), sigma_e=-0.1)
 
 
+@pytest.mark.parametrize("sigma_e", [np.nan, np.inf, -0.1],
+                         ids=["nan", "inf", "negative"])
+def test_bad_sigma_e_is_rejected_by_name(sigma_e):
+    """In the model and in either collection's override, before any draw:
+    a NaN deviation would otherwise be reported as a divergence."""
+    with pytest.raises(ValueError, match="^sigma_e "):
+        StateSpaceModel(A=np.eye(1), B=np.eye(1), C=np.eye(1), D=np.eye(1),
+                        K=np.eye(1), sigma_e=sigma_e)
+    model = demo_model(sigma_e=0.1)
+    with pytest.raises(ValueError, match="^sigma_e "):
+        collect_open_loop(model, np.ones(20), rng=rng_for(1),
+                          sigma_e=sigma_e)
+    with pytest.raises(ValueError, match="^sigma_e "):
+        collect_closed_loop(model, _pi_feedback(), np.ones((1, 20)),
+                            rng=rng_for(1), sigma_e=sigma_e)
+
+
 # ---------------------------------------------------------------------------
 # keyed RNG streams
 # ---------------------------------------------------------------------------

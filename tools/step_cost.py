@@ -14,9 +14,10 @@ times to time every ``controller.step`` call and, in the same calls, the
 ``solve`` it makes (the solve alone; its timer adds well under a
 microsecond to the step's time).  The rollouts are deterministic, so the
 marks hold in every repetition.  The table gives, per variant, the steps
-and hits of one rollout and the median microseconds of a hit step, of
-its solve and of a miss step; its last line is the same as JSON, with
-the machine.
+and hits of one rollout and the median microseconds of a hit step (with
+its quartiles over all repetitions, so that a few-microsecond change can
+be read against the spread), of its solve and of a miss step; its last
+line is the same as JSON, with the machine.
 """
 
 from __future__ import annotations
@@ -115,10 +116,26 @@ def loop_times(cfg, variant, seed, n_d, repeat):
     return steps, solves
 
 
+def picked_us(runs, marks, want: bool) -> list[float]:
+    """The microseconds of every step (or solve) whose mark is ``want``."""
+    return [1e6 * t for times in runs
+            for t, hit in zip(times, marks, strict=True) if hit is want]
+
+
 def median_us(runs, marks, want: bool) -> float | None:
-    picked = [t for times in runs for t, hit in zip(times, marks, strict=True)
-              if hit is want]
-    return 1e6 * statistics.median(picked) if picked else None
+    picked = picked_us(runs, marks, want)
+    return statistics.median(picked) if picked else None
+
+
+def quartiles_us(runs, marks, want: bool) -> list[float] | None:
+    """The first and third quartiles, as ``[q1, q3]``."""
+    picked = picked_us(runs, marks, want)
+    if not picked:
+        return None
+    if len(picked) == 1:
+        return picked * 2
+    q1, _, q3 = statistics.quantiles(picked, n=4)
+    return [q1, q3]
 
 
 def machine() -> str:
@@ -151,7 +168,7 @@ def main() -> None:
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.repeat} "
           "rollouts per loop; median us")
     print(f"{'variant':<18} {'steps':>5} {'hits':>5} {'hit step':>9} "
-          f"{'hit solve':>9} {'miss step':>9}")
+          f"{'[q1, q3]':>16} {'hit solve':>9} {'miss step':>9}")
     rows = {}
     for variant in ddpc.VARIANTS:
         marks = hit_marks(cfg, variant, args.seed, args.n_d)
@@ -159,11 +176,16 @@ def main() -> None:
                                    args.repeat)
         row = {"steps": len(marks), "hits": sum(marks),
                "hit_step_us": median_us(steps, marks, True),
+               "hit_step_quartiles_us": quartiles_us(steps, marks, True),
                "hit_solve_us": median_us(solves, marks, True),
                "miss_step_us": median_us(steps, marks, False)}
         rows[variant] = row
+        quartiles = row["hit_step_quartiles_us"]
         cells = [f"{v:9.1f}" if v is not None else f"{'-':>9}"
-                 for v in list(row.values())[2:]]
+                 for v in (row["hit_step_us"], row["hit_solve_us"],
+                           row["miss_step_us"])]
+        cells.insert(1, f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
+                     if quartiles else f"{'-':>16}")
         print(f"{variant:<18} {row['steps']:>5} {row['hits']:>5} "
               + " ".join(cells))
     print(json.dumps({"machine": machine(), "n_d": args.n_d,
