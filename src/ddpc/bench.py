@@ -106,8 +106,13 @@ def _one_of(*words: str):
     return parse
 
 
-def _list_of(parse):
-    return lambda text: tuple(parse(tok) for tok in text.split())
+def _list_of(parse, nonempty: bool = False):
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(tok) for tok in text.split())
+        if nonempty and not values:
+            raise ValueError("must list at least one value")
+        return values
+    return parse_list
 
 
 _COUNT = _int_from(1)
@@ -159,7 +164,8 @@ class ExperimentConfig:
     excitation_hold: int = _key("excitation", "hold", _COUNT, "10")
     excitation_n_freqs: int = _key("excitation", "n_freqs", _COUNT, "25")
     setpoint_levels: tuple[float, ...] = _key(
-        "excitation", "setpoint_levels", _list_of(_FINITE), "-1 1")
+        "excitation", "setpoint_levels", _list_of(_FINITE, nonempty=True),
+        "-1 1")
     setpoint_period: int = _key("excitation", "setpoint_period", _COUNT,
                                 "100")
     feedback: LinearFeedbackController | None
@@ -235,6 +241,7 @@ class ExperimentConfig:
                               np.full(self.p, self.y_max))
 
     def qp_settings(self) -> QpSettings:
+        """The QP solver's tolerances and iteration cap, read-only."""
         return QpSettings()
 
     def excitation(self, n_d: int,
@@ -297,7 +304,8 @@ def load_config(path) -> ExperimentConfig:
             section or key that is not read (a typo such as ``u_mni``
             would otherwise drop the setting silently); controller
             parameters must name a known variant and one of ``mu``,
-            ``lam`` or ``gamma3_zero``.
+            ``lam`` or ``gamma3_zero``, and a ``[sweep] baseline`` must
+            be one of the listed controllers.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)
@@ -388,6 +396,9 @@ def load_config(path) -> ExperimentConfig:
             cfg.controller_spec(name)  # validates names and parameters
         except ValueError as exc:
             raise ConfigError(f"{path}: {exc}") from None
+    if cfg.baseline and cfg.baseline not in cfg.controllers:
+        raise ConfigError(f"{path}: [sweep] baseline: must be in "
+                          f"[controllers] list, got {cfg.baseline!r}")
     return cfg
 
 
@@ -465,8 +476,7 @@ def _handles(cfg, part, sigma_e, names) -> dict:
 
 
 def _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed):
-    ctrl = make_controller(spec, L_p=cfg.L_p, qp_settings=cfg.qp_settings(),
-                           **handles)
+    ctrl = make_controller(spec, L_p=cfg.L_p, **handles)
     plant = cfg.plant(sigma_e=sigma_e, eps=eps)
     ref = cfg.reference(cfg.n_steps + cfg.L_f)
     warm = traj.inputs[:, -cfg.L_p:] if cfg.warmup == "excitation" else None

@@ -50,7 +50,7 @@ import scipy.linalg
 from .errors import DimensionMismatch
 from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
-from .qp import BoxQpSolver, QpProblem, QpSettings, QpStatus
+from .qp import BoxQpSolver, QpProblem, QpStatus
 from .sim import (NonlinearWrapper, StateSpaceModel, _check_sane,
                   _innovations, step_model)
 from .trajectory import HankelPartition, Trajectory
@@ -317,9 +317,8 @@ class _CondensedController:
     """
 
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
-                 W: np.ndarray, L_p: int, qp_settings: QpSettings | None,
-                 By: np.ndarray, Bu: np.ndarray | None = None,
-                 E: np.ndarray | None = None):
+                 W: np.ndarray, L_p: int, By: np.ndarray,
+                 Bu: np.ndarray | None = None, E: np.ndarray | None = None):
         self.spec = spec
         self.cost = spec.cost
         self.m, self.p, self.L_f = spec.cost.m, spec.cost.p, spec.cost.L_f
@@ -341,7 +340,7 @@ class _CondensedController:
         D[n + k + n_u:, dz:dz + dy] = -np.eye(dy)
         bounds0 = np.hstack([np.zeros((2, n_e)), spec.boxes.u_tiled(self.L_f),
                              spec.boxes.y_tiled(self.L_f)])
-        self.solver = BoxQpSolver(P, A, (D, *bounds0), qp_settings)
+        self.solver = BoxQpSolver(P, A, (D, *bounds0))
         # P, A and the maps are read back from the solver, which stacks A
         # and P, so that a controller holds each once
         self.P, self.A = self.solver.P, self.solver.A
@@ -429,11 +428,10 @@ class _CondensedController:
 class _PredictorController(_CondensedController):
     """spc / causal_spc: decisions are the future inputs themselves."""
 
-    def __init__(self, spec, pred: Predictor, qp_settings):
+    def __init__(self, spec, pred: Predictor):
         d2 = pred.m * pred.L_f
         super().__init__(spec, Fu=np.eye(d2), Fy=pred.K_f.copy(),
-                         W=np.zeros((d2, d2)), L_p=pred.L_p,
-                         qp_settings=qp_settings, By=pred.K_p)
+                         W=np.zeros((d2, d2)), L_p=pred.L_p, By=pred.K_p)
 
 
 class _GammaController(_CondensedController):
@@ -447,7 +445,7 @@ class _GammaController(_CondensedController):
     singular, as :func:`~ddpc.lq.gamma1_of` takes it) are maps of ``z_p``.
     """
 
-    def __init__(self, spec, blocks: LqBlocks, qp_settings):
+    def __init__(self, spec, blocks: LqBlocks):
         d2, d3 = blocks.dim_u, blocks.dim_y
         needs = VARIANT_TABLE[spec.variant]
         split = causal_split(blocks)
@@ -470,7 +468,7 @@ class _GammaController(_CondensedController):
             B = L_past @ np.linalg.pinv(blocks.L11, rcond=_PINV_RTOL)
         super().__init__(spec, Fu=np.hstack(Fu), Fy=np.hstack(Fy),
                          W=np.diag(np.concatenate(reg)), L_p=blocks.L_p,
-                         qp_settings=qp_settings, By=B[d2:], Bu=B[:d2])
+                         By=B[d2:], Bu=B[:d2])
 
 
 class _KfMpcController(_CondensedController):
@@ -485,13 +483,12 @@ class _KfMpcController(_CondensedController):
 
     _past_name = "x_hat"
 
-    def __init__(self, spec, model: StateSpaceModel, L_p: int, qp_settings):
+    def __init__(self, spec, model: StateSpaceModel, L_p: int):
         self.model = model
         self.Gamma, self.H = kf_predictor_matrices(model, spec.cost.L_f)
         d2 = model.m * spec.cost.L_f
         super().__init__(spec, Fu=np.eye(d2), Fy=self.H,
-                         W=np.zeros((d2, d2)), L_p=L_p,
-                         qp_settings=qp_settings, By=self.Gamma)
+                         W=np.zeros((d2, d2)), L_p=L_p, By=self.Gamma)
         self.x_hat = np.zeros(model.n)
 
     def _past(self, z_p) -> np.ndarray:
@@ -516,7 +513,7 @@ class _GSpaceController(_CondensedController):
     exists as a cross-check and is O(M^2) per solve.
     """
 
-    def __init__(self, spec, part: HankelPartition, qp_settings):
+    def __init__(self, spec, part: HankelPartition):
         ZU = np.vstack([part.Z_p, part.U_f])
         proj = np.linalg.pinv(ZU, rcond=1e-10) @ ZU
         resid_proj = np.eye(part.M) - proj
@@ -524,7 +521,6 @@ class _GSpaceController(_CondensedController):
         resid_proj = 0.5 * (resid_proj + resid_proj.T)
         super().__init__(spec, Fu=part.U_f, Fy=part.Y_f,
                          W=spec.mu * resid_proj, L_p=part.spec.L_p,
-                         qp_settings=qp_settings,
                          By=np.zeros((len(part.Y_f), len(part.Z_p))),
                          E=part.Z_p)
 
@@ -538,8 +534,7 @@ def make_controller(spec: ControllerSpec, *,
                     blocks: LqBlocks | None = None,
                     part: HankelPartition | None = None,
                     model: StateSpaceModel | None = None,
-                    L_p: int | None = None,
-                    qp_settings: QpSettings | None = None):
+                    L_p: int | None = None):
     """Build the controller for ``spec.variant`` from a handle it accepts.
 
     ``projreg_g`` needs the raw partition; the other data variants need
@@ -554,15 +549,14 @@ def make_controller(spec: ControllerSpec, *,
     if all(given[h] is None for h in needs.handles):
         raise ValueError(f"{variant} needs {' or '.join(needs.handles)}")
     if variant == "kf_mpc":
-        return _KfMpcController(spec, model, L_p or 0, qp_settings)
+        return _KfMpcController(spec, model, L_p or 0)
     if variant == "projreg_g":
-        return _GSpaceController(spec, part, qp_settings)
+        return _GSpaceController(spec, part)
     if blocks is None:
         blocks = factorize(part)
     if variant in ("spc", "causal_spc"):
-        return _PredictorController(spec, _fit(blocks, needs.causal),
-                                    qp_settings)
-    return _GammaController(spec, blocks, qp_settings)
+        return _PredictorController(spec, _fit(blocks, needs.causal))
+    return _GammaController(spec, blocks)
 
 
 def kf_update(model: StateSpaceModel, x_hat: np.ndarray, u: np.ndarray,

@@ -33,7 +33,7 @@ and both residuals pass the ADMM stopping test, the primal one with the
 set's rows held at their bounds; it is then ``SOLVED`` with
 ``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
 corrections set ``s`` to 0 where ``s * y < 0`` and to -1 or +1 on the
-free rows violated below or above by more than ``eps_abs``, and if none
+free rows violated below or above by more than ``_EPS_ABS``, and if none
 is accepted ADMM runs, warm-started from ``x0``/``y0``.  The guess
 depends on ``y0`` alone, so a solve stays a pure function of its
 arguments, to round-off when a record answers it.  Once ADMM has solved
@@ -44,17 +44,20 @@ dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
 rows (``k == 0``) is the empty set's case; when it cannot be certified it
 is reported ``DUAL_INFEASIBLE``.
 
-ADMM is dense, with Ruiz equilibration (formed when ADMM first runs), a
-per-row step parameter that is rescaled from the primal/dual residual
-ratio, and over-relaxation; as in OSQP, an iteration applies the cached
-Cholesky factor through LAPACK's ``potrs`` and does nothing but its
-arithmetic.  Everything is deterministic: identical inputs produce
-identical iterates.  The scheme's parameters are the module constants
-``_RHO``, ``_SIGMA``, ``_ALPHA``, ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and
-``_SCALING_ITERS``; :class:`QpSettings` holds only the tolerances and the
-iteration cap.  Finiteness is checked once at entry: ``P``, ``A`` and the
-data map when the solver is built, ``theta`` and the warm starts at each
-solve.  A residual that turns non-finite at a convergence check raises
+ADMM is dense, with Ruiz equilibration, a per-row step parameter that is
+rescaled from the primal/dual residual ratio, and over-relaxation; as in
+OSQP, an iteration applies a Cholesky factor through LAPACK's ``potrs``
+and does nothing but its arithmetic.  ADMM is one call,
+:meth:`BoxQpSolver._admm`, which forms its scaling and its factors each
+time it runs and keeps none of them.  Everything is deterministic:
+identical inputs produce identical iterates.  No value of the solver is
+settable.  The module constants fix it: the tolerances ``_EPS_ABS`` and
+``_EPS_REL``, ADMM's iteration cap ``_MAX_ITER``, and ``_RHO``,
+``_SIGMA``, ``_ALPHA``, ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and
+``_SCALING_ITERS``; :class:`QpSettings` reads back the first three.
+Finiteness is checked once at entry: ``P``, ``A`` and the data map when
+the solver is built, ``theta`` and the warm starts at each solve.  A
+residual that turns non-finite at a convergence check raises
 ``ValueError``; it is never reported as a status.
 
 The KKT solution of a fixed active set is affine in ``theta`` too: the
@@ -161,38 +164,21 @@ class QpProblem:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
 class QpSettings:
-    """Convergence tolerances and the iteration cap.
+    """The solver's tolerances and iteration cap, read-only: the module
+    constants ``_EPS_ABS`` and ``_EPS_REL`` (1e-8 each) and ``_MAX_ITER``
+    (50000).
 
-    A step is ``SOLVED`` once both residuals are within
-    ``eps_abs + eps_rel * scale``; the defaults favour accuracy over
-    speed.  The rest of the algorithm is fixed by module constants: the
-    initial step size ``_RHO`` (0.1), the KKT shift ``_SIGMA`` (1e-6), the
-    over-relaxation ``_ALPHA`` (1.6), the residual check every
-    ``_CHECK_INTERVAL`` (25) iterations, the infeasibility tolerance
-    ``_EPS_INFEAS`` (1e-7), ``_SCALING_ITERS`` (10) Ruiz passes and the
-    ``_CERTIFY_ROUNDS`` (3) corrections of the warm start's active set.
-    The step size always adapts to the residual ratio.  The same residual
-    test stops ADMM and accepts a certified active set, both the warm
-    start's and the one ADMM's dual points at once ADMM has solved the
-    step; ``max_iter`` caps ADMM alone.
+    A step is ``SOLVED`` once both residuals are within ``eps_abs +
+    eps_rel * scale``, the test that stops ADMM and accepts a certified
+    active set; ``max_iter`` caps ADMM alone.  The rest of the scheme is
+    fixed by the other module constants (module docstring).
     """
 
-    eps_abs: float = 1e-8
-    eps_rel: float = 1e-8
-    max_iter: int = 50000
-
-    def __post_init__(self):
-        for name in ("eps_abs", "eps_rel"):
-            value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, "
-                                 f"got {value}")
-        if (not isinstance(self.max_iter, (int, np.integer))
-                or isinstance(self.max_iter, bool) or self.max_iter < 1):
-            raise ValueError(f"max_iter must be an integer >= 1, "
-                             f"got {self.max_iter!r}")
+    __slots__ = ()
+    eps_abs = property(lambda self: _EPS_ABS)
+    eps_rel = property(lambda self: _EPS_REL)
+    max_iter = property(lambda self: _MAX_ITER)
 
 
 @dataclass
@@ -206,6 +192,9 @@ class QpSolution:
     objective: float
 
 
+_EPS_ABS = 1e-8
+_EPS_REL = 1e-8
+_MAX_ITER = 50000
 _RHO = 0.1
 _SIGMA = 1e-6
 _ALPHA = 1.6
@@ -294,17 +283,17 @@ class BoxQpSolver:
     Rounding is monotone, so a finite shift keeps every pair of bounds
     ordered, and the rows with ``lower0 == upper0`` are the equality rows.
     So the sides each row can be held at are fixed here too, and one side
-    vector names an active set (module docstring).  One instance amortizes
-    equilibration and KKT factorization over many solves; ``A`` and ``P``
-    are kept as the two blocks of one stacked copy, so that ``[A x; P x]``
-    is one product.  A solve whose warm start has the side vector of the
-    cached record's set is answered by that record.  At most one record is
-    held, and :meth:`reset` drops it with the factors.
+    vector names an active set (module docstring).  ``A`` and ``P`` are
+    kept as the two blocks of one stacked copy, so that ``[A x; P x]`` is
+    one product.  Between solves an instance keeps its active-set cache
+    and nothing else: the LU of the last set, at most one set record, and
+    the name of the set that the last solve certified.  A solve whose warm
+    start has the side vector of the record's set is answered by that
+    record, and :meth:`reset` drops all three.  ADMM keeps nothing: it
+    forms its scaling and factors each time it runs.
     """
 
-    def __init__(self, P: np.ndarray, A: np.ndarray, data_map: tuple,
-                 settings: QpSettings | None = None):
-        self.settings = settings or QpSettings()
+    def __init__(self, P: np.ndarray, A: np.ndarray, data_map: tuple):
         P = np.asarray(P, dtype=float)
         A = np.asarray(A, dtype=float)
         for name, arr in (("P", P), ("A", A)):
@@ -316,7 +305,6 @@ class BoxQpSolver:
         AP = np.vstack([A, P if np.array_equal(P, P.T) else 0.5 * (P + P.T)])
         self.A, self.P = AP[:k], AP[k:]
         self._APT, self._AT = AP.T, self.A.T  # Fortran-ordered for BLAS
-        self.d = None  # the Ruiz scaling d, e, c, formed when ADMM first runs
         D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
         if (D.ndim != 2 or D.shape[0] < n + k
                 or lower0.shape != (k,) or upper0.shape != (k,)):
@@ -353,37 +341,14 @@ class BoxQpSolver:
         self.reset()
 
     def reset(self) -> None:
-        """Drop the cached factors and record; later solves form what
-        they need."""
-        self._rho_vec = None
-        self._factor = None
+        """Drop the cached LU and record; later solves form what they
+        need."""
         self._kkt_key = None  # the side vector bytes whose factor _kkt holds
         self._kkt = None
         self._map = None  # the _SetRecord of the set _kkt_key
         self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
-
-    def _refactor(self, rho_vec: np.ndarray, Ps, As) -> None:
-        K = (Ps + _SIGMA * np.eye(self.n) + (As.T * rho_vec[None, :]) @ As)
-        # the arguments cho_factor passes; the upper triangle holds the factor
-        factor, info = _POTRF(K, lower=False, overwrite_a=False, clean=False)
-        if info > 0:
-            raise scipy.linalg.LinAlgError(
-                f"{info}-th leading minor of the KKT matrix is not positive "
-                "definite")
-        self._factor = factor
-        self._rho_vec = rho_vec.copy()
-
-    def _rho_for(self, rho_scalar: float, eq_mask: np.ndarray) -> np.ndarray:
-        rho_vec = np.full(self.k, rho_scalar)
-        rho_vec[eq_mask] = min(rho_scalar * _RHO_EQ_FACTOR, _RHO_MAX)
-        return rho_vec
-
-    def _unscaled(self, As, xs, zs, ys):
-        """``(x, y, Ax, z)`` in the units of the original problem."""
-        return (self.d * xs, (self.e * ys) / self.c, (As @ xs) / self.e,
-                zs / self.e)
 
     def _residuals(self, q, x, y, Ax, z):
         """The stopping test of ADMM, and of an active-set answer whose
@@ -403,9 +368,8 @@ class BoxQpSolver:
             norms[:3] = 0.0  # reduceat gives an empty group's first row
         r_prim, ax_norm, z_norm, r_dual, *scales_d = norms.tolist()
         scale_p, scale_d = max(ax_norm, z_norm), max(scales_d)
-        st = self.settings
-        ok = (r_prim <= st.eps_abs + st.eps_rel * scale_p
-              and r_dual <= st.eps_abs + st.eps_rel * scale_d)
+        ok = (r_prim <= _EPS_ABS + _EPS_REL * scale_p
+              and r_dual <= _EPS_ABS + _EPS_REL * scale_d)
         return r_prim, r_dual, scale_p, scale_d, ok, Px
 
     def _sides(self, y):
@@ -446,7 +410,6 @@ class BoxQpSolver:
                 ``theta`` so large that ``D @ theta`` overflows, or a
                 residual that turns non-finite while iterating.
         """
-        st = self.settings
         n, k = self.n, self.k
         if x0 is not None:
             x0 = np.asarray(x0, dtype=float)
@@ -481,42 +444,68 @@ class BoxQpSolver:
                            0, 0.0, math.inf, -math.inf, np.zeros(0), extra)
 
         lo, hi = self._bounds0 + shift
-        if self.d is None:
-            self.d, self.e, self.c = _ruiz(self.P, self.A, _SCALING_ITERS)
-        qs = self.c * self.d * q
-        los = self.e * lo
-        his = self.e * hi
+        x, y, Ax, z, status, iters = self._admm(q, lo, hi, x0, y0)
+        if status is QpStatus.SOLVED:
+            refined = self._certify(q, shift, extra, self._sides(y))
+            if refined is not None:
+                refined.iterations = iters
+                return refined
+        r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
+        return _Answer(x, y, status, iters, r_prim, r_dual,
+                       _objective(x, Px, q), self.A @ x - shift, extra)
+
+    def _admm(self, q, lo, hi, x0, y0):
+        """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
+        ``x0``/``y0``: ``(x, y, A x, z, status, iterations)``, unscaled.
+
+        Each call forms its Ruiz scaling and its Cholesky factors, one per
+        step size ``rho``, and keeps none of them: they are functions of
+        ``P``, ``A`` and ``rho`` alone, so no solve depends on an earlier
+        one.
+        """
+        n, k = self.n, self.k
+        d, e, c = _ruiz(self.P, self.A, _SCALING_ITERS)
+        qs = c * d * q
+        los = e * lo
+        his = e * hi
         fin_lo = np.isfinite(lo)
         fin_hi = np.isfinite(hi)
         eq_mask = fin_lo & (lo == hi)
-        rho_scalar = _RHO
-        rho_vec = self._rho_for(rho_scalar, eq_mask)
-        # the equilibrated P and A, formed only when ADMM runs
-        Ps = self.c * self.P * self.d[None, :] * self.d[:, None]
-        As = self.A * self.e[:, None] * self.d[None, :]
-        if self._factor is None or not np.array_equal(rho_vec, self._rho_vec):
-            self._refactor(rho_vec, Ps, As)
-
-        if x0 is not None:
-            xs = x0 / self.d
-        else:
-            xs = np.zeros(n)
-        if y0 is not None:
-            ys = self.c * y0 / self.e
-        else:
-            ys = np.zeros(k)
+        # the equilibrated P and A
+        Ps = c * self.P * d[None, :] * d[:, None]
+        As = self.A * e[:, None] * d[None, :]
         AsT = As.T
+
+        def factor(rho):
+            """The per-row step sizes at ``rho`` and the upper Cholesky
+            factor of their KKT matrix."""
+            rho_vec = np.full(k, rho)
+            rho_vec[eq_mask] = min(rho * _RHO_EQ_FACTOR, _RHO_MAX)
+            K = Ps + _SIGMA * np.eye(n) + (AsT * rho_vec[None, :]) @ As
+            # the arguments cho_factor passes
+            L, info = _POTRF(K, lower=False, overwrite_a=False, clean=False)
+            if info > 0:
+                raise scipy.linalg.LinAlgError(
+                    f"{info}-th leading minor of the KKT matrix is not "
+                    "positive definite")
+            return rho_vec, L
+
+        def unscaled(xs, zs, ys):
+            """``(x, y, Ax, z)`` in the units of the original problem."""
+            return d * xs, (e * ys) / c, (As @ xs) / e, zs / e
+
+        xs = np.zeros(n) if x0 is None else x0 / d
+        ys = np.zeros(k) if y0 is None else c * y0 / e
         zs = np.minimum(np.maximum(As @ xs, los), his)
 
-        # loop invariants, hoisted; the factor and rho change only together
-        factor, rho_vec = self._factor, self._rho_vec
+        rho_scalar = _RHO
+        rho_vec, L = factor(rho_scalar)
         sigma, alpha, beta = _SIGMA, _ALPHA, 1.0 - _ALPHA
-        check_interval, max_iter = _CHECK_INTERVAL, st.max_iter
-        status = QpStatus.MAX_ITER
-        iters_done = max_iter
+        check_interval, max_iter = _CHECK_INTERVAL, _MAX_ITER
+        status = QpStatus.MAX_ITER  # until a check decides otherwise
         for it in range(1, max_iter + 1):
             rhs = sigma * xs - qs + AsT @ (rho_vec * zs - ys)
-            x_hat = _POTRS(factor, rhs, lower=False, overwrite_b=True)[0]
+            x_hat = _POTRS(L, rhs, lower=False, overwrite_b=True)[0]
             z_hat = As @ x_hat
             xs_new = alpha * x_hat + beta * xs
             z_cand = alpha * z_hat + beta * zs + ys / rho_vec
@@ -525,29 +514,21 @@ class BoxQpSolver:
 
             if it % check_interval == 0 or it == max_iter:
                 r_prim, r_dual, scale_p, scale_d, ok, _ = self._residuals(
-                    q, *self._unscaled(As, xs_new, zs_new, ys_new))
+                    q, *unscaled(xs_new, zs_new, ys_new))
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     raise ValueError(
                         f"ADMM residual is not finite at iteration {it}")
                 if ok:
-                    xs, zs, ys = xs_new, zs_new, ys_new
                     status = QpStatus.SOLVED
-                    iters_done = it
-                    break
-                dy = (self.e * (ys_new - ys)) / self.c
-                if _primal_infeasibility(self.A, lo, hi, fin_lo, fin_hi, dy,
-                                         _EPS_INFEAS):
-                    xs, zs, ys = xs_new, zs_new, ys_new
+                elif _primal_infeasibility(self.A, lo, hi, fin_lo, fin_hi,
+                                           (e * (ys_new - ys)) / c,
+                                           _EPS_INFEAS):
                     status = QpStatus.PRIMAL_INFEASIBLE
-                    iters_done = it
-                    break
-                dx = self.d * (xs_new - xs)
-                if _dual_infeasibility(self.P, q, self.A, fin_lo, fin_hi, dx,
-                                       _EPS_INFEAS):
-                    xs, zs, ys = xs_new, zs_new, ys_new
+                elif _dual_infeasibility(self.P, q, self.A, fin_lo, fin_hi,
+                                         d * (xs_new - xs), _EPS_INFEAS):
                     status = QpStatus.DUAL_INFEASIBLE
-                    iters_done = it
-                    break
+                if status is not QpStatus.MAX_ITER:
+                    return (*unscaled(xs_new, zs_new, ys_new), status, it)
                 if r_dual > 0.0 and scale_p > 0.0 and scale_d > 0.0:
                     ratio = (r_prim / scale_p) / max(r_dual / scale_d, 1e-16)
                     rho_new = float(np.clip(rho_scalar * np.sqrt(ratio),
@@ -555,20 +536,9 @@ class BoxQpSolver:
                     if (rho_new > _REFACTOR_RATIO * rho_scalar
                             or rho_new < rho_scalar / _REFACTOR_RATIO):
                         rho_scalar = rho_new
-                        self._refactor(self._rho_for(rho_scalar, eq_mask),
-                                       Ps, As)
-                        factor, rho_vec = self._factor, self._rho_vec
+                        rho_vec, L = factor(rho_scalar)
             xs, zs, ys = xs_new, zs_new, ys_new
-
-        x, y, Ax, z = self._unscaled(As, xs, zs, ys)
-        if status is QpStatus.SOLVED:
-            refined = self._certify(q, shift, extra, self._sides(y))
-            if refined is not None:
-                refined.iterations = iters_done
-                return refined
-        r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
-        return _Answer(x, y, status, iters_done, r_prim, r_dual,
-                       _objective(x, Px, q), self.A @ x - shift, extra)
+        return (*unscaled(xs, zs, ys), status, max_iter)
 
     def _checked(self, GT, theta, x0=None, y0=None):
         """``GT.T @ theta`` by BLAS ``gemv``, tested finite with the warm
@@ -675,10 +645,9 @@ class BoxQpSolver:
                     self._map = self._record(act, s, closed0)
                 self._certified_key = key
                 return answer
-            eps_p = self.settings.eps_abs
             new = np.where(s * y < 0.0, 0.0, s)
-            new[self._free & (lo0 - t > eps_p)] = -1.0
-            new[self._free & (t - hi0 > eps_p)] = 1.0
+            new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
+            new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
             if np.array_equal(new, s):
                 return None
             s = new
@@ -714,8 +683,7 @@ class BoxQpSolver:
             self._scratch, self._scratch_groups).tolist()
         if wrong > 0.0:
             return None, t
-        eps = self.settings.eps_abs
-        if not (r_prim <= eps and r_dual <= eps):
+        if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
             lo, hi = closed0 + shift
             r_prim, r_dual, *_, ok, _ = self._residuals(
                 q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
@@ -824,12 +792,10 @@ def _dual_infeasibility(P, q, A, fin_lo, fin_hi, dx, eps) -> bool:
     return not np.any((fin_hi & (Adx > tol)) | (fin_lo & (Adx < -tol)))
 
 
-def solve(prob: QpProblem, settings: QpSettings | None = None,
-          x0: np.ndarray | None = None,
+def solve(prob: QpProblem, x0: np.ndarray | None = None,
           y0: np.ndarray | None = None) -> QpSolution:
     """One-shot solve of ``prob``: the one-column data map ``D = [q; 0]``
     of :class:`BoxQpSolver`, at ``theta = [1]``."""
     D = np.concatenate([prob.q, np.zeros(prob.k)])[:, None]
-    solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper),
-                         settings)
+    solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     return solver.solve(np.ones(1), x0=x0, y0=y0)

@@ -247,6 +247,9 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
      "[controllers] gamma.gamma3_zero"),
     ({"controllers": "list = gamma\ngamma.gamma3_zero = nan"},
      "[controllers] gamma.gamma3_zero"),
+    ({"excitation": "setpoint_levels ="}, "[excitation] setpoint_levels"),
+    ({"controllers": "list = causal_gamma", "sweep": "baseline = spc"},
+     "[sweep] baseline"),
 ], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
         "sweep-n-d-fraction", "sweep-n-d-inf", "sweep-n-d-nan",
         "negative-seeds", "no-steps", "no-past-window", "period-below-2",
@@ -254,7 +257,8 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
         "r-zero", "r-inf", "excitation-amplitude-inf",
         "ref-amplitude-nan", "u-min-nan", "u-max-nan", "y-min-nan",
         "y-max-nan", "sigma-e-inf", "setpoint-levels-nan",
-        "gamma3-zero-half", "gamma3-zero-nan"])
+        "gamma3-zero-half", "gamma3-zero-nan", "setpoint-levels-empty",
+        "baseline-not-listed"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)
     with pytest.raises(ConfigError) as info:

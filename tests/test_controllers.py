@@ -41,6 +41,7 @@ from conftest import (
 )
 from oracles import kkt_residuals, multistep_matrices
 
+from ddpc import qp as qp_module
 from ddpc import (
     DIVERGENCE_LIMIT,
     BoxConstraints,
@@ -752,15 +753,15 @@ def test_rollout_bitwise_determinism():
     assert a.J == b.J
 
 
-def test_rollout_status_aggregates_worst_step():
+def test_rollout_status_aggregates_worst_step(monkeypatch):
     # An output box that no input in [-1, 1] can reach: no active set is
     # certified, so every step falls back to the starved ADMM.
+    monkeypatch.setattr(qp_module, "_MAX_ITER", 2)
     part = _noisy_part()
     unreachable = BoxConstraints(u_lower=[-1.0], u_upper=[1.0],
                                  y_lower=[100.0], y_upper=[200.0])
     spec = ControllerSpec(variant="spc", cost=_cost(), boxes=unreachable)
-    starved = make_controller(spec, part=part,
-                              qp_settings=QpSettings(max_iter=2))
+    starved = make_controller(spec, part=part)
     res = run_receding_horizon(demo_model(sigma_e=0.1), starved,
                                sine_reference(20.0, 1.0, 10), 10,
                                rng=seeded(140))

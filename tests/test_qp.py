@@ -38,6 +38,7 @@ import pytest
 from conftest import seeded
 from oracles import kkt_residuals, solve_qp_active_set, solve_qp_exhaustive
 
+from ddpc import qp as qp_module
 from ddpc import (
     BoxQpSolver,
     DimensionMismatch,
@@ -263,31 +264,24 @@ def test_unbounded_problem_without_rows_is_dual_infeasible():
     assert sol.status == QpStatus.DUAL_INFEASIBLE
 
 
-def test_max_iter_reported_with_residuals():
+def test_max_iter_reported_with_residuals(monkeypatch):
+    monkeypatch.setattr(qp_module, "_MAX_ITER", 3)
     rng = seeded(88)
     prob = _random_box_qp(rng, n=8, k=10)
-    sol = solve(prob, QpSettings(max_iter=3))
+    sol = solve(prob)
     assert sol.status == QpStatus.MAX_ITER
     assert sol.iterations == 3
     assert np.isfinite(sol.primal_res) and np.isfinite(sol.dual_res)
 
 
-@pytest.mark.parametrize("kv,named", [
-    ({"max_iter": 0}, "max_iter"),
-    ({"max_iter": -5}, "max_iter"),
-    ({"eps_abs": float("nan")}, "eps_abs"),
-    ({"eps_abs": -1.0}, "eps_abs"),
-    ({"eps_rel": float("inf")}, "eps_rel"),
-    ({"max_iter": 2.5}, "max_iter"),
-    ({"max_iter": True}, "max_iter"),
-], ids=["max-iter-zero", "max-iter-negative", "eps-abs-nan",
-        "eps-abs-negative", "eps-rel-inf", "max-iter-float", "max-iter-bool"])
-def test_settings_reject_empty_iteration_cap_and_bad_tolerances(kv, named):
-    # a cap below 1 would report MAX_ITER without an ADMM iteration, a
-    # non-integer cap would fail inside ADMM's loop, and no residual passes
-    # a NaN or negative tolerance
-    with pytest.raises(ValueError, match=named):
-        QpSettings(**kv)
+def test_no_solver_value_is_settable():
+    # the tolerances and the cap are module constants, read back only
+    st = QpSettings()
+    assert (st.eps_abs, st.eps_rel, st.max_iter) == (1e-8, 1e-8, 50000)
+    with pytest.raises(TypeError):
+        QpSettings(max_iter=3)
+    with pytest.raises(AttributeError):
+        st.eps_abs = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +289,12 @@ def test_settings_reject_empty_iteration_cap_and_bad_tolerances(kv, named):
 # ---------------------------------------------------------------------------
 
 
-def _q_solver(prob, settings=None):
+def _q_solver(prob):
     """A solver of ``prob``'s ``P``, ``A`` and bounds whose data map
     ``[[I, 0], [0, 0]]`` takes ``q`` as ``theta = [q; 1]`` (:func:`_q`)."""
     D = np.zeros((prob.n + prob.k, prob.n + 1))
     D[:prob.n, :prob.n] = np.eye(prob.n)
-    return BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper), settings)
+    return BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
 
 
 def _q(q):
@@ -317,7 +311,7 @@ def _at(prob, q=None, lower=None, upper=None):
 def test_warm_start_is_correct_and_cheaper():
     rng = seeded(89)
     prob = _random_box_qp(rng, n=12, k=16)
-    solver = _q_solver(prob, QpSettings())
+    solver = _q_solver(prob)
     cold = solver.solve(_q(prob.q))
     assert cold.status == QpStatus.SOLVED
     q2 = prob.q + 1e-3 * rng.standard_normal(prob.n)
@@ -332,10 +326,34 @@ def test_warm_start_is_correct_and_cheaper():
 def test_cached_solver_matches_one_shot():
     rng = seeded(90)
     prob = _random_box_qp(rng, n=9, k=12)
-    solver = _q_solver(prob, QpSettings())
+    solver = _q_solver(prob)
     a = solver.solve(_q(prob.q))
     b = solve(prob)
     np.testing.assert_allclose(a.x, b.x, atol=1e-9)
+
+
+def test_admm_does_not_depend_on_solver_history(monkeypatch):
+    # ADMM forms its scaling and factors on every run, so an earlier ADMM
+    # step whose step size adapted leaves nothing behind that a later one
+    # reads: the later step equals a fresh solver's, bit for bit
+    factors = []
+    potrf = qp_module._POTRF
+    monkeypatch.setattr(qp_module, "_POTRF",
+                        lambda *a, **kw: factors.append(1) or potrf(*a, **kw))
+    rng = seeded(200)
+    prob = _random_box_qp(rng, n=10, k=20, spread=0.05)
+    solver = _q_solver(prob)
+    first = solver.solve(_q(prob.q))
+    assert first.iterations > 0 and len(factors) > 1  # rho adapted
+    q2 = prob.q + 2.0 * rng.standard_normal(prob.n)
+    later = solver.solve(_q(q2), x0=first.x, y0=first.y)
+    fresh = _q_solver(prob).solve(_q(q2), x0=first.x, y0=first.y)
+    assert later.iterations > 0
+    np.testing.assert_array_equal(later.x, fresh.x)
+    np.testing.assert_array_equal(later.y, fresh.y)
+    assert ((later.status, later.iterations, later.primal_res,
+             later.dual_res) == (fresh.status, fresh.iterations,
+                                 fresh.primal_res, fresh.dual_res))
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +778,13 @@ def _degenerate_qp(seed):
 
 
 @pytest.mark.parametrize("seed", [33, 276, 597])
-def test_solved_after_admm_is_complementary(seed):
+def test_solved_after_admm_is_complementary(seed, monkeypatch):
     # at eps 1e-3 ADMM stops with a dual whose signs point at a set that
     # is no KKT point; a SOLVED step must still be complementary
+    monkeypatch.setattr(qp_module, "_EPS_ABS", 1e-3)
+    monkeypatch.setattr(qp_module, "_EPS_REL", 1e-3)
     P, A, q, lo, hi = _degenerate_qp(seed)
-    sol = solve(QpProblem(P=P, q=q, A=A, lower=lo, upper=hi),
-                QpSettings(1e-3, 1e-3))
+    sol = solve(QpProblem(P=P, q=q, A=A, lower=lo, upper=hi))
     assert sol.status == QpStatus.SOLVED
     Ax = A @ sol.x
     gap = max(np.max(np.maximum(sol.y, 0.0) * (hi - Ax)),

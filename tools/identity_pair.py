@@ -42,8 +42,9 @@ every other text must still be equal.  The iteration counts
 (``primal_res``, ``dual_res``) are reported before -> after without
 being gated, because a change of solver path changes them by design.
 In either mode two last lines report, also ungated, how many records and
-``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side, and
-the line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it.
+``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side,
+split by final status (a record's is the worst of its steps), and the
+line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -52,6 +53,7 @@ artifact differs, else 0.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import csv
 import io
@@ -73,10 +75,13 @@ BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
 DIGEST_SEEDS = 3
 COLLECT_N_D = 5000
 UNGATED_COLUMNS = ("qp_iters",)
+# the final statuses that the ADMM traffic line always names
+ADMM_STATUSES = ("solved", "max_iter", "primal_infeasible")
 
 # Runs in each tree; prints {"runs": {"<variant>/<seed>": sha256}, "steps":
-# <count>, "admm_steps": <count with qp_iterations > 0>} as JSON, or with
-# RAW set the values themselves in place of each sha256.
+# <count>, "admm_statuses": [the status of each step with qp_iterations >
+# 0]} as JSON, or with RAW set the values themselves in place of each
+# sha256.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -87,7 +92,7 @@ cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
-n_steps = n_admm = 0
+n_steps, admm = 0, []
 for variant in ddpc.VARIANTS:
     for seed in range({seeds}):
         try:
@@ -96,7 +101,8 @@ for variant in ddpc.VARIANTS:
             out[f"{{variant}}/{{seed}}"] = "diverged: " + str(exc)
             continue
         n_steps += len(rollout.steps)
-        n_admm += sum(s.qp_iterations > 0 for s in rollout.steps)
+        admm += [s.qp_status.value for s in rollout.steps
+                 if s.qp_iterations > 0]
         if RAW:
             s = rollout.steps
             out[f"{{variant}}/{{seed}}"] = dict(
@@ -114,7 +120,7 @@ for variant in ddpc.VARIANTS:
         blob = pickle.dumps((rollout.J, rollout.J_y, rollout.J_u, steps),
                             protocol=4)
         out[f"{{variant}}/{{seed}}"] = hashlib.sha256(blob).hexdigest()
-json.dump(dict(runs=out, steps=n_steps, admm_steps=n_admm), sys.stdout,
+json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm), sys.stdout,
           sort_keys=True)
 """
 
@@ -227,12 +233,21 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
                          f"{done.stderr}")
     for key, value in json.loads(done.stdout).items():
         out[f"collect_open_loop {key}"] = value
-    iters = [float(row["qp_iters"]) for name, _ in BENCHMARKS
-             for row in csv.DictReader(io.StringIO(
-                 (out[f"benchmark {name}: records.csv"] or b"").decode()))]
-    admm = (f"records {sum(v > 0 for v in iters)}/{len(iters)}, run_single "
-            f"steps {digest['admm_steps']}/{digest['steps']}")
+    rows = [row for name, _ in BENCHMARKS
+            for row in csv.DictReader(io.StringIO(
+                (out[f"benchmark {name}: records.csv"] or b"").decode()))]
+    ran = [row["status"] for row in rows if float(row["qp_iters"]) > 0]
+    admm = (f"records {_traffic(ran, len(rows))}, run_single steps "
+            f"{_traffic(digest['admm_statuses'], digest['steps'])}")
     return out, admm
+
+
+def _traffic(statuses: list[str], total: int) -> str:
+    """``<ran ADMM>/<total> (<count per final status>)``."""
+    counts = collections.Counter(statuses)
+    names = [*ADMM_STATUSES, *sorted(counts.keys() - set(ADMM_STATUSES))]
+    split = ", ".join(f"{name} {counts[name]}" for name in names)
+    return f"{len(statuses)}/{total} ({split})"
 
 
 def line_total(tree: Path) -> int:
