@@ -125,6 +125,10 @@ _FINITE = _float_where(math.isfinite, "must be finite")
 _BOUND = _float_where(lambda v: not math.isnan(v), "must not be nan")
 _FLAG = _float_where(lambda v: v in (0.0, 1.0), "must be 0 or 1")
 
+# The variants that ``tune`` has penalties to search for.
+_TUNABLE = _one_of(*(name for name, needs in VARIANT_TABLE.items()
+                     if needs.penalties))
+
 # The per-variant settings a [controllers] section may give (name.param),
 # each with its rule.
 _CONTROLLER_PARAMS = {"mu": float, "lam": float, "gamma3_zero": _FLAG}
@@ -186,7 +190,9 @@ class ExperimentConfig:
     seeds: int = _key("run", "seeds", _COUNT, "100")
     warmup: str = _key("run", "warmup", _one_of("zero", "excitation"),
                        "excitation")
-    controllers: tuple[str, ...] = _key("controllers", "list", _list_of(str))
+    controllers: tuple[str, ...] = _key(
+        "controllers", "list",
+        _list_of(_one_of(*VARIANT_TABLE), nonempty=True))
     controller_params: dict
     sweep_n_d: tuple[int, ...] = _key("sweep", "n_d", _list_of(_COUNT), "")
     sweep_sigma_e: tuple[float, ...] = _key("sweep", "sigma_e",
@@ -195,7 +201,7 @@ class ExperimentConfig:
     baseline: str = _key("sweep", "baseline", str.strip, "")
     # tuning
     tune_controllers: tuple[str, ...] = _key("tune", "controllers",
-                                             _list_of(str), "")
+                                             _list_of(_TUNABLE), "")
     grid_min: float = _key("tune", "grid_min", _POSITIVE, "1e-5")
     grid_max: float = _key("tune", "grid_max", _POSITIVE, "1e5")
     grid_points: int = _key("tune", "grid_points", _COUNT, "100")
@@ -304,8 +310,9 @@ def load_config(path) -> ExperimentConfig:
             section or key that is not read (a typo such as ``u_mni``
             would otherwise drop the setting silently); controller
             parameters must name a known variant and one of ``mu``,
-            ``lam`` or ``gamma3_zero``, and a ``[sweep] baseline`` must
-            be one of the listed controllers.
+            ``lam`` or ``gamma3_zero``; ``[controllers] list`` names at
+            least one variant, ``[sweep] baseline`` one of them, and
+            ``[tune] controllers`` only variants with penalties.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)

@@ -243,7 +243,6 @@ class StepResult:
     u_f: np.ndarray
     y_f: np.ndarray
     u_applied: np.ndarray
-    objective: float
     qp_iterations: int
     qp_status: QpStatus
     primal_res: float
@@ -303,9 +302,8 @@ class _CondensedController:
     or the state estimate for ``kf_mpc``).  P and the constraint rows are
     fixed, so the QP factorization and warm starts are reused across
     receding-horizon steps.  So is the data map ``D``, built once: with
-    ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q``, the shift of the
-    row bounds from their constant parts, and the offsets ``o = [bu; by -
-    r_f]`` of the plans from their targets.  The solver holds ``D``, ``P``
+    ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q`` and the shift of
+    the row bounds from their constant parts.  The solver holds ``D``, ``P``
     and the rows, and answers a step whose active set repeats from its set
     record: one BLAS product gives ``v``, the multipliers and ``D @
     theta``, which the solver tests finite (the step's one test of its
@@ -313,7 +311,7 @@ class _CondensedController:
     into ``A`` with the shifts ``-bu`` and ``-by``, so the plans ``u_f =
     Fu v + bu`` and ``y_f = Fy v + by`` are the rows of ``A v`` less the
     shift, which the solver returns: a step reads its plans there alone.
-    The step's objective adds ``o' blkdiag(R, Q) o`` to the QP's.
+    ``P`` is passed as formed; the solver symmetrizes it.
     """
 
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
@@ -325,19 +323,17 @@ class _CondensedController:
         self.L_p = L_p
         Q, R = spec.cost.Q, spec.cost.R
         P = 2.0 * (Fy.T @ Q @ Fy + Fu.T @ R @ Fu + W)
-        P = 0.5 * (P + P.T)
         n, dz, dy, n_u = P.shape[0], By.shape[1], len(Fy), len(Fu)
         if Bu is None:
             Bu = np.zeros((n_u, dz))
         n_e = 0 if E is None else len(E)
         A = np.vstack([np.zeros((0, n)) if E is None else E, Fu, Fy])
         k = len(A)
-        D = np.zeros((n + k + n_u + dy, dz + dy + 1))
+        D = np.zeros((n + k, dz + dy + 1))
         # e = z_p on the equality rows, and the boxes' shifts -bu and -by
         D[:, :dz] = np.vstack([2.0 * (Fy.T @ Q @ By + Fu.T @ R @ Bu),
-                               np.eye(dz)[:n_e], -Bu, -By, Bu, By])
+                               np.eye(dz)[:n_e], -Bu, -By])
         D[:n, dz:dz + dy] = -2.0 * Fy.T @ Q
-        D[n + k + n_u:, dz:dz + dy] = -np.eye(dy)
         bounds0 = np.hstack([np.zeros((2, n_e)), spec.boxes.u_tiled(self.L_f),
                              spec.boxes.y_tiled(self.L_f)])
         self.solver = BoxQpSolver(P, A, (D, *bounds0))
@@ -346,7 +342,6 @@ class _CondensedController:
         self.P, self.A = self.solver.P, self.solver.A
         self.Fu, self.Fy = self.A[n_e:n_e + n_u], self.A[n_e + n_u:]
         self._plans = slice(n_e, k)
-        self._W_off = scipy.linalg.block_diag(R, Q)
         self._n_u = n_u
         self._r_f = slice(dz, dz + dy)
         self._zero_y = np.zeros(dy)
@@ -405,13 +400,9 @@ class _CondensedController:
             raise
         self._warm_x, self._warm_y = a.x, a.y
         plan = a.t[self._plans]
-        o = a.extra  # [bu; by - r_f]
-        # the QP objective is the step cost less its part that v does not
-        # move, |by - r_f|^2_Q + |bu|^2_R
-        obj = a.objective + float(o @ (self._W_off @ o))
         n_u = self._n_u
         return StepResult(u_f=plan[:n_u], y_f=plan[n_u:],
-                          u_applied=plan[:self.m], objective=obj,
+                          u_applied=plan[:self.m],
                           qp_iterations=a.iterations, qp_status=a.status,
                           primal_res=a.primal_res, dual_res=a.dual_res)
 
@@ -448,7 +439,9 @@ class _GammaController(_CondensedController):
     def __init__(self, spec, blocks: LqBlocks):
         d2, d3 = blocks.dim_u, blocks.dim_y
         needs = VARIANT_TABLE[spec.variant]
-        split = causal_split(blocks)
+        # only the causal variants read the split (lam weighs its
+        # non-causal part)
+        split = causal_split(blocks) if needs.causal else None
         Fu = [blocks.L22]
         Fy = [split.causal if needs.causal else blocks.L32]
         reg = [np.zeros(d2)]

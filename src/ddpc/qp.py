@@ -15,9 +15,9 @@ ending in 1: the parametric form of explicit MPC (Bemporad, Morari, Dua
 and Pistikopoulos, Automatica 2002).  :class:`BoxQpSolver` is built with
 that ``data_map = (D, lower0, upper0)``, checks it once, and is then given
 ``theta`` alone: one BLAS ``gemv`` ``D @ theta``, tested finite with the
-warm starts by one BLAS dot per array, forms ``q`` and the shift of the
-bounds.  The one-shot :func:`solve` of a :class:`QpProblem` is the
-one-column map ``D = [q; 0]`` at ``theta = [1]``.
+warm starts by one BLAS dot per array, forms ``q`` and the bound shift,
+the only rows of ``D``.  The one-shot :func:`solve` of a
+:class:`QpProblem` is the one-column map ``D = [q; 0]`` at ``theta = [1]``.
 
 Before any iteration, a solve tries to certify the active set that the
 dual warm start ``y0`` points at, the warm-started active-set idea of
@@ -55,9 +55,9 @@ settable.  The module constants fix it: the tolerances ``_EPS_ABS`` and
 ``_EPS_REL``, ADMM's iteration cap ``_MAX_ITER``, and ``_RHO``,
 ``_SIGMA``, ``_ALPHA``, ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and
 ``_SCALING_ITERS``; :class:`QpSettings` reads back the first three.
-Finiteness is checked once at entry: ``P``, ``A`` and the data map when
-the solver is built, ``theta`` and the warm starts at each solve.  A
-residual that turns non-finite at a convergence check raises
+Shapes and finiteness are checked at entry: ``P``, ``A`` and the data
+map when the solver is built, ``theta`` and the warm starts at each
+solve.  A residual that turns non-finite at a convergence check raises
 ``ValueError``; it is never reported as a status.
 
 The KKT solution of a fixed active set is affine in ``theta`` too: the
@@ -251,12 +251,9 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
 @dataclass
 class _Answer(QpSolution):
     """The :class:`QpSolution` that :meth:`BoxQpSolver.solve` returns,
-    with ``t``, which is ``A x`` less the bound shift, and ``extra``, the
-    rows of ``D @ theta`` past ``q`` and the shift (empty when ``D`` has
-    none)."""
+    with ``t``, which is ``A x`` less the bound shift."""
 
     t: np.ndarray
-    extra: np.ndarray
 
 
 @dataclass(slots=True)
@@ -275,11 +272,11 @@ class BoxQpSolver:
 
     With ``data_map = (D, lower0, upper0)`` the data are affine in a
     parameter ``theta`` whose last entry is 1: ``q = D[:n] @ theta`` and
-    the bounds are ``lower0 + D[n:n+k] @ theta`` and ``upper0 + D[n:n+k]
-    @ theta``.  Rows of ``D`` past ``n + k`` ride along: their product at
-    ``theta`` comes back with the answer, from the same product as the
-    data.  The map is checked once, here: ``D`` finite, ``lower0 <=
-    upper0``, no ``+inf`` in ``lower0`` and no ``-inf`` in ``upper0``.
+    the bounds are ``lower0 + D[n:] @ theta`` and ``upper0 + D[n:] @
+    theta``, so ``D`` has ``n + k`` rows.  The shapes are checked here:
+    ``P`` square, ``A`` with ``n`` columns, ``D`` with ``n + k`` rows.  So
+    is the map, once: ``D`` finite, ``lower0 <= upper0``, no ``+inf`` in
+    ``lower0`` and no ``-inf`` in ``upper0``.
     Rounding is monotone, so a finite shift keeps every pair of bounds
     ordered, and the rows with ``lower0 == upper0`` are the equality rows.
     So the sides each row can be held at are fixed here too, and one side
@@ -299,18 +296,22 @@ class BoxQpSolver:
         for name, arr in (("P", P), ("A", A)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
+        if P.ndim != 2 or P.shape[0] != P.shape[1]:
+            raise DimensionMismatch(f"P has shape {P.shape}, expected (n, n)")
         n = self.n = P.shape[0]
+        if A.ndim != 2 or A.shape[1] != n:
+            raise DimensionMismatch(f"A has shape {A.shape}, expected (k, {n})")
         k = self.k = A.shape[0]
         # a symmetric P is kept as given: 0.5 * (P + P') would equal it
         AP = np.vstack([A, P if np.array_equal(P, P.T) else 0.5 * (P + P.T)])
         self.A, self.P = AP[:k], AP[k:]
         self._APT, self._AT = AP.T, self.A.T  # Fortran-ordered for BLAS
         D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
-        if (D.ndim != 2 or D.shape[0] < n + k
+        if (D.ndim != 2 or D.shape[0] != n + k
                 or lower0.shape != (k,) or upper0.shape != (k,)):
             raise DimensionMismatch(
-                "data_map must be (D, lower0, upper0) with D of at "
-                f"least {n + k} rows and bounds of length {k}")
+                f"data_map must be (D, lower0, upper0) with D of {n + k} "
+                f"rows and bounds of length {k}, got D of shape {D.shape}")
         if not np.isfinite(D).all():
             raise ValueError("data_map D has non-finite entries")
         _check_bounds(lower0, upper0, ("data_map lower0", "data_map upper0"))
@@ -400,8 +401,7 @@ class BoxQpSolver:
 
         Returns:
             A :class:`QpSolution`; it also carries ``t``, ``A x`` less the
-            bound shift, and ``extra``, the rows of ``D @ theta`` past
-            ``q`` and the shift, which a receding-horizon step reads.
+            bound shift, which a receding-horizon step reads its plans from.
 
         Raises:
             DimensionMismatch: On a ``theta``, ``x0`` or ``y0`` whose
@@ -434,25 +434,25 @@ class BoxQpSolver:
             # a rejected record answer is retried through the set's LU,
             # and corrected from there
             d = d[n + k:]
-        q, shift, extra = d[:n], d[n:n + k], d[n + k:]
-        certified = self._certify(q, shift, extra, s)
+        q, shift = d[:n], d[n:]
+        certified = self._certify(q, shift, s)
         if certified is not None:
             return certified
         if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
             return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
-                           0, 0.0, math.inf, -math.inf, np.zeros(0), extra)
+                           0, 0.0, math.inf, -math.inf, np.zeros(0))
 
         lo, hi = self._bounds0 + shift
         x, y, Ax, z, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, shift, extra, self._sides(y))
+            refined = self._certify(q, shift, self._sides(y))
             if refined is not None:
                 refined.iterations = iters
                 return refined
         r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
         return _Answer(x, y, status, iters, r_prim, r_dual,
-                       _objective(x, Px, q), self.A @ x - shift, extra)
+                       _objective(x, Px, q), self.A @ x - shift)
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
@@ -611,7 +611,7 @@ class BoxQpSolver:
             return None
         return sol
 
-    def _certify(self, q, shift, extra, s):
+    def _certify(self, q, shift, s):
         """Try the active set of the side vector ``s`` (:meth:`_sides`).
 
         ``s`` is the side vector of a dual point: the warm start before
@@ -639,7 +639,7 @@ class BoxQpSolver:
                 return None
             x, y = sol[:n], np.zeros(self.k)
             y[act] = sol[n:]
-            answer, t = self._accept(x, y, q, closed0, shift, s, extra)
+            answer, t = self._accept(x, y, q, closed0, shift, s)
             if answer is not None:
                 if self._map is None and key == previous:
                     self._map = self._record(act, s, closed0)
@@ -653,7 +653,7 @@ class BoxQpSolver:
             s = new
         return None
 
-    def _accept(self, x, y, q, closed0, shift, s, extra):
+    def _accept(self, x, y, q, closed0, shift, s):
         """``(answer, t)``: the set's answer ``(x, y)``, or None when the
         sign or residual test rejects it, and ``t = A x - shift``.
 
@@ -690,7 +690,7 @@ class BoxQpSolver:
             if not ok:
                 return None, t
         return _Answer(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
-                       _objective(x, Px, q), t, extra), t
+                       _objective(x, Px, q), t), t
 
     def _from_record(self, rec, d):
         """Answer the record's set from ``d = rec.G @ theta``, which stacks
@@ -701,9 +701,8 @@ class BoxQpSolver:
         it.
         """
         n, nk = self.n, self.n + self.k
-        q, shift = d[nk:nk + n], d[nk + n:2 * nk]
-        answer, _ = self._accept(d[:n], d[n:nk], q, rec.closed0, shift,
-                                 rec.sides, d[2 * nk:])
+        answer, _ = self._accept(d[:n], d[n:nk], d[nk:nk + n], rec.closed0,
+                                 d[nk + n:], rec.sides)
         if answer is not None:
             self._certified_key = rec.key
         return answer
@@ -713,7 +712,7 @@ class BoxQpSolver:
         or None.
 
         With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
-        side is ``[-D[:n]; D[n:n+k][act]] @ theta`` plus its bounds'
+        side is ``[-D[:n]; D[n:][act]] @ theta`` plus its bounds'
         constant parts ``closed0[0]`` in the column of theta's trailing 1.
         Its columns are solved through the inverse formed from the set's
         cached LU, and refined as a single solve is; the multiplier rows
@@ -721,13 +720,13 @@ class BoxQpSolver:
         """
         D = self.data_map[0]
         n, k = self.n, self.k
-        rhs = np.vstack([-D[:n], D[n:n + k][act]])
+        rhs = np.vstack([-D[:n], D[n:][act]])
         rhs[n:, -1] += closed0[0][act]
         key = s.tobytes()
         sol = self._kkt_solve(act, key, rhs)
         if sol is None:
             return None
-        G = np.zeros((n + k + len(D), sol.shape[1]))
+        G = np.zeros((2 * (n + k), sol.shape[1]))
         G[:n] = sol[:n]
         G[n + act] = sol[n:]
         G[n + k:] = D

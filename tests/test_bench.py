@@ -250,6 +250,10 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
     ({"excitation": "setpoint_levels ="}, "[excitation] setpoint_levels"),
     ({"controllers": "list = causal_gamma", "sweep": "baseline = spc"},
      "[sweep] baseline"),
+    ({"controllers": "list ="}, "[controllers] list"),
+    ({"controllers": "list = spc mystery"}, "[controllers] list"),
+    ({"tune": "controllers = reg_causal_gama"}, "[tune] controllers"),
+    ({"tune": "controllers = reg_gamma causal_gamma"}, "[tune] controllers"),
 ], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
         "sweep-n-d-fraction", "sweep-n-d-inf", "sweep-n-d-nan",
         "negative-seeds", "no-steps", "no-past-window", "period-below-2",
@@ -258,7 +262,9 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
         "ref-amplitude-nan", "u-min-nan", "u-max-nan", "y-min-nan",
         "y-max-nan", "sigma-e-inf", "setpoint-levels-nan",
         "gamma3-zero-half", "gamma3-zero-nan", "setpoint-levels-empty",
-        "baseline-not-listed"])
+        "baseline-not-listed", "controllers-list-empty",
+        "controllers-list-unknown",
+        "tune-controller-misspelled", "tune-controller-without-penalties"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)
     with pytest.raises(ConfigError) as info:

@@ -24,7 +24,8 @@ Covers:
     their set's record; an overflowing theta and invalid map bounds
     (non-finite, crossed) are rejected.
   * problem validation (non-finite data by name, symmetry, PSD, bound
-    ordering, shapes), and non-finite solve data rejected by name before
+    ordering, shapes), solver shapes (``P``, ``A`` and ``D``) checked
+    when it is built, and non-finite solve data rejected by name before
     any iteration.
 """
 
@@ -760,6 +761,23 @@ def test_data_map_bounds_are_checked_when_the_solver_is_built(
     lo[(row,)], hi[(row,)] = lower, upper
     with pytest.raises(ValueError, match=f"^data_map {named}$"):
         BoxQpSolver(prob.P, prob.A, (D, lo, hi))
+
+
+@pytest.mark.parametrize("P,A,rows,named", [
+    # unchecked, a 1-D A takes a row of P, and a solve fails inside BLAS
+    (np.eye(2), np.ones(2), 4, r"^A has shape \(2,\), expected \(k, 2\)$"),
+    (np.ones((2, 3)), np.ones((1, 2)), 3,
+     r"^P has shape \(2, 3\), expected \(n, n\)$"),
+    (np.eye(2), np.ones((1, 3)), 3,
+     r"^A has shape \(1, 3\), expected \(k, 2\)$"),
+    # the map is q and the shift, nothing more
+    (np.eye(2), np.ones((1, 2)), 4,
+     r"D of 3 rows .* got D of shape \(4, 1\)$"),
+], ids=["A-1d", "P-not-square", "A-columns", "D-rows-past-n-plus-k"])
+def test_solver_shapes_are_checked_when_it_is_built(P, A, rows, named):
+    bound = np.ones(len(A))
+    with pytest.raises(DimensionMismatch, match=named):
+        BoxQpSolver(P, A, (np.zeros((rows, 1)), -bound, bound))
 
 
 def _degenerate_qp(seed):

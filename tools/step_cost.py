@@ -5,6 +5,7 @@ solver answered it: from its set record (a hit) or not (a miss).
 Usage, from the root of the repository::
 
     python3 tools/step_cost.py --n-d 200 --seed 0 --repeat 20
+    python3 tools/step_cost.py --base <commit> --pairs 10 --repeat 20
 
 Every variant runs the table1 rollout of ``ddpc.run_single`` at
 ``--seed`` and ``--n-d`` (with the penalties perfbench gives ``gamma``
@@ -18,6 +19,15 @@ and hits of one rollout and the median microseconds of a hit step (with
 its quartiles over all repetitions, so that a few-microsecond change can
 be read against the spread), of its solve and of a miss step; its last
 line is the same as JSON, with the machine.
+
+With ``--base <commit>``, the commit is unpacked with ``git archive``
+(``tools/bench_pair.py``'s ``unpack``) and this script, copied into it,
+runs in fresh processes on it and on the working tree in ``--pairs``
+alternating pairs, the side that goes first alternating from pair to
+pair.  One run's hit-step median is noisy, but both sides of a pair run
+back to back.  The table gives, per variant, the median over the pairs
+of each side's hit-step median, and the number of pairs in which the
+working tree's was lower; its last line is the same as JSON.
 """
 
 from __future__ import annotations
@@ -29,19 +39,24 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # read when numpy loads OpenBLAS
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 import ddpc  # noqa: E402
 from ddpc import bench  # noqa: E402
+from bench_pair import unpack  # noqa: E402
 
 
 @contextmanager
@@ -150,14 +165,63 @@ def machine() -> str:
             f"{scipy.__version__}, OPENBLAS_NUM_THREADS=1")
 
 
+def paired(args) -> None:
+    """Hit-step medians of the base commit and of the working tree, from
+    alternating fresh-process runs of this script on each."""
+    cmd = ["--n-d", str(args.n_d), "--seed", str(args.seed),
+           "--repeat", str(args.repeat)]
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        unpack(args.base, base)
+        shutil.copy(__file__, base / "tools" / "step_cost.py")
+        trees = {"base": base, "change": ROOT}
+        runs = {side: [] for side in trees}
+        for i in range(args.pairs):
+            for side in (("base", "change") if i % 2 == 0
+                         else ("change", "base")):
+                tree = trees[side]
+                out = subprocess.run(
+                    [sys.executable, str(tree / "tools" / "step_cost.py"),
+                     *cmd], cwd=tree, check=True, capture_output=True,
+                    text=True).stdout
+                runs[side].append(
+                    json.loads(out.strip().splitlines()[-1])["variants"])
+    print(f"# {machine()}")
+    print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.pairs} pairs "
+          f"of {args.repeat} rollouts per side; base {args.base}; median "
+          "over the pairs of each run's median hit-step us")
+    print(f"{'variant':<18} {'base':>9} {'change':>9} {'faster':>7}")
+    rows = {}
+    for variant in ddpc.VARIANTS:
+        b, c = ([run[variant]["hit_step_us"] for run in runs[side]]
+                for side in trees)
+        row = rows[variant] = {
+            "base_hit_step_us": statistics.median(b),
+            "change_hit_step_us": statistics.median(c),
+            "faster_pairs": sum(y < x for x, y in zip(b, c))}
+        print(f"{variant:<18} {row['base_hit_step_us']:9.1f} "
+              f"{row['change_hit_step_us']:9.1f} "
+              f"{row['faster_pairs']:>3}/{args.pairs:<3}")
+    print(json.dumps({"machine": machine(), "base": args.base,
+                      "n_d": args.n_d, "seed": args.seed,
+                      "repeat": args.repeat, "pairs": args.pairs,
+                      "variants": rows}))
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--n-d", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--repeat", type=int, default=20)
+    ap.add_argument("--base", help="commit to pair the working tree with")
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating pairs of runs with --base")
     args = ap.parse_args()
-    if args.repeat < 1 or args.n_d < 1:
-        ap.error("--repeat and --n-d must be >= 1")
+    if args.repeat < 1 or args.n_d < 1 or args.pairs < 1:
+        ap.error("--repeat, --n-d and --pairs must be >= 1")
+    if args.base:
+        paired(args)
+        return
     cfg = ddpc.load_config(bench.bundled_config_path("table1"))
     # as perfbench's rollout_variants: gamma needs a penalty table1 does
     # not set, and projreg_g takes reg_gamma's
