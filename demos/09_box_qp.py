@@ -17,6 +17,11 @@ import numpy as np
 
 import ddpc
 
+# The KKT residual of a solved problem is round-off, which any change to
+# the order of the solver's arithmetic moves; the demo prints only whether
+# it is below this floor, so its output stays checkable across changes.
+KKT_FLOOR = 1e-12
+
 
 def kkt_residual(prob, sol):
     """Stationarity, feasibility, and complementarity of a candidate."""
@@ -43,7 +48,8 @@ def main():
     sol = ddpc.solve(prob)
     print(f"status: {sol.status.name} after {sol.iterations} iterations")
     print(f"objective: {sol.objective:.6f}")
-    print(f"KKT residual: {kkt_residual(prob, sol):.2e}")
+    print(f"KKT residual below {KKT_FLOOR:.0e}: "
+          f"{kkt_residual(prob, sol) < KKT_FLOOR}")
 
     active = np.sum((np.abs(prob.A @ sol.x - prob.lower) < 1e-7)
                     | (np.abs(prob.A @ sol.x - prob.upper) < 1e-7))

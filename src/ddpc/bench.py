@@ -106,11 +106,15 @@ def _one_of(*words: str):
     return parse
 
 
-def _list_of(parse, nonempty: bool = False):
+def _list_of(parse, nonempty: bool = False, distinct: bool = False):
     def parse_list(text: str) -> tuple:
         values = tuple(parse(tok) for tok in text.split())
         if nonempty and not values:
             raise ValueError("must list at least one value")
+        if distinct:
+            twice = [v for i, v in enumerate(values) if v in values[:i]]
+            if twice:
+                raise ValueError(f"lists {twice[0]!r} more than once")
         return values
     return parse_list
 
@@ -192,7 +196,7 @@ class ExperimentConfig:
                        "excitation")
     controllers: tuple[str, ...] = _key(
         "controllers", "list",
-        _list_of(_one_of(*VARIANT_TABLE), nonempty=True))
+        _list_of(_one_of(*VARIANT_TABLE), nonempty=True, distinct=True))
     controller_params: dict
     sweep_n_d: tuple[int, ...] = _key("sweep", "n_d", _list_of(_COUNT), "")
     sweep_sigma_e: tuple[float, ...] = _key("sweep", "sigma_e",
@@ -311,8 +315,9 @@ def load_config(path) -> ExperimentConfig:
             would otherwise drop the setting silently); controller
             parameters must name a known variant and one of ``mu``,
             ``lam`` or ``gamma3_zero``; ``[controllers] list`` names at
-            least one variant, ``[sweep] baseline`` one of them, and
-            ``[tune] controllers`` only variants with penalties.
+            least one variant and none twice, ``[sweep] baseline`` one
+            of them, and ``[tune] controllers`` only variants with
+            penalties.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     path = Path(path)

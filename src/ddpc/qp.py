@@ -11,69 +11,60 @@ with P symmetric positive semidefinite.  Equality rows are expressed as
 
 The solver is built for receding-horizon MPC, where ``P`` and ``A`` stay
 fixed while ``q`` and the bounds are affine in a parameter ``theta``
-ending in 1: the parametric form of explicit MPC (Bemporad, Morari, Dua
-and Pistikopoulos, Automatica 2002).  :class:`BoxQpSolver` is built with
-that ``data_map = (D, lower0, upper0)``, checks it once, and is then given
-``theta`` alone: one BLAS ``gemv`` ``D @ theta``, tested finite with the
-warm starts by one BLAS dot per array, forms ``q`` and the bound shift,
-the only rows of ``D``.  The one-shot :func:`solve` of a
-:class:`QpProblem` is the one-column map ``D = [q; 0]`` at ``theta = [1]``.
+ending in 1, the parametric form of explicit MPC (Bemporad, Morari, Dua
+and Pistikopoulos, Automatica 2002): :class:`BoxQpSolver` is built with
+``data_map = (D, lower0, upper0)`` and then given ``theta`` alone, and
+one BLAS ``gemv`` ``D @ theta`` forms ``q`` and the bound shift.  The
+one-shot :func:`solve` is the map ``D = [q; 0]`` at ``theta = [1]``.
 
 Before any iteration, a solve tries to certify the active set that the
-dual warm start ``y0`` points at, the warm-started active-set idea of
-qpOASES (Ferreau, Bock and Diehl, IJRNC 2008).  A set has one name, its
-side vector ``s`` in {-1, 0, +1}^k: ``np.sign(y0)`` clipped into the sides
-each row can be held at, so -1 holds a row at its lower bound, +1 at its
-upper one, and 0 nowhere; an equality row, held always, and an infinite
-bound can take no side.  The bytes of ``s`` key the cached LU and the
-record below.  The set's equality-constrained KKT system is solved with
-a regularized LU and iterative refinement, whose factor is cached for the
-last set.  The solution is accepted when no multiplier has ``s * y < 0``
+dual warm start ``y0`` points at, as qpOASES does (Ferreau, Bock and
+Diehl, IJRNC 2008).  A set's one name is its side vector ``s`` in {-1, 0,
++1}^k, ``np.sign(y0)`` clipped into the sides each row can be held at:
+-1 holds a row at its lower bound, +1 at its upper one, 0 nowhere; an
+equality row, held always, and an infinite bound take no side.  The set's
+KKT system is solved in the space of its rows, the range-space form of
+Goldfarb and Idnani (Math. Prog. 1983) used by DAQP (Arnstroem, Bemporad
+and Axehill, IEEE TAC 2022).  Every set holds the equality rows ``E``, so
+``P~ = P + A_E' A_E`` and ``c = -q + A_E' b_E`` keep its ``x`` and ``y``.
+The build factors ``P~`` once (``P~ + _POLISH_REG I`` where it is
+singular; a ``P`` that is not PSD raises ``ValueError``) into the row
+space ``H = P~^-1 A'``, ``M = A H`` and the maps of ``x_u = P~^-1 c`` and
+``t_u = A x_u - shift``.  A set ``S`` with constant bounds ``b0_S`` solves
+``M_SS y_S = t_u,S - b0_S`` by the cached Cholesky factor of ``M_SS +
+_POLISH_REG I``, refined ``_POLISH_REFINE`` (3) times, and ``x = x_u - H
+y``, refined against ``P~`` too where it is singular.  The answer is
+``SOLVED`` with ``iterations == 0`` when no multiplier has ``s * y < 0``
 and both residuals pass the ADMM stopping test, the primal one with the
-set's rows held at their bounds; it is then ``SOLVED`` with
-``iterations == 0``.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
-corrections set ``s`` to 0 where ``s * y < 0`` and to -1 or +1 on the
-free rows violated below or above by more than ``_EPS_ABS``, and if none
-is accepted ADMM runs, warm-started from ``x0``/``y0``.  The guess
-depends on ``y0`` alone, so a solve stays a pure function of its
-arguments, to round-off when a record answers it.  Once ADMM has solved
-the problem, the same step starts from the side vector of ADMM's own
-dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
-2020), and ADMM's iterate is kept unless it certifies a set.
-``QpSolution.iterations`` counts ADMM iterations only.  A problem without
-rows (``k == 0``) is the empty set's case; when it cannot be certified it
-is reported ``DUAL_INFEASIBLE``.
+set's rows held at their bounds.  Otherwise
+up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0 where ``s * y <
+0`` and to -1 or +1 on the free rows violated below or above by more
+than ``_EPS_ABS``, and if none is accepted ADMM runs, warm-started.  So a
+solve is a pure function of its arguments, to round-off when a record
+answers it.  Once ADMM has solved the problem, the same step starts from
+the side vector of ADMM's dual, in the place of OSQP's polish (Stellato
+et al., Math. Prog. Comp. 2020); ``QpSolution.iterations`` counts ADMM
+iterations only.  Without rows an uncertified problem is ``DUAL_INFEASIBLE``.
 
 ADMM is dense, with Ruiz equilibration, a per-row step parameter that is
 rescaled from the primal/dual residual ratio, and over-relaxation; as in
-OSQP, an iteration applies a Cholesky factor through LAPACK's ``potrs``
-and does nothing but its arithmetic.  ADMM is one call,
-:meth:`BoxQpSolver._admm`, which forms its scaling and its factors each
-time it runs and keeps none of them.  Everything is deterministic:
-identical inputs produce identical iterates.  No value of the solver is
-settable.  The module constants fix it: the tolerances ``_EPS_ABS`` and
-``_EPS_REL``, ADMM's iteration cap ``_MAX_ITER``, and ``_RHO``,
-``_SIGMA``, ``_ALPHA``, ``_CHECK_INTERVAL``, ``_EPS_INFEAS`` and
-``_SCALING_ITERS``; :class:`QpSettings` reads back the first three.
-Shapes and finiteness are checked at entry: ``P``, ``A`` and the data
-map when the solver is built, ``theta`` and the warm starts at each
-solve.  A residual that turns non-finite at a convergence check raises
-``ValueError``; it is never reported as a status.
+OSQP, an iteration applies a Cholesky factor through LAPACK's ``potrs``,
+and each run forms its scaling and factors anew.  Everything is
+deterministic, and no value is settable: module constants fix the
+tolerances ``_EPS_ABS`` and ``_EPS_REL``, the cap ``_MAX_ITER`` (which
+:class:`QpSettings` reads back) and the rest.  ``P``, ``A`` and the data
+map are checked when the solver is built, ``theta`` and the warm starts
+at each solve; a residual that turns non-finite raises ``ValueError``.
 
 The KKT solution of a fixed active set is affine in ``theta`` too: the
 critical regions of explicit MPC.  Once two solves in a row have
-certified a set, its record is built from its LU with the same
-refinements, and dropped with the LU.  The record holds one stacked map
-``G`` with ``G @ theta = [x; y; D @ theta]`` (zero multiplier rows off the
-set), the set's side vector, and the constant bounds with the set's rows
-closed onto their sides.  A later solve whose warm start has the same
-side vector takes its data from one ``gemv`` with ``G`` in place of
-``D``, which gives ``x`` and ``y`` with them.  Then one ``gemv`` gives
-``[A x; P x]``, one more adds ``A' y`` to ``P x + q``, and one reduction
-gives both residuals and the sign test.  The residuals are computed from
-``x``, ``y``, ``q`` and the bounds, never read off the map, and an LU
-answer is tested by the same code.  A rejected answer is retried through
-the set's LU, and the corrections go on from there.
+certified a set, its record is built from its factor and dropped with
+it: one map ``G`` with ``G @ theta = [x; y; D @ theta]``, the side
+vector, and the bounds with the set's rows closed onto their sides.  A
+solve whose warm start has that side vector takes ``x``, ``y`` and its
+data from one ``gemv`` with ``G``, then ``[A x; P x]`` and ``P x + q +
+A' y`` from two more and both residuals and the sign test from one
+reduction, as for a factored answer, which a rejected one is retried as.
 """
 
 from __future__ import annotations
@@ -171,8 +162,8 @@ class QpSettings:
 
     A step is ``SOLVED`` once both residuals are within ``eps_abs +
     eps_rel * scale``, the test that stops ADMM and accepts a certified
-    active set; ``max_iter`` caps ADMM alone.  The rest of the scheme is
-    fixed by the other module constants (module docstring).
+    active set; ``max_iter`` caps ADMM alone.  The rest of the scheme, and
+    what a solver caches, is fixed by the module constants (module docstring).
     """
 
     __slots__ = ()
@@ -209,11 +200,10 @@ _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 _CERTIFY_ROUNDS = 3
 
-# The float64 LAPACK routines behind cho_factor/cho_solve and
-# lu_factor/lu_solve, called directly so that the ADMM loop and the KKT
-# solves skip scipy's per-call input checks.
-_POTRF, _POTRS, _GETRF, _GETRS, _GETRI = get_lapack_funcs(
-    ("potrf", "potrs", "getrf", "getrs", "getri"), dtype=np.float64)
+# The float64 LAPACK routines behind cho_factor/cho_solve, called directly
+# so that the ADMM loop and the active-set solves skip scipy's per-call
+# input checks.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # BLAS gemv forms a data-mapped solve's data and dot tests it finite:
 # unlike matmul, they raise no floating-point warning, so an overflow is
 # reported by the finite test
@@ -261,33 +251,35 @@ class _SetRecord:
     """The cached answer of one active set."""
 
     sides: np.ndarray  # the set's side vector s, its one name (_sides)
-    key: bytes  # sides.tobytes(), as the LU is keyed
+    key: bytes  # sides.tobytes(), as the set factor is keyed
     G: np.ndarray  # G @ theta = [x; y; D @ theta], y zero off the set
     closed0: np.ndarray  # (lower0, upper0), each set row closed on its side
+
+
+@dataclass(slots=True)
+class _RowSpace:
+    """What the solve of an active set reads (module docstring)."""
+
+    H: np.ndarray  # P~^-1 A'
+    M: np.ndarray  # A H
+    XC: np.ndarray  # XC @ theta = [x_u; t_u], then c where P~ is singular
+    fallback: tuple | None  # (P~, factor of P~ + eps I) where P~ is singular
 
 
 class BoxQpSolver:
     """Active-set and ADMM solver bound to a fixed ``(P, A)`` pair and
     data map.
 
-    With ``data_map = (D, lower0, upper0)`` the data are affine in a
-    parameter ``theta`` whose last entry is 1: ``q = D[:n] @ theta`` and
-    the bounds are ``lower0 + D[n:] @ theta`` and ``upper0 + D[n:] @
-    theta``, so ``D`` has ``n + k`` rows.  The shapes are checked here:
-    ``P`` square, ``A`` with ``n`` columns, ``D`` with ``n + k`` rows.  So
-    is the map, once: ``D`` finite, ``lower0 <= upper0``, no ``+inf`` in
-    ``lower0`` and no ``-inf`` in ``upper0``.
-    Rounding is monotone, so a finite shift keeps every pair of bounds
-    ordered, and the rows with ``lower0 == upper0`` are the equality rows.
-    So the sides each row can be held at are fixed here too, and one side
-    vector names an active set (module docstring).  ``A`` and ``P`` are
-    kept as the two blocks of one stacked copy, so that ``[A x; P x]`` is
-    one product.  Between solves an instance keeps its active-set cache
-    and nothing else: the LU of the last set, at most one set record, and
-    the name of the set that the last solve certified.  A solve whose warm
-    start has the side vector of the record's set is answered by that
-    record, and :meth:`reset` drops all three.  ADMM keeps nothing: it
-    forms its scaling and factors each time it runs.
+    With ``data_map = (D, lower0, upper0)``, ``q = D[:n] @ theta`` and the
+    bounds are ``lower0`` and ``upper0`` plus ``D[n:] @ theta``.  The map
+    is checked once, here: ``D`` finite, ``lower0 <= upper0``, no ``+inf``
+    lower and no ``-inf`` upper bound; so a finite shift keeps the bounds
+    ordered, and the equality rows (``lower0 == upper0``) and the sides
+    each row can take are fixed.  Between solves an instance keeps its row
+    space (module docstring) and its active-set cache: the factor of the
+    last set, at most one set record, and the name of the set last
+    certified.  :meth:`reset` drops the cache and, once a miss has read
+    it, the row space, which the next miss forms again.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray, data_map: tuple):
@@ -320,6 +312,8 @@ class BoxQpSolver:
         self._bounds0 = np.array([lower0, upper0])
         self.data_map = (D, *self._bounds0)
         self._free = lower0 != upper0  # the rows that are no equality rows
+        self._set_key = self._rows = None
+        self._row_space()  # a P that is not PSD fails here
         # the sides each row can be held at: -1 below a finite lower bound,
         # +1 above a finite upper one; +0.0 (never -0.0, whose bytes differ)
         # where it can take no side, so that equal sets have equal bytes
@@ -341,12 +335,40 @@ class BoxQpSolver:
         self._scratch_groups = np.array([0, 2 * k + 1, 3 * k + 2])
         self.reset()
 
+    def _row_space(self) -> _RowSpace:
+        """The row space (module docstring), formed at the build and after
+        :meth:`reset`; ``ValueError`` where ``P`` is not PSD off ``E``."""
+        if self._rows is not None:
+            return self._rows
+        n, eq = self.n, ~self._free
+        A_E, D = self.A[eq], self.data_map[0]
+        Pt = self.P + A_E.T @ A_E
+        L, info = _POTRF(Pt, lower=False, overwrite_a=False, clean=False)
+        singular = info > 0
+        if singular:
+            L, info = _POTRF(Pt + _POLISH_REG * np.eye(n), lower=False,
+                             overwrite_a=True, clean=False)
+            if info > 0:
+                raise ValueError("P is not positive semidefinite where the "
+                                 "equality rows leave x free")
+        H = _POTRS(L, self._AT, lower=False)[0]
+        # the map of c = -q + A_E' b_E, where b_E is lower0 plus the shift
+        C = A_E.T @ D[n:][eq] - D[:n]
+        C[:, -1] += A_E.T @ self._bounds0[0][eq]
+        X = _POTRS(L, C, lower=False)[0]
+        XC = [X, self.A @ X - D[n:]] + ([C] if singular else [])  # c refines x
+        self._rows = _RowSpace(H, self.A @ H, np.asfortranarray(np.vstack(XC)),
+                               (Pt, L) if singular else None)
+        return self._rows
+
     def reset(self) -> None:
-        """Drop the cached LU and record; later solves form what they
-        need."""
-        self._kkt_key = None  # the side vector bytes whose factor _kkt holds
-        self._kkt = None
-        self._map = None  # the _SetRecord of the set _kkt_key
+        """Drop the cached set factor and record and, once a miss has read
+        it, the row space; later solves form what they need."""
+        if self._set_key is not None:  # a miss has read the row space
+            self._rows = None
+        self._set_key = None  # the side vector bytes of _set_factor's set
+        self._set_factor = None
+        self._map = None  # the _SetRecord of the set _set_key
         self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
@@ -431,11 +453,12 @@ class BoxQpSolver:
             answer = self._from_record(rec, d)
             if answer is not None:
                 return answer
-            # a rejected record answer is retried through the set's LU,
-            # and corrected from there
+            # a rejected record answer is retried through the set's
+            # factor, and corrected from there
             d = d[n + k:]
         q, shift = d[:n], d[n:]
-        certified = self._certify(q, shift, s)
+        xc = _GEMV(1.0, self._row_space().XC, theta)
+        certified = self._certify(q, shift, xc, s)
         if certified is not None:
             return certified
         if k == 0:
@@ -446,7 +469,7 @@ class BoxQpSolver:
         lo, hi = self._bounds0 + shift
         x, y, Ax, z, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, shift, self._sides(y))
+            refined = self._certify(q, shift, xc, self._sides(y))
             if refined is not None:
                 refined.iterations = iters
                 return refined
@@ -565,67 +588,61 @@ class BoxQpSolver:
                              "D @ theta overflows")
         return d
 
-    def _kkt_solve(self, act, key, rhs):
-        """Solve ``[[P, A_act'], [A_act, 0]] sol = rhs`` for the row set
-        ``act`` (``key``, the bytes of its side vector, names it), one
-        column or many.
-
-        The matrix is LU-factored with ``+-_POLISH_REG`` on its diagonal
-        blocks and the solution is refined ``_POLISH_REFINE`` times against
-        the unregularized system.  The factor of the last row set is kept,
-        so a set that repeats from one solve to the next costs back-solves
-        only; factoring another set drops the set's record.  Returns
-        ``sol``, or None on a singular pivot or a non-finite solution.
-        """
-        n = self.n
-        A_act = self.A[act]
-        if key != self._kkt_key:
-            a = act.shape[0]
-            K = np.zeros((n + a, n + a))
-            K[:n, :n] = self.P + _POLISH_REG * np.eye(n)
-            K[:n, n:] = A_act.T
-            K[n:, :n] = A_act
-            K[n:, n:] = -_POLISH_REG * np.eye(a)
-            # the arguments lu_factor/lu_solve pass; a singular pivot rejects
-            lu, piv, info = _GETRF(K, overwrite_a=True)
-            self._kkt_key = key
-            self._kkt = (lu, piv) if info == 0 else None
+    def _set_solve(self, act, key, shift, xc, one, closed):
+        """``(x, y)`` of the set with rows ``act`` (module docstring), ``y``
+        zero off the set, or None on a singular factor or a non-finite
+        solution.  ``shift``, ``xc`` and ``one`` are ``D[n:] @ theta``, ``XC
+        @ theta`` and 1, or for a record's maps ``D[n:]``, ``XC`` and the
+        unit vector of theta's trailing 1; ``closed`` holds the set rows'
+        bounds.  The factor of the last set, named by ``key``, is cached."""
+        rows = self._rows
+        if key != self._set_key:
+            M_SS = rows.M[np.ix_(act, act)]
+            F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size),
+                             lower=False, overwrite_a=True, clean=False)
+            self._set_key = key
+            self._set_factor = (F, M_SS) if info == 0 else None
             self._map = None
-        if self._kkt is None:
+        if self._set_factor is None:
             return None
-        lu, piv = self._kkt
-        if rhs.ndim == 1:
-            def apply(r):
-                return _GETRS(lu, piv, r, trans=0, overwrite_b=False)[0]
-        else:
-            # many columns: one product with the inverse formed from the LU
-            # costs a fraction of their back-solves
-            apply = _GETRI(lu, piv)[0].__matmul__
-        sol = apply(rhs)
+        F, M_SS = self._set_factor
+
+        def solve_rows(r):  # (M_SS + eps I)^-1 r; LAPACK takes no empty one
+            return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
+        n, nk = self.n, self.n + self.k
+        xu, b0 = xc[:n], np.multiply.outer(closed[act], one)
+        rhs = xc[n:nk][act] - b0
+        y_S = solve_rows(rhs)
         for _ in range(_POLISH_REFINE):
-            x, y_act = sol[:n], sol[n:]
-            res = np.concatenate([rhs[:n] - self.P @ x - A_act.T @ y_act,
-                                  rhs[n:] - A_act @ x])
-            sol = sol + apply(res)
-        if not np.isfinite(sol).all():
-            return None
-        return sol
+            y_S += solve_rows(rhs - M_SS @ y_S)
+        y = np.zeros((self.k, *rhs.shape[1:]))
+        y[act] = y_S
+        x = xu - rows.H @ y
+        if rows.fallback is not None:
+            # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals
+            Pt, L = rows.fallback
+            A_S, b = self.A[act], shift[act] + b0
+            for _ in range(_POLISH_REFINE):
+                w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
+                           lower=False)[0]
+                dy_S = solve_rows(A_S @ (x + w) - b)
+                y[act] += dy_S
+                x += w - rows.H[:, act] @ dy_S
+        finite = np.isfinite(x).all() and np.isfinite(y).all()
+        return (x, y) if finite else None
 
-    def _certify(self, q, shift, s):
-        """Try the active set of the side vector ``s`` (:meth:`_sides`).
-
-        ``s`` is the side vector of a dual point: the warm start before
-        ADMM, ADMM's own dual after ADMM has solved the step.  The bounds
-        are the data map's constant bounds plus ``shift``.  The set's KKT
-        solution comes from its LU, and :meth:`_accept` tests it.
-        Otherwise up to ``_CERTIFY_ROUNDS`` corrections set ``s`` to 0 on
-        the rows whose multipliers have ``s * y < 0`` and to -1 or +1 on
-        the free rows violated below or above.  When a solve certifies the
-        set that the previous solve certified, the set's record is built
-        for the next one.  Returns a ``SOLVED`` answer with zero
-        iterations, or None.
+    def _certify(self, q, shift, xc, s):
+        """Try the active set of the side vector ``s`` (:meth:`_sides`) of
+        a dual point: the warm start, or ADMM's dual once ADMM has solved
+        the step; ``xc`` is ``XC @ theta``.  The set's KKT solution comes
+        from :meth:`_set_solve`, and :meth:`_accept` tests it.  Otherwise
+        up to ``_CERTIFY_ROUNDS`` corrections set ``s`` to 0 on the rows
+        whose multipliers have ``s * y < 0`` and to -1 or +1 on the free
+        rows violated below or above.  When a solve certifies the set that
+        the previous solve certified, the set's record is built for the
+        next one.  Returns a ``SOLVED`` answer with zero iterations, or
+        None.
         """
-        n = self.n
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
         for _ in range(_CERTIFY_ROUNDS + 1):
@@ -633,12 +650,10 @@ class BoxQpSolver:
             key = s.tobytes()
             closed0 = np.array([np.where(s > 0.0, hi0, lo0),
                                 np.where(s < 0.0, lo0, hi0)])
-            b = (closed0[0] + shift)[act]
-            sol = self._kkt_solve(act, key, np.concatenate([-q, b]))
+            sol = self._set_solve(act, key, shift, xc, 1.0, closed0[0])
             if sol is None:
                 return None
-            x, y = sol[:n], np.zeros(self.k)
-            y[act] = sol[n:]
+            x, y = sol
             answer, t = self._accept(x, y, q, closed0, shift, s)
             if answer is not None:
                 if self._map is None and key == previous:
@@ -697,7 +712,7 @@ class BoxQpSolver:
         the set's ``x`` and ``y`` on the data ``D @ theta``.
 
         The sign and residual tests of :meth:`_accept` run on the answer
-        as on an LU answer.  Returns the answer, or None when they reject
+        as on a factored one.  Returns the answer, or None when they reject
         it.
         """
         n, nk = self.n, self.n + self.k
@@ -708,29 +723,13 @@ class BoxQpSolver:
         return answer
 
     def _record(self, act, s, closed0):
-        """The record of the set with side vector ``s`` and rows ``act``,
-        or None.
-
-        With ``data_map = (D, lower0, upper0)``, the set's KKT right-hand
-        side is ``[-D[:n]; D[n:][act]] @ theta`` plus its bounds'
-        constant parts ``closed0[0]`` in the column of theta's trailing 1.
-        Its columns are solved through the inverse formed from the set's
-        cached LU, and refined as a single solve is; the multiplier rows
-        are then spread to full length, and ``D`` is stacked below them.
-        """
-        D = self.data_map[0]
-        n, k = self.n, self.k
-        rhs = np.vstack([-D[:n], D[n:][act]])
-        rhs[n:, -1] += closed0[0][act]
-        key = s.tobytes()
-        sol = self._kkt_solve(act, key, rhs)
-        if sol is None:
-            return None
-        G = np.zeros((2 * (n + k), sol.shape[1]))
-        G[:n] = sol[:n]
-        G[n + act] = sol[n:]
-        G[n + k:] = D
-        return _SetRecord(sides=s, key=key, G=G, closed0=closed0)
+        """The record of the set with side vector ``s`` and rows ``act``:
+        its maps of ``x`` and ``y`` over ``D``, or None."""
+        D, key = self.data_map[0], s.tobytes()
+        sol = self._set_solve(act, key, D[self.n:], self._rows.XC,
+                              np.eye(D.shape[1])[-1], closed0[0])
+        return None if sol is None else _SetRecord(
+            sides=s, key=key, G=np.vstack([*sol, D]), closed0=closed0)
 
 
 def _objective(x, Px, q) -> float:

@@ -252,6 +252,8 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
      "[sweep] baseline"),
     ({"controllers": "list ="}, "[controllers] list"),
     ({"controllers": "list = spc mystery"}, "[controllers] list"),
+    ({"controllers": "list = causal_gamma reg_causal_gamma causal_gamma"},
+     "[controllers] list"),
     ({"tune": "controllers = reg_causal_gama"}, "[tune] controllers"),
     ({"tune": "controllers = reg_gamma causal_gamma"}, "[tune] controllers"),
 ], ids=["controller-param", "int-key", "float-key", "float-list", "matrix",
@@ -263,7 +265,7 @@ def test_unread_sections_and_keys_rejected(tmp_path, edits, culprit):
         "y-max-nan", "sigma-e-inf", "setpoint-levels-nan",
         "gamma3-zero-half", "gamma3-zero-nan", "setpoint-levels-empty",
         "baseline-not-listed", "controllers-list-empty",
-        "controllers-list-unknown",
+        "controllers-list-unknown", "controllers-list-repeated",
         "tune-controller-misspelled", "tune-controller-without-penalties"])
 def test_malformed_values_name_file_section_and_key(tmp_path, edits, where):
     path = _write_cfg(tmp_path, **edits)

@@ -14,9 +14,13 @@ Covers:
   * the active-set certification, tried from the warm start before ADMM
     and from ADMM's own dual after it: agreement of a certified warm
     start with ADMM followed by that step, corrections of a wrong warm
-    start, the fallback to ADMM, independence from the cached KKT factor,
+    start, the fallback to ADMM, independence from the cached set factor,
     and complementarity of every SOLVED point on degenerate problems at
     loose tolerances.
+  * a set's answer in the space of its rows, one column and a record's
+    map, against a dense solve of its KKT system: with equality rows,
+    with a singular ``P`` that they close, and with a singular ``P``
+    without them.
   * the data map: a set certified twice in a row is answered by its
     cached affine map in theta, equal to one-shot solves to round-off; a
     solve equals the one-shot solve of its data through a hit, a miss and
@@ -24,9 +28,9 @@ Covers:
     their set's record; an overflowing theta and invalid map bounds
     (non-finite, crossed) are rejected.
   * problem validation (non-finite data by name, symmetry, PSD, bound
-    ordering, shapes), solver shapes (``P``, ``A`` and ``D``) checked
-    when it is built, and non-finite solve data rejected by name before
-    any iteration.
+    ordering, shapes), solver shapes (``P``, ``A`` and ``D``) and an
+    indefinite ``P`` rejected when it is built, and non-finite solve data
+    rejected by name before any iteration.
 """
 
 from __future__ import annotations
@@ -471,12 +475,60 @@ def test_certified_solve_does_not_depend_on_the_cached_factor():
         used = _q_solver(prob)
         used.solve(_q(other_q))
         # the cached factor belongs to a set that this solve does not end on
-        assert used._kkt_key != fresh_solver._kkt_key
+        assert used._set_key != fresh_solver._set_key
         again = used.solve(_q(prob.q), y0=y0)
         assert fresh.x.tobytes() == again.x.tobytes()
         assert fresh.y.tobytes() == again.y.tobytes()
         assert fresh.iterations == again.iterations
         assert (fresh.iterations == 0) == (y0 is ref.y)
+
+
+@pytest.mark.parametrize("case", [
+    "equality-rows", "singular-p-closed-by-equality-rows",
+    "singular-p-without-equality-rows"])
+def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
+    """The set's ``x`` and ``y``, worked through ``M = A P~^-1 A'`` in the
+    space of its rows, one column and as a record's many, equal a dense
+    solve of the unregularized KKT system ``[[P, A_S'], [A_S, 0]]`` to
+    1e-12 of the solution's largest entry.
+
+    ``P`` is positive definite with 3 equality rows, singular with a
+    null space that the 3 equality rows close (as ``projreg_g``'s), or
+    singular without equality rows, where ``P~ = P`` fails its Cholesky
+    factor and the solver refines through ``P~ + eps I``."""
+    rng = seeded(201, len(case))
+    n, k, n_eq = 8, 10, 0 if case.endswith("without-equality-rows") else 3
+    F = rng.standard_normal((n, n if case == "equality-rows" else n - 3))
+    P = F @ F.T + (0.5 * np.eye(n) if case == "equality-rows" else 0.0)
+    A = rng.standard_normal((k, n))
+    lower0 = rng.standard_normal(k)
+    upper0 = lower0 + rng.uniform(0.1, 1.0, k)
+    upper0[:n_eq] = lower0[:n_eq]
+    D = rng.standard_normal((n + k, 4))
+    solver = BoxQpSolver(P, A, (D, lower0, upper0))
+    rows = solver._row_space()
+    assert (rows.fallback is None) == (n_eq > 0)
+    for trial in range(6):
+        theta = np.append(rng.standard_normal(3), 1.0)
+        s = np.zeros(k)
+        held = n_eq + rng.choice(k - n_eq, size=4, replace=False)
+        s[held] = rng.choice([-1.0, 1.0], size=4)
+        act = np.union1d(np.arange(n_eq), held)
+        q, shift = D[:n] @ theta, D[n:] @ theta
+        closed0 = np.array([np.where(s > 0, upper0, lower0),
+                            np.where(s < 0, lower0, upper0)])
+        kkt = np.block([[P, A[act].T], [A[act], np.zeros((act.size,) * 2)]])
+        ref = np.linalg.solve(kkt, np.concatenate(
+            [-q, (closed0[0] + shift)[act]]))
+        ref_x, ref_y = ref[:n], np.zeros(k)
+        ref_y[act] = ref[n:]
+        tol = 1e-12 * np.abs(ref).max()
+        one = solver._set_solve(act, s.tobytes(), shift, rows.XC @ theta,
+                                1.0, closed0[0])
+        rec = solver._record(act, s, closed0)
+        for x, y in (one, np.split(rec.G[:n + k] @ theta, [n])):
+            np.testing.assert_allclose(x, ref_x, rtol=0, atol=tol)
+            np.testing.assert_allclose(y, ref_y, rtol=0, atol=tol)
 
 
 def test_data_map_answers_a_repeated_set_by_one_product():
@@ -509,14 +561,14 @@ def test_data_map_answers_a_repeated_set_by_one_product():
     # the first warm-started solve certifies, the next one builds the map
     assert built_at == 2
 
-    def no_lu(*args):
-        raise AssertionError("a repeated set went through the LU")
+    def no_set_solve(*args):
+        raise AssertionError("a repeated set went through its factor")
 
-    mapped._kkt_solve = no_lu
+    mapped._set_solve = no_set_solve
     again = mapped.solve(theta, y0=y_mapped)
     assert again.status == QpStatus.SOLVED
     np.testing.assert_allclose(again.x, b.x, rtol=0, atol=1e-12)
-    del mapped._kkt_solve
+    del mapped._set_solve
     with pytest.raises(TypeError, match="data_map"):
         BoxQpSolver(prob.P, prob.A)
     with pytest.raises(DimensionMismatch, match="theta"):
@@ -532,7 +584,7 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
     and t = -5 at its upper one.  The row set is the same, but a map's
     constant column holds the bound of each row's side, so once a warm
     start points at the upper side, that side is cached as a set of its
-    own and then answers without the LU."""
+    own and then answers without its factor."""
     one = np.ones(1)
     solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
         np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
@@ -551,19 +603,19 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
     for _ in range(3):
         y = step(-5.0, y)
 
-    def no_lu(*args):
+    def no_set_solve(*args):
         raise AssertionError("the upper side's map was not used")
 
-    solver._kkt_solve = no_lu
+    solver._set_solve = no_set_solve
     step(-4.0, y)
 
 
-def test_a_record_answer_off_its_bounds_is_retried_through_the_lu():
+def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     """min 0.5 x^2 + 5 x on [-1, 1] holds x at -1 with y = -4.  A record
     whose map lost the bound's constant answers x = 0, y = -5: the dual
     residual passes and 0 lies inside the box, so only the primal test
     against the row held at its bound rejects it.  No row has a wrong sign
-    or is violated, so the same set is solved again through its LU."""
+    or is violated, so the same set is solved again through its factor."""
     one = np.ones(1)
     solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
         np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
@@ -667,7 +719,7 @@ def test_records_close_the_data_maps_own_bounds():
             np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
             y = a.y
         assert len(answered) - n_answered == 2
-        keys.append(mapped._kkt_key)
+        keys.append(mapped._set_key)
     assert keys[0] != keys[1]  # the second theta's set is a record of its own
     for rec in answered:
         assert rec.key == rec.sides.tobytes()
@@ -682,7 +734,7 @@ def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
     ``projreg_g``'s do) still names the record's set: the set that the
     first step reaches by a correction is the one the second step's warm
     start names, so the second step builds the record, and every later
-    step is answered by it without reaching the LU.
+    step is answered by it without reaching its factor.
 
     min 0.5 |x|^2 + q' x with ``x1 + x2 + x3 = 0`` and ``x1 - x2 = 0`` as
     equality rows, ``x3 <= 1``, held at ``q3 = -5``, and the one-sided rows
@@ -712,10 +764,10 @@ def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
         if step == 2:  # the record is built: no step after it factors
             assert solver._map is not None
 
-            def no_lu(*args):
-                raise AssertionError("a repeated set went through the LU")
+            def no_set_solve(*args):
+                raise AssertionError("a repeated set went through its factor")
 
-            solver._kkt_solve = no_lu
+            solver._set_solve = no_set_solve
         theta = np.array([t, 1.0])
         sol = solver.solve(theta, y0=y)
         ref = solve(QpProblem(P=np.eye(3), q=D[:3] @ theta, A=A,
@@ -855,20 +907,21 @@ def _forbid_lapack(monkeypatch):
 def test_non_finite_inputs_raise_before_iterating(monkeypatch):
     rng = seeded(91)
     prob = _random_box_qp(rng, n=6, k=8)
-    _forbid_lapack(monkeypatch)
+    # building a solver factors P, so the solvers are built first
     solver = _q_solver(prob)
+    free = _q_solver(_rowless(prob))
+    _forbid_lapack(monkeypatch)
     for name, args in _non_finite_cases(prob):
         with pytest.raises(ValueError):
             solver.solve(**args)
     # the unconstrained path takes q alone
-    free = _q_solver(_rowless(prob))
     with pytest.raises(ValueError):
         free.solve(_q(np.full(prob.n, np.nan)))
     for name in ("P", "A"):
         bad = {"P": prob.P.copy(), "A": prob.A.copy()}
         bad[name][0, 0] = np.nan
         with pytest.raises(ValueError):
-            BoxQpSolver(bad["P"], bad["A"], _q_solver(prob).data_map)
+            BoxQpSolver(bad["P"], bad["A"], solver.data_map)
 
 
 def test_overflowing_iterates_raise_instead_of_a_status():
@@ -912,6 +965,15 @@ def test_problem_rejects_non_finite_data_by_name(field, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{field} has "):
             QpProblem(**data)
+
+
+def test_solver_rejects_an_indefinite_p_at_build():
+    """min 0.5 (x1^2 - x2^2) on [-1, 1]^2 has its minimizers at x2 = +-1;
+    a solver that took this ``P`` would answer the saddle point x = 0."""
+    one = np.ones(2)
+    with pytest.raises(ValueError, match="^P is not positive semidefinite"):
+        BoxQpSolver(np.diag([1.0, -1.0]), np.eye(2),
+                    (np.zeros((4, 1)), -one, one))
 
 
 def test_rejects_asymmetric_p():

@@ -36,7 +36,10 @@ the open-loop records are compared through a sha256 digest.  With
 ``--rtol r``, both report raw values, and numbers may differ by a
 relative ``r``: a numeric CSV column, a ``u_f``/``y_f`` record, an
 open-loop output record or a J is within ``r`` when
-``max|a - b| <= r * max(|a|, |b|)`` over it.  Exit codes, statuses and
+``max|a - b| <= r * max(|a|, |b|)`` over it; a CSV that differs beyond
+``r`` also names each row beyond it (by its controller, grid point and
+seed, or by its step) with that row's worst deviation against its
+columns' scale.  Exit codes, statuses and
 every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
 (``primal_res``, ``dual_res``) are reported before -> after without
@@ -75,6 +78,9 @@ BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
 DIGEST_SEEDS = 3
 COLLECT_N_D = 5000
 UNGATED_COLUMNS = ("qp_iters",)
+# the columns that name a CSV row where it deviates beyond --rtol: a
+# record's controller, grid point and seed, a per-step log's step
+ROW_KEYS = ("controller", "N_d", "sigma_e", "eps", "seed", "t")
 # the final statuses that the ADMM traffic line always names
 ADMM_STATUSES = ("solved", "max_iter", "primal_infeasible")
 
@@ -259,32 +265,50 @@ def line_total(tree: Path) -> int:
 # -- comparison within a relative tolerance ---------------------------------
 
 
+def rel_devs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per entry, ``|a - b| / max(|a|, |b|)`` with the maximum over all
+    finite entries; 0 where the entries are equal, inf where a differing
+    entry is not finite."""
+    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+    devs = np.where(differ, math.inf, 0.0)
+    finite = np.isfinite(a) & np.isfinite(b)
+    both = differ & finite
+    if both.any():
+        scale = max(np.abs(a[finite]).max(), np.abs(b[finite]).max())
+        devs[both] = np.abs(a[both] - b[both]) / scale
+    return devs
+
+
 def rel_dev(a, b) -> float:
     """``max|a - b| / max(|a|, |b|)``; non-finite entries must be equal."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         return math.inf
-    differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
-    if not differ.any():
-        return 0.0
-    if not (np.isfinite(a[differ]).all() and np.isfinite(b[differ]).all()):
-        return math.inf
-    finite = np.isfinite(a) & np.isfinite(b)
-    scale = max(np.abs(a[finite]).max(), np.abs(b[finite]).max())
-    return float(np.abs(a[differ] - b[differ]).max() / scale)
+    return float(rel_devs(a, b).max(initial=0.0))
 
 
 class Tally:
-    """Worst deviation, text mismatches and ungated figures of one artifact."""
+    """Worst deviation, text mismatches and ungated figures of one
+    artifact, and the worst deviation of each named row."""
 
     def __init__(self):
         self.worst = 0.0
         self.mismatch: list[str] = []
         self.notes: list[str] = []
+        self.rows: dict[str, float] = {}
 
-    def numbers(self, a, b) -> None:
-        self.worst = max(self.worst, rel_dev(a, b))
+    def numbers(self, a, b, rows=None) -> None:
+        """Fold in the deviation of ``b`` from ``a``; with ``rows``, one
+        name per entry, also each row's."""
+        if rows is None:
+            self.worst = max(self.worst, rel_dev(a, b))
+            return
+        devs = rel_devs(np.asarray(a, dtype=float),
+                        np.asarray(b, dtype=float))
+        self.worst = max(self.worst, float(devs.max(initial=0.0)))
+        for row, dev in zip(rows, devs.tolist()):
+            self.rows[row] = max(self.rows.get(row, 0.0), dev)
 
     def exact(self, what: str, a, b) -> None:
         if a != b:
@@ -297,6 +321,10 @@ class Tally:
                     f"{notes})", False)
         ok = self.worst <= rtol
         word = "within rtol" if ok else "DIFFERS beyond rtol"
+        beyond = [f"{row} (rel {dev:.1e})"
+                  for row, dev in self.rows.items() if dev > rtol]
+        if beyond:
+            notes += f"; rows beyond rtol: {'; '.join(beyond)}"
         return f"{word} (worst rel {self.worst:.2e}{notes})", ok
 
 
@@ -314,7 +342,11 @@ def _compare_csv(a: bytes, b: bytes, tally: Tally) -> None:
     tally.exact("row count", len(rows_a), len(rows_b))
     if tally.mismatch:
         return
-    for j, name in enumerate(rows_a[0]):
+    header = rows_a[0]
+    keys = [j for j, name in enumerate(header) if name in ROW_KEYS]
+    names = [" ".join(f"{header[j]}={r[j]}" for j in keys) or f"row {i}"
+             for i, r in enumerate(rows_a[1:], start=1)]
+    for j, name in enumerate(header):
         col_a = [r[j] for r in rows_a[1:]]
         col_b = [r[j] for r in rows_b[1:]]
         num_a, num_b = _floats(col_a), _floats(col_b)
@@ -324,7 +356,7 @@ def _compare_csv(a: bytes, b: bytes, tally: Tally) -> None:
         elif num_a is None or num_b is None:
             tally.exact(name, col_a, col_b)
         else:
-            tally.numbers(num_a, num_b)
+            tally.numbers(num_a, num_b, rows=names)
 
 
 _TOKEN = re.compile(r"(\s+|=)")

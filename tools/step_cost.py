@@ -24,10 +24,11 @@ With ``--base <commit>``, the commit is unpacked with ``git archive``
 (``tools/bench_pair.py``'s ``unpack``) and this script, copied into it,
 runs in fresh processes on it and on the working tree in ``--pairs``
 alternating pairs, the side that goes first alternating from pair to
-pair.  One run's hit-step median is noisy, but both sides of a pair run
-back to back.  The table gives, per variant, the median over the pairs
-of each side's hit-step median, and the number of pairs in which the
-working tree's was lower; its last line is the same as JSON.
+pair.  One run's step medians are noisy, but both sides of a pair run
+back to back.  The table gives, per variant and for hit and miss steps
+alike, the median over the pairs of each side's step median, and the
+number of pairs in which the working tree's was lower; its last line is
+the same as JSON.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ def machine() -> str:
 
 
 def paired(args) -> None:
-    """Hit-step medians of the base commit and of the working tree, from
-    alternating fresh-process runs of this script on each."""
+    """Hit-step and miss-step medians of the base commit and of the
+    working tree, from alternating fresh-process runs of this script on
+    each."""
     cmd = ["--n-d", str(args.n_d), "--seed", str(args.seed),
            "--repeat", str(args.repeat)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -189,19 +191,31 @@ def paired(args) -> None:
     print(f"# {machine()}")
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.pairs} pairs "
           f"of {args.repeat} rollouts per side; base {args.base}; median "
-          "over the pairs of each run's median hit-step us")
-    print(f"{'variant':<18} {'base':>9} {'change':>9} {'faster':>7}")
+          "over the pairs of each run's median hit-step and miss-step us")
+    print(f"{'':<18} {'hit step':^27} {'miss step':^27}")
+    print(f"{'variant':<18}" + f" {'base':>9} {'change':>9} {'faster':>7}"
+          * 2)
     rows = {}
     for variant in ddpc.VARIANTS:
-        b, c = ([run[variant]["hit_step_us"] for run in runs[side]]
-                for side in trees)
-        row = rows[variant] = {
-            "base_hit_step_us": statistics.median(b),
-            "change_hit_step_us": statistics.median(c),
-            "faster_pairs": sum(y < x for x, y in zip(b, c))}
-        print(f"{variant:<18} {row['base_hit_step_us']:9.1f} "
-              f"{row['change_hit_step_us']:9.1f} "
-              f"{row['faster_pairs']:>3}/{args.pairs:<3}")
+        row = rows[variant] = {}
+        cells = []
+        for kind in ("hit", "miss"):
+            name = f"{kind}_step_us"
+            b, c = ([run[variant][name] for run in runs[side]]
+                    for side in trees)
+            if None in b or None in c:  # a side with no step of the kind
+                row.update({f"base_{name}": None, f"change_{name}": None,
+                            f"{kind}_faster_pairs": None})
+                cells.append(f" {'-':>9} {'-':>9} {'-':>7}")
+                continue
+            row.update({f"base_{name}": statistics.median(b),
+                        f"change_{name}": statistics.median(c),
+                        f"{kind}_faster_pairs": sum(
+                            y < x for x, y in zip(b, c))})
+            cells.append(f" {row[f'base_{name}']:9.1f} "
+                         f"{row[f'change_{name}']:9.1f} "
+                         f"{row[f'{kind}_faster_pairs']:>3}/{args.pairs:<3}")
+        print(f"{variant:<18}" + "".join(cells))
     print(json.dumps({"machine": machine(), "base": args.base,
                       "n_d": args.n_d, "seed": args.seed,
                       "repeat": args.repeat, "pairs": args.pairs,
