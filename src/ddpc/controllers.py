@@ -337,8 +337,8 @@ class _CondensedController:
         bounds0 = np.hstack([np.zeros((2, n_e)), spec.boxes.u_tiled(self.L_f),
                              spec.boxes.y_tiled(self.L_f)])
         self.solver = BoxQpSolver(P, A, (D, *bounds0))
-        # P, A and the maps are read back from the solver, which stacks A
-        # and P, so that a controller holds each once
+        # P, A and the maps are read back from the solver, which copies
+        # them, so that a controller holds each once
         self.P, self.A = self.solver.P, self.solver.A
         self.Fu, self.Fy = self.A[n_e:n_e + n_u], self.A[n_e + n_u:]
         self._plans = slice(n_e, k)
@@ -375,9 +375,9 @@ class _CondensedController:
         Its data come from the solver's checked product, so input that
         :meth:`step` rejects raises the same error here."""
         theta = self._theta(z_p, r_f)
-        D, lower0, upper0 = self.solver.data_map
+        _, lower0, upper0 = self.solver.data_map
         try:
-            d = self.solver._checked(D.T, theta)
+            d = self.solver._data(theta)
         except ValueError:
             self._name_non_finite(theta)
             raise
@@ -399,7 +399,9 @@ class _CondensedController:
             self._name_non_finite(theta)
             raise
         self._warm_x, self._warm_y = a.x, a.y
-        plan = a.t[self._plans]
+        # a copy: a view would keep the solver's whole answer alive in
+        # every StepResult
+        plan = a.t[self._plans].copy()
         n_u = self._n_u
         return StepResult(u_f=plan[:n_u], y_f=plan[n_u:],
                           u_applied=plan[:self.m],

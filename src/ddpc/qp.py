@@ -29,14 +29,16 @@ and Axehill, IEEE TAC 2022).  Every set holds the equality rows ``E``, so
 ``P~ = P + A_E' A_E`` and ``c = -q + A_E' b_E`` keep its ``x`` and ``y``.
 The build factors ``P~`` once (``P~ + _POLISH_REG I`` where it is
 singular; a ``P`` that is not PSD raises ``ValueError``) into the row
-space ``H = P~^-1 A'``, ``M = A H`` and the maps of ``x_u = P~^-1 c`` and
-``t_u = A x_u - shift``.  A set ``S`` with constant bounds ``b0_S`` solves
-``M_SS y_S = t_u,S - b0_S`` by the cached Cholesky factor of ``M_SS +
-_POLISH_REG I``, refined ``_POLISH_REFINE`` (3) times, and ``x = x_u - H
-y``, refined against ``P~`` too where it is singular.  The answer is
-``SOLVED`` with ``iterations == 0`` when no multiplier has ``s * y < 0``
-and both residuals pass the ADMM stopping test, the primal one with the
-set's rows held at their bounds.  Otherwise
+space ``H = P~^-1 A'``, ``M = A H`` and the maps ``X`` and ``T`` of
+``x_u = P~^-1 c`` and ``t_u = A x_u - shift``.  A set ``S`` with
+constant bounds ``b0_S`` solves ``M_SS y_S = t_u,S - b0_S`` by the cached
+Cholesky factor of ``M_SS + _POLISH_REG I``, refined ``_POLISH_REFINE``
+(3) times, and ``x = x_u - H y``, refined against ``P~`` too where it is
+singular; ``t = A x - shift`` and the stationarity residual ``r = P x +
+q + A' y`` follow from ``x`` and ``y``.  The answer is ``SOLVED`` with
+``iterations == 0`` when no multiplier has ``s * y < 0`` and both
+residuals pass the ADMM stopping test, the primal one with the set's
+rows held at their bounds.  Otherwise
 up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0 where ``s * y <
 0`` and to -1 or +1 on the free rows violated below or above by more
 than ``_EPS_ABS``, and if none is accepted ADMM runs, warm-started.  So a
@@ -59,12 +61,24 @@ at each solve; a residual that turns non-finite raises ``ValueError``.
 The KKT solution of a fixed active set is affine in ``theta`` too: the
 critical regions of explicit MPC.  Once two solves in a row have
 certified a set, its record is built from its factor and dropped with
-it: one map ``G`` with ``G @ theta = [x; y; D @ theta]``, the side
-vector, and the bounds with the set's rows closed onto their sides.  A
-solve whose warm start has that side vector takes ``x``, ``y`` and its
-data from one ``gemv`` with ``G``, then ``[A x; P x]`` and ``P x + q +
-A' y`` from two more and both residuals and the sign test from one
-reduction, as for a factored answer, which a rejected one is retried as.
+it: the side vector and one map ``G`` with ``G @ theta = [x; y; 0; t;
+0; r]``.  The set solve forms its rows, one column per entry of
+``theta``: the inverse of the set's factor gives the map ``Y_S`` of
+``y_S``, and one product with the set's columns of ``[H; M; P H - A']``,
+kept with the row space with the map ``P X + D_q`` of ``P x_u + q``,
+gives ``X - H_S Y_S``, ``T - M_S Y_S`` and ``(P X + D_q) - (P H - A')_S
+Y_S``; where ``P~`` is singular, the refined rows of ``x`` and ``y`` give
+``t`` and ``r`` directly.  So the stationarity and bound rows are fixed
+when the record is built, and checked at every hit.  A solve whose warm
+start has that side vector takes them all from one ``gemv`` with ``G``,
+tests them finite with ``theta`` and the warm starts by one BLAS dot
+each, and accepts them by one reduction: the gaps of ``t`` outside the
+bounds with the set's rows closed onto their sides (the primal
+residual), the wrong signs ``-s * y`` and ``|r|`` (the dual one), each
+within ``eps_abs``.  A factored answer is tested the same way, with the
+scaled test of ADMM beyond ``eps_abs``; a record answer beyond it is
+retried through the set's factor.  No step forms the objective:
+:func:`solve` forms it from its answer.
 """
 
 from __future__ import annotations
@@ -174,6 +188,11 @@ class QpSettings:
 
 @dataclass
 class QpSolution:
+    """A solve's answer.  ``objective`` is ``0.5 x' P x + q' x`` at ``x``
+    (``-inf`` when ``DUAL_INFEASIBLE``) from the one-shot :func:`solve`;
+    :meth:`BoxQpSolver.solve` forms no objective, and its answers hold
+    NaN there."""
+
     x: np.ndarray
     y: np.ndarray
     status: QpStatus
@@ -200,14 +219,20 @@ _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 _CERTIFY_ROUNDS = 3
 
-# The float64 LAPACK routines behind cho_factor/cho_solve, called directly
-# so that the ADMM loop and the active-set solves skip scipy's per-call
-# input checks.
-_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+try:  # the clip ufunc, which np.clip reaches through Python dispatch
+    from numpy._core.umath import clip as _CLIP
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _CLIP
+# The float64 LAPACK routines behind cho_factor/cho_solve, and potri, which
+# inverts a set's factor for a record, called directly so that the ADMM loop
+# and the active-set solves skip scipy's per-call input checks.
+_POTRF, _POTRS, _POTRI = get_lapack_funcs(("potrf", "potrs", "potri"),
+                                          dtype=np.float64)
 # BLAS gemv forms a data-mapped solve's data and dot tests it finite:
 # unlike matmul, they raise no floating-point warning, so an overflow is
-# reported by the finite test
-_GEMV, _DOT = get_blas_funcs(("gemv", "dot"), dtype=np.float64)
+# reported by the finite test; symm applies potri's upper triangle
+_GEMV, _DOT, _SYMM = get_blas_funcs(("gemv", "dot", "symm"),
+                                    dtype=np.float64)
 
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
@@ -248,22 +273,30 @@ class _Answer(QpSolution):
 
 @dataclass(slots=True)
 class _SetRecord:
-    """The cached answer of one active set."""
+    """The cached answer of one active set: its critical region."""
 
     sides: np.ndarray  # the set's side vector s, its one name (_sides)
     key: bytes  # sides.tobytes(), as the set factor is keyed
-    G: np.ndarray  # G @ theta = [x; y; D @ theta], y zero off the set
-    closed0: np.ndarray  # (lower0, upper0), each set row closed on its side
+    # G @ theta = [x; y; 0; t; 0; r] (_set_solve), y zero off the set;
+    # its rows of t and r are fixed here, and checked at every hit
+    G: np.ndarray
+    box: np.ndarray  # the bounds of G @ theta past x (_box)
 
 
 @dataclass(slots=True)
 class _RowSpace:
     """What the solve of an active set reads (module docstring)."""
 
-    H: np.ndarray  # P~^-1 A'
-    M: np.ndarray  # A H
+    # [H; M] with H = P~^-1 A' and M = A H, then P H - A' where P~ is not
+    # singular
+    W: np.ndarray
     XC: np.ndarray  # XC @ theta = [x_u; t_u], then c where P~ is singular
+    R: np.ndarray | None  # R @ theta = P x_u + q where P~ is not singular
     fallback: tuple | None  # (P~, factor of P~ + eps I) where P~ is singular
+    boxes: tuple  # _box's boxes of a row off the set, held below, held above
+    # scratch of [y; 0; t; 0; r]: how far it lies below and above its box
+    # (_accept), and its side vector (_box)
+    scratch: np.ndarray
 
 
 class BoxQpSolver:
@@ -324,15 +357,10 @@ class BoxQpSolver:
         # where each group of _residuals' rows starts in their concatenation
         self._groups = np.array([0, k, 2 * k, 3 * k, 3 * k + n,
                                  3 * k + 2 * n, 3 * k + 3 * n])
-        # _accept's scratch: the primal gaps (2k), a 0, the wrong-sign
-        # products (k), a 0, and the dual residual (n); the zeros end the
-        # first two groups, so that their maxima are at least 0 and are
-        # defined for k == 0
-        self._scratch = np.zeros(3 * k + 2 + n)
-        self._gaps = self._scratch[:2 * k].reshape(2, k)
-        self._wrong = self._scratch[2 * k + 1:3 * k + 1]
-        self._dual = self._scratch[3 * k + 2:]
-        self._scratch_groups = np.array([0, 2 * k + 1, 3 * k + 2])
+        # where the groups y, t and r of [y; 0; t; 0; r] start (_accept);
+        # the zeros end the first two groups, so that their maxima are at
+        # least 0 and are defined for k == 0
+        self._box_groups = np.array([0, k + 1, 2 * k + 2])
         self.reset()
 
     def _row_space(self) -> _RowSpace:
@@ -357,8 +385,25 @@ class BoxQpSolver:
         C[:, -1] += A_E.T @ self._bounds0[0][eq]
         X = _POTRS(L, C, lower=False)[0]
         XC = [X, self.A @ X - D[n:]] + ([C] if singular else [])  # c refines x
-        self._rows = _RowSpace(H, self.A @ H, np.asfortranarray(np.vstack(XC)),
-                               (Pt, L) if singular else None)
+        k, (lower0, upper0) = self.k, self._bounds0
+        # [H; M], then a record's rows of the stationarity residual, and R,
+        # formed in H's and X's order
+        W = np.empty((n + k if singular else 2 * n + k, k), order="F")
+        W[:n], W[n:n + k], R = H, self.A @ H, None
+        if not singular:
+            np.subtract((H.T @ self.P).T, self._AT, out=W[n + k:])
+            R = (X.T @ self.P).T
+            R += D[:n]
+        off = np.zeros((2, 2 * k + 2 + n))
+        off[:, :k] = [[-np.inf], [np.inf]]
+        off[:, k + 1:2 * k + 1] = self._bounds0
+        below, above = off.copy(), off.copy()
+        below[1, :k], below[1, k + 1:2 * k + 1] = 0.0, lower0
+        above[0, :k], above[0, k + 1:2 * k + 1] = 0.0, upper0
+        self._rows = _RowSpace(
+            W, np.asfortranarray(np.vstack(XC)), R,
+            (Pt, L) if singular else None, (off, below, above),
+            np.zeros((3, 2 * k + 2 + n)))
         return self._rows
 
     def reset(self) -> None:
@@ -377,10 +422,9 @@ class BoxQpSolver:
         """The stopping test of ADMM, and of an active-set answer whose
         residuals exceed ``eps_abs``.
 
-        Returns ``(r_prim, r_dual, scale_p, scale_d, ok, Px)``: the
-        residuals ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their
-        scales, whether both are within ``eps_abs + eps_rel * scale``, and
-        ``P x`` for the objective.
+        Returns ``(r_prim, r_dual, scale_p, scale_d, ok)``: the residuals
+        ``|Ax - z|`` and ``|Px + q + A'y|`` (max norms), their scales, and
+        whether both are within ``eps_abs + eps_rel * scale``.
         """
         Px = self.P @ x
         Aty = self.A.T @ y
@@ -393,7 +437,7 @@ class BoxQpSolver:
         scale_p, scale_d = max(ax_norm, z_norm), max(scales_d)
         ok = (r_prim <= _EPS_ABS + _EPS_REL * scale_p
               and r_dual <= _EPS_ABS + _EPS_REL * scale_d)
-        return r_prim, r_dual, scale_p, scale_d, ok, Px
+        return r_prim, r_dual, scale_p, scale_d, ok
 
     def _sides(self, y):
         """The side vector of the set that the dual point ``y`` holds:
@@ -404,8 +448,7 @@ class BoxQpSolver:
         if y is None:
             return np.zeros(self.k)
         s = np.sign(y)  # +0.0 at a zero of either sign
-        lo, hi = self._side_range
-        return np.minimum(np.maximum(s, lo, out=s), hi, out=s)
+        return _CLIP(s, *self._side_range, out=s)
 
     # -- main entry --------------------------------------------------------
 
@@ -422,8 +465,9 @@ class BoxQpSolver:
                 record of that set answers by one product with its map.
 
         Returns:
-            A :class:`QpSolution`; it also carries ``t``, ``A x`` less the
-            bound shift, which a receding-horizon step reads its plans from.
+            A :class:`QpSolution` whose ``objective`` is NaN; it also
+            carries ``t``, ``A x`` less the bound shift, which a
+            receding-horizon step reads its plans from.
 
         Raises:
             DimensionMismatch: On a ``theta``, ``x0`` or ``y0`` whose
@@ -446,36 +490,34 @@ class BoxQpSolver:
                 "theta length mismatch with the solver's data_map")
         s = self._sides(y0)
         rec = self._map
-        if rec is not None and s.tobytes() != rec.key:
-            rec = None
-        d = self._checked(self._DT if rec is None else rec.G.T, theta, x0, y0)
-        if rec is not None:
-            answer = self._from_record(rec, d)
+        if rec is not None and s.tobytes() == rec.key:
+            answer = self._from_record(rec, self._checked(
+                _GEMV(1.0, rec.G, theta), theta, x0, y0))
             if answer is not None:
                 return answer
             # a rejected record answer is retried through the set's
             # factor, and corrected from there
-            d = d[n + k:]
-        q, shift = d[:n], d[n:]
+        data = self._data(theta, x0, y0)
+        q, shift = data[:n], data[n:]
         xc = _GEMV(1.0, self._row_space().XC, theta)
-        certified = self._certify(q, shift, xc, s)
+        certified = self._certify(data, xc, s)
         if certified is not None:
             return certified
         if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
             return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
-                           0, 0.0, math.inf, -math.inf, np.zeros(0))
+                           0, 0.0, math.inf, math.nan, np.zeros(0))
 
         lo, hi = self._bounds0 + shift
         x, y, Ax, z, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
-            refined = self._certify(q, shift, xc, self._sides(y))
+            refined = self._certify(data, xc, self._sides(y))
             if refined is not None:
                 refined.iterations = iters
                 return refined
-        r_prim, r_dual, *_, Px = self._residuals(q, x, y, Ax, z)
-        return _Answer(x, y, status, iters, r_prim, r_dual,
-                       _objective(x, Px, q), self.A @ x - shift)
+        r_prim, r_dual, *_ = self._residuals(q, x, y, Ax, z)
+        return _Answer(x, y, status, iters, r_prim, r_dual, math.nan,
+                       self.A @ x - shift)
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
@@ -536,7 +578,7 @@ class BoxQpSolver:
             ys_new = rho_vec * (z_cand - zs_new)
 
             if it % check_interval == 0 or it == max_iter:
-                r_prim, r_dual, scale_p, scale_d, ok, _ = self._residuals(
+                r_prim, r_dual, scale_p, scale_d, ok = self._residuals(
                     q, *unscaled(xs_new, zs_new, ys_new))
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     raise ValueError(
@@ -563,18 +605,24 @@ class BoxQpSolver:
             xs, zs, ys = xs_new, zs_new, ys_new
         return (*unscaled(xs, zs, ys), status, max_iter)
 
-    def _checked(self, GT, theta, x0=None, y0=None):
-        """``GT.T @ theta`` by BLAS ``gemv``, tested finite with the warm
-        starts: the one test of a solve's inputs.
+    def _data(self, theta, x0=None, y0=None):
+        """``D @ theta``, tested by :meth:`_checked`."""
+        return self._checked(_GEMV(1.0, self._DT, theta, trans=1), theta, x0,
+                             y0)
+
+    def _checked(self, d, theta, x0=None, y0=None):
+        """``d``, a map's product with ``theta`` by BLAS ``gemv``, tested
+        finite with ``theta`` and the warm starts: the one test of a
+        solve's inputs.
 
         ``gemv`` raises no floating-point warning, so an overflow reaches
-        the test.  A sum of squares is finite when every entry is, so one
-        BLAS dot per array tests them all; a sum that overflows from finite
-        entries sends the arrays to the entry-wise test, which names the
-        first non-finite one.
+        the test, and ``theta`` is tested itself, so an entry whose column
+        of the map is zero is tested too.  A sum of squares is finite when
+        every entry is, so one BLAS dot per array tests them all; a sum
+        that overflows from finite entries sends the arrays to the
+        entry-wise test, which names the first non-finite one.
         """
-        d = _GEMV(1.0, GT, theta, trans=1)
-        total = _DOT(d, d)
+        total = _DOT(d, d) + _DOT(theta, theta)
         for v in (x0, y0):
             if v is not None and v.size:  # BLAS takes no empty vector
                 total += _DOT(v, v)
@@ -588,16 +636,19 @@ class BoxQpSolver:
                              "D @ theta overflows")
         return d
 
-    def _set_solve(self, act, key, shift, xc, one, closed):
-        """``(x, y)`` of the set with rows ``act`` (module docstring), ``y``
-        zero off the set, or None on a singular factor or a non-finite
-        solution.  ``shift``, ``xc`` and ``one`` are ``D[n:] @ theta``, ``XC
-        @ theta`` and 1, or for a record's maps ``D[n:]``, ``XC`` and the
-        unit vector of theta's trailing 1; ``closed`` holds the set rows'
-        bounds.  The factor of the last set, named by ``key``, is cached."""
-        rows = self._rows
+    def _set_solve(self, act, key, data, xc, one, closed):
+        """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` (module
+        docstring), ``y`` zero off the set, or None on a singular factor
+        or a non-finite solution.  ``data``, ``xc`` and ``one`` are ``D @
+        theta``, ``XC @ theta`` and 1, or for a record's maps ``D``, ``XC``
+        and the unit vector of theta's trailing 1; ``closed`` holds the set
+        rows' bounds.  The factor of the last set, named by ``key``, is
+        cached."""
+        rows, n, k = self._rows, self.n, self.k
+        nk = n + k
+        H, M = rows.W[:n], rows.W[n:nk]
         if key != self._set_key:
-            M_SS = rows.M[np.ix_(act, act)]
+            M_SS = M[np.ix_(act, act)]
             F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size),
                              lower=False, overwrite_a=True, clean=False)
             self._set_key = key
@@ -607,59 +658,98 @@ class BoxQpSolver:
             return None
         F, M_SS = self._set_factor
 
-        def solve_rows(r):  # (M_SS + eps I)^-1 r; LAPACK takes no empty one
-            return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
-        n, nk = self.n, self.n + self.k
-        xu, b0 = xc[:n], np.multiply.outer(closed[act], one)
+        b0 = np.multiply.outer(closed[act], one)
         rhs = xc[n:nk][act] - b0
+        maps = rhs.ndim == 2
+        if maps and act.size:
+            # the upper triangle of (M_SS + eps I)^-1, from the factor: one
+            # product solves a record's many columns
+            inv = _POTRI(F, lower=False)[0]
+
+            def solve_rows(r):
+                return _SYMM(1.0, inv, r)
+        else:
+            def solve_rows(r):  # LAPACK takes no empty factor
+                return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
         y_S = solve_rows(rhs)
         for _ in range(_POLISH_REFINE):
             y_S += solve_rows(rhs - M_SS @ y_S)
-        y = np.zeros((self.k, *rhs.shape[1:]))
+        # d = [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads a
+        # record's map in place
+        d = np.zeros((2 * nk + 2, *rhs.shape[1:]), order="F")
+        x, y, t, r = d[:n], d[n:nk], d[nk + 1:nk + k + 1], d[nk + k + 2:]
         y[act] = y_S
-        x = xu - rows.H @ y
-        if rows.fallback is not None:
-            # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals
-            Pt, L = rows.fallback
-            A_S, b = self.A[act], shift[act] + b0
-            for _ in range(_POLISH_REFINE):
-                w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
-                           lower=False)[0]
-                dy_S = solve_rows(A_S @ (x + w) - b)
-                y[act] += dy_S
-                x += w - rows.H[:, act] @ dy_S
-        finite = np.isfinite(x).all() and np.isfinite(y).all()
-        return (x, y) if finite else None
+        if maps and rows.R is not None:
+            # a record's maps, by one product over the set's rows alone, in
+            # the order of XC: [x; t] = XC - [H; M]_S Y_S and r = R - (P H -
+            # A')_S Y_S
+            x[...], t[...], r[...] = xc[:n], xc[n:], rows.R
+            if act.size:
+                prod = (y_S.T @ rows.W[:, act].T).T
+                x -= prod[:n]
+                t -= prod[n:nk]
+                r -= prod[nk:]
+        else:
+            np.subtract(xc[:n], H @ y, out=x)
+            if rows.fallback is not None:
+                # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals
+                Pt, L = rows.fallback
+                A_S, b = self.A[act], data[n:][act] + b0
+                for _ in range(_POLISH_REFINE):
+                    w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
+                               lower=False)[0]
+                    dy_S = solve_rows(A_S @ (x + w) - b)
+                    y[act] += dy_S
+                    x += w - H[:, act] @ dy_S
+            AxPx = (_GEMV(1.0, self._APT, x, trans=1) if x.ndim == 1
+                    else self._APT.T @ x)
+            np.subtract(AxPx[:k], data[n:], out=t)
+            np.add(AxPx[k:], data[:n], out=r)
+            r += self._AT @ y
+        flat = d.ravel(order="F")  # a sum of squares is finite when d is
+        finite = _DOT(flat, flat) < math.inf or np.isfinite(flat).all()
+        return d if finite else None
 
-    def _certify(self, q, shift, xc, s):
+    def _box(self, s):
+        """The bounds that ``[y; 0; t; 0; r]`` of the set with side vector
+        ``s`` must lie in: ``s * y >= 0``, ``t`` within the bounds less the
+        shift with each set row closed onto its side, and ``r = 0``."""
+        k, sides = self.k, self._rows.scratch[2]
+        sides[:k] = sides[k + 1:2 * k + 1] = s
+        off, below, above = self._rows.boxes
+        return np.where(sides > 0.0, above,
+                        np.where(sides < 0.0, below, off))
+
+    def _certify(self, data, xc, s):
         """Try the active set of the side vector ``s`` (:meth:`_sides`) of
         a dual point: the warm start, or ADMM's dual once ADMM has solved
-        the step; ``xc`` is ``XC @ theta``.  The set's KKT solution comes
-        from :meth:`_set_solve`, and :meth:`_accept` tests it.  Otherwise
-        up to ``_CERTIFY_ROUNDS`` corrections set ``s`` to 0 on the rows
-        whose multipliers have ``s * y < 0`` and to -1 or +1 on the free
-        rows violated below or above.  When a solve certifies the set that
-        the previous solve certified, the set's record is built for the
-        next one.  Returns a ``SOLVED`` answer with zero iterations, or
-        None.
+        the step; ``data`` and ``xc`` are ``D @ theta`` and ``XC @ theta``.
+        The set's KKT solution comes from :meth:`_set_solve`, and
+        :meth:`_accept` tests it.  Otherwise up to ``_CERTIFY_ROUNDS``
+        corrections set ``s`` to 0 on the rows whose multipliers have ``s *
+        y < 0`` and to -1 or +1 on the free rows violated below or above.
+        When a solve certifies the set that the previous solve certified,
+        the set's record is built for the next one.  Returns a ``SOLVED``
+        answer with zero iterations, or None.
         """
+        n, k = self.n, self.k
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
         for _ in range(_CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
             key = s.tobytes()
-            closed0 = np.array([np.where(s > 0.0, hi0, lo0),
-                                np.where(s < 0.0, lo0, hi0)])
-            sol = self._set_solve(act, key, shift, xc, 1.0, closed0[0])
-            if sol is None:
+            box = self._box(s)
+            d = self._set_solve(act, key, data, xc, 1.0,
+                                box[0, k + 1:2 * k + 1])
+            if d is None:
                 return None
-            x, y = sol
-            answer, t = self._accept(x, y, q, closed0, shift, s)
+            answer = self._accept(d, box, data)
             if answer is not None:
                 if self._map is None and key == previous:
-                    self._map = self._record(act, s, closed0)
+                    self._map = self._record(act, s, box)
                 self._certified_key = key
                 return answer
+            y, t = d[n:n + k], d[n + k + 1:n + 2 * k + 1]
             new = np.where(s * y < 0.0, 0.0, s)
             new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
             new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
@@ -668,73 +758,60 @@ class BoxQpSolver:
             s = new
         return None
 
-    def _accept(self, x, y, q, closed0, shift, s):
-        """``(answer, t)``: the set's answer ``(x, y)``, or None when the
-        sign or residual test rejects it, and ``t = A x - shift``.
+    def _accept(self, d, box, data=None):
+        """The ``SOLVED`` answer ``d = [x; y; 0; t; 0; r]`` of a set
+        (:meth:`_set_solve`), or None when the sign or residual test
+        rejects it.
 
-        ``closed0`` holds the bounds less ``shift``, each set row closed
-        onto its side, and ``s`` is the set's side vector: a multiplier
-        with ``s * y < 0`` has the wrong sign.
-        The primal residual is the largest gap of ``t`` outside
-        ``closed0``, which is ``|Ax - z|`` for the point ``z`` of the box
-        nearest ``Ax``; the dual one is ``|P x + q + A' y|``.  They and the
-        largest of ``-s * y`` come from one reduction of the solver's
-        scratch.  Residuals within ``eps_abs`` pass the ADMM stopping test
-        at any scale; others take the scaled test of :meth:`_residuals`.
+        One reduction of the solver's scratch gives the largest wrong sign
+        ``-s * y``, the primal residual, which is the largest gap of ``t``
+        outside the closed bounds (``|Ax - z|`` for the point ``z`` of the
+        box nearest ``Ax``), and the dual one, ``|r|``: how far ``d``'s
+        rows past ``x`` lie outside ``box`` (:meth:`_box`).  Residuals
+        within ``eps_abs`` pass the ADMM stopping test at any scale.  With
+        ``data = D @ theta``, others take the scaled test of
+        :meth:`_residuals`; a record's answer, without it, is rejected.
         """
-        k = self.k
-        AxPx = _GEMV(1.0, self._APT, x, trans=1)
-        Ax, Px = AxPx[:k], AxPx[k:]
-        t = Ax - shift
-        lo0, hi0 = closed0
-        np.subtract(lo0, t, out=self._gaps[0])
-        np.subtract(t, hi0, out=self._gaps[1])
-        np.negative(np.multiply(s, y, out=self._wrong), out=self._wrong)
-        dual = np.add(Px, q, out=self._dual)
-        if k:  # BLAS takes no empty vector
-            dual = _GEMV(1.0, self._AT, y, beta=1.0, y=dual, overwrite_y=1)
-        np.abs(dual, out=self._dual)
-        r_prim, wrong, r_dual = np.maximum.reduceat(
-            self._scratch, self._scratch_groups).tolist()
+        n, k = self.n, self.k
+        below, above, _ = self._rows.scratch
+        np.subtract(box[0], d[n:], out=below)
+        np.subtract(d[n:], box[1], out=above)
+        wrong, r_prim, r_dual = np.maximum.reduceat(
+            np.maximum(below, above, out=below), self._box_groups).tolist()
         if wrong > 0.0:
-            return None, t
+            return None
+        x, y, t = d[:n], d[n:n + k], d[n + k + 1:n + 2 * k + 1]
         if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
-            lo, hi = closed0 + shift
-            r_prim, r_dual, *_, ok, _ = self._residuals(
+            if data is None:
+                return None
+            q, shift = data[:n], data[n:]
+            Ax = self.A @ x
+            lo, hi = box[:, k + 1:2 * k + 1] + shift
+            r_prim, r_dual, *_, ok = self._residuals(
                 q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
             if not ok:
-                return None, t
-        return _Answer(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
-                       _objective(x, Px, q), t), t
+                return None
+        return _Answer(x, y, QpStatus.SOLVED, 0, r_prim, r_dual, math.nan, t)
 
     def _from_record(self, rec, d):
-        """Answer the record's set from ``d = rec.G @ theta``, which stacks
-        the set's ``x`` and ``y`` on the data ``D @ theta``.
-
-        The sign and residual tests of :meth:`_accept` run on the answer
-        as on a factored one.  Returns the answer, or None when they reject
+        """Answer the record's set from ``d = rec.G @ theta``, the set's
+        ``[x; y; 0; t; 0; r]``, tested by :meth:`_accept` within
+        ``eps_abs``.  Returns the answer, or None when the test rejects
         it.
         """
-        n, nk = self.n, self.n + self.k
-        answer, _ = self._accept(d[:n], d[n:nk], d[nk:nk + n], rec.closed0,
-                                 d[nk + n:], rec.sides)
+        answer = self._accept(d, rec.box)
         if answer is not None:
             self._certified_key = rec.key
         return answer
 
-    def _record(self, act, s, closed0):
-        """The record of the set with side vector ``s`` and rows ``act``:
-        its maps of ``x`` and ``y`` over ``D``, or None."""
-        D, key = self.data_map[0], s.tobytes()
-        sol = self._set_solve(act, key, D[self.n:], self._rows.XC,
-                              np.eye(D.shape[1])[-1], closed0[0])
-        return None if sol is None else _SetRecord(
-            sides=s, key=key, G=np.vstack([*sol, D]), closed0=closed0)
-
-
-def _objective(x, Px, q) -> float:
-    """``0.5 x' P x + q' x``, by two BLAS dots."""
-    return 0.5 * _DOT(x, Px) + _DOT(q, x)
+    def _record(self, act, s, box):
+        """The record of the set with side vector ``s``, rows ``act`` and
+        :meth:`_box` ``box``: its map over ``D``, or None."""
+        D, key, k = self.data_map[0], s.tobytes(), self.k
+        G = self._set_solve(act, key, D, self._rows.XC,
+                            np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
+        return None if G is None else _SetRecord(sides=s, key=key, G=G,
+                                                 box=box)
 
 
 def _inf_norm(v: np.ndarray) -> float:
@@ -793,7 +870,12 @@ def _dual_infeasibility(P, q, A, fin_lo, fin_hi, dx, eps) -> bool:
 def solve(prob: QpProblem, x0: np.ndarray | None = None,
           y0: np.ndarray | None = None) -> QpSolution:
     """One-shot solve of ``prob``: the one-column data map ``D = [q; 0]``
-    of :class:`BoxQpSolver`, at ``theta = [1]``."""
+    of :class:`BoxQpSolver`, at ``theta = [1]``.  The answer's
+    ``objective`` is formed from its ``x``."""
     D = np.concatenate([prob.q, np.zeros(prob.k)])[:, None]
     solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    return solver.solve(np.ones(1), x0=x0, y0=y0)
+    sol = solver.solve(np.ones(1), x0=x0, y0=y0)
+    x = sol.x
+    sol.objective = (-math.inf if sol.status is QpStatus.DUAL_INFEASIBLE
+                     else 0.5 * float(x @ prob.P @ x) + float(prob.q @ x))
+    return sol

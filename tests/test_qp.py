@@ -523,12 +523,16 @@ def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
         ref_x, ref_y = ref[:n], np.zeros(k)
         ref_y[act] = ref[n:]
         tol = 1e-12 * np.abs(ref).max()
-        one = solver._set_solve(act, s.tobytes(), shift, rows.XC @ theta,
-                                1.0, closed0[0])
-        rec = solver._record(act, s, closed0)
-        for x, y in (one, np.split(rec.G[:n + k] @ theta, [n])):
+        one = solver._set_solve(act, s.tobytes(), D @ theta,
+                                rows.XC @ theta, 1.0, closed0[0])
+        rec = solver._record(act, s, solver._box(s))
+        for d in (one, rec.G @ theta):
+            # [x; y; 0; t; 0; r]
+            x, y, _, t, _, r = np.split(d, np.cumsum([n, k, 1, k, 1]))
             np.testing.assert_allclose(x, ref_x, rtol=0, atol=tol)
             np.testing.assert_allclose(y, ref_y, rtol=0, atol=tol)
+            np.testing.assert_allclose(t, A @ x - shift, rtol=0, atol=tol)
+            np.testing.assert_allclose(r, 0.0, rtol=0, atol=tol)
 
 
 def test_data_map_answers_a_repeated_set_by_one_product():
@@ -612,10 +616,12 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
 
 def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     """min 0.5 x^2 + 5 x on [-1, 1] holds x at -1 with y = -4.  A record
-    whose map lost the bound's constant answers x = 0, y = -5: the dual
-    residual passes and 0 lies inside the box, so only the primal test
-    against the row held at its bound rejects it.  No row has a wrong sign
-    or is violated, so the same set is solved again through its factor."""
+    whose rows were formed without the bound's constant answers x = 0, y =
+    -5, and its rows of t and of the stationarity residual, derived from
+    them, read 0 and 0: the dual residual passes and 0 lies inside the
+    box, so only the primal test against the row held at its bound rejects
+    it.  No row has a wrong sign or is violated, so the same set is solved
+    again through its factor."""
     one = np.ones(1)
     solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
         np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
@@ -624,10 +630,20 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     for _ in range(3):
         y = solver.solve(y0=y, theta=theta).y
     rec = solver._map
-    # the rows of x and y above the data map's
-    np.testing.assert_allclose(rec.G[:2] @ theta, [-1.0, -4.0], atol=1e-12)
-    rec.G = rec.G.copy()
-    rec.G[:2, -1] = 0.0  # the bound's constant dropped
+    # [x; y; 0; t; 0; r]
+    np.testing.assert_allclose(rec.G @ theta, [-1.0, -4.0, 0.0, -1.0, 0.0,
+                                               0.0], atol=1e-12)
+
+    def dropped(act, key, data, xc, one, closed):
+        """The set solve with the bound's constant dropped."""
+        return BoxQpSolver._set_solve(solver, act, key, data, xc, one,
+                                      np.zeros_like(closed))
+
+    solver._set_solve = dropped
+    solver._map = solver._record(np.array([0]), rec.sides, rec.box)
+    del solver._set_solve
+    np.testing.assert_allclose(solver._map.G @ theta, [0.0, -5.0, 0.0, 0.0,
+                                                       0.0, 0.0], atol=1e-12)
     sol = solver.solve(y0=y, theta=theta)
     assert sol.status == QpStatus.SOLVED and sol.iterations == 0
     np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -4.0],
@@ -691,10 +707,10 @@ def test_records_close_the_data_maps_own_bounds():
     (``D``'s constant column is zero there), repeated solves build their
     set's record and are answered by it; every record is named by the
     bytes of its side vector and closes the data map's own bounds onto
-    its rows' sides; each answer equals a one-shot solve, warm-started
-    alike."""
+    its rows' sides, in the box of its rows of ``t``; each answer equals a
+    one-shot solve, warm-started alike."""
     prob, D = _mapped_qp(98)
-    n = prob.n
+    n, k = prob.n, prob.k
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     answered = []
     from_record = mapped._from_record
@@ -723,9 +739,81 @@ def test_records_close_the_data_maps_own_bounds():
     assert keys[0] != keys[1]  # the second theta's set is a record of its own
     for rec in answered:
         assert rec.key == rec.sides.tobytes()
-        np.testing.assert_array_equal(rec.closed0, [
+        np.testing.assert_array_equal(rec.box[:, k + 1:2 * k + 1], [
             np.where(rec.sides > 0, prob.upper, prob.lower),
             np.where(rec.sides < 0, prob.lower, prob.upper)])
+
+
+def _hit_counter(solver):
+    """Wrap ``solver._from_record``; the list holds each answer it gives."""
+    hits = []
+    from_record = solver._from_record
+
+    def counting(rec, d):
+        answer = from_record(rec, d)
+        if answer is not None:
+            hits.append(answer)
+        return answer
+
+    solver._from_record = counting
+    return hits
+
+
+def test_record_answers_report_the_residuals_of_their_own_x_and_y():
+    """A record answer reports the residuals that its returned ``x`` and
+    ``y`` have at ``D @ theta``, to round-off: the largest gap of ``A x``
+    outside the bounds, the set's rows held at their bounds, and the
+    largest entry of ``|P x + q + A' y|``; its ``t`` is ``A x`` less the
+    shift."""
+    prob, D = _mapped_qp(98)
+    n, k = prob.n, prob.k
+    mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
+    hits = _hit_counter(mapped)
+    y = None
+    for step in range(8):
+        theta = np.append(1e-3 * step * np.ones(3), 1.0)
+        n_hits = len(hits)
+        a = mapped.solve(theta, y0=y)
+        assert a.status == QpStatus.SOLVED
+        if len(hits) > n_hits:
+            q, shift = D[:n] @ theta, D[n:] @ theta
+            lo, hi = mapped._map.box[:, k + 1:2 * k + 1] + shift
+            Ax = prob.A @ a.x
+            primal = max(0.0, (lo - Ax).max(), (Ax - hi).max())
+            dual = np.abs(prob.P @ a.x + q + prob.A.T @ a.y).max()
+            assert a.primal_res == pytest.approx(primal, rel=0, abs=1e-13)
+            assert a.dual_res == pytest.approx(dual, rel=0, abs=1e-13)
+            np.testing.assert_allclose(a.t, Ax - shift, rtol=0, atol=1e-13)
+        y = a.y
+    assert len(hits) >= 4
+
+
+def test_a_record_hit_tests_theta_where_its_map_is_zero(monkeypatch):
+    """An entry of ``theta`` that the data map does not read has a zero
+    column in the record's map too, so a ``gemv`` that leaves such
+    columns out, as a BLAS kernel may, gives a finite ``G @ theta`` where
+    that entry is not; a hit still raises the ``theta`` error."""
+    prob, D = _mapped_qp(98)
+    D = np.insert(D, 1, 0.0, axis=1)  # theta[1] is read by no row
+    mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
+    hits = _hit_counter(mapped)
+    theta, y = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), None
+    for _ in range(4):
+        y = mapped.solve(theta, y0=y).y
+    assert hits and not mapped._map.G[:, 1].any()
+    gemv = qp_module._GEMV
+
+    def skipping(alpha, a, x, trans=0, **kwargs):
+        unread = ~a.any(axis=1 if trans else 0)
+        return gemv(alpha, a, np.where(unread, 0.0, x), trans=trans,
+                    **kwargs)
+
+    monkeypatch.setattr(qp_module, "_GEMV", skipping)
+    theta[1] = np.nan
+    assert np.isfinite(skipping(1.0, mapped._map.G, theta)).all()
+    with pytest.raises(ValueError, match=r"^theta has non-finite"):
+        mapped.solve(theta, y0=y)
+    assert len(hits) == 2
 
 
 def test_equality_rows_whose_multipliers_change_sign_keep_their_record():

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Median cost of one controller step on table1, split by how the QP
-solver answered it: from its set record (a hit) or not (a miss).
+solver answered it: from its set record (a hit) or not (a miss), and
+the misses by whether they built a set record.
 
 Usage, from the root of the repository::
 
@@ -10,15 +11,17 @@ Usage, from the root of the repository::
 Every variant runs the table1 rollout of ``ddpc.run_single`` at
 ``--seed`` and ``--n-d`` (with the penalties perfbench gives ``gamma``
 and ``projreg_g``), with one BLAS thread: once to mark each step as a
-hit or a miss, by wrapping the solver's record method, then ``--repeat``
-times to time every ``controller.step`` call and, in the same calls, the
-``solve`` it makes (the solve alone; its timer adds well under a
-microsecond to the step's time).  The rollouts are deterministic, so the
-marks hold in every repetition.  The table gives, per variant, the steps
-and hits of one rollout and the median microseconds of a hit step (with
-its quartiles over all repetitions, so that a few-microsecond change can
-be read against the spread), of its solve and of a miss step; its last
-line is the same as JSON, with the machine.
+hit, a miss or a miss that builds a record, by wrapping the solver's
+``_from_record`` and ``_record`` methods, then ``--repeat`` times to time
+every ``controller.step`` call and, in the same calls, the ``solve`` it
+makes (the solve alone; its timer adds well under a microsecond to the
+step's time).  The rollouts are deterministic, so the marks hold in every
+repetition.  The table gives, per variant, the steps, hits and record
+builds of one rollout and the median microseconds of a hit step (with its
+quartiles over all repetitions, so that a few-microsecond change can be
+read against the spread), of its solve, of a miss step that builds no
+record and of one that builds a record; its last line is the same as
+JSON, with the machine.
 
 With ``--base <commit>``, the commit is unpacked with ``git archive``
 (``tools/bench_pair.py``'s ``unpack``) and this script, copied into it,
@@ -28,7 +31,8 @@ pair.  One run's step medians are noisy, but both sides of a pair run
 back to back.  The table gives, per variant and for hit and miss steps
 alike, the median over the pairs of each side's step median, and the
 number of pairs in which the working tree's was lower; its last line is
-the same as JSON.
+the same as JSON.  A base whose script marks no record builds gives
+``-`` for them.
 """
 
 from __future__ import annotations
@@ -91,23 +95,37 @@ def timed(obj, name: str, times: list) -> None:
     setattr(obj, name, wrapper)
 
 
-def hit_marks(cfg, variant: str, seed: int, n_d: int) -> list[bool]:
-    """Whether the set record answered each step of one rollout."""
-    marks: list[bool] = []
+HIT, MISS, BUILD = "hit", "miss", "build"
+
+
+def step_marks(cfg, variant: str, seed: int, n_d: int) -> list[str]:
+    """Per step of one rollout, how the solver answered it: ``HIT`` from
+    the set record, ``BUILD`` by a miss that built a record, else
+    ``MISS``."""
+    marks: list[str] = []
 
     def hook(ctrl):
-        step, from_record = ctrl.step, ctrl.solver._from_record
+        step, solver = ctrl.step, ctrl.solver
+        from_record, record = solver._from_record, solver._record
+
+        def marking_from_record(*args):
+            out = from_record(*args)
+            if out is not None:
+                marks[-1] = HIT
+            return out
 
         def marking_record(*args):
-            out = from_record(*args)
-            marks[-1] = marks[-1] or out is not None
+            out = record(*args)
+            if out is not None:
+                marks[-1] = BUILD
             return out
 
         def marking_step(*args):
-            marks.append(False)
+            marks.append(MISS)
             return step(*args)
 
-        ctrl.solver._from_record = marking_record
+        solver._from_record = marking_from_record
+        solver._record = marking_record
         ctrl.step = marking_step
 
     with each_controller(hook):
@@ -132,18 +150,18 @@ def loop_times(cfg, variant, seed, n_d, repeat):
     return steps, solves
 
 
-def picked_us(runs, marks, want: bool) -> list[float]:
+def picked_us(runs, marks, want: str) -> list[float]:
     """The microseconds of every step (or solve) whose mark is ``want``."""
     return [1e6 * t for times in runs
-            for t, hit in zip(times, marks, strict=True) if hit is want]
+            for t, mark in zip(times, marks, strict=True) if mark == want]
 
 
-def median_us(runs, marks, want: bool) -> float | None:
+def median_us(runs, marks, want: str) -> float | None:
     picked = picked_us(runs, marks, want)
     return statistics.median(picked) if picked else None
 
 
-def quartiles_us(runs, marks, want: bool) -> list[float] | None:
+def quartiles_us(runs, marks, want: str) -> list[float] | None:
     """The first and third quartiles, as ``[q1, q3]``."""
     picked = picked_us(runs, marks, want)
     if not picked:
@@ -167,9 +185,9 @@ def machine() -> str:
 
 
 def paired(args) -> None:
-    """Hit-step and miss-step medians of the base commit and of the
-    working tree, from alternating fresh-process runs of this script on
-    each."""
+    """Hit-step, miss-step and build-step medians of the base commit and
+    of the working tree, from alternating fresh-process runs of this
+    script on each."""
     cmd = ["--n-d", str(args.n_d), "--seed", str(args.seed),
            "--repeat", str(args.repeat)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -191,17 +209,18 @@ def paired(args) -> None:
     print(f"# {machine()}")
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.pairs} pairs "
           f"of {args.repeat} rollouts per side; base {args.base}; median "
-          "over the pairs of each run's median hit-step and miss-step us")
-    print(f"{'':<18} {'hit step':^27} {'miss step':^27}")
+          "over the pairs of each run's median hit-step, miss-step and "
+          "build-step us")
+    print(f"{'':<18} {'hit step':^27} {'miss step':^27} {'build step':^27}")
     print(f"{'variant':<18}" + f" {'base':>9} {'change':>9} {'faster':>7}"
-          * 2)
+          * 3)
     rows = {}
     for variant in ddpc.VARIANTS:
         row = rows[variant] = {}
         cells = []
-        for kind in ("hit", "miss"):
+        for kind in (HIT, MISS, BUILD):
             name = f"{kind}_step_us"
-            b, c = ([run[variant][name] for run in runs[side]]
+            b, c = ([run[variant].get(name) for run in runs[side]]
                     for side in trees)
             if None in b or None in c:  # a side with no step of the kind
                 row.update({f"base_{name}": None, f"change_{name}": None,
@@ -245,18 +264,21 @@ def main() -> None:
     print(f"# {machine()}")
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.repeat} "
           "rollouts per loop; median us")
-    print(f"{'variant':<18} {'steps':>5} {'hits':>5} {'hit step':>9} "
-          f"{'[q1, q3]':>16} {'hit solve':>9} {'miss step':>9}")
+    print(f"{'variant':<18} {'steps':>5} {'hits':>5} {'builds':>6} "
+          f"{'hit step':>9} {'[q1, q3]':>16} {'hit solve':>9} "
+          f"{'miss step':>9} {'build step':>10}")
     rows = {}
     for variant in ddpc.VARIANTS:
-        marks = hit_marks(cfg, variant, args.seed, args.n_d)
+        marks = step_marks(cfg, variant, args.seed, args.n_d)
         steps, solves = loop_times(cfg, variant, args.seed, args.n_d,
                                    args.repeat)
-        row = {"steps": len(marks), "hits": sum(marks),
-               "hit_step_us": median_us(steps, marks, True),
-               "hit_step_quartiles_us": quartiles_us(steps, marks, True),
-               "hit_solve_us": median_us(solves, marks, True),
-               "miss_step_us": median_us(steps, marks, False)}
+        row = {"steps": len(marks), "hits": marks.count(HIT),
+               "builds": marks.count(BUILD),
+               "hit_step_us": median_us(steps, marks, HIT),
+               "hit_step_quartiles_us": quartiles_us(steps, marks, HIT),
+               "hit_solve_us": median_us(solves, marks, HIT),
+               "miss_step_us": median_us(steps, marks, MISS),
+               "build_step_us": median_us(steps, marks, BUILD)}
         rows[variant] = row
         quartiles = row["hit_step_quartiles_us"]
         cells = [f"{v:9.1f}" if v is not None else f"{'-':>9}"
@@ -264,8 +286,10 @@ def main() -> None:
                            row["miss_step_us"])]
         cells.insert(1, f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
                      if quartiles else f"{'-':>16}")
+        build = row["build_step_us"]
+        cells.append(f"{build:10.1f}" if build is not None else f"{'-':>10}")
         print(f"{variant:<18} {row['steps']:>5} {row['hits']:>5} "
-              + " ".join(cells))
+              f"{row['builds']:>6} " + " ".join(cells))
     print(json.dumps({"machine": machine(), "n_d": args.n_d,
                       "seed": args.seed, "repeat": args.repeat,
                       "variants": rows}))
