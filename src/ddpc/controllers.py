@@ -305,9 +305,9 @@ class _CondensedController:
     ``theta = [z; r_f; 1]``, ``D @ theta`` stacks ``q`` and the shift of
     the row bounds from their constant parts.  The solver holds ``D``, ``P``
     and the rows, and answers a step whose active set repeats from its set
-    record: one BLAS product gives ``v``, the multipliers and ``D @
-    theta``, which the solver tests finite (the step's one test of its
-    input), and one more gives ``A v``.  The boxes put ``Fu`` and ``Fy``
+    record: one BLAS product gives ``v``, the multipliers, ``A v`` less
+    the shift and the stationarity residual, tested finite with ``theta``
+    (the step's one test of its input).  The boxes put ``Fu`` and ``Fy``
     into ``A`` with the shifts ``-bu`` and ``-by``, so the plans ``u_f =
     Fu v + bu`` and ``y_f = Fy v + by`` are the rows of ``A v`` less the
     shift, which the solver returns: a step reads its plans there alone.
@@ -412,7 +412,7 @@ class _CondensedController:
         """Closed-loop measurement hook; data-driven variants are static."""
 
     def reset(self) -> None:
-        """Forget the warm starts and the solver's cached factors and map."""
+        """Forget the warm starts and the solver's set record."""
         self._warm_x = None
         self._warm_y = None
         self.solver.reset()

@@ -19,34 +19,37 @@ one-shot :func:`solve` is the map ``D = [q; 0]`` at ``theta = [1]``.
 
 Before any iteration, a solve tries to certify the active set that the
 dual warm start ``y0`` points at, as qpOASES does (Ferreau, Bock and
-Diehl, IJRNC 2008).  A set's one name is its side vector ``s`` in {-1, 0,
-+1}^k, ``np.sign(y0)`` clipped into the sides each row can be held at:
--1 holds a row at its lower bound, +1 at its upper one, 0 nowhere; an
-equality row, held always, and an infinite bound take no side.  The set's
-KKT system is solved in the space of its rows, the range-space form of
-Goldfarb and Idnani (Math. Prog. 1983) used by DAQP (Arnstroem, Bemporad
-and Axehill, IEEE TAC 2022).  Every set holds the equality rows ``E``, so
-``P~ = P + A_E' A_E`` and ``c = -q + A_E' b_E`` keep its ``x`` and ``y``.
-The build factors ``P~`` once (``P~ + _POLISH_REG I`` where it is
-singular; a ``P`` that is not PSD raises ``ValueError``) into the row
-space ``H = P~^-1 A'``, ``M = A H`` and the maps ``X`` and ``T`` of
-``x_u = P~^-1 c`` and ``t_u = A x_u - shift``.  A set ``S`` with
-constant bounds ``b0_S`` solves ``M_SS y_S = t_u,S - b0_S`` by the cached
-Cholesky factor of ``M_SS + _POLISH_REG I``, refined ``_POLISH_REFINE``
-(3) times, and ``x = x_u - H y``, refined against ``P~`` too where it is
-singular; ``t = A x - shift`` and the stationarity residual ``r = P x +
-q + A' y`` follow from ``x`` and ``y``.  The answer is ``SOLVED`` with
-``iterations == 0`` when no multiplier has ``s * y < 0`` and both
-residuals pass the ADMM stopping test, the primal one with the set's
-rows held at their bounds.  Otherwise
-up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0 where ``s * y <
-0`` and to -1 or +1 on the free rows violated below or above by more
-than ``_EPS_ABS``, and if none is accepted ADMM runs, warm-started.  So a
+Diehl, IJRNC 2008).  A set's one name is its side vector ``s`` in {-1,
+0, +1}^k, ``np.sign(y0)`` clipped into the sides each row can be held
+at: -1 holds a row at its lower bound, +1 at its upper one, 0 nowhere;
+an equality row, held always, and an infinite bound take no side.  The
+set's KKT system is solved in the space of its rows, the range-space
+form of Goldfarb and Idnani (Math. Prog. 1983) used by DAQP (Arnstroem,
+Bemporad and Axehill, IEEE TAC 2022).  Every set holds the equality rows
+``E``, so ``P~ = P + A_E' A_E`` and ``c = -q + A_E' b_E`` keep its ``x``
+and ``y``.  The build factors ``P~`` once (``P~ + _POLISH_REG I`` where
+it is singular; a ``P`` that is not PSD raises ``ValueError``) into the
+row space ``W = [H; M; P H - A']``, ``H = P~^-1 A'`` and ``M = A H``,
+and the map ``XC @ theta = [x_u; t_u; P x_u + q]`` of ``x_u = P~^-1 c``
+and ``t_u = A x_u - shift``.  A set ``S`` with constant bounds ``b0_S``
+solves ``M_SS y_S = t_u,S - b0_S`` by the Cholesky factor of ``M_SS +
+_POLISH_REG I``, refined ``_POLISH_REFINE`` (3) times, and one product
+gives ``[x; t; r] = XC @ theta - W_S y_S``: ``x``, ``t = A x - shift``
+and the stationarity residual ``r = P x + q + A' y``.  Where ``P~`` is
+singular, ``XC`` maps ``c`` in the place of ``P x_u + q``, and ``t`` and
+``r`` are formed from ``x`` and ``y`` refined against ``P~``.  The
+answer is ``SOLVED`` with ``iterations == 0`` when no multiplier has ``s
+* y < 0`` and both residuals pass the ADMM stopping test, the primal one
+with the set's rows held at their bounds.  Otherwise up to
+``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0 where ``s * y < 0``
+and to -1 or +1 on the free rows violated below or above by more than
+``_EPS_ABS``, and if none is accepted ADMM runs, warm-started.  So a
 solve is a pure function of its arguments, to round-off when a record
 answers it.  Once ADMM has solved the problem, the same step starts from
 the side vector of ADMM's dual, in the place of OSQP's polish (Stellato
 et al., Math. Prog. Comp. 2020); ``QpSolution.iterations`` counts ADMM
-iterations only.  Without rows an uncertified problem is ``DUAL_INFEASIBLE``.
+iterations only.  Without rows an uncertified problem is
+``DUAL_INFEASIBLE``.
 
 ADMM is dense, with Ruiz equilibration, a per-row step parameter that is
 rescaled from the primal/dual residual ratio, and over-relaxation; as in
@@ -60,25 +63,22 @@ at each solve; a residual that turns non-finite raises ``ValueError``.
 
 The KKT solution of a fixed active set is affine in ``theta`` too: the
 critical regions of explicit MPC.  Once two solves in a row have
-certified a set, its record is built from its factor and dropped with
-it: the side vector and one map ``G`` with ``G @ theta = [x; y; 0; t;
-0; r]``.  The set solve forms its rows, one column per entry of
-``theta``: the inverse of the set's factor gives the map ``Y_S`` of
-``y_S``, and one product with the set's columns of ``[H; M; P H - A']``,
-kept with the row space with the map ``P X + D_q`` of ``P x_u + q``,
-gives ``X - H_S Y_S``, ``T - M_S Y_S`` and ``(P X + D_q) - (P H - A')_S
-Y_S``; where ``P~`` is singular, the refined rows of ``x`` and ``y`` give
-``t`` and ``r`` directly.  So the stationarity and bound rows are fixed
-when the record is built, and checked at every hit.  A solve whose warm
-start has that side vector takes them all from one ``gemv`` with ``G``,
-tests them finite with ``theta`` and the warm starts by one BLAS dot
-each, and accepts them by one reduction: the gaps of ``t`` outside the
-bounds with the set's rows closed onto their sides (the primal
-residual), the wrong signs ``-s * y`` and ``|r|`` (the dual one), each
-within ``eps_abs``.  A factored answer is tested the same way, with the
-scaled test of ADMM beyond ``eps_abs``; a record answer beyond it is
-retried through the set's factor.  No step forms the objective:
-:func:`solve` forms it from its answer.
+certified a set, its record is built: the side vector and one map ``G``
+with ``G @ theta = [x; y; 0; t; 0; r]``, the same set solve with ``D``
+and ``XC`` in the place of their products with ``theta``, and the
+inverse of the set's factor for the map ``Y_S`` of ``y_S``.  It answers
+until another record replaces it; no factor of a set outlives its solve.
+So the stationarity and bound rows are fixed when the record is built,
+and checked at every hit.  A solve whose warm start has that side vector
+takes them all from one ``gemv`` with ``G``, tests them finite with
+``theta`` and the warm starts by one BLAS dot each, and accepts them by
+one reduction: the gaps of ``t`` outside the bounds with the set's rows
+closed onto their sides (the primal residual), the wrong signs ``-s *
+y`` and ``|r|`` (the dual one), each within ``eps_abs``.  A factored
+answer is tested the same way, with the scaled test of ADMM beyond
+``eps_abs``; a record answer beyond it is retried through the set's
+factor.  No step forms the objective: :func:`solve` forms it from its
+answer.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ class _SetRecord:
     """The cached answer of one active set: its critical region."""
 
     sides: np.ndarray  # the set's side vector s, its one name (_sides)
-    key: bytes  # sides.tobytes(), as the set factor is keyed
+    key: bytes  # sides.tobytes(), which a solve's warm start must match
     # G @ theta = [x; y; 0; t; 0; r] (_set_solve), y zero off the set;
     # its rows of t and r are fixed here, and checked at every hit
     G: np.ndarray
@@ -287,11 +287,8 @@ class _SetRecord:
 class _RowSpace:
     """What the solve of an active set reads (module docstring)."""
 
-    # [H; M] with H = P~^-1 A' and M = A H, then P H - A' where P~ is not
-    # singular
-    W: np.ndarray
-    XC: np.ndarray  # XC @ theta = [x_u; t_u], then c where P~ is singular
-    R: np.ndarray | None  # R @ theta = P x_u + q where P~ is not singular
+    W: np.ndarray  # [H; M; P H - A'], H = P~^-1 A' and M = A H
+    XC: np.ndarray  # XC @ theta = [x_u; t_u; P x_u + q], or c last
     fallback: tuple | None  # (P~, factor of P~ + eps I) where P~ is singular
     boxes: tuple  # _box's boxes of a row off the set, held below, held above
     # scratch of [y; 0; t; 0; r]: how far it lies below and above its box
@@ -309,10 +306,10 @@ class BoxQpSolver:
     lower and no ``-inf`` upper bound; so a finite shift keeps the bounds
     ordered, and the equality rows (``lower0 == upper0``) and the sides
     each row can take are fixed.  Between solves an instance keeps its row
-    space (module docstring) and its active-set cache: the factor of the
-    last set, at most one set record, and the name of the set last
-    certified.  :meth:`reset` drops the cache and, once a miss has read
-    it, the row space, which the next miss forms again.
+    space (module docstring), at most one set record and the name of the
+    set last certified, and no factor of a set.  :meth:`reset` drops the
+    record and, once a miss has read it, the row space, which the next
+    miss forms again.
     """
 
     def __init__(self, P: np.ndarray, A: np.ndarray, data_map: tuple):
@@ -327,10 +324,12 @@ class BoxQpSolver:
         if A.ndim != 2 or A.shape[1] != n:
             raise DimensionMismatch(f"A has shape {A.shape}, expected (k, {n})")
         k = self.k = A.shape[0]
-        # a symmetric P is kept as given: 0.5 * (P + P') would equal it
-        AP = np.vstack([A, P if np.array_equal(P, P.T) else 0.5 * (P + P.T)])
-        self.A, self.P = AP[:k], AP[k:]
-        self._APT, self._AT = AP.T, self.A.T  # Fortran-ordered for BLAS
+        # copies, so that no caller's array changes the solver; a symmetric
+        # P is kept as given: 0.5 * (P + P') would equal it
+        self.A = np.array(A, order="C")
+        self.P = (np.array(P, order="C") if np.array_equal(P, P.T)
+                  else 0.5 * (P + P.T))
+        self._AT = self.A.T  # Fortran-ordered for BLAS
         D, lower0, upper0 = (np.asarray(a, dtype=float) for a in data_map)
         if (D.ndim != 2 or D.shape[0] != n + k
                 or lower0.shape != (k,) or upper0.shape != (k,)):
@@ -345,7 +344,7 @@ class BoxQpSolver:
         self._bounds0 = np.array([lower0, upper0])
         self.data_map = (D, *self._bounds0)
         self._free = lower0 != upper0  # the rows that are no equality rows
-        self._set_key = self._rows = None
+        self._rows, self._rows_read = None, False
         self._row_space()  # a P that is not PSD fails here
         # the sides each row can be held at: -1 below a finite lower bound,
         # +1 above a finite upper one; +0.0 (never -0.0, whose bytes differ)
@@ -384,16 +383,14 @@ class BoxQpSolver:
         C = A_E.T @ D[n:][eq] - D[:n]
         C[:, -1] += A_E.T @ self._bounds0[0][eq]
         X = _POTRS(L, C, lower=False)[0]
-        XC = [X, self.A @ X - D[n:]] + ([C] if singular else [])  # c refines x
         k, (lower0, upper0) = self.k, self._bounds0
-        # [H; M], then a record's rows of the stationarity residual, and R,
-        # formed in H's and X's order
-        W = np.empty((n + k if singular else 2 * n + k, k), order="F")
-        W[:n], W[n:n + k], R = H, self.A @ H, None
-        if not singular:
-            np.subtract((H.T @ self.P).T, self._AT, out=W[n + k:])
-            R = (X.T @ self.P).T
-            R += D[:n]
+        # [H; M; P H - A'], and X's rows in the same order, but c, which
+        # refines x, in the place of P x_u + q where P~ is singular
+        W = np.empty((2 * n + k, k), order="F")
+        W[:n], W[n:n + k] = H, self.A @ H
+        np.subtract((H.T @ self.P).T, self._AT, out=W[n + k:])
+        XC = [X, self.A @ X - D[n:],
+              C if singular else (X.T @ self.P).T + D[:n]]
         off = np.zeros((2, 2 * k + 2 + n))
         off[:, :k] = [[-np.inf], [np.inf]]
         off[:, k + 1:2 * k + 1] = self._bounds0
@@ -401,19 +398,18 @@ class BoxQpSolver:
         below[1, :k], below[1, k + 1:2 * k + 1] = 0.0, lower0
         above[0, :k], above[0, k + 1:2 * k + 1] = 0.0, upper0
         self._rows = _RowSpace(
-            W, np.asfortranarray(np.vstack(XC)), R,
+            W, np.asfortranarray(np.vstack(XC)),
             (Pt, L) if singular else None, (off, below, above),
             np.zeros((3, 2 * k + 2 + n)))
         return self._rows
 
     def reset(self) -> None:
-        """Drop the cached set factor and record and, once a miss has read
-        it, the row space; later solves form what they need."""
-        if self._set_key is not None:  # a miss has read the row space
+        """Drop the set record and, once a miss has read it, the row space;
+        later solves form what they need."""
+        if self._rows_read:
             self._rows = None
-        self._set_key = None  # the side vector bytes of _set_factor's set
-        self._set_factor = None
-        self._map = None  # the _SetRecord of the set _set_key
+        self._rows_read = False  # whether a miss has read the row space
+        self._map = None  # the _SetRecord that answers its set's solves
         self._certified_key = None  # the set the last solve certified
 
     # -- internals ---------------------------------------------------------
@@ -500,6 +496,7 @@ class BoxQpSolver:
         data = self._data(theta, x0, y0)
         q, shift = data[:n], data[n:]
         xc = _GEMV(1.0, self._row_space().XC, theta)
+        self._rows_read = True
         certified = self._certify(data, xc, s)
         if certified is not None:
             return certified
@@ -509,19 +506,20 @@ class BoxQpSolver:
                            0, 0.0, math.inf, math.nan, np.zeros(0))
 
         lo, hi = self._bounds0 + shift
-        x, y, Ax, z, status, iters = self._admm(q, lo, hi, x0, y0)
+        x, y, r_prim, r_dual, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
             refined = self._certify(data, xc, self._sides(y))
             if refined is not None:
                 refined.iterations = iters
                 return refined
-        r_prim, r_dual, *_ = self._residuals(q, x, y, Ax, z)
         return _Answer(x, y, status, iters, r_prim, r_dual, math.nan,
                        self.A @ x - shift)
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
-        ``x0``/``y0``: ``(x, y, A x, z, status, iterations)``, unscaled.
+        ``x0``/``y0``: ``(x, y, r_prim, r_dual, status, iterations)``, the
+        iterate unscaled and the residuals of :meth:`_residuals` that the
+        check it ended at formed, at ``_MAX_ITER`` too.
 
         Each call forms its Ruiz scaling and its Cholesky factors, one per
         step size ``rho``, and keeps none of them: they are functions of
@@ -530,11 +528,8 @@ class BoxQpSolver:
         """
         n, k = self.n, self.k
         d, e, c = _ruiz(self.P, self.A, _SCALING_ITERS)
-        qs = c * d * q
-        los = e * lo
-        his = e * hi
-        fin_lo = np.isfinite(lo)
-        fin_hi = np.isfinite(hi)
+        qs, los, his = c * d * q, e * lo, e * hi
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
         eq_mask = fin_lo & (lo == hi)
         # the equilibrated P and A
         Ps = c * self.P * d[None, :] * d[:, None]
@@ -578,8 +573,9 @@ class BoxQpSolver:
             ys_new = rho_vec * (z_cand - zs_new)
 
             if it % check_interval == 0 or it == max_iter:
+                x, y, Ax, z = unscaled(xs_new, zs_new, ys_new)
                 r_prim, r_dual, scale_p, scale_d, ok = self._residuals(
-                    q, *unscaled(xs_new, zs_new, ys_new))
+                    q, x, y, Ax, z)
                 if not (math.isfinite(r_prim) and math.isfinite(r_dual)):
                     raise ValueError(
                         f"ADMM residual is not finite at iteration {it}")
@@ -592,8 +588,8 @@ class BoxQpSolver:
                 elif _dual_infeasibility(self.P, q, self.A, fin_lo, fin_hi,
                                          d * (xs_new - xs), _EPS_INFEAS):
                     status = QpStatus.DUAL_INFEASIBLE
-                if status is not QpStatus.MAX_ITER:
-                    return (*unscaled(xs_new, zs_new, ys_new), status, it)
+                if status is not QpStatus.MAX_ITER or it == max_iter:
+                    return x, y, r_prim, r_dual, status, it
                 if r_dual > 0.0 and scale_p > 0.0 and scale_d > 0.0:
                     ratio = (r_prim / scale_p) / max(r_dual / scale_d, 1e-16)
                     rho_new = float(np.clip(rho_scalar * np.sqrt(ratio),
@@ -603,7 +599,6 @@ class BoxQpSolver:
                         rho_scalar = rho_new
                         rho_vec, L = factor(rho_scalar)
             xs, zs, ys = xs_new, zs_new, ys_new
-        return (*unscaled(xs, zs, ys), status, max_iter)
 
     def _data(self, theta, x0=None, y0=None):
         """``D @ theta``, tested by :meth:`_checked`."""
@@ -636,32 +631,23 @@ class BoxQpSolver:
                              "D @ theta overflows")
         return d
 
-    def _set_solve(self, act, key, data, xc, one, closed):
+    def _set_solve(self, act, data, xc, one, closed):
         """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` (module
         docstring), ``y`` zero off the set, or None on a singular factor
         or a non-finite solution.  ``data``, ``xc`` and ``one`` are ``D @
         theta``, ``XC @ theta`` and 1, or for a record's maps ``D``, ``XC``
         and the unit vector of theta's trailing 1; ``closed`` holds the set
-        rows' bounds.  The factor of the last set, named by ``key``, is
-        cached."""
+        rows' bounds.  Each call factors its set's ``M_SS`` itself."""
         rows, n, k = self._rows, self.n, self.k
         nk = n + k
-        H, M = rows.W[:n], rows.W[n:nk]
-        if key != self._set_key:
-            M_SS = M[np.ix_(act, act)]
-            F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size),
-                             lower=False, overwrite_a=True, clean=False)
-            self._set_key = key
-            self._set_factor = (F, M_SS) if info == 0 else None
-            self._map = None
-        if self._set_factor is None:
+        M_SS = rows.W[n:nk][act[:, None], act]
+        F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
+                         overwrite_a=True, clean=False)
+        if info != 0:
             return None
-        F, M_SS = self._set_factor
-
         b0 = np.multiply.outer(closed[act], one)
         rhs = xc[n:nk][act] - b0
-        maps = rhs.ndim == 2
-        if maps and act.size:
+        if rhs.ndim == 2 and act.size:
             # the upper triangle of (M_SS + eps I)^-1, from the factor: one
             # product solves a record's many columns
             inv = _POTRI(F, lower=False)[0]
@@ -679,32 +665,24 @@ class BoxQpSolver:
         d = np.zeros((2 * nk + 2, *rhs.shape[1:]), order="F")
         x, y, t, r = d[:n], d[n:nk], d[nk + 1:nk + k + 1], d[nk + k + 2:]
         y[act] = y_S
-        if maps and rows.R is not None:
-            # a record's maps, by one product over the set's rows alone, in
-            # the order of XC: [x; t] = XC - [H; M]_S Y_S and r = R - (P H -
-            # A')_S Y_S
-            x[...], t[...], r[...] = xc[:n], xc[n:], rows.R
-            if act.size:
-                prod = (y_S.T @ rows.W[:, act].T).T
-                x -= prod[:n]
-                t -= prod[n:nk]
-                r -= prod[nk:]
-        else:
-            np.subtract(xc[:n], H @ y, out=x)
-            if rows.fallback is not None:
-                # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals
-                Pt, L = rows.fallback
-                A_S, b = self.A[act], data[n:][act] + b0
-                for _ in range(_POLISH_REFINE):
-                    w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
-                               lower=False)[0]
-                    dy_S = solve_rows(A_S @ (x + w) - b)
-                    y[act] += dy_S
-                    x += w - H[:, act] @ dy_S
-            AxPx = (_GEMV(1.0, self._APT, x, trans=1) if x.ndim == 1
-                    else self._APT.T @ x)
-            np.subtract(AxPx[:k], data[n:], out=t)
-            np.add(AxPx[k:], data[:n], out=r)
+        # [x; t; r] = XC - [H; M; P H - A']_S Y_S: one product over the
+        # set's rows alone, subtracted whole (numpy is slow on strided rows
+        # and on a product of no columns)
+        xtr = xc - (y_S.T @ rows.W[:, act].T).T if act.size else xc
+        x[...], t[...], r[...] = xtr[:n], xtr[n:nk], xtr[nk:]
+        if rows.fallback is not None:
+            # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals;
+            # t and r follow from the refined x and y
+            Pt, L = rows.fallback
+            A_S, b = self.A[act], data[n:][act] + b0
+            for _ in range(_POLISH_REFINE):
+                w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
+                           lower=False)[0]
+                dy_S = solve_rows(A_S @ (x + w) - b)
+                y[act] += dy_S
+                x += w - rows.W[:n, act] @ dy_S
+            np.subtract(self.A @ x, data[n:], out=t)
+            np.add(self.P @ x, data[:n], out=r)
             r += self._AT @ y
         flat = d.ravel(order="F")  # a sum of squares is finite when d is
         finite = _DOT(flat, flat) < math.inf or np.isfinite(flat).all()
@@ -729,23 +707,23 @@ class BoxQpSolver:
         corrections set ``s`` to 0 on the rows whose multipliers have ``s *
         y < 0`` and to -1 or +1 on the free rows violated below or above.
         When a solve certifies the set that the previous solve certified,
-        the set's record is built for the next one.  Returns a ``SOLVED``
-        answer with zero iterations, or None.
+        and no record of it is held, its record takes the place of any other.
+        Returns a ``SOLVED`` answer with zero iterations, or None.
         """
         n, k = self.n, self.k
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
         for _ in range(_CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
-            key = s.tobytes()
             box = self._box(s)
-            d = self._set_solve(act, key, data, xc, 1.0,
-                                box[0, k + 1:2 * k + 1])
+            d = self._set_solve(act, data, xc, 1.0, box[0, k + 1:2 * k + 1])
             if d is None:
                 return None
             answer = self._accept(d, box, data)
             if answer is not None:
-                if self._map is None and key == previous:
+                key = s.tobytes()
+                if key == previous and (self._map is None
+                                        or self._map.key != key):
                     self._map = self._record(act, s, box)
                 self._certified_key = key
                 return answer
@@ -807,11 +785,11 @@ class BoxQpSolver:
     def _record(self, act, s, box):
         """The record of the set with side vector ``s``, rows ``act`` and
         :meth:`_box` ``box``: its map over ``D``, or None."""
-        D, key, k = self.data_map[0], s.tobytes(), self.k
-        G = self._set_solve(act, key, D, self._rows.XC,
-                            np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
-        return None if G is None else _SetRecord(sides=s, key=key, G=G,
-                                                 box=box)
+        D, k = self.data_map[0], self.k
+        G = self._set_solve(act, D, self._rows.XC, np.eye(D.shape[1])[-1],
+                            box[0, k + 1:2 * k + 1])
+        return None if G is None else _SetRecord(sides=s, key=s.tobytes(),
+                                                 G=G, box=box)
 
 
 def _inf_norm(v: np.ndarray) -> float:

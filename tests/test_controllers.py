@@ -384,7 +384,7 @@ def test_cached_set_that_stops_certifying_goes_to_the_corrections():
     z = _sample_zp()
     for _ in range(3):
         ctrl.step(z, np.zeros(L_F))
-    cached = ctrl.solver._set_key
+    cached = ctrl.solver._certified_key
     assert ctrl.solver._map is not None
     r_jump = np.full(L_F, 3.0)
     res = ctrl.step(z, r_jump)
@@ -394,7 +394,7 @@ def test_cached_set_that_stops_certifying_goes_to_the_corrections():
     np.testing.assert_allclose(ctrl._warm_x, cold.x, rtol=0, atol=1e-9)
     y_rows = slice(L_F, 2 * L_F)  # below the input rows
     assert np.isclose(prob.A[y_rows] @ cold.x, prob.upper[y_rows]).any()
-    assert ctrl.solver._set_key != cached
+    assert ctrl.solver._certified_key != cached
     ctrl.reset()
     assert ctrl.solver._map is None
 

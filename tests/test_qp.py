@@ -462,20 +462,24 @@ def test_primal_infeasible_problem_is_never_certified():
         assert sol.iterations > 0
 
 
-def test_certified_solve_does_not_depend_on_the_cached_factor():
+def test_certified_solve_does_not_depend_on_the_solvers_history():
+    """A solver that has solved another problem, and holds the record of
+    a set that this solve does not end on, answers it byte for byte as a
+    fresh solver does."""
     rng = seeded(97)
     prob = _random_box_qp(rng, n=10, k=14, spread=0.3)
     ref = solve(prob)
     other_q = prob.q + 3.0 * rng.standard_normal(prob.n)
     # ref.y is certified at once; the other two fall back to ADMM, whose
-    # certification from its own dual goes through the same cache
+    # certification from its own dual is a set solve too
     for y0 in (ref.y, -ref.y, None):
         fresh_solver = _q_solver(prob)
         fresh = fresh_solver.solve(_q(prob.q), y0=y0)
-        used = _q_solver(prob)
-        used.solve(_q(other_q))
-        # the cached factor belongs to a set that this solve does not end on
-        assert used._set_key != fresh_solver._set_key
+        used, y = _q_solver(prob), None
+        for _ in range(3):
+            y = used.solve(_q(other_q), y0=y).y
+        assert used._map is not None
+        assert used._map.key != fresh_solver._certified_key
         again = used.solve(_q(prob.q), y0=y0)
         assert fresh.x.tobytes() == again.x.tobytes()
         assert fresh.y.tobytes() == again.y.tobytes()
@@ -523,8 +527,8 @@ def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
         ref_x, ref_y = ref[:n], np.zeros(k)
         ref_y[act] = ref[n:]
         tol = 1e-12 * np.abs(ref).max()
-        one = solver._set_solve(act, s.tobytes(), D @ theta,
-                                rows.XC @ theta, 1.0, closed0[0])
+        one = solver._set_solve(act, D @ theta, rows.XC @ theta, 1.0,
+                                closed0[0])
         rec = solver._record(act, s, solver._box(s))
         for d in (one, rec.G @ theta):
             # [x; y; 0; t; 0; r]
@@ -614,6 +618,35 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
     step(-4.0, y)
 
 
+def test_a_record_outlives_a_miss_on_another_set():
+    """min 0.5 x^2 + t x on [-1, 1]: two solves at t = 5 certify the lower
+    side twice, so it gets a record.  One solve at t = -5, warm-started at
+    the upper side, certifies that side once and builds no record; the
+    lower side's record stays, and the next solve warm-started there is
+    answered by it without a set solve."""
+    one = np.ones(1)
+    solver = BoxQpSolver(np.eye(1), np.eye(1), data_map=(
+        np.array([[1.0, 0.0], [0.0, 0.0]]), -one, one))
+    y_lower = None
+    for _ in range(2):
+        y_lower = solver.solve(np.array([5.0, 1.0]), y0=y_lower).y
+    rec = solver._map
+    assert rec is not None and rec.sides[0] == -1.0
+    other = solver.solve(np.array([-5.0, 1.0]), y0=one)
+    assert other.status == QpStatus.SOLVED and other.x[0] == pytest.approx(
+        1.0, abs=1e-12)
+    assert solver._certified_key != rec.key and solver._map is rec
+
+    def no_set_solve(*args):
+        raise AssertionError("the lower side's record was not used")
+
+    solver._set_solve = no_set_solve
+    sol = solver.solve(np.array([4.0, 1.0]), y0=y_lower)
+    assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+    np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -3.0],
+                               atol=1e-12)
+
+
 def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     """min 0.5 x^2 + 5 x on [-1, 1] holds x at -1 with y = -4.  A record
     whose rows were formed without the bound's constant answers x = 0, y =
@@ -634,9 +667,9 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     np.testing.assert_allclose(rec.G @ theta, [-1.0, -4.0, 0.0, -1.0, 0.0,
                                                0.0], atol=1e-12)
 
-    def dropped(act, key, data, xc, one, closed):
+    def dropped(act, data, xc, one, closed):
         """The set solve with the bound's constant dropped."""
-        return BoxQpSolver._set_solve(solver, act, key, data, xc, one,
+        return BoxQpSolver._set_solve(solver, act, data, xc, one,
                                       np.zeros_like(closed))
 
     solver._set_solve = dropped
@@ -735,7 +768,7 @@ def test_records_close_the_data_maps_own_bounds():
             np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
             y = a.y
         assert len(answered) - n_answered == 2
-        keys.append(mapped._set_key)
+        keys.append(mapped._map.key)
     assert keys[0] != keys[1]  # the second theta's set is a record of its own
     for rec in answered:
         assert rec.key == rec.sides.tobytes()
