@@ -65,9 +65,11 @@ The KKT solution of a fixed active set is affine in ``theta`` too: the
 critical regions of explicit MPC.  Once two solves in a row have
 certified a set, its record is built: the side vector and one map ``G``
 with ``G @ theta = [x; y; 0; t; 0; r]``, the same set solve with ``D``
-and ``XC`` in the place of their products with ``theta``, and the
-inverse of the set's factor for the map ``Y_S`` of ``y_S``.  It answers
-until another record replaces it; no factor of a set outlives its solve.
+and ``XC`` in the place of their products with ``theta``.  A solve
+factors each set it tries once, and the record is solved through the
+factor of the set it accepted: one ``potrs`` solves the record's columns
+as it solves a miss's one.  It answers until another record replaces
+it; no factor of a set outlives its solve.
 So the stationarity and bound rows are fixed when the record is built,
 and checked at every hit.  A solve whose warm start has that side vector
 takes them all from one ``gemv`` with ``G``, tests them finite with
@@ -223,16 +225,14 @@ try:  # the clip ufunc, which np.clip reaches through Python dispatch
     from numpy._core.umath import clip as _CLIP
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _CLIP
-# The float64 LAPACK routines behind cho_factor/cho_solve, and potri, which
-# inverts a set's factor for a record, called directly so that the ADMM loop
-# and the active-set solves skip scipy's per-call input checks.
-_POTRF, _POTRS, _POTRI = get_lapack_funcs(("potrf", "potrs", "potri"),
-                                          dtype=np.float64)
+# The float64 LAPACK routines behind cho_factor/cho_solve, called directly
+# so that the ADMM loop and the active-set solves skip scipy's per-call
+# input checks.
+_POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
 # BLAS gemv forms a data-mapped solve's data and dot tests it finite:
 # unlike matmul, they raise no floating-point warning, so an overflow is
-# reported by the finite test; symm applies potri's upper triangle
-_GEMV, _DOT, _SYMM = get_blas_funcs(("gemv", "dot", "symm"),
-                                    dtype=np.float64)
+# reported by the finite test
+_GEMV, _DOT = get_blas_funcs(("gemv", "dot"), dtype=np.float64)
 
 
 def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
@@ -631,32 +631,34 @@ class BoxQpSolver:
                              "D @ theta overflows")
         return d
 
-    def _set_solve(self, act, data, xc, one, closed):
-        """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` (module
-        docstring), ``y`` zero off the set, or None on a singular factor
-        or a non-finite solution.  ``data``, ``xc`` and ``one`` are ``D @
-        theta``, ``XC @ theta`` and 1, or for a record's maps ``D``, ``XC``
-        and the unit vector of theta's trailing 1; ``closed`` holds the set
-        rows' bounds.  Each call factors its set's ``M_SS`` itself."""
-        rows, n, k = self._rows, self.n, self.k
-        nk = n + k
-        M_SS = rows.W[n:nk][act[:, None], act]
+    def _set_factor(self, act):
+        """``(M_SS, F)`` of the set with rows ``act``: ``M_SS`` and the
+        upper Cholesky factor ``F`` of ``M_SS + _POLISH_REG I``, or None
+        where that factor fails.  :meth:`_certify` factors each set it
+        tries once, and its record reuses the accepted set's factor."""
+        nk = self.n + self.k
+        M_SS = self._rows.W[self.n:nk][act[:, None], act]
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
                          overwrite_a=True, clean=False)
-        if info != 0:
-            return None
+        return None if info != 0 else (M_SS, F)
+
+    def _set_solve(self, act, factor, data, xc, one, closed):
+        """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` and
+        :meth:`_set_factor` ``factor`` (module docstring), ``y`` zero off
+        the set, or None on a non-finite solution.  ``data``, ``xc`` and
+        ``one`` are ``D @ theta``, ``XC @ theta`` and 1, or for a record's
+        maps ``D``, ``XC`` and the unit vector of theta's trailing 1;
+        ``closed`` holds the set rows' bounds.  One ``potrs`` solves a
+        miss's one column and a record's many alike."""
+        rows, n, k = self._rows, self.n, self.k
+        nk = n + k
+        M_SS, F = factor
+
+        def solve_rows(r):  # LAPACK takes no empty factor
+            return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
+
         b0 = np.multiply.outer(closed[act], one)
         rhs = xc[n:nk][act] - b0
-        if rhs.ndim == 2 and act.size:
-            # the upper triangle of (M_SS + eps I)^-1, from the factor: one
-            # product solves a record's many columns
-            inv = _POTRI(F, lower=False)[0]
-
-            def solve_rows(r):
-                return _SYMM(1.0, inv, r)
-        else:
-            def solve_rows(r):  # LAPACK takes no empty factor
-                return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
         y_S = solve_rows(rhs)
         for _ in range(_POLISH_REFINE):
             y_S += solve_rows(rhs - M_SS @ y_S)
@@ -702,12 +704,14 @@ class BoxQpSolver:
         """Try the active set of the side vector ``s`` (:meth:`_sides`) of
         a dual point: the warm start, or ADMM's dual once ADMM has solved
         the step; ``data`` and ``xc`` are ``D @ theta`` and ``XC @ theta``.
-        The set's KKT solution comes from :meth:`_set_solve`, and
+        Each set tried is factored once (:meth:`_set_factor`), its KKT
+        solution comes from :meth:`_set_solve` on that factor, and
         :meth:`_accept` tests it.  Otherwise up to ``_CERTIFY_ROUNDS``
         corrections set ``s`` to 0 on the rows whose multipliers have ``s *
         y < 0`` and to -1 or +1 on the free rows violated below or above.
         When a solve certifies the set that the previous solve certified,
-        and no record of it is held, its record takes the place of any other.
+        and no record of it is held, its record, solved through the same
+        factor, takes the place of any other.
         Returns a ``SOLVED`` answer with zero iterations, or None.
         """
         n, k = self.n, self.k
@@ -715,8 +719,12 @@ class BoxQpSolver:
         previous, self._certified_key = self._certified_key, None
         for _ in range(_CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
+            factor = self._set_factor(act)
+            if factor is None:
+                return None
             box = self._box(s)
-            d = self._set_solve(act, data, xc, 1.0, box[0, k + 1:2 * k + 1])
+            d = self._set_solve(act, factor, data, xc, 1.0,
+                                box[0, k + 1:2 * k + 1])
             if d is None:
                 return None
             answer = self._accept(d, box, data)
@@ -724,7 +732,7 @@ class BoxQpSolver:
                 key = s.tobytes()
                 if key == previous and (self._map is None
                                         or self._map.key != key):
-                    self._map = self._record(act, s, box)
+                    self._map = self._record(act, factor, s, box)
                 self._certified_key = key
                 return answer
             y, t = d[n:n + k], d[n + k + 1:n + 2 * k + 1]
@@ -782,12 +790,14 @@ class BoxQpSolver:
             self._certified_key = rec.key
         return answer
 
-    def _record(self, act, s, box):
-        """The record of the set with side vector ``s``, rows ``act`` and
-        :meth:`_box` ``box``: its map over ``D``, or None."""
+    def _record(self, act, factor, s, box):
+        """The record of the set with side vector ``s``, rows ``act``,
+        :meth:`_set_factor` ``factor`` and :meth:`_box` ``box``: its map
+        over ``D``, solved through the factor that certified the set, or
+        None."""
         D, k = self.data_map[0], self.k
-        G = self._set_solve(act, D, self._rows.XC, np.eye(D.shape[1])[-1],
-                            box[0, k + 1:2 * k + 1])
+        G = self._set_solve(act, factor, D, self._rows.XC,
+                            np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
         return None if G is None else _SetRecord(sides=s, key=s.tobytes(),
                                                  G=G, box=box)
 

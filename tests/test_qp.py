@@ -35,6 +35,7 @@ Covers:
 
 from __future__ import annotations
 
+import collections
 import warnings
 
 import numpy as np
@@ -527,9 +528,10 @@ def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
         ref_x, ref_y = ref[:n], np.zeros(k)
         ref_y[act] = ref[n:]
         tol = 1e-12 * np.abs(ref).max()
-        one = solver._set_solve(act, D @ theta, rows.XC @ theta, 1.0,
-                                closed0[0])
-        rec = solver._record(act, s, solver._box(s))
+        factor = solver._set_factor(act)
+        one = solver._set_solve(act, factor, D @ theta, rows.XC @ theta,
+                                1.0, closed0[0])
+        rec = solver._record(act, factor, s, solver._box(s))
         for d in (one, rec.G @ theta):
             # [x; y; 0; t; 0; r]
             x, y, _, t, _, r = np.split(d, np.cumsum([n, k, 1, k, 1]))
@@ -667,13 +669,15 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     np.testing.assert_allclose(rec.G @ theta, [-1.0, -4.0, 0.0, -1.0, 0.0,
                                                0.0], atol=1e-12)
 
-    def dropped(act, data, xc, one, closed):
+    def dropped(act, factor, data, xc, one, closed):
         """The set solve with the bound's constant dropped."""
-        return BoxQpSolver._set_solve(solver, act, data, xc, one,
+        return BoxQpSolver._set_solve(solver, act, factor, data, xc, one,
                                       np.zeros_like(closed))
 
     solver._set_solve = dropped
-    solver._map = solver._record(np.array([0]), rec.sides, rec.box)
+    act = np.array([0])
+    solver._map = solver._record(act, solver._set_factor(act), rec.sides,
+                                 rec.box)
     del solver._set_solve
     np.testing.assert_allclose(solver._map.G @ theta, [0.0, -5.0, 0.0, 0.0,
                                                        0.0, 0.0], atol=1e-12)
@@ -693,6 +697,46 @@ def _mapped_qp(seed):
     D[:n, 3] = prob.q
     D[n:, :3] = 0.1 * rng.standard_normal((k, 3))
     return prob, D
+
+
+def test_a_solve_factors_each_set_it_tries_once(monkeypatch):
+    """``_POTRF`` runs once per set that a solve tries (``_certify`` boxes
+    each set once) and not again for the record that the solve builds
+    from the set it accepted: the record reuses that set's factor.  Solves
+    that fall back to ADMM, which factors its own matrices, are not
+    counted."""
+    prob, D = _mapped_qp(98)
+    solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
+    calls = collections.Counter()
+    potrf, box = qp_module._POTRF, solver._box
+
+    def counting_potrf(*args, **kwargs):
+        calls["potrf"] += 1
+        return potrf(*args, **kwargs)
+
+    def counting_box(s):
+        calls["tried"] += 1
+        return box(s)
+
+    monkeypatch.setattr(qp_module, "_POTRF", counting_potrf)
+    solver._box = counting_box
+    thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(4)]
+              + [np.array([-0.6, -0.6, -0.6, 1.0])] * 3
+              + [np.array([0.6, -0.6, -0.6, 1.0])] * 3)
+    y, built = None, []
+    for theta in thetas:
+        before, rec = calls.copy(), solver._map
+        sol = solver.solve(theta, y0=y)
+        y = sol.y
+        assert sol.status == QpStatus.SOLVED
+        if sol.iterations:  # ADMM factors its own KKT matrices
+            continue
+        factored = calls["potrf"] - before["potrf"]
+        tried = calls["tried"] - before["tried"]
+        assert factored == tried
+        if solver._map is not rec:
+            built.append(tried)
+    assert len(built) >= 2 and min(built) >= 1
 
 
 def test_theta_only_solve_equals_the_solve_of_its_data():
