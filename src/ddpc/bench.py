@@ -594,6 +594,9 @@ def tune(cfg: ExperimentConfig, controller: str,
     with ``grid_points_2d`` points per axis.  The mean closed-loop cost
     over the validation seed set is minimized, with exact ties resolved
     toward larger regularization.
+
+    Raises:
+        Diverged: If no candidate was scored, naming the controller.
     """
     n_d = cfg.n_d if n_d is None else n_d
     sigma_e = cfg.sigma_e if sigma_e is None else sigma_e
@@ -613,13 +616,14 @@ def tune(cfg: ExperimentConfig, controller: str,
     # each validation seed's dataset and factor serve every candidate; a
     # divergence, in the collection or in a rollout, scores inf
     totals = [0.0] * len(candidates)
-    diverged = set()
+    diverged, first = set(), None
     for seed in range(cfg.tune_seed_offset,
                       cfg.tune_seed_offset + cfg.tune_seeds):
         try:
             traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
-        except Diverged:
+        except Diverged as exc:
             diverged.update(range(len(candidates)))
+            first = first or f"collection at seed {seed}: {exc}"
             break
         handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
                            (controller,))
@@ -629,8 +633,12 @@ def tune(cfg: ExperimentConfig, controller: str,
             try:
                 totals[i] += _rollout(trial, spec, traj, handles, n_d,
                                       sigma_e, eps, seed).J
-            except Diverged:
+            except Diverged as exc:
                 diverged.add(i)
+                first = first or f"rollout at seed {seed}: {exc}"
+    if len(diverged) == len(candidates):
+        raise Diverged(f"tune {controller}: every candidate diverged, so "
+                       f"none was scored (first: {first})")
     scores = [float("inf") if i in diverged else total / cfg.tune_seeds
               for i, total in enumerate(totals)]
     keys = [tuple(sorted(c.items())) for c in candidates]

@@ -50,7 +50,8 @@ import scipy.linalg
 from .errors import DimensionMismatch
 from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
-from .qp import BoxQpSolver, QpProblem, QpStatus
+from .qp import (BoxQpSolver, QpProblem, QpStatus, _check_bounds,
+                 _check_weight)
 from .sim import (NonlinearWrapper, StateSpaceModel, _check_sane,
                   _innovations, step_model)
 from .trajectory import HankelPartition, Trajectory
@@ -99,26 +100,6 @@ _STATUS_SEVERITY = {
     QpStatus.PRIMAL_INFEASIBLE: 2,
     QpStatus.DUAL_INFEASIBLE: 3,
 }
-
-_EIG_TOL = 1e-12
-
-
-def _check_weight(name: str, mat: np.ndarray, positive: bool) -> np.ndarray:
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
-    scale = max(1.0, float(np.abs(mat).max()))
-    if float(np.abs(mat - mat.T).max()) > _EIG_TOL * scale:
-        raise ValueError(f"{name} is not symmetric")
-    eig_min = float(np.linalg.eigvalsh(mat).min())
-    if positive and eig_min <= _EIG_TOL * scale:
-        raise ValueError(f"{name} must be positive definite "
-                         f"(min eigenvalue {eig_min:.3e})")
-    if not positive and eig_min < -_EIG_TOL * scale:
-        raise ValueError(f"{name} must be positive semidefinite "
-                         f"(min eigenvalue {eig_min:.3e})")
-    return mat
-
 
 @dataclass(frozen=True)
 class CostSpec:
@@ -175,21 +156,13 @@ class BoxConstraints:
     def __post_init__(self):
         for name in ("u_lower", "u_upper", "y_lower", "y_upper"):
             val = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if np.isnan(val).any():
-                raise ValueError(f"{name} contains NaN")
-            closed = np.inf if name.endswith("_lower") else -np.inf
-            if (val == closed).any():
-                raise ValueError(f"{name} contains {closed:+}, which no "
-                                 "value satisfies")
             object.__setattr__(self, name, val)
         if self.u_lower.shape != self.u_upper.shape:
             raise DimensionMismatch("input bound lengths differ")
         if self.y_lower.shape != self.y_upper.shape:
             raise DimensionMismatch("output bound lengths differ")
-        if np.any(self.u_lower > self.u_upper):
-            raise ValueError("some input lower bound exceeds its upper bound")
-        if np.any(self.y_lower > self.y_upper):
-            raise ValueError("some output lower bound exceeds its upper bound")
+        _check_bounds(self.u_lower, self.u_upper, ("u_lower", "u_upper"))
+        _check_bounds(self.y_lower, self.y_upper, ("y_lower", "y_upper"))
 
     @classmethod
     def unbounded(cls, m: int, p: int) -> "BoxConstraints":
@@ -557,9 +530,8 @@ def make_controller(spec: ControllerSpec, *,
 def kf_update(model: StateSpaceModel, x_hat: np.ndarray, u: np.ndarray,
               y: np.ndarray) -> np.ndarray:
     """One innovation-form predictor update of the state estimate."""
-    x_hat = np.asarray(x_hat, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    x_hat, u, y = (np.asarray(v, dtype=float).reshape(-1)
+                   for v in (x_hat, u, y))
     innovation = y - model.C @ x_hat - model.D @ u
     return model.A @ x_hat + model.B @ u + model.K @ innovation
 
@@ -572,12 +544,10 @@ def kf_predictor_matrices(model: StateSpaceModel,
     noise-free response over ``L_f`` steps.
     """
     n, m, p = model.n, model.m, model.p
-    Gamma = np.empty((p * L_f, n))
     powers = [np.eye(n)]
     for _ in range(L_f - 1):
         powers.append(model.A @ powers[-1])
-    for i in range(L_f):
-        Gamma[i * p:(i + 1) * p] = model.C @ powers[i]
+    Gamma = np.vstack([model.C @ power for power in powers])
     H = np.zeros((p * L_f, m * L_f))
     for i in range(L_f):
         H[i * p:(i + 1) * p, i * m:(i + 1) * m] = model.D

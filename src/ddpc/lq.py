@@ -9,10 +9,12 @@ identity ``L @ L.T == S @ S.T``.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import DimensionMismatch, RankDeficient
@@ -41,7 +43,6 @@ _MAGIC = b"LQB2"
 _QR_BLOCK = 16
 
 _GEQRT = get_lapack_funcs("geqrt", dtype=np.float64)
-_TRTRS = get_lapack_funcs("trtrs", dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -199,12 +200,8 @@ def gamma1_of(blocks: LqBlocks, z_p: np.ndarray) -> np.ndarray:
             f"z_p has length {z.shape[0]}, expected {blocks.dim_past}"
         )
     if blocks.past_is_nonsingular():
-        # LAPACK's trtrs without solve_triangular's per-call input checks,
-        # on the Fortran-ordered transpose of the C-ordered L11 as
-        # solve_triangular passes it
-        return _TRTRS(blocks.L11.T, z, lower=0, trans=1)[0]
-    gamma1, *_ = np.linalg.lstsq(blocks.L11, z, rcond=_PINV_RTOL)
-    return gamma1
+        return scipy.linalg.solve_triangular(blocks.L11, z, lower=True)
+    return np.linalg.lstsq(blocks.L11, z, rcond=_PINV_RTOL)[0]
 
 
 def save_lq_blocks(blocks: LqBlocks, path) -> None:
@@ -224,7 +221,14 @@ def save_lq_blocks(blocks: LqBlocks, path) -> None:
 
 
 def load_lq_blocks(path) -> LqBlocks:
-    """Read a file written by :func:`save_lq_blocks`."""
+    """Read a file written by :func:`save_lq_blocks`.
+
+    The header is checked before any block is read: ``m``, ``p``, ``L_p``
+    and ``L_f`` are at least 1, ``M`` is at least ``(m+p)(L_p+L_f)`` (the
+    bound :func:`factorize` enforces), and the file holds exactly the
+    header and the blocks it names.  Each failure is a ``ValueError`` that
+    names the path and the field.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic == b"LQB1":
@@ -233,20 +237,25 @@ def load_lq_blocks(path) -> LqBlocks:
                 "orthonormal factor); re-run `ddpc factorize --dump`")
         if magic != _MAGIC:
             raise ValueError(f"{path}: not an LQ block dump")
-        m, p, L_p, L_f, M = struct.unpack("<5q", fh.read(40))
-        d1 = (m + p) * L_p
-        d2 = m * L_f
-        d3 = p * L_f
-        shapes = [
-            (d1, d1), (d2, d1), (d2, d2), (d3, d1), (d3, d2), (d3, d3),
-        ]
-        arrays = []
-        for shape in shapes:
-            count = shape[0] * shape[1]
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated block of shape {shape}")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after last block")
+        header = fh.read(40)
+        if len(header) != 40:
+            raise ValueError(f"{path}: truncated header")
+        m, p, L_p, L_f, M = struct.unpack("<5q", header)
+        for name, value in (("m", m), ("p", p), ("L_p", L_p), ("L_f", L_f)):
+            if value < 1:
+                raise ValueError(f"{path}: header {name} = {value}, expected "
+                                 ">= 1")
+        n_rows = (m + p) * (L_p + L_f)
+        if M < n_rows:
+            raise ValueError(f"{path}: header M = {M}, expected >= "
+                             f"(m+p)(L_p+L_f) = {n_rows}")
+        d1, d2, d3 = (m + p) * L_p, m * L_f, p * L_f
+        shapes = [(d1, d1), (d2, d1), (d2, d2), (d3, d1), (d3, d2), (d3, d3)]
+        size = 4 + 40 + 8 * sum(rows * cols for rows, cols in shapes)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != size:
+            raise ValueError(f"{path}: file length is {actual} bytes, but its "
+                             f"header names {size}")
+        arrays = [np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
+                  .reshape(rows, cols).copy() for rows, cols in shapes]
     return LqBlocks(*arrays, m=m, p=p, L_p=L_p, L_f=L_f, M=M)

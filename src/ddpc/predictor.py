@@ -49,14 +49,12 @@ class Predictor:
     L_f: int
 
     def __post_init__(self):
-        d1 = (self.m + self.p) * self.L_p
-        d2 = self.m * self.L_f
-        d3 = self.p * self.L_f
+        d1, d2, d3 = ((self.m + self.p) * self.L_p, self.m * self.L_f,
+                      self.p * self.L_f)
         if self.K_p.shape != (d3, d1) or self.K_f.shape != (d3, d2):
             raise DimensionMismatch(
-                f"predictor gains have shapes {self.K_p.shape}/{self.K_f.shape}, "
-                f"expected {(d3, d1)}/{(d3, d2)}"
-            )
+                f"predictor gains have shapes {self.K_p.shape}/"
+                f"{self.K_f.shape}, expected {(d3, d1)}/{(d3, d2)}")
 
 
 def _fit(blocks: LqBlocks, causal: bool) -> Predictor:

@@ -62,25 +62,19 @@ map are checked when the solver is built, ``theta`` and the warm starts
 at each solve; a residual that turns non-finite raises ``ValueError``.
 
 The KKT solution of a fixed active set is affine in ``theta`` too: the
-critical regions of explicit MPC.  Once two solves in a row have
-certified a set, its record is built: the side vector and one map ``G``
-with ``G @ theta = [x; y; 0; t; 0; r]``, the same set solve with ``D``
-and ``XC`` in the place of their products with ``theta``.  A solve
-factors each set it tries once, and the record is solved through the
-factor of the set it accepted: one ``potrs`` solves the record's columns
-as it solves a miss's one.  It answers until another record replaces
-it; no factor of a set outlives its solve.
-So the stationarity and bound rows are fixed when the record is built,
-and checked at every hit.  A solve whose warm start has that side vector
-takes them all from one ``gemv`` with ``G``, tests them finite with
-``theta`` and the warm starts by one BLAS dot each, and accepts them by
-one reduction: the gaps of ``t`` outside the bounds with the set's rows
-closed onto their sides (the primal residual), the wrong signs ``-s *
-y`` and ``|r|`` (the dual one), each within ``eps_abs``.  A factored
-answer is tested the same way, with the scaled test of ADMM beyond
-``eps_abs``; a record answer beyond it is retried through the set's
-factor.  No step forms the objective: :func:`solve` forms it from its
-answer.
+critical regions of explicit MPC.  A solve factors each set it tries
+once, and one ``potrs`` on that factor solves every right-hand side.
+Once two solves in a row have certified a set, its record is built
+through the factor that certified it: the side vector and one map ``G``
+with ``G @ theta = [x; y; 0; t; 0; r]``, the set solve with ``D`` and
+``XC`` in the place of their products with ``theta``.  It answers until
+another record replaces it; no factor of a set outlives its solve.  A
+hit is one ``gemv`` with ``G``, tested finite with ``theta`` and the
+warm starts (:meth:`BoxQpSolver._checked`), and one reduction of its
+fixed stationarity and bound rows against the set's box
+(:meth:`BoxQpSolver._accept`); a rejected hit is retried through the
+set's factor.  No step forms the objective: :func:`solve` forms it from
+its answer.
 """
 
 from __future__ import annotations
@@ -115,11 +109,10 @@ class QpStatus(str, Enum):
 
 @dataclass(frozen=True)
 class QpProblem:
-    """Problem data; symmetry of ``P`` is enforced to 1e-12 on entry.
-
-    Non-finite ``P``, ``q`` or ``A`` and NaN bounds are rejected first,
-    with a ``ValueError`` that names the field.
-    """
+    """Problem data, checked on entry: non-finite ``P``, ``q`` or ``A``
+    first (a ``ValueError`` naming the field), then the shapes, the bounds
+    by the solver's rule (:func:`_check_bounds`) and ``P``, symmetric and
+    PSD to 1e-12 (:func:`_check_weight`)."""
 
     P: np.ndarray
     q: np.ndarray
@@ -136,9 +129,6 @@ class QpProblem:
         for name, v in (("P", P), ("q", q), ("A", A)):
             if not np.isfinite(v).all():
                 raise ValueError(f"{name} has non-finite entries")
-        for name, v in (("lower", lo), ("upper", hi)):
-            if np.isnan(v).any():
-                raise ValueError(f"{name} has NaN entries")
         n = q.shape[0]
         if P.shape != (n, n):
             raise DimensionMismatch(f"P has shape {P.shape}, expected {(n, n)}")
@@ -147,20 +137,12 @@ class QpProblem:
         k = A.shape[0]
         if lo.shape[0] != k or hi.shape[0] != k:
             raise DimensionMismatch("bound lengths do not match A")
-        scale = max(1.0, float(np.abs(P).max()) if P.size else 1.0)
-        if P.size and float(np.abs(P - P.T).max()) > 1e-12 * scale:
-            raise ValueError("P is not symmetric to 1e-12")
-        if np.any(lo > hi):
-            raise ValueError("some lower bound exceeds its upper bound")
+        _check_bounds(lo, hi, ("lower", "upper"))
         if P.size:
-            ev_min = float(scipy.linalg.eigvalsh(0.5 * (P + P.T)).min())
-            if ev_min < -1e-12 * scale:
-                raise ValueError(f"P is not PSD (min eigenvalue {ev_min:.3e})")
-        object.__setattr__(self, "P", 0.5 * (P + P.T))
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+            _check_weight("P", P, positive=False)
+        for name, v in (("P", 0.5 * (P + P.T)), ("q", q), ("A", A),
+                        ("lower", lo), ("upper", hi)):
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
@@ -220,6 +202,7 @@ _REFACTOR_RATIO = 5.0
 _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 _CERTIFY_ROUNDS = 3
+_EIG_TOL = 1e-12  # symmetry and eigenvalue tolerance of _check_weight
 
 try:  # the clip ufunc, which np.clip reaches through Python dispatch
     from numpy._core.umath import clip as _CLIP
@@ -634,8 +617,7 @@ class BoxQpSolver:
     def _set_factor(self, act):
         """``(M_SS, F)`` of the set with rows ``act``: ``M_SS`` and the
         upper Cholesky factor ``F`` of ``M_SS + _POLISH_REG I``, or None
-        where that factor fails.  :meth:`_certify` factors each set it
-        tries once, and its record reuses the accepted set's factor."""
+        where that factor fails."""
         nk = self.n + self.k
         M_SS = self._rows.W[self.n:nk][act[:, None], act]
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
@@ -822,6 +804,25 @@ def _check_bounds(lo, hi, names) -> None:
             raise ValueError(f"{name} has entries equal to {bad}")
     crossed = np.flatnonzero(lo > hi)
     raise ValueError(f"{names[0]} exceeds {names[1]} at row {crossed[0]}")
+
+
+def _check_weight(name: str, mat: np.ndarray, positive: bool) -> np.ndarray:
+    """``mat`` as a 2-d array, checked square, symmetric and positive
+    definite (``positive``) or semidefinite to ``_EIG_TOL`` of its scale."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.shape[0] != mat.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got {mat.shape}")
+    scale = max(1.0, float(np.abs(mat).max()))
+    if float(np.abs(mat - mat.T).max()) > _EIG_TOL * scale:
+        raise ValueError(f"{name} is not symmetric")
+    eig_min = float(np.linalg.eigvalsh(mat).min())
+    if positive and eig_min <= _EIG_TOL * scale:
+        raise ValueError(f"{name} must be positive definite "
+                         f"(min eigenvalue {eig_min:.3e})")
+    if not positive and eig_min < -_EIG_TOL * scale:
+        raise ValueError(f"{name} must be positive semidefinite "
+                         f"(min eigenvalue {eig_min:.3e})")
+    return mat
 
 
 def _primal_infeasibility(A, lo, hi, fin_lo, fin_hi, dy, eps) -> bool:

@@ -74,11 +74,9 @@ class StateSpaceModel:
     sigma_e: float = 0.0
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        K = np.atleast_2d(np.asarray(self.K, dtype=float))
+        A, B, C, D, K = (np.atleast_2d(np.asarray(getattr(self, name),
+                                                  dtype=float))
+                         for name in "ABCDK")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
@@ -92,14 +90,10 @@ class StateSpaceModel:
         if K.shape != (n, p):
             raise DimensionMismatch(f"K has shape {K.shape}, expected {(n, p)}")
         _check_sigma_e(self.sigma_e)
-        for name, mat in (("A", A), ("B", B), ("C", C), ("D", D), ("K", K)):
+        for name, mat in zip("ABCDK", (A, B, C, D, K)):
             if not np.isfinite(mat).all():
                 raise ValueError(f"{name} contains non-finite entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "K", K)
+            object.__setattr__(self, name, mat)
 
     @property
     def n(self) -> int:
@@ -335,19 +329,16 @@ class LinearFeedbackController:
     D_c: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A_c, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B_c, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C_c, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D_c, dtype=float))
+        names = ("A_c", "B_c", "C_c", "D_c")
+        A, B, C, D = (np.atleast_2d(np.asarray(getattr(self, name),
+                                               dtype=float))
+                      for name in names)
         nc = A.shape[0]
-        if A.shape != (nc, nc) or B.shape[0] != nc or C.shape[1] != nc:
+        if (A.shape != (nc, nc) or B.shape[0] != nc or C.shape[1] != nc
+                or D.shape != (C.shape[0], B.shape[1])):
             raise DimensionMismatch("inconsistent feedback controller shapes")
-        if D.shape != (C.shape[0], B.shape[1]):
-            raise DimensionMismatch("inconsistent feedback controller shapes")
-        object.__setattr__(self, "A_c", A)
-        object.__setattr__(self, "B_c", B)
-        object.__setattr__(self, "C_c", C)
-        object.__setattr__(self, "D_c", D)
+        for name, mat in zip(names, (A, B, C, D)):
+            object.__setattr__(self, name, mat)
 
     @property
     def n_states(self) -> int:

@@ -9,6 +9,7 @@ their past/future partition.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,8 @@ class Trajectory:
         if u.ndim != 2 or y.ndim != 2:
             raise DimensionMismatch("inputs and outputs must be 2-d arrays")
         if u.shape[1] != y.shape[1]:
-            raise DimensionMismatch(
-                f"inputs have {u.shape[1]} samples but outputs have {y.shape[1]}"
-            )
+            raise DimensionMismatch(f"inputs have {u.shape[1]} samples but "
+                                    f"outputs have {y.shape[1]}")
         if u.shape[1] == 0:
             raise DimensionMismatch("empty trajectory")
         if not (np.isfinite(u).all() and np.isfinite(y).all()):
@@ -196,7 +196,9 @@ def read_trajectory_csv(path) -> Trajectory:
     """Read a ``t,u1..um,y1..yp`` file written by :func:`write_trajectory_csv`.
 
     Channel counts are inferred from the header; the ``t`` column is ignored
-    apart from requiring the header to start with it.
+    apart from requiring the header to start with it.  A malformed row or
+    a non-finite sample raises ``ValueError`` naming ``path:line`` (and
+    the sample's column).
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -215,8 +217,16 @@ def read_trajectory_csv(path) -> Trajectory:
             if not row:
                 continue
             try:
-                u_rows.append([float(row[i]) for i in u_cols])
-                y_rows.append([float(row[i]) for i in y_cols])
+                u_vals = [float(row[i]) for i in u_cols]
+                y_vals = [float(row[i]) for i in y_cols]
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{line}: bad row: {exc}") from None
+            bad = [i for i, v in zip(u_cols + y_cols, u_vals + y_vals)
+                   if not math.isfinite(v)]
+            if bad:
+                raise ValueError(f"{path}:{line}: non-finite sample "
+                                 f"{row[bad[0]].strip()!r} in column "
+                                 f"{header[bad[0]].strip()!r}")
+            u_rows.append(u_vals)
+            y_rows.append(y_vals)
     return Trajectory(np.array(u_rows).T, np.array(y_rows).T)

@@ -25,6 +25,7 @@ import pytest
 
 from ddpc import (
     ConfigError,
+    Diverged,
     MissingBaseline,
     RECORD_FIELDS,
     RunRecord,
@@ -548,6 +549,17 @@ def test_tune_collects_each_validation_seed_once(monkeypatch):
     monkeypatch.setattr(bench, "collect_open_loop", counting)
     tune(cfg, "reg_gamma")
     assert len(calls) == 1
+
+
+def test_tune_raises_when_no_candidate_is_scored():
+    """A plant whose collection diverges gives every candidate an infinite
+    score; tune names the controller instead of returning the last
+    candidate of the grid."""
+    cfg = replace(_small("table1", controllers=("reg_gamma",)),
+                  plant_kind="nonlinear", eps=1.0, excitation_amplitude=30.0,
+                  grid_points=3, grid_min=1e-3, grid_max=1e3, tune_seeds=2)
+    with pytest.raises(Diverged, match=r"^tune reg_gamma: .*collection"):
+        tune(cfg, "reg_gamma")
 
 
 def test_tune_rejects_unregularized_controllers():

@@ -24,6 +24,7 @@ Covers:
 from __future__ import annotations
 
 import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -415,3 +416,29 @@ def test_load_rejects_truncation_and_trailing(tmp_path):
     (tmp_path / "long.lqb").write_bytes(raw + b"\x00")
     with pytest.raises(ValueError):
         load_lq_blocks(tmp_path / "long.lqb")
+
+
+@pytest.mark.parametrize("over,named", [
+    (dict(L_p=0), "L_p"), (dict(L_f=-1), "L_f"), (dict(m=0), "m"),
+    (dict(m=-2), "m"), (dict(p=0), "p"), (dict(M=-5), "M"),
+    (dict(M=9), "M"), (dict(m=10**6), "M"),
+    (dict(m=10**6, L_f=10**6, M=10**13), "length"),
+], ids=["L_p-0", "L_f-negative", "m-0", "m-negative", "p-0", "M-negative",
+        "M-below-rows", "m-huge", "huge-blocks"])
+def test_load_rejects_an_impossible_header(tmp_path, over, named):
+    """A header field below 1, an ``M`` below the stack's row count
+    ``(m+p)(L_p+L_f)`` (10 here), or dimensions whose blocks the file does
+    not hold are refused before any block is read, with a ``ValueError``
+    that names the path and the field."""
+    blocks = make_blocks(demo_model(), 110, L_p=2, L_f=3, rng=seeded(42))
+    path = tmp_path / "blocks.lqb"
+    save_lq_blocks(blocks, path)
+    raw = bytearray(path.read_bytes())
+    header = dict(zip(("m", "p", "L_p", "L_f", "M"),
+                      struct.unpack_from("<5q", raw, 4)))
+    header.update(over)
+    struct.pack_into("<5q", raw, 4, *header.values())
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*"
+                                         rf"\b{named}\b"):
+        load_lq_blocks(path)

@@ -12,6 +12,7 @@ Covers:
 from __future__ import annotations
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,18 @@ def test_csv_roundtrip_exact(tmp_path):
     back = read_trajectory_csv(path)
     np.testing.assert_array_equal(back.inputs, traj.inputs)
     np.testing.assert_array_equal(back.outputs, traj.outputs)
+
+
+@pytest.mark.parametrize("sample", ["nan", "1e999", "-inf"])
+def test_csv_non_finite_sample_is_located(tmp_path, sample):
+    """The first non-finite sample is named by its line and column, as a
+    malformed row is."""
+    path = tmp_path / "traj.csv"
+    path.write_text(f"t,u1,y1,y2\n0,1.0,2.0,3.0\n1,0.5,1e308,{sample}\n"
+                    "2,nan,0.0,0.0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: "
+                                         rf".*{sample}.*'y2'"):
+        read_trajectory_csv(path)
 
 
 def test_csv_bad_header_rejected(tmp_path):

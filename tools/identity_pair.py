@@ -32,7 +32,10 @@ directory of its own, and these artifacts are compared:
   reaches ``records.csv``).
 
 By default every artifact must be byte-identical, and ``run_single`` and
-the open-loop records are compared through a sha256 digest.  With
+the open-loop records are compared through sha256 digests: one per
+``run_single`` field group (``J``, ``plans``, ``qp_status``,
+``qp_iterations``, ``primal_res`` and ``dual_res``), so that a run that
+differs names the groups that differ, as in ``DIFFERS (dual_res)``.  With
 ``--rtol r``, both report raw values, and numbers may differ by a
 relative ``r``: a numeric CSV column, a ``u_f``/``y_f`` record, an
 open-loop output record or a J is within ``r`` when
@@ -84,10 +87,10 @@ ROW_KEYS = ("controller", "N_d", "sigma_e", "eps", "seed", "t")
 # the final statuses that the ADMM traffic line always names
 ADMM_STATUSES = ("solved", "max_iter", "primal_infeasible")
 
-# Runs in each tree; prints {"runs": {"<variant>/<seed>": sha256}, "steps":
-# <count>, "admm_statuses": [the status of each step with qp_iterations >
-# 0]} as JSON, or with RAW set the values themselves in place of each
-# sha256.
+# Runs in each tree; prints {"runs": {"<variant>/<seed>": {<field group>:
+# sha256}}, "steps": <count>, "admm_statuses": [the status of each step
+# with qp_iterations > 0]} as JSON, or with RAW set the values themselves
+# in place of the digests.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -120,12 +123,18 @@ for variant in ddpc.VARIANTS:
                 primal_res=[t.primal_res for t in s],
                 dual_res=[t.dual_res for t in s])
             continue
-        steps = [(np.asarray(s.u_f).tobytes(), np.asarray(s.y_f).tobytes(),
-                  s.qp_iterations, s.qp_status.value, s.primal_res,
-                  s.dual_res) for s in rollout.steps]
-        blob = pickle.dumps((rollout.J, rollout.J_y, rollout.J_u, steps),
-                            protocol=4)
-        out[f"{{variant}}/{{seed}}"] = hashlib.sha256(blob).hexdigest()
+        s = rollout.steps
+        groups = dict(
+            J=(rollout.J, rollout.J_y, rollout.J_u),
+            plans=[(np.asarray(t.u_f).tobytes(), np.asarray(t.y_f).tobytes())
+                   for t in s],
+            qp_status=[t.qp_status.value for t in s],
+            qp_iterations=[t.qp_iterations for t in s],
+            primal_res=[t.primal_res for t in s],
+            dual_res=[t.dual_res for t in s])
+        out[f"{{variant}}/{{seed}}"] = {{
+            name: hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
+            for name, value in groups.items()}}
 json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm), sys.stdout,
           sort_keys=True)
 """
@@ -397,6 +406,10 @@ def compare(label: str, a, b, rtol: float | None) -> tuple[str, bool]:
     if a == b:
         return ("same" if a is not None else
                 "same (absent on both sides)"), True
+    if rtol is None and isinstance(a, dict) and isinstance(b, dict):
+        groups = [g for g in sorted(a.keys() | b.keys())
+                  if a.get(g) != b.get(g)]
+        return f"DIFFERS ({', '.join(groups)})", False
     if rtol is None or a is None or b is None or isinstance(a, int):
         return "DIFFERS", False
     tally = Tally()
