@@ -618,8 +618,7 @@ class BoxQpSolver:
         """``(M_SS, F)`` of the set with rows ``act``: ``M_SS`` and the
         upper Cholesky factor ``F`` of ``M_SS + _POLISH_REG I``, or None
         where that factor fails."""
-        nk = self.n + self.k
-        M_SS = self._rows.W[self.n:nk][act[:, None], act]
+        M_SS = self._rows.W[self.n:self.n + self.k][act[:, None], act]
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
                          overwrite_a=True, clean=False)
         return None if info != 0 else (M_SS, F)
@@ -775,8 +774,7 @@ class BoxQpSolver:
     def _record(self, act, factor, s, box):
         """The record of the set with side vector ``s``, rows ``act``,
         :meth:`_set_factor` ``factor`` and :meth:`_box` ``box``: its map
-        over ``D``, solved through the factor that certified the set, or
-        None."""
+        over ``D``, or None."""
         D, k = self.data_map[0], self.k
         G = self._set_solve(act, factor, D, self._rows.XC,
                             np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
