@@ -112,29 +112,21 @@ for variant in ddpc.VARIANTS:
         n_steps += len(rollout.steps)
         admm += [s.qp_status.value for s in rollout.steps
                  if s.qp_iterations > 0]
-        if RAW:
-            s = rollout.steps
-            out[f"{{variant}}/{{seed}}"] = dict(
-                J=[rollout.J, rollout.J_y, rollout.J_u],
-                u_f=[np.asarray(t.u_f).tolist() for t in s],
-                y_f=[np.asarray(t.y_f).tolist() for t in s],
-                qp_iterations=[t.qp_iterations for t in s],
-                qp_status=[t.qp_status.value for t in s],
-                primal_res=[t.primal_res for t in s],
-                dual_res=[t.dual_res for t in s])
-            continue
         s = rollout.steps
-        groups = dict(
-            J=(rollout.J, rollout.J_y, rollout.J_u),
-            plans=[(np.asarray(t.u_f).tobytes(), np.asarray(t.y_f).tobytes())
-                   for t in s],
-            qp_status=[t.qp_status.value for t in s],
+        run = dict(
+            J=[rollout.J, rollout.J_y, rollout.J_u],
+            u_f=[np.asarray(t.u_f).tolist() for t in s],
+            y_f=[np.asarray(t.y_f).tolist() for t in s],
             qp_iterations=[t.qp_iterations for t in s],
+            qp_status=[t.qp_status.value for t in s],
             primal_res=[t.primal_res for t in s],
             dual_res=[t.dual_res for t in s])
-        out[f"{{variant}}/{{seed}}"] = {{
-            name: hashlib.sha256(pickle.dumps(value, protocol=4)).hexdigest()
-            for name, value in groups.items()}}
+        if not RAW:
+            # one digest per field group, the plans u_f and y_f in one
+            run["plans"] = (run.pop("u_f"), run.pop("y_f"))
+            run = {{name: hashlib.sha256(pickle.dumps(v, protocol=4))
+                    .hexdigest() for name, v in run.items()}}
+        out[f"{{variant}}/{{seed}}"] = run
 json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm), sys.stdout,
           sort_keys=True)
 """
