@@ -454,14 +454,22 @@ def _stream(tag: int, n_d: int, sigma_e: float, eps: float,
                    int(round(eps * 1e9)))
 
 
-def _collect_dataset(cfg: ExperimentConfig, n_d: int, sigma_e: float,
-                     eps: float, seed: int) -> Trajectory:
-    plant = cfg.plant(sigma_e=sigma_e, eps=eps)
-    rng = _stream(_DATA_STREAM, n_d, sigma_e, eps, seed)
+def _collect_dataset(cfg: ExperimentConfig, plant, point: tuple) -> Trajectory:
+    """The dataset of ``point = (n_d, sigma_e, eps, seed)`` from ``plant``."""
+    rng = _stream(_DATA_STREAM, *point)
+    n_d = point[0]
     if cfg.excitation_kind == "closedloop":
         return collect_closed_loop(plant, cfg.feedback, cfg.setpoints(n_d),
                                    rng=rng)
     return collect_open_loop(plant, cfg.excitation(n_d, rng=rng), rng=rng)
+
+
+def _reference(cfg: ExperimentConfig) -> np.ndarray:
+    """The setpoint schedule of every rollout of ``cfg``; read-only, since
+    one array serves them all."""
+    ref = cfg.reference(cfg.n_steps + cfg.L_f)
+    ref.flags.writeable = False
+    return ref
 
 
 def run_single(cfg: ExperimentConfig, controller_name: str, seed: int,
@@ -472,10 +480,13 @@ def run_single(cfg: ExperimentConfig, controller_name: str, seed: int,
     sigma_e = cfg.sigma_e if sigma_e is None else sigma_e
     eps = cfg.eps if eps is None else eps
     spec = cfg.controller_spec(controller_name)
-    traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
+    point = (n_d, sigma_e, eps, seed)
+    plant = cfg.plant(sigma_e=sigma_e, eps=eps)
+    traj = _collect_dataset(cfg, plant, point)
     handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
                        (controller_name,))
-    rollout = _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed)
+    rollout = _rollout(cfg, spec, _reference(cfg), plant, traj, handles,
+                       point)
     return rollout, traj
 
 
@@ -487,44 +498,50 @@ def _handles(cfg, part, sigma_e, names) -> dict:
             "model": cfg.base_model(sigma_e) if "model" in wanted else None}
 
 
-def _rollout(cfg, spec, traj, handles, n_d, sigma_e, eps, seed):
+def _rollout(cfg, spec, ref, plant, traj, handles, point):
+    """Build the controller of ``spec`` and run it on ``plant`` under the
+    loop stream of ``point = (n_d, sigma_e, eps, seed)``."""
     ctrl = make_controller(spec, L_p=cfg.L_p, **handles)
-    plant = cfg.plant(sigma_e=sigma_e, eps=eps)
-    ref = cfg.reference(cfg.n_steps + cfg.L_f)
     warm = traj.inputs[:, -cfg.L_p:] if cfg.warmup == "excitation" else None
-    rng = _stream(_LOOP_STREAM, n_d, sigma_e, eps, seed)
+    rng = _stream(_LOOP_STREAM, *point)
     return run_receding_horizon(plant, ctrl, ref, cfg.n_steps, rng=rng,
                                 warmup_inputs=warm)
 
 
 def _run_unit(args) -> list[RunRecord]:
-    cfg, n_d, sigma_e, eps, seed = args
-    point = dict(N_d=n_d, sigma_e=sigma_e, eps=eps, seed=seed)
+    """Every controller at one grid point and seed.
+
+    The specs and the reference come with the unit, built once per sweep;
+    the plant, the dataset and its handles are built here once per unit.
+    Each rollout's timer covers its controller build and its run.
+    """
+    cfg, specs, ref, *point = args
+    n_d, sigma_e, eps, seed = point
+    grid = dict(N_d=n_d, sigma_e=sigma_e, eps=eps, seed=seed)
     diverged = dict(J=float("inf"), J_y=float("inf"), J_u=float("inf"),
                     qp_iters=0, status="diverged")
+    plant = cfg.plant(sigma_e=sigma_e, eps=eps)
     try:
-        traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
+        traj = _collect_dataset(cfg, plant, point)
     except Diverged:
         # an unstable collection loop fails every controller at this unit
-        return [RunRecord(controller=name, **point, **diverged, wall_ms=0.0,
-                          dataset_hash="")
-                for name in cfg.controllers]
+        return [RunRecord(controller=name, **grid, **diverged,
+                          wall_ms=0.0, dataset_hash="")
+                for name in specs]
     ds_hash = _dataset_hash(traj)
-    handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
-                       cfg.controllers)
+    handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e, specs)
     records = []
-    for name in cfg.controllers:
+    for name, spec in specs.items():
         start = time.perf_counter()
         try:
-            rollout = _rollout(cfg, cfg.controller_spec(name), traj,
-                               handles, n_d, sigma_e, eps, seed)
+            rollout = _rollout(cfg, spec, ref, plant, traj, handles, point)
             outcome = dict(J=rollout.J, J_y=rollout.J_y, J_u=rollout.J_u,
                            qp_iters=rollout.qp_iterations,
                            status=rollout.status.value)
         except Diverged:
             outcome = diverged
         wall_ms = 1e3 * (time.perf_counter() - start)
-        records.append(RunRecord(controller=name, **point, **outcome,
+        records.append(RunRecord(controller=name, **grid, **outcome,
                                  wall_ms=wall_ms, dataset_hash=ds_hash))
     return records
 
@@ -532,6 +549,10 @@ def _run_unit(args) -> list[RunRecord]:
 def run_sweep(cfg: ExperimentConfig, workers: int = 1,
               seeds: range | None = None) -> list[RunRecord]:
     """Run every controller over the full grid.
+
+    Each controller's spec and the reference are built once per sweep,
+    before any data are collected, and travel with every unit, so a
+    worker process builds neither; each unit builds its plant once.
 
     Args:
         cfg: Parsed experiment description.
@@ -542,12 +563,15 @@ def run_sweep(cfg: ExperimentConfig, workers: int = 1,
         Records sorted by (controller, N_d, sigma_e, eps, seed).
 
     Raises:
-        ValueError: If ``workers`` is below 1.
+        ValueError: If ``workers`` is below 1, or if a controller's
+            penalties are invalid (before any data are collected).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     seeds = range(cfg.seeds) if seeds is None else seeds
-    units = [(cfg, n_d, sig, eps, seed)
+    specs = {name: cfg.controller_spec(name) for name in cfg.controllers}
+    ref = _reference(cfg)
+    units = [(cfg, specs, ref, n_d, sig, eps, seed)
              for n_d, sig, eps in product(cfg.sweep_n_d, cfg.sweep_sigma_e,
                                           cfg.sweep_eps)
              for seed in seeds]
@@ -610,29 +634,31 @@ def tune(cfg: ExperimentConfig, controller: str,
                                            points)]
     candidates = [dict(zip(names, values))
                   for values in product(axis, repeat=len(names))]
-    trials = [cfg.with_controller_params(controller, **cand)
-              for cand in candidates]
-    specs = [trial.controller_spec(controller) for trial in trials]
+    specs = [cfg.with_controller_params(controller, **cand)
+             .controller_spec(controller) for cand in candidates]
+    ref = _reference(cfg)
+    plant = cfg.plant(sigma_e=sigma_e, eps=eps)
     # each validation seed's dataset and factor serve every candidate; a
     # divergence, in the collection or in a rollout, scores inf
     totals = [0.0] * len(candidates)
     diverged, first = set(), None
     for seed in range(cfg.tune_seed_offset,
                       cfg.tune_seed_offset + cfg.tune_seeds):
+        point = (n_d, sigma_e, eps, seed)
         try:
-            traj = _collect_dataset(cfg, n_d, sigma_e, eps, seed)
+            traj = _collect_dataset(cfg, plant, point)
         except Diverged as exc:
             diverged.update(range(len(candidates)))
             first = first or f"collection at seed {seed}: {exc}"
             break
         handles = _handles(cfg, partition(traj, cfg.horizon()), sigma_e,
                            (controller,))
-        for i, (trial, spec) in enumerate(zip(trials, specs)):
+        for i, spec in enumerate(specs):
             if i in diverged:
                 continue
             try:
-                totals[i] += _rollout(trial, spec, traj, handles, n_d,
-                                      sigma_e, eps, seed).J
+                totals[i] += _rollout(cfg, spec, ref, plant, traj, handles,
+                                      point).J
             except Diverged as exc:
                 diverged.add(i)
                 first = first or f"rollout at seed {seed}: {exc}"

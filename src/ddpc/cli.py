@@ -19,6 +19,7 @@ from .errors import (
     DepthExceedsLength,
     DimensionMismatch,
     Diverged,
+    MalformedData,
     RankDeficient,
 )
 from .lq import factorize, save_lq_blocks
@@ -30,7 +31,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_SOLVER = 3
 
-_DATA_ERRORS = (RankDeficient, DepthExceedsLength, DimensionMismatch)
+_DATA_ERRORS = (RankDeficient, DepthExceedsLength, DimensionMismatch,
+                MalformedData)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -41,7 +41,7 @@ map in ``theta``.  The variants differ only in these maps and penalties:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -106,21 +106,33 @@ class CostSpec:
     """Tracking cost ``sum |y - r|^2_q + |u|^2_r`` over a horizon.
 
     ``q_step`` (PSD) and ``r_step`` (PD) are per-step weights; the
-    horizon-wide block-diagonal matrices are exposed as ``Q`` and ``R``.
-    The reference ``r`` is given per step (``step(z_p, r_f)``).
+    horizon-wide block-diagonal matrices ``Q = kron(I, q_step)`` and
+    ``R = kron(I, r_step)`` are formed once, when the spec is made.  All
+    four are read-only copies, since every controller built from the spec
+    reads the same arrays.  The reference ``r`` is given per step
+    (``step(z_p, r_f)``).
     """
 
     q_step: np.ndarray
     r_step: np.ndarray
     L_f: int
+    Q: np.ndarray = field(init=False, repr=False, compare=False)
+    R: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = _check_weight("q_step", self.q_step, positive=False)
-        rw = _check_weight("r_step", self.r_step, positive=True)
+        q = _check_weight("q_step", self.q_step, positive=False).copy()
+        rw = _check_weight("r_step", self.r_step, positive=True).copy()
         if self.L_f < 1:
             raise ValueError(f"L_f must be >= 1, got {self.L_f}")
-        object.__setattr__(self, "q_step", q)
-        object.__setattr__(self, "r_step", rw)
+        eye = np.eye(self.L_f)
+        for name, weight in (("q_step", q), ("r_step", rw),
+                             ("Q", np.kron(eye, q)), ("R", np.kron(eye, rw))):
+            weight.flags.writeable = False
+            object.__setattr__(self, name, weight)
+
+    def __reduce__(self):
+        # rebuilt from the weights: a pickled array comes back writable
+        return CostSpec, (self.q_step, self.r_step, self.L_f)
 
     @property
     def p(self) -> int:
@@ -129,14 +141,6 @@ class CostSpec:
     @property
     def m(self) -> int:
         return self.r_step.shape[0]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return np.kron(np.eye(self.L_f), self.q_step)
-
-    @property
-    def R(self) -> np.ndarray:
-        return np.kron(np.eye(self.L_f), self.r_step)
 
 
 @dataclass(frozen=True)
@@ -252,8 +256,6 @@ class RolloutResult:
 # the condensed controller
 # ---------------------------------------------------------------------------
 
-_ONE = np.ones(1)
-
 
 def _sized_vector(name: str, value, length: int) -> np.ndarray:
     vec = np.asarray(value, dtype=float).reshape(-1)
@@ -331,7 +333,11 @@ class _CondensedController:
         """``[z; r_f; 1]``, length-checked; the solver tests it finite."""
         r_f = _sized_vector("r_f", self._zero_y if r_f is None else r_f,
                             self.p * self.L_f)
-        return np.concatenate([self._past(z_p), r_f, _ONE])
+        theta = np.empty(self._r_f.stop + 1)
+        theta[:self._r_f.start] = self._past(z_p)
+        theta[self._r_f] = r_f
+        theta[-1] = 1.0
+        return theta
 
     def _name_non_finite(self, theta) -> None:
         """Raise the error that names a non-finite part of ``theta``; the
@@ -582,9 +588,13 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     of the padded reference.  An LTI plant moves by one product of the
     stacked ``[[C, D], [A, B]]`` with ``[x; u]`` plus the move's
     ``[e; K e]``, with ``K e`` formed for the whole rollout up front; a
-    :class:`NonlinearWrapper` moves by :func:`step_model`.  Every move
-    calls ``controller.step`` once, and the realized cost is summed after
-    the last move, in the order of the moves.
+    :class:`NonlinearWrapper` moves by :func:`step_model`.  The stacked
+    matrix, the innovations and the padded reference are built once per
+    rollout, and a move tests its output row for divergence by one float
+    comparison per output.  Every move calls ``controller.step`` once,
+    read from the instance, so a wrapper assigned there sees every step,
+    and the realized cost is summed after the last move, in the order of
+    the moves.
 
     Args:
         plant: :class:`StateSpaceModel` or wrapper; starts at rest.

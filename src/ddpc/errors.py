@@ -8,6 +8,7 @@ __all__ = [
     "Diverged",
     "MissingBaseline",
     "ConfigError",
+    "MalformedData",
 ]
 
 
@@ -42,3 +43,7 @@ class MissingBaseline(DdpcError, ValueError):
 
 class ConfigError(DdpcError, ValueError):
     """An experiment configuration file is malformed or incomplete."""
+
+
+class MalformedData(DdpcError, ValueError):
+    """A data file holds a row that does not parse or a non-finite sample."""

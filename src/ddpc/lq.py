@@ -9,6 +9,7 @@ identity ``L @ L.T == S @ S.T``.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass
@@ -170,7 +171,16 @@ def factorize(part: HankelPartition) -> LqBlocks:
 
 def causal_block_mask(p: int, m: int, L_f: int) -> np.ndarray:
     """Boolean mask of the block-lower-triangular entries of ``L32``."""
-    return np.kron(np.tril(np.ones((L_f, L_f))), np.ones((p, m))) > 0.5
+    return _causal_mask(p, m, L_f).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _causal_mask(p: int, m: int, L_f: int) -> np.ndarray:
+    """The mask of one shape, formed once and read-only, since every
+    split of that shape reads the same array."""
+    mask = np.kron(np.tril(np.ones((L_f, L_f))), np.ones((p, m))) > 0.5
+    mask.flags.writeable = False
+    return mask
 
 
 def causal_split(blocks: LqBlocks) -> CausalSplit:
@@ -180,7 +190,7 @@ def causal_split(blocks: LqBlocks) -> CausalSplit:
     ``j <= i``: the j-th future input may only influence outputs from step
     j onward.
     """
-    mask = causal_block_mask(blocks.p, blocks.m, blocks.L_f)
+    mask = _causal_mask(blocks.p, blocks.m, blocks.L_f)
     causal = np.where(mask, blocks.L32, 0.0)
     noncausal = blocks.L32 - causal
     return CausalSplit(causal=causal, noncausal=noncausal)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthExceedsLength, DimensionMismatch
+from .errors import DepthExceedsLength, DimensionMismatch, MalformedData
 
 __all__ = [
     "Trajectory",
@@ -197,8 +197,8 @@ def read_trajectory_csv(path) -> Trajectory:
 
     Channel counts are inferred from the header; the ``t`` column is ignored
     apart from requiring the header to start with it.  A malformed row or
-    a non-finite sample raises ``ValueError`` naming ``path:line`` (and
-    the sample's column).
+    a non-finite sample raises ``MalformedData`` (a ``ValueError``) naming
+    ``path:line`` (and the sample's column).
     """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -220,13 +220,13 @@ def read_trajectory_csv(path) -> Trajectory:
                 u_vals = [float(row[i]) for i in u_cols]
                 y_vals = [float(row[i]) for i in y_cols]
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{line}: bad row: {exc}") from None
+                raise MalformedData(f"{path}:{line}: bad row: {exc}") from None
             bad = [i for i, v in zip(u_cols + y_cols, u_vals + y_vals)
                    if not math.isfinite(v)]
             if bad:
-                raise ValueError(f"{path}:{line}: non-finite sample "
-                                 f"{row[bad[0]].strip()!r} in column "
-                                 f"{header[bad[0]].strip()!r}")
+                raise MalformedData(f"{path}:{line}: non-finite sample "
+                                    f"{row[bad[0]].strip()!r} in column "
+                                    f"{header[bad[0]].strip()!r}")
             u_rows.append(u_vals)
             y_rows.append(y_vals)
     return Trajectory(np.array(u_rows).T, np.array(y_rows).T)

@@ -5,7 +5,10 @@ Covers:
     documented failure mode of ``load_config``.
   * paired sweeps: identical datasets across controllers at a grid
     point, canonical record ordering, the cost decomposition, and
-    worker-count invariance.
+    worker-count invariance; every rollout builds through
+    ``bench.make_controller`` and every unit collects through
+    ``bench.collect_open_loop``, the names perfbench wraps; an invalid
+    penalty raises before any data are collected.
   * noise-free collapse: on exact data every variant closes the loop
     identically (the fast version of the acceptance check).
   * divergence containment: an explosive grid point yields ``inf``-cost
@@ -427,6 +430,38 @@ def test_run_single_matches_sweep_record():
     assert record.J == pytest.approx(rollout.J, abs=1e-12)
     assert record.qp_iters == rollout.qp_iterations
     assert traj.n_samples == cfg.n_d
+
+
+def test_sweep_and_single_build_and_collect_through_the_module_names(
+        monkeypatch):
+    """perfbench wraps ``bench.make_controller`` and
+    ``bench.collect_open_loop`` by assigning the module names: every
+    rollout builds through the name once and every unit collects once."""
+    calls = dict.fromkeys(("make_controller", "collect_open_loop"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(bench, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(bench, name, counted)
+    cfg = _small(seeds=3)  # 2 controllers x 3 seeds at one grid point
+    run_sweep(cfg)
+    assert calls == {"make_controller": 6, "collect_open_loop": 3}
+    run_single(cfg, "causal_gamma", seed=0)
+    assert calls == {"make_controller": 7, "collect_open_loop": 4}
+
+
+def test_sweep_rejects_a_missing_penalty_before_collecting(monkeypatch):
+    cfg = load_config("table1")
+    params = {name: dict(kv) for name, kv in cfg.controller_params.items()}
+    del params["reg_gamma"]["mu"]
+    cfg = replace(cfg, controller_params=params)
+    collected = []
+    monkeypatch.setattr(bench, "collect_open_loop",
+                        lambda *args, **kwargs: collected.append(args))
+    with pytest.raises(ValueError, match=r"^variant 'reg_gamma' needs a "
+                                         r"finite mu >= 0, got None$"):
+        run_sweep(cfg, seeds=range(1))
+    assert collected == []
 
 
 @pytest.mark.parametrize("variant,least", [("reg_gamma", 55),

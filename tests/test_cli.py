@@ -3,7 +3,8 @@
 Covers:
   * help and usage errors for every subcommand (exit 0 / 1).
   * ``factorize``: summary output, binary dump roundtrip, missing-file
-    (exit 1) and insufficient-excitation (exit 2) paths.
+    (exit 1), bad-sample or malformed-row (exit 2) and
+    insufficient-excitation (exit 2) paths.
   * ``control``: per-step CSV layout, agreement with the library call,
     and rejection of unknown controllers.
   * ``benchmark``: records.csv / normalized.csv emission, the seed
@@ -177,6 +178,17 @@ def test_factorize_record_too_short_exits_two(tmp_path, capsys):
     path = tmp_path / "short.csv"
     path.write_text("\n".join(lines) + "\n")
     assert main(["factorize", str(path), "--lp", "6", "--lf", "6"]) == 2
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,nan,0.5", "3: non-finite sample 'nan' in column 'u1'"),
+    ("1,abc,0.5", "3: bad row: could not convert string to float: 'abc'"),
+])
+def test_factorize_bad_csv_data_exits_two(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"t,u1,y1\n0,1.0,2.0\n{row}\n")
+    assert main(["factorize", str(path), "--lp", "4", "--lf", "5"]) == 2
+    assert capsys.readouterr().err == f"ddpc: {path}:{message}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every controller is built by ``make_controller`` and exercised through
 its ``step`` and ``condense`` methods.  Covers:
-  * validation of cost, box, and controller specifications, and of the
+  * validation of cost, box, and controller specifications (the cost's
+    horizon weights formed once, read-only), and of the
     per-step inputs (length and finiteness of ``z_p`` and ``r_f``, and a
     window whose data overflow, rejected alike by ``step`` and
     ``condense``).
@@ -19,13 +20,15 @@ its ``step`` and ``condense`` methods.  Covers:
     recovery by the innovation-form update.
   * receding-horizon mechanics: cost decomposition, applied inputs,
     reference padding, warm-up handling, determinism, divergence, and
-    aggregated QP status; inputs rejected before the warm-up; the windows
+    aggregated QP status; a step assigned on the instance called once per
+    move; inputs rejected before the warm-up; the windows
     of the preallocated loop equal list-built ones, and a rollout equals
     a per-step loop over ``step_model`` (bitwise for a wrapped plant).
 """
 
 from __future__ import annotations
 
+import pickle
 import warnings
 from dataclasses import replace
 
@@ -119,6 +122,23 @@ def test_cost_spec_weight_checks():
     cost = CostSpec(q_step=2.0 * np.eye(2), r_step=np.eye(1), L_f=3)
     assert cost.Q.shape == (6, 6)
     np.testing.assert_array_equal(cost.Q[2:4, 2:4], 2.0 * np.eye(2))
+
+
+def test_cost_spec_horizon_weights_are_formed_once_and_read_only():
+    q = np.array([[2.0, 0.5], [0.5, 1.0]])
+    r = 0.3 * np.eye(1)
+    cost = CostSpec(q_step=q, r_step=r, L_f=3)
+    np.testing.assert_array_equal(cost.Q, np.kron(np.eye(3), q))
+    np.testing.assert_array_equal(cost.R, np.kron(np.eye(3), r))
+    assert cost.Q is cost.Q and cost.R is cost.R
+    for weight in (cost.Q, cost.R, cost.q_step, cost.r_step):
+        assert not weight.flags.writeable
+    q[0, 0] = 5.0  # the spec holds its own copies
+    assert cost.q_step[0, 0] == 2.0 and cost.Q[2, 2] == 2.0
+    # a pickled spec (as sent to a sweep worker) stays read-only
+    back = pickle.loads(pickle.dumps(cost))
+    np.testing.assert_array_equal(back.Q, cost.Q)
+    assert not back.Q.flags.writeable and back.L_f == 3
 
 
 def test_box_constraints_checks():
@@ -680,6 +700,25 @@ def _rollout(controller_spec, n_steps=30, sigma=0.1, tag=0, plant=None,
     ref = sine_reference(20.0, 1.0, n_steps)
     return run_receding_horizon(model, ctrl, ref, n_steps,
                                 rng=seeded(138, tag), **kwargs)
+
+
+def test_rollout_calls_the_step_assigned_on_the_instance():
+    """A step assigned on the controller instance, as a timing wrapper
+    assigns it, is what the loop calls: once per move."""
+    ctrl = make_controller(_spec("causal_gamma"), part=_noisy_part())
+    step, calls = ctrl.step, []
+
+    def counting(z_p, r_f):
+        calls.append(len(z_p))
+        return step(z_p, r_f)
+
+    ctrl.step = counting
+    n_steps = 17
+    res = run_receding_horizon(demo_model(sigma_e=0.1), ctrl,
+                               sine_reference(20.0, 1.0, n_steps), n_steps,
+                               rng=seeded(138, 0))
+    assert calls == [2 * L_P] * n_steps
+    assert len(res.steps) == n_steps
 
 
 def test_rollout_cost_decomposition():

@@ -12,7 +12,8 @@ Covers:
   * rank-deficiency errors for unexciting inputs and too-short records,
     and a ValueError naming non-finite entries of the stack.
   * causal_split worked examples, exact complementarity, the mask versus
-    a loop-built oracle, and the strict-upper parameter count
+    a loop-built oracle (the public mask a writable copy of the one the
+    split reads), and the strict-upper parameter count
     ``p*m*L_f*(L_f-1)/2``.
   * gamma1_of forward-substitution and minimum-norm fallback behavior.
   * residual ordering ``||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F``, with
@@ -264,6 +265,21 @@ def test_causal_split_exact_complement():
 def test_causal_mask_matches_loop_oracle(m, p, L_f):
     np.testing.assert_array_equal(causal_block_mask(p, m, L_f),
                                   causal_mask_by_loops(m, p, L_f))
+
+
+def test_causal_mask_is_a_fresh_writable_copy():
+    """``causal_split`` reads one read-only mask per shape; the public
+    mask is the caller's own array."""
+    mask = causal_block_mask(1, 2, 3)
+    assert mask.flags.writeable
+    mask[:] = False
+    np.testing.assert_array_equal(causal_block_mask(1, 2, 3),
+                                  causal_mask_by_loops(2, 1, 3))
+    blocks = make_blocks(demo_model(), 160, L_p=4, L_f=6, rng=seeded(29))
+    split = causal_split(blocks)
+    np.testing.assert_array_equal(
+        split.causal,
+        np.where(causal_mask_by_loops(1, 1, 6), blocks.L32, 0.0))
 
 
 @pytest.mark.parametrize("m,p,L_f", [(1, 1, 5), (2, 3, 4)])

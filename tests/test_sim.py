@@ -16,7 +16,8 @@ Covers:
     naming the loop's step without a floating-point warning) and
     closed-loop collection
     (zero fixed point, the bundled PI loop, a 2x2 multivariable
-    feedback example, divergence detection).
+    feedback example, divergence detection), and the per-move divergence
+    test of one output row.
   * observer decay of the benchmark model over the past window.
   * keyed counter-based RNG streams.
 """
@@ -50,6 +51,7 @@ from ddpc import (
     step_model,
     step_nonlinear,
 )
+from ddpc.sim import _check_sane
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +315,20 @@ def test_open_loop_divergence_names_the_loops_step(plant, amplitude):
         warnings.simplefilter("error")
         with pytest.raises(Diverged, match=rf"at step {step}$"):
             collect_open_loop(plant, u, rng=seeded(117))
+
+
+@pytest.mark.parametrize("row,diverged", [
+    ([np.nan, 0.0], True), ([0.0, np.nan], True), ([0.0, -np.inf], True),
+    ([0.0, -1e6], True), ([1e6, 0.0], True), ([-999999.9, 999999.9], False),
+])
+def test_divergence_test_of_one_row(row, diverged):
+    """The per-move test fails a row if any entry, wherever it sits, is
+    NaN or at least the limit in magnitude."""
+    if diverged:
+        with pytest.raises(Diverged, match=r"exceeded 1e\+06 at step -3$"):
+            _check_sane(np.array(row), -3)
+    else:
+        _check_sane(np.array(row), -3)
 
 
 def test_logged_innovations_are_white():
