@@ -45,10 +45,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch
-from .lq import _PINV_RTOL, LqBlocks, causal_split, factorize
+from .lq import LqBlocks, causal_split, factorize
 from .predictor import Predictor, _fit
 from .qp import (BoxQpSolver, QpProblem, QpStatus, _check_bounds,
                  _check_weight)
@@ -434,12 +433,7 @@ class _GammaController(_CondensedController):
             Fu.append(np.zeros((d2, d3)))
             Fy.append(blocks.L33)
             reg.append(np.full(d3, spec.mu))
-        L_past = np.vstack([blocks.L21, blocks.L31])
-        if blocks.past_is_nonsingular():
-            B = scipy.linalg.solve_triangular(blocks.L11, L_past.T,
-                                              trans="T", lower=True).T
-        else:
-            B = L_past @ np.linalg.pinv(blocks.L11, rcond=_PINV_RTOL)
+        B = blocks.past_map
         super().__init__(spec, Fu=np.hstack(Fu), Fy=np.hstack(Fy),
                          W=np.diag(np.concatenate(reg)), L_p=blocks.L_p,
                          By=B[d2:], Bu=B[:d2])
@@ -512,10 +506,10 @@ def make_controller(spec: ControllerSpec, *,
     """Build the controller for ``spec.variant`` from a handle it accepts.
 
     ``projreg_g`` needs the raw partition; the other data variants need
-    the LQ blocks (a partition is factorized on the fly); ``kf_mpc``
-    needs the model and takes ``L_p`` as its warm-up window.  Unused
-    handles are ignored.  ``step(z_p, r_f)`` solves a step and
-    ``condense(z_p, r_f)`` materializes its QP.
+    the LQ blocks (:func:`factorize` factors a partition once and keeps
+    its blocks on it); ``kf_mpc`` needs the model and takes ``L_p`` as its
+    warm-up window.  Unused handles are ignored.  ``step(z_p, r_f)``
+    solves a step and ``condense(z_p, r_f)`` materializes its QP.
     """
     variant = spec.variant
     given = {"blocks": blocks, "part": part, "model": model}

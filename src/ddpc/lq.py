@@ -4,7 +4,9 @@ The stacked matrix ``S = [Z_p; U_f; Y_f]`` is factored as ``L @ Q`` with
 ``L`` square lower-triangular and ``Q`` having orthonormal rows.  Only
 ``L`` is formed: its blocks carry everything the predictors and the
 controllers need, and it is fixed by the data up to signs through the Gram
-identity ``L @ L.T == S @ S.T``.
+identity ``L @ L.T == S @ S.T``.  A partition is factored once: its
+``LqBlocks`` are kept on it, and every later ``factorize`` of it (through
+``fit_spc`` or ``make_controller(part=)`` too) returns them.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ _QR_BLOCK = 16
 
 _GEQRT = get_lapack_funcs("geqrt", dtype=np.float64)
 
+_BLOCK_NAMES = ("L11", "L21", "L22", "L31", "L32", "L33")
+
 
 @dataclass(frozen=True)
 class LqBlocks:
@@ -57,6 +61,10 @@ class LqBlocks:
     deterministic, in which case past-trajectory solves fall back to a
     minimum-norm solution (see :func:`gamma1_of`).  ``M`` is the number of
     Hankel columns the factor was computed from.
+
+    The blocks are read-only, since one factor is shared by every
+    predictor and controller built from it: a writable block passed in is
+    copied and the copy frozen.
     """
 
     L11: np.ndarray
@@ -70,6 +78,19 @@ class LqBlocks:
     L_p: int
     L_f: int
     M: int
+
+    def __post_init__(self):
+        for name in _BLOCK_NAMES:
+            block = np.asarray(getattr(self, name), dtype=float)
+            if block.flags.writeable:
+                block = block.copy()
+                block.flags.writeable = False
+            object.__setattr__(self, name, block)
+
+    def __reduce__(self):
+        # rebuilt from the blocks: a pickled array comes back writable
+        return LqBlocks, (*(getattr(self, name) for name in _BLOCK_NAMES),
+                          self.m, self.p, self.L_p, self.L_f, self.M)
 
     @property
     def dim_past(self) -> int:
@@ -86,6 +107,24 @@ class LqBlocks:
     def past_is_nonsingular(self) -> bool:
         """True when the past block solves by plain forward substitution."""
         return _diag_nonsingular(self.L11)
+
+    @functools.cached_property
+    def past_map(self) -> np.ndarray:
+        """The read-only past map ``B = [L21; L31] @ inv(L11)``, formed once.
+
+        The first ``dim_u`` rows of ``B @ z_p`` are ``L21 @ gamma1`` and
+        the last ``dim_y`` rows ``L31 @ gamma1``, for the past coordinate
+        ``gamma1`` that :func:`gamma1_of` solves for: a singular ``L11``
+        takes its minimum-norm pseudo-inverse here too.
+        """
+        L_past = np.vstack([self.L21, self.L31])
+        if self.past_is_nonsingular():
+            B = scipy.linalg.solve_triangular(self.L11, L_past.T, trans="T",
+                                              lower=True).T
+        else:
+            B = L_past @ np.linalg.pinv(self.L11, rcond=_PINV_RTOL)
+        B.flags.writeable = False
+        return B
 
 
 @dataclass(frozen=True)
@@ -109,17 +148,21 @@ def _diag_nonsingular(tri: np.ndarray) -> bool:
 
 
 def factorize(part: HankelPartition) -> LqBlocks:
-    """LQ-factorize the stacked Hankel matrix of a partition.
+    """LQ-factorize the stacked Hankel matrix of a partition, once.
 
     ``L`` is the transpose of the triangular factor of a QR of the
     transposed stack, sign-normalized so its diagonal is nonnegative.  The
-    orthonormal factor is never formed.
+    orthonormal factor is never formed.  The QR runs on a copy of the
+    partition's read-only ``stack``; ``L`` is frozen, and the blocks are
+    kept on the partition, so a later call on the same partition returns
+    the same object without factoring again.
 
     Args:
         part: Past/future Hankel blocks of one trajectory.
 
     Returns:
-        The `LqBlocks` handle (immutable; safe to share across controllers).
+        The `LqBlocks` handle (read-only; safe to share across
+        controllers).
 
     Raises:
         ValueError: If the stack has a NaN or infinite entry.
@@ -127,24 +170,27 @@ def factorize(part: HankelPartition) -> LqBlocks:
             future-input block ``L22`` is numerically singular.  Both
             conditions signal insufficient excitation for the horizons.
     """
-    stack = np.vstack([part.Z_p, part.U_f, part.Y_f])
-    if not np.isfinite(stack).all():
+    if part._lq is not None:
+        return part._lq
+    if not np.isfinite(part.stack).all():
         raise ValueError("Hankel partition has NaN or infinite entries")
-    n_rows, n_cols = stack.shape
+    n_rows, n_cols = part.stack.shape
     if n_cols < n_rows:
         raise RankDeficient(
             f"stacked Hankel matrix has {n_rows} rows but only {n_cols} "
             f"columns; record at least {n_rows + part.spec.L - 1} samples"
         )
     # LAPACK's geqrt (recursive panels, level-3 updates) in place on the
-    # Fortran-ordered view of the fresh stack; its block size is the
+    # Fortran-ordered view of a copy of the stack; its block size is the
     # constant _QR_BLOCK, since the blocking sets the rounding of L
-    r_t, _, info = _GEQRT(min(_QR_BLOCK, n_rows), stack.T, overwrite_a=True)
+    r_t, _, info = _GEQRT(min(_QR_BLOCK, n_rows), part.stack.copy().T,
+                          overwrite_a=True)
     if info != 0:
         raise ValueError(f"geqrt failed with info={info}")
     L = np.tril(r_t[:n_rows].T)
     # Fix the sign convention: nonnegative diagonal of L.
     L *= np.where(np.diag(L) < 0.0, -1.0, 1.0)[None, :]
+    L.flags.writeable = False
 
     d1 = (part.m + part.p) * part.spec.L_p
     d2 = part.m * part.spec.L_f
@@ -166,6 +212,7 @@ def factorize(part: HankelPartition) -> LqBlocks:
             "future-input block L22 is numerically singular; the input is "
             f"not persistently exciting over horizon L_f={part.spec.L_f}"
         )
+    object.__setattr__(part, "_lq", blocks)
     return blocks
 
 
@@ -225,9 +272,9 @@ def save_lq_blocks(blocks: LqBlocks, path) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<5q", blocks.m, blocks.p, blocks.L_p,
                              blocks.L_f, blocks.M))
-        for block in (blocks.L11, blocks.L21, blocks.L22, blocks.L31,
-                      blocks.L32, blocks.L33):
-            fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        for name in _BLOCK_NAMES:
+            fh.write(np.ascontiguousarray(getattr(blocks, name),
+                                          dtype="<f8").tobytes())
 
 
 def load_lq_blocks(path) -> LqBlocks:
@@ -237,7 +284,8 @@ def load_lq_blocks(path) -> LqBlocks:
     and ``L_f`` are at least 1, ``M`` is at least ``(m+p)(L_p+L_f)`` (the
     bound :func:`factorize` enforces), and the file holds exactly the
     header and the blocks it names.  Each failure is a ``ValueError`` that
-    names the path and the field.
+    names the path and the field.  The blocks are read-only views of the
+    bytes read.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -266,6 +314,7 @@ def load_lq_blocks(path) -> LqBlocks:
         if actual != size:
             raise ValueError(f"{path}: file length is {actual} bytes, but its "
                              f"header names {size}")
+        # read-only views of the bytes read, as LqBlocks holds them
         arrays = [np.frombuffer(fh.read(8 * rows * cols), dtype="<f8")
-                  .reshape(rows, cols).copy() for rows, cols in shapes]
+                  .reshape(rows, cols) for rows, cols in shapes]
     return LqBlocks(*arrays, m=m, p=p, L_p=L_p, L_f=L_f, M=M)

@@ -14,7 +14,9 @@ The closed loops step the plant one sample at a time, since each input
 depends on the outputs before it.  The open loop knows its whole input
 record in advance, so ``collect_open_loop`` forms the input terms and the
 outputs as whole-record products and runs only the state recursion per
-sample.  A batched product equals the per-sample products bit for bit
+sample, each step one ``np.dot`` into the state record: the same BLAS
+``gemv`` as ``A @ x``, and so the same bits, at less cost per call than
+``np.matmul``.  A batched product equals the per-sample products bit for bit
 when its inner dimension is 1 or all but one of its terms are zero; the
 bundled plants (one input, one output, ``c = [0 1.4142]``) meet that, and
 other plants agree with a per-sample loop to round-off.
@@ -270,7 +272,9 @@ def collect_open_loop(plant, excitation: np.ndarray,
     """Run the plant from rest under a recorded input and log the response.
 
     Only the state recursion ``x(t+1) = (A x(t) + B u(t)) + K e(t)`` runs
-    per sample, with ``A x(t)`` written into the state record in place.
+    per sample, with ``A x(t)`` written into the state record in place by
+    ``np.dot(A, x(t), out=...)``: the same BLAS ``gemv`` that ``A @ x(t)``
+    runs, so the same bits, with less overhead per call.
     The input terms ``B u`` and ``K e`` (and a wrapper's ``input_map``)
     are computed once over the whole record before the loop, and the
     outputs ``(C X + D u) + e`` once after it.  The sums associate as in
@@ -307,8 +311,8 @@ def collect_open_loop(plant, excitation: np.ndarray,
     # a diverging record runs on to inf/nan; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for x_t, x_next, bu_t, ke_t in zip(x, x[1:], bu, ke):
-            np.matmul(base.A, plant.state_map(x_t) if wrapped else x_t,
-                      out=x_next)
+            np.dot(base.A, plant.state_map(x_t) if wrapped else x_t,
+                   out=x_next)
             x_next += bu_t
             x_next += ke_t
         y = (base.C @ x[:n_steps].T + base.D @ u_in) + e

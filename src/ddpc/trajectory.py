@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,25 +93,65 @@ class HorizonSpec:
 
 @dataclass(frozen=True)
 class HankelPartition:
-    """Past/future Hankel blocks of one trajectory.
+    """Past/future Hankel blocks of one trajectory, held in one array.
 
-    ``Z_p`` stacks the past input block on top of the past output block, so
-    each of its ``M`` columns is the joint past window preceding the
-    corresponding future window in ``U_f`` and ``Y_f``.
+    ``stack`` is ``[Z_p; U_f; Y_f]``: ``(m+p)*L_p`` rows of ``Z_p``, which
+    stacks the past input block on top of the past output block, then
+    ``m*L_f`` rows of ``U_f`` and ``p*L_f`` rows of ``Y_f``.  Each of its
+    ``M`` columns is a joint past window followed by the future window
+    after it.  ``Z_p``, ``U_f`` and ``Y_f`` are row views of ``stack``.
+
+    The stack is C-ordered and read-only: a writable (or otherwise
+    ordered) array is copied, and the copy frozen, so the data of a
+    partition cannot change once it is built.  That is what lets
+    :func:`~ddpc.lq.factorize` keep the partition's LQ factor on it and
+    compute it once.
+
+    Raises:
+        DimensionMismatch: If ``stack`` is not 2-d with
+            ``(m+p)(L_p+L_f)`` rows.
     """
 
-    Z_p: np.ndarray
-    U_p: np.ndarray
-    Y_p: np.ndarray
-    U_f: np.ndarray
-    Y_f: np.ndarray
+    stack: np.ndarray
     m: int
     p: int
     spec: HorizonSpec
+    # the LQ factor of the stack, set once by ddpc.lq.factorize
+    _lq: object = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        stack = np.asarray(self.stack, dtype=float)
+        rows = (self.m + self.p) * self.spec.L
+        if stack.ndim != 2 or stack.shape[0] != rows:
+            raise DimensionMismatch(
+                f"stack has shape {stack.shape}, expected (m+p)(L_p+L_f) = "
+                f"{rows} rows for m={self.m}, p={self.p}, "
+                f"L_p={self.spec.L_p}, L_f={self.spec.L_f}")
+        if stack.flags.writeable or not stack.flags.c_contiguous:
+            stack = stack.copy()
+            stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+
+    def __reduce__(self):
+        # rebuilt from the stack: a pickled array comes back writable
+        return HankelPartition, (self.stack, self.m, self.p, self.spec)
 
     @property
     def M(self) -> int:
-        return self.Z_p.shape[1]
+        return self.stack.shape[1]
+
+    @property
+    def Z_p(self) -> np.ndarray:
+        return self.stack[:(self.m + self.p) * self.spec.L_p]
+
+    @property
+    def U_f(self) -> np.ndarray:
+        d1 = (self.m + self.p) * self.spec.L_p
+        return self.stack[d1:d1 + self.m * self.spec.L_f]
+
+    @property
+    def Y_f(self) -> np.ndarray:
+        return self.stack[len(self.stack) - self.p * self.spec.L_f:]
 
 
 def build_hankel(signal: np.ndarray, depth: int) -> np.ndarray:
@@ -156,6 +196,9 @@ def stack_window(window: np.ndarray) -> np.ndarray:
 def partition(traj: Trajectory, spec: HorizonSpec) -> HankelPartition:
     """Split the trajectory's Hankel matrix into past and future blocks.
 
+    The rows of ``[Z_p; U_f; Y_f]`` are written straight into one fresh
+    array, which the partition holds read-only.
+
     Args:
         traj: The data record.
         spec: Past/future horizon lengths; ``spec.L`` must not exceed the
@@ -163,18 +206,25 @@ def partition(traj: Trajectory, spec: HorizonSpec) -> HankelPartition:
 
     Returns:
         A :class:`HankelPartition` with ``M = N - L + 1`` columns per block.
+
+    Raises:
+        DepthExceedsLength: If ``spec.L`` exceeds the record length.
     """
-    L = spec.L
-    H_u = build_hankel(traj.inputs, L)
-    H_y = build_hankel(traj.outputs, L)
-    m, p = traj.m, traj.p
-    U_p = H_u[: m * spec.L_p]
-    U_f = H_u[m * spec.L_p:]
-    Y_p = H_y[: p * spec.L_p]
-    Y_f = H_y[p * spec.L_p:]
-    Z_p = np.vstack([U_p, Y_p])
-    return HankelPartition(Z_p=Z_p, U_p=U_p, Y_p=Y_p, U_f=U_f, Y_f=Y_f,
-                           m=m, p=p, spec=spec)
+    L, n = spec.L, traj.n_samples
+    if L > n:
+        raise DepthExceedsLength(f"depth {L} exceeds signal length {n}")
+    cols = n - L + 1
+    stack = np.empty(((traj.m + traj.p) * L, cols))
+    row = 0
+    # past inputs, past outputs, future inputs, future outputs: each the
+    # rows of build_hankel over its steps
+    for steps in (range(spec.L_p), range(spec.L_p, L)):
+        for sig in (traj.inputs, traj.outputs):
+            for i in steps:
+                stack[row:row + len(sig)] = sig[:, i:i + cols]
+                row += len(sig)
+    stack.flags.writeable = False
+    return HankelPartition(stack=stack, m=traj.m, p=traj.p, spec=spec)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

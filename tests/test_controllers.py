@@ -106,7 +106,7 @@ def _noisy_blocks(tag=0, sigma=0.2, n_d=200):
 def _sample_zp(tag=0, sigma=0.2):
     part = make_partition(demo_model(sigma_e=sigma), 60, L_P, L_F,
                           seeded(131, tag))
-    return part.Z_p[:, 7]
+    return part.Z_p[:, 7].copy()   # callers write into it
 
 
 # ---------------------------------------------------------------------------

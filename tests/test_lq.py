@@ -11,11 +11,16 @@ Covers:
     orthonormal right factor gives back its triangular part unchanged.
   * rank-deficiency errors for unexciting inputs and too-short records,
     and a ValueError naming non-finite entries of the stack.
+  * one factor per partition: a second ``factorize`` (or ``fit_spc``)
+    returns the first blocks without a QR; partition arrays, blocks and
+    the past map are read-only, hand-built ones frozen copies; a stack
+    whose rows disagree with ``(m, p, spec)`` is refused.
   * causal_split worked examples, exact complementarity, the mask versus
     a loop-built oracle (the public mask a writable copy of the one the
     split reads), and the strict-upper parameter count
     ``p*m*L_f*(L_f-1)/2``.
-  * gamma1_of forward-substitution and minimum-norm fallback behavior.
+  * gamma1_of forward-substitution and minimum-norm fallback behavior,
+    and the cached past map ``[L21; L31] inv(L11)`` that applies it.
   * residual ordering ``||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F``, with
     ``Q2``/``Q3`` from the independent ``Q``.
   * byte-exact save/load round-trips, format validation, and the error
@@ -25,6 +30,7 @@ Covers:
 from __future__ import annotations
 
 import dataclasses
+import pickle
 import re
 import struct
 
@@ -32,24 +38,27 @@ import numpy as np
 import pytest
 
 from conftest import (demo_model, full_factor, make_blocks, make_partition,
-                      random_model, seeded)
+                      noisy_dataset, random_model, seeded)
 from oracles import causal_mask_by_loops, lq_orthonormal_rows
 
 from ddpc import (
     CausalSplit,
     DimensionMismatch,
+    HankelPartition,
     HorizonSpec,
     LqBlocks,
     RankDeficient,
     causal_split,
     collect_open_loop,
     factorize,
+    fit_spc,
     gamma1_of,
     load_config,
     load_lq_blocks,
     partition,
     save_lq_blocks,
 )
+from ddpc import lq
 from ddpc.lq import _QR_BLOCK, causal_block_mask
 
 
@@ -108,10 +117,7 @@ def test_factorize_triangular_fixed_point():
     L0 = np.tril(rng.standard_normal((6, 6)))
     np.fill_diagonal(L0, np.abs(np.diag(L0)) + 1.0)
     S = np.hstack([L0, np.zeros((6, 2))])
-    spec = HorizonSpec(L_p=1, L_f=2)
-    from ddpc.trajectory import HankelPartition
-    part = HankelPartition(Z_p=S[:2], U_p=S[:1], Y_p=S[1:2], U_f=S[2:4],
-                           Y_f=S[4:6], m=1, p=1, spec=spec)
+    part = HankelPartition(stack=S, m=1, p=1, spec=HorizonSpec(L_p=1, L_f=2))
     blocks = factorize(part)
     np.testing.assert_allclose(full_factor(blocks), L0, atol=1e-12)
 
@@ -120,9 +126,9 @@ def test_factorize_rejects_non_finite_entries():
     """A NaN in a hand-built partition is named as such, not mistaken for
     an unexcited input."""
     part = make_partition(demo_model(), 140, L_p=3, L_f=3, rng=seeded(27))
-    Y_f = part.Y_f.copy()
-    Y_f[1, 5] = np.nan
-    bad = dataclasses.replace(part, Y_f=Y_f)
+    stack = part.stack.copy()
+    stack[len(stack) - len(part.Y_f) + 1, 5] = np.nan   # Y_f[1, 5]
+    bad = dataclasses.replace(part, stack=stack)
     with pytest.raises(ValueError, match="NaN") as info:
         factorize(bad)
     assert "L22" not in str(info.value)
@@ -130,12 +136,66 @@ def test_factorize_rejects_non_finite_entries():
 
 
 def test_factorize_determinism():
-    model = demo_model()
-    part = make_partition(model, 140, L_p=5, L_f=5, rng=seeded(24))
-    b1 = factorize(part)
-    b2 = factorize(part)
+    """Two partitions of one record are factored apart, to the same bits."""
+    traj = noisy_dataset(demo_model(), 140, seeded(24))
+    spec = HorizonSpec(L_p=5, L_f=5)
+    b1 = factorize(partition(traj, spec))
+    b2 = factorize(partition(traj, spec))
+    assert b1 is not b2
     for name in _L_NAMES:
         np.testing.assert_array_equal(getattr(b1, name), getattr(b2, name))
+
+
+def test_factorize_factors_a_partition_once(monkeypatch):
+    """A second factorize of a partition, and the spc fit of it, get back
+    the first call's blocks without running the QR again."""
+    part = make_partition(demo_model(), 140, L_p=3, L_f=3, rng=seeded(24))
+    blocks = factorize(part)
+    monkeypatch.setattr(lq, "_GEQRT", None)  # a second QR would fail
+    assert factorize(part) is blocks
+    assert fit_spc(part).K_f.shape == (blocks.dim_y, blocks.dim_u)
+
+
+def test_partition_and_blocks_are_read_only(tmp_path):
+    """Writing to a partition's arrays or to a block raises, also after a
+    pickle round trip or a load, and a hand-built partition or block set
+    holds frozen copies of writable arrays, so the data under a shared
+    factor cannot change."""
+    part = make_partition(demo_model(), 140, L_p=3, L_f=3, rng=seeded(25))
+    blocks = factorize(part)
+    save_lq_blocks(blocks, tmp_path / "blocks.lqb")
+    loaded = load_lq_blocks(tmp_path / "blocks.lqb")
+    part_back, blocks_back = pickle.loads(pickle.dumps((part, blocks)))
+    arrays = [p.stack for p in (part, part_back)]
+    arrays += [part.Z_p, part.U_f, part.Y_f, blocks.past_map]
+    arrays += [getattr(b, name) for b in (blocks, loaded, blocks_back)
+               for name in _L_NAMES]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    np.testing.assert_array_equal(part_back.stack, part.stack)
+    np.testing.assert_array_equal(blocks_back.L33, blocks.L33)
+    S = part.stack.copy()
+    hand = HankelPartition(stack=S, m=part.m, p=part.p, spec=part.spec)
+    L32 = blocks.L32.copy()
+    copied = dataclasses.replace(blocks, L32=L32)
+    S[0, 0] += 1.0
+    L32[0, 0] += 1.0
+    assert hand.stack[0, 0] == part.stack[0, 0]
+    assert copied.L32[0, 0] == blocks.L32[0, 0]
+    assert not hand.stack.flags.writeable
+    assert not copied.L32.flags.writeable
+
+
+def test_partition_rows_must_match_its_shape():
+    """A stack whose rows disagree with (m, p, spec) is refused when the
+    partition is built, before factorize could cut it into wrong blocks:
+    7 rows for m = p = 1, L_p = 1, L_f = 2 would give a 3 x 3 L33."""
+    stack = seeded(26).standard_normal((7, 20))
+    with pytest.raises(DimensionMismatch, match="6 rows"):
+        HankelPartition(stack=stack, m=1, p=1, spec=HorizonSpec(1, 2))
+    with pytest.raises(DimensionMismatch, match="6 rows"):
+        HankelPartition(stack=stack[0], m=1, p=1, spec=HorizonSpec(1, 2))
 
 
 def _table1_partition():
@@ -184,13 +244,11 @@ def test_factorize_stacks_taller_than_one_panel(make):
 
 
 def test_factorize_leaves_partition_untouched():
-    """The QR overwrites its input, which must be a copy of the data."""
+    """The QR overwrites its input, which must be a copy of the stack."""
     part = _mimo_partition()
-    arrays = [a for a in vars(part).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5
-    before = [a.tobytes() for a in arrays]
+    before = part.stack.tobytes()
     factorize(part)
-    assert [a.tobytes() for a in arrays] == before
+    assert part.stack.tobytes() == before
 
 
 def test_factorize_constant_input_rank_deficient():
@@ -335,6 +393,22 @@ def test_gamma1_dimension_mismatch():
     blocks = make_blocks(demo_model(), 120, L_p=3, L_f=3, rng=seeded(35))
     with pytest.raises(DimensionMismatch):
         gamma1_of(blocks, np.zeros(blocks.dim_past + 1))
+
+
+@pytest.mark.parametrize("sigma_e", [0.2, 0.0], ids=["noisy", "exact"])
+def test_past_map_applies_gamma1(sigma_e):
+    """``past_map @ z_p`` is ``[L21; L31] @ gamma1_of(z_p)``, by forward
+    substitution or, for a singular ``L11``, the minimum-norm solve; it
+    is formed once per blocks."""
+    blocks = make_blocks(demo_model(sigma_e=sigma_e), 200, L_p=4, L_f=3,
+                         rng=seeded(36))
+    assert blocks.past_is_nonsingular() == (sigma_e > 0)
+    z = make_partition(demo_model(sigma_e=sigma_e), 60, L_p=4, L_f=3,
+                       rng=seeded(37)).Z_p[:, 5]
+    expected = np.vstack([blocks.L21, blocks.L31]) @ gamma1_of(blocks, z)
+    np.testing.assert_allclose(blocks.past_map @ z, expected,
+                               atol=1e-8 * np.abs(expected).max())
+    assert blocks.past_map is blocks.past_map
 
 
 # ---------------------------------------------------------------------------

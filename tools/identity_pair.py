@@ -26,19 +26,23 @@ directory of its own, and these artifacts are compared:
 * every script in ``demos/``, each in a directory of its own: the exit
   code, stdout and every file it writes there (demo 03's
   ``rollout_demo.csv``, demo 06's CSVs);
-* ``collect_open_loop`` at n_d = 5000 on the table1 and nonlinear_fig2
-  plants, seeds 0-2, each record drawn as perfbench's identify_long
-  draws it: the input and output record (longer than any record that
-  reaches ``records.csv``).
+* the identification of an n_d = 5000 record on the table1 and
+  nonlinear_fig2 plants, seeds 0-2, each record drawn as perfbench's
+  identify_long draws it (``collect_open_loop``, ``partition``,
+  ``factorize``, ``fit_spc`` and ``fit_causal``): the input and output
+  record (longer than any record that reaches ``records.csv``), the six
+  LQ blocks and both predictors' gains.
 
 By default every artifact must be byte-identical, and ``run_single`` and
-the open-loop records are compared through sha256 digests: one per
+the identifications are compared through sha256 digests: one per
 ``run_single`` field group (``J``, ``plans``, ``qp_status``,
-``qp_iterations``, ``primal_res`` and ``dual_res``), so that a run that
-differs names the groups that differ, as in ``DIFFERS (dual_res)``.  With
+``qp_iterations``, ``primal_res`` and ``dual_res``) and one per
+identification group (``record``, ``lq_blocks``, ``spc``, ``causal``),
+so that a run that differs names the groups that differ, as in
+``DIFFERS (dual_res)``.  With
 ``--rtol r``, both report raw values, and numbers may differ by a
-relative ``r``: a numeric CSV column, a ``u_f``/``y_f`` record, an
-open-loop output record or a J is within ``r`` when
+relative ``r``: a numeric CSV column, a ``u_f``/``y_f`` record, one
+array of an identification group or a J is within ``r`` when
 ``max|a - b| <= r * max(|a|, |b|)`` over it; a CSV that differs beyond
 ``r`` also names each row beyond it (by its controller, grid point and
 seed, or by its step) with that row's worst deviation against its
@@ -79,7 +83,7 @@ from bench_pair import ROOT, git, unpack
 BENCHMARKS = (("table1", "5"), ("lti_fig1", "5"), ("nonlinear_fig2", "5"),
               ("closedloop", None))
 DIGEST_SEEDS = 3
-COLLECT_N_D = 5000
+IDENTIFY_N_D = 5000
 UNGATED_COLUMNS = ("qp_iters",)
 # the columns that name a CSV row where it deviates beyond --rtol: a
 # record's controller, grid point and seed, a per-step log's step
@@ -132,10 +136,11 @@ json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm), sys.stdout,
 """
 
 
-# Runs in each tree; prints {"<config>/<seed>": sha256 of the record's
-# shape, inputs and outputs, as bench.py's dataset_hash takes it} as JSON,
-# or with RAW set the output record itself in place of each sha256.
-COLLECT_CODE = """
+# Runs in each tree; prints {"<config>/<seed>": {<group>: sha256}} as
+# JSON, the record group hashed as bench.py's dataset_hash takes it
+# (shape, inputs, outputs), or with RAW set each group's arrays themselves
+# in place of the sha256.
+IDENTIFY_CODE = """
 import hashlib, json, sys
 import numpy as np
 import ddpc
@@ -149,14 +154,27 @@ for name in ("table1", "nonlinear_fig2"):
         rng = ddpc.rng_for(0x1D, seed)
         traj = ddpc.collect_open_loop(plant, cfg.excitation({n_d}, rng=rng),
                                       rng=rng)
+        part = ddpc.partition(traj, cfg.horizon())
+        blocks = ddpc.factorize(part)
+        spc, causal = ddpc.fit_spc(part), ddpc.fit_causal(blocks)
+        groups = dict(
+            record=[np.int64([traj.m, traj.p, traj.n_samples]), traj.inputs,
+                    traj.outputs],
+            lq_blocks=[getattr(blocks, b) for b in
+                       ("L11", "L21", "L22", "L31", "L32", "L33")],
+            spc=[spc.K_p, spc.K_f], causal=[causal.K_p, causal.K_f])
         if RAW:
-            out[f"{{name}}/{{seed}}"] = traj.outputs.tolist()
+            out[f"{{name}}/{{seed}}"] = {{
+                group: [a.tolist() for a in arrays]
+                for group, arrays in groups.items()}}
             continue
-        digest = hashlib.sha256()
-        digest.update(np.int64([traj.m, traj.p, traj.n_samples]).tobytes())
-        digest.update(np.ascontiguousarray(traj.inputs).tobytes())
-        digest.update(np.ascontiguousarray(traj.outputs).tobytes())
-        out[f"{{name}}/{{seed}}"] = digest.hexdigest()
+        run = {{}}
+        for group, arrays in groups.items():
+            digest = hashlib.sha256()
+            for a in arrays:
+                digest.update(np.ascontiguousarray(a).tobytes())
+            run[group] = digest.hexdigest()
+        out[f"{{name}}/{{seed}}"] = run
 json.dump(out, sys.stdout, sort_keys=True)
 """
 
@@ -233,13 +251,13 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
     digest = json.loads(done.stdout)
     for key, value in digest["runs"].items():
         out[f"run_single {key}"] = value
-    done = _run(tree, work, ["-c", COLLECT_CODE.format(
-        raw=raw, seeds=DIGEST_SEEDS, n_d=COLLECT_N_D)])
+    done = _run(tree, work, ["-c", IDENTIFY_CODE.format(
+        raw=raw, seeds=DIGEST_SEEDS, n_d=IDENTIFY_N_D)])
     if done.returncode != 0:
-        raise SystemExit(f"collect_open_loop digest failed in {tree}:\n"
+        raise SystemExit(f"identification digest failed in {tree}:\n"
                          f"{done.stderr}")
     for key, value in json.loads(done.stdout).items():
-        out[f"collect_open_loop {key}"] = value
+        out[f"identify {key}"] = value
     rows = [row for name, _ in BENCHMARKS
             for row in csv.DictReader(io.StringIO(
                 (out[f"benchmark {name}: records.csv"] or b"").decode()))]
@@ -407,8 +425,11 @@ def compare(label: str, a, b, rtol: float | None) -> tuple[str, bool]:
     tally = Tally()
     if label.startswith("run_single "):
         _compare_run(a, b, tally)
-    elif label.startswith("collect_open_loop "):
-        tally.numbers(a, b)
+    elif label.startswith("identify "):
+        tally.exact("groups", sorted(a), sorted(b))
+        for group in a.keys() & b.keys():
+            for x, y in zip(a[group], b[group]):
+                tally.numbers(x, y)
     elif isinstance(a, bytes):
         _compare_csv(a, b, tally)
     else:
