@@ -95,17 +95,13 @@ class HorizonSpec:
 class HankelPartition:
     """Past/future Hankel blocks of one trajectory, held in one array.
 
-    ``stack`` is ``[Z_p; U_f; Y_f]``: ``(m+p)*L_p`` rows of ``Z_p``, which
-    stacks the past input block on top of the past output block, then
-    ``m*L_f`` rows of ``U_f`` and ``p*L_f`` rows of ``Y_f``.  Each of its
-    ``M`` columns is a joint past window followed by the future window
-    after it.  ``Z_p``, ``U_f`` and ``Y_f`` are row views of ``stack``.
-
-    The stack is C-ordered and read-only: a writable (or otherwise
-    ordered) array is copied, and the copy frozen, so the data of a
-    partition cannot change once it is built.  That is what lets
-    :func:`~ddpc.lq.factorize` keep the partition's LQ factor on it and
-    compute it once.
+    ``stack`` is ``[Z_p; U_f; Y_f]``, and ``Z_p`` (the past input block on
+    top of the past output block), ``U_f`` and ``Y_f`` are row views of
+    it, so each of its ``M`` columns is a joint past window followed by
+    the future window after it.  The stack is C-ordered and read-only (a
+    writable array is copied and the copy frozen), so a partition's data
+    cannot change once it is built, and :func:`~ddpc.lq.factorize` can
+    keep the partition's LQ factor on it and compute it once.
 
     Raises:
         DimensionMismatch: If ``stack`` is not 2-d with
