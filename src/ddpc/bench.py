@@ -30,6 +30,7 @@ from .controllers import (
     ControllerSpec,
     CostSpec,
     RolloutResult,
+    _cost_sums,
     make_controller,
     run_receding_horizon,
 )
@@ -143,7 +144,7 @@ def _key(section: str, key: str, parse, default: str | None = None):
     return field(metadata={"config": (section, key, parse, default)})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Parsed experiment description; see the bundled configs for examples.
 
@@ -748,12 +749,15 @@ def write_normalized(rows: list[dict], path) -> None:
 def write_rollout_csv(rollout: RolloutResult, path) -> None:
     """Per-step closed-loop log with cumulative cost and QP diagnostics.
 
-    ``J_cum`` accumulates the stage cost under the weights of the
-    rollout's own cost, so its final value equals ``rollout.J``.
+    ``J_cum`` at step ``t`` is the running sum of the output cost plus
+    that of the input cost, under the weights of the rollout's own cost:
+    the sums :func:`~ddpc.controllers.run_receding_horizon` takes ``J_y``
+    and ``J_u`` from, so the last ``J_cum`` equals ``rollout.J`` bit for
+    bit.
     """
     traj = rollout.trajectory
     m, p = traj.m, traj.p
-    q_step, r_step = rollout.cost.q_step, rollout.cost.r_step
+    J_y, J_u = _cost_sums(traj, rollout.reference, rollout.cost)
     header = (["t"] + [f"u{i + 1}" for i in range(m)]
               + [f"y{i + 1}" for i in range(p)]
               + [f"r{i + 1}" for i in range(p)]
@@ -761,11 +765,8 @@ def write_rollout_csv(rollout: RolloutResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        j_cum = 0.0
-        for t in range(traj.n_samples):
+        for t, j_cum in enumerate((J_y + J_u).tolist()):
             u = traj.inputs[:, t]
-            err = traj.outputs[:, t] - rollout.reference[:, t]
-            j_cum += float(err @ q_step @ err + u @ r_step @ u)
             writer.writerow([t + 1]
                             + [_fmt(v) for v in u]
                             + [_fmt(v) for v in traj.outputs[:, t]]

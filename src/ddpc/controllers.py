@@ -100,7 +100,7 @@ _STATUS_SEVERITY = {
     QpStatus.DUAL_INFEASIBLE: 3,
 }
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostSpec:
     """Tracking cost ``sum |y - r|^2_q + |u|^2_r`` over a horizon.
 
@@ -115,8 +115,8 @@ class CostSpec:
     q_step: np.ndarray
     r_step: np.ndarray
     L_f: int
-    Q: np.ndarray = field(init=False, repr=False, compare=False)
-    R: np.ndarray = field(init=False, repr=False, compare=False)
+    Q: np.ndarray = field(init=False, repr=False)
+    R: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q = _check_weight("q_step", self.q_step, positive=False).copy()
@@ -142,7 +142,7 @@ class CostSpec:
         return self.r_step.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxConstraints:
     """Per-step box bounds on inputs and predicted outputs.
 
@@ -212,7 +212,7 @@ class ControllerSpec:
             raise DimensionMismatch("cost and boxes disagree on output count")
 
 
-@dataclass
+@dataclass(eq=False)
 class StepResult:
     """Outcome of one receding-horizon step."""
 
@@ -225,7 +225,7 @@ class StepResult:
     dual_res: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RolloutResult:
     """A closed-loop run: applied data, per-step solves and realized cost.
 
@@ -291,7 +291,6 @@ class _CondensedController:
     def __init__(self, spec: ControllerSpec, Fu: np.ndarray, Fy: np.ndarray,
                  W: np.ndarray, L_p: int, By: np.ndarray,
                  Bu: np.ndarray | None = None, E: np.ndarray | None = None):
-        self.spec = spec
         self.cost = spec.cost
         self.m, self.p, self.L_f = spec.cost.m, spec.cost.p, spec.cost.L_f
         self.L_p = L_p
@@ -413,7 +412,8 @@ class _GammaController(_CondensedController):
     then the residual one if ``mu`` is weighed and not dropped.  The
     offsets ``L21 gamma1`` and ``L31 gamma1`` of the past coordinate
     ``gamma1 = L11^-1 z_p`` (the minimum-norm one when ``L11`` is
-    singular, as :func:`~ddpc.lq.gamma1_of` takes it) are maps of ``z_p``.
+    singular) are maps of ``z_p``: the rows of
+    :attr:`~ddpc.lq.LqBlocks.past_map`.
     """
 
     def __init__(self, spec, blocks: LqBlocks):
@@ -683,13 +683,29 @@ def run_receding_horizon(plant, controller, reference: np.ndarray,
     # a finished controller keeps no warm starts or factors alive
     controller.reset()
 
-    cost = controller.cost
-    u_log, y_log = u_rows[L_p:], y_rows[L_p:]
-    err = y_log - ref_rows[:n_steps]
-    # each move's |err|^2_q and |u|^2_r, summed move by move
-    J_y = sum((((err @ cost.q_step) * err).sum(axis=1)).tolist())
-    J_u = sum((((u_log @ cost.r_step) * u_log).sum(axis=1)).tolist())
-    traj = Trajectory(u_log.T.copy(), y_log.T.copy())
-    return RolloutResult(trajectory=traj, reference=ref[:, :n_steps],
-                         steps=steps, J=J_y + J_u, J_y=J_y, J_u=J_u,
-                         cost=cost)
+    cost, reference = controller.cost, ref[:, :n_steps]
+    traj = Trajectory(u_rows[L_p:].T.copy(), y_rows[L_p:].T.copy())
+    J_y, J_u = (float(sums[-1])
+                for sums in _cost_sums(traj, reference, cost))
+    return RolloutResult(trajectory=traj, reference=reference, steps=steps,
+                         J=J_y + J_u, J_y=J_y, J_u=J_u, cost=cost)
+
+
+def _cost_sums(traj: Trajectory, reference: np.ndarray,
+               cost: CostSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The running sums of a rollout's stage costs ``|y - r|^2_q`` and
+    ``|u|^2_r``: entry ``t`` of each sums moves 0 to ``t``.
+
+    A rollout's ``J_y`` and ``J_u`` are their last entries, and ``J`` the
+    sum of those two.  One sequential summation (``np.cumsum``; Python's
+    ``sum()`` of floats is compensated from 3.12 on) serves every reader,
+    so :func:`~ddpc.bench.write_rollout_csv`'s last ``J_cum`` equals ``J``
+    bit for bit.
+    """
+    # one C-ordered row per move, whichever layout the caller holds, so
+    # that the products round alike for every reader
+    u, y, r = (np.ascontiguousarray(a.T)
+               for a in (traj.inputs, traj.outputs, reference))
+    err = y - r
+    return (np.cumsum(((err @ cost.q_step) * err).sum(axis=1)),
+            np.cumsum(((u @ cost.r_step) * u).sum(axis=1)))

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .errors import DimensionMismatch, RankDeficient
+from .errors import RankDeficient
 from .trajectory import HankelPartition
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "factorize",
     "causal_block_mask",
     "causal_split",
-    "gamma1_of",
     "save_lq_blocks",
     "load_lq_blocks",
 ]
@@ -50,7 +49,7 @@ _GEQRT = get_lapack_funcs("geqrt", dtype=np.float64)
 _BLOCK_NAMES = ("L11", "L21", "L22", "L31", "L32", "L33")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LqBlocks:
     """Blocks of the lower-triangular LQ factor of one data record.
 
@@ -59,7 +58,7 @@ class LqBlocks:
     for data accepted by :func:`factorize`; ``L11`` is nonsingular for
     noise-perturbed data but may be singular when the record is exactly
     deterministic, in which case past-trajectory solves fall back to a
-    minimum-norm solution (see :func:`gamma1_of`).  ``M`` is the number of
+    minimum-norm solution (see :attr:`past_map`).  ``M`` is the number of
     Hankel columns the factor was computed from.
 
     The blocks are read-only, since one factor is shared by every
@@ -114,8 +113,10 @@ class LqBlocks:
 
         The first ``dim_u`` rows of ``B @ z_p`` are ``L21 @ gamma1`` and
         the last ``dim_y`` rows ``L31 @ gamma1``, for the past coordinate
-        ``gamma1`` that :func:`gamma1_of` solves for: a singular ``L11``
-        takes its minimum-norm pseudo-inverse here too.
+        ``gamma1`` that solves ``L11 @ gamma1 = z_p``: by forward
+        substitution, or, for a singular ``L11``, its minimum-norm
+        pseudo-inverse, which is exact whenever ``z_p`` is a trajectory of
+        the data-generating system.
         """
         L_past = np.vstack([self.L21, self.L31])
         if self.past_is_nonsingular():
@@ -127,7 +128,7 @@ class LqBlocks:
         return B
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CausalSplit:
     """Block-lower-triangular part of ``L32`` and its complement.
 
@@ -241,24 +242,6 @@ def causal_split(blocks: LqBlocks) -> CausalSplit:
     causal = np.where(mask, blocks.L32, 0.0)
     noncausal = blocks.L32 - causal
     return CausalSplit(causal=causal, noncausal=noncausal)
-
-
-def gamma1_of(blocks: LqBlocks, z_p: np.ndarray) -> np.ndarray:
-    """Latent past coordinates: solve ``L11 @ gamma1 = z_p``.
-
-    Uses forward substitution when ``L11`` is nonsingular.  For exactly
-    deterministic records ``L11`` is structurally singular; then the
-    minimum-norm least-squares solution is returned, which is exact
-    whenever ``z_p`` is a trajectory of the data-generating system.
-    """
-    z = np.asarray(z_p, dtype=float).reshape(-1)
-    if z.shape[0] != blocks.dim_past:
-        raise DimensionMismatch(
-            f"z_p has length {z.shape[0]}, expected {blocks.dim_past}"
-        )
-    if blocks.past_is_nonsingular():
-        return scipy.linalg.solve_triangular(blocks.L11, z, lower=True)
-    return np.linalg.lstsq(blocks.L11, z, rcond=_PINV_RTOL)[0]
 
 
 def save_lq_blocks(blocks: LqBlocks, path) -> None:

@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Predictor:
     """Affine multi-step predictor ``y_f = K_p @ z_p + K_f @ u_f``.
 

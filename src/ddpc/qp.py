@@ -65,9 +65,9 @@ The KKT solution of a fixed active set is affine in ``theta`` too: the
 critical regions of explicit MPC.  A solve factors each set it tries
 once, and one ``potrs`` on that factor solves every right-hand side.
 Once two solves in a row have certified a set, its record is built
-through the factor that certified it: the side vector and one map ``G``
-with ``G @ theta = [x; y; 0; t; 0; r]``, the set solve with ``D`` and
-``XC`` in the place of their products with ``theta``.  It answers until
+through the factor that certified it: the bytes of the side vector and
+one map ``G`` with ``G @ theta = [x; y; 0; t; 0; r]``, the set solve
+with ``D`` and ``XC`` in the place of their products with ``theta``.  It answers until
 another record replaces it; no factor of a set outlives its solve.  A
 hit is one ``gemv`` with ``G``, tested finite with ``theta`` and the
 warm starts (:meth:`BoxQpSolver._checked`), and one reduction of its
@@ -107,7 +107,7 @@ class QpStatus(str, Enum):
     DUAL_INFEASIBLE = "dual_infeasible"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QpProblem:
     """Problem data, checked on entry: non-finite ``P``, ``q`` or ``A``
     first (a ``ValueError`` naming the field), then the shapes, the bounds
@@ -170,12 +170,14 @@ class QpSettings:
     max_iter = property(lambda self: _MAX_ITER)
 
 
-@dataclass
+@dataclass(eq=False)
 class QpSolution:
     """A solve's answer.  ``objective`` is ``0.5 x' P x + q' x`` at ``x``
     (``-inf`` when ``DUAL_INFEASIBLE``) from the one-shot :func:`solve`;
     :meth:`BoxQpSolver.solve` forms no objective, and its answers hold
-    NaN there."""
+    NaN there.  ``t`` is ``A x`` less the bound shift (of the solver's
+    data map; none for :func:`solve`), which a receding-horizon step
+    reads its plans from."""
 
     x: np.ndarray
     y: np.ndarray
@@ -184,6 +186,7 @@ class QpSolution:
     primal_res: float
     dual_res: float
     objective: float
+    t: np.ndarray
 
 
 _EPS_ABS = 1e-8
@@ -246,20 +249,11 @@ def _ruiz(P: np.ndarray, A: np.ndarray, iters: int):
     return d, e, c
 
 
-@dataclass
-class _Answer(QpSolution):
-    """The :class:`QpSolution` that :meth:`BoxQpSolver.solve` returns,
-    with ``t``, which is ``A x`` less the bound shift."""
-
-    t: np.ndarray
-
-
 @dataclass(slots=True)
 class _SetRecord:
     """The cached answer of one active set: its critical region."""
 
-    sides: np.ndarray  # the set's side vector s, its one name (_sides)
-    key: bytes  # sides.tobytes(), which a solve's warm start must match
+    key: bytes  # the bytes of the set's side vector s, its one name (_sides)
     # G @ theta = [x; y; 0; t; 0; r] (_set_solve), y zero off the set;
     # its rows of t and r are fixed here, and checked at every hit
     G: np.ndarray
@@ -444,9 +438,8 @@ class BoxQpSolver:
                 record of that set answers by one product with its map.
 
         Returns:
-            A :class:`QpSolution` whose ``objective`` is NaN; it also
-            carries ``t``, ``A x`` less the bound shift, which a
-            receding-horizon step reads its plans from.
+            A :class:`QpSolution` whose ``objective`` is NaN and whose
+            ``t`` is ``A x`` less the bound shift ``D[n:] @ theta``.
 
         Raises:
             DimensionMismatch: On a ``theta``, ``x0`` or ``y0`` whose
@@ -485,8 +478,9 @@ class BoxQpSolver:
             return certified
         if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
-            return _Answer(np.zeros(n), np.zeros(0), QpStatus.DUAL_INFEASIBLE,
-                           0, 0.0, math.inf, math.nan, np.zeros(0))
+            return QpSolution(np.zeros(n), np.zeros(0),
+                              QpStatus.DUAL_INFEASIBLE, 0, 0.0, math.inf,
+                              math.nan, np.zeros(0))
 
         lo, hi = self._bounds0 + shift
         x, y, r_prim, r_dual, status, iters = self._admm(q, lo, hi, x0, y0)
@@ -495,8 +489,8 @@ class BoxQpSolver:
             if refined is not None:
                 refined.iterations = iters
                 return refined
-        return _Answer(x, y, status, iters, r_prim, r_dual, math.nan,
-                       self.A @ x - shift)
+        return QpSolution(x, y, status, iters, r_prim, r_dual, math.nan,
+                          self.A @ x - shift)
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
@@ -758,7 +752,8 @@ class BoxQpSolver:
                 q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
             if not ok:
                 return None
-        return _Answer(x, y, QpStatus.SOLVED, 0, r_prim, r_dual, math.nan, t)
+        return QpSolution(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
+                          math.nan, t)
 
     def _from_record(self, rec, d):
         """Answer the record's set from ``d = rec.G @ theta``, the set's
@@ -778,8 +773,7 @@ class BoxQpSolver:
         D, k = self.data_map[0], self.k
         G = self._set_solve(act, factor, D, self._rows.XC,
                             np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
-        return None if G is None else _SetRecord(sides=s, key=s.tobytes(),
-                                                 G=G, box=box)
+        return None if G is None else _SetRecord(s.tobytes(), G, box)
 
 
 def _inf_norm(v: np.ndarray) -> float:

@@ -57,7 +57,7 @@ def rng_for(*keys: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(keys)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Innovation-form linear system with noise gain ``K``.
 
@@ -322,7 +322,7 @@ def collect_open_loop(plant, excitation: np.ndarray,
     return Trajectory(u.copy(), y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearFeedbackController:
     """Linear dynamic output feedback acting on the tracking error.
 

@@ -28,7 +28,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """An input/output record with channels along rows and time along columns.
 
@@ -91,7 +91,7 @@ class HorizonSpec:
         return self.L_p + self.L_f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HankelPartition:
     """Past/future Hankel blocks of one trajectory, held in one array.
 
@@ -113,7 +113,7 @@ class HankelPartition:
     p: int
     spec: HorizonSpec
     # the LQ factor of the stack, set once by ddpc.lq.factorize
-    _lq: object = field(default=None, init=False, repr=False, compare=False)
+    _lq: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         stack = np.asarray(self.stack, dtype=float)

@@ -85,6 +85,27 @@ def lq_orthonormal_rows(L: np.ndarray, S: np.ndarray) -> np.ndarray:
     return np.where(flip, -1.0, 1.0)[:, None] * q.T
 
 
+def gamma1_of(blocks, z_p: np.ndarray) -> np.ndarray:
+    """Latent past coordinate: solve ``L11 @ gamma1 = z_p``.
+
+    Forward substitution, one row at a time, when ``L11`` is nonsingular
+    by the library's own diagonal test (``blocks.past_is_nonsingular()``);
+    for exactly deterministic records ``L11`` is structurally singular,
+    and then the minimum-norm least-squares solution of ``lstsq`` at the
+    library's cutoff 1e-10, which is exact whenever ``z_p`` is a
+    trajectory of the data-generating system.  ``[L21; L31] @ gamma1`` is
+    what ``LqBlocks.past_map @ z_p`` must give.
+    """
+    L11 = blocks.L11
+    z = np.asarray(z_p, dtype=float).reshape(-1)
+    if not blocks.past_is_nonsingular():
+        return np.linalg.lstsq(L11, z, rcond=1e-10)[0]
+    g = np.zeros(len(z))
+    for i in range(len(z)):
+        g[i] = (z[i] - L11[i, :i] @ g[:i]) / L11[i, i]
+    return g
+
+
 # ---------------------------------------------------------------------------
 # QP oracles
 # ---------------------------------------------------------------------------

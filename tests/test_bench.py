@@ -15,7 +15,9 @@ Covers:
     records instead of aborting the sweep.
   * cost normalization against a baseline and the missing-baseline error.
   * grid-search tuning and its tie-breaking rule.
-  * byte-stable ``records.csv`` / ``normalized.csv`` / rollout logs.
+  * byte-stable ``records.csv`` / ``normalized.csv`` / rollout logs, and
+    a rollout log's last ``J_cum`` equal to the rollout's ``J`` bit for
+    bit, for every variant and for a 2-input, 2-output plant.
   * the share of table1 steps that the QP solver's set record answers.
 """
 
@@ -26,16 +28,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_model, seeded
+
 from ddpc import (
+    VARIANTS,
+    BoxConstraints,
     ConfigError,
+    ControllerSpec,
+    CostSpec,
     Diverged,
+    HorizonSpec,
     MissingBaseline,
     RECORD_FIELDS,
     RunRecord,
     bench,
     bundled_config_path,
     load_config,
+    make_controller,
     normalize_costs,
+    partition,
+    run_receding_horizon,
     run_single,
     run_sweep,
     select_best,
@@ -652,3 +664,52 @@ def test_write_rollout_csv_cumulative_cost_matches(tmp_path):
     last = lines[-1].split(",")
     assert float(last[4]) == pytest.approx(rollout.J, abs=1e-9)
     assert lines[1].split(",")[0] == "1"
+
+
+def _last_j_cum(rollout, path) -> float:
+    write_rollout_csv(rollout, path)
+    lines = path.read_text().strip().splitlines()
+    assert len(lines) == 1 + len(rollout.steps)
+    return float(lines[-1].split(",")[lines[0].split(",").index("J_cum")])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_write_rollout_csv_last_cost_is_rollout_cost(tmp_path, variant):
+    """The log's ``J_cum`` is the running sum of the same stage costs that
+    ``J`` sums, so its last value is ``rollout.J`` exactly, at table1 seed
+    0 (with ``gamma.mu`` and ``projreg_g.mu`` set so that every variant
+    runs)."""
+    cfg = load_config("table1")
+    cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
+        "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
+    rollout, _ = run_single(cfg, variant, seed=0)
+    assert _last_j_cum(rollout, tmp_path / "roll.csv") == rollout.J
+
+
+def test_write_rollout_csv_last_cost_is_rollout_cost_mimo(tmp_path):
+    """A 2-input, 2-output rollout under a coupled output weight: the last
+    ``J_cum`` is ``J`` exactly, and ``J`` is the per-move stage cost summed
+    to round-off."""
+    plant = random_model(seeded(160), n=3, m=2, p=2, sigma_e=0.1)
+    cost = CostSpec(q_step=[[1.0, 0.3], [0.3, 0.5]],
+                    r_step=0.05 * np.eye(2), L_f=4)
+    boxes = BoxConstraints(u_lower=[-0.5, -0.5], u_upper=[0.5, 0.5],
+                           y_lower=[-np.inf] * 2, y_upper=[np.inf] * 2)
+    spec = ControllerSpec(variant="reg_causal_gamma", cost=cost,
+                          boxes=boxes, mu=1.0, lam=1.0)
+    rng = seeded(161)
+    traj = bench.collect_open_loop(plant, rng.uniform(-1.0, 1.0, (2, 200)),
+                                   rng=rng)
+    ctrl = make_controller(spec, part=partition(traj, HorizonSpec(3, 4)))
+    reference = seeded(162).uniform(-1.0, 1.0, (2, 25))
+    rollout = run_receding_horizon(plant, ctrl, reference, 25,
+                                   rng=seeded(163))
+    path = tmp_path / "roll.csv"
+    assert _last_j_cum(rollout, path) == rollout.J
+    assert path.read_text().splitlines()[0] == (
+        "t,u1,u2,y1,y2,r1,r2,J_cum,qp_iters,qp_status")
+    u, y = rollout.trajectory.inputs, rollout.trajectory.outputs
+    err = y - reference
+    stage = [e @ cost.q_step @ e + v @ cost.r_step @ v
+             for e, v in zip(err.T, u.T)]
+    assert rollout.J == pytest.approx(sum(stage), rel=1e-13)

@@ -19,8 +19,8 @@ Covers:
     a loop-built oracle (the public mask a writable copy of the one the
     split reads), and the strict-upper parameter count
     ``p*m*L_f*(L_f-1)/2``.
-  * gamma1_of forward-substitution and minimum-norm fallback behavior,
-    and the cached past map ``[L21; L31] inv(L11)`` that applies it.
+  * the ``gamma1_of`` oracle's forward substitution and minimum-norm
+    fallback, and the cached past map ``[L21; L31] inv(L11)`` against it.
   * residual ordering ``||L32' Q2 + L33 Q3||_F >= ||L33 Q3||_F``, with
     ``Q2``/``Q3`` from the independent ``Q``.
   * byte-exact save/load round-trips, format validation, and the error
@@ -39,7 +39,7 @@ import pytest
 
 from conftest import (demo_model, full_factor, make_blocks, make_partition,
                       noisy_dataset, random_model, seeded)
-from oracles import causal_mask_by_loops, lq_orthonormal_rows
+from oracles import causal_mask_by_loops, gamma1_of, lq_orthonormal_rows
 
 from ddpc import (
     CausalSplit,
@@ -52,7 +52,6 @@ from ddpc import (
     collect_open_loop,
     factorize,
     fit_spc,
-    gamma1_of,
     load_config,
     load_lq_blocks,
     partition,
@@ -348,21 +347,27 @@ def test_causal_split_parameter_count(m, p, L_f):
 
 
 # ---------------------------------------------------------------------------
-# gamma1_of
+# the past coordinate: the gamma1_of oracle and the past map
 # ---------------------------------------------------------------------------
 
 
 def test_gamma1_zero_past():
     blocks = make_blocks(demo_model(), 120, L_p=3, L_f=3, rng=seeded(30))
-    np.testing.assert_array_equal(gamma1_of(blocks, np.zeros(blocks.dim_past)),
-                                  np.zeros(blocks.dim_past))
+    zero = np.zeros(blocks.dim_past)
+    np.testing.assert_array_equal(gamma1_of(blocks, zero), zero)
+    np.testing.assert_array_equal(blocks.past_map @ zero,
+                                  np.zeros(blocks.dim_u + blocks.dim_y))
 
 
 def test_gamma1_identity_past_block():
     L32 = np.zeros((2, 2))
-    blocks = _blocks_with_l32(L32, m=1, p=1, L_f=2)   # L11 = I by fabrication
+    blocks = dataclasses.replace(   # L11 = I by fabrication
+        _blocks_with_l32(L32, m=1, p=1, L_f=2),
+        L21=[[0.5, -2.0], [1.5, 0.25]], L31=[[3.0, 0.0], [-1.0, 4.0]])
     z = np.array([0.3, -1.7])
     np.testing.assert_allclose(gamma1_of(blocks, z), z, atol=1e-15)
+    np.testing.assert_array_equal(blocks.past_map,
+                                  np.vstack([blocks.L21, blocks.L31]))
 
 
 def test_gamma1_solves_triangular_system():
@@ -389,17 +394,11 @@ def test_gamma1_minimum_norm_fallback():
     assert np.linalg.norm(blocks.L11 @ g1 - z) < 1e-6 * np.linalg.norm(z)
 
 
-def test_gamma1_dimension_mismatch():
-    blocks = make_blocks(demo_model(), 120, L_p=3, L_f=3, rng=seeded(35))
-    with pytest.raises(DimensionMismatch):
-        gamma1_of(blocks, np.zeros(blocks.dim_past + 1))
-
-
 @pytest.mark.parametrize("sigma_e", [0.2, 0.0], ids=["noisy", "exact"])
 def test_past_map_applies_gamma1(sigma_e):
-    """``past_map @ z_p`` is ``[L21; L31] @ gamma1_of(z_p)``, by forward
-    substitution or, for a singular ``L11``, the minimum-norm solve; it
-    is formed once per blocks."""
+    """``past_map @ z_p`` is ``[L21; L31] @ gamma1_of(z_p)`` (the oracle),
+    by forward substitution or, for a singular ``L11``, the minimum-norm
+    solve; it is formed once per blocks."""
     blocks = make_blocks(demo_model(sigma_e=sigma_e), 200, L_p=4, L_f=3,
                          rng=seeded(36))
     assert blocks.past_is_nonsingular() == (sigma_e > 0)

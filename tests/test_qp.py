@@ -633,7 +633,7 @@ def test_a_record_outlives_a_miss_on_another_set():
     for _ in range(2):
         y_lower = solver.solve(np.array([5.0, 1.0]), y0=y_lower).y
     rec = solver._map
-    assert rec is not None and rec.sides[0] == -1.0
+    assert rec is not None and np.frombuffer(rec.key)[0] == -1.0
     other = solver.solve(np.array([-5.0, 1.0]), y0=one)
     assert other.status == QpStatus.SOLVED and other.x[0] == pytest.approx(
         1.0, abs=1e-12)
@@ -676,8 +676,8 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
 
     solver._set_solve = dropped
     act = np.array([0])
-    solver._map = solver._record(act, solver._set_factor(act), rec.sides,
-                                 rec.box)
+    solver._map = solver._record(act, solver._set_factor(act),
+                                 np.frombuffer(rec.key), rec.box)
     del solver._set_solve
     np.testing.assert_allclose(solver._map.G @ theta, [0.0, -5.0, 0.0, 0.0,
                                                        0.0, 0.0], atol=1e-12)
@@ -815,10 +815,11 @@ def test_records_close_the_data_maps_own_bounds():
         keys.append(mapped._map.key)
     assert keys[0] != keys[1]  # the second theta's set is a record of its own
     for rec in answered:
-        assert rec.key == rec.sides.tobytes()
+        sides = np.frombuffer(rec.key)  # the set's one name
+        assert sides.shape == (k,) and set(sides) <= {-1.0, 0.0, 1.0}
         np.testing.assert_array_equal(rec.box[:, k + 1:2 * k + 1], [
-            np.where(rec.sides > 0, prob.upper, prob.lower),
-            np.where(rec.sides < 0, prob.lower, prob.upper)])
+            np.where(sides > 0, prob.upper, prob.lower),
+            np.where(sides < 0, prob.lower, prob.upper)])
 
 
 def _hit_counter(solver):

@@ -7,6 +7,8 @@ Covers:
     noise-free consistency of future outputs with past data + future
     inputs.
   * trajectory CSV layout (``t,u1..um,y1..yp``) and lossless round-trip.
+  * identity equality: two partitions of one record are not equal, and
+    comparing them raises nothing.
 """
 
 from __future__ import annotations
@@ -133,6 +135,20 @@ def test_partition_noise_free_consistency():
     g, *_ = np.linalg.lstsq(stack, np.concatenate([z_p, u_f]), rcond=None)
     assert np.linalg.norm(stack @ g - np.concatenate([z_p, u_f])) < 1e-8
     assert np.linalg.norm(part.Y_f @ g - y_f) < 1e-6
+
+
+def test_partitions_compare_by_identity():
+    """Two partitions of one record are equal arrays but distinct objects:
+    ``==`` answers False (identity) instead of raising on the arrays."""
+    rng = seeded(7)
+    traj = Trajectory(rng.standard_normal((1, 30)),
+                      rng.standard_normal((1, 30)))
+    spec = HorizonSpec(L_p=2, L_f=3)
+    a, b = partition(traj, spec), partition(traj, spec)
+    np.testing.assert_array_equal(a.stack, b.stack)
+    assert (a == b) is False and (a != b) is True
+    assert a == a and traj == traj
+    assert len({a, b, traj}) == 3
 
 
 def test_partition_record_too_short():

@@ -54,7 +54,9 @@ being gated, because a change of solver path changes them by design.
 In either mode two last lines report, also ungated, how many records and
 ``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side,
 split by final status (a record's is the worst of its steps), and the
-line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it.
+line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it,
+next to the number of names the package exports (``len(ddpc.__all__)``),
+its count of public concepts.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -281,6 +283,14 @@ def line_total(tree: Path) -> int:
                for path in (tree / "src" / "ddpc").glob("*.py"))
 
 
+def size(tree: Path, work: Path) -> str:
+    """``tree``'s line total and the length of its ``ddpc.__all__``."""
+    done = _run(tree, work, ["-c", "import ddpc; print(len(ddpc.__all__))"])
+    if done.returncode != 0:
+        raise SystemExit(f"import ddpc failed in {tree}:\n{done.stderr}")
+    return f"{line_total(tree)} lines, {done.stdout.strip()} names"
+
+
 # -- comparison within a relative tolerance ---------------------------------
 
 
@@ -452,7 +462,8 @@ def main(argv=None) -> int:
         unpack(args.base, base_tree)
         before, admm_before = collect(base_tree, Path(tmp) / "base", raw)
         after, admm_after = collect(ROOT, Path(tmp) / "change", raw)
-        lines = f"{line_total(base_tree)} -> {line_total(ROOT)}"
+        sizes = (f"{size(base_tree, Path(tmp) / 'base')} -> "
+                 f"{size(ROOT, Path(tmp) / 'change')}")
     n_diff = 0
     for label in sorted(before.keys() | after.keys()):
         if label not in before or label not in after:
@@ -464,7 +475,8 @@ def main(argv=None) -> int:
         print(f"{label}: {verdict}")
     print(f"ran ADMM (qp_iters > 0, not gated): {admm_before} -> "
           f"{admm_after}")
-    print(f"src/ddpc/*.py lines (wc -l, not gated): {lines}")
+    print(f"src/ddpc/*.py lines (wc -l) and ddpc.__all__ names, not gated: "
+          f"{sizes}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"
     print(f"{len(before | after) - n_diff} pass, {n_diff} different "
           f"(base {base}, {mode})")
