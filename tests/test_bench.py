@@ -43,6 +43,7 @@ from ddpc import (
     RunRecord,
     bench,
     bundled_config_path,
+    collect_open_loop,
     load_config,
     make_controller,
     normalize_costs,
@@ -698,8 +699,8 @@ def test_write_rollout_csv_last_cost_is_rollout_cost_mimo(tmp_path):
     spec = ControllerSpec(variant="reg_causal_gamma", cost=cost,
                           boxes=boxes, mu=1.0, lam=1.0)
     rng = seeded(161)
-    traj = bench.collect_open_loop(plant, rng.uniform(-1.0, 1.0, (2, 200)),
-                                   rng=rng)
+    traj = collect_open_loop(plant, rng.uniform(-1.0, 1.0, (2, 200)),
+                             rng=rng)
     ctrl = make_controller(spec, part=partition(traj, HorizonSpec(3, 4)))
     reference = seeded(162).uniform(-1.0, 1.0, (2, 25))
     rollout = run_receding_horizon(plant, ctrl, reference, 25,
