@@ -4,7 +4,10 @@ The stacked matrix ``S = [Z_p; U_f; Y_f]`` is factored as ``L @ Q`` with
 ``L`` square lower-triangular and ``Q`` having orthonormal rows.  Only
 ``L`` is formed: its blocks carry everything the predictors and the
 controllers need, and it is fixed by the data up to signs through the Gram
-identity ``L @ L.T == S @ S.T``.  A partition is factored once: its
+identity ``L @ L.T == S @ S.T``.  So ``factorize`` takes ``L`` as the
+Cholesky factor of the Gram matrix ``S @ S.T``, and falls back to a QR of
+the stack only where that factor is singular or too ill-conditioned to
+trust (see :func:`factorize`).  A partition is factored once: its
 ``LqBlocks`` are kept on it, and every later ``factorize`` of it (through
 ``fit_spc`` or ``make_controller(part=)`` too) returns them.
 """
@@ -18,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import RankDeficient
@@ -39,11 +43,24 @@ _DIAG_RTOL = 1e-12
 # Relative singular-value cutoff of the minimum-norm fallbacks.
 _PINV_RTOL = 1e-10
 
+# Relative bound on the diagonal of the Gram route's Cholesky factor at or
+# below which `factorize` runs the QR instead.  The Gram route's relative
+# error grows like eps * kappa(L)^2, against eps * kappa(L) for the QR: a
+# pivot d (relative to the largest) carries an error near eps / d^2, about
+# 2e-8 at the bound.  The Cholesky factor of a singular Gram matrix keeps
+# pivots near sqrt(eps) ~ 1e-8 rather than the eps-level ones of the QR, so
+# the bound sits well above 1e-8, and every record whose QR factor
+# `_DIAG_RTOL` would call singular goes to the QR.  The bundled noisy
+# records read 0.02-0.12.
+_GRAM_RTOL = 1e-4
+
 _MAGIC = b"LQB2"
-# Block size of the QR in `factorize`, chosen once by timing: 16 was the
-# fastest on the table1 stack from n_d = 200 to 5000.
+# Block size of the QR fallback in `factorize`, chosen once by timing: 16
+# was the fastest on the table1 stack from n_d = 200 to 5000.
 _QR_BLOCK = 16
 
+_SYRK = get_blas_funcs("syrk", dtype=np.float64)
+_POTRF = get_lapack_funcs("potrf", dtype=np.float64)
 _GEQRT = get_lapack_funcs("geqrt", dtype=np.float64)
 
 _BLOCK_NAMES = ("L11", "L21", "L22", "L31", "L32", "L33")
@@ -151,12 +168,17 @@ def _diag_nonsingular(tri: np.ndarray) -> bool:
 def factorize(part: HankelPartition) -> LqBlocks:
     """LQ-factorize the stacked Hankel matrix of a partition, once.
 
+    ``L`` is the lower Cholesky factor of the Gram matrix ``S @ S.T``,
+    whose diagonal is positive.  One rule sends a record to the QR
+    instead: where the Cholesky factorization fails, or the factor's
+    smallest diagonal entry is at most ``_GRAM_RTOL`` times its largest,
     ``L`` is the transpose of the triangular factor of a QR of the
-    transposed stack, sign-normalized so its diagonal is nonnegative.  The
-    orthonormal factor is never formed.  The QR runs on a copy of the
-    partition's read-only ``stack``; ``L`` is frozen, and the blocks are
-    kept on the partition, so a later call on the same partition returns
-    the same object without factoring again.
+    transposed stack, sign-normalized so its diagonal is nonnegative.
+    Exactly deterministic records, whose ``L11`` is singular, take the
+    QR.  The orthonormal factor is never formed, and the stack is not
+    copied except for the QR.  ``L`` is frozen, and the blocks are kept on
+    the partition, so a later call on the same partition returns the same
+    object without factoring again.
 
     Args:
         part: Past/future Hankel blocks of one trajectory.
@@ -181,16 +203,22 @@ def factorize(part: HankelPartition) -> LqBlocks:
             f"stacked Hankel matrix has {n_rows} rows but only {n_cols} "
             f"columns; record at least {n_rows + part.spec.L - 1} samples"
         )
-    # LAPACK's geqrt (recursive panels, level-3 updates) in place on the
-    # Fortran-ordered view of a copy of the stack; its block size is the
-    # constant _QR_BLOCK, since the blocking sets the rounding of L
-    r_t, _, info = _GEQRT(min(_QR_BLOCK, n_rows), part.stack.copy().T,
-                          overwrite_a=True)
-    if info != 0:
-        raise ValueError(f"geqrt failed with info={info}")
-    L = np.tril(r_t[:n_rows].T)
-    # Fix the sign convention: nonnegative diagonal of L.
-    L *= np.where(np.diag(L) < 0.0, -1.0, 1.0)[None, :]
+    # S S' by BLAS syrk on the Fortran-ordered view of the stack (its lower
+    # triangle only), then its lower Cholesky factor in place
+    L, info = _POTRF(_SYRK(1.0, part.stack.T, trans=1, lower=1), lower=1,
+                     clean=1, overwrite_a=1)
+    diag = np.diag(L)
+    if info != 0 or diag.min() <= _GRAM_RTOL * diag.max():
+        # LAPACK's geqrt (recursive panels, level-3 updates) in place on
+        # the Fortran-ordered view of a copy of the stack; its block size is
+        # the constant _QR_BLOCK, since the blocking sets the rounding of L
+        r_t, _, info = _GEQRT(min(_QR_BLOCK, n_rows), part.stack.copy().T,
+                              overwrite_a=True)
+        if info != 0:
+            raise ValueError(f"geqrt failed with info={info}")
+        L = np.tril(r_t[:n_rows].T)
+        # Fix the sign convention: nonnegative diagonal of L.
+        L *= np.where(np.diag(L) < 0.0, -1.0, 1.0)[None, :]
     L.flags.writeable = False
 
     d1 = (part.m + part.p) * part.spec.L_p

@@ -91,8 +91,8 @@ def fit_spc(part: HankelPartition) -> Predictor:
     The mask-off LQ formula ``[L31  L32] @ inv(W)``, equal to regressing
     ``Y_f`` on ``[Z_p; U_f]``; for a singular ``L11`` (exactly
     deterministic records) it is the minimum-norm solution.  The blocks
-    are the partition's one factor: after ``factorize(part)`` no second
-    QR runs.
+    are the partition's one factor: after ``factorize(part)`` nothing is
+    factored again.
 
     Raises:
         RankDeficient: From :func:`~ddpc.lq.factorize`, if the input fails

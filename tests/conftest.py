@@ -14,6 +14,8 @@ The helpers here construct the recurring ingredients of the tests:
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
 
 # One BLAS thread, as perfbench runs: the small dense factorizations of the
 # suite run several times slower with more, and their timing then follows
@@ -112,6 +114,24 @@ def full_factor(blocks) -> np.ndarray:
     L[d1 + d2:, d1:d1 + d2] = blocks.L32
     L[d1 + d2:, d1 + d2:] = blocks.L33
     return L
+
+
+def pytest_configure(config):
+    """Point hypothesis's storage at a temporary directory of this run,
+    removed at its end, unless the caller set one.  Hypothesis caches the
+    constants it collects from the source there (``database=None`` does
+    not stop that) when the tests are collected, by default under
+    ``.hypothesis/`` of the working directory."""
+    if "HYPOTHESIS_STORAGE_DIRECTORY" in os.environ:
+        return
+    path = tempfile.mkdtemp(prefix="hypothesis-")
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = path
+
+    def cleanup():
+        del os.environ["HYPOTHESIS_STORAGE_DIRECTORY"]
+        shutil.rmtree(path, ignore_errors=True)
+
+    config.add_cleanup(cleanup)
 
 
 def seeded(tag: int, *extra: int) -> np.random.Generator:

@@ -5,16 +5,22 @@ Covers:
     and exact reconstruction ``L @ Q`` with an independently computed
     orthonormal ``Q`` (``factorize`` itself never forms ``Q``),
     lower-triangularity and the nonnegative-diagonal sign convention, on
-    stacks of one QR panel and of several (against numpy's ``R``), and a
-    partition left bit-for-bit unchanged by the in-place QR.
+    small and tall stacks (against numpy's ``R``), and a partition left
+    bit-for-bit unchanged by either route.
+  * the route rule: a noisy record is factored by the Cholesky factor of
+    its Gram matrix, with no QR; a noise-free one with a singular ``L11``
+    by the QR fallback; and a noise-free record whose Gram pivots sit
+    near ``sqrt(eps)``, which ``potrf`` accepts, goes to the QR too (the
+    shrunk case of the property suite run with the bound at 1e-8).
   * the fixed point: a stack that is already lower-triangular with an
     orthonormal right factor gives back its triangular part unchanged.
   * rank-deficiency errors for unexciting inputs and too-short records,
     and a ValueError naming non-finite entries of the stack.
   * one factor per partition: a second ``factorize`` (or ``fit_spc``)
-    returns the first blocks without a QR; partition arrays, blocks and
-    the past map are read-only, hand-built ones frozen copies; a stack
-    whose rows disagree with ``(m, p, spec)`` is refused.
+    returns the first blocks without calling any factorization kernel;
+    partition arrays, blocks and the past map are read-only, hand-built
+    ones frozen copies; a stack whose rows disagree with ``(m, p, spec)``
+    is refused.
   * causal_split worked examples, exact complementarity, the mask versus
     a loop-built oracle (the public mask a writable copy of the one the
     split reads), and the strict-upper parameter count
@@ -38,8 +44,9 @@ import numpy as np
 import pytest
 
 from conftest import (demo_model, full_factor, make_blocks, make_partition,
-                      noisy_dataset, random_model, seeded)
-from oracles import causal_mask_by_loops, gamma1_of, lq_orthonormal_rows
+                      noisy_dataset, random_model, rng_for, seeded)
+from oracles import (causal_mask_by_loops, gamma1_of, lq_orthonormal_rows,
+                     pinv_fit)
 
 from ddpc import (
     CausalSplit,
@@ -147,10 +154,11 @@ def test_factorize_determinism():
 
 def test_factorize_factors_a_partition_once(monkeypatch):
     """A second factorize of a partition, and the spc fit of it, get back
-    the first call's blocks without running the QR again."""
+    the first call's blocks without calling a factorization kernel."""
     part = make_partition(demo_model(), 140, L_p=3, L_f=3, rng=seeded(24))
     blocks = factorize(part)
-    monkeypatch.setattr(lq, "_GEQRT", None)  # a second QR would fail
+    for kernel in ("_SYRK", "_POTRF", "_GEQRT"):  # a second call would fail
+        monkeypatch.setattr(lq, kernel, None)
     assert factorize(part) is blocks
     assert fit_spc(part).K_f.shape == (blocks.dim_y, blocks.dim_u)
 
@@ -222,8 +230,8 @@ def _square_partition():
                          ids=["table1_90_rows", "mimo_44_rows",
                               "square_40_rows"])
 def test_factorize_stacks_taller_than_one_panel(make):
-    """Stacks that span several QR panels keep every property of the
-    factor, and ``|L|`` is numpy's ``|R'|`` up to round-off."""
+    """Stacks taller than one panel of the QR fallback keep every property
+    of the factor, and ``|L|`` is numpy's ``|R'|`` up to round-off."""
     part = make()
     stack = _stacked(part)
     assert stack.shape[0] > _QR_BLOCK
@@ -243,11 +251,85 @@ def test_factorize_stacks_taller_than_one_panel(make):
 
 
 def test_factorize_leaves_partition_untouched():
-    """The QR overwrites its input, which must be a copy of the stack."""
-    part = _mimo_partition()
-    before = part.stack.tobytes()
-    factorize(part)
-    assert part.stack.tobytes() == before
+    """The Gram route reads the stack, and the QR fallback overwrites a
+    copy of it (the second, noise-free stack takes the QR)."""
+    for part in (_mimo_partition(), _noise_free_partition()):
+        before = part.stack.tobytes()
+        factorize(part)
+        assert part.stack.tobytes() == before
+
+
+def _noise_free_partition():
+    # 24 rows: a singular L11 on a stack of two QR panels
+    return make_partition(demo_model(sigma_e=0.0), 200, L_p=8, L_f=4,
+                          rng=seeded(27))
+
+
+def _counting_qr(monkeypatch) -> list:
+    """Wrap the QR kernel so that each call is recorded."""
+    calls = []
+    geqrt = lq._GEQRT
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return geqrt(*args, **kwargs)
+
+    monkeypatch.setattr(lq, "_GEQRT", counted)
+    return calls
+
+
+def test_factorize_takes_the_gram_route_on_a_noisy_record(monkeypatch):
+    """A noisy table1 record is factored without the QR: the Cholesky
+    factor of ``S S'``, with a positive diagonal."""
+    part = _table1_partition()
+    monkeypatch.setattr(lq, "_GEQRT", None)
+    blocks = factorize(part)
+    L = full_factor(blocks)
+    gram = part.stack @ part.stack.T
+    assert np.abs(L @ L.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    assert np.all(np.diag(L) > 0.0)
+    assert blocks.past_is_nonsingular()
+
+
+def test_factorize_falls_back_to_qr_for_a_singular_past(monkeypatch):
+    """A noise-free record, whose ``L11`` is singular, ends on the QR
+    path.  ``L L' = S S'`` holds, and ``|L|`` is numpy's ``|R'|`` in the
+    columns before the first zero pivot: past it, the factor of a
+    rank-deficient stack is not unique, and two QRs differ at O(1)."""
+    part = _noise_free_partition()
+    calls = _counting_qr(monkeypatch)
+    blocks = factorize(part)
+    assert calls == [_QR_BLOCK]
+    assert not blocks.past_is_nonsingular()
+    L = full_factor(blocks)
+    gram = part.stack @ part.stack.T
+    assert np.abs(L @ L.T - gram).max() <= 1e-10 * np.abs(gram).max()
+    d = np.diag(L)
+    rank = int(np.argmax(d <= lq._DIAG_RTOL * d.max()))
+    assert 0 < rank < blocks.dim_past
+    R = np.linalg.qr(part.stack.T, mode="r")
+    assert (np.abs(np.abs(L[:, :rank]) - np.abs(R.T[:, :rank])).max()
+            <= 1e-12 * np.abs(L).max())
+
+
+def test_factorize_sends_sqrt_eps_gram_pivots_to_qr(monkeypatch):
+    """The shrunk failing case of the LQ property suite run with the
+    Gram bound at 1e-8: a noise-free record (m = 2, p = 1, L_p = 2,
+    L_f = 1, a first-order plant) whose Gram matrix is singular, but
+    whose Cholesky factorization succeeds with pivots about 2e-8 of the
+    largest.  That factor gave an spc gain off by up to 1.8; the bound
+    sends the record to the QR, and the gain matches the regression."""
+    rng = rng_for(0x9E0, 1711)
+    plant = random_model(rng, n=1, m=2, p=1, sigma_e=0.0)
+    traj = collect_open_loop(plant, rng.standard_normal((2, 21)), rng=rng)
+    part = partition(traj, HorizonSpec(L_p=2, L_f=1))
+    calls = _counting_qr(monkeypatch)
+    spc = fit_spc(part)
+    assert len(calls) == 1
+    assert not factorize(part).past_is_nonsingular()
+    K_ref = pinv_fit(part.Y_f, part.Z_p, part.U_f)
+    np.testing.assert_allclose(np.hstack([spc.K_p, spc.K_f]), K_ref,
+                               rtol=0, atol=1e-8 * np.abs(K_ref).max())
 
 
 def test_factorize_constant_input_rank_deficient():
