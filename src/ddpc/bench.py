@@ -314,8 +314,9 @@ def load_config(path) -> ExperimentConfig:
             outside their key's rule (see ``ExperimentConfig``), or a
             section or key that is not read (a typo such as ``u_mni``
             would otherwise drop the setting silently); controller
-            parameters must name a known variant and one of ``mu``,
-            ``lam`` or ``gamma3_zero``; ``[controllers] list`` names at
+            parameters must name a known variant and one of its
+            penalties (``VARIANT_TABLE``), or ``gamma3_zero`` where it
+            has a residual coordinate; ``[controllers] list`` names at
             least one variant and none twice, ``[sweep] baseline`` one
             of them, and ``[tune] controllers`` only variants with
             penalties.
@@ -377,10 +378,12 @@ def load_config(path) -> ExperimentConfig:
             if name not in VARIANT_TABLE:
                 raise ConfigError(f"{path}: controller parameter {key!r} "
                                   f"names an unknown variant {name!r}")
-            if param not in _CONTROLLER_PARAMS:
+            needs = VARIANT_TABLE[name]
+            takes = needs.penalties + ("gamma3_zero",) * needs.hard_zero
+            if param not in takes:
                 raise ConfigError(
-                    f"{path}: controller parameter {key!r} must be one of "
-                    f"{', '.join(_CONTROLLER_PARAMS)}")
+                    f"{path}: controller parameter {key!r}: variant {name!r} "
+                    f"takes {' or '.join(takes) or 'no parameter'}")
             params.setdefault(name, {})[param] = parsed(
                 "controllers", key, _CONTROLLER_PARAMS[param])
     values["controller_params"] = params

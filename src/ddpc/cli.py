@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -136,9 +137,15 @@ def _cmd_benchmark(args) -> int:
         normalized_path = out_dir / "normalized.csv"
         bench.write_normalized(rows, normalized_path)
         print(f"wrote {normalized_path} ({len(rows)} rows)")
-    n_bad = sum(r.status != "solved" for r in records)
-    if n_bad:
-        print(f"{n_bad} runs did not report a clean solve", file=sys.stderr)
+    bad = Counter((r.controller, r.status) for r in records
+                  if r.status != "solved")
+    if bad:
+        print(f"{bad.total()} runs did not report a clean solve",
+              file=sys.stderr)
+        runs = Counter(r.controller for r in records)
+        for (name, status), n in bad.items():
+            print(f"{name}: {n} of {runs[name]} runs {status}",
+                  file=sys.stderr)
     return EXIT_OK
 
 

@@ -214,7 +214,9 @@ class ControllerSpec:
 
 @dataclass(eq=False)
 class StepResult:
-    """Outcome of one receding-horizon step."""
+    """Outcome of one receding-horizon step.  ``qp_path`` is the QP
+    answer's ``path``: ``"record"``, ``"set"``, ``"corrected"`` or
+    ``"admm"`` (:class:`~ddpc.qp.QpSolution`)."""
 
     u_f: np.ndarray
     y_f: np.ndarray
@@ -223,6 +225,7 @@ class StepResult:
     qp_status: QpStatus
     primal_res: float
     dual_res: float
+    qp_path: str
 
 
 @dataclass(eq=False)
@@ -383,7 +386,8 @@ class _CondensedController:
         return StepResult(u_f=plan[:n_u], y_f=plan[n_u:],
                           u_applied=plan[:self.m],
                           qp_iterations=a.iterations, qp_status=a.status,
-                          primal_res=a.primal_res, dual_res=a.dual_res)
+                          primal_res=a.primal_res, dual_res=a.dual_res,
+                          qp_path=a.path)
 
     def observe(self, u, y) -> None:
         """Closed-loop measurement hook; data-driven variants are static."""

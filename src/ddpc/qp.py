@@ -49,7 +49,8 @@ answers it.  Once ADMM has solved the problem, the same step starts from
 the side vector of ADMM's dual, in the place of OSQP's polish (Stellato
 et al., Math. Prog. Comp. 2020); ``QpSolution.iterations`` counts ADMM
 iterations only.  Without rows an uncertified problem is
-``DUAL_INFEASIBLE``.
+``DUAL_INFEASIBLE``.  ``QpSolution.path`` names the path that answered:
+the set record (below), the warm start's set, a corrected set, or ADMM.
 
 ADMM is dense, with Ruiz equilibration, a per-row step parameter that is
 rescaled from the primal/dual residual ratio, and over-relaxation; as in
@@ -177,7 +178,10 @@ class QpSolution:
     :meth:`BoxQpSolver.solve` forms no objective, and its answers hold
     NaN there.  ``t`` is ``A x`` less the bound shift (of the solver's
     data map; none for :func:`solve`), which a receding-horizon step
-    reads its plans from."""
+    reads its plans from.  ``path`` names what answered: ``"record"``,
+    the set record; ``"set"``, the warm start's set (and the verdict
+    without rows); ``"corrected"``, a set after corrections or after a
+    rejected record answer; ``"admm"``, ADMM, then the set of its dual."""
 
     x: np.ndarray
     y: np.ndarray
@@ -187,6 +191,7 @@ class QpSolution:
     dual_res: float
     objective: float
     t: np.ndarray
+    path: str
 
 
 _EPS_ABS = 1e-8
@@ -462,10 +467,12 @@ class BoxQpSolver:
                 "theta length mismatch with the solver's data_map")
         s = self._sides(y0)
         rec = self._map
-        if rec is not None and s.tobytes() == rec.key:
-            answer = self._from_record(rec, self._checked(
-                _GEMV(1.0, rec.G, theta), theta, x0, y0))
+        retried = rec is not None and s.tobytes() == rec.key
+        if retried:
+            d = self._checked(_GEMV(1.0, rec.G, theta), theta, x0, y0)
+            answer = self._accept(d, rec.box, "record")  # within eps_abs
             if answer is not None:
+                self._certified_key = rec.key
                 return answer
             # a rejected record answer is retried through the set's
             # factor, and corrected from there
@@ -473,24 +480,24 @@ class BoxQpSolver:
         q, shift = data[:n], data[n:]
         xc = _GEMV(1.0, self._row_space().XC, theta)
         self._rows_read = True
-        certified = self._certify(data, xc, s)
+        certified = self._certify(data, xc, s, retried)
         if certified is not None:
             return certified
         if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
             return QpSolution(np.zeros(n), np.zeros(0),
                               QpStatus.DUAL_INFEASIBLE, 0, 0.0, math.inf,
-                              math.nan, np.zeros(0))
+                              math.nan, np.zeros(0), "set")
 
         lo, hi = self._bounds0 + shift
         x, y, r_prim, r_dual, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
             refined = self._certify(data, xc, self._sides(y))
             if refined is not None:
-                refined.iterations = iters
+                refined.iterations, refined.path = iters, "admm"
                 return refined
         return QpSolution(x, y, status, iters, r_prim, r_dual, math.nan,
-                          self.A @ x - shift)
+                          self.A @ x - shift, "admm")
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
@@ -675,10 +682,11 @@ class BoxQpSolver:
         return np.where(sides > 0.0, above,
                         np.where(sides < 0.0, below, off))
 
-    def _certify(self, data, xc, s):
+    def _certify(self, data, xc, s, retried=False):
         """Try the active set of the side vector ``s`` (:meth:`_sides`) of
         a dual point: the warm start, or ADMM's dual once ADMM has solved
-        the step; ``data`` and ``xc`` are ``D @ theta`` and ``XC @ theta``.
+        the step; ``data`` and ``xc`` are ``D @ theta`` and ``XC @ theta``,
+        and ``retried`` says that the record of ``s`` was rejected.
         Each set tried is factored once (:meth:`_set_factor`), its KKT
         solution comes from :meth:`_set_solve` on that factor, and
         :meth:`_accept` tests it.  Otherwise up to ``_CERTIFY_ROUNDS``
@@ -687,12 +695,13 @@ class BoxQpSolver:
         When a solve certifies the set that the previous solve certified,
         and no record of it is held, its record, solved through the same
         factor, takes the place of any other.
-        Returns a ``SOLVED`` answer with zero iterations, or None.
+        Returns a ``SOLVED`` answer with zero iterations (on the path
+        ``"corrected"`` after a correction or a rejected record), or None.
         """
         n, k = self.n, self.k
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
-        for _ in range(_CERTIFY_ROUNDS + 1):
+        for round_ in range(_CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
             factor = self._set_factor(act)
             if factor is None:
@@ -702,7 +711,8 @@ class BoxQpSolver:
                                 box[0, k + 1:2 * k + 1])
             if d is None:
                 return None
-            answer = self._accept(d, box, data)
+            answer = self._accept(
+                d, box, "corrected" if round_ or retried else "set", data)
             if answer is not None:
                 key = s.tobytes()
                 if key == previous and (self._map is None
@@ -719,10 +729,10 @@ class BoxQpSolver:
             s = new
         return None
 
-    def _accept(self, d, box, data=None):
+    def _accept(self, d, box, path, data=None):
         """The ``SOLVED`` answer ``d = [x; y; 0; t; 0; r]`` of a set
-        (:meth:`_set_solve`), or None when the sign or residual test
-        rejects it.
+        (:meth:`_set_solve`) on the solve path ``path``, or None when the
+        sign or residual test rejects it.
 
         One reduction of the solver's scratch gives the largest wrong sign
         ``-s * y``, the primal residual, which is the largest gap of ``t``
@@ -753,18 +763,7 @@ class BoxQpSolver:
             if not ok:
                 return None
         return QpSolution(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
-                          math.nan, t)
-
-    def _from_record(self, rec, d):
-        """Answer the record's set from ``d = rec.G @ theta``, the set's
-        ``[x; y; 0; t; 0; r]``, tested by :meth:`_accept` within
-        ``eps_abs``.  Returns the answer, or None when the test rejects
-        it.
-        """
-        answer = self._accept(d, rec.box)
-        if answer is not None:
-            self._certified_key = rec.key
-        return answer
+                          math.nan, t, path)
 
     def _record(self, act, factor, s, box):
         """The record of the set with side vector ``s``, rows ``act``,

@@ -23,7 +23,6 @@ import tempfile
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
-import pytest
 
 from ddpc import (
     HorizonSpec,
@@ -47,11 +46,6 @@ K2 = np.array([[-0.3645], [0.9973]])
 def demo_model(sigma_e: float = 0.3) -> StateSpaceModel:
     """The benchmark 2-state SISO plant with unit feedthrough."""
     return StateSpaceModel(A=A2, B=B2, C=C2, D=D2, K=K2, sigma_e=sigma_e)
-
-
-@pytest.fixture
-def plant2() -> StateSpaceModel:
-    return demo_model()
 
 
 def random_model(rng: np.random.Generator, n: int = 3, m: int = 1,

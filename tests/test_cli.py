@@ -8,7 +8,8 @@ Covers:
   * ``control``: per-step CSV layout, agreement with the library call,
     and rejection of unknown controllers.
   * ``benchmark``: records.csv / normalized.csv emission, the seed
-    override, and byte-identical reruns.
+    override, byte-identical reruns, and the unclean runs per controller
+    and status on stderr.
   * ``tune``: name.param report lines and the nothing-to-tune error.
 
 All invocations run ``main`` in-process; nothing shells out.
@@ -21,6 +22,7 @@ import pytest
 
 from conftest import demo_model, seeded
 
+from ddpc import qp as qp_module
 from ddpc import (
     HorizonSpec,
     collect_open_loop,
@@ -263,6 +265,20 @@ def test_benchmark_reruns_byte_identical(mini_config, tmp_path, capsys):
         (out2 / "records.csv").read_bytes()
     assert (out1 / "normalized.csv").read_bytes() == \
         (out2 / "normalized.csv").read_bytes()
+
+
+def test_benchmark_ends_with_unclean_runs_by_controller(tmp_path, capsys,
+                                                       monkeypatch):
+    """An unreachable output box leaves every step to an ADMM starved at 2
+    iterations: stderr names the runs per controller, as records.csv."""
+    monkeypatch.setattr(qp_module, "_MAX_ITER", 2)
+    path = tmp_path / "unreachable.cfg"
+    path.write_text(CONFIG_TEXT.format(out=tmp_path / "out").replace(
+        "u_max = 2", "u_max = 2\ny_min = 100\ny_max = 200"))
+    assert main(["benchmark", "--config", str(path), "--seeds", "2"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "4 runs did not report a clean solve",
+        "causal_gamma: 2 of 2 runs max_iter", "spc: 2 of 2 runs max_iter"]
 
 
 def test_benchmark_missing_config(tmp_path, capsys):

@@ -244,12 +244,10 @@ def _any_controller(variant, u_box=2.0, y_box=np.inf):
 
 def _cached_controller(variant):
     """``_any_controller`` after three equal steps, which repeat one active
-    set: the solver then holds that set's map, and a step may be answered
-    by it."""
+    set: the last is answered by that set's record, and so would the
+    next equal step be."""
     ctrl = _any_controller(variant)
-    for _ in range(3):
-        ctrl.step(_sample_zp())
-    assert ctrl.solver._map is not None
+    assert [ctrl.step(_sample_zp()) for _ in range(3)][-1].qp_path == "record"
     return ctrl
 
 
@@ -337,14 +335,14 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
     part = make_partition(demo_model(sigma_e=0.2), 40, L_P, L_F,
                           seeded(144))
     st = QpSettings()
-    with_map = 0
+    paths = []
     for t in range(10):
         z = part.Z_p[:, t // 3]  # windows repeat, and so do active sets
         r = np.full(L_F, 1.0 if t < 6 else -0.5)
         prob = ctrl.condense(z, r)
         y_prev = ctrl._warm_y
-        with_map += ctrl.solver._map is not None
         res = ctrl.step(z, r)
+        paths.append(res.qp_path)
         fresh = qp_solve(prob, y0=y_prev)
         assert res.qp_status == fresh.status
         np.testing.assert_allclose(ctrl._warm_x, fresh.x, rtol=0, atol=1e-9)
@@ -356,7 +354,9 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
             assert _solved_within_solver_tolerance(prob, ctrl._warm_x,
                                                    ctrl._warm_y, st)
         ctrl.observe(res.u_applied, part.Y_f[:1, t])
-    assert with_map >= 3
+    # a record answers by the eighth step, so one is held for the last
+    # three steps at least
+    assert "record" in paths[:8]
 
     step = ctrl.step
     seen = []
@@ -403,32 +403,22 @@ def test_cached_set_that_stops_certifying_goes_to_the_corrections():
                            part=_noisy_part())
     z = _sample_zp()
     for _ in range(3):
-        ctrl.step(z, np.zeros(L_F))
-    cached = ctrl.solver._certified_key
-    assert ctrl.solver._map is not None
+        res = ctrl.step(z, np.zeros(L_F))
+    assert res.qp_path == "record"
     r_jump = np.full(L_F, 3.0)
     res = ctrl.step(z, r_jump)
     prob = ctrl.condense(z, r_jump)
     cold = qp_solve(prob)
     assert res.qp_status == cold.status == QpStatus.SOLVED
+    assert res.qp_path == "corrected"
     np.testing.assert_allclose(ctrl._warm_x, cold.x, rtol=0, atol=1e-9)
     y_rows = slice(L_F, 2 * L_F)  # below the input rows
     assert np.isclose(prob.A[y_rows] @ cold.x, prob.upper[y_rows]).any()
-    assert ctrl.solver._certified_key != cached
     ctrl.reset()
     assert ctrl.solver._map is None
-
-    step = ctrl.step
-    seen = []
-
-    def recording(*args):
-        seen.append(ctrl.solver._map is not None)
-        return step(*args)
-
-    ctrl.step = recording
-    run_receding_horizon(demo_model(sigma_e=0.1), ctrl,
-                         np.zeros((1, 12)), 12, rng=seeded(145))
-    assert any(seen)
+    rollout = run_receding_horizon(demo_model(sigma_e=0.1), ctrl,
+                                   np.zeros((1, 12)), 12, rng=seeded(145))
+    assert any(s.qp_path == "record" for s in rollout.steps)
     assert ctrl.solver._map is None
 
 

@@ -27,6 +27,8 @@ Covers:
     a change of side; equality rows whose multipliers change sign keep
     their set's record; an overflowing theta and invalid map bounds
     (non-finite, crossed) are rejected.
+  * the path each answer names: ``record``, ``set``, ``corrected``
+    (also after a rejected record answer) or ``admm``.
   * problem validation (non-finite data by name, symmetry, PSD, bound
     ordering, shapes), solver shapes (``P``, ``A`` and ``D``) and an
     indefinite ``P`` rejected when it is built, and non-finite solve data
@@ -249,7 +251,7 @@ def test_primal_infeasible_detected():
                      lower=np.array([-np.inf, 1.0]),
                      upper=np.array([-1.0, np.inf]))
     sol = solve(prob)
-    assert sol.status == QpStatus.PRIMAL_INFEASIBLE
+    assert sol.status == QpStatus.PRIMAL_INFEASIBLE and sol.path == "admm"
 
 
 def test_dual_infeasible_detected():
@@ -267,7 +269,8 @@ def test_unbounded_problem_without_rows_is_dual_infeasible():
                      A=np.zeros((0, 2)), lower=np.zeros(0),
                      upper=np.zeros(0))
     sol = solve(prob)
-    assert sol.status == QpStatus.DUAL_INFEASIBLE
+    # the verdict of the warm start's (empty) set, without ADMM
+    assert sol.status == QpStatus.DUAL_INFEASIBLE and sol.path == "set"
 
 
 def test_max_iter_reported_with_residuals(monkeypatch):
@@ -435,6 +438,7 @@ def test_wrong_warm_start_is_corrected():
         y0[row] = -y0[row] if y0[row] else -1.0
         sol = solve(prob, y0=y0)
         assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+        assert sol.path == "corrected"
         np.testing.assert_allclose(sol.x, x_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(sol.y, y_ref, rtol=0, atol=1e-12)
 
@@ -444,10 +448,12 @@ def test_more_than_three_rounds_fall_back_to_admm(monkeypatch):
     prob = _random_box_qp(seeded(88), n=8, k=10)
     sol = solve(prob)
     assert sol.status == QpStatus.SOLVED and sol.iterations > 0
+    assert sol.path == "admm"
     import ddpc.qp
     monkeypatch.setattr(ddpc.qp, "_CERTIFY_ROUNDS", 7)
     more = solve(prob)
     assert more.status == QpStatus.SOLVED and more.iterations == 0
+    assert more.path == "corrected"
     np.testing.assert_allclose(sol.x, more.x, rtol=0, atol=1e-9)
 
 
@@ -474,18 +480,18 @@ def test_certified_solve_does_not_depend_on_the_solvers_history():
     # ref.y is certified at once; the other two fall back to ADMM, whose
     # certification from its own dual is a set solve too
     for y0 in (ref.y, -ref.y, None):
-        fresh_solver = _q_solver(prob)
-        fresh = fresh_solver.solve(_q(prob.q), y0=y0)
-        used, y = _q_solver(prob), None
+        fresh = _q_solver(prob).solve(_q(prob.q), y0=y0)
+        used, other = _q_solver(prob), None
         for _ in range(3):
-            y = used.solve(_q(other_q), y0=y).y
-        assert used._map is not None
-        assert used._map.key != fresh_solver._certified_key
+            other = used.solve(_q(other_q),
+                               y0=None if other is None else other.y)
+        assert other.path == "record"  # used holds the other set's record
         again = used.solve(_q(prob.q), y0=y0)
         assert fresh.x.tobytes() == again.x.tobytes()
         assert fresh.y.tobytes() == again.y.tobytes()
         assert fresh.iterations == again.iterations
-        assert (fresh.iterations == 0) == (y0 is ref.y)
+        assert fresh.path == again.path == ("set" if y0 is ref.y
+                                            else "admm")
 
 
 @pytest.mark.parametrize("case", [
@@ -555,7 +561,7 @@ def test_data_map_answers_a_repeated_set_by_one_product():
     D[n:, :3] = 0.1 * rng.standard_normal((k, 3))
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
     y_mapped = y_plain = None
-    built_at = None
+    paths = []
     for step in range(6):
         theta = np.append(1e-3 * step * np.ones(3), 1.0)
         q, shift = D[:n] @ theta, D[n:] @ theta
@@ -565,20 +571,11 @@ def test_data_map_answers_a_repeated_set_by_one_product():
         assert a.status == b.status == QpStatus.SOLVED
         np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
-        if built_at is None and mapped._map is not None:
-            built_at = step
+        paths.append(a.path)
         y_mapped, y_plain = a.y, b.y
-    # the first warm-started solve certifies, the next one builds the map
-    assert built_at == 2
-
-    def no_set_solve(*args):
-        raise AssertionError("a repeated set went through its factor")
-
-    mapped._set_solve = no_set_solve
-    again = mapped.solve(theta, y0=y_mapped)
-    assert again.status == QpStatus.SOLVED
-    np.testing.assert_allclose(again.x, b.x, rtol=0, atol=1e-12)
-    del mapped._set_solve
+    # the first warm-started solve certifies, the next one builds the map,
+    # and every later one is answered by it
+    assert "record" not in paths[:3] and paths[3:] == ["record"] * 3
     with pytest.raises(TypeError, match="data_map"):
         BoxQpSolver(prob.P, prob.A)
     with pytest.raises(DimensionMismatch, match="theta"):
@@ -603,21 +600,17 @@ def test_a_row_that_changes_side_gets_the_map_of_its_new_side():
         sol = solver.solve(y0=y0, theta=np.array([t, 1.0]))
         assert sol.status == QpStatus.SOLVED
         assert sol.x[0] == pytest.approx(-np.sign(t), abs=1e-12)
-        return sol.y
+        return sol
 
-    y = None
+    sol = None
     for _ in range(3):
-        y = step(5.0, y)
-    assert solver._map is not None  # the lower side's
-    y = one  # a warm start at the upper side
-    for _ in range(3):
-        y = step(-5.0, y)
-
-    def no_set_solve(*args):
-        raise AssertionError("the upper side's map was not used")
-
-    solver._set_solve = no_set_solve
-    step(-4.0, y)
+        sol = step(5.0, None if sol is None else sol.y)
+    assert sol.path == "record"  # the lower side's
+    sol = step(-5.0, one)  # a warm start at the upper side
+    assert sol.path == "set"
+    for _ in range(2):
+        sol = step(-5.0, sol.y)
+    assert step(-4.0, sol.y).path == "record"  # the upper side's
 
 
 def test_a_record_outlives_a_miss_on_another_set():
@@ -632,19 +625,12 @@ def test_a_record_outlives_a_miss_on_another_set():
     y_lower = None
     for _ in range(2):
         y_lower = solver.solve(np.array([5.0, 1.0]), y0=y_lower).y
-    rec = solver._map
-    assert rec is not None and np.frombuffer(rec.key)[0] == -1.0
     other = solver.solve(np.array([-5.0, 1.0]), y0=one)
     assert other.status == QpStatus.SOLVED and other.x[0] == pytest.approx(
         1.0, abs=1e-12)
-    assert solver._certified_key != rec.key and solver._map is rec
-
-    def no_set_solve(*args):
-        raise AssertionError("the lower side's record was not used")
-
-    solver._set_solve = no_set_solve
+    assert other.path == "set"
     sol = solver.solve(np.array([4.0, 1.0]), y0=y_lower)
-    assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+    assert sol.status == QpStatus.SOLVED and sol.path == "record"
     np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -3.0],
                                atol=1e-12)
 
@@ -682,7 +668,7 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     np.testing.assert_allclose(solver._map.G @ theta, [0.0, -5.0, 0.0, 0.0,
                                                        0.0, 0.0], atol=1e-12)
     sol = solver.solve(y0=y, theta=theta)
-    assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+    assert sol.status == QpStatus.SOLVED and sol.path == "corrected"
     np.testing.assert_allclose([sol.x[0], sol.y[0]], [-1.0, -4.0],
                                atol=1e-12)
 
@@ -747,14 +733,6 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     prob, D = _mapped_qp(98)
     n = prob.n
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    hits = []
-    from_record = mapped._from_record
-
-    def counting(*args):
-        hits.append(len(hits))
-        return from_record(*args)
-
-    mapped._from_record = counting
     thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(5)]
               + [np.array([-0.6, -0.6, -0.6, 1.0])] * 4
               + [np.array([0.6, -0.6, -0.6, 1.0])] * 4)
@@ -762,14 +740,13 @@ def test_theta_only_solve_equals_the_solve_of_its_data():
     held = []
     for theta in thetas:
         q, shift = D[:n] @ theta, D[n:] @ theta
-        n_hits = len(hits)
         a = mapped.solve(theta, y0=y_mapped)
         b = solve(_at(prob, q, prob.lower + shift, prob.upper + shift),
                   y0=y_plain)
         assert a.status == b.status
         np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
-        held.append((len(hits) > n_hits, tuple(np.sign(a.y))))
+        held.append((a.path == "record", tuple(np.sign(a.y))))
         y_mapped, y_plain = a.y, b.y
     assert sum(hit for hit, _ in held) >= 6
     assert sum(not hit for hit, _ in held) >= 4
@@ -789,20 +766,10 @@ def test_records_close_the_data_maps_own_bounds():
     prob, D = _mapped_qp(98)
     n, k = prob.n, prob.k
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    answered = []
-    from_record = mapped._from_record
-
-    def counting(rec, d):
-        answer = from_record(rec, d)
-        if answer is not None:
-            answered.append(rec)
-        return answer
-
-    mapped._from_record = counting
-    keys = []
+    answered = []  # the record that answered each theta's last two solves
     for theta in (np.array([0.6, -0.6, -0.6, 1.0]), np.eye(4)[3]):
         q, shift = D[:n] @ theta, D[n:] @ theta
-        y, n_answered = None, len(answered)
+        y, paths = None, []
         for _ in range(4):
             a = mapped.solve(theta, y0=y)
             b = solve(_at(prob, q, prob.lower + shift, prob.upper + shift),
@@ -811,30 +778,17 @@ def test_records_close_the_data_maps_own_bounds():
             np.testing.assert_allclose(a.x, b.x, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a.y, b.y, rtol=0, atol=1e-12)
             y = a.y
-        assert len(answered) - n_answered == 2
-        keys.append(mapped._map.key)
-    assert keys[0] != keys[1]  # the second theta's set is a record of its own
+            paths.append(a.path)
+        assert paths.count("record") == 2 and paths[-1] == "record"
+        answered.append(mapped._map)
+    # the second theta's set is a record of its own
+    assert answered[0].key != answered[1].key
     for rec in answered:
         sides = np.frombuffer(rec.key)  # the set's one name
         assert sides.shape == (k,) and set(sides) <= {-1.0, 0.0, 1.0}
         np.testing.assert_array_equal(rec.box[:, k + 1:2 * k + 1], [
             np.where(sides > 0, prob.upper, prob.lower),
             np.where(sides < 0, prob.lower, prob.upper)])
-
-
-def _hit_counter(solver):
-    """Wrap ``solver._from_record``; the list holds each answer it gives."""
-    hits = []
-    from_record = solver._from_record
-
-    def counting(rec, d):
-        answer = from_record(rec, d)
-        if answer is not None:
-            hits.append(answer)
-        return answer
-
-    solver._from_record = counting
-    return hits
 
 
 def test_record_answers_report_the_residuals_of_their_own_x_and_y():
@@ -846,14 +800,13 @@ def test_record_answers_report_the_residuals_of_their_own_x_and_y():
     prob, D = _mapped_qp(98)
     n, k = prob.n, prob.k
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    hits = _hit_counter(mapped)
-    y = None
+    y, hits = None, 0
     for step in range(8):
         theta = np.append(1e-3 * step * np.ones(3), 1.0)
-        n_hits = len(hits)
         a = mapped.solve(theta, y0=y)
         assert a.status == QpStatus.SOLVED
-        if len(hits) > n_hits:
+        if a.path == "record":
+            hits += 1
             q, shift = D[:n] @ theta, D[n:] @ theta
             lo, hi = mapped._map.box[:, k + 1:2 * k + 1] + shift
             Ax = prob.A @ a.x
@@ -863,7 +816,7 @@ def test_record_answers_report_the_residuals_of_their_own_x_and_y():
             assert a.dual_res == pytest.approx(dual, rel=0, abs=1e-13)
             np.testing.assert_allclose(a.t, Ax - shift, rtol=0, atol=1e-13)
         y = a.y
-    assert len(hits) >= 4
+    assert hits >= 4
 
 
 def test_a_record_hit_tests_theta_where_its_map_is_zero(monkeypatch):
@@ -874,11 +827,13 @@ def test_a_record_hit_tests_theta_where_its_map_is_zero(monkeypatch):
     prob, D = _mapped_qp(98)
     D = np.insert(D, 1, 0.0, axis=1)  # theta[1] is read by no row
     mapped = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    hits = _hit_counter(mapped)
-    theta, y = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), None
+    theta, y, paths = np.array([0.0, 0.0, 0.0, 0.0, 1.0]), None, []
     for _ in range(4):
-        y = mapped.solve(theta, y0=y).y
-    assert hits and not mapped._map.G[:, 1].any()
+        sol = mapped.solve(theta, y0=y)
+        y = sol.y
+        paths.append(sol.path)
+    G = mapped._map.G
+    assert paths.count("record") == 2 and not G[:, 1].any()
     gemv = qp_module._GEMV
 
     def skipping(alpha, a, x, trans=0, **kwargs):
@@ -888,10 +843,11 @@ def test_a_record_hit_tests_theta_where_its_map_is_zero(monkeypatch):
 
     monkeypatch.setattr(qp_module, "_GEMV", skipping)
     theta[1] = np.nan
-    assert np.isfinite(skipping(1.0, mapped._map.G, theta)).all()
+    assert np.isfinite(skipping(1.0, G, theta)).all()
     with pytest.raises(ValueError, match=r"^theta has non-finite"):
         mapped.solve(theta, y0=y)
-    assert len(hits) == 2
+    theta[1] = 0.0  # the same warm start at a finite theta is a hit
+    assert mapped.solve(theta, y0=y).path == "record"
 
 
 def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
@@ -916,24 +872,8 @@ def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
     D[:3] = [[1.0, 0.0], [-1.0, 0.0], [0.0, -5.0]]
     solver = BoxQpSolver(np.eye(3), A, (D, lower0, upper0))
     ts = [1.0, 1.0, 1.0, -1.0, 2.0, -2.0, 0.5]
-    answered = []
-    from_record = solver._from_record
-
-    def counting(rec, d):
-        answer = from_record(rec, d)
-        answered.append(answer is not None)
-        return answer
-
-    solver._from_record = counting
-    y, signs = None, []
-    for step, t in enumerate(ts):
-        if step == 2:  # the record is built: no step after it factors
-            assert solver._map is not None
-
-            def no_set_solve(*args):
-                raise AssertionError("a repeated set went through its factor")
-
-            solver._set_solve = no_set_solve
+    y, signs, paths = None, [], []
+    for t in ts:
         theta = np.array([t, 1.0])
         sol = solver.solve(theta, y0=y)
         ref = solve(QpProblem(P=np.eye(3), q=D[:3] @ theta, A=A,
@@ -943,7 +883,9 @@ def test_equality_rows_whose_multipliers_change_sign_keep_their_record():
         np.testing.assert_allclose(sol.x, [-0.5, -0.5, 1.0], atol=1e-12)
         y = sol.y
         signs.append(np.sign(y[:2]))
-    assert answered == [True] * (len(ts) - 2)
+        paths.append(sol.path)
+    # the second step builds the record: no step after it factors
+    assert paths == ["corrected", "set"] + ["record"] * (len(ts) - 2)
     # the equality multipliers did change sign between answered steps
     assert (np.diff(np.array(signs[2:]), axis=0) != 0).any()
 

@@ -1,0 +1,85 @@
+"""Properties of ``BoxQpSolver`` along receding-horizon sequences of
+parametric QPs drawn by hypothesis (``n`` in 1-6, ``k`` in 1-8 rows, up
+to two of them equality rows and some one-sided, ``theta`` of 1-3
+entries, 8 steps that repeat, creep or jump): a record answer equals a
+fresh solver's at the same ``theta`` and warm start, and no answer
+depends on the solver's history, to 1e-9 of the answer's size.  The
+draws are derandomized, and no example database is written.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from conftest import rng_for
+
+from ddpc import BoxQpSolver
+
+_SETTINGS = settings(max_examples=25, derandomize=True, database=None,
+                     deadline=None,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def mapped_qps(draw, steps=8):
+    """``(P, A, data_map, thetas)``: a strictly convex QP, feasible at
+    every ``theta`` because its bounds move with ``A @ E @ theta``."""
+    n, k, d = (draw(st.integers(1, n_max)) for n_max in (6, 8, 3))
+    n_eq = draw(st.integers(0, min(2, n - 1, k)))
+    step = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    rng = rng_for(0x9E1, draw(st.integers(0, 2**16)))
+    F, A = rng.standard_normal((n, n)), rng.standard_normal((k, n))
+    base = A @ rng.standard_normal(n)
+    lower0 = base - rng.uniform(0.05, 1.0, k)
+    upper0 = base + rng.uniform(0.05, 1.0, k)
+    lower0[:n_eq] = upper0[:n_eq] = base[:n_eq]
+    side = rng.choice([0, -1, 1], size=k, p=[0.7, 0.15, 0.15]) * (
+        np.arange(k) >= n_eq)
+    lower0[side < 0], upper0[side > 0] = -np.inf, np.inf
+    D = np.vstack([rng.standard_normal((n, d + 1)),
+                   A @ (0.3 * rng.standard_normal((n, d + 1)))])
+    walk = np.cumsum(step * rng.standard_normal((steps, d)), axis=0)
+    thetas = np.hstack([rng.standard_normal(d) + walk, np.ones((steps, 1))])
+    return F @ F.T + 0.1 * np.eye(n), A, (D, lower0, upper0), thetas
+
+
+def _same_answer(a, b) -> None:
+    assert a.status == b.status
+    for u, v in ((a.x, b.x), (a.y, b.y)):
+        scale = max(np.abs(u).max(initial=0.0), np.abs(v).max(initial=0.0))
+        assert np.abs(u - v).max(initial=0.0) <= 1e-9 * scale
+
+
+def test_a_record_answer_equals_a_fresh_solve():
+    hits = []
+
+    @_SETTINGS
+    @given(case=mapped_qps())
+    def check(case):
+        P, A, data_map, thetas = case
+        solver, x, y = BoxQpSolver(P, A, data_map), None, None
+        for theta in thetas:
+            a = solver.solve(theta, x0=x, y0=y)
+            if a.path == "record":
+                hits.append(theta)
+                _same_answer(a, BoxQpSolver(P, A, data_map).solve(
+                    theta, x0=x, y0=y))
+            x, y = a.x, a.y
+
+    check()
+    assert hits
+
+
+@_SETTINGS
+@given(case=mapped_qps(), warm=st.booleans())
+def test_an_answer_does_not_depend_on_the_solvers_history(case, warm):
+    P, A, data_map, thetas = case
+    used, x, y = BoxQpSolver(P, A, data_map), None, None
+    for theta in thetas[:-1]:
+        a = used.solve(theta, x0=x, y0=y)
+        x, y = a.x, a.y
+    x0, y0 = (x, y) if warm else (None, None)
+    _same_answer(used.solve(thetas[-1], x0=x0, y0=y0),
+                 BoxQpSolver(P, A, data_map).solve(thetas[-1], x0=x0, y0=y0))

@@ -51,12 +51,14 @@ every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
 (``primal_res``, ``dual_res``) are reported before -> after without
 being gated, because a change of solver path changes them by design.
-In either mode two last lines report, also ungated, how many records and
-``run_single`` steps ran ADMM at all (``qp_iters > 0``) on each side,
-split by final status (a record's is the worst of its steps), and the
-line total of ``src/ddpc/*.py`` on each side, as ``wc -l`` counts it,
-next to the number of names the package exports (``len(ddpc.__all__)``),
-its count of public concepts.
+In either mode three lines before the last report, also ungated, how
+many records and ``run_single`` steps ran ADMM at all (``qp_iters > 0``)
+on each side, split by final status (a record's is the worst of its
+steps), how many ``run_single`` steps each QP path answered
+(``StepResult.qp_path``; ``-`` for a base whose steps carry no path),
+and the line total of ``src/ddpc/*.py`` on each side, as ``wc -l``
+counts it, next to the number of names the package exports
+(``len(ddpc.__all__)``), its count of public concepts.
 
 One verdict line is printed per artifact; the exit code is 1 if any
 artifact differs, else 0.
@@ -92,11 +94,13 @@ UNGATED_COLUMNS = ("qp_iters",)
 ROW_KEYS = ("controller", "N_d", "sigma_e", "eps", "seed", "t")
 # the final statuses that the ADMM traffic line always names
 ADMM_STATUSES = ("solved", "max_iter", "primal_infeasible")
+# the QP paths that the path line always names
+QP_PATHS = ("record", "set", "corrected", "admm")
 
 # Runs in each tree; prints {"runs": {"<variant>/<seed>": {<field group>:
 # sha256}}, "steps": <count>, "admm_statuses": [the status of each step
-# with qp_iterations > 0]} as JSON, or with RAW set the values themselves
-# in place of the digests.
+# with qp_iterations > 0], "paths": [each step's qp_path, or None]} as
+# JSON, or with RAW set the values themselves in place of the digests.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -107,7 +111,7 @@ cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
-n_steps, admm = 0, []
+n_steps, admm, paths = 0, [], []
 for variant in ddpc.VARIANTS:
     for seed in range({seeds}):
         try:
@@ -118,6 +122,7 @@ for variant in ddpc.VARIANTS:
         n_steps += len(rollout.steps)
         admm += [s.qp_status.value for s in rollout.steps
                  if s.qp_iterations > 0]
+        paths += [getattr(s, "qp_path", None) for s in rollout.steps]
         s = rollout.steps
         run = dict(
             J=[rollout.J, rollout.J_y, rollout.J_u],
@@ -133,8 +138,8 @@ for variant in ddpc.VARIANTS:
             run = {{name: hashlib.sha256(pickle.dumps(v, protocol=4))
                     .hexdigest() for name, v in run.items()}}
         out[f"{{variant}}/{{seed}}"] = run
-json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm), sys.stdout,
-          sort_keys=True)
+json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm, paths=paths),
+          sys.stdout, sort_keys=True)
 """
 
 
@@ -207,9 +212,10 @@ def _control_config(tree: Path, work: Path) -> Path:
     return path
 
 
-def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
-    """Every compared artifact of one side, keyed by its verdict label, and
-    how many records and ``run_single`` steps ran ADMM."""
+def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str, str]:
+    """Every compared artifact of one side, keyed by its verdict label, how
+    many records and ``run_single`` steps ran ADMM, and how many
+    ``run_single`` steps each QP path answered."""
     work.mkdir()
     out: dict = {}
     for name, seeds in BENCHMARKS:
@@ -266,15 +272,20 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str]:
     ran = [row["status"] for row in rows if float(row["qp_iters"]) > 0]
     admm = (f"records {_traffic(ran, len(rows))}, run_single steps "
             f"{_traffic(digest['admm_statuses'], digest['steps'])}")
-    return out, admm
+    paths = digest["paths"]
+    return out, admm, "-" if None in paths else _split(paths, QP_PATHS)
+
+
+def _split(values: list[str], names: tuple[str, ...]) -> str:
+    """``<name> <count>`` for each of ``names`` and each other value."""
+    counts = collections.Counter(values)
+    names = [*names, *sorted(counts.keys() - set(names))]
+    return ", ".join(f"{name} {counts[name]}" for name in names)
 
 
 def _traffic(statuses: list[str], total: int) -> str:
     """``<ran ADMM>/<total> (<count per final status>)``."""
-    counts = collections.Counter(statuses)
-    names = [*ADMM_STATUSES, *sorted(counts.keys() - set(ADMM_STATUSES))]
-    split = ", ".join(f"{name} {counts[name]}" for name in names)
-    return f"{len(statuses)}/{total} ({split})"
+    return f"{len(statuses)}/{total} ({_split(statuses, ADMM_STATUSES)})"
 
 
 def line_total(tree: Path) -> int:
@@ -460,8 +471,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "tree"
         unpack(args.base, base_tree)
-        before, admm_before = collect(base_tree, Path(tmp) / "base", raw)
-        after, admm_after = collect(ROOT, Path(tmp) / "change", raw)
+        before, admm_before, paths_before = collect(
+            base_tree, Path(tmp) / "base", raw)
+        after, admm_after, paths_after = collect(ROOT, Path(tmp) / "change",
+                                                 raw)
         sizes = (f"{size(base_tree, Path(tmp) / 'base')} -> "
                  f"{size(ROOT, Path(tmp) / 'change')}")
     n_diff = 0
@@ -475,6 +488,8 @@ def main(argv=None) -> int:
         print(f"{label}: {verdict}")
     print(f"ran ADMM (qp_iters > 0, not gated): {admm_before} -> "
           f"{admm_after}")
+    print(f"QP paths of run_single steps (not gated): {paths_before} -> "
+          f"{paths_after}")
     print(f"src/ddpc/*.py lines (wc -l) and ddpc.__all__ names, not gated: "
           f"{sizes}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Median cost of one controller step on table1, split by how the QP
-solver answered it: from its set record (a hit) or not (a miss), and
-the misses by whether they built a set record.
+solver answered it: the ``qp_path`` of its ``StepResult``.
 
 Usage, from the root of the repository::
 
@@ -10,29 +9,25 @@ Usage, from the root of the repository::
 
 Every variant runs the table1 rollout of ``ddpc.run_single`` at
 ``--seed`` and ``--n-d`` (with the penalties perfbench gives ``gamma``
-and ``projreg_g``), with one BLAS thread: once to mark each step as a
-hit, a miss or a miss that builds a record, by wrapping the solver's
-``_from_record`` and ``_record`` methods, then ``--repeat`` times to time
+and ``projreg_g``), with one BLAS thread, ``--repeat`` times, timing
 every ``controller.step`` call and, in the same calls, the ``solve`` it
 makes (the solve alone; its timer adds well under a microsecond to the
-step's time).  The rollouts are deterministic, so the marks hold in every
-repetition.  The table gives, per variant, the steps, hits and record
-builds of one rollout and the median microseconds of a hit step (with its
-quartiles over all repetitions, so that a few-microsecond change can be
-read against the spread), of its solve, of a miss step that builds no
-record and of one that builds a record; its last line is the same as
-JSON, with the machine.
+step's time).  The table gives, per variant, the steps of one rollout on
+each path, the median microseconds of a step on each path, and the
+quartiles of a record step over all repetitions (so that a
+few-microsecond change can be read against the spread) and the median
+of its solve; its last line is the same as JSON, with the machine.
 
 With ``--base <commit>``, the commit is unpacked with ``git archive``
 (``tools/bench_pair.py``'s ``unpack``) and this script, copied into it,
 runs in fresh processes on it and on the working tree in ``--pairs``
 alternating pairs, the side that goes first alternating from pair to
 pair.  One run's step medians are noisy, but both sides of a pair run
-back to back.  The table gives, per variant and for hit and miss steps
-alike, the median over the pairs of each side's step median, and the
-number of pairs in which the working tree's was lower; its last line is
-the same as JSON.  A base whose script marks no record builds gives
-``-`` for them.
+back to back.  The table gives, per variant and path, the median over
+the pairs of each side's step median, and the number of pairs in which
+the working tree's was lower; its last line is the same as JSON.  A path
+that a side never takes, or a base whose steps carry no ``qp_path``,
+gives ``-``.
 """
 
 from __future__ import annotations
@@ -65,13 +60,15 @@ from bench_pair import unpack  # noqa: E402
 
 
 @contextmanager
-def each_controller(hook):
-    """Call ``hook(ctrl)`` on every controller ``run_single`` builds."""
+def timing(steps: list, solves: list):
+    """Append the seconds of each ``controller.step`` call, and of the
+    ``solve`` it makes, of every controller ``run_single`` builds."""
     build = bench.make_controller
 
     def make_controller(spec, **handles):
         ctrl = build(spec, **handles)
-        hook(ctrl)
+        timed(ctrl.solver, "solve", solves)
+        timed(ctrl, "step", steps)
         return ctrl
 
     bench.make_controller = make_controller
@@ -95,81 +92,46 @@ def timed(obj, name: str, times: list) -> None:
     setattr(obj, name, wrapper)
 
 
-HIT, MISS, BUILD = "hit", "miss", "build"
-
-
-def step_marks(cfg, variant: str, seed: int, n_d: int) -> list[str]:
-    """Per step of one rollout, how the solver answered it: ``HIT`` from
-    the set record, ``BUILD`` by a miss that built a record, else
-    ``MISS``."""
-    marks: list[str] = []
-
-    def hook(ctrl):
-        step, solver = ctrl.step, ctrl.solver
-        from_record, record = solver._from_record, solver._record
-
-        def marking_from_record(*args):
-            out = from_record(*args)
-            if out is not None:
-                marks[-1] = HIT
-            return out
-
-        def marking_record(*args):
-            out = record(*args)
-            if out is not None:
-                marks[-1] = BUILD
-            return out
-
-        def marking_step(*args):
-            marks.append(MISS)
-            return step(*args)
-
-        solver._from_record = marking_from_record
-        solver._record = marking_record
-        ctrl.step = marking_step
-
-    with each_controller(hook):
-        bench.run_single(cfg, variant, seed, n_d=n_d)
-    return marks
+PATHS = ("record", "set", "corrected", "admm")
 
 
 def loop_times(cfg, variant, seed, n_d, repeat):
     """Per rollout, the seconds of each ``controller.step`` call and of
-    the solver call inside it, over ``repeat`` rollouts."""
+    the solver call inside it, over ``repeat`` rollouts, and each step's
+    ``qp_path`` (None where a ``StepResult`` has none)."""
     steps, solves = [], []
     for _ in range(repeat):
         steps.append([])
         solves.append([])
-
-        def hook(ctrl):
-            timed(ctrl.solver, "solve", solves[-1])
-            timed(ctrl, "step", steps[-1])
-
-        with each_controller(hook):
-            bench.run_single(cfg, variant, seed, n_d=n_d)
-    return steps, solves
+        with timing(steps[-1], solves[-1]):
+            rollout, _ = bench.run_single(cfg, variant, seed, n_d=n_d)
+    # the rollouts are deterministic: every repetition takes these paths
+    paths = [getattr(s, "qp_path", None) for s in rollout.steps]
+    return steps, solves, paths
 
 
-def picked_us(runs, marks, want: str) -> list[float]:
-    """The microseconds of every step (or solve) whose mark is ``want``."""
+def picked_us(runs, paths, want: str) -> list[float]:
+    """The microseconds of every step (or solve) on the path ``want``."""
     return [1e6 * t for times in runs
-            for t, mark in zip(times, marks, strict=True) if mark == want]
+            for t, path in zip(times, paths, strict=True) if path == want]
 
 
-def median_us(runs, marks, want: str) -> float | None:
-    picked = picked_us(runs, marks, want)
+def median_us(runs, paths, want: str) -> float | None:
+    picked = picked_us(runs, paths, want)
     return statistics.median(picked) if picked else None
 
 
-def quartiles_us(runs, marks, want: str) -> list[float] | None:
+def quartiles_us(runs, paths, want: str) -> list[float] | None:
     """The first and third quartiles, as ``[q1, q3]``."""
-    picked = picked_us(runs, marks, want)
-    if not picked:
-        return None
-    if len(picked) == 1:
-        return picked * 2
+    picked = picked_us(runs, paths, want)
+    if len(picked) < 2:
+        return picked * 2 or None
     q1, _, q3 = statistics.quantiles(picked, n=4)
     return [q1, q3]
+
+
+def cell(value: float | None, width: int) -> str:
+    return f"{value:{width}.1f}" if value is not None else f"{'-':>{width}}"
 
 
 def machine() -> str:
@@ -185,9 +147,8 @@ def machine() -> str:
 
 
 def paired(args) -> None:
-    """Hit-step, miss-step and build-step medians of the base commit and
-    of the working tree, from alternating fresh-process runs of this
-    script on each."""
+    """Per-path step medians of the base commit and of the working tree,
+    from alternating fresh-process runs of this script on each."""
     cmd = ["--n-d", str(args.n_d), "--seed", str(args.seed),
            "--repeat", str(args.repeat)]
     with tempfile.TemporaryDirectory() as tmp:
@@ -209,31 +170,27 @@ def paired(args) -> None:
     print(f"# {machine()}")
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.pairs} pairs "
           f"of {args.repeat} rollouts per side; base {args.base}; median "
-          "over the pairs of each run's median hit-step, miss-step and "
-          "build-step us")
-    print(f"{'':<18} {'hit step':^27} {'miss step':^27} {'build step':^27}")
+          "over the pairs of each run's median step us per path")
+    print(f"{'':<18}" + "".join(f" {path + ' step':^27}" for path in PATHS))
     print(f"{'variant':<18}" + f" {'base':>9} {'change':>9} {'faster':>7}"
-          * 3)
+          * len(PATHS))
     rows = {}
     for variant in ddpc.VARIANTS:
         row = rows[variant] = {}
         cells = []
-        for kind in (HIT, MISS, BUILD):
+        for kind in PATHS:
             name = f"{kind}_step_us"
             b, c = ([run[variant].get(name) for run in runs[side]]
                     for side in trees)
-            if None in b or None in c:  # a side with no step of the kind
-                row.update({f"base_{name}": None, f"change_{name}": None,
-                            f"{kind}_faster_pairs": None})
-                cells.append(f" {'-':>9} {'-':>9} {'-':>7}")
-                continue
-            row.update({f"base_{name}": statistics.median(b),
-                        f"change_{name}": statistics.median(c),
-                        f"{kind}_faster_pairs": sum(
-                            y < x for x, y in zip(b, c))})
-            cells.append(f" {row[f'base_{name}']:9.1f} "
-                         f"{row[f'change_{name}']:9.1f} "
-                         f"{row[f'{kind}_faster_pairs']:>3}/{args.pairs:<3}")
+            some = None not in b + c  # every run of both sides took it
+            faster = sum(y < x for x, y in zip(b, c)) if some else None
+            row.update({f"base_{name}": statistics.median(b) if some else None,
+                        f"change_{name}": statistics.median(c) if some
+                        else None, f"{kind}_faster_pairs": faster})
+            cells.append(f" {cell(row[f'base_{name}'], 9)} "
+                         f"{cell(row[f'change_{name}'], 9)} " +
+                         (f"{faster:>3}/{args.pairs:<3}" if some
+                          else f"{'-':>7}"))
         print(f"{variant:<18}" + "".join(cells))
     print(json.dumps({"machine": machine(), "base": args.base,
                       "n_d": args.n_d, "seed": args.seed,
@@ -264,32 +221,27 @@ def main() -> None:
     print(f"# {machine()}")
     print(f"# table1, n_d {args.n_d}, seed {args.seed}, {args.repeat} "
           "rollouts per loop; median us")
-    print(f"{'variant':<18} {'steps':>5} {'hits':>5} {'builds':>6} "
-          f"{'hit step':>9} {'[q1, q3]':>16} {'hit solve':>9} "
-          f"{'miss step':>9} {'build step':>10}")
+    print(f"{'variant':<18} {'steps':>5}"
+          + "".join(f" {path:>9}" for path in PATHS)
+          + "".join(f" {path + ' us':>12}" for path in PATHS)
+          + f" {'record [q1, q3]':>16} {'record solve':>12}")
     rows = {}
     for variant in ddpc.VARIANTS:
-        marks = step_marks(cfg, variant, args.seed, args.n_d)
-        steps, solves = loop_times(cfg, variant, args.seed, args.n_d,
-                                   args.repeat)
-        row = {"steps": len(marks), "hits": marks.count(HIT),
-               "builds": marks.count(BUILD),
-               "hit_step_us": median_us(steps, marks, HIT),
-               "hit_step_quartiles_us": quartiles_us(steps, marks, HIT),
-               "hit_solve_us": median_us(solves, marks, HIT),
-               "miss_step_us": median_us(steps, marks, MISS),
-               "build_step_us": median_us(steps, marks, BUILD)}
-        rows[variant] = row
-        quartiles = row["hit_step_quartiles_us"]
-        cells = [f"{v:9.1f}" if v is not None else f"{'-':>9}"
-                 for v in (row["hit_step_us"], row["hit_solve_us"],
-                           row["miss_step_us"])]
-        cells.insert(1, f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
+        steps, solves, paths = loop_times(cfg, variant, args.seed, args.n_d,
+                                          args.repeat)
+        row = rows[variant] = {"steps": len(paths)}
+        for path in PATHS:
+            row[f"{path}_steps"] = paths.count(path)
+            row[f"{path}_step_us"] = median_us(steps, paths, path)
+        quartiles = row["record_step_quartiles_us"] = quartiles_us(
+            steps, paths, "record")
+        row["record_solve_us"] = median_us(solves, paths, "record")
+        cells = [f"{row[f'{path}_steps']:>9}" for path in PATHS]
+        cells += [cell(row[f"{path}_step_us"], 12) for path in PATHS]
+        cells.append(f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
                      if quartiles else f"{'-':>16}")
-        build = row["build_step_us"]
-        cells.append(f"{build:10.1f}" if build is not None else f"{'-':>10}")
-        print(f"{variant:<18} {row['steps']:>5} {row['hits']:>5} "
-              f"{row['builds']:>6} " + " ".join(cells))
+        cells.append(cell(row["record_solve_us"], 12))
+        print(f"{variant:<18} {row['steps']:>5} " + " ".join(cells))
     print(json.dumps({"machine": machine(), "n_d": args.n_d,
                       "seed": args.seed, "repeat": args.repeat,
                       "variants": rows}))
