@@ -214,9 +214,10 @@ class ControllerSpec:
 
 @dataclass(eq=False)
 class StepResult:
-    """Outcome of one receding-horizon step.  ``qp_path`` is the QP
-    answer's ``path``: ``"record"``, ``"set"``, ``"corrected"`` or
-    ``"admm"`` (:class:`~ddpc.qp.QpSolution`)."""
+    """Outcome of one receding-horizon step.  ``qp_path`` and ``qp_sets``
+    are the QP answer's ``path`` (``"record"``, ``"set"``, ``"corrected"``
+    or ``"admm"``) and ``sets``, the active sets it factored
+    (:class:`~ddpc.qp.QpSolution`)."""
 
     u_f: np.ndarray
     y_f: np.ndarray
@@ -226,6 +227,7 @@ class StepResult:
     primal_res: float
     dual_res: float
     qp_path: str
+    qp_sets: int
 
 
 @dataclass(eq=False)
@@ -383,11 +385,11 @@ class _CondensedController:
         # every StepResult
         plan = a.t[self._plans].copy()
         n_u = self._n_u
-        return StepResult(u_f=plan[:n_u], y_f=plan[n_u:],
-                          u_applied=plan[:self.m],
-                          qp_iterations=a.iterations, qp_status=a.status,
-                          primal_res=a.primal_res, dual_res=a.dual_res,
-                          qp_path=a.path)
+        # positional, in field order: nine keywords cost about 0.45 us a
+        # step, 1.6% of a record step
+        return StepResult(plan[:n_u], plan[n_u:], plan[:self.m],
+                          a.iterations, a.status, a.primal_res, a.dual_res,
+                          a.path, a.sets)
 
     def observe(self, u, y) -> None:
         """Closed-loop measurement hook; data-driven variants are static."""

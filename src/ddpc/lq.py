@@ -170,10 +170,11 @@ def factorize(part: HankelPartition) -> LqBlocks:
 
     ``L`` is the lower Cholesky factor of the Gram matrix ``S @ S.T``,
     whose diagonal is positive.  One rule sends a record to the QR
-    instead: where the Cholesky factorization fails, or the factor's
-    smallest diagonal entry is at most ``_GRAM_RTOL`` times its largest,
-    ``L`` is the transpose of the triangular factor of a QR of the
-    transposed stack, sign-normalized so its diagonal is nonnegative.
+    instead: where the Gram matrix overflows, the Cholesky factorization
+    fails, or the factor's smallest diagonal entry is at most
+    ``_GRAM_RTOL`` times its largest, ``L`` is the transpose of the
+    triangular factor of a QR of the transposed stack, sign-normalized so
+    its diagonal is nonnegative.
     Exactly deterministic records, whose ``L11`` is singular, take the
     QR.  The orthonormal factor is never formed, and the stack is not
     copied except for the QR.  ``L`` is frozen, and the blocks are kept on
@@ -195,7 +196,13 @@ def factorize(part: HankelPartition) -> LqBlocks:
     """
     if part._lq is not None:
         return part._lq
-    if not np.isfinite(part.stack).all():
+    # S S' by BLAS syrk on the Fortran-ordered view of the stack (its lower
+    # triangle only).  Its diagonal, the rows' sums of squares, is finite
+    # when every entry is; where it is not, the entries are tested, and
+    # finite entries whose squares overflow take the QR.
+    gram = _SYRK(1.0, part.stack.T, trans=1, lower=1)
+    finite = np.isfinite(gram.diagonal()).all()
+    if not finite and not np.isfinite(part.stack).all():
         raise ValueError("Hankel partition has NaN or infinite entries")
     n_rows, n_cols = part.stack.shape
     if n_cols < n_rows:
@@ -203,12 +210,10 @@ def factorize(part: HankelPartition) -> LqBlocks:
             f"stacked Hankel matrix has {n_rows} rows but only {n_cols} "
             f"columns; record at least {n_rows + part.spec.L - 1} samples"
         )
-    # S S' by BLAS syrk on the Fortran-ordered view of the stack (its lower
-    # triangle only), then its lower Cholesky factor in place
-    L, info = _POTRF(_SYRK(1.0, part.stack.T, trans=1, lower=1), lower=1,
-                     clean=1, overwrite_a=1)
-    diag = np.diag(L)
-    if info != 0 or diag.min() <= _GRAM_RTOL * diag.max():
+    if finite:  # the lower Cholesky factor of S S', in place
+        L, info = _POTRF(gram, lower=1, clean=1, overwrite_a=1)
+        diag = np.diag(L)
+    if not finite or info != 0 or diag.min() <= _GRAM_RTOL * diag.max():
         # LAPACK's geqrt (recursive panels, level-3 updates) in place on
         # the Fortran-ordered view of a copy of the stack; its block size is
         # the constant _QR_BLOCK, since the blocking sets the rounding of L

@@ -32,25 +32,31 @@ it is singular; a ``P`` that is not PSD raises ``ValueError``) into the
 row space ``W = [H; M; P H - A']``, ``H = P~^-1 A'`` and ``M = A H``,
 and the map ``XC @ theta = [x_u; t_u; P x_u + q]`` of ``x_u = P~^-1 c``
 and ``t_u = A x_u - shift``.  A set ``S`` with constant bounds ``b0_S``
-solves ``M_SS y_S = t_u,S - b0_S`` by the Cholesky factor of ``M_SS +
-_POLISH_REG I``, refined ``_POLISH_REFINE`` (3) times, and one product
-gives ``[x; t; r] = XC @ theta - W_S y_S``: ``x``, ``t = A x - shift``
-and the stationarity residual ``r = P x + q + A' y``.  Where ``P~`` is
-singular, ``XC`` maps ``c`` in the place of ``P x_u + q``, and ``t`` and
-``r`` are formed from ``x`` and ``y`` refined against ``P~``.  The
-answer is ``SOLVED`` with ``iterations == 0`` when no multiplier has ``s
-* y < 0`` and both residuals pass the ADMM stopping test, the primal one
-with the set's rows held at their bounds.  Otherwise up to
-``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0 where ``s * y < 0``
-and to -1 or +1 on the free rows violated below or above by more than
-``_EPS_ABS``, and if none is accepted ADMM runs, warm-started.  So a
-solve is a pure function of its arguments, to round-off when a record
-answers it.  Once ADMM has solved the problem, the same step starts from
-the side vector of ADMM's dual, in the place of OSQP's polish (Stellato
-et al., Math. Prog. Comp. 2020); ``QpSolution.iterations`` counts ADMM
-iterations only.  Without rows an uncertified problem is
-``DUAL_INFEASIBLE``.  ``QpSolution.path`` names the path that answered:
-the set record (below), the warm start's set, a corrected set, or ADMM.
+solves ``M_SS y_S = t_u,S - b0_S`` by the plain Cholesky factor of
+``M_SS``; where that fails, or its smallest pivot is at most
+``_SET_RTOL`` (1e-3) of its largest (repeated or dependent rows), by the
+factor of ``M_SS + _POLISH_REG I`` refined ``_POLISH_REFINE`` (3) times.
+The slack of every row, ``t = t_u - M_:S y_S``, follows, and the set is
+rejected from ``y`` and ``t`` alone where a multiplier has ``s * y < 0``
+or the primal residual fails the test below.  Only a set that passes
+forms ``[x; t; r] = XC @ theta - W_S y_S`` by one product: ``x``, ``t =
+A x - shift`` and the stationarity residual ``r = P x + q + A' y``.
+Where ``P~`` is singular, ``XC`` maps ``c`` in the place of ``P x_u +
+q``, ``t`` and ``r`` are formed from ``x`` and ``y`` refined against
+``P~``, and every set is formed whole.  The answer is ``SOLVED`` with
+``iterations == 0`` when no multiplier has ``s * y < 0`` and both
+residuals pass the ADMM stopping test, the primal one with the set's
+rows held at their bounds.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
+corrections set ``s`` to 0 where ``s * y < 0`` and to -1 or +1 on the
+free rows violated below or above by more than ``_EPS_ABS``, and if
+none is accepted ADMM runs, warm-started.  So a solve is a pure function
+of its arguments, to round-off when a record answers it.  Once ADMM has
+solved the problem, the same step starts from the side vector of ADMM's
+dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
+2020); ``QpSolution.iterations`` counts ADMM iterations only.  Without
+rows an uncertified problem is ``DUAL_INFEASIBLE``.  ``QpSolution.path``
+names the path that answered: the set record (below), the warm start's
+set, a corrected set, or ADMM.
 
 ADMM is dense, with Ruiz equilibration, a per-row step parameter that is
 rescaled from the primal/dual residual ratio, and over-relaxation; as in
@@ -73,9 +79,11 @@ another record replaces it; no factor of a set outlives its solve.  A
 hit is one ``gemv`` with ``G``, tested finite with ``theta`` and the
 warm starts (:meth:`BoxQpSolver._checked`), and one reduction of its
 fixed stationarity and bound rows against the set's box
-(:meth:`BoxQpSolver._accept`); a rejected hit is retried through the
-set's factor.  No step forms the objective: :func:`solve` forms it from
-its answer.
+(:meth:`BoxQpSolver._accept`).  A rejected hit's own ``y`` and ``t``
+start the corrections, in the place of the first round; only where they
+change no side is the set solved again through its factor.
+``QpSolution.sets`` counts the sets a solve factored, 0 for a hit.  No
+step forms the objective: :func:`solve` forms it from its answer.
 """
 
 from __future__ import annotations
@@ -181,7 +189,9 @@ class QpSolution:
     reads its plans from.  ``path`` names what answered: ``"record"``,
     the set record; ``"set"``, the warm start's set (and the verdict
     without rows); ``"corrected"``, a set after corrections or after a
-    rejected record answer; ``"admm"``, ADMM, then the set of its dual."""
+    rejected record answer; ``"admm"``, ADMM, then the set of its dual.
+    ``sets`` counts the active sets the solve factored: 0 for a record
+    answer, and on the ADMM path those tried before ADMM and after it."""
 
     x: np.ndarray
     y: np.ndarray
@@ -192,6 +202,7 @@ class QpSolution:
     objective: float
     t: np.ndarray
     path: str
+    sets: int = 0
 
 
 _EPS_ABS = 1e-8
@@ -210,6 +221,13 @@ _REFACTOR_RATIO = 5.0
 _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 _CERTIFY_ROUNDS = 3
+# Relative bound on the diagonal of a set's plain Cholesky factor of M_SS
+# at or below which the set takes the factor of M_SS + _POLISH_REG I and
+# its refinements instead: a pivot d (relative to the largest) leaves the
+# unrefined solve an error near eps / d^2.  Repeated or dependent rows
+# fail the factor or leave pivots near sqrt(eps); 28 of 2,328 table1 sets
+# took the regularized factor, 8 of them by this bound.
+_SET_RTOL = 1e-3
 _EIG_TOL = 1e-12  # symmetry and eigenvalue tolerance of _check_weight
 
 try:  # the clip ufunc, which np.clip reaches through Python dispatch
@@ -220,6 +238,8 @@ except ImportError:  # numpy < 2
 # so that the ADMM loop and the active-set solves skip scipy's per-call
 # input checks.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
+# the reductions behind ndarray.max/min, which reach them through Python
+_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
 # BLAS gemv forms a data-mapped solve's data and dot tests it finite:
 # unlike matmul, they raise no floating-point warning, so an overflow is
 # reported by the finite test
@@ -327,6 +347,7 @@ class BoxQpSolver:
         self.data_map = (D, *self._bounds0)
         self._free = lower0 != upper0  # the rows that are no equality rows
         self._rows, self._rows_read = None, False
+        self._sets = 0  # the sets the solve under way has factored
         self._row_space()  # a P that is not PSD fails here
         # the sides each row can be held at: -1 below a finite lower bound,
         # +1 above a finite upper one; +0.0 (never -0.0, whose bytes differ)
@@ -466,28 +487,27 @@ class BoxQpSolver:
             raise DimensionMismatch(
                 "theta length mismatch with the solver's data_map")
         s = self._sides(y0)
-        rec = self._map
-        retried = rec is not None and s.tobytes() == rec.key
-        if retried:
+        rec, rejected = self._map, None
+        if rec is not None and s.tobytes() == rec.key:
             d = self._checked(_GEMV(1.0, rec.G, theta), theta, x0, y0)
             answer = self._accept(d, rec.box, "record")  # within eps_abs
             if answer is not None:
                 self._certified_key = rec.key
                 return answer
-            # a rejected record answer is retried through the set's
-            # factor, and corrected from there
+            rejected = d  # the corrections start from its y and t
         data = self._data(theta, x0, y0)
         q, shift = data[:n], data[n:]
         xc = _GEMV(1.0, self._row_space().XC, theta)
-        self._rows_read = True
-        certified = self._certify(data, xc, s, retried)
+        self._rows_read, self._sets = True, 0
+        certified = self._certify(data, xc, s, rejected)
         if certified is not None:
+            certified.sets = self._sets
             return certified
         if k == 0:
             # no rows and no certified solution of P x = -q: unbounded
             return QpSolution(np.zeros(n), np.zeros(0),
                               QpStatus.DUAL_INFEASIBLE, 0, 0.0, math.inf,
-                              math.nan, np.zeros(0), "set")
+                              math.nan, np.zeros(0), "set", self._sets)
 
         lo, hi = self._bounds0 + shift
         x, y, r_prim, r_dual, status, iters = self._admm(q, lo, hi, x0, y0)
@@ -495,9 +515,10 @@ class BoxQpSolver:
             refined = self._certify(data, xc, self._sides(y))
             if refined is not None:
                 refined.iterations, refined.path = iters, "admm"
+                refined.sets = self._sets
                 return refined
         return QpSolution(x, y, status, iters, r_prim, r_dual, math.nan,
-                          self.A @ x - shift, "admm")
+                          self.A @ x - shift, "admm", self._sets)
 
     def _admm(self, q, lo, hi, x0, y0):
         """ADMM at ``q`` and the bounds ``lo``/``hi``, warm-started from
@@ -616,37 +637,52 @@ class BoxQpSolver:
         return d
 
     def _set_factor(self, act):
-        """``(M_SS, F)`` of the set with rows ``act``: ``M_SS`` and the
-        upper Cholesky factor ``F`` of ``M_SS + _POLISH_REG I``, or None
-        where that factor fails."""
+        """``(M_SS, F, regularized)`` of the set with rows ``act``:
+        ``M_SS`` and the upper Cholesky factor ``F`` of ``M_SS`` where it
+        exists and ``min(diag F) > _SET_RTOL * max(diag F)``, else of
+        ``M_SS + _POLISH_REG I`` (``regularized``); None where that fails
+        too.  Counts the set in the solve's ``sets``."""
+        self._sets += 1
         M_SS = self._rows.W[self.n:self.n + self.k][act[:, None], act]
+        F, info = _POTRF(M_SS, lower=False, overwrite_a=False, clean=False)
+        pivots = F.diagonal()
+        if info == 0 and (not act.size or _MIN(pivots)
+                          > _SET_RTOL * _MAX(pivots)):
+            return M_SS, F, False
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
                          overwrite_a=True, clean=False)
-        return None if info != 0 else (M_SS, F)
+        return None if info != 0 else (M_SS, F, True)
 
-    def _set_solve(self, act, factor, data, xc, one, closed):
+    @staticmethod
+    def _set_y(factor, rhs):
+        """``y_S`` of ``M_SS y_S = rhs`` by the :meth:`_set_factor`
+        ``factor``, refined ``_POLISH_REFINE`` times against ``M_SS`` where
+        that factor is regularized."""
+        M_SS, F, regularized = factor
+        y_S = _potrs(F, rhs)
+        if regularized:
+            for _ in range(_POLISH_REFINE):
+                y_S += _potrs(F, rhs - M_SS @ y_S)
+        return y_S
+
+    def _set_solve(self, act, factor, data, xc, one, closed, y_S=None):
         """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` and
         :meth:`_set_factor` ``factor`` (module docstring), ``y`` zero off
         the set, or None on a non-finite solution.  ``data``, ``xc`` and
         ``one`` are ``D @ theta``, ``XC @ theta`` and 1, or for a record's
         maps ``D``, ``XC`` and the unit vector of theta's trailing 1;
-        ``closed`` holds the set rows' bounds.  One ``potrs`` solves a
-        miss's one column and a record's many alike."""
+        ``closed`` holds the set rows' bounds, and ``y_S``, where the
+        caller has solved for it (:meth:`_set_y`), the set's multipliers.
+        One ``potrs`` solves a miss's one column and a record's many
+        alike."""
         rows, n, k = self._rows, self.n, self.k
         nk = n + k
-        M_SS, F = factor
-
-        def solve_rows(r):  # LAPACK takes no empty factor
-            return _POTRS(F, r, lower=False)[0] if act.size else r.copy()
-
         b0 = np.multiply.outer(closed[act], one)
-        rhs = xc[n:nk][act] - b0
-        y_S = solve_rows(rhs)
-        for _ in range(_POLISH_REFINE):
-            y_S += solve_rows(rhs - M_SS @ y_S)
+        if y_S is None:
+            y_S = self._set_y(factor, xc[n:nk][act] - b0)
         # d = [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads a
         # record's map in place
-        d = np.zeros((2 * nk + 2, *rhs.shape[1:]), order="F")
+        d = np.zeros((2 * nk + 2, *y_S.shape[1:]), order="F")
         x, y, t, r = d[:n], d[n:nk], d[nk + 1:nk + k + 1], d[nk + k + 2:]
         y[act] = y_S
         # [x; t; r] = XC - [H; M; P H - A']_S Y_S: one product over the
@@ -662,7 +698,7 @@ class BoxQpSolver:
             for _ in range(_POLISH_REFINE):
                 w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
                            lower=False)[0]
-                dy_S = solve_rows(A_S @ (x + w) - b)
+                dy_S = _potrs(factor[1], A_S @ (x + w) - b)
                 y[act] += dy_S
                 x += w - rows.W[:n, act] @ dy_S
             np.subtract(self.A @ x, data[n:], out=t)
@@ -682,52 +718,99 @@ class BoxQpSolver:
         return np.where(sides > 0.0, above,
                         np.where(sides < 0.0, below, off))
 
-    def _certify(self, data, xc, s, retried=False):
+    def _certify(self, data, xc, s, rejected=None):
         """Try the active set of the side vector ``s`` (:meth:`_sides`) of
         a dual point: the warm start, or ADMM's dual once ADMM has solved
         the step; ``data`` and ``xc`` are ``D @ theta`` and ``XC @ theta``,
-        and ``retried`` says that the record of ``s`` was rejected.
-        Each set tried is factored once (:meth:`_set_factor`), its KKT
-        solution comes from :meth:`_set_solve` on that factor, and
-        :meth:`_accept` tests it.  Otherwise up to ``_CERTIFY_ROUNDS``
-        corrections set ``s`` to 0 on the rows whose multipliers have ``s *
-        y < 0`` and to -1 or +1 on the free rows violated below or above.
-        When a solve certifies the set that the previous solve certified,
-        and no record of it is held, its record, solved through the same
-        factor, takes the place of any other.
+        and ``rejected``, where given, is the rejected record answer of
+        ``s``, whose correction takes the place of round 0 unless it
+        changes no side.
+        Each set tried is factored once (:meth:`_set_factor`) and first
+        gives only its multipliers ``y`` (:meth:`_set_y`) and its slack
+        ``t``; a set that :meth:`_rejects` rejects from those forms no
+        ``x``, ``r`` or box.  Otherwise :meth:`_set_solve` forms the whole
+        answer on that factor and :meth:`_accept` tests it.  A rejected
+        set is corrected (:meth:`_corrected`) for up to
+        ``_CERTIFY_ROUNDS`` rounds.  When a solve certifies the set that
+        the previous solve certified, and no record of it is held, its
+        record, solved through the same factor, takes the place of any
+        other.
         Returns a ``SOLVED`` answer with zero iterations (on the path
         ``"corrected"`` after a correction or a rejected record), or None.
         """
         n, k = self.n, self.k
+        nk, rows = n + k, self._rows
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
-        for round_ in range(_CERTIFY_ROUNDS + 1):
+        first = 0
+        if rejected is not None:
+            new = self._corrected(s, rejected[n:nk],
+                                  rejected[nk + 1:nk + k + 1])
+            if (new != s).any():
+                s, first = new, 1
+        for round_ in range(first, _CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
             factor = self._set_factor(act)
             if factor is None:
                 return None
-            box = self._box(s)
-            d = self._set_solve(act, factor, data, xc, 1.0,
-                                box[0, k + 1:2 * k + 1])
-            if d is None:
-                return None
-            answer = self._accept(
-                d, box, "corrected" if round_ or retried else "set", data)
-            if answer is not None:
-                key = s.tobytes()
-                if key == previous and (self._map is None
-                                        or self._map.key != key):
-                    self._map = self._record(act, factor, s, box)
-                self._certified_key = key
-                return answer
-            y, t = d[n:n + k], d[n + k + 1:n + 2 * k + 1]
-            new = np.where(s * y < 0.0, 0.0, s)
-            new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
-            new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
-            if np.array_equal(new, s):
+            closed = np.where(s > 0.0, hi0, lo0)  # the bound a row is held at
+            y_S = self._set_y(factor, xc[n:nk][act] - closed[act])
+            y = np.zeros(k)
+            y[act] = y_S
+            # t = t_u - M_:S y_S, over the set's columns of M alone
+            t = xc[n:nk] - rows.W[n:nk, act] @ y_S if act.size else xc[n:nk]
+            if (rows.fallback is not None
+                    or not self._rejects(s, y, t, closed, data[n:])):
+                box = self._box(s)
+                d = self._set_solve(act, factor, data, xc, 1.0, closed, y_S)
+                if d is None:
+                    return None
+                path = "corrected" if round_ or rejected is not None else "set"
+                answer = self._accept(d, box, path, data)
+                if answer is not None:
+                    key = s.tobytes()
+                    if key == previous and (self._map is None
+                                            or self._map.key != key):
+                        self._map = self._record(act, factor, s, box)
+                    self._certified_key = key
+                    return answer
+                y, t = d[n:nk], d[nk + 1:nk + k + 1]
+            new = self._corrected(s, y, t)
+            if not (new != s).any():
                 return None
             s = new
         return None
+
+    def _rejects(self, s, y, t, closed, shift):
+        """Whether :meth:`_accept`'s tests reject the set of side vector
+        ``s`` from its multipliers ``y`` and slack ``t`` alone: a wrong
+        sign ``s * y < 0``, or a primal residual, the largest gap of ``t``
+        outside its bounds closed onto the set's sides (the lower ones
+        ``closed``), beyond ``eps_abs`` and beyond the scaled test with
+        ``A x = t + shift``.  False where ``t`` is not finite (or its sum
+        of squares overflows): the whole answer is then tested."""
+        if not (t.size and _DOT(t, t) < math.inf):
+            return False
+        if _MIN(s * y) < 0.0:
+            return True
+        upper = np.where(s < 0.0, *self._bounds0)
+        gap = _MAX(np.maximum(closed - t, t - upper))
+        if gap <= _EPS_ABS:
+            return False
+        Ax = t + shift
+        z = np.minimum(np.maximum(Ax, closed + shift), upper + shift)
+        scale_p = max(_MAX(np.abs(Ax)), _MAX(np.abs(z)))
+        return not _MAX(np.abs(Ax - z)) <= _EPS_ABS + _EPS_REL * scale_p
+
+    def _corrected(self, s, y, t):
+        """``s`` corrected from the set's multipliers ``y`` and slack ``t``:
+        0 where ``s * y < 0``, -1 or +1 on the free rows below or above
+        their bounds by more than ``eps_abs``."""
+        lo0, hi0 = self._bounds0
+        new = np.where(s * y < 0.0, 0.0, s)
+        new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
+        new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
+        return new
 
     def _accept(self, d, box, path, data=None):
         """The ``SOLVED`` answer ``d = [x; y; 0; t; 0; r]`` of a set
@@ -773,6 +856,12 @@ class BoxQpSolver:
         G = self._set_solve(act, factor, D, self._rows.XC,
                             np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
         return None if G is None else _SetRecord(s.tobytes(), G, box)
+
+
+def _potrs(F, rhs):
+    """``rhs`` solved by the upper Cholesky factor ``F``; LAPACK takes no
+    empty factor."""
+    return _POTRS(F, rhs, lower=False)[0] if F.size else rhs.copy()
 
 
 def _inf_norm(v: np.ndarray) -> float:

@@ -397,20 +397,23 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
 def test_cached_set_that_stops_certifying_goes_to_the_corrections():
     """A reference jump drives the plan into an output bound that the
     cached set leaves free: the map's answer fails the test, the
-    corrections find the new set, and the step matches a cold solve.
+    corrections start from it and find the new set, and the step matches
+    a cold solve.
     ``reset`` and a finished rollout leave no map behind."""
     ctrl = make_controller(_spec("causal_gamma", u_box=2.0, y_box=1.0),
                            part=_noisy_part())
     z = _sample_zp()
     for _ in range(3):
         res = ctrl.step(z, np.zeros(L_F))
-    assert res.qp_path == "record"
+    assert (res.qp_path, res.qp_sets) == ("record", 0)
     r_jump = np.full(L_F, 3.0)
     res = ctrl.step(z, r_jump)
     prob = ctrl.condense(z, r_jump)
     cold = qp_solve(prob)
     assert res.qp_status == cold.status == QpStatus.SOLVED
-    assert res.qp_path == "corrected"
+    # corrected from the rejected record answer's own y and t: two sets,
+    # with no second solve of the record's set
+    assert (res.qp_path, res.qp_sets) == ("corrected", 2)
     np.testing.assert_allclose(ctrl._warm_x, cold.x, rtol=0, atol=1e-9)
     y_rows = slice(L_F, 2 * L_F)  # below the input rows
     assert np.isclose(prob.A[y_rows] @ cold.x, prob.upper[y_rows]).any()

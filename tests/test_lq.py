@@ -15,7 +15,9 @@ Covers:
   * the fixed point: a stack that is already lower-triangular with an
     orthonormal right factor gives back its triangular part unchanged.
   * rank-deficiency errors for unexciting inputs and too-short records,
-    and a ValueError naming non-finite entries of the stack.
+    and a ValueError naming non-finite entries of the stack, raised
+    before the length check; finite entries whose squares overflow the
+    Gram matrix take the QR.
   * one factor per partition: a second ``factorize`` (or ``fit_spc``)
     returns the first blocks without calling any factorization kernel;
     partition arrays, blocks and the past map are read-only, hand-built
@@ -139,6 +141,37 @@ def test_factorize_rejects_non_finite_entries():
         factorize(bad)
     assert "L22" not in str(info.value)
     assert not isinstance(info.value, RankDeficient)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_factorize_tests_entries_before_the_record_length(bad):
+    """A non-finite entry (a NaN spreads through the Gram diagonal, and an
+    infinity makes it infinite) raises the ValueError, also in a record
+    too short to factor, whose RankDeficient comes after it."""
+    traj = collect_open_loop(demo_model(), seeded(26).standard_normal(
+        (1, 15)), rng=seeded(26))
+    part = partition(traj, HorizonSpec(L_p=5, L_f=5))  # 20 rows, 6 columns
+    stack = part.stack.copy()
+    stack[3, 2] = bad
+    with pytest.raises(ValueError, match="^Hankel partition has NaN or "
+                       "infinite entries$"):
+        factorize(dataclasses.replace(part, stack=stack))
+
+
+def test_factorize_sends_a_finite_stack_whose_gram_overflows_to_qr(
+        monkeypatch):
+    """Entries of 1e200 are finite, but their squares overflow the Gram
+    diagonal: the record is factored by the QR, and ``|L|`` is numpy's
+    ``|R'|`` up to round-off."""
+    part = _mimo_partition()
+    big = dataclasses.replace(part, stack=1e200 * part.stack)
+    calls = _counting_qr(monkeypatch)
+    L = full_factor(factorize(big))
+    assert calls == [_QR_BLOCK]
+    assert np.isfinite(L).all() and np.all(np.diag(L) >= 0.0)
+    R = np.linalg.qr(big.stack.T, mode="r")
+    assert (np.abs(np.abs(L) - np.abs(R.T)).max()
+            <= 1e-12 * np.abs(L).max())
 
 
 def test_factorize_determinism():

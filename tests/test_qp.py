@@ -28,7 +28,11 @@ Covers:
     their set's record; an overflowing theta and invalid map bounds
     (non-finite, crossed) are rejected.
   * the path each answer names: ``record``, ``set``, ``corrected``
-    (also after a rejected record answer) or ``admm``.
+    (also after a rejected record answer) or ``admm``, and the active
+    sets it factored: a rejected record answer counts as the round it
+    replaces, a set rejected by a wrong sign is corrected to the cold
+    answer, and a set with repeated rows, or pivots too far apart, takes
+    the regularized factor.
   * problem validation (non-finite data by name, symmetry, PSD, bound
     ordering, shapes), solver shapes (``P``, ``A`` and ``D``) and an
     indefinite ``P`` rejected when it is built, and non-finite solve data
@@ -37,7 +41,6 @@ Covers:
 
 from __future__ import annotations
 
-import collections
 import warnings
 
 import numpy as np
@@ -443,6 +446,73 @@ def test_wrong_warm_start_is_corrected():
         np.testing.assert_allclose(sol.y, y_ref, rtol=0, atol=1e-12)
 
 
+def test_a_miss_rejected_by_a_sign_is_corrected_to_the_cold_answer():
+    """The warm start holds row 1 at its upper bound, where its multiplier
+    comes out -2.5: the set is rejected by that sign, row 1 is dropped,
+    and the second set tried is the answer of a cold solve."""
+    prob = QpProblem(P=np.diag([1.0, 2.0, 3.0, 4.0]),
+                     q=np.array([-3.0, 0.5, 9.0, -0.4]), A=np.eye(4),
+                     lower=-np.ones(4), upper=np.ones(4))
+    warm = solve(prob, y0=np.array([2.0, 1.0, -6.0, 0.0]))
+    cold = solve(prob)
+    assert warm.status == cold.status == QpStatus.SOLVED
+    assert (warm.path, warm.sets) == ("corrected", 2)
+    np.testing.assert_allclose(warm.x, cold.x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(warm.y, cold.y, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("y0", [[1.0, 1.0, 0.0], None], ids=["warm", "cold"])
+def test_a_set_with_two_equal_rows_takes_the_regularized_factor(
+        y0, monkeypatch):
+    """min 0.5 |x|^2 - 3 x_0 + 0.5 x_1 with x_0 <= 1 written twice: the
+    set that holds both rows has a singular ``M_SS``, whose plain Cholesky
+    factor fails, so it takes the factor of ``M_SS + 1e-9 I`` (a second
+    ``potrf``) and its refinements.  It certifies x = (1, -0.5) with the
+    multiplier 2 split evenly, as before this rule, from the warm start at
+    once and from a cold start after one correction."""
+    prob = QpProblem(P=np.eye(2), q=np.array([-3.0, 0.5]),
+                     A=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                     lower=-np.ones(3), upper=np.ones(3))
+    factors = []
+    potrf = qp_module._POTRF
+    monkeypatch.setattr(qp_module, "_POTRF",
+                        lambda *a, **kw: factors.append(a[0].shape)
+                        or potrf(*a, **kw))
+    sol = solve(prob, y0=None if y0 is None else np.array(y0))
+    assert sol.status == QpStatus.SOLVED and sol.iterations == 0
+    assert sol.path == ("set" if y0 else "corrected")
+    assert sol.sets == (1 if y0 else 2)
+    assert factors[-2:] == [(2, 2), (2, 2)]  # plain, then regularized
+    np.testing.assert_allclose(sol.x, [1.0, -0.5], rtol=0, atol=1e-12)
+    assert sol.y[0] + sol.y[1] == pytest.approx(2.0, abs=1e-12)
+    # the regularization leaves the split off by 2.5e-10
+    np.testing.assert_allclose(sol.y, [1.0, 1.0, 0.0], rtol=0, atol=1e-9)
+
+
+def test_a_set_whose_pivots_are_too_far_apart_takes_the_regularized_factor(
+        monkeypatch):
+    """Rows (1, 0) and (1, 1e-4), both held at 1, with q = (-3, -1e-4):
+    the plain Cholesky factor of their ``M_SS`` exists, but its pivots, 1
+    and 1e-4, are at most ``_SET_RTOL`` (1e-3) apart, so the set takes the
+    factor of ``M_SS + 1e-9 I`` (a second ``potrf``) and certifies x = (1,
+    0) and y = (1, 1, 0) as before this rule, y to 1e-9 (the
+    regularization leaves it off by 4e-11)."""
+    prob = QpProblem(P=np.eye(2), q=np.array([-3.0, -1e-4]),
+                     A=np.array([[1.0, 0.0], [1.0, 1e-4], [0.0, 1.0]]),
+                     lower=-np.ones(3), upper=np.ones(3))
+    factors = []
+    potrf = qp_module._POTRF
+    monkeypatch.setattr(qp_module, "_POTRF",
+                        lambda *a, **kw: factors.append(a[0].shape)
+                        or potrf(*a, **kw))
+    sol = solve(prob, y0=np.array([1.0, 1.0, 0.0]))
+    assert (sol.status, sol.path, sol.sets) == (QpStatus.SOLVED, "set", 1)
+    # P~ at the build, then the set's plain and its regularized factor
+    assert factors == [(2, 2)] * 3
+    np.testing.assert_allclose(sol.x, [1.0, 0.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sol.y, [1.0, 1.0, 0.0], rtol=0, atol=1e-9)
+
+
 def test_more_than_three_rounds_fall_back_to_admm(monkeypatch):
     # from the empty set this problem needs seven corrections
     prob = _random_box_qp(seeded(88), n=8, k=10)
@@ -685,44 +755,30 @@ def _mapped_qp(seed):
     return prob, D
 
 
-def test_a_solve_factors_each_set_it_tries_once(monkeypatch):
-    """``_POTRF`` runs once per set that a solve tries (``_certify`` boxes
-    each set once) and not again for the record that the solve builds
-    from the set it accepted: the record reuses that set's factor.  Solves
-    that fall back to ADMM, which factors its own matrices, are not
-    counted."""
+def test_a_solve_factors_each_set_it_tries_once():
+    """``QpSolution.sets`` counts the active sets a solve factored: none
+    for a record answer, one for the warm start's set, one more per
+    correction, and on the ADMM path the rounds before ADMM and the set
+    of ADMM's dual.  The solve that builds a record (the second of three
+    equal thetas) is a ``set`` answer of one set, since the record is
+    solved through that set's factor.  At each jump of theta the record
+    is rejected and counts as the round it replaces: three corrections
+    and the set of ADMM's dual make 4 sets, where a cold start tries 4
+    rounds and ADMM's set, 5."""
     prob, D = _mapped_qp(98)
     solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
-    calls = collections.Counter()
-    potrf, box = qp_module._POTRF, solver._box
-
-    def counting_potrf(*args, **kwargs):
-        calls["potrf"] += 1
-        return potrf(*args, **kwargs)
-
-    def counting_box(s):
-        calls["tried"] += 1
-        return box(s)
-
-    monkeypatch.setattr(qp_module, "_POTRF", counting_potrf)
-    solver._box = counting_box
     thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(4)]
               + [np.array([-0.6, -0.6, -0.6, 1.0])] * 3
               + [np.array([0.6, -0.6, -0.6, 1.0])] * 3)
-    y, built = None, []
+    y, work = None, []
     for theta in thetas:
-        before, rec = calls.copy(), solver._map
         sol = solver.solve(theta, y0=y)
         y = sol.y
         assert sol.status == QpStatus.SOLVED
-        if sol.iterations:  # ADMM factors its own KKT matrices
-            continue
-        factored = calls["potrf"] - before["potrf"]
-        tried = calls["tried"] - before["tried"]
-        assert factored == tried
-        if solver._map is not rec:
-            built.append(tried)
-    assert len(built) >= 2 and min(built) >= 1
+        assert (sol.sets == 0) == (sol.path == "record")
+        work.append((sol.path, sol.sets))
+    assert work == ([("admm", 5), ("corrected", 2), ("set", 1), ("record", 0)]
+                    + [("admm", 4), ("set", 1), ("record", 0)] * 2)
 
 
 def test_theta_only_solve_equals_the_solve_of_its_data():

@@ -55,7 +55,9 @@ In either mode three lines before the last report, also ungated, how
 many records and ``run_single`` steps ran ADMM at all (``qp_iters > 0``)
 on each side, split by final status (a record's is the worst of its
 steps), how many ``run_single`` steps each QP path answered
-(``StepResult.qp_path``; ``-`` for a base whose steps carry no path),
+(``StepResult.qp_path``; ``-`` for a base whose steps carry no path)
+with the total of their ``StepResult.qp_sets``, the active sets they
+factored (``-`` for a base without the field),
 and the line total of ``src/ddpc/*.py`` on each side, as ``wc -l``
 counts it, next to the number of names the package exports
 (``len(ddpc.__all__)``), its count of public concepts.
@@ -99,8 +101,9 @@ QP_PATHS = ("record", "set", "corrected", "admm")
 
 # Runs in each tree; prints {"runs": {"<variant>/<seed>": {<field group>:
 # sha256}}, "steps": <count>, "admm_statuses": [the status of each step
-# with qp_iterations > 0], "paths": [each step's qp_path, or None]} as
-# JSON, or with RAW set the values themselves in place of the digests.
+# with qp_iterations > 0], "paths": [each step's qp_path, or None],
+# "sets": [each step's qp_sets, or None]} as JSON, or with RAW set the
+# values themselves in place of the digests.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -111,7 +114,7 @@ cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
-n_steps, admm, paths = 0, [], []
+n_steps, admm, paths, sets = 0, [], [], []
 for variant in ddpc.VARIANTS:
     for seed in range({seeds}):
         try:
@@ -123,6 +126,7 @@ for variant in ddpc.VARIANTS:
         admm += [s.qp_status.value for s in rollout.steps
                  if s.qp_iterations > 0]
         paths += [getattr(s, "qp_path", None) for s in rollout.steps]
+        sets += [getattr(s, "qp_sets", None) for s in rollout.steps]
         s = rollout.steps
         run = dict(
             J=[rollout.J, rollout.J_y, rollout.J_u],
@@ -138,8 +142,8 @@ for variant in ddpc.VARIANTS:
             run = {{name: hashlib.sha256(pickle.dumps(v, protocol=4))
                     .hexdigest() for name, v in run.items()}}
         out[f"{{variant}}/{{seed}}"] = run
-json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm, paths=paths),
-          sys.stdout, sort_keys=True)
+json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm, paths=paths,
+               sets=sets), sys.stdout, sort_keys=True)
 """
 
 
@@ -212,10 +216,12 @@ def _control_config(tree: Path, work: Path) -> Path:
     return path
 
 
-def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str, str]:
+def collect(tree: Path, work: Path,
+            raw: bool) -> tuple[dict, str, tuple[str, str]]:
     """Every compared artifact of one side, keyed by its verdict label, how
     many records and ``run_single`` steps ran ADMM, and how many
-    ``run_single`` steps each QP path answered."""
+    ``run_single`` steps each QP path answered, with the active sets they
+    factored in all."""
     work.mkdir()
     out: dict = {}
     for name, seeds in BENCHMARKS:
@@ -272,8 +278,9 @@ def collect(tree: Path, work: Path, raw: bool) -> tuple[dict, str, str]:
     ran = [row["status"] for row in rows if float(row["qp_iters"]) > 0]
     admm = (f"records {_traffic(ran, len(rows))}, run_single steps "
             f"{_traffic(digest['admm_statuses'], digest['steps'])}")
-    paths = digest["paths"]
-    return out, admm, "-" if None in paths else _split(paths, QP_PATHS)
+    paths, sets = digest["paths"], digest["sets"]
+    return out, admm, ("-" if None in paths else _split(paths, QP_PATHS),
+                       "-" if None in sets else str(sum(sets)))
 
 
 def _split(values: list[str], names: tuple[str, ...]) -> str:
@@ -488,8 +495,9 @@ def main(argv=None) -> int:
         print(f"{label}: {verdict}")
     print(f"ran ADMM (qp_iters > 0, not gated): {admm_before} -> "
           f"{admm_after}")
-    print(f"QP paths of run_single steps (not gated): {paths_before} -> "
-          f"{paths_after}")
+    print(f"QP paths of run_single steps (not gated): {paths_before[0]} -> "
+          f"{paths_after[0]}; active sets factored: {paths_before[1]} -> "
+          f"{paths_after[1]}")
     print(f"src/ddpc/*.py lines (wc -l) and ddpc.__all__ names, not gated: "
           f"{sizes}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"
