@@ -32,25 +32,26 @@ it is singular; a ``P`` that is not PSD raises ``ValueError``) into the
 row space ``W = [H; M; P H - A']``, ``H = P~^-1 A'`` and ``M = A H``,
 and the map ``XC @ theta = [x_u; t_u; P x_u + q]`` of ``x_u = P~^-1 c``
 and ``t_u = A x_u - shift``.  A set ``S`` with constant bounds ``b0_S``
-solves ``M_SS y_S = t_u,S - b0_S`` by the plain Cholesky factor of
-``M_SS``; where that fails, or its smallest pivot is at most
+gathers its columns ``W_S`` of ``W`` once and solves ``M_SS y_S =
+t_u,S - b0_S`` by the plain Cholesky factor of ``M_SS``, the rows of
+``W_S`` in ``M``; where that fails, or its smallest pivot is at most
 ``_SET_RTOL`` (1e-3) of its largest (repeated or dependent rows), by the
 factor of ``M_SS + _POLISH_REG I`` refined ``_POLISH_REFINE`` (3) times.
-The slack of every row, ``t = t_u - M_:S y_S``, follows, and the set is
-rejected from ``y`` and ``t`` alone where a multiplier has ``s * y < 0``
-or the primal residual fails the test below.  Only a set that passes
-forms ``[x; t; r] = XC @ theta - W_S y_S`` by one product: ``x``, ``t =
-A x - shift`` and the stationarity residual ``r = P x + q + A' y``.
-Where ``P~`` is singular, ``XC`` maps ``c`` in the place of ``P x_u +
-q``, ``t`` and ``r`` are formed from ``x`` and ``y`` refined against
-``P~``, and every set is formed whole.  The answer is ``SOLVED`` with
-``iterations == 0`` when no multiplier has ``s * y < 0`` and both
-residuals pass the ADMM stopping test, the primal one with the set's
-rows held at their bounds.  Otherwise up to ``_CERTIFY_ROUNDS`` (3)
-corrections set ``s`` to 0 where ``s * y < 0`` and to -1 or +1 on the
-free rows violated below or above by more than ``_EPS_ABS``, and if
-none is accepted ADMM runs, warm-started.  So a solve is a pure function
-of its arguments, to round-off when a record answers it.  Once ADMM has
+One product, ``[x; t; r] = XC @ theta - W_S y_S``, gives ``x``, the
+slack of every row ``t = A x - shift`` and the stationarity residual
+``r = P x + q + A' y``.  Where ``P~`` is singular, ``XC`` maps ``c`` in
+the place of ``P x_u + q``, and ``t`` and ``r`` are formed from ``x``
+and ``y`` refined against ``P~``.  One verdict decides the set from
+that product: where ``t`` is finite, a multiplier with ``s * y < 0`` or
+a primal residual that fails the test below rejects the set, whatever
+``x`` and ``r`` hold.  Only a set that passes is tested finite whole; it
+is ``SOLVED`` with ``iterations == 0`` when both residuals pass the ADMM
+stopping test, the primal one with the set's rows held at their bounds.
+Otherwise up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0
+where ``s * y < 0`` and to -1 or +1 on the free rows violated below or
+above by more than ``_EPS_ABS``, and if none is accepted ADMM runs,
+warm-started.  So a solve is a pure function of its arguments, to
+round-off when a record answers it.  Once ADMM has
 solved the problem, the same step starts from the side vector of ADMM's
 dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
 2020); ``QpSolution.iterations`` counts ADMM iterations only.  Without
@@ -74,16 +75,17 @@ once, and one ``potrs`` on that factor solves every right-hand side.
 Once two solves in a row have certified a set, its record is built
 through the factor that certified it: the bytes of the side vector and
 one map ``G`` with ``G @ theta = [x; y; 0; t; 0; r]``, the set solve
-with ``D`` and ``XC`` in the place of their products with ``theta``.  It answers until
-another record replaces it; no factor of a set outlives its solve.  A
-hit is one ``gemv`` with ``G``, tested finite with ``theta`` and the
-warm starts (:meth:`BoxQpSolver._checked`), and one reduction of its
-fixed stationarity and bound rows against the set's box
-(:meth:`BoxQpSolver._accept`).  A rejected hit's own ``y`` and ``t``
-start the corrections, in the place of the first round; only where they
-change no side is the set solved again through its factor.
-``QpSolution.sets`` counts the sets a solve factored, 0 for a hit.  No
-step forms the objective: :func:`solve` forms it from its answer.
+with ``D`` and ``XC`` in the place of their products with ``theta``.
+It answers until another record replaces it; no factor of a set
+outlives its solve.  A hit is one ``gemv`` with ``G``, tested finite
+with ``theta`` and the warm starts (:meth:`BoxQpSolver._checked`), and
+one reduction of its fixed stationarity and bound rows against the
+set's box (:meth:`BoxQpSolver._accept`), which only a record's build
+forms.  A rejected hit's own ``y`` and ``t`` start the corrections, in
+the place of the first round; only where they change no side is the set
+solved again through its factor.  ``QpSolution.sets`` counts the sets a
+solve factored, 0 for a hit.  No step forms the objective: :func:`solve`
+forms it from its answer.
 """
 
 from __future__ import annotations
@@ -490,7 +492,7 @@ class BoxQpSolver:
         rec, rejected = self._map, None
         if rec is not None and s.tobytes() == rec.key:
             d = self._checked(_GEMV(1.0, rec.G, theta), theta, x0, y0)
-            answer = self._accept(d, rec.box, "record")  # within eps_abs
+            answer = self._accept(d, rec.box)  # within eps_abs
             if answer is not None:
                 self._certified_key = rec.key
                 return answer
@@ -637,76 +639,64 @@ class BoxQpSolver:
         return d
 
     def _set_factor(self, act):
-        """``(M_SS, F, regularized)`` of the set with rows ``act``:
-        ``M_SS`` and the upper Cholesky factor ``F`` of ``M_SS`` where it
-        exists and ``min(diag F) > _SET_RTOL * max(diag F)``, else of
-        ``M_SS + _POLISH_REG I`` (``regularized``); None where that fails
-        too.  Counts the set in the solve's ``sets``."""
+        """``(W_S, M_SS, F, regularized)`` of the set with rows ``act``: its
+        columns ``W_S = W[:, act]`` of the row space, gathered once, their
+        rows ``M_SS`` of ``M``, and the upper Cholesky factor ``F`` of
+        ``M_SS`` where it exists and ``min(diag F) > _SET_RTOL * max(diag
+        F)``, else of ``M_SS + _POLISH_REG I`` (``regularized``); None where
+        that fails too.  Counts the set in the solve's ``sets``."""
         self._sets += 1
-        M_SS = self._rows.W[self.n:self.n + self.k][act[:, None], act]
+        W_S = self._rows.W[:, act]
+        M_SS = W_S[self.n:self.n + self.k][act]
         F, info = _POTRF(M_SS, lower=False, overwrite_a=False, clean=False)
         pivots = F.diagonal()
         if info == 0 and (not act.size or _MIN(pivots)
                           > _SET_RTOL * _MAX(pivots)):
-            return M_SS, F, False
+            return W_S, M_SS, F, False
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
                          overwrite_a=True, clean=False)
-        return None if info != 0 else (M_SS, F, True)
+        return None if info != 0 else (W_S, M_SS, F, True)
 
-    @staticmethod
-    def _set_y(factor, rhs):
-        """``y_S`` of ``M_SS y_S = rhs`` by the :meth:`_set_factor`
-        ``factor``, refined ``_POLISH_REFINE`` times against ``M_SS`` where
-        that factor is regularized."""
-        M_SS, F, regularized = factor
+    def _set_solve(self, act, factor, data, xc, one, closed):
+        """``(y, xtr)`` of the set with rows ``act`` and
+        :meth:`_set_factor` ``factor`` (module docstring): its multipliers
+        ``y``, zero off the set, and ``xtr = [x; t; r]``.  ``data``, ``xc``
+        and ``one`` are ``D @ theta``, ``XC @ theta`` and 1, or for a
+        record's maps ``D``, ``XC`` and the unit vector of theta's trailing
+        1; ``closed`` holds the set rows' bounds.  One ``potrs`` solves a
+        miss's one column and a record's many alike, refined
+        ``_POLISH_REFINE`` times against ``M_SS`` where the factor is
+        regularized."""
+        rows, n, k = self._rows, self.n, self.k
+        nk, (W_S, M_SS, F, regularized) = n + k, factor
+        b0 = np.multiply.outer(closed[act], one)
+        rhs = xc[n:nk][act] - b0
         y_S = _potrs(F, rhs)
         if regularized:
             for _ in range(_POLISH_REFINE):
                 y_S += _potrs(F, rhs - M_SS @ y_S)
-        return y_S
-
-    def _set_solve(self, act, factor, data, xc, one, closed, y_S=None):
-        """``[x; y; 0; t; 0; r]`` of the set with rows ``act`` and
-        :meth:`_set_factor` ``factor`` (module docstring), ``y`` zero off
-        the set, or None on a non-finite solution.  ``data``, ``xc`` and
-        ``one`` are ``D @ theta``, ``XC @ theta`` and 1, or for a record's
-        maps ``D``, ``XC`` and the unit vector of theta's trailing 1;
-        ``closed`` holds the set rows' bounds, and ``y_S``, where the
-        caller has solved for it (:meth:`_set_y`), the set's multipliers.
-        One ``potrs`` solves a miss's one column and a record's many
-        alike."""
-        rows, n, k = self._rows, self.n, self.k
-        nk = n + k
-        b0 = np.multiply.outer(closed[act], one)
-        if y_S is None:
-            y_S = self._set_y(factor, xc[n:nk][act] - b0)
-        # d = [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads a
-        # record's map in place
-        d = np.zeros((2 * nk + 2, *y_S.shape[1:]), order="F")
-        x, y, t, r = d[:n], d[n:nk], d[nk + 1:nk + k + 1], d[nk + k + 2:]
+        y = np.zeros((k, *y_S.shape[1:]))
         y[act] = y_S
-        # [x; t; r] = XC - [H; M; P H - A']_S Y_S: one product over the
-        # set's rows alone, subtracted whole (numpy is slow on strided rows
-        # and on a product of no columns)
-        xtr = xc - (y_S.T @ rows.W[:, act].T).T if act.size else xc
-        x[...], t[...], r[...] = xtr[:n], xtr[n:nk], xtr[nk:]
+        # [x; t; r] = XC - W_S Y_S: one product over the set's columns
+        # alone (numpy is slow on a product of no columns)
+        xtr = xc - (y_S.T @ W_S.T).T if act.size else xc
         if rows.fallback is not None:
             # [[P~, A_S'], [A_S, 0]] [x; y_S] = [c; b], by its residuals;
             # t and r follow from the refined x and y
             Pt, L = rows.fallback
             A_S, b = self.A[act], data[n:][act] + b0
+            xtr = xtr.copy()  # xc itself where the set is empty
+            x, t, r = xtr[:n], xtr[n:nk], xtr[nk:]
             for _ in range(_POLISH_REFINE):
                 w = _POTRS(L, xc[nk:] - Pt @ x - self._AT @ y,
                            lower=False)[0]
-                dy_S = _potrs(factor[1], A_S @ (x + w) - b)
+                dy_S = _potrs(F, A_S @ (x + w) - b)
                 y[act] += dy_S
-                x += w - rows.W[:n, act] @ dy_S
+                x += w - W_S[:n] @ dy_S
             np.subtract(self.A @ x, data[n:], out=t)
             np.add(self.P @ x, data[:n], out=r)
             r += self._AT @ y
-        flat = d.ravel(order="F")  # a sum of squares is finite when d is
-        finite = _DOT(flat, flat) < math.inf or np.isfinite(flat).all()
-        return d if finite else None
+        return y, xtr
 
     def _box(self, s):
         """The bounds that ``[y; 0; t; 0; r]`` of the set with side vector
@@ -725,106 +715,116 @@ class BoxQpSolver:
         and ``rejected``, where given, is the rejected record answer of
         ``s``, whose correction takes the place of round 0 unless it
         changes no side.
-        Each set tried is factored once (:meth:`_set_factor`) and first
-        gives only its multipliers ``y`` (:meth:`_set_y`) and its slack
-        ``t``; a set that :meth:`_rejects` rejects from those forms no
-        ``x``, ``r`` or box.  Otherwise :meth:`_set_solve` forms the whole
-        answer on that factor and :meth:`_accept` tests it.  A rejected
-        set is corrected (:meth:`_corrected`) for up to
-        ``_CERTIFY_ROUNDS`` rounds.  When a solve certifies the set that
-        the previous solve certified, and no record of it is held, its
-        record, solved through the same factor, takes the place of any
-        other.
+        Each set tried is factored once (:meth:`_set_factor`), solved by
+        one product (:meth:`_set_solve`) and decided from it in one verdict
+        (:meth:`_verdict`).  A rejected set is corrected
+        (:meth:`_corrected`) for up to ``_CERTIFY_ROUNDS`` rounds.  When a
+        solve certifies the set that the previous solve certified, and no
+        record of it is held, its box (:meth:`_box`) and record, solved
+        through the same factor, take the place of any other record.
         Returns a ``SOLVED`` answer with zero iterations (on the path
         ``"corrected"`` after a correction or a rejected record), or None.
         """
         n, k = self.n, self.k
-        nk, rows = n + k, self._rows
+        nk = n + k
         lo0, hi0 = self._bounds0
         previous, self._certified_key = self._certified_key, None
         first = 0
         if rejected is not None:
             new = self._corrected(s, rejected[n:nk],
                                   rejected[nk + 1:nk + k + 1])
-            if (new != s).any():
+            if new.tobytes() != s.tobytes():
                 s, first = new, 1
         for round_ in range(first, _CERTIFY_ROUNDS + 1):
             act = (~self._free | (s != 0.0)).nonzero()[0]
             factor = self._set_factor(act)
             if factor is None:
                 return None
-            closed = np.where(s > 0.0, hi0, lo0)  # the bound a row is held at
-            y_S = self._set_y(factor, xc[n:nk][act] - closed[act])
-            y = np.zeros(k)
-            y[act] = y_S
-            # t = t_u - M_:S y_S, over the set's columns of M alone
-            t = xc[n:nk] - rows.W[n:nk, act] @ y_S if act.size else xc[n:nk]
-            if (rows.fallback is not None
-                    or not self._rejects(s, y, t, closed, data[n:])):
-                box = self._box(s)
-                d = self._set_solve(act, factor, data, xc, 1.0, closed, y_S)
-                if d is None:
-                    return None
-                path = "corrected" if round_ or rejected is not None else "set"
-                answer = self._accept(d, box, path, data)
-                if answer is not None:
-                    key = s.tobytes()
-                    if key == previous and (self._map is None
-                                            or self._map.key != key):
-                        self._map = self._record(act, factor, s, box)
-                    self._certified_key = key
-                    return answer
-                y, t = d[n:nk], d[nk + 1:nk + k + 1]
-            new = self._corrected(s, y, t)
-            if not (new != s).any():
+            # the bounds of each row's slack, the set's rows closed onto
+            # their sides
+            closed, upper = (np.where(s > 0.0, hi0, lo0),
+                             np.where(s < 0.0, lo0, hi0))
+            y, xtr = self._set_solve(act, factor, data, xc, 1.0, closed)
+            path = "corrected" if round_ or rejected is not None else "set"
+            answer = self._verdict(s, y, xtr, (closed, upper), data, path)
+            if answer is False:
+                return None
+            if answer is not None:
+                key = s.tobytes()
+                if key == previous and (self._map is None
+                                        or self._map.key != key):
+                    self._map = self._record(act, factor, s, self._box(s))
+                self._certified_key = key
+                return answer
+            new = self._corrected(s, y, xtr[n:nk])
+            if new.tobytes() == s.tobytes():
                 return None
             s = new
         return None
 
-    def _rejects(self, s, y, t, closed, shift):
-        """Whether :meth:`_accept`'s tests reject the set of side vector
-        ``s`` from its multipliers ``y`` and slack ``t`` alone: a wrong
-        sign ``s * y < 0``, or a primal residual, the largest gap of ``t``
-        outside its bounds closed onto the set's sides (the lower ones
-        ``closed``), beyond ``eps_abs`` and beyond the scaled test with
-        ``A x = t + shift``.  False where ``t`` is not finite (or its sum
-        of squares overflows): the whole answer is then tested."""
-        if not (t.size and _DOT(t, t) < math.inf):
+    def _verdict(self, s, y, xtr, bounds, data, path):
+        """The verdict on the set of side vector ``s`` from its
+        :meth:`_set_solve` answer ``y`` and ``xtr = [x; t; r]``, the
+        ``bounds`` ``(closed, upper)`` of ``t`` and ``data = D @ theta``:
+        the ``SOLVED`` answer on the path ``path``; None where the set is
+        rejected, to be corrected; False where it is not finite.
+
+        Where ``t`` is finite, a wrong sign ``s * y < 0``, or a primal
+        residual beyond ``eps_abs`` and beyond the scaled test with ``A x =
+        t + shift``, rejects the set, whatever ``x`` and ``r`` hold; the
+        primal residual is the largest gap of ``t`` outside its bounds
+        closed onto the set's sides, 0 where there is none.  A set that
+        passes is tested finite whole.  Its residuals are that gap and
+        ``max|r|``; where either exceeds ``eps_abs``, both are those of the
+        scaled test of :meth:`_residuals`, which must pass.
+        """
+        n, k = self.n, self.k
+        x, t, r = xtr[:n], xtr[n:n + k], xtr[n + k:]
+        (closed, upper), shift = bounds, data[n:]
+        r_prim, whole = 0.0, _finite(xtr)
+        if k and (whole or _finite(t)):
+            if _MIN(s * y) < 0.0:
+                return None
+            r_prim = max(_MAX(np.maximum(closed - t, t - upper)).item(), 0.0)
+            if r_prim > _EPS_ABS:
+                Ax = t + shift
+                z = np.minimum(np.maximum(Ax, closed + shift), upper + shift)
+                scale_p = max(_MAX(np.abs(Ax)), _MAX(np.abs(z)))
+                if not _MAX(np.abs(Ax - z)) <= _EPS_ABS + _EPS_REL * scale_p:
+                    return None
+        if not whole:
             return False
-        if _MIN(s * y) < 0.0:
-            return True
-        upper = np.where(s < 0.0, *self._bounds0)
-        gap = _MAX(np.maximum(closed - t, t - upper))
-        if gap <= _EPS_ABS:
-            return False
-        Ax = t + shift
-        z = np.minimum(np.maximum(Ax, closed + shift), upper + shift)
-        scale_p = max(_MAX(np.abs(Ax)), _MAX(np.abs(z)))
-        return not _MAX(np.abs(Ax - z)) <= _EPS_ABS + _EPS_REL * scale_p
+        r_dual = _MAX(np.abs(r)).item()
+        if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
+            Ax = self.A @ x
+            r_prim, r_dual, *_, ok = self._residuals(
+                data[:n], x, y, Ax,
+                np.minimum(np.maximum(Ax, closed + shift), upper + shift))
+            if not ok:
+                return None
+        return QpSolution(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
+                          math.nan, t, path)
 
     def _corrected(self, s, y, t):
         """``s`` corrected from the set's multipliers ``y`` and slack ``t``:
         0 where ``s * y < 0``, -1 or +1 on the free rows below or above
-        their bounds by more than ``eps_abs``."""
+        their bounds by more than ``eps_abs``; like ``s``, it holds no
+        -0.0, so that its bytes name its set."""
         lo0, hi0 = self._bounds0
         new = np.where(s * y < 0.0, 0.0, s)
         new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
         new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
         return new
 
-    def _accept(self, d, box, path, data=None):
-        """The ``SOLVED`` answer ``d = [x; y; 0; t; 0; r]`` of a set
-        (:meth:`_set_solve`) on the solve path ``path``, or None when the
-        sign or residual test rejects it.
+    def _accept(self, d, box):
+        """The ``SOLVED`` record answer ``d = [x; y; 0; t; 0; r]`` (``G @
+        theta``), or None where its sign or residual test rejects it.
 
         One reduction of the solver's scratch gives the largest wrong sign
         ``-s * y``, the primal residual, which is the largest gap of ``t``
-        outside the closed bounds (``|Ax - z|`` for the point ``z`` of the
-        box nearest ``Ax``), and the dual one, ``|r|``: how far ``d``'s
-        rows past ``x`` lie outside ``box`` (:meth:`_box`).  Residuals
-        within ``eps_abs`` pass the ADMM stopping test at any scale.  With
-        ``data = D @ theta``, others take the scaled test of
-        :meth:`_residuals`; a record's answer, without it, is rejected.
+        outside the closed bounds, and the dual one, ``|r|``: how far
+        ``d``'s rows past ``x`` lie outside ``box`` (:meth:`_box`).  Both
+        residuals must be within ``eps_abs``.
         """
         n, k = self.n, self.k
         below, above, _ = self._rows.scratch
@@ -832,30 +832,35 @@ class BoxQpSolver:
         np.subtract(d[n:], box[1], out=above)
         wrong, r_prim, r_dual = np.maximum.reduceat(
             np.maximum(below, above, out=below), self._box_groups).tolist()
-        if wrong > 0.0:
+        if wrong > 0.0 or not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
             return None
-        x, y, t = d[:n], d[n:n + k], d[n + k + 1:n + 2 * k + 1]
-        if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
-            if data is None:
-                return None
-            q, shift = data[:n], data[n:]
-            Ax = self.A @ x
-            lo, hi = box[:, k + 1:2 * k + 1] + shift
-            r_prim, r_dual, *_, ok = self._residuals(
-                q, x, y, Ax, np.minimum(np.maximum(Ax, lo), hi))
-            if not ok:
-                return None
-        return QpSolution(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
-                          math.nan, t, path)
+        return QpSolution(d[:n], d[n:n + k], QpStatus.SOLVED, 0, r_prim,
+                          r_dual, math.nan, d[n + k + 1:n + 2 * k + 1],
+                          "record")
 
     def _record(self, act, factor, s, box):
         """The record of the set with side vector ``s``, rows ``act``,
         :meth:`_set_factor` ``factor`` and :meth:`_box` ``box``: its map
-        over ``D``, or None."""
-        D, k = self.data_map[0], self.k
-        G = self._set_solve(act, factor, D, self._rows.XC,
-                            np.eye(D.shape[1])[-1], box[0, k + 1:2 * k + 1])
-        return None if G is None else _SetRecord(s.tobytes(), G, box)
+        over ``D``, or None where that is not finite."""
+        D, n, k = self.data_map[0], self.n, self.k
+        nk = n + k
+        y, xtr = self._set_solve(act, factor, D, self._rows.XC,
+                                 np.eye(D.shape[1])[-1],
+                                 box[0, k + 1:2 * k + 1])
+        # [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads it in place
+        G = np.zeros((2 * nk + 2, D.shape[1]), order="F")
+        G[:n], G[n:nk], G[nk + 1:nk + k + 1] = xtr[:n], y, xtr[n:nk]
+        G[nk + k + 2:] = xtr[nk:]
+        return (_SetRecord(s.tobytes(), G, box) if _finite(G.ravel(order="F"))
+                else None)
+
+
+def _finite(v):
+    """Whether every entry of the 1-d ``v`` is finite: a sum of squares is
+    finite when they are, and one that overflows from finite entries is
+    sent to the entry-wise test.  BLAS takes no empty vector."""
+    return (not v.size or _DOT(v, v) < math.inf
+            or bool(np.isfinite(v).all()))
 
 
 def _potrs(F, rhs):

@@ -605,8 +605,10 @@ def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
         ref_y[act] = ref[n:]
         tol = 1e-12 * np.abs(ref).max()
         factor = solver._set_factor(act)
-        one = solver._set_solve(act, factor, D @ theta, rows.XC @ theta,
-                                1.0, closed0[0])
+        y_one, xtr = solver._set_solve(act, factor, D @ theta,
+                                       rows.XC @ theta, 1.0, closed0[0])
+        one = np.concatenate([xtr[:n], y_one, [0.0], xtr[n:n + k], [0.0],
+                              xtr[n + k:]])
         rec = solver._record(act, factor, s, solver._box(s))
         for d in (one, rec.G @ theta):
             # [x; y; 0; t; 0; r]
@@ -779,6 +781,38 @@ def test_a_solve_factors_each_set_it_tries_once():
         work.append((sol.path, sol.sets))
     assert work == ([("admm", 5), ("corrected", 2), ("set", 1), ("record", 0)]
                     + [("admm", 4), ("set", 1), ("record", 0)] * 2)
+
+
+def test_a_miss_forms_its_sets_box_only_to_build_a_record(monkeypatch):
+    """A miss decides each set it tries from the one product of its set
+    solve, so ``_box`` runs only where a record is built: not on a first
+    certification of a set, nor on any rejected round, and once when the
+    second certification in a row builds the set's record; a record
+    answer reads the box its record holds."""
+    calls = []
+    box = BoxQpSolver._box
+
+    def counted(self, s):
+        calls.append(s)
+        return box(self, s)
+
+    monkeypatch.setattr(BoxQpSolver, "_box", counted)
+    prob, D = _mapped_qp(98)
+    solver = BoxQpSolver(prob.P, prob.A, (D, prob.lower, prob.upper))
+    thetas = ([np.append(1e-3 * t * np.ones(3), 1.0) for t in range(4)]
+              + [np.array([-0.6, -0.6, -0.6, 1.0])] * 3
+              + [np.array([0.6, -0.6, -0.6, 1.0])] * 3)
+    y, work = None, []
+    for theta in thetas:
+        calls.clear()
+        record = solver._map
+        sol = solver.solve(theta, y0=y)
+        y = sol.y
+        assert len(calls) == (solver._map is not record)
+        work.append((sol.path, sol.sets, len(calls)))
+    assert work == ([("admm", 5, 0), ("corrected", 2, 0), ("set", 1, 1),
+                     ("record", 0, 0)]
+                    + [("admm", 4, 0), ("set", 1, 1), ("record", 0, 0)] * 2)
 
 
 def test_theta_only_solve_equals_the_solve_of_its_data():

@@ -118,3 +118,40 @@ def test_a_solved_answer_is_a_kkt_point_and_the_exhaustive_optimum(case):
             x_ref, _ = solve_qp_exhaustive(P, q, A, lo, hi)
             assert (np.abs(a.x - x_ref).max()
                     <= 1e-7 * max(1.0, np.abs(x_ref).max()))
+
+
+def test_a_set_answers_residuals_are_its_gap_and_stationarity():
+    """Every ``SOLVED`` answer on the ``set`` or ``corrected`` path reports
+    as ``primal_res`` the largest gap of its ``t`` outside its bounds,
+    each held row (``y != 0``) closed onto the side of its multiplier, or
+    0 where there is none, to 1e-12 of the scale of ``A x`` and the shift;
+    and as ``dual_res`` the stationarity residual ``max|P x + q + A'y|``,
+    to 1e-12 of the scale of its terms."""
+    answers = []
+
+    @_SETTINGS
+    @given(case=mapped_qps(repeated=True))
+    def check(case):
+        P, A, (D, lower0, upper0), thetas = case
+        n = P.shape[0]
+        solver, x, y = BoxQpSolver(P, A, (D, lower0, upper0)), None, None
+        for theta in thetas:
+            a = solver.solve(theta, x0=x, y0=y)
+            x, y = a.x, a.y
+            if (a.status is not QpStatus.SOLVED
+                    or a.path not in ("set", "corrected")):
+                continue
+            answers.append(a.path)
+            q, shift = D[:n] @ theta, D[n:] @ theta
+            closed_lo = np.where(a.y > 0.0, upper0, lower0)
+            closed_hi = np.where(a.y < 0.0, lower0, upper0)
+            gap = np.maximum(closed_lo - a.t, a.t - closed_hi).max()
+            scale = max(1.0, np.abs(a.t).max(), np.abs(shift).max())
+            assert abs(a.primal_res - max(gap, 0.0)) <= 1e-12 * scale
+            terms = (P @ a.x, q, A.T @ a.y)
+            stationarity = np.abs(sum(terms)).max()
+            scale = max(1.0, *(np.abs(v).max() for v in terms))
+            assert abs(a.dual_res - stationarity) <= 1e-12 * scale
+
+    check()
+    assert {"set", "corrected"} <= set(answers)

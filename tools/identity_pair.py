@@ -51,13 +51,15 @@ every other text must still be equal.  The iteration counts
 (``qp_iters``, ``qp_iterations``) and the solver residuals
 (``primal_res``, ``dual_res``) are reported before -> after without
 being gated, because a change of solver path changes them by design.
-In either mode three lines before the last report, also ungated, how
+In either mode four lines before the last report, also ungated: how
 many records and ``run_single`` steps ran ADMM at all (``qp_iters > 0``)
 on each side, split by final status (a record's is the worst of its
-steps), how many ``run_single`` steps each QP path answered
+steps); how many ``run_single`` steps each QP path answered
 (``StepResult.qp_path``; ``-`` for a base whose steps carry no path)
 with the total of their ``StepResult.qp_sets``, the active sets they
-factored (``-`` for a base without the field),
+factored (``-`` for a base without the field); whether the per-step
+``(qp_path, qp_sets)`` sequences of those steps are equal on both sides,
+or else the first step that differs (as ``<variant>/<seed> step <t>``);
 and the line total of ``src/ddpc/*.py`` on each side, as ``wc -l``
 counts it, next to the number of names the package exports
 (``len(ddpc.__all__)``), its count of public concepts.
@@ -102,8 +104,9 @@ QP_PATHS = ("record", "set", "corrected", "admm")
 # Runs in each tree; prints {"runs": {"<variant>/<seed>": {<field group>:
 # sha256}}, "steps": <count>, "admm_statuses": [the status of each step
 # with qp_iterations > 0], "paths": [each step's qp_path, or None],
-# "sets": [each step's qp_sets, or None]} as JSON, or with RAW set the
-# values themselves in place of the digests.
+# "sets": [each step's qp_sets, or None], "where": [each step's
+# "<variant>/<seed> step <t>"]} as JSON, or with RAW set the values
+# themselves in place of the digests.
 DIGEST_CODE = """
 import hashlib, json, pickle, sys
 import numpy as np
@@ -114,7 +117,7 @@ cfg = ddpc.load_config("table1")
 cfg = cfg.with_controller_params("gamma", mu=1e3).with_controller_params(
     "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"])
 out = {{}}
-n_steps, admm, paths, sets = 0, [], [], []
+n_steps, admm, paths, sets, where = 0, [], [], [], []
 for variant in ddpc.VARIANTS:
     for seed in range({seeds}):
         try:
@@ -127,6 +130,8 @@ for variant in ddpc.VARIANTS:
                  if s.qp_iterations > 0]
         paths += [getattr(s, "qp_path", None) for s in rollout.steps]
         sets += [getattr(s, "qp_sets", None) for s in rollout.steps]
+        where += [f"{{variant}}/{{seed}} step {{t}}"
+                  for t in range(len(rollout.steps))]
         s = rollout.steps
         run = dict(
             J=[rollout.J, rollout.J_y, rollout.J_u],
@@ -143,7 +148,7 @@ for variant in ddpc.VARIANTS:
                     .hexdigest() for name, v in run.items()}}
         out[f"{{variant}}/{{seed}}"] = run
 json.dump(dict(runs=out, steps=n_steps, admm_statuses=admm, paths=paths,
-               sets=sets), sys.stdout, sort_keys=True)
+               sets=sets, where=where), sys.stdout, sort_keys=True)
 """
 
 
@@ -217,11 +222,11 @@ def _control_config(tree: Path, work: Path) -> Path:
 
 
 def collect(tree: Path, work: Path,
-            raw: bool) -> tuple[dict, str, tuple[str, str]]:
+            raw: bool) -> tuple[dict, str, tuple[str, str], list]:
     """Every compared artifact of one side, keyed by its verdict label, how
-    many records and ``run_single`` steps ran ADMM, and how many
+    many records and ``run_single`` steps ran ADMM, how many
     ``run_single`` steps each QP path answered, with the active sets they
-    factored in all."""
+    factored in all, and each such step's ``(where, qp_path, qp_sets)``."""
     work.mkdir()
     out: dict = {}
     for name, seeds in BENCHMARKS:
@@ -280,7 +285,20 @@ def collect(tree: Path, work: Path,
             f"{_traffic(digest['admm_statuses'], digest['steps'])}")
     paths, sets = digest["paths"], digest["sets"]
     return out, admm, ("-" if None in paths else _split(paths, QP_PATHS),
-                       "-" if None in sets else str(sum(sets)))
+                       "-" if None in sets else str(sum(sets))), list(
+        zip(digest["where"], paths, sets))
+
+
+def step_sequences(before: list, after: list) -> str:
+    """Whether the per-step ``(qp_path, qp_sets)`` of both sides'
+    ``run_single`` steps are equal, or the first step where they differ."""
+    for (at_a, *a), (at_b, *b) in zip(before, after):
+        if (at_a, a) != (at_b, b):
+            at = at_a if at_a == at_b else f"{at_a} / {at_b}"
+            return f"differ first at {at}: {tuple(a)} -> {tuple(b)}"
+    if len(before) != len(after):
+        return f"differ in length: {len(before)} -> {len(after)} steps"
+    return f"equal over {len(before)} steps"
 
 
 def _split(values: list[str], names: tuple[str, ...]) -> str:
@@ -478,10 +496,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp) / "tree"
         unpack(args.base, base_tree)
-        before, admm_before, paths_before = collect(
+        before, admm_before, paths_before, steps_before = collect(
             base_tree, Path(tmp) / "base", raw)
-        after, admm_after, paths_after = collect(ROOT, Path(tmp) / "change",
-                                                 raw)
+        after, admm_after, paths_after, steps_after = collect(
+            ROOT, Path(tmp) / "change", raw)
         sizes = (f"{size(base_tree, Path(tmp) / 'base')} -> "
                  f"{size(ROOT, Path(tmp) / 'change')}")
     n_diff = 0
@@ -498,6 +516,8 @@ def main(argv=None) -> int:
     print(f"QP paths of run_single steps (not gated): {paths_before[0]} -> "
           f"{paths_after[0]}; active sets factored: {paths_before[1]} -> "
           f"{paths_after[1]}")
+    print(f"per-step (qp_path, qp_sets) of run_single steps (not gated): "
+          f"{step_sequences(steps_before, steps_after)}")
     print(f"src/ddpc/*.py lines (wc -l) and ddpc.__all__ names, not gated: "
           f"{sizes}")
     mode = "byte identity" if args.rtol is None else f"rtol {args.rtol:g}"

@@ -107,18 +107,31 @@ def loop_times(cfg, variant, seed, n_d, repeat):
             rollout, _ = bench.run_single(cfg, variant, seed, n_d=n_d)
     # the rollouts are deterministic: every repetition takes these paths
     paths = [getattr(s, "qp_path", None) for s in rollout.steps]
-    return steps, solves, paths
+    sets = [getattr(s, "qp_sets", None) for s in rollout.steps]
+    return steps, solves, paths, sets
 
 
-def picked_us(runs, paths, want: str) -> list[float]:
-    """The microseconds of every step (or solve) on the path ``want``."""
+def picked_us(runs, paths, want) -> list[float]:
+    """The microseconds of every step (or solve) whose entry of ``paths``
+    is ``want``."""
     return [1e6 * t for times in runs
             for t, path in zip(times, paths, strict=True) if path == want]
 
 
-def median_us(runs, paths, want: str) -> float | None:
+def median_us(runs, paths, want) -> float | None:
     picked = picked_us(runs, paths, want)
     return statistics.median(picked) if picked else None
+
+
+def miss_split(paths, sets) -> dict[str, tuple[str, int]]:
+    """Each miss step's ``<path>_sets<n>`` name by its ``(qp_path,
+    qp_sets)``, in the order ``PATHS`` and then ``n``: the groups whose
+    step medians show a saving per set factored.  Empty for steps that
+    carry no ``qp_sets``."""
+    found = {(path, n) for path, n in zip(paths, sets)
+             if path not in (None, "record") and n is not None}
+    return {f"{path}_sets{n}": (path, n) for path, n in sorted(
+        found, key=lambda pair: (PATHS.index(pair[0]), pair[1]))}
 
 
 def quartiles_us(runs, paths, want: str) -> list[float] | None:
@@ -144,6 +157,22 @@ def machine() -> str:
     return (f"{model}, {os.cpu_count()} cores, Python "
             f"{platform.python_version()}, numpy {np.__version__}, scipy "
             f"{scipy.__version__}, OPENBLAS_NUM_THREADS=1")
+
+
+def compared(row, runs, variant, name, pairs) -> str:
+    """Put both sides' medians over the pairs of the runs' ``<name>_step_us``
+    and the pairs in which the change is faster into ``row``; return their
+    table cells."""
+    b, c = ([run[variant].get(f"{name}_step_us") for run in runs[side]]
+            for side in ("base", "change"))
+    some = None not in b + c  # every run of both sides took it
+    faster = sum(y < x for x, y in zip(b, c)) if some else None
+    row.update({f"base_{name}_step_us": statistics.median(b) if some else None,
+                f"change_{name}_step_us": statistics.median(c) if some
+                else None, f"{name}_faster_pairs": faster})
+    return (f"{cell(row[f'base_{name}_step_us'], 9)} "
+            f"{cell(row[f'change_{name}_step_us'], 9)} "
+            + (f"{faster:>3}/{pairs:<3}" if some else f"{'-':>7}"))
 
 
 def paired(args) -> None:
@@ -177,21 +206,21 @@ def paired(args) -> None:
     rows = {}
     for variant in ddpc.VARIANTS:
         row = rows[variant] = {}
-        cells = []
-        for kind in PATHS:
-            name = f"{kind}_step_us"
-            b, c = ([run[variant].get(name) for run in runs[side]]
-                    for side in trees)
-            some = None not in b + c  # every run of both sides took it
-            faster = sum(y < x for x, y in zip(b, c)) if some else None
-            row.update({f"base_{name}": statistics.median(b) if some else None,
-                        f"change_{name}": statistics.median(c) if some
-                        else None, f"{kind}_faster_pairs": faster})
-            cells.append(f" {cell(row[f'base_{name}'], 9)} "
-                         f"{cell(row[f'change_{name}'], 9)} " +
-                         (f"{faster:>3}/{args.pairs:<3}" if some
-                          else f"{'-':>7}"))
-        print(f"{variant:<18}" + "".join(cells))
+        print(f"{variant:<18}" + "".join(
+            " " + compared(row, runs, variant, kind, args.pairs)
+            for kind in PATHS))
+    print(f"{'variant':<18} {'miss path/sets':<16} {'steps':>5} {'base':>9} "
+          f"{'change':>9} {'faster':>7}")
+    for variant in ddpc.VARIANTS:
+        row = rows[variant]
+        groups = {name: None for run in runs["base"] + runs["change"]
+                  for name in run[variant].get("miss_groups", [])}
+        for name in groups:
+            steps = row[f"{name}_steps"] = runs["change"][0][variant].get(
+                f"{name}_steps")
+            print(f"{variant:<18} {name:<16} "
+                  f"{steps if steps is not None else '-':>5} "
+                  + compared(row, runs, variant, name, args.pairs))
     print(json.dumps({"machine": machine(), "base": args.base,
                       "n_d": args.n_d, "seed": args.seed,
                       "repeat": args.repeat, "pairs": args.pairs,
@@ -225,10 +254,10 @@ def main() -> None:
           + "".join(f" {path:>9}" for path in PATHS)
           + "".join(f" {path + ' us':>12}" for path in PATHS)
           + f" {'record [q1, q3]':>16} {'record solve':>12}")
-    rows = {}
+    rows, split = {}, []
     for variant in ddpc.VARIANTS:
-        steps, solves, paths = loop_times(cfg, variant, args.seed, args.n_d,
-                                          args.repeat)
+        steps, solves, paths, sets = loop_times(cfg, variant, args.seed,
+                                                args.n_d, args.repeat)
         row = rows[variant] = {"steps": len(paths)}
         for path in PATHS:
             row[f"{path}_steps"] = paths.count(path)
@@ -236,12 +265,26 @@ def main() -> None:
         quartiles = row["record_step_quartiles_us"] = quartiles_us(
             steps, paths, "record")
         row["record_solve_us"] = median_us(solves, paths, "record")
+        groups = miss_split(paths, sets)
+        row["miss_groups"] = list(groups)
+        pairs = list(zip(paths, sets))
+        for name, group in groups.items():
+            row[f"{name}_steps"] = pairs.count(group)
+            row[f"{name}_step_us"] = median_us(steps, pairs, group)
+            row[f"{name}_solve_us"] = median_us(solves, pairs, group)
+            split.append(f"{variant:<18} {name:<16} "
+                         f"{row[f'{name}_steps']:>5} "
+                         f"{cell(row[f'{name}_step_us'], 9)} "
+                         f"{cell(row[f'{name}_solve_us'], 9)}")
         cells = [f"{row[f'{path}_steps']:>9}" for path in PATHS]
         cells += [cell(row[f"{path}_step_us"], 12) for path in PATHS]
         cells.append(f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
                      if quartiles else f"{'-':>16}")
         cells.append(cell(row["record_solve_us"], 12))
         print(f"{variant:<18} {row['steps']:>5} " + " ".join(cells))
+    print(f"{'variant':<18} {'miss path/sets':<16} {'steps':>5} "
+          f"{'step us':>9} {'solve us':>9}")
+    print(*split, sep="\n")
     print(json.dumps({"machine": machine(), "n_d": args.n_d,
                       "seed": args.seed, "repeat": args.repeat,
                       "variants": rows}))
