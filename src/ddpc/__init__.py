@@ -12,9 +12,9 @@ import os
 
 # The factorizations and QP solves here are small and dense, and a second
 # OpenBLAS thread only spins on them: `ddpc benchmark --config lti_fig1
-# --seeds 2` on a 2-core VM took the same wall time with 2 threads as with
-# 1 (19.3-19.8 s against 18.8-20.1 s) but 28.6-29.2 s of CPU time against
-# 18.8-20.0 s.  numpy and scipy each load their own OpenBLAS, which reads
+# --seeds 2` on a 2-core VM took no less wall time with 2 threads than with
+# 1 (3.2-3.5 s against 2.5-3.3 s) but 4.7-5.1 s of CPU time against
+# 2.5-3.3 s.  numpy and scipy each load their own OpenBLAS, which reads
 # the variable once, when it is loaded; this must therefore come before
 # either is imported.  An explicit setting wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

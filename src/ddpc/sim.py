@@ -14,12 +14,14 @@ The closed loops step the plant one sample at a time, since each input
 depends on the outputs before it.  The open loop knows its whole input
 record in advance, so ``collect_open_loop`` forms the input terms and the
 outputs as whole-record products and runs only the state recursion per
-sample, each step one ``np.dot`` into the state record: the same BLAS
-``gemv`` as ``A @ x``, and so the same bits, at less cost per call than
-``np.matmul``.  A batched product equals the per-sample products bit for bit
-when its inner dimension is 1 or all but one of its terms are zero; the
-bundled plants (one input, one output, ``c = [0 1.4142]``) meet that, and
-other plants agree with a per-sample loop to round-off.
+sample, each step one ``np.dot`` of the column-ordered ``[A I I]`` with the
+record's row ``[x(t), B u(t), K e(t)]``, written into the next row's state
+slot.  That ``gemv`` adds the three terms in the order of the per-sample
+step and, for ``n <= 2``, rounds ``A x`` as the per-sample product does.
+A batched product equals the per-sample products bit for bit when its
+inner dimension is 1 or all but one of its terms are zero; the bundled
+plants (``n = 2``, one input, one output, ``c = [0 1.4142]``) meet both,
+and other plants agree with a per-sample loop to round-off.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, Diverged
+from .qp import _finite
 from .trajectory import Trajectory
 
 __all__ = [
@@ -266,24 +269,43 @@ def _check_sane(y: np.ndarray, t: int) -> None:
         raise _diverged(t)
 
 
+def _check_finite(signal: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` naming the channel and the first sample of the
+    ``(channels, N)`` ``signal`` that is not finite, before any step runs:
+    a NaN or inf there would otherwise be reported as a divergence."""
+    if _finite(signal.ravel()):
+        return
+    bad = ~np.isfinite(signal)
+    t = int(bad.any(axis=0).argmax())
+    channel = int(bad[:, t].argmax())
+    raise ValueError(f"{name} channel {channel} is not finite at sample {t} "
+                     f"({signal[channel, t]})")
+
+
 def collect_open_loop(plant, excitation: np.ndarray,
                       rng: np.random.Generator | None = None,
                       sigma_e: float | None = None) -> Trajectory:
     """Run the plant from rest under a recorded input and log the response.
 
-    Only the state recursion ``x(t+1) = (A x(t) + B u(t)) + K e(t)`` runs
-    per sample, with ``A x(t)`` written into the state record in place by
-    ``np.dot(A, x(t), out=...)``: the same BLAS ``gemv`` that ``A @ x(t)``
-    runs, so the same bits, with less overhead per call.
-    The input terms ``B u`` and ``K e`` (and a wrapper's ``input_map``)
-    are computed once over the whole record before the loop, and the
-    outputs ``(C X + D u) + e`` once after it.  The sums associate as in
-    :func:`step_model`, so the record equals the per-sample loop bit for
-    bit wherever each batched product is exact: when its inner dimension
-    is 1, or when all but one of its terms are zero.  That holds for
-    ``B u``, ``K e`` and ``D u`` with one input and one output, and for
-    ``C X`` when ``C`` has one nonzero entry per row, as in the bundled
-    plants; other plants agree with the loop to round-off.
+    The record is one array whose row ``t`` is ``[x(t), B u(t), K e(t)]``,
+    and only the state recursion runs per sample, as one product
+    ``x(t+1) = [A I I] row(t)`` written in place into the next row's state
+    slot by ``np.dot(step, row, out=...)``.  With ``step`` stored column by
+    column, BLAS ``gemv`` adds its columns in turn, so the sum rounds as
+    ``(A x(t) + B u(t)) + K e(t)`` in :func:`step_model`: each unit column
+    adds its term as an in-place add would, each zero entry adds an exact
+    zero, and with ``n <= 2`` the ``A x(t)`` part is one product plus at
+    most one more, rounded as the row-ordered ``A @ x(t)`` rounds it (with
+    ``[A I I]`` stored row by row, or ``n >= 3``, the sums group
+    differently).  A wrapper writes ``state_map(x(t))`` into the row's
+    state slot before the product and keeps the raw states for the
+    outputs.  The input terms ``B u`` and ``K e`` (and a wrapper's
+    ``input_map``) are computed once before the loop, and the outputs
+    ``(C X + D u) + e`` once after it.  The record therefore equals the
+    per-sample loop bit for bit when ``n <= 2`` and each batched product
+    has inner dimension 1 or all but one of its terms zero, as for the
+    bundled plants (``C = [0 1.4142]``); other plants agree with the loop
+    to round-off.
 
     Args:
         plant: A :class:`StateSpaceModel` or :class:`NonlinearWrapper`.
@@ -292,7 +314,9 @@ def collect_open_loop(plant, excitation: np.ndarray,
         sigma_e: Overrides the plant's innovation deviation when given.
 
     Raises:
-        ValueError: On a ``sigma_e`` override that is not finite and >= 0.
+        ValueError: On a ``sigma_e`` override that is not finite and >= 0,
+            or on an excitation sample that is not finite; the message
+            names its channel and first such sample.
         Diverged: If any output magnitude exceeds ``1e6``; the message
             names the first such step, as the per-sample loop would.
     """
@@ -300,21 +324,29 @@ def collect_open_loop(plant, excitation: np.ndarray,
     if u.shape[0] != plant.m:
         raise DimensionMismatch(
             f"excitation has {u.shape[0]} channels, plant wants {plant.m}")
-    n_steps = u.shape[1]
+    _check_finite(u, "excitation")
+    n_steps, n = u.shape[1], plant.n
     e = _innovations(plant, n_steps, rng, sigma_e)
     wrapped = isinstance(plant, NonlinearWrapper)
     base = plant.base if wrapped else plant
     u_in = plant.input_map(u) if wrapped else u
-    bu = (base.B @ u_in).T
-    ke = (base.K @ e).T
-    x = np.zeros((n_steps + 1, plant.n))      # row t is the state x(t)
+    # F order makes gemv add the product column by column (see above)
+    step = np.asfortranarray(np.hstack([base.A, np.eye(n), np.eye(n)]))
+    record = np.zeros((n_steps + 1, 3 * n))
+    record[:n_steps, n:2 * n] = (base.B @ u_in).T
+    record[:n_steps, 2 * n:] = (base.K @ e).T
     # a diverging record runs on to inf/nan; the check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        for x_t, x_next, bu_t, ke_t in zip(x, x[1:], bu, ke):
-            np.dot(base.A, plant.state_map(x_t) if wrapped else x_t,
-                   out=x_next)
-            x_next += bu_t
-            x_next += ke_t
+        if wrapped:
+            x = np.zeros((n_steps + 1, n))      # the raw states
+            for row, x_t, x_next in zip(record, x, x[1:]):
+                row[:n] = plant.state_map(x_t)
+                np.dot(step, row, out=x_next)
+        else:
+            # the loop's only call: a third iterator costs it about 10%
+            x = record[:, :n]
+            for row, x_next in zip(record, x[1:]):
+                np.dot(step, row, out=x_next)
         y = (base.C @ x[:n_steps].T + base.D @ u_in) + e
         sane = np.abs(y) < DIVERGENCE_LIMIT
     if not sane.all():
@@ -363,7 +395,9 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
     step), which avoids an algebraic loop through a direct feedthrough.
 
     Raises:
-        ValueError: On a ``sigma_e`` override that is not finite and >= 0.
+        ValueError: On a ``sigma_e`` override that is not finite and >= 0,
+            or on a setpoint that is not finite; the message names its
+            channel and first such sample.
         Diverged: If any output magnitude exceeds ``1e6``.
     """
     r = np.atleast_2d(np.asarray(setpoints, dtype=float))
@@ -373,6 +407,7 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
     if feedback.B_c.shape[1] != plant.p or feedback.C_c.shape[0] != plant.m:
         raise DimensionMismatch(
             "feedback controller dimensions do not match the plant")
+    _check_finite(r, "setpoints")
     n_steps = r.shape[1]
     e = _innovations(plant, n_steps, rng, sigma_e)
     x = np.zeros(plant.n)

@@ -11,12 +11,15 @@ Covers:
     determinism, persistency at deep windows).
   * open-loop collection (noise-free determinism, innovation whiteness
     of the logged data, channel checks; bitwise equality with a
-    per-sample ``step_model`` loop on the bundled plants, round-off
-    agreement on a MIMO plant, a one-sample record, and divergence
-    naming the loop's step without a floating-point warning) and
-    closed-loop collection
-    (zero fixed point, the bundled PI loop, a 2x2 multivariable
-    feedback example, divergence detection), and the per-move divergence
+    per-sample ``step_model`` loop on the bundled plants at 600 and
+    5000 samples, and of a zero-eps wrapper with its base; round-off
+    agreement on a MIMO plant and, as a hypothesis property, with the
+    ``lti_loop`` oracle on random stable plants; a one-sample record,
+    divergence naming the loop's step without a floating-point warning,
+    and a non-finite input named by channel and sample) and closed-loop
+    collection (zero fixed point, the bundled PI loop, a 2x2
+    multivariable feedback example, divergence detection, a non-finite
+    setpoint named by channel and sample), and the per-move divergence
     test of one output row.
   * observer decay of the benchmark model over the past window.
   * keyed counter-based RNG streams.
@@ -28,6 +31,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import A2, B2, C2, D2, K2, demo_model, random_model, seeded
 from oracles import lti_loop
@@ -52,6 +57,11 @@ from ddpc import (
     step_nonlinear,
 )
 from ddpc.sim import _check_sane
+
+# a fixed number of derandomized examples, with no example database,
+# keeps the property's tier-1 time well under 1 s
+_PROPERTY = settings(max_examples=60, derandomize=True, database=None,
+                     deadline=None)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +273,57 @@ def _noise(plant, tag: int, n: int) -> np.ndarray:
     return plant.sigma_e * seeded(tag).standard_normal((plant.p, n))
 
 
-@pytest.mark.parametrize("name", ["table1", "nonlinear_fig2"])
-def test_open_loop_bitwise_equals_per_sample_loop(name):
-    # every batched product of the bundled plants is exact: inner
-    # dimension 1, or one nonzero term (c = [0 1.4142])
+@pytest.mark.parametrize("name,n_d,sigma_e", [
+    pytest.param("table1", 600, 0.3, id="table1"),
+    pytest.param("nonlinear_fig2", 600, 0.3, id="nonlinear_fig2"),
+    pytest.param("table1", 5000, 0.3, id="table1-5000"),
+    # at sigma_e 0.3 the cubic state map leaves its stable region within
+    # 5000 samples; 0.05 is the config's largest swept level
+    pytest.param("nonlinear_fig2", 5000, 0.05, id="nonlinear_fig2-5000"),
+])
+def test_open_loop_bitwise_equals_per_sample_loop(name, n_d, sigma_e):
+    # the bundled plants have n = 2, so the product [A I I] row rounds as
+    # A x + B u + K e, and every batched product is exact: inner
+    # dimension 1, or one nonzero term (c = [0 1.4142]); 5000 is
+    # identify_long's record length
     cfg = load_config(name)
-    plant = cfg.plant(sigma_e=0.3)
-    u = cfg.excitation(600, rng=seeded(111))
+    plant = cfg.plant(sigma_e=sigma_e)
+    u = cfg.excitation(n_d, rng=seeded(111))
     traj = collect_open_loop(plant, u, rng=seeded(112))
     y, diverged_at = _step_loop(plant, np.atleast_2d(u),
-                                _noise(plant, 112, 600))
+                                _noise(plant, 112, n_d))
     assert diverged_at is None
     np.testing.assert_array_equal(traj.outputs, y)
     np.testing.assert_array_equal(traj.inputs, np.atleast_2d(u))
+
+
+def test_open_loop_wrapper_at_zero_eps_equals_its_base():
+    """The wrapper's loop and the linear loop collect the same bits when
+    the distortion is the identity (the bundled plants share one core)."""
+    base = load_config("table1").plant(sigma_e=0.3)
+    u = seeded(118).standard_normal((1, 600))
+    traj = collect_open_loop(base, u, rng=seeded(119))
+    wrapped = collect_open_loop(NonlinearWrapper(base, eps=0.0), u,
+                                rng=seeded(119))
+    np.testing.assert_array_equal(wrapped.outputs, traj.outputs)
+
+
+@_PROPERTY
+@given(n=st.integers(1, 6), m=st.integers(1, 3), p=st.integers(1, 3),
+       n_d=st.integers(1, 200), noisy=st.booleans(),
+       seed=st.integers(0, 2**16))
+def test_open_loop_agrees_with_the_loop_oracle(n, m, p, n_d, noisy, seed):
+    """On random stable plants, the record agrees with ``lti_loop`` to
+    round-off (bit for bit only where each product is exact)."""
+    plant = random_model(rng_for(0x51, seed), n=n, m=m, p=p,
+                         sigma_e=0.3 if noisy else 0.0)
+    u = rng_for(0x52, seed).standard_normal((m, n_d))
+    traj = collect_open_loop(plant, u, rng=rng_for(0x53, seed))
+    E = plant.sigma_e * rng_for(0x53, seed).standard_normal((p, n_d))
+    _, y = lti_loop(plant.A, plant.B, plant.C, plant.D, plant.K,
+                    np.zeros(n), u, E)
+    np.testing.assert_allclose(traj.outputs, y, rtol=1e-12,
+                               atol=1e-12 * np.abs(y).max())
 
 
 def test_open_loop_mimo_agrees_with_per_sample_loop():
@@ -315,6 +363,17 @@ def test_open_loop_divergence_names_the_loops_step(plant, amplitude):
         warnings.simplefilter("error")
         with pytest.raises(Diverged, match=rf"at step {step}$"):
             collect_open_loop(plant, u, rng=seeded(117))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_open_loop_names_a_non_finite_input(bad):
+    u = np.zeros((2, 40))
+    u[1, 20] = bad
+    u[0, 30] = np.nan
+    plant = random_model(seeded(120), n=2, m=2, p=1, sigma_e=0.1)
+    with pytest.raises(ValueError, match=rf"^excitation channel 1 is not "
+                                         rf"finite at sample 20 \({bad}\)$"):
+        collect_open_loop(plant, u, rng=seeded(121))
 
 
 @pytest.mark.parametrize("row,diverged", [
@@ -415,6 +474,16 @@ def test_closed_loop_unstable_diverges():
     with pytest.raises(Diverged):
         collect_closed_loop(model, wrong_sign, np.zeros((1, 200)),
                             rng=seeded(110))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_loop_names_a_non_finite_setpoint(bad):
+    r = np.ones((1, 40))
+    r[0, 20] = bad
+    with pytest.raises(ValueError, match=rf"^setpoints channel 0 is not "
+                                         rf"finite at sample 20 \({bad}\)$"):
+        collect_closed_loop(demo_model(sigma_e=0.1), _pi_feedback(), r,
+                            rng=seeded(122))
 
 
 def test_feedback_shape_validation():

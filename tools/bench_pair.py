@@ -21,7 +21,10 @@ per-pair values of each side, their medians and quartiles, the relative
 change of the medians, and, for the metrics ``BENCHMARK.json`` gives a
 direction, the number of pairs in which the change is better.  An
 existing file of the same tag is extended: runs of another workload, seed
-or trace setting are added, and a run of the same ones is replaced.
+or trace setting are added, and a run of the same ones is replaced.  Each
+run keeps the command that made it, and ``commands`` lists the commands
+of the runs the file holds, so a command whose runs were all replaced
+drops out.
 """
 
 from __future__ import annotations
@@ -137,9 +140,8 @@ def main(argv=None) -> int:
         if kept.get("base") == base and "runs" in kept:
             out = kept
             out["change"] = change
-    out["commands"].append(" ".join(
-        ["python3", "tools/bench_pair.py",
-         *(argv if argv is not None else sys.argv[1:])]))
+    command = " ".join(["python3", "tools/bench_pair.py",
+                        *(argv if argv is not None else sys.argv[1:])])
     better = directions()
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = Path(tmp)
@@ -159,8 +161,13 @@ def main(argv=None) -> int:
             out["runs"][key] = {"workload": workload, "seed": args.seed,
                                 "trace": args.trace,
                                 "seconds": args.seconds,
+                                "command": command,
                                 "summary": summarize(pairs, better),
                                 "pairs": pairs}
+            # the runs of a file written before runs kept their command
+            # name none
+            out["commands"] = [c for c in dict.fromkeys(
+                run.get("command") for run in out["runs"].values()) if c]
             # written after every workload, so a cut run keeps what it has
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(out, fh, indent=1, sort_keys=True)
