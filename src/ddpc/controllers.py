@@ -323,6 +323,8 @@ class _CondensedController:
         self._n_u = n_u
         self._r_f = slice(dz, dz + dy)
         self._zero_y = np.zeros(dy)
+        self._one = np.ones(1)  # theta's trailing 1
+        self._one.flags.writeable = False
         self._warm_x = None
         self._warm_y = None
 
@@ -336,11 +338,7 @@ class _CondensedController:
         """``[z; r_f; 1]``, length-checked; the solver tests it finite."""
         r_f = _sized_vector("r_f", self._zero_y if r_f is None else r_f,
                             self.p * self.L_f)
-        theta = np.empty(self._r_f.stop + 1)
-        theta[:self._r_f.start] = self._past(z_p)
-        theta[self._r_f] = r_f
-        theta[-1] = 1.0
-        return theta
+        return np.concatenate((self._past(z_p), r_f, self._one))
 
     def _name_non_finite(self, theta) -> None:
         """Raise the error that names a non-finite part of ``theta``; the

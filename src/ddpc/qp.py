@@ -50,9 +50,10 @@ stopping test, the primal one with the set's rows held at their bounds.
 Otherwise up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0
 where ``s * y < 0`` and to -1 or +1 on the free rows violated below or
 above by more than ``_EPS_ABS``, and if none is accepted ADMM runs,
-warm-started.  So a solve is a pure function of its arguments, to
-round-off when a record answers it.  Once ADMM has
-solved the problem, the same step starts from the side vector of ADMM's
+warm-started.  A round forms each vector once, in place where the
+solver holds one (:meth:`BoxQpSolver._certify`), and never returns one
+the solver holds.  So a solve is a pure function of its arguments, to
+round-off when a record answers it.  Once ADMM has solved the problem, the same step starts from the side vector of ADMM's
 dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
 2020); ``QpSolution.iterations`` counts ADMM iterations only.  Without
 rows an uncertified problem is ``DUAL_INFEASIBLE``.  ``QpSolution.path``
@@ -240,8 +241,8 @@ except ImportError:  # numpy < 2
 # so that the ADMM loop and the active-set solves skip scipy's per-call
 # input checks.
 _POTRF, _POTRS = get_lapack_funcs(("potrf", "potrs"), dtype=np.float64)
-# the reductions behind ndarray.max/min, which reach them through Python
-_MAX, _MIN = np.maximum.reduce, np.minimum.reduce
+# the reduction behind ndarray.max, which reaches it through Python
+_MAX = np.maximum.reduce
 # BLAS gemv forms a data-mapped solve's data and dot tests it finite:
 # unlike matmul, they raise no floating-point warning, so an overflow is
 # reported by the finite test
@@ -291,13 +292,12 @@ class _SetRecord:
 class _RowSpace:
     """What the solve of an active set reads (module docstring)."""
 
-    W: np.ndarray  # [H; M; P H - A'], H = P~^-1 A' and M = A H
+    # W' of W = [H; M; P H - A'], H = P~^-1 A' and M = A H: row j of WT is
+    # column j of W, so that a set takes its columns as rows
+    WT: np.ndarray
     XC: np.ndarray  # XC @ theta = [x_u; t_u; P x_u + q], or c last
     fallback: tuple | None  # (P~, factor of P~ + eps I) where P~ is singular
     boxes: tuple  # _box's boxes of a row off the set, held below, held above
-    # scratch of [y; 0; t; 0; r]: how far it lies below and above its box
-    # (_accept), and its side vector (_box)
-    scratch: np.ndarray
 
 
 class BoxQpSolver:
@@ -347,7 +347,21 @@ class BoxQpSolver:
         self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
         self._bounds0 = np.array([lower0, upper0])
         self.data_map = (D, *self._bounds0)
-        self._free = lower0 != upper0  # the rows that are no equality rows
+        self._lo0, self._hi0 = self.data_map[1:]
+        free = self._free = lower0 != upper0  # the rows no equality rows
+        # what a miss's rounds read (_certify): s != _held on the rows the
+        # set holds (NaN: every equality row); the bounds a correction tests
+        # (open on equality rows); the groups of [x; t; r]; the vectors it
+        # writes in place (s * y, the gaps of t, |r|); and its scalars, as
+        # 0-d arrays, which numpy reads faster than Python floats
+        self._held = np.where(free, 0.0, np.nan)
+        self._open = np.array([np.where(free, lower0, -np.inf),
+                               np.where(free, upper0, np.inf)])
+        self._xtr = (slice(None, n), slice(n, n + k), slice(n + k, None))
+        self._sy, self._gaps, self._dual = (np.empty(k), np.empty((2, k)),
+                                            np.empty(n))
+        self._marks = tuple(np.array(v) for v in (0.0, -1.0, 1.0, _EPS_ABS,
+                                                  -_EPS_ABS, np.inf))
         self._rows, self._rows_read = None, False
         self._sets = 0  # the sets the solve under way has factored
         self._row_space()  # a P that is not PSD fails here
@@ -365,6 +379,9 @@ class BoxQpSolver:
         # the zeros end the first two groups, so that their maxima are at
         # least 0 and are defined for k == 0
         self._box_groups = np.array([0, k + 1, 2 * k + 2])
+        # how far [y; 0; t; 0; r] lies below and above its box (_accept),
+        # and its side vector (_box)
+        *self._box_gaps, self._box_sides = np.zeros((3, 2 * k + 2 + n))
         self.reset()
 
     def _row_space(self) -> _RowSpace:
@@ -403,9 +420,8 @@ class BoxQpSolver:
         below[1, :k], below[1, k + 1:2 * k + 1] = 0.0, lower0
         above[0, :k], above[0, k + 1:2 * k + 1] = 0.0, upper0
         self._rows = _RowSpace(
-            W, np.asfortranarray(np.vstack(XC)),
-            (Pt, L) if singular else None, (off, below, above),
-            np.zeros((3, 2 * k + 2 + n)))
+            W.T, np.asfortranarray(np.vstack(XC)),
+            (Pt, L) if singular else None, (off, below, above))
         return self._rows
 
     def reset(self) -> None:
@@ -498,7 +514,6 @@ class BoxQpSolver:
                 return answer
             rejected = d  # the corrections start from its y and t
         data = self._data(theta, x0, y0)
-        q, shift = data[:n], data[n:]
         xc = _GEMV(1.0, self._row_space().XC, theta)
         self._rows_read, self._sets = True, 0
         certified = self._certify(data, xc, s, rejected)
@@ -511,6 +526,7 @@ class BoxQpSolver:
                               QpStatus.DUAL_INFEASIBLE, 0, 0.0, math.inf,
                               math.nan, np.zeros(0), "set", self._sets)
 
+        q, shift = data[:n], data[n:]
         lo, hi = self._bounds0 + shift
         x, y, r_prim, r_dual, status, iters = self._admm(q, lo, hi, x0, y0)
         if status is QpStatus.SOLVED:
@@ -640,36 +656,36 @@ class BoxQpSolver:
 
     def _set_factor(self, act):
         """``(W_S, M_SS, F, regularized)`` of the set with rows ``act``: its
-        columns ``W_S = W[:, act]`` of the row space, gathered once, their
-        rows ``M_SS`` of ``M``, and the upper Cholesky factor ``F`` of
-        ``M_SS`` where it exists and ``min(diag F) > _SET_RTOL * max(diag
-        F)``, else of ``M_SS + _POLISH_REG I`` (``regularized``); None where
+        columns ``W_S = W[:, act]`` of the row space, taken once as rows of
+        ``W'``, their rows ``M_SS`` of ``M``, and the upper Cholesky factor
+        ``F`` of ``M_SS`` where it exists and ``min(diag F) > _SET_RTOL *
+        max(diag F)``, else of ``M_SS + _POLISH_REG I`` (``regularized``); None where
         that fails too.  Counts the set in the solve's ``sets``."""
         self._sets += 1
-        W_S = self._rows.W[:, act]
-        M_SS = W_S[self.n:self.n + self.k][act]
-        F, info = _POTRF(M_SS, lower=False, overwrite_a=False, clean=False)
+        W_S = self._rows.WT.take(act, 0).T
+        M_SS = W_S[self._xtr[1]][act]
+        F, info = _POTRF(M_SS, False, False)  # upper, not cleaned, a copy
         pivots = F.diagonal()
-        if info == 0 and (not act.size or _MIN(pivots)
-                          > _SET_RTOL * _MAX(pivots)):
+        if info == 0 and (not act.size or pivots.item(pivots.argmin())
+                          > _SET_RTOL * pivots.item(pivots.argmax())):
             return W_S, M_SS, F, False
         F, info = _POTRF(M_SS + _POLISH_REG * np.eye(act.size), lower=False,
                          overwrite_a=True, clean=False)
         return None if info != 0 else (W_S, M_SS, F, True)
 
-    def _set_solve(self, act, factor, data, xc, one, closed):
+    def _set_solve(self, act, factor, data, xc, b0):
         """``(y, xtr)`` of the set with rows ``act`` and
         :meth:`_set_factor` ``factor`` (module docstring): its multipliers
-        ``y``, zero off the set, and ``xtr = [x; t; r]``.  ``data``, ``xc``
-        and ``one`` are ``D @ theta``, ``XC @ theta`` and 1, or for a
-        record's maps ``D``, ``XC`` and the unit vector of theta's trailing
-        1; ``closed`` holds the set rows' bounds.  One ``potrs`` solves a
+        ``y``, zero off the set, and ``xtr = [x; t; r]``.  ``data`` and
+        ``xc`` are ``D @ theta`` and ``XC @ theta``, or for a record's maps
+        ``D`` and ``XC``; ``b0`` holds the bounds the set's rows are held
+        at, a column like ``xc``'s (theta's trailing 1 times the bounds, for
+        a record).  One ``potrs`` solves a
         miss's one column and a record's many alike, refined
         ``_POLISH_REFINE`` times against ``M_SS`` where the factor is
         regularized."""
         rows, n, k = self._rows, self.n, self.k
         nk, (W_S, M_SS, F, regularized) = n + k, factor
-        b0 = np.multiply.outer(closed[act], one)
         rhs = xc[n:nk][act] - b0
         y_S = _potrs(F, rhs)
         if regularized:
@@ -702,7 +718,7 @@ class BoxQpSolver:
         """The bounds that ``[y; 0; t; 0; r]`` of the set with side vector
         ``s`` must lie in: ``s * y >= 0``, ``t`` within the bounds less the
         shift with each set row closed onto its side, and ``r = 0``."""
-        k, sides = self.k, self._rows.scratch[2]
+        k, sides = self.k, self._box_sides
         sides[:k] = sides[k + 1:2 * k + 1] = s
         off, below, above = self._rows.boxes
         return np.where(sides > 0.0, above,
@@ -717,36 +733,39 @@ class BoxQpSolver:
         changes no side.
         Each set tried is factored once (:meth:`_set_factor`), solved by
         one product (:meth:`_set_solve`) and decided from it in one verdict
-        (:meth:`_verdict`).  A rejected set is corrected
-        (:meth:`_corrected`) for up to ``_CERTIFY_ROUNDS`` rounds.  When a
-        solve certifies the set that the previous solve certified, and no
-        record of it is held, its box (:meth:`_box`) and record, solved
-        through the same factor, take the place of any other record.
+        (:meth:`_verdict`); a rejected set is corrected (:meth:`_corrected`)
+        for up to ``_CERTIFY_ROUNDS`` rounds.  A round forms each vector
+        once: the set's rows by one comparison of ``s``, the upper bounds
+        of ``t`` by one clip (on the set's rows, the bounds the set solve
+        reads), and ``s * y``, in place by the verdict for the correction.
+        When a solve certifies the set that the previous solve certified,
+        and no record of it is held, its box (:meth:`_box`) and record,
+        solved through the same factor, take the place of any other record.
         Returns a ``SOLVED`` answer with zero iterations (on the path
         ``"corrected"`` after a correction or a rejected record), or None.
         """
         n, k = self.n, self.k
         nk = n + k
-        lo0, hi0 = self._bounds0
+        lo0, hi0, held, sy = self._lo0, self._hi0, self._held, self._sy
+        t_, inf = self._xtr[1], self._marks[-1]
         previous, self._certified_key = self._certified_key, None
         first = 0
         if rejected is not None:
-            new = self._corrected(s, rejected[n:nk],
+            new = self._corrected(s, np.multiply(s, rejected[n:nk], out=sy),
                                   rejected[nk + 1:nk + k + 1])
             if new.tobytes() != s.tobytes():
                 s, first = new, 1
         for round_ in range(first, _CERTIFY_ROUNDS + 1):
-            act = (~self._free | (s != 0.0)).nonzero()[0]
+            act = (s != held).nonzero()[0]
             factor = self._set_factor(act)
             if factor is None:
                 return None
-            # the bounds of each row's slack, the set's rows closed onto
-            # their sides
-            closed, upper = (np.where(s > 0.0, hi0, lo0),
-                             np.where(s < 0.0, lo0, hi0))
-            y, xtr = self._set_solve(act, factor, data, xc, 1.0, closed)
+            # the upper bound of each row's slack, the set's rows closed
+            # onto their sides: lower where s is -1, else upper
+            upper = _CLIP(np.copysign(inf, s), lo0, hi0)
+            y, xtr = self._set_solve(act, factor, data, xc, upper[act])
             path = "corrected" if round_ or rejected is not None else "set"
-            answer = self._verdict(s, y, xtr, (closed, upper), data, path)
+            answer = self._verdict(s, y, xtr, upper, data, path)
             if answer is False:
                 return None
             if answer is not None:
@@ -756,18 +775,19 @@ class BoxQpSolver:
                     self._map = self._record(act, factor, s, self._box(s))
                 self._certified_key = key
                 return answer
-            new = self._corrected(s, y, xtr[n:nk])
+            new = self._corrected(s, sy, xtr[t_])
             if new.tobytes() == s.tobytes():
                 return None
             s = new
         return None
 
-    def _verdict(self, s, y, xtr, bounds, data, path):
+    def _verdict(self, s, y, xtr, upper, data, path):
         """The verdict on the set of side vector ``s`` from its
         :meth:`_set_solve` answer ``y`` and ``xtr = [x; t; r]``, the
-        ``bounds`` ``(closed, upper)`` of ``t`` and ``data = D @ theta``:
-        the ``SOLVED`` answer on the path ``path``; None where the set is
-        rejected, to be corrected; False where it is not finite.
+        ``upper`` bounds of ``t`` and ``data = D @ theta``: the ``SOLVED``
+        answer on the path ``path``; None where the set is rejected, to be
+        corrected from the ``s * y`` that the verdict leaves in the
+        solver's vector; False where it is not finite.
 
         Where ``t`` is finite, a wrong sign ``s * y < 0``, or a primal
         residual beyond ``eps_abs`` and beyond the scaled test with ``A x =
@@ -776,17 +796,26 @@ class BoxQpSolver:
         closed onto the set's sides, 0 where there is none.  A set that
         passes is tested finite whole.  Its residuals are that gap and
         ``max|r|``; where either exceeds ``eps_abs``, both are those of the
-        scaled test of :meth:`_residuals`, which must pass.
+        scaled test of :meth:`_residuals`, which must pass.  The sign test
+        forms ``s * y`` in place and reads its least entry; only a set that
+        passes it forms its lower bounds and its gaps, in place too.
         """
-        n, k = self.n, self.k
-        x, t, r = xtr[:n], xtr[n:n + k], xtr[n + k:]
-        (closed, upper), shift = bounds, data[n:]
-        r_prim, whole = 0.0, _finite(xtr)
-        if k and (whole or _finite(t)):
-            if _MIN(s * y) < 0.0:
+        x_, t_, r_ = self._xtr
+        t = xtr[t_]
+        # the lower bounds, formed once the signs pass (no rows: empty too)
+        r_prim, whole, closed = 0.0, _finite(xtr), upper
+        if self.k and (whole or _finite(t)):
+            sy = np.multiply(s, y, out=self._sy)
+            if sy.item(sy.argmin()) < 0.0:
                 return None
-            r_prim = max(_MAX(np.maximum(closed - t, t - upper)).item(), 0.0)
+            closed = np.where(s > self._marks[0], self._hi0, self._lo0)
+            below, above = self._gaps
+            np.subtract(closed, t, out=below)
+            np.subtract(t, upper, out=above)
+            r_prim = max(_MAX(np.maximum(below, above, out=below)).item(),
+                         0.0)
             if r_prim > _EPS_ABS:
+                shift = data[self.n:]
                 Ax = t + shift
                 z = np.minimum(np.maximum(Ax, closed + shift), upper + shift)
                 scale_p = max(_MAX(np.abs(Ax)), _MAX(np.abs(z)))
@@ -794,26 +823,32 @@ class BoxQpSolver:
                     return None
         if not whole:
             return False
-        r_dual = _MAX(np.abs(r)).item()
+        x, r = xtr[x_], np.abs(xtr[r_], out=self._dual)
+        r_dual = r.item(r.argmax())
         if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
-            Ax = self.A @ x
+            Ax, shift = self.A @ x, data[self.n:]
             r_prim, r_dual, *_, ok = self._residuals(
-                data[:n], x, y, Ax,
+                data[x_], x, y, Ax,
                 np.minimum(np.maximum(Ax, closed + shift), upper + shift))
             if not ok:
                 return None
         return QpSolution(x, y, QpStatus.SOLVED, 0, r_prim, r_dual,
                           math.nan, t, path)
 
-    def _corrected(self, s, y, t):
-        """``s`` corrected from the set's multipliers ``y`` and slack ``t``:
-        0 where ``s * y < 0``, -1 or +1 on the free rows below or above
-        their bounds by more than ``eps_abs``; like ``s``, it holds no
-        -0.0, so that its bytes name its set."""
-        lo0, hi0 = self._bounds0
-        new = np.where(s * y < 0.0, 0.0, s)
-        new[self._free & (lo0 - t > _EPS_ABS)] = -1.0
-        new[self._free & (t - hi0 > _EPS_ABS)] = 1.0
+    def _corrected(self, s, sy, t):
+        """``s`` corrected from ``sy = s * y`` of the set's multipliers
+        ``y``, as the verdict formed it, and the set's slack ``t``: 0 where
+        ``s * y < 0``, -1 or +1 on the free rows below or above their
+        bounds by more than ``eps_abs``, both gaps formed by one
+        subtraction; like ``s``, it holds no -0.0, so that its bytes name
+        its set."""
+        zero, minus, plus, eps, neg_eps, _ = self._marks
+        new = s.copy()
+        new[sy < zero] = zero
+        # lower - t and upper - t: t - upper > eps where upper - t < -eps
+        below, above = np.subtract(self._open, t, out=self._gaps)
+        new[below > eps] = minus
+        new[above < neg_eps] = plus
         return new
 
     def _accept(self, d, box):
@@ -827,7 +862,7 @@ class BoxQpSolver:
         residuals must be within ``eps_abs``.
         """
         n, k = self.n, self.k
-        below, above, _ = self._rows.scratch
+        below, above = self._box_gaps
         np.subtract(box[0], d[n:], out=below)
         np.subtract(d[n:], box[1], out=above)
         wrong, r_prim, r_dual = np.maximum.reduceat(
@@ -844,9 +879,10 @@ class BoxQpSolver:
         over ``D``, or None where that is not finite."""
         D, n, k = self.data_map[0], self.n, self.k
         nk = n + k
+        held = box[0, k + 1:2 * k + 1][act]  # the set rows' bounds
         y, xtr = self._set_solve(act, factor, D, self._rows.XC,
-                                 np.eye(D.shape[1])[-1],
-                                 box[0, k + 1:2 * k + 1])
+                                 np.multiply.outer(held,
+                                                   np.eye(D.shape[1])[-1]))
         # [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads it in place
         G = np.zeros((2 * nk + 2, D.shape[1]), order="F")
         G[:n], G[n:nk], G[nk + 1:nk + k + 1] = xtr[:n], y, xtr[n:nk]
@@ -866,7 +902,7 @@ def _finite(v):
 def _potrs(F, rhs):
     """``rhs`` solved by the upper Cholesky factor ``F``; LAPACK takes no
     empty factor."""
-    return _POTRS(F, rhs, lower=False)[0] if F.size else rhs.copy()
+    return _POTRS(F, rhs)[0] if F.size else rhs.copy()  # upper F by default
 
 
 def _inf_norm(v: np.ndarray) -> float:

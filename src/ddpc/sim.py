@@ -351,7 +351,9 @@ def collect_open_loop(plant, excitation: np.ndarray,
         sane = np.abs(y) < DIVERGENCE_LIMIT
     if not sane.all():
         raise _diverged(int(np.argmin(sane.all(axis=0))))
-    return Trajectory(u.copy(), y)
+    # _check_finite tested the excitation, and the check above every
+    # output (a NaN fails it)
+    return Trajectory._of_tested(u.copy(), y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +400,8 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
         ValueError: On a ``sigma_e`` override that is not finite and >= 0,
             or on a setpoint that is not finite; the message names its
             channel and first such sample.
-        Diverged: If any output magnitude exceeds ``1e6``.
+        Diverged: If any output magnitude exceeds ``1e6``, which a
+            feedback input that is not finite makes its step's output do.
     """
     r = np.atleast_2d(np.asarray(setpoints, dtype=float))
     if r.shape[0] != plant.p:
@@ -424,4 +427,7 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
         u_log[:, t] = u_t
         y_log[:, t] = y_t
         y_prev = y_t
-    return Trajectory(u_log, y_log)
+    # _check_sane tested every output, and every input reached the output
+    # of its step through D u(t): a product carries a NaN or inf into it,
+    # through a zero D too
+    return Trajectory._of_tested(u_log, y_log)

@@ -43,17 +43,23 @@ class Trajectory:
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         y = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-        if u.ndim != 2 or y.ndim != 2:
-            raise DimensionMismatch("inputs and outputs must be 2-d arrays")
-        if u.shape[1] != y.shape[1]:
-            raise DimensionMismatch(f"inputs have {u.shape[1]} samples but "
-                                    f"outputs have {y.shape[1]}")
-        if u.shape[1] == 0:
-            raise DimensionMismatch("empty trajectory")
+        _check_shapes(u, y)
         if not (np.isfinite(u).all() and np.isfinite(y).all()):
             raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "inputs", u)
         object.__setattr__(self, "outputs", y)
+
+    @classmethod
+    def _of_tested(cls, u: np.ndarray, y: np.ndarray) -> Trajectory:
+        """The record of the float arrays ``u`` and ``y``, every sample of
+        which its collection has tested finite: the shapes are checked as
+        the constructor checks them, and the samples are not tested
+        again."""
+        _check_shapes(u, y)
+        record = object.__new__(cls)
+        object.__setattr__(record, "inputs", u)
+        object.__setattr__(record, "outputs", y)
+        return record
 
     @property
     def m(self) -> int:
@@ -66,6 +72,16 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[1]
+
+
+def _check_shapes(u: np.ndarray, y: np.ndarray) -> None:
+    if u.ndim != 2 or y.ndim != 2:
+        raise DimensionMismatch("inputs and outputs must be 2-d arrays")
+    if u.shape[1] != y.shape[1]:
+        raise DimensionMismatch(f"inputs have {u.shape[1]} samples but "
+                                f"outputs have {y.shape[1]}")
+    if u.shape[1] == 0:
+        raise DimensionMismatch("empty trajectory")
 
 
 @dataclass(frozen=True)

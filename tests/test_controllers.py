@@ -44,6 +44,7 @@ from conftest import (
 )
 from oracles import kkt_residuals, multistep_matrices
 
+from ddpc import bench
 from ddpc import qp as qp_module
 from ddpc import (
     DIVERGENCE_LIMIT,
@@ -58,10 +59,12 @@ from ddpc import (
     QpStatus,
     StateSpaceModel,
     VARIANTS,
+    bundled_config_path,
     factorize,
     fit_spc,
     kf_predictor_matrices,
     kf_update,
+    load_config,
     make_controller,
     partition,
     solve as qp_solve,
@@ -392,6 +395,42 @@ def test_steps_match_fresh_solves_of_their_condensed_qp(variant):
         if status == QpStatus.SOLVED:
             assert _solved_within_solver_tolerance(prob, x, y, st)
             assert max(r_prim, r_dual) <= st.eps_abs + st.eps_rel * 1e3
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_table1_step_results_survive_the_rollout(variant, monkeypatch):
+    """A table1 rollout (seed 0, with the penalties that perfbench gives
+    ``gamma`` and ``projreg_g``), whose steps miss and hit the solver's
+    record: once it has returned, every ``StepResult`` still holds the
+    ``u_f``, ``y_f`` and ``u_applied`` that its step returned, bit for
+    bit, so no vector the solver writes in place is one of them."""
+    cfg = load_config(bundled_config_path("table1"))
+    cfg = (cfg.with_controller_params("gamma", mu=1e3)
+           .with_controller_params(
+               "projreg_g", mu=cfg.controller_params["reg_gamma"]["mu"]))
+    build, held = bench.make_controller, []
+
+    def make(spec, **handles):
+        ctrl = build(spec, **handles)
+        step = ctrl.step
+
+        def copying(z_p, r_f):
+            res = step(z_p, r_f)
+            held.append((res, res.u_f.copy(), res.y_f.copy(),
+                         res.u_applied.copy()))
+            return res
+
+        ctrl.step = copying
+        return ctrl
+
+    monkeypatch.setattr(bench, "make_controller", make)
+    rollout, _ = bench.run_single(cfg, variant, 0)
+    assert [h[0] for h in held] == rollout.steps
+    paths = {s.qp_path for s in rollout.steps}
+    assert "record" in paths and paths - {"record"}
+    for res, *copies in held:
+        for now, then in zip((res.u_f, res.y_f, res.u_applied), copies):
+            assert now.tobytes() == then.tobytes()
 
 
 def test_cached_set_that_stops_certifying_goes_to_the_corrections():

@@ -606,7 +606,7 @@ def test_row_space_answer_of_a_set_equals_a_dense_kkt_solve(case):
         tol = 1e-12 * np.abs(ref).max()
         factor = solver._set_factor(act)
         y_one, xtr = solver._set_solve(act, factor, D @ theta,
-                                       rows.XC @ theta, 1.0, closed0[0])
+                                       rows.XC @ theta, closed0[0][act])
         one = np.concatenate([xtr[:n], y_one, [0.0], xtr[n:n + k], [0.0],
                               xtr[n + k:]])
         rec = solver._record(act, factor, s, solver._box(s))
@@ -727,10 +727,10 @@ def test_a_record_answer_off_its_bounds_is_retried_through_the_set_factor():
     np.testing.assert_allclose(rec.G @ theta, [-1.0, -4.0, 0.0, -1.0, 0.0,
                                                0.0], atol=1e-12)
 
-    def dropped(act, factor, data, xc, one, closed):
+    def dropped(act, factor, data, xc, b0):
         """The set solve with the bound's constant dropped."""
-        return BoxQpSolver._set_solve(solver, act, factor, data, xc, one,
-                                      np.zeros_like(closed))
+        return BoxQpSolver._set_solve(solver, act, factor, data, xc,
+                                      np.zeros_like(b0))
 
     solver._set_solve = dropped
     act = np.array([0])

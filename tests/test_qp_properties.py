@@ -6,8 +6,9 @@ fresh solver's at the same ``theta`` and warm start, and no answer
 depends on the solver's history, to 1e-9 of the answer's size.  With a
 repeated row drawn too, so that some sets take the regularized factor,
 every ``SOLVED`` answer is a KKT point to 1e-7 and equals the
-exhaustive oracle's optimum.  The draws are derandomized, and no
-example database is written.
+exhaustive oracle's optimum, and every answer, kept whole, still holds
+its ``x``, ``y`` and ``t`` bit for bit after the later solves.  The
+draws are derandomized, and no example database is written.
 """
 
 from __future__ import annotations
@@ -118,6 +119,31 @@ def test_a_solved_answer_is_a_kkt_point_and_the_exhaustive_optimum(case):
             x_ref, _ = solve_qp_exhaustive(P, q, A, lo, hi)
             assert (np.abs(a.x - x_ref).max()
                     <= 1e-7 * max(1.0, np.abs(x_ref).max()))
+
+
+def test_an_answer_survives_the_later_solves():
+    """A solver writes its rounds' vectors in place from solve to solve,
+    and none of them is an array it returns: every answer along a
+    sequence, kept whole, still holds after the last solve the ``x``,
+    ``y`` and ``t`` it was returned with, bit for bit, on every path."""
+    paths = set()
+
+    @_SETTINGS
+    @given(case=mapped_qps(repeated=True))
+    def check(case):
+        P, A, data_map, thetas = case
+        solver, x, y, kept = BoxQpSolver(P, A, data_map), None, None, []
+        for theta in thetas:
+            a = solver.solve(theta, x0=x, y0=y)
+            kept.append((a, a.x.copy(), a.y.copy(), a.t.copy()))
+            paths.add(a.path)
+            x, y = a.x, a.y
+        for a, *copies in kept:
+            for now, then in zip((a.x, a.y, a.t), copies):
+                assert now.tobytes() == then.tobytes()
+
+    check()
+    assert {"record", "set", "corrected", "admm"} <= paths
 
 
 def test_a_set_answers_residuals_are_its_gap_and_stationarity():

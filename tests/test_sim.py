@@ -476,6 +476,23 @@ def test_closed_loop_unstable_diverges():
                             rng=seeded(110))
 
 
+@pytest.mark.parametrize("gain", [np.nan, np.inf])
+def test_closed_loop_non_finite_feedback_input_diverges_at_its_step(gain):
+    """A feedback input that is not finite reaches its step's output
+    through ``D u``, also where ``D`` is zero (0 * inf and 0 * NaN are
+    NaN), so the divergence check stops the loop at that step: no record
+    with a non-finite input is returned, whose inputs the record would
+    have to test again."""
+    plant = StateSpaceModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
+                            K=[[0.0]], sigma_e=0.0)
+    fb = LinearFeedbackController(A_c=[[0.0]], B_c=[[0.0]], C_c=[[0.0]],
+                                  D_c=[[gain]])
+    r = np.ones((1, 10))
+    with np.errstate(invalid="ignore"), pytest.raises(
+            Diverged, match=r"at step 0$"):
+        collect_closed_loop(plant, fb, r)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_closed_loop_names_a_non_finite_setpoint(bad):
     r = np.ones((1, 40))

@@ -16,7 +16,11 @@ step's time).  The table gives, per variant, the steps of one rollout on
 each path, the median microseconds of a step on each path, and the
 quartiles of a record step over all repetitions (so that a
 few-microsecond change can be read against the spread) and the median
-of its solve; its last line is the same as JSON, with the machine.
+of its solve.  A second table splits the miss steps by path and by the
+number of active sets their solve factored (``<path>_sets<n>``): the
+steps of one rollout, the step and solve medians, and the solve median
+divided by ``n``, the microseconds per set.  The last line is the same as
+JSON, with the machine.
 
 With ``--base <commit>``, the commit is unpacked with ``git archive``
 (``tools/bench_pair.py``'s ``unpack``) and this script, copied into it,
@@ -25,7 +29,8 @@ alternating pairs, the side that goes first alternating from pair to
 pair.  One run's step medians are noisy, but both sides of a pair run
 back to back.  The table gives, per variant and path, the median over
 the pairs of each side's step median, and the number of pairs in which
-the working tree's was lower; its last line is the same as JSON.  A path
+the working tree's was lower, and the same per miss group, with each
+side's median solve per set; its last line is the same as JSON.  A path
 that a side never takes, or a base whose steps carry no ``qp_path``,
 gives ``-``.
 """
@@ -175,6 +180,21 @@ def compared(row, runs, variant, name, pairs) -> str:
             + (f"{faster:>3}/{pairs:<3}" if some else f"{'-':>7}"))
 
 
+def per_set(row, runs, variant, name) -> str:
+    """Put each side's median over the pairs of the runs' solve medians of
+    the miss group ``name`` (``<path>_sets<n>``), divided by ``n``, into
+    ``row``; return their table cells."""
+    n = int(name.rsplit("_sets", 1)[1])
+    cells = []
+    for side in ("base", "change"):
+        solves = [run[variant].get(f"{name}_solve_us") for run in runs[side]]
+        value = (statistics.median(solves) / n if n and None not in solves
+                 else None)
+        row[f"{side}_{name}_us_per_set"] = value
+        cells.append(cell(value, 9))
+    return " ".join(cells)
+
+
 def paired(args) -> None:
     """Per-path step medians of the base commit and of the working tree,
     from alternating fresh-process runs of this script on each."""
@@ -210,7 +230,7 @@ def paired(args) -> None:
             " " + compared(row, runs, variant, kind, args.pairs)
             for kind in PATHS))
     print(f"{'variant':<18} {'miss path/sets':<16} {'steps':>5} {'base':>9} "
-          f"{'change':>9} {'faster':>7}")
+          f"{'change':>9} {'faster':>7} {'base/set':>9} {'chg/set':>9}")
     for variant in ddpc.VARIANTS:
         row = rows[variant]
         groups = {name: None for run in runs["base"] + runs["change"]
@@ -220,7 +240,8 @@ def paired(args) -> None:
                 f"{name}_steps")
             print(f"{variant:<18} {name:<16} "
                   f"{steps if steps is not None else '-':>5} "
-                  + compared(row, runs, variant, name, args.pairs))
+                  + compared(row, runs, variant, name, args.pairs) + " "
+                  + per_set(row, runs, variant, name))
     print(json.dumps({"machine": machine(), "base": args.base,
                       "n_d": args.n_d, "seed": args.seed,
                       "repeat": args.repeat, "pairs": args.pairs,
@@ -271,11 +292,13 @@ def main() -> None:
         for name, group in groups.items():
             row[f"{name}_steps"] = pairs.count(group)
             row[f"{name}_step_us"] = median_us(steps, pairs, group)
-            row[f"{name}_solve_us"] = median_us(solves, pairs, group)
+            solve = row[f"{name}_solve_us"] = median_us(solves, pairs, group)
+            row[f"{name}_us_per_set"] = solve / group[1] if group[1] else None
             split.append(f"{variant:<18} {name:<16} "
                          f"{row[f'{name}_steps']:>5} "
                          f"{cell(row[f'{name}_step_us'], 9)} "
-                         f"{cell(row[f'{name}_solve_us'], 9)}")
+                         f"{cell(solve, 9)} "
+                         f"{cell(row[f'{name}_us_per_set'], 9)}")
         cells = [f"{row[f'{path}_steps']:>9}" for path in PATHS]
         cells += [cell(row[f"{path}_step_us"], 12) for path in PATHS]
         cells.append(f"[{quartiles[0]:6.1f}, {quartiles[1]:6.1f}]"
@@ -283,7 +306,7 @@ def main() -> None:
         cells.append(cell(row["record_solve_us"], 12))
         print(f"{variant:<18} {row['steps']:>5} " + " ".join(cells))
     print(f"{'variant':<18} {'miss path/sets':<16} {'steps':>5} "
-          f"{'step us':>9} {'solve us':>9}")
+          f"{'step us':>9} {'solve us':>9} {'us/set':>9}")
     print(*split, sep="\n")
     print(json.dumps({"machine": machine(), "n_d": args.n_d,
                       "seed": args.seed, "repeat": args.repeat,
