@@ -42,20 +42,17 @@ slack of every row ``t = A x - shift`` and the stationarity residual
 ``r = P x + q + A' y``.  Where ``P~`` is singular, ``XC`` maps ``c`` in
 the place of ``P x_u + q``, and ``t`` and ``r`` are formed from ``x``
 and ``y`` refined against ``P~``.  One verdict decides the set from
-that product: where ``t`` is finite, a multiplier with ``s * y < 0`` or
-a primal residual that fails the test below rejects the set, whatever
-``x`` and ``r`` hold.  Only a set that passes is tested finite whole; it
-is ``SOLVED`` with ``iterations == 0`` when both residuals pass the ADMM
-stopping test, the primal one with the set's rows held at their bounds.
-Otherwise up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s`` to 0
-where ``s * y < 0`` and to -1 or +1 on the free rows violated below or
-above by more than ``_EPS_ABS``, and if none is accepted ADMM runs,
-warm-started.  A round forms each vector once, in place where the
-solver holds one (:meth:`BoxQpSolver._certify`), and never returns one
-the solver holds.  So a solve is a pure function of its arguments, to
-round-off when a record answers it.  Once ADMM has solved the problem, the same step starts from the side vector of ADMM's
-dual, in the place of OSQP's polish (Stellato et al., Math. Prog. Comp.
-2020); ``QpSolution.iterations`` counts ADMM iterations only.  Without
+that product (:meth:`BoxQpSolver._verdict`): it is ``SOLVED`` with
+``iterations == 0`` where ``s * y >= 0`` and both residuals pass the
+ADMM stopping test, the primal one with the set's rows held at their
+bounds.  Otherwise up to ``_CERTIFY_ROUNDS`` (3) corrections set ``s``
+to 0 where ``s * y < 0`` and to -1 or +1 on the free rows violated below
+or above by more than ``_EPS_ABS``, and if none is accepted ADMM runs,
+warm-started.  A round returns no vector the solver holds, so a solve is
+a pure function of its arguments, to round-off when a record answers
+it.  Once ADMM has solved the problem, the same step starts from the
+side vector of ADMM's dual, in the place of OSQP's polish (Stellato et
+al., Math. Prog. Comp. 2020); ``QpSolution.iterations`` counts ADMM iterations only.  Without
 rows an uncertified problem is ``DUAL_INFEASIBLE``.  ``QpSolution.path``
 names the path that answered: the set record (below), the warm start's
 set, a corrected set, or ADMM.
@@ -172,8 +169,8 @@ class QpSettings:
 
     A step is ``SOLVED`` once both residuals are within ``eps_abs +
     eps_rel * scale``, the test that stops ADMM and accepts a certified
-    active set; ``max_iter`` caps ADMM alone.  The rest of the scheme, and
-    what a solver caches, is fixed by the module constants (module docstring).
+    active set; ``max_iter`` caps ADMM alone; the module constants fix
+    the rest (module docstring).
     """
 
     __slots__ = ()
@@ -224,12 +221,9 @@ _REFACTOR_RATIO = 5.0
 _POLISH_REG = 1e-9
 _POLISH_REFINE = 3
 _CERTIFY_ROUNDS = 3
-# Relative bound on the diagonal of a set's plain Cholesky factor of M_SS
-# at or below which the set takes the factor of M_SS + _POLISH_REG I and
-# its refinements instead: a pivot d (relative to the largest) leaves the
-# unrefined solve an error near eps / d^2.  Repeated or dependent rows
-# fail the factor or leave pivots near sqrt(eps); 28 of 2,328 table1 sets
-# took the regularized factor, 8 of them by this bound.
+# A set's bound on its pivot ratio (module docstring): a pivot d relative
+# to the largest leaves the unrefined solve an error near eps / d^2; 28 of
+# 2,328 table1 sets took the regularized factor, 8 of them by this bound.
 _SET_RTOL = 1e-3
 _EIG_TOL = 1e-12  # symmetry and eigenvalue tolerance of _check_weight
 
@@ -292,12 +286,14 @@ class _SetRecord:
 class _RowSpace:
     """What the solve of an active set reads (module docstring)."""
 
-    # W' of W = [H; M; P H - A'], H = P~^-1 A' and M = A H: row j of WT is
-    # column j of W, so that a set takes its columns as rows
-    WT: np.ndarray
+    WT: np.ndarray  # W' of W = [H; M; P H - A'], H = P~^-1 A', M = A H
     XC: np.ndarray  # XC @ theta = [x_u; t_u; P x_u + q], or c last
     fallback: tuple | None  # (P~, factor of P~ + eps I) where P~ is singular
     boxes: tuple  # _box's boxes of a row off the set, held below, held above
+    held: np.ndarray  # s != held on a set's rows: 0, NaN on equality rows
+    open: np.ndarray  # the bounds a correction tests, open on equality rows
+    sy: np.ndarray  # s * y, written by the verdict, read by the correction
+    scratch: tuple  # _accept's gaps below and above a box; _box's sides
 
 
 class BoxQpSolver:
@@ -347,21 +343,7 @@ class BoxQpSolver:
         self._DT = D.T  # Fortran-ordered, so BLAS reads it in place
         self._bounds0 = np.array([lower0, upper0])
         self.data_map = (D, *self._bounds0)
-        self._lo0, self._hi0 = self.data_map[1:]
-        free = self._free = lower0 != upper0  # the rows no equality rows
-        # what a miss's rounds read (_certify): s != _held on the rows the
-        # set holds (NaN: every equality row); the bounds a correction tests
-        # (open on equality rows); the groups of [x; t; r]; the vectors it
-        # writes in place (s * y, the gaps of t, |r|); and its scalars, as
-        # 0-d arrays, which numpy reads faster than Python floats
-        self._held = np.where(free, 0.0, np.nan)
-        self._open = np.array([np.where(free, lower0, -np.inf),
-                               np.where(free, upper0, np.inf)])
-        self._xtr = (slice(None, n), slice(n, n + k), slice(n + k, None))
-        self._sy, self._gaps, self._dual = (np.empty(k), np.empty((2, k)),
-                                            np.empty(n))
-        self._marks = tuple(np.array(v) for v in (0.0, -1.0, 1.0, _EPS_ABS,
-                                                  -_EPS_ABS, np.inf))
+        self._free = lower0 != upper0  # the rows that are no equality rows
         self._rows, self._rows_read = None, False
         self._sets = 0  # the sets the solve under way has factored
         self._row_space()  # a P that is not PSD fails here
@@ -379,9 +361,6 @@ class BoxQpSolver:
         # the zeros end the first two groups, so that their maxima are at
         # least 0 and are defined for k == 0
         self._box_groups = np.array([0, k + 1, 2 * k + 2])
-        # how far [y; 0; t; 0; r] lies below and above its box (_accept),
-        # and its side vector (_box)
-        *self._box_gaps, self._box_sides = np.zeros((3, 2 * k + 2 + n))
         self.reset()
 
     def _row_space(self) -> _RowSpace:
@@ -421,7 +400,10 @@ class BoxQpSolver:
         above[0, :k], above[0, k + 1:2 * k + 1] = 0.0, upper0
         self._rows = _RowSpace(
             W.T, np.asfortranarray(np.vstack(XC)),
-            (Pt, L) if singular else None, (off, below, above))
+            (Pt, L) if singular else None, (off, below, above),
+            np.where(self._free, 0.0, np.nan),
+            np.where(self._free, self._bounds0, [[-np.inf], [np.inf]]),
+            np.empty(k), tuple(np.zeros((3, 2 * k + 2 + n))))
         return self._rows
 
     def reset(self) -> None:
@@ -633,12 +615,11 @@ class BoxQpSolver:
         finite with ``theta`` and the warm starts: the one test of a
         solve's inputs.
 
-        ``gemv`` raises no floating-point warning, so an overflow reaches
-        the test, and ``theta`` is tested itself, so an entry whose column
-        of the map is zero is tested too.  A sum of squares is finite when
-        every entry is, so one BLAS dot per array tests them all; a sum
-        that overflows from finite entries sends the arrays to the
-        entry-wise test, which names the first non-finite one.
+        ``theta`` is tested itself, so an entry whose column of the map is
+        zero is tested too.  One BLAS dot per array forms a sum of squares,
+        finite when every entry is (:func:`_finite`); a sum that overflows
+        sends the arrays to the entry-wise test, which names the first
+        non-finite one.
         """
         total = _DOT(d, d) + _DOT(theta, theta)
         for v in (x0, y0):
@@ -659,12 +640,12 @@ class BoxQpSolver:
         columns ``W_S = W[:, act]`` of the row space, taken once as rows of
         ``W'``, their rows ``M_SS`` of ``M``, and the upper Cholesky factor
         ``F`` of ``M_SS`` where it exists and ``min(diag F) > _SET_RTOL *
-        max(diag F)``, else of ``M_SS + _POLISH_REG I`` (``regularized``); None where
-        that fails too.  Counts the set in the solve's ``sets``."""
+        max(diag F)``, else of ``M_SS + _POLISH_REG I`` (``regularized``);
+        None where that fails too.  Counts the set in the solve's ``sets``."""
         self._sets += 1
         W_S = self._rows.WT.take(act, 0).T
-        M_SS = W_S[self._xtr[1]][act]
-        F, info = _POTRF(M_SS, False, False)  # upper, not cleaned, a copy
+        M_SS = W_S[self.n:self.n + self.k][act]
+        F, info = _POTRF(M_SS, lower=False, overwrite_a=False, clean=False)
         pivots = F.diagonal()
         if info == 0 and (not act.size or pivots.item(pivots.argmin())
                           > _SET_RTOL * pivots.item(pivots.argmax())):
@@ -680,10 +661,9 @@ class BoxQpSolver:
         ``xc`` are ``D @ theta`` and ``XC @ theta``, or for a record's maps
         ``D`` and ``XC``; ``b0`` holds the bounds the set's rows are held
         at, a column like ``xc``'s (theta's trailing 1 times the bounds, for
-        a record).  One ``potrs`` solves a
-        miss's one column and a record's many alike, refined
-        ``_POLISH_REFINE`` times against ``M_SS`` where the factor is
-        regularized."""
+        a record).  One ``potrs`` solves a miss's one column and a record's
+        many alike, refined ``_POLISH_REFINE`` times against ``M_SS`` where
+        the factor is regularized."""
         rows, n, k = self._rows, self.n, self.k
         nk, (W_S, M_SS, F, regularized) = n + k, factor
         rhs = xc[n:nk][act] - b0
@@ -718,7 +698,7 @@ class BoxQpSolver:
         """The bounds that ``[y; 0; t; 0; r]`` of the set with side vector
         ``s`` must lie in: ``s * y >= 0``, ``t`` within the bounds less the
         shift with each set row closed onto its side, and ``r = 0``."""
-        k, sides = self.k, self._box_sides
+        k, sides = self.k, self._rows.scratch[2]
         sides[:k] = sides[k + 1:2 * k + 1] = s
         off, below, above = self._rows.boxes
         return np.where(sides > 0.0, above,
@@ -733,11 +713,8 @@ class BoxQpSolver:
         changes no side.
         Each set tried is factored once (:meth:`_set_factor`), solved by
         one product (:meth:`_set_solve`) and decided from it in one verdict
-        (:meth:`_verdict`); a rejected set is corrected (:meth:`_corrected`)
-        for up to ``_CERTIFY_ROUNDS`` rounds.  A round forms each vector
-        once: the set's rows by one comparison of ``s``, the upper bounds
-        of ``t`` by one clip (on the set's rows, the bounds the set solve
-        reads), and ``s * y``, in place by the verdict for the correction.
+        (:meth:`_verdict`), whose ``s * y`` a rejected set's correction
+        (:meth:`_corrected`) reads, for up to ``_CERTIFY_ROUNDS`` rounds.
         When a solve certifies the set that the previous solve certified,
         and no record of it is held, its box (:meth:`_box`) and record,
         solved through the same factor, take the place of any other record.
@@ -746,23 +723,21 @@ class BoxQpSolver:
         """
         n, k = self.n, self.k
         nk = n + k
-        lo0, hi0, held, sy = self._lo0, self._hi0, self._held, self._sy
-        t_, inf = self._xtr[1], self._marks[-1]
+        rows, (_, lo0, hi0) = self._rows, self.data_map
         previous, self._certified_key = self._certified_key, None
         first = 0
         if rejected is not None:
-            new = self._corrected(s, np.multiply(s, rejected[n:nk], out=sy),
-                                  rejected[nk + 1:nk + k + 1])
+            sy = np.multiply(s, rejected[n:nk], out=rows.sy)
+            new = self._corrected(s, sy, rejected[nk + 1:nk + k + 1])
             if new.tobytes() != s.tobytes():
                 s, first = new, 1
         for round_ in range(first, _CERTIFY_ROUNDS + 1):
-            act = (s != held).nonzero()[0]
+            act = (s != rows.held).nonzero()[0]
             factor = self._set_factor(act)
             if factor is None:
                 return None
-            # the upper bound of each row's slack, the set's rows closed
-            # onto their sides: lower where s is -1, else upper
-            upper = _CLIP(np.copysign(inf, s), lo0, hi0)
+            # the upper bounds of t: the lower one where s is -1
+            upper = _CLIP(np.copysign(math.inf, s), lo0, hi0)
             y, xtr = self._set_solve(act, factor, data, xc, upper[act])
             path = "corrected" if round_ or rejected is not None else "set"
             answer = self._verdict(s, y, xtr, upper, data, path)
@@ -775,7 +750,7 @@ class BoxQpSolver:
                     self._map = self._record(act, factor, s, self._box(s))
                 self._certified_key = key
                 return answer
-            new = self._corrected(s, sy, xtr[t_])
+            new = self._corrected(s, rows.sy, xtr[n:nk])
             if new.tobytes() == s.tobytes():
                 return None
             s = new
@@ -786,8 +761,8 @@ class BoxQpSolver:
         :meth:`_set_solve` answer ``y`` and ``xtr = [x; t; r]``, the
         ``upper`` bounds of ``t`` and ``data = D @ theta``: the ``SOLVED``
         answer on the path ``path``; None where the set is rejected, to be
-        corrected from the ``s * y`` that the verdict leaves in the
-        solver's vector; False where it is not finite.
+        corrected from the ``s * y`` it leaves in ``sy`` of the row space;
+        False where it is not finite.
 
         Where ``t`` is finite, a wrong sign ``s * y < 0``, or a primal
         residual beyond ``eps_abs`` and beyond the scaled test with ``A x =
@@ -796,26 +771,19 @@ class BoxQpSolver:
         closed onto the set's sides, 0 where there is none.  A set that
         passes is tested finite whole.  Its residuals are that gap and
         ``max|r|``; where either exceeds ``eps_abs``, both are those of the
-        scaled test of :meth:`_residuals`, which must pass.  The sign test
-        forms ``s * y`` in place and reads its least entry; only a set that
-        passes it forms its lower bounds and its gaps, in place too.
+        scaled test of :meth:`_residuals`, which must pass.
         """
-        x_, t_, r_ = self._xtr
-        t = xtr[t_]
+        n, k = self.n, self.k
+        x, t, shift = xtr[:n], xtr[n:n + k], data[n:]
         # the lower bounds, formed once the signs pass (no rows: empty too)
         r_prim, whole, closed = 0.0, _finite(xtr), upper
-        if self.k and (whole or _finite(t)):
-            sy = np.multiply(s, y, out=self._sy)
+        if k and (whole or _finite(t)):
+            sy = np.multiply(s, y, out=self._rows.sy)
             if sy.item(sy.argmin()) < 0.0:
                 return None
-            closed = np.where(s > self._marks[0], self._hi0, self._lo0)
-            below, above = self._gaps
-            np.subtract(closed, t, out=below)
-            np.subtract(t, upper, out=above)
-            r_prim = max(_MAX(np.maximum(below, above, out=below)).item(),
-                         0.0)
+            closed = np.where(s > 0.0, self.data_map[2], self.data_map[1])
+            r_prim = max(_MAX(np.maximum(closed - t, t - upper)).item(), 0.0)
             if r_prim > _EPS_ABS:
-                shift = data[self.n:]
                 Ax = t + shift
                 z = np.minimum(np.maximum(Ax, closed + shift), upper + shift)
                 scale_p = max(_MAX(np.abs(Ax)), _MAX(np.abs(z)))
@@ -823,12 +791,11 @@ class BoxQpSolver:
                     return None
         if not whole:
             return False
-        x, r = xtr[x_], np.abs(xtr[r_], out=self._dual)
-        r_dual = r.item(r.argmax())
+        r_dual = _MAX(np.abs(xtr[n + k:])).item()
         if not (r_prim <= _EPS_ABS and r_dual <= _EPS_ABS):
-            Ax, shift = self.A @ x, data[self.n:]
+            Ax = self.A @ x
             r_prim, r_dual, *_, ok = self._residuals(
-                data[x_], x, y, Ax,
+                data[:n], x, y, Ax,
                 np.minimum(np.maximum(Ax, closed + shift), upper + shift))
             if not ok:
                 return None
@@ -837,18 +804,15 @@ class BoxQpSolver:
 
     def _corrected(self, s, sy, t):
         """``s`` corrected from ``sy = s * y`` of the set's multipliers
-        ``y``, as the verdict formed it, and the set's slack ``t``: 0 where
-        ``s * y < 0``, -1 or +1 on the free rows below or above their
-        bounds by more than ``eps_abs``, both gaps formed by one
-        subtraction; like ``s``, it holds no -0.0, so that its bytes name
-        its set."""
-        zero, minus, plus, eps, neg_eps, _ = self._marks
+        ``y`` and its slack ``t``: 0 where ``s * y < 0``, -1 or +1 on the
+        free rows below or above their bounds by more than ``eps_abs``;
+        like ``s``, it holds no -0.0, so that its bytes name its set."""
         new = s.copy()
-        new[sy < zero] = zero
+        new[sy < 0.0] = 0.0
         # lower - t and upper - t: t - upper > eps where upper - t < -eps
-        below, above = np.subtract(self._open, t, out=self._gaps)
-        new[below > eps] = minus
-        new[above < neg_eps] = plus
+        below, above = self._rows.open - t
+        new[below > _EPS_ABS] = -1.0
+        new[above < -_EPS_ABS] = 1.0
         return new
 
     def _accept(self, d, box):
@@ -862,7 +826,7 @@ class BoxQpSolver:
         residuals must be within ``eps_abs``.
         """
         n, k = self.n, self.k
-        below, above = self._box_gaps
+        below, above, _ = self._rows.scratch
         np.subtract(box[0], d[n:], out=below)
         np.subtract(d[n:], box[1], out=above)
         wrong, r_prim, r_dual = np.maximum.reduceat(
@@ -879,10 +843,9 @@ class BoxQpSolver:
         over ``D``, or None where that is not finite."""
         D, n, k = self.data_map[0], self.n, self.k
         nk = n + k
-        held = box[0, k + 1:2 * k + 1][act]  # the set rows' bounds
-        y, xtr = self._set_solve(act, factor, D, self._rows.XC,
-                                 np.multiply.outer(held,
-                                                   np.eye(D.shape[1])[-1]))
+        b0 = np.multiply.outer(box[0, k + 1:2 * k + 1][act],
+                               np.eye(D.shape[1])[-1])  # the held bounds
+        y, xtr = self._set_solve(act, factor, D, self._rows.XC, b0)
         # [x; y; 0; t; 0; r], Fortran-ordered, so that BLAS reads it in place
         G = np.zeros((2 * nk + 2, D.shape[1]), order="F")
         G[:n], G[n:nk], G[nk + 1:nk + k + 1] = xtr[:n], y, xtr[n:nk]
@@ -902,7 +865,7 @@ def _finite(v):
 def _potrs(F, rhs):
     """``rhs`` solved by the upper Cholesky factor ``F``; LAPACK takes no
     empty factor."""
-    return _POTRS(F, rhs)[0] if F.size else rhs.copy()  # upper F by default
+    return _POTRS(F, rhs, lower=False)[0] if F.size else rhs.copy()
 
 
 def _inf_norm(v: np.ndarray) -> float:

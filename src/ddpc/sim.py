@@ -351,9 +351,7 @@ def collect_open_loop(plant, excitation: np.ndarray,
         sane = np.abs(y) < DIVERGENCE_LIMIT
     if not sane.all():
         raise _diverged(int(np.argmin(sane.all(axis=0))))
-    # _check_finite tested the excitation, and the check above every
-    # output (a NaN fails it)
-    return Trajectory._of_tested(u.copy(), y)
+    return Trajectory(u.copy(), y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,7 +425,4 @@ def collect_closed_loop(plant, feedback: LinearFeedbackController,
         u_log[:, t] = u_t
         y_log[:, t] = y_t
         y_prev = y_t
-    # _check_sane tested every output, and every input reached the output
-    # of its step through D u(t): a product carries a NaN or inf into it,
-    # through a zero D too
-    return Trajectory._of_tested(u_log, y_log)
+    return Trajectory(u_log, y_log)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DepthExceedsLength, DimensionMismatch, MalformedData
+from .qp import _finite
 
 __all__ = [
     "Trajectory",
@@ -43,23 +44,17 @@ class Trajectory:
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         y = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-        _check_shapes(u, y)
-        if not (np.isfinite(u).all() and np.isfinite(y).all()):
+        if u.ndim != 2 or y.ndim != 2:
+            raise DimensionMismatch("inputs and outputs must be 2-d arrays")
+        if u.shape[1] != y.shape[1]:
+            raise DimensionMismatch(f"inputs have {u.shape[1]} samples but "
+                                    f"outputs have {y.shape[1]}")
+        if u.shape[1] == 0:
+            raise DimensionMismatch("empty trajectory")
+        if not (_finite(u.ravel("K")) and _finite(y.ravel("K"))):
             raise ValueError("trajectory contains non-finite samples")
         object.__setattr__(self, "inputs", u)
         object.__setattr__(self, "outputs", y)
-
-    @classmethod
-    def _of_tested(cls, u: np.ndarray, y: np.ndarray) -> Trajectory:
-        """The record of the float arrays ``u`` and ``y``, every sample of
-        which its collection has tested finite: the shapes are checked as
-        the constructor checks them, and the samples are not tested
-        again."""
-        _check_shapes(u, y)
-        record = object.__new__(cls)
-        object.__setattr__(record, "inputs", u)
-        object.__setattr__(record, "outputs", y)
-        return record
 
     @property
     def m(self) -> int:
@@ -72,16 +67,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[1]
-
-
-def _check_shapes(u: np.ndarray, y: np.ndarray) -> None:
-    if u.ndim != 2 or y.ndim != 2:
-        raise DimensionMismatch("inputs and outputs must be 2-d arrays")
-    if u.shape[1] != y.shape[1]:
-        raise DimensionMismatch(f"inputs have {u.shape[1]} samples but "
-                                f"outputs have {y.shape[1]}")
-    if u.shape[1] == 0:
-        raise DimensionMismatch("empty trajectory")
 
 
 @dataclass(frozen=True)
